@@ -2,9 +2,9 @@
 // (see DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
 // paper-vs-measured values). Each benchmark reports the headline numbers as
 // custom metrics so `go test -bench` output doubles as the results table.
-// The measurement benchmarks run through the scenario registry
-// (dnstime.RunScenario), exercising the same entry points as
-// `experiments campaigns`.
+// The campaign and measurement benchmarks run through the campaign Engine
+// and the scenario registry (dnstime.RunScenario), exercising the same
+// entry points as `experiments campaigns`.
 package dnstime_test
 
 import (
@@ -27,24 +27,24 @@ import (
 // 64 seeds (DESIGN.md §4).
 const campaignSeeds = 64
 
-// benchCampaignTableI runs a 64-seed Table I campaign at the given worker
-// count and reports runs/sec plus the aggregate headline numbers. Compare
+// benchCampaignTableI runs a 64-seed table1 campaign (the boot-time
+// attack against all seven client profiles per seed) through the Engine
+// at the given worker count, and reports runs/sec — one run per profile
+// per seed — plus how many clients every seed shifted. Compare
 // BenchmarkCampaignTableI against BenchmarkCampaignTableISerial for the
 // parallel speedup (>2× expected on a multi-core runner).
 func benchCampaignTableI(b *testing.B, workers int) {
 	profiles := len(dnstime.AllProfiles())
+	eng := dnstime.NewEngine(dnstime.WithSeeds(campaignSeeds), dnstime.WithWorkers(workers))
 	var vulnerable int
 	for i := 0; i < b.N; i++ {
-		rows, err := dnstime.CampaignTableI(dnstime.CampaignTableIOptions{
-			Seeds:   campaignSeeds,
-			Workers: workers,
-		})
+		agg, err := eng.Run(context.Background(), "table1")
 		if err != nil {
 			b.Fatal(err)
 		}
 		vulnerable = 0
-		for _, r := range rows {
-			if r.Boot.Successes == r.Boot.Runs {
+		for _, m := range agg.Metrics {
+			if strings.HasPrefix(m.Name, "boot/") && m.Mean == 1 {
 				vulnerable++
 			}
 		}

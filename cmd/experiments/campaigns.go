@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"dnstime"
@@ -207,23 +208,9 @@ func runCampaigns(ctx context.Context, argv []string, w io.Writer) error {
 // every name validated); an empty list selects every registered scenario.
 func selectScenarios(only string) ([]string, error) {
 	all := dnstime.ScenarioNames()
-	if strings.TrimSpace(only) == "" {
-		return all, nil
-	}
-	registered := make(map[string]bool, len(all))
-	for _, name := range all {
-		registered[name] = true
-	}
-	want := make(map[string]bool)
-	for _, name := range strings.Split(only, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		if !registered[name] {
-			return nil, fmt.Errorf("unknown scenario %q (have: %s)", name, strings.Join(all, ", "))
-		}
-		want[name] = true
+	want, err := selectNames(only, all, "scenario")
+	if err != nil {
+		return nil, err
 	}
 	var names []string
 	for _, name := range all {
@@ -232,6 +219,30 @@ func selectScenarios(only string) ([]string, error) {
 		}
 	}
 	return names, nil
+}
+
+// selectNames parses a comma-separated -only list into the set of names
+// it selects (all of valid when the list is empty), rejecting any name
+// not in valid with an error that lists the valid ones.
+func selectNames(only string, valid []string, kind string) (map[string]bool, error) {
+	want := make(map[string]bool, len(valid))
+	if strings.TrimSpace(only) == "" {
+		for _, name := range valid {
+			want[name] = true
+		}
+		return want, nil
+	}
+	for _, name := range strings.Split(only, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		if !slices.Contains(valid, name) {
+			return nil, fmt.Errorf("unknown %s %q (have: %s)", kind, name, strings.Join(valid, ", "))
+		}
+		want[name] = true
+	}
+	return want, nil
 }
 
 // scenariosFlagSet declares the scenarios-subcommand flag surface.

@@ -54,6 +54,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -130,10 +131,17 @@ func main() {
 		}
 		os.Exit(2)
 	}
-	if err := run(seed, fast, only); err != nil {
+	if err := run(os.Stdout, seed, fast, only); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
+}
+
+// sections names the single-seed mode's -only sections. The flag's help
+// text and its validation both derive from this one list.
+var sections = []string{
+	"table1", "table2", "table3", "table4", "table5", "fig5", "fig6", "fig7",
+	"ratelimit", "nsfrag", "chronos", "shared",
 }
 
 // experimentsFlagSet declares the single-seed (no subcommand) flag
@@ -143,26 +151,21 @@ func experimentsFlagSet(seed *int64, fast *bool, only *string) *flag.FlagSet {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.Int64Var(seed, "seed", 1, "deterministic seed for all experiments")
 	fs.BoolVar(fast, "fast", false, "skip the slowest experiments")
-	fs.StringVar(only, "only", "", "comma-separated subset: table1,table2,table3,table4,table5,fig5,fig6,fig7,ratelimit,nsfrag,chronos,shared")
+	fs.StringVar(only, "only", "", "comma-separated subset: "+strings.Join(sections, ","))
 	return fs
 }
 
-func run(seed int64, fast bool, only string) error {
-	want := func(name string) bool {
-		if only == "" {
-			return true
-		}
-		for _, w := range strings.Split(only, ",") {
-			if strings.TrimSpace(w) == name {
-				return true
-			}
-		}
-		return false
+// run is the single-seed mode: it prints the selected sections to w in
+// the paper's layout.
+func run(w io.Writer, seed int64, fast bool, only string) error {
+	want, err := selectNames(only, sections, "section")
+	if err != nil {
+		return err
 	}
 	labCfg := dnstime.LabConfig{Seed: seed}
 
-	if want("table1") {
-		fmt.Println("== Table I: attack scenarios for popular NTP clients ==")
+	if want["table1"] {
+		fmt.Fprintln(w, "== Table I: attack scenarios for popular NTP clients ==")
 		rows, err := dnstime.TableI(labCfg)
 		if err != nil {
 			return err
@@ -175,11 +178,11 @@ func run(seed int64, fast bool, only string) error {
 			}
 			t.AddRow(r.Client, usage, r.BootTime.String(), r.RunTime.String())
 		}
-		fmt.Println(t)
+		fmt.Fprintln(w, t)
 	}
 
-	if want("table2") && !fast {
-		fmt.Println("== Table II: run-time attack duration (paper values in parentheses) ==")
+	if want["table2"] && !fast {
+		fmt.Fprintln(w, "== Table II: run-time attack duration (paper values in parentheses) ==")
 		rows, err := dnstime.TableII(labCfg)
 		if err != nil {
 			return err
@@ -190,107 +193,109 @@ func run(seed int64, fast bool, only string) error {
 				fmt.Sprintf("%.0f minutes", r.Duration.Minutes()),
 				fmt.Sprintf("(%.0f minutes)", r.PaperDuration.Minutes()))
 		}
-		fmt.Println(t)
+		fmt.Fprintln(w, t)
 	}
 
-	if want("table3") {
-		fmt.Println("== Table III: run-time attack success probabilities (p_rate = 38%) ==")
+	if want["table3"] {
+		fmt.Fprintln(w, "== Table III: run-time attack success probabilities (p_rate = 38%) ==")
 		t := stats.NewTable("m", "n", "P1(n) %", "P2(m,n) %")
 		for _, r := range dnstime.TableIII(dnstime.DefaultPRate) {
 			t.AddRow(r.M, r.N, r.P1, r.P2)
 		}
-		fmt.Println(t)
+		fmt.Fprintln(w, t)
 	}
 
-	if want("table4") {
-		fmt.Println("== Table IV: pool.ntp.org caching state in open resolvers ==")
+	// Table IV and Figure 6 render one cache-snooping result.
+	if want["table4"] || want["fig6"] {
 		specs := dnstime.GenerateOpenResolvers(dnstime.DefaultOpenResolverConfig(), seed+11)
 		res := dnstime.CacheSnoop(specs)
-		t := stats.NewTable("Query", "Cached %", "Cached", "Not Cached")
-		for _, row := range res.Rows {
-			t.AddRow(string(row.Record), row.CachedPct, row.Cached, row.NotCached)
+		if want["table4"] {
+			fmt.Fprintln(w, "== Table IV: pool.ntp.org caching state in open resolvers ==")
+			t := stats.NewTable("Query", "Cached %", "Cached", "Not Cached")
+			for _, row := range res.Rows {
+				t.AddRow(string(row.Record), row.CachedPct, row.Cached, row.NotCached)
+			}
+			fmt.Fprintln(w, t)
+			fmt.Fprintf(w, "probed=%d verified=%d\n\n", res.Probed, res.Verified)
 		}
-		fmt.Println(t)
-		fmt.Printf("probed=%d verified=%d\n\n", res.Probed, res.Verified)
-
-		if want("fig6") {
-			fmt.Println("== Figure 6: TTL values of cached NTP pool records ==")
-			fmt.Println(res.TTLHistogram().Render(50))
+		if want["fig6"] {
+			fmt.Fprintln(w, "== Figure 6: TTL values of cached NTP pool records ==")
+			fmt.Fprintln(w, res.TTLHistogram().Render(50))
 		}
 	}
 
-	if want("table5") {
-		fmt.Println("== Table V: client resolver study using ads ==")
+	if want["table5"] {
+		fmt.Fprintln(w, "== Table V: client resolver study using ads ==")
 		clients := dnstime.GenerateAdClients(dnstime.DefaultAdStudyConfig(), seed+9)
 		res := dnstime.AdStudy(clients)
-		fmt.Print(res.Render())
-		fmt.Printf("valid=%d filtered=%d google=%d  DNSSEC validation %.2f%%–%.2f%% (paper: 19.14%%–28.94%%)\n\n",
+		fmt.Fprint(w, res.Render())
+		fmt.Fprintf(w, "valid=%d filtered=%d google=%d  DNSSEC validation %.2f%%–%.2f%% (paper: 19.14%%–28.94%%)\n\n",
 			res.ValidClients, res.Filtered, res.GoogleClients, res.DNSSECMinPct, res.DNSSECMaxPct)
 	}
 
-	if want("fig5") {
-		fmt.Println("== Figure 5: CDF of min fragment sizes (1M-domain nameservers, no DNSSEC) ==")
+	if want["fig5"] {
+		fmt.Fprintln(w, "== Figure 5: CDF of min fragment sizes (1M-domain nameservers, no DNSSEC) ==")
 		specs := dnstime.GenerateDomainNameservers(dnstime.DefaultDomainNameserverConfig(), seed+5)
 		res := dnstime.FragScan(specs, nil)
 		t := stats.NewTable("Min fragment size (bytes)", "cumulative fraction %")
 		for _, pt := range res.MinSizes.Points([]float64{68, 292, 548, 1276, 1500}) {
 			t.AddRow(int(pt[0]), 100*pt[1])
 		}
-		fmt.Println(t)
-		fmt.Printf("fragmenting without DNSSEC: %.2f%% of domains (paper: 7.66%%)\n\n", res.FragNoDNSSECPct())
+		fmt.Fprintln(w, t)
+		fmt.Fprintf(w, "fragmenting without DNSSEC: %.2f%% of domains (paper: 7.66%%)\n\n", res.FragNoDNSSECPct())
 	}
 
-	if want("fig7") {
-		fmt.Println("== Figure 7: latency difference t_first − t_avg (ms) ==")
+	if want["fig7"] {
+		fmt.Fprintln(w, "== Figure 7: latency difference t_first − t_avg (ms) ==")
 		res := dnstime.TimingSideChannel(dnstime.DefaultTimingProbeConfig(), seed+17)
 		h := res.Histogram()
-		fmt.Println(h.Render(50))
-		fmt.Printf("clamped tails: %d below −50 ms, %d above 200 ms\n\n", h.Under(), h.Over())
+		fmt.Fprintln(w, h.Render(50))
+		fmt.Fprintf(w, "clamped tails: %d below −50 ms, %d above 200 ms\n\n", h.Under(), h.Over())
 	}
 
-	if want("ratelimit") {
+	if want["ratelimit"] {
 		cfg := dnstime.DefaultPoolConfig()
 		if fast {
 			cfg.Servers = 300
 		}
-		fmt.Printf("== §VII-A: rate limiting of %d pool.ntp.org NTP servers ==\n", cfg.Servers)
+		fmt.Fprintf(w, "== §VII-A: rate limiting of %d pool.ntp.org NTP servers ==\n", cfg.Servers)
 		specs := dnstime.GeneratePool(cfg, seed+42)
 		res, err := dnstime.RateLimitScan(specs, dnstime.DefaultScanConfig(), seed+42)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("KoD senders:      %d (%.0f%%, paper: 33%%)\n", res.KoDSenders, res.KoDPct())
-		fmt.Printf("stopped replying: %d (%.0f%%, paper: 38%%)\n\n", res.RateLimited, res.RateLimitedPct())
+		fmt.Fprintf(w, "KoD senders:      %d (%.0f%%, paper: 33%%)\n", res.KoDSenders, res.KoDPct())
+		fmt.Fprintf(w, "stopped replying: %d (%.0f%%, paper: 38%%)\n\n", res.RateLimited, res.RateLimitedPct())
 	}
 
-	if want("nsfrag") {
-		fmt.Println("== §VII-B: fragmentation support of pool.ntp.org nameservers ==")
+	if want["nsfrag"] {
+		fmt.Fprintln(w, "== §VII-B: fragmentation support of pool.ntp.org nameservers ==")
 		specs := dnstime.GeneratePoolNameservers(dnstime.DefaultPoolNameserverConfig(), seed+3)
 		res := dnstime.FragScan(specs, nil)
-		fmt.Printf("%d of %d nameservers fragment below 548 B (paper: 16 of 30); DNSSEC: %d (paper: 0)\n\n",
+		fmt.Fprintf(w, "%d of %d nameservers fragment below 548 B (paper: 16 of 30); DNSSEC: %d (paper: 0)\n\n",
 			res.FragBelow548, res.Total, res.DNSSEC)
 	}
 
-	if want("chronos") {
-		fmt.Println("== §VI-C: DNS poisoning attack against Chronos ==")
-		fmt.Printf("analytic bound: poisoning must land before query N ≤ %d (paper: 11)\n",
+	if want["chronos"] {
+		fmt.Fprintln(w, "== §VI-C: DNS poisoning attack against Chronos ==")
+		fmt.Fprintf(w, "analytic bound: poisoning must land before query N ≤ %d (paper: 11)\n",
 			dnstime.ChronosAttackBound(4, 89))
 		res, err := dnstime.RunChronosAttack(5, 89, labCfg)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("N=%d: pool=%d (evil %d), 2/3 control=%t, clock shifted=%t (offset %v)\n\n",
+		fmt.Fprintf(w, "N=%d: pool=%d (evil %d), 2/3 control=%t, clock shifted=%t (offset %v)\n\n",
 			res.N, res.PoolSize, res.EvilInPool, res.ControlsPool, res.Shifted, res.ClockOffset)
 	}
 
-	if want("shared") {
-		fmt.Println("== §VIII-B3: shared DNS resolvers ==")
+	if want["shared"] {
+		fmt.Fprintln(w, "== §VIII-B3: shared DNS resolvers ==")
 		res := dnstime.SharedResolverStudy(dnstime.GenerateSharedResolvers(dnstime.DefaultSharedResolverConfig(), seed+21))
-		fmt.Printf("web only:      %d (%.1f%%, paper: 86.2%%)\n", res.WebOnly, 100*float64(res.WebOnly)/float64(res.Total))
-		fmt.Printf("web + SMTP:    %d (%.1f%%, paper: 11.3%%)\n", res.WebAndSMTP, 100*float64(res.WebAndSMTP)/float64(res.Total))
-		fmt.Printf("open:          %d (%.1f%%, paper: 2.3%%)\n", res.OpenOnly, 100*float64(res.OpenOnly)/float64(res.Total))
-		fmt.Printf("open + SMTP:   %d (%.1f%%, paper: 0.2%%)\n", res.OpenAndSMTP, 100*float64(res.OpenAndSMTP)/float64(res.Total))
-		fmt.Printf("triggerable:   %d (%.1f%%, paper: 13.8%%)\n\n", res.Triggerable(), res.TriggerablePct())
+		fmt.Fprintf(w, "web only:      %d (%.1f%%, paper: 86.2%%)\n", res.WebOnly, 100*float64(res.WebOnly)/float64(res.Total))
+		fmt.Fprintf(w, "web + SMTP:    %d (%.1f%%, paper: 11.3%%)\n", res.WebAndSMTP, 100*float64(res.WebAndSMTP)/float64(res.Total))
+		fmt.Fprintf(w, "open:          %d (%.1f%%, paper: 2.3%%)\n", res.OpenOnly, 100*float64(res.OpenOnly)/float64(res.Total))
+		fmt.Fprintf(w, "open + SMTP:   %d (%.1f%%, paper: 0.2%%)\n", res.OpenAndSMTP, 100*float64(res.OpenAndSMTP)/float64(res.Total))
+		fmt.Fprintf(w, "triggerable:   %d (%.1f%%, paper: 13.8%%)\n\n", res.Triggerable(), res.TriggerablePct())
 	}
 	return nil
 }

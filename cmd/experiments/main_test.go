@@ -18,8 +18,62 @@ import (
 // TestRunFastTable1 smoke-tests the single-seed path the same way the CLI
 // invokes it: experiments -fast -only table1.
 func TestRunFastTable1(t *testing.T) {
-	if err := run(1, true, "table1"); err != nil {
+	if err := run(io.Discard, 1, true, "table1"); err != nil {
 		t.Fatalf("run(-fast -only table1): %v", err)
+	}
+}
+
+// TestRunDefaultGolden pins every byte of the no-flag single-seed output
+// (the paper-layout tables and figures at seed 1). After an intended
+// change of output, regenerate the file from the repository root with
+//
+//	go run ./cmd/experiments > cmd/experiments/testdata/default-seed1.golden
+func TestRunDefaultGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/default-seed1.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := run(&got, 1, false, ""); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("default output differs from testdata/default-seed1.golden:\n%s", got.String())
+	}
+}
+
+// TestRunOnlyUnknownSection: a misspelt -only section is an error naming
+// it and listing the valid sections, not a silent empty run.
+func TestRunOnlyUnknownSection(t *testing.T) {
+	var out bytes.Buffer
+	err := run(&out, 1, true, "table3,tabel1")
+	if err == nil {
+		t.Fatal("unknown section accepted")
+	}
+	if !strings.Contains(err.Error(), `"tabel1"`) || !strings.Contains(err.Error(), strings.Join(sections, ", ")) {
+		t.Errorf("error does not name the section and list the valid ones: %v", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("printed output before rejecting the selection:\n%s", out.String())
+	}
+}
+
+// TestRunOnlyFig6: Figure 6 renders on its own, without the Table IV block
+// it shares a cache-snooping run with, and matches the golden's rendering.
+func TestRunOnlyFig6(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(&out, 1, false, "fig6"); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(out.String(), "== Figure 6:") || strings.Contains(out.String(), "Table IV") {
+		t.Fatalf("-only fig6 output:\n%s", out.String())
+	}
+	golden, err := os.ReadFile("testdata/default-seed1.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(golden, out.Bytes()) {
+		t.Errorf("-only fig6 output is not the full run's Figure 6 block:\n%s", out.String())
 	}
 }
 
@@ -221,7 +275,7 @@ func TestReadmeCommandsParse(t *testing.T) {
 	for _, cmd := range cmds {
 		args := strings.Fields(cmd)
 		switch args[0] {
-		case "git", "cd", "ntpattack", "ntpscan", "resolverscan", "curl", "kill":
+		case "git", "cd", "ntpattack", "curl", "kill":
 			// Other binaries (and setup lines, like the serve walkthrough's
 			// curl session) are out of this checker's scope.
 		case "go":
@@ -287,6 +341,9 @@ func checkExperimentsCommand(t *testing.T, cmd string, args []string) {
 		var fast bool
 		var only string
 		err = quietly(experimentsFlagSet(&seed, &fast, &only)).Parse(args)
+		if err == nil {
+			_, err = selectNames(only, sections, "section")
+		}
 	}
 	if err != nil {
 		t.Errorf("README command %q does not parse: %v", cmd, err)

@@ -41,6 +41,25 @@ func serveFlagSet(cfg *serveConfig) *flag.FlagSet {
 	return fs
 }
 
+// Connection timeouts of the serve HTTP listener: a client that trickles
+// its request headers, or parks an idle keep-alive connection, is cut off
+// instead of holding a connection and a goroutine for ever. There is
+// deliberately no write timeout — GET /jobs/{id}/stream lasts as long as
+// its campaign, and a write deadline would cut it mid-stream.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the service handler in the listener's http.Server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // runServe is the serve subcommand: boot the resident experiment service
 // (DESIGN.md §11) and serve its HTTP API on -addr until ctx is cancelled
 // (the CLI wires SIGINT/SIGTERM to it). The shutdown path drains first —
@@ -79,7 +98,7 @@ func runServe(ctx context.Context, argv []string, w io.Writer) error {
 	// smoke test) can submit as soon as the line appears, even with port 0.
 	fmt.Fprintf(w, "experiments serve: listening on http://%s\n", ln.Addr())
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	select {

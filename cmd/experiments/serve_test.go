@@ -276,6 +276,20 @@ func TestRunServeDrainResume(t *testing.T) {
 	}
 }
 
+// TestServeHTTPTimeouts: the serve listener bounds how long a client may
+// take to send its headers and how long an idle keep-alive connection
+// lives, and sets no write timeout, which would cut long-lived job
+// streams mid-campaign.
+func TestServeHTTPTimeouts(t *testing.T) {
+	s := newHTTPServer(http.NotFoundHandler())
+	if s.ReadHeaderTimeout <= 0 || s.IdleTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout %v, IdleTimeout %v: both must be set", s.ReadHeaderTimeout, s.IdleTimeout)
+	}
+	if s.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout %v would cut job streams; want 0", s.WriteTimeout)
+	}
+}
+
 // TestRunServeBadArgs: stray positionals and malformed flags are refused.
 func TestRunServeBadArgs(t *testing.T) {
 	for name, argv := range map[string][]string{

@@ -239,34 +239,6 @@ type (
 	ScenarioAggregate = campaign.ScenarioAggregate
 	// MetricSummary aggregates one named metric across a campaign.
 	MetricSummary = campaign.MetricSummary
-	// CampaignTableIRow is one aggregated Table I row.
-	CampaignTableIRow = campaign.TableIRow
-	// CampaignTableIOptions sizes a Table I campaign.
-	CampaignTableIOptions = campaign.TableIOptions
-
-	// CampaignSpec describes one campaign (attack kind, client profile,
-	// LabConfig template, seed range, worker count).
-	//
-	// Deprecated: express the attack as a parameterised scenario run via
-	// NewEngine and WithParams.
-	CampaignSpec = campaign.Spec
-	// CampaignKind selects the attack a campaign repeats.
-	CampaignKind = campaign.Kind
-	// CampaignResult is one per-seed run outcome.
-	CampaignResult = campaign.Result
-	// CampaignAggregate is a campaign's folded statistics.
-	CampaignAggregate = campaign.Aggregate
-	// ScenarioCampaignOptions sizes a campaign over a registered scenario.
-	//
-	// Deprecated: use NewEngine with Options.
-	ScenarioCampaignOptions = campaign.ScenarioOptions
-)
-
-// Campaign attack kinds.
-const (
-	CampaignBootTime = campaign.BootTime
-	CampaignRuntime  = campaign.Runtime
-	CampaignChronos  = campaign.Chronos
 )
 
 // Engine constructor and functional options.
@@ -349,22 +321,6 @@ var (
 	SearchParseValue = search.ParseValue
 	// SearchParseKind parses an axis kind name.
 	SearchParseKind = search.ParseKind
-)
-
-// Campaign runners.
-var (
-	// CampaignTableI aggregates Table I over a whole seed range.
-	CampaignTableI = campaign.TableI
-
-	// RunCampaign fans one attack spec out across N seeds.
-	//
-	// Deprecated: use NewEngine with WithParams ("boot", "runtime" and
-	// "chronos" are parameterisable scenarios).
-	RunCampaign = campaign.Run
-	// RunScenarioCampaign fans any registered scenario out across N seeds.
-	//
-	// Deprecated: use NewEngine(...).Run(ctx, name).
-	RunScenarioCampaign = campaign.RunScenario
 )
 
 // NTP client behaviour profiles (Table I).

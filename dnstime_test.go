@@ -2,6 +2,7 @@
 package dnstime_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -28,20 +29,19 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 }
 
 func TestFacadeCampaign(t *testing.T) {
-	agg, err := dnstime.RunCampaign(dnstime.CampaignSpec{
-		Kind:    dnstime.CampaignBootTime,
-		Profile: dnstime.ProfileNTPd,
-		Seeds:   4,
-		Workers: 4,
-	})
+	agg, err := dnstime.NewEngine(
+		dnstime.WithSeeds(4),
+		dnstime.WithWorkers(4),
+		dnstime.WithParam("client", "ntpd"),
+	).Run(context.Background(), "boot")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if agg.Runs != 4 || agg.Successes != 4 {
 		t.Errorf("campaign = %d/%d shifted, want 4/4", agg.Successes, agg.Runs)
 	}
-	if agg.Label != "boot-time/NTPd" {
-		t.Errorf("label = %q", agg.Label)
+	if agg.Scenario != "boot" {
+		t.Errorf("scenario = %q", agg.Scenario)
 	}
 }
 

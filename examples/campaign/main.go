@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"strings"
 
 	"dnstime"
 )
@@ -67,14 +68,18 @@ func main() {
 	}
 	fmt.Println(attack)
 
-	// 3. The whole Table I client matrix: seven profiles × 8 seeds on one
-	// shared worker pool.
-	rows, err := dnstime.CampaignTableI(dnstime.CampaignTableIOptions{Seeds: 8})
+	// 3. The whole Table I client matrix: every table1 run attacks all
+	// seven profiles, and the aggregate keys each client's boot-time
+	// outcome as boot/<client> (1 = shifted), so its mean over 8 seeds is
+	// that client's success rate.
+	table, err := dnstime.NewEngine(dnstime.WithSeeds(8)).Run(ctx, "table1")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("Table I over 8 seeds per client:")
-	for _, row := range rows {
-		fmt.Printf("  %-18s boot %5.1f%%  run-time %s\n", row.Client, row.Boot.SuccessRate, row.RunTime)
+	for _, m := range table.Metrics {
+		if client, ok := strings.CutPrefix(m.Name, "boot/"); ok {
+			fmt.Printf("  %-18s boot %5.1f%%\n", client, 100*m.Mean)
+		}
 	}
 }

@@ -12,7 +12,8 @@ import (
 
 func main() {
 	// §VII-A — rate limiting of pool NTP servers (live protocol scan; a
-	// reduced population keeps the example fast; use cmd/ntpscan for 2432).
+	// reduced population keeps the example fast; `experiments -only
+	// ratelimit` scans all 2432).
 	poolCfg := dnstime.DefaultPoolConfig()
 	poolCfg.Servers = 400
 	pool := dnstime.GeneratePool(poolCfg, 42)

@@ -17,9 +17,9 @@ import (
 	"dnstime/internal/scenario"
 )
 
-// Option configures an Engine (functional-option style). Unlike the
-// deprecated option structs, Options distinguish "unset" from an explicit
-// zero value: WithBaseSeed(0) really runs seed 0.
+// Option configures an Engine (functional-option style). Options
+// distinguish "unset" from an explicit zero value: WithBaseSeed(0) really
+// runs seed 0.
 type Option func(*engineConfig)
 
 // engineConfig is the resolved option set an Engine runs with.
@@ -51,9 +51,8 @@ var seedSeconds = obs.Default.HistogramVec("dnstime_engine_seed_seconds",
 // seed BaseSeed+i.
 func WithSeeds(n int) Option { return func(c *engineConfig) { c.seeds = n } }
 
-// WithBaseSeed sets the first seed (default 1). Unlike the deprecated
-// ScenarioOptions.BaseSeed, an explicit 0 is honoured: the campaign runs
-// seeds 0, 1, 2, ….
+// WithBaseSeed sets the first seed (default 1). An explicit 0 is
+// honoured: the campaign runs seeds 0, 1, 2, ….
 func WithBaseSeed(s int64) Option {
 	return func(c *engineConfig) { c.baseSeed = s; c.baseSeedSet = true }
 }

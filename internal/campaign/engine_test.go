@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"dnstime/internal/core"
 	"dnstime/internal/ntpclient"
 	"dnstime/internal/scenario"
 )
@@ -88,18 +87,24 @@ func marshalAgg(t *testing.T, name string, opts ...Option) string {
 }
 
 // TestEngineMatchesRunScenario is the acceptance criterion: Engine.Run
-// and Engine.Stream produce byte-identical aggregates to the deprecated
-// RunScenario shim at any worker count.
+// and Engine.Stream fold byte-identical aggregates at workers 1 and 8,
+// equal to running each seed alone through scenario.Run (the facade's
+// RunScenario) and folding the results in seed order.
 func TestEngineMatchesRunScenario(t *testing.T) {
 	for _, name := range []string{"boot", "table3", "chronosbound", "t-eng-gate"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			legacy, err := RunScenario(name, ScenarioOptions{Seeds: 4, Workers: 3, Fast: true})
-			if err != nil {
-				t.Fatal(err)
+			sc, _ := scenario.Lookup(name)
+			var serial []scenario.Result
+			for seed := int64(1); seed <= 4; seed++ {
+				res, err := scenario.Run(context.Background(), name, seed, scenario.Config{Fast: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				serial = append(serial, res)
 			}
-			want, err := json.Marshal(legacy)
+			want, err := json.Marshal(foldScenario(sc, serial))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,7 +112,7 @@ func TestEngineMatchesRunScenario(t *testing.T) {
 				got := marshalAgg(t, name,
 					WithSeeds(4), WithWorkers(workers), WithFast(true))
 				if got != string(want) {
-					t.Errorf("Engine.Run (workers=%d) differs from RunScenario:\n%s\nvs\n%s",
+					t.Errorf("Engine.Run (workers=%d) differs from seed-by-seed RunScenario:\n%s\nvs\n%s",
 						workers, got, want)
 				}
 				st, err := NewEngine(WithSeeds(4), WithWorkers(workers), WithFast(true)).
@@ -128,7 +133,7 @@ func TestEngineMatchesRunScenario(t *testing.T) {
 				}
 				b, _ := json.Marshal(agg)
 				if string(b) != string(want) {
-					t.Errorf("Engine.Stream (workers=%d) differs from RunScenario:\n%s\nvs\n%s",
+					t.Errorf("Engine.Stream (workers=%d) differs from seed-by-seed RunScenario:\n%s\nvs\n%s",
 						workers, b, want)
 				}
 			}
@@ -137,8 +142,7 @@ func TestEngineMatchesRunScenario(t *testing.T) {
 }
 
 // TestEngineBaseSeedZero is the zero-value regression: WithBaseSeed(0)
-// really runs seed 0 (the deprecated option structs treated 0 as unset,
-// making seed 0 impossible to request).
+// really runs seed 0 rather than being taken for the unset default.
 func TestEngineBaseSeedZero(t *testing.T) {
 	agg, err := NewEngine(WithSeeds(3), WithBaseSeed(0)).Run(context.Background(), "t-eng-echo")
 	if err != nil {
@@ -399,8 +403,7 @@ func TestEngineParams(t *testing.T) {
 
 // TestEngineParameterisedAttack: the headline redesign goal — a
 // boot-time attack against any client profile at any target shift is an
-// ordinary parameterised campaign, and the deprecated Spec shim produces
-// the matching legacy aggregate.
+// ordinary parameterised campaign.
 func TestEngineParameterisedAttack(t *testing.T) {
 	agg, err := NewEngine(
 		WithSeeds(4),
@@ -422,22 +425,115 @@ func TestEngineParameterisedAttack(t *testing.T) {
 	if offset == nil || offset.Mean > -200 || offset.Mean < -400 {
 		t.Fatalf("offset_s summary %+v, want ≈ -300", offset)
 	}
+}
 
-	legacy, err := Run(Spec{
-		Kind:    BootTime,
-		Profile: ntpclient.ProfileChrony,
-		Lab:     core.LabConfig{EvilOffset: -300 * time.Second},
-		Seeds:   4,
-	})
+// TestRunDeterministicAcrossWorkers: a parameterised campaign (chrony at
+// a −300 s target shift) folds byte-identical aggregates at any worker
+// count.
+func TestRunDeterministicAcrossWorkers(t *testing.T) {
+	opts := []Option{WithSeeds(16), WithParam("client", "chrony"), WithParam("offset", "-300s")}
+	serial := marshalAgg(t, "boot", append(opts, WithWorkers(1))...)
+	for _, w := range []int{2, 8} {
+		if got := marshalAgg(t, "boot", append(opts, WithWorkers(w))...); got != serial {
+			t.Errorf("workers=%d output differs from workers=1:\n%s\nvs\n%s", w, got, serial)
+		}
+	}
+}
+
+// TestRunChronosCampaign: at N=5 (inside the N ≤ 11 bound) poisoning
+// lands early enough for every seed to shift, and the aggregate carries
+// no time-to-shift — the Chronos attack decides success at the end of
+// its fixed pool-generation window.
+func TestRunChronosCampaign(t *testing.T) {
+	agg, err := NewEngine(WithSeeds(3), WithWorkers(3), WithParam("N", "5")).
+		Run(context.Background(), "chronos")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy.Runs != 4 || legacy.Successes != agg.Successes {
-		t.Errorf("Spec shim: %d/%d successes, engine %d", legacy.Successes, legacy.Runs, agg.Successes)
+	if agg.Errors != 0 {
+		t.Fatalf("errors = %d: %+v", agg.Errors, agg.PerRun)
 	}
-	for i, r := range legacy.PerRun {
-		if want := agg.PerRun[i].Metrics["offset_s"]; !closeTo(r.ClockOffset.Seconds(), want, 1e-6) {
-			t.Errorf("seed %d: shim offset %v, engine %v s", r.Seed, r.ClockOffset, want)
+	if agg.Successes != agg.Runs || agg.OutcomeRuns != agg.Runs {
+		t.Errorf("successes = %d/%d, want all", agg.Successes, agg.Runs)
+	}
+	for _, m := range agg.Metrics {
+		if strings.HasPrefix(m.Name, "tts_s") {
+			t.Errorf("chronos aggregate reports a time-to-shift metric %q", m.Name)
+		}
+	}
+}
+
+// TestRunProgressReporting: WithProgress receives one call per completed
+// seed, counting 1..n in order with total n, however many workers race
+// to report. The callback takes no lock of its own: the Engine serialises
+// the calls, and the race detector checks that it does.
+func TestRunProgressReporting(t *testing.T) {
+	var dones []int
+	agg, err := NewEngine(
+		WithSeeds(6),
+		WithWorkers(3),
+		WithParam("client", "ntpdate"),
+		WithProgress(func(done, total int) {
+			if total != 6 {
+				t.Errorf("total = %d, want 6", total)
+			}
+			dones = append(dones, done)
+		}),
+	).Run(context.Background(), "boot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg.Runs != 6 {
+		t.Fatalf("runs = %d", agg.Runs)
+	}
+	if len(dones) != 6 {
+		t.Fatalf("progress calls = %d, want 6", len(dones))
+	}
+	for i, d := range dones {
+		if d != i+1 {
+			t.Fatalf("progress counts = %v, want 1..6 in order", dones)
+		}
+	}
+}
+
+// TestTableIDeterministicAcrossWorkers is the soak form of the
+// determinism contract on the Table I acceptance workload: a 64-seed
+// table1 campaign is byte-identical at -workers 1 and -workers 8.
+func TestTableIDeterministicAcrossWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("64-seed campaign in -short mode")
+	}
+	serial := marshalAgg(t, "table1", WithSeeds(64), WithWorkers(1))
+	if parallel := marshalAgg(t, "table1", WithSeeds(64), WithWorkers(8)); parallel != serial {
+		t.Fatalf("workers=8 output differs from workers=1")
+	}
+}
+
+// TestTableIRows: a table1 campaign folds one boot/<client> success
+// metric per Table I profile, each over every seed, and — as in the
+// paper's Table I — all seven clients are boot-time vulnerable.
+func TestTableIRows(t *testing.T) {
+	const seeds = 4
+	agg, err := NewEngine(WithSeeds(seeds), WithWorkers(8)).Run(context.Background(), "table1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := map[string]MetricSummary{}
+	for _, m := range agg.Metrics {
+		byName[m.Name] = m
+	}
+	for _, pu := range ntpclient.AllProfiles() {
+		boot, ok := byName["boot/"+pu.Profile.Name]
+		if !ok {
+			t.Errorf("no boot/%s metric: %+v", pu.Profile.Name, agg.Metrics)
+			continue
+		}
+		if boot.Samples != seeds {
+			t.Errorf("boot/%s: %d samples, want %d", pu.Profile.Name, boot.Samples, seeds)
+		}
+		if boot.Mean != 1 {
+			t.Errorf("boot/%s: success rate %.2f, want 1 (every client is boot-time vulnerable)",
+				pu.Profile.Name, boot.Mean)
 		}
 	}
 }

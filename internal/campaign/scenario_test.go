@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -84,19 +85,7 @@ func TestRunScenarioDeterministicAcrossWorkers(t *testing.T) {
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
 			marshal := func(workers int) string {
-				agg, err := RunScenario(sc.Name, ScenarioOptions{
-					Seeds:   2,
-					Workers: workers,
-					Fast:    true,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := json.Marshal(agg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return string(b)
+				return marshalAgg(t, sc.Name, WithSeeds(2), WithWorkers(workers), WithFast(true))
 			}
 			serial := marshal(1)
 			if parallel := marshal(8); parallel != serial {
@@ -106,8 +95,11 @@ func TestRunScenarioDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestRunScenarioAggregate: a 6-seed ntpd boot campaign shifts every
+// seed's clock to ≈ −500 s and folds success, Wilson-interval and sorted
+// per-metric statistics in seed order.
 func TestRunScenarioAggregate(t *testing.T) {
-	agg, err := RunScenario("boot", ScenarioOptions{Seeds: 6, Workers: 3})
+	agg, err := NewEngine(WithSeeds(6), WithWorkers(3)).Run(context.Background(), "boot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,6 +116,9 @@ func TestRunScenarioAggregate(t *testing.T) {
 	for i, r := range agg.PerRun {
 		if r.Seed != int64(1+i) {
 			t.Fatalf("PerRun[%d].Seed = %d, want %d (seed order)", i, r.Seed, 1+i)
+		}
+		if off := r.Metrics["offset_s"]; off > -400 || off < -600 {
+			t.Errorf("seed %d: offset %.0f s, want ≈ −500 s", r.Seed, off)
 		}
 	}
 	var tts *MetricSummary
@@ -199,7 +194,7 @@ func TestMetricSubsetDenominator(t *testing.T) {
 // TestRunScenarioNoOutcome: scenarios without a binary outcome (the
 // closed-form table3) must not invent success statistics.
 func TestRunScenarioNoOutcome(t *testing.T) {
-	agg, err := RunScenario("table3", ScenarioOptions{Seeds: 3, Workers: 3})
+	agg, err := NewEngine(WithSeeds(3), WithWorkers(3)).Run(context.Background(), "table3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,48 +213,8 @@ func TestRunScenarioNoOutcome(t *testing.T) {
 	}
 }
 
-// TestTableIFastPathMatchesScenario: the profile-batched TableI fast
-// path and the registry's generic table1 scenario must report the same
-// statistics, so the two views of Table I cannot drift apart.
-func TestTableIFastPathMatchesScenario(t *testing.T) {
-	const seeds = 4
-	rows, err := TableI(TableIOptions{Seeds: seeds, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg, err := RunScenario("table1", ScenarioOptions{Seeds: seeds, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean := func(name string) float64 {
-		for _, m := range agg.Metrics {
-			if m.Name == name {
-				if m.Samples != seeds {
-					t.Errorf("%s: %d samples, want %d", name, m.Samples, seeds)
-				}
-				return m.Mean
-			}
-		}
-		t.Fatalf("table1 aggregate missing metric %q", name)
-		return 0
-	}
-	for _, row := range rows {
-		if got, want := row.Boot.SuccessRate, 100*mean("boot/"+row.Client); got != want {
-			t.Errorf("%s: fast-path success rate %.2f, scenario %.2f", row.Client, got, want)
-		}
-		if got, want := row.Boot.MeanTTS, mean("tts_s/"+row.Client); !closeTo(got, want, 1e-6) {
-			t.Errorf("%s: fast-path mean TTS %.6f, scenario %.6f", row.Client, got, want)
-		}
-	}
-}
-
-func closeTo(a, b, eps float64) bool {
-	d := a - b
-	return d < eps && d > -eps
-}
-
 func TestRunScenarioUnknown(t *testing.T) {
-	if _, err := RunScenario("sundial", ScenarioOptions{}); err == nil {
+	if _, err := NewEngine().Run(context.Background(), "sundial"); err == nil {
 		t.Error("unknown scenario accepted")
 	}
 }

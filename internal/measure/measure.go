@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"dnstime/internal/ipv4"
+	"dnstime/internal/netem"
 	"dnstime/internal/ntpserv"
 	"dnstime/internal/ntpwire"
 	"dnstime/internal/population"
@@ -75,7 +76,7 @@ func DefaultScanConfig() ScanConfig {
 // marks a KoD sender.
 func RateLimitScan(specs []population.PoolServerSpec, cfg ScanConfig, seed int64) (RateLimitResult, error) {
 	clk := simclock.New(time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC))
-	net := simnet.New(clk, simnet.WithLatency(5*time.Millisecond))
+	net := simnet.New(clk, simnet.WithPathModel(&netem.Path{Delay: netem.Fixed(5 * time.Millisecond)}))
 	scanner := net.MustAddHost(ipv4.MustParseAddr("203.0.113.1"), simnet.HostConfig{})
 
 	type state struct {

@@ -21,7 +21,7 @@ func init() {
 		Title:    "Rate-limit pool scan",
 		PaperRef: "§VII-A",
 		Impl:     "measure.RateLimitScan",
-		CLI:      "ntpscan",
+		CLI:      "experiments -only ratelimit",
 		Params:   map[string]string{"servers": "2432", "queries": "64@1/s"},
 		Order:    70,
 		Run:      rateLimitScenario,
@@ -31,7 +31,7 @@ func init() {
 		Title:    "Nameserver frag scan",
 		PaperRef: "§VII-B",
 		Impl:     "measure.FragScan",
-		CLI:      "ntpscan",
+		CLI:      "experiments -only nsfrag",
 		Params:   map[string]string{"nameservers": "30"},
 		Order:    80,
 		Run:      nsFragScenario,
@@ -51,7 +51,7 @@ func init() {
 		Title:    "Resolver cache snooping",
 		PaperRef: "§VIII-B1, Table IV",
 		Impl:     "measure.CacheSnoop",
-		CLI:      "resolverscan",
+		CLI:      "experiments -only table4",
 		Params:   map[string]string{"resolvers": "200000"},
 		Order:    100,
 		Run:      tableIVScenario,
@@ -61,7 +61,7 @@ func init() {
 		Title:    "Cached-TTL distribution",
 		PaperRef: "§VIII-B1, Fig. 6",
 		Impl:     "measure.CacheSnoop",
-		CLI:      "experiments -only table4,fig6",
+		CLI:      "experiments -only fig6",
 		Params:   map[string]string{"resolvers": "200000"},
 		Order:    110,
 		Run:      fig6Scenario,

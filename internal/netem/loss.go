@@ -10,8 +10,8 @@ type LossModel interface {
 	Drop(rng *rand.Rand) bool
 }
 
-// IID drops each packet independently with probability P — the loss
-// model simnet's WithLoss has always applied. At P = 0 it consumes no
+// IID drops each packet independently with probability P — the model a
+// `-param loss=P` override (FromSpec) applies. At P = 0 it consumes no
 // randomness (preserving the RNG stream of lossless runs).
 type IID struct {
 	// P is the per-packet drop probability in [0, 1].

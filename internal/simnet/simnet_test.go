@@ -54,7 +54,7 @@ func TestUDPDelivery(t *testing.T) {
 }
 
 func TestDeliveryRespectsLatency(t *testing.T) {
-	n, a, b := twoHosts(t, WithLatency(250*time.Millisecond))
+	n, a, b := twoHosts(t, WithPathModel(&netem.Path{Delay: netem.Fixed(250 * time.Millisecond)}))
 	var at time.Time
 	b.HandleUDP(53, func(ipv4.Addr, uint16, []byte) { at = n.Clock().Now() })
 	a.SendUDP(addrB, 1, 53, []byte("x"))
@@ -194,7 +194,7 @@ func TestPMTUAffectsSubsequentSends(t *testing.T) {
 
 func TestLossDropsPackets(t *testing.T) {
 	clk := simclock.New(t0)
-	n := New(clk, WithLoss(1.0, 42))
+	n := New(clk, WithPathModel(&netem.Path{Loss: netem.IID{P: 1}}), WithSeed(42))
 	a := n.MustAddHost(addrA, HostConfig{})
 	b := n.MustAddHost(addrB, HostConfig{})
 	delivered := false
@@ -276,26 +276,6 @@ func TestSeedDeterminesLinkRandomness(t *testing.T) {
 		if same {
 			t.Error("different seeds produced identical link behaviour")
 		}
-	}
-}
-
-// TestWithLossShimMatchesLossRatePlusSeed: the deprecated WithLoss(p,
-// seed) must behave packet-for-packet like WithLossRate(p) + WithSeed(seed).
-func TestWithLossShimMatchesLossRatePlusSeed(t *testing.T) {
-	deliveries := func(opts ...Option) int {
-		n, a, b := twoHosts(t, opts...)
-		got := 0
-		b.HandleUDP(53, func(ipv4.Addr, uint16, []byte) { got++ })
-		for i := 0; i < 200; i++ {
-			a.SendUDP(addrB, 1, 53, []byte("x"))
-		}
-		n.Clock().RunFor(time.Second)
-		return got
-	}
-	shim := deliveries(WithLoss(0.25, 7))
-	split := deliveries(WithLossRate(0.25), WithSeed(7))
-	if shim != split || shim == 0 || shim == 200 {
-		t.Errorf("WithLoss shim delivered %d packets, WithLossRate+WithSeed %d", shim, split)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dnstime/internal/ipv4"
+	"dnstime/internal/netem"
 	"dnstime/internal/simclock"
 )
 
@@ -51,7 +52,7 @@ func tracedRun(t *testing.T, seed int64, recycled *Network) (*Network, []string)
 	var events []string
 	opts := []Option{
 		WithSeed(seed),
-		WithLossRate(0.3),
+		WithPathModel(&netem.Path{Loss: netem.IID{P: 0.3}}),
 		WithTrace(func(e TraceEvent) {
 			// Pkt is pooled: format now, never retain.
 			events = append(events, fmt.Sprintf("%s %s>%s id=%d off=%d len=%d",
