@@ -12,8 +12,6 @@
 //	experiments search -scenario racemargin -dim vic-net=lan,wan -dim client=ntpd,chrony [-prune-seeds 4] [-lhs N]
 //	experiments scenarios [-markdown]
 //	experiments serve [-addr HOST:PORT] [-workers M] [-queue N] [-state DIR] [-rate R -burst B] [-pprof]
-//	experiments bench [-seeds N] [-fast] [-o BENCH_5.json]
-//	experiments bench -compare BENCH_4.json [-in BENCH_5.json] [-tolerance 0.15] [-drift-only]
 //
 // The default (no subcommand) is the original single-seed paper
 // reproduction; -fast skips the slowest experiments (Table II's four full
@@ -41,13 +39,7 @@
 // O(log) probe campaigns, and with repeated -dim flags it sweeps a
 // parameter grid, pruning cells whose Wilson interval already excludes
 // the -target success rate. The scenarios subcommand lists the registry
-// (-markdown emits the DESIGN.md §4 experiment index). The bench
-// subcommand times every scenario's campaign through the Engine and
-// emits a JSON throughput document (CI uploads a fresh artifact per
-// push); with -compare it gates against a committed BENCH_<n>.json
-// baseline, exiting non-zero on a >15% runs/sec regression or
-// headline-metric drift (-in compares an existing document instead of
-// re-running).
+// (-markdown emits the DESIGN.md §4 experiment index).
 package main
 
 import (
@@ -115,20 +107,18 @@ func main() {
 		}
 		return
 	}
-	if len(os.Args) > 1 && os.Args[1] == "bench" {
-		if err := runBench(context.Background(), os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	var seed int64
 	var fast bool
 	var only string
-	if err := experimentsFlagSet(&seed, &fast, &only).Parse(os.Args[1:]); err != nil {
+	fs := experimentsFlagSet(&seed, &fast, &only)
+	if err := fs.Parse(os.Args[1:]); err != nil {
 		if err == flag.ErrHelp {
 			os.Exit(0)
 		}
+		os.Exit(2)
+	}
+	if err := noPositional(fs); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
 	if err := run(os.Stdout, seed, fast, only); err != nil {
@@ -153,6 +143,20 @@ func experimentsFlagSet(seed *int64, fast *bool, only *string) *flag.FlagSet {
 	fs.BoolVar(fast, "fast", false, "skip the slowest experiments")
 	fs.StringVar(only, "only", "", "comma-separated subset: "+strings.Join(sections, ","))
 	return fs
+}
+
+// subcommands names the modes main dispatches on its first argument.
+var subcommands = []string{"campaigns", "search", "scenarios", "serve"}
+
+// noPositional rejects a positional argument left over by the single-seed
+// flag set. Flag parsing stops at the first non-flag, so a misspelt
+// subcommand ("campaign", "tabel1") would otherwise drop every flag after
+// it and print the whole paper run.
+func noPositional(fs *flag.FlagSet) error {
+	if fs.NArg() == 0 {
+		return nil
+	}
+	return fmt.Errorf("unexpected argument %q (subcommands: %s)", fs.Arg(0), strings.Join(subcommands, ", "))
 }
 
 // run is the single-seed mode: it prints the selected sections to w in

@@ -42,6 +42,81 @@ func TestRunDefaultGolden(t *testing.T) {
 	}
 }
 
+// TestRunCampaignsFast16Golden pins every byte of the 16-seed -fast JSON
+// aggregates of all registered scenarios: runs, errors, success rates and
+// their intervals, and each metric's mean, CI, median and range. After an
+// intended change of output, regenerate the file from the repository root
+// with
+//
+//	go run ./cmd/experiments campaigns -seeds 16 -fast -json -q > cmd/experiments/testdata/campaigns-fast16.golden
+func TestRunCampaignsFast16Golden(t *testing.T) {
+	want, err := os.ReadFile("testdata/campaigns-fast16.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := runCampaigns(context.Background(), []string{"-seeds", "16", "-fast", "-json", "-q"}, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("campaign aggregates differ from testdata/campaigns-fast16.golden:\n%s", got.String())
+	}
+}
+
+// TestRunRejectsPositional: the single-seed mode refuses a leftover
+// positional argument (a misspelt subcommand) instead of dropping the
+// flags after it and printing the full paper run; the error names the
+// argument and lists the subcommands.
+func TestRunRejectsPositional(t *testing.T) {
+	for _, argv := range [][]string{
+		{"campaign", "-seeds", "2"},
+		{"tabel1", "-fast"},
+	} {
+		checkRejectsPositional(t, argv)
+	}
+}
+
+// TestRunBenchBadArgs: the retired bench subcommand is refused like any
+// other stray argument, whatever flags follow it, instead of running the
+// paper reproduction with those flags dropped; the README checker
+// refuses a documented bench command too. The benchmark is bench/.
+func TestRunBenchBadArgs(t *testing.T) {
+	for _, argv := range [][]string{
+		{"bench", "-seeds", "16", "-fast"},
+		{"bench", "-compare", "old.json", "-in", "new.json"},
+		{"bench", "-only", "sundial"},
+		{"-fast", "bench", "-seeds", "0"},
+	} {
+		checkRejectsPositional(t, argv)
+		cmd := "experiments " + strings.Join(argv, " ")
+		if err := checkExperimentsCommand(cmd, argv); err == nil {
+			t.Errorf("README checker accepts %q", cmd)
+		}
+	}
+}
+
+// checkRejectsPositional parses argv with the single-seed flag set and
+// requires noPositional to refuse it, naming the stray argument and
+// listing the subcommands.
+func checkRejectsPositional(t *testing.T, argv []string) {
+	t.Helper()
+	var seed int64
+	var fast bool
+	var only string
+	fs := experimentsFlagSet(&seed, &fast, &only)
+	if err := fs.Parse(argv); err != nil {
+		t.Fatalf("%v: %v", argv, err)
+	}
+	err := noPositional(fs)
+	if err == nil {
+		t.Errorf("%v: positional argument accepted", argv)
+		return
+	}
+	if !strings.Contains(err.Error(), fmt.Sprintf("%q", fs.Arg(0))) || !strings.Contains(err.Error(), strings.Join(subcommands, ", ")) {
+		t.Errorf("%v: error does not name the argument and list the subcommands: %v", argv, err)
+	}
+}
+
 // TestRunOnlyUnknownSection: a misspelt -only section is an error naming
 // it and listing the valid sections, not a silent empty run.
 func TestRunOnlyUnknownSection(t *testing.T) {
@@ -180,58 +255,6 @@ func TestRunCampaignsSeedZero(t *testing.T) {
 	}
 }
 
-// TestRunBenchDocument: the bench subcommand emits a JSON document with
-// one throughput entry per selected scenario and writes it to -o.
-func TestRunBenchDocument(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	var stdout bytes.Buffer
-	err := runBench(context.Background(), []string{
-		"-seeds", "2", "-fast", "-only", "boot,table3", "-o", path,
-	}, &stdout)
-	if err != nil {
-		t.Fatalf("runBench: %v", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc benchDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("bench document does not parse: %v\n%s", err, data)
-	}
-	if doc.Seeds != 2 || len(doc.Scenarios) != 2 {
-		t.Fatalf("doc = seeds %d, %d scenarios, want 2 and 2", doc.Seeds, len(doc.Scenarios))
-	}
-	for _, e := range doc.Scenarios {
-		if e.Runs != 2 || e.Errors != 0 || e.RunsPerSec <= 0 {
-			t.Errorf("%s: runs=%d errors=%d runs/sec=%f", e.Scenario, e.Runs, e.Errors, e.RunsPerSec)
-		}
-	}
-	if doc.Scenarios[0].Scenario != "boot" || doc.Scenarios[0].SuccessRatePct == nil {
-		t.Errorf("boot entry malformed: %+v", doc.Scenarios[0])
-	}
-	if doc.Scenarios[1].Scenario != "table3" || doc.Scenarios[1].SuccessRatePct != nil {
-		t.Errorf("table3 entry malformed (closed-form scenarios report no success rate): %+v", doc.Scenarios[1])
-	}
-	if doc.TotalRunsPerSec <= 0 || doc.TotalSeconds <= 0 {
-		t.Errorf("totals not reported: %+v", doc)
-	}
-}
-
-// TestRunBenchBadArgs: the bench subcommand rejects unknown scenarios,
-// bad seed counts and stray positional arguments.
-func TestRunBenchBadArgs(t *testing.T) {
-	for name, argv := range map[string][]string{
-		"unknown scenario": {"-only", "sundial"},
-		"zero seeds":       {"-seeds", "0"},
-		"positional":       {"boot"},
-	} {
-		if err := runBench(context.Background(), argv, io.Discard); err == nil {
-			t.Errorf("%s: accepted (argv %v)", name, argv)
-		}
-	}
-}
-
 // TestRunScenariosListsRegistry: the scenarios subcommand lists every
 // registered scenario by name.
 func TestRunScenariosListsRegistry(t *testing.T) {
@@ -274,20 +297,24 @@ func TestReadmeCommandsParse(t *testing.T) {
 	sawExperiments := false
 	for _, cmd := range cmds {
 		args := strings.Fields(cmd)
+		var err error
 		switch args[0] {
-		case "git", "cd", "ntpattack", "curl", "kill":
+		case "git", "cd", "ntpattack", "curl", "kill", "bash":
 			// Other binaries (and setup lines, like the serve walkthrough's
 			// curl session) are out of this checker's scope.
 		case "go":
 			if len(args) >= 3 && args[1] == "run" && strings.HasSuffix(args[2], "cmd/experiments") {
 				sawExperiments = true
-				checkExperimentsCommand(t, cmd, args[3:])
+				err = checkExperimentsCommand(cmd, args[3:])
 			}
 		case "experiments":
 			sawExperiments = true
-			checkExperimentsCommand(t, cmd, args[1:])
+			err = checkExperimentsCommand(cmd, args[1:])
 		default:
 			t.Errorf("README documents unknown command %q", cmd)
+		}
+		if err != nil {
+			t.Errorf("README command %q does not parse: %v", cmd, err)
 		}
 	}
 	if !sawExperiments {
@@ -295,14 +322,30 @@ func TestReadmeCommandsParse(t *testing.T) {
 	}
 }
 
+// TestCheckExperimentsCommandStale: a documented command for a subcommand
+// that does not exist fails the README checker instead of parsing as the
+// single-seed mode with its flags silently dropped.
+func TestCheckExperimentsCommandStale(t *testing.T) {
+	for _, cmd := range []string{
+		"experiments campaign -seeds 2",
+		"experiments tabel1 -fast",
+	} {
+		if err := checkExperimentsCommand(cmd, strings.Fields(cmd)[1:]); err == nil {
+			t.Errorf("stale command %q parses", cmd)
+		}
+	}
+	if err := checkExperimentsCommand("experiments -fast -only table1", []string{"-fast", "-only", "table1"}); err != nil {
+		t.Errorf("valid single-seed command rejected: %v", err)
+	}
+}
+
 // checkExperimentsCommand parses one documented experiments invocation
 // with the CLI's own flag sets. Syntax summaries (lines with [optional]
 // brackets or | alternatives) are skipped — only literal commands must
 // parse.
-func checkExperimentsCommand(t *testing.T, cmd string, args []string) {
-	t.Helper()
+func checkExperimentsCommand(cmd string, args []string) error {
 	if strings.ContainsAny(cmd, "[|<>") {
-		return
+		return nil
 	}
 	quietly := func(fs *flag.FlagSet) *flag.FlagSet {
 		fs.SetOutput(io.Discard)
@@ -330,24 +373,20 @@ func checkExperimentsCommand(t *testing.T, cmd string, args []string) {
 	case len(args) > 0 && args[0] == "serve":
 		var cfg serveConfig
 		err = quietly(serveFlagSet(&cfg)).Parse(args[1:])
-	case len(args) > 0 && args[0] == "bench":
-		var cfg benchConfig
-		err = quietly(benchFlagSet(&cfg)).Parse(args[1:])
-		if err == nil {
-			_, err = selectScenarios(cfg.only)
-		}
 	default:
 		var seed int64
 		var fast bool
 		var only string
-		err = quietly(experimentsFlagSet(&seed, &fast, &only)).Parse(args)
+		fs := quietly(experimentsFlagSet(&seed, &fast, &only))
+		err = fs.Parse(args)
+		if err == nil {
+			err = noPositional(fs)
+		}
 		if err == nil {
 			_, err = selectNames(only, sections, "section")
 		}
 	}
-	if err != nil {
-		t.Errorf("README command %q does not parse: %v", cmd, err)
-	}
+	return err
 }
 
 // shellCommands returns the `$ `-prefixed commands inside fenced code

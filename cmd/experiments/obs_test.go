@@ -3,91 +3,89 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestRunBenchProfiles exercises the profiling flags: -cpuprofile and
-// -memprofile write non-empty pprof files, and the bench document's
-// entries carry the phase-timing breakdown.
+// TestRunBenchProfiles: the CPU and heap profiles the retired bench
+// flags wrote now come from a resident server. `experiments serve -pprof`
+// hands out a non-empty CPU profile taken while a campaign runs, and a
+// non-empty heap profile after it.
 func TestRunBenchProfiles(t *testing.T) {
-	dir := t.TempDir()
-	cpu := filepath.Join(dir, "cpu.prof")
-	mem := filepath.Join(dir, "mem.prof")
-	out := filepath.Join(dir, "bench.json")
-	err := runBench(context.Background(), []string{
-		"-seeds", "2", "-fast", "-only", "boot",
-		"-cpuprofile", cpu, "-memprofile", mem, "-o", out,
-	}, io.Discard)
-	if err != nil {
-		t.Fatalf("runBench with profiles: %v", err)
-	}
-	for _, path := range []string{cpu, mem} {
-		info, err := os.Stat(path)
+	base, output, shutdown := bootServe(t, "-pprof")
+	fetch := func(path string) error {
+		resp, err := http.Get(base + path)
 		if err != nil {
-			t.Fatalf("profile not written: %v", err)
+			return err
 		}
-		if info.Size() == 0 {
-			t.Errorf("profile %s is empty", path)
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err == nil && (resp.StatusCode != http.StatusOK || len(body) == 0) {
+			err = fmt.Errorf("status %d, %d bytes", resp.StatusCode, len(body))
 		}
+		return err
 	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
+	cpu := make(chan error, 1)
+	go func() { cpu <- fetch("/debug/pprof/profile?seconds=1") }()
+	status, v := postJob(t, base, `{"scenario":"boot","seeds":4,"fast":true}`)
+	if status != http.StatusAccepted {
+		t.Fatalf("submit status %d: %v", status, v)
 	}
-	var doc benchDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("bench document does not parse: %v", err)
+	id, _ := v["id"].(string)
+	if final := streamFinal(t, base, id); final.Type != "aggregate" {
+		t.Fatalf("terminal line %+v", final)
 	}
-	if len(doc.Scenarios) != 1 {
-		t.Fatalf("%d scenario entries, want 1", len(doc.Scenarios))
+	if err := <-cpu; err != nil {
+		t.Errorf("cpu profile: %v", err)
 	}
-	phases := doc.Scenarios[0].PhaseSeconds
-	if phases["run"] <= 0 {
-		t.Errorf("phase_seconds missing run phase: %v", phases)
+	if err := fetch("/debug/pprof/heap"); err != nil {
+		t.Errorf("heap profile: %v", err)
 	}
-	for phase := range phases {
-		switch phase {
-		case "setup", "reset", "run", "fold":
-		default:
-			t.Errorf("unknown phase %q in %v", phase, phases)
-		}
+	if err := shutdown(); err != nil {
+		t.Fatalf("graceful drain: %v\n%s", err, output.String())
 	}
 }
 
 // TestRunCampaignsTrace exercises the -trace flag end to end: one valid
-// Chrome trace file appears per seed.
+// Chrome trace file appears per seed, carrying network, clock and run
+// events — for boot, and for racemargin and netsweep, which build their
+// labs themselves and must thread the tracer into each one.
 func TestRunCampaignsTrace(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "traces")
-	err := runCampaigns(context.Background(), []string{
-		"-seeds", "2", "-seed", "0", "-only", "boot", "-fast", "-q", "-trace", dir,
-	}, io.Discard)
-	if err != nil {
-		t.Fatalf("runCampaigns -trace: %v", err)
-	}
-	for _, name := range []string{"boot-seed0.trace.json", "boot-seed1.trace.json"} {
-		b, err := os.ReadFile(filepath.Join(dir, name))
+	for _, scenario := range []string{"boot", "racemargin", "netsweep"} {
+		dir := filepath.Join(t.TempDir(), "traces")
+		err := runCampaigns(context.Background(), []string{
+			"-seeds", "2", "-seed", "0", "-only", scenario, "-fast", "-q", "-trace", dir,
+		}, io.Discard)
 		if err != nil {
-			t.Fatalf("trace file: %v", err)
+			t.Fatalf("runCampaigns -only %s -trace: %v", scenario, err)
 		}
-		var events []map[string]any
-		if err := json.Unmarshal(b, &events); err != nil {
-			t.Fatalf("%s does not parse as a trace array: %v", name, err)
-		}
-		if len(events) == 0 {
-			t.Errorf("%s has no events", name)
-		}
-		var cats []string
-		for _, e := range events {
-			cats = append(cats, e["cat"].(string))
-		}
-		joined := strings.Join(cats, ",")
-		for _, cat := range []string{"net", "clock", "run"} {
-			if !strings.Contains(joined, cat) {
-				t.Errorf("%s records no %q events", name, cat)
+		for _, seed := range []string{"0", "1"} {
+			name := scenario + "-seed" + seed + ".trace.json"
+			b, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatalf("trace file: %v", err)
+			}
+			var events []map[string]any
+			if err := json.Unmarshal(b, &events); err != nil {
+				t.Fatalf("%s does not parse as a trace array: %v", name, err)
+			}
+			if len(events) == 0 {
+				t.Errorf("%s has no events", name)
+			}
+			var cats []string
+			for _, e := range events {
+				cats = append(cats, e["cat"].(string))
+			}
+			joined := strings.Join(cats, ",")
+			for _, cat := range []string{"net", "clock", "run"} {
+				if !strings.Contains(joined, cat) {
+					t.Errorf("%s records no %q events", name, cat)
+				}
 			}
 		}
 	}

@@ -20,6 +20,11 @@ const (
 	// DefaultBaseSeed is the first seed when none is requested; run i uses
 	// DefaultBaseSeed+i.
 	DefaultBaseSeed = 1
+	// MaxJobSeeds bounds a JobSpec's seed count. The dispatcher sizes its
+	// result channel and reorder slots by the seed count, so an unbounded
+	// request could exhaust memory and kill the whole process; at this
+	// bound they take a few megabytes.
+	MaxJobSeeds = 1 << 16
 )
 
 // jobKeyVersion is baked into every JobSpec.Key so the content address
@@ -61,7 +66,7 @@ type JobSpec struct {
 
 // Normalize validates the spec against the scenario registry and resolves
 // engine defaults: the scenario must exist, every param key must be
-// declared by it, Seeds must not be negative. The returned spec is
+// declared by it, Seeds must lie in [0, MaxJobSeeds]. The returned spec is
 // canonical — Seeds and BaseSeed are materialised, Params is a private
 // copy (nil when empty) — so equal campaigns normalise to specs with
 // equal Keys regardless of how sparsely they were written.
@@ -76,6 +81,9 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 	}
 	if s.Seeds < 0 {
 		return JobSpec{}, fmt.Errorf("campaign: job seeds must not be negative (got %d)", s.Seeds)
+	}
+	if s.Seeds > MaxJobSeeds {
+		return JobSpec{}, fmt.Errorf("campaign: job seeds must not exceed %d (got %d)", MaxJobSeeds, s.Seeds)
 	}
 	n := s
 	if n.Seeds == 0 {

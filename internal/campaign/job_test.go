@@ -88,7 +88,8 @@ func TestJobSpecKeyParamOrder(t *testing.T) {
 }
 
 // TestJobSpecNormalizeErrors: unknown scenarios, undeclared params and
-// negative seed counts fail at normalisation, before any run could start.
+// negative or oversized seed counts fail at normalisation, before any run
+// could start.
 func TestJobSpecNormalizeErrors(t *testing.T) {
 	cases := map[string]struct {
 		spec JobSpec
@@ -97,6 +98,7 @@ func TestJobSpecNormalizeErrors(t *testing.T) {
 		"unknown scenario": {JobSpec{Scenario: "sundial"}, "unknown scenario"},
 		"undeclared param": {JobSpec{Scenario: "table4", Params: scenario.Params{"client": "x"}}, "param"},
 		"negative seeds":   {JobSpec{Scenario: "boot", Seeds: -2}, "negative"},
+		"oversized seeds":  {JobSpec{Scenario: "boot", Seeds: MaxJobSeeds + 1}, "65536"},
 	}
 	for name, tc := range cases {
 		if _, err := tc.spec.Normalize(); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -40,8 +40,8 @@ const labPoolMax = 32
 
 // acquireLab returns a laboratory configured exactly per cfg: a pooled lab
 // hard-reset to cfg when one is available, otherwise a fresh build. Setup
-// and reset wall time feeds the obs phase-timing breakdown reported by
-// `experiments bench`.
+// and reset wall time feeds the obs phase-timing breakdown, the
+// dnstime_phase_seconds_total family of the Prometheus exposition.
 func acquireLab(cfg LabConfig) (*Lab, error) {
 	labPool.mu.Lock()
 	if labPool.disabled || len(labPool.labs) == 0 {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"dnstime/internal/netem"
+	"dnstime/internal/obs"
 	"dnstime/internal/scenario"
 )
 
@@ -68,7 +69,7 @@ func netsweepScenario(_ context.Context, seed int64, cfg scenario.Config) (scena
 	allShifted := true
 	for _, preset := range presets {
 		for _, name := range netem.ProfileNames() {
-			lab, err := sweepLab(seed, preset, name)
+			lab, err := sweepLab(seed, preset, name, cfg.Tracer)
 			if err != nil {
 				return scenario.Result{}, err
 			}
@@ -94,21 +95,21 @@ func netsweepScenario(_ context.Context, seed int64, cfg scenario.Config) (scena
 
 // sweepLab builds one grid cell's lab config: the profile alone (empty
 // preset — the uniform sweep), or a fresh topology preset whose default
-// path is the profile (the topology axis).
-func sweepLab(seed int64, preset, profile string) (LabConfig, error) {
+// path is the profile (the topology axis). The lab records into tr.
+func sweepLab(seed int64, preset, profile string, tr obs.Tracer) (LabConfig, error) {
 	path, err := netem.Profile(profile)
 	if err != nil {
 		return LabConfig{}, err
 	}
 	if preset == "" {
-		return LabConfig{Seed: seed, Path: path}, nil
+		return LabConfig{Seed: seed, Path: path, Tracer: tr}, nil
 	}
 	topo, err := netem.TopologyPreset(preset)
 	if err != nil {
 		return LabConfig{}, err
 	}
 	topo.Default = path
-	return LabConfig{Seed: seed, Topology: topo}, nil
+	return LabConfig{Seed: seed, Topology: topo, Tracer: tr}, nil
 }
 
 // runSweepAttack executes one attack on one grid cell's lab and

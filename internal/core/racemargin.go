@@ -9,6 +9,7 @@ import (
 
 	"dnstime/internal/netem"
 	"dnstime/internal/ntpclient"
+	"dnstime/internal/obs"
 	"dnstime/internal/scenario"
 )
 
@@ -108,13 +109,13 @@ func marginsFromParams(p scenario.Params, fast bool) ([]time.Duration, error) {
 // (and, when vicNet is non-empty, the victim side swapped for that
 // profile). A run that cannot poison the cache is an unsuccessful
 // outcome, not an error — "the attacker lost the race from this
-// position" is the measurement.
-func runRaceMargin(prof ntpclient.Profile, seed int64, margin time.Duration, vicNet string) (marginOutcome, error) {
+// position" is the measurement. The lab records into tr.
+func runRaceMargin(prof ntpclient.Profile, seed int64, margin time.Duration, vicNet string, tr obs.Tracer) (marginOutcome, error) {
 	topo, err := raceTopology(margin, vicNet)
 	if err != nil {
 		return marginOutcome{}, err
 	}
-	res, err := RunBootTimeAttack(prof, LabConfig{Seed: seed, Topology: topo})
+	res, err := RunBootTimeAttack(prof, LabConfig{Seed: seed, Topology: topo, Tracer: tr})
 	switch {
 	case errors.Is(err, ErrPoisoningFailed):
 		return marginOutcome{}, nil
@@ -152,7 +153,7 @@ func racemarginScenario(_ context.Context, seed int64, cfg scenario.Config) (sce
 	metrics := make(map[string]float64, 2*len(margins))
 	topShifted := false
 	for _, m := range margins {
-		out, err := runRaceMargin(prof, seed, m, vicNet)
+		out, err := runRaceMargin(prof, seed, m, vicNet, cfg.Tracer)
 		if err != nil {
 			return scenario.Result{}, err
 		}

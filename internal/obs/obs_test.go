@@ -215,13 +215,12 @@ func TestRegistryConflicts(t *testing.T) {
 	}
 }
 
-// TestPhaseSnapshot: ObservePhase accumulates into the Default registry
-// and snapshots diff cleanly.
-func TestPhaseSnapshot(t *testing.T) {
-	before := PhaseSnapshot()
+// TestObservePhase: ObservePhase accumulates seconds into the phase's
+// sample of the Default registry's phase family.
+func TestObservePhase(t *testing.T) {
+	before := phaseSeconds.With(PhaseFold).Value()
 	ObservePhase(PhaseFold, 250*time.Millisecond)
-	after := PhaseSnapshot()
-	if d := after[PhaseFold] - before[PhaseFold]; d < 0.249 || d > 0.251 {
+	if d := phaseSeconds.With(PhaseFold).Value() - before; d < 0.249 || d > 0.251 {
 		t.Errorf("fold delta = %v, want 0.25", d)
 	}
 }

@@ -3,7 +3,7 @@ package obs
 import "time"
 
 // Phase names recorded by ObservePhase: the execution-phase timing
-// breakdown the bench harness reports (see `experiments bench`).
+// breakdown exported as the dnstime_phase_seconds_total{phase} family.
 const (
 	// PhaseSetup is time spent building a fresh laboratory (pool miss).
 	PhaseSetup = "setup"
@@ -29,14 +29,4 @@ var phaseSeconds = Default.FloatCounterVec("dnstime_phase_seconds_total",
 // ObservePhase adds d to the process-wide accumulator for phase.
 func ObservePhase(phase string, d time.Duration) {
 	phaseSeconds.With(phase).Add(d.Seconds())
-}
-
-// PhaseSnapshot returns the accumulated seconds per phase. The bench
-// harness diffs two snapshots to report a per-campaign breakdown.
-func PhaseSnapshot() map[string]float64 {
-	out := map[string]float64{}
-	for _, p := range phaseSeconds.Labels() {
-		out[p] = phaseSeconds.With(p).Value()
-	}
-	return out
 }

@@ -219,9 +219,6 @@ func (r *Registry) FloatCounterVec(name, help, label string) *FloatCounterVec {
 // With returns the float counter for the given label value.
 func (v *FloatCounterVec) With(label string) *FloatCounter { return v.f.child(label).(*FloatCounter) }
 
-// Labels returns the label values seen so far, sorted.
-func (v *FloatCounterVec) Labels() []string { return v.f.labels() }
-
 // HistogramVec is a histogram family fanned out over one label.
 type HistogramVec struct{ f *family }
 

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"dnstime/internal/obs"
 )
 
 // promFamily is one parsed Prometheus metric family: its HELP and TYPE
@@ -195,6 +197,24 @@ func TestMetricsPrometheus(t *testing.T) {
 		} {
 			if fams[name] == nil {
 				t.Errorf("obs.Default family %s missing from exposition", name)
+			}
+		}
+		// The phase breakdown: the campaign just run fed the run phase,
+		// and every label is a known phase.
+		if phases := fams["dnstime_phase_seconds_total"]; phases != nil {
+			if phases.samples[`dnstime_phase_seconds_total{phase="run"}`] <= 0 {
+				t.Errorf("phase family has no positive run sample: %v", phases.samples)
+			}
+			for sample := range phases.samples {
+				switch sample {
+				case `dnstime_phase_seconds_total{phase="` + obs.PhaseSetup + `"}`,
+					`dnstime_phase_seconds_total{phase="` + obs.PhaseReset + `"}`,
+					`dnstime_phase_seconds_total{phase="` + obs.PhaseRun + `"}`,
+					`dnstime_phase_seconds_total{phase="` + obs.PhaseFold + `"}`,
+					`dnstime_phase_seconds_total{phase="` + obs.PhaseProbe + `"}`:
+				default:
+					t.Errorf("unknown phase sample %s", sample)
+				}
 			}
 		}
 	}

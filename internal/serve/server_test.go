@@ -301,8 +301,8 @@ func TestServeCompletedCheckpointWarmStart(t *testing.T) {
 }
 
 // TestServeBadRequests: malformed bodies, unknown fields, unknown
-// scenarios, undeclared params and negative seed counts are rejected at
-// submission; unknown job IDs 404 on every job endpoint.
+// scenarios, undeclared params and negative or oversized seed counts are
+// rejected at submission; unknown job IDs 404 on every job endpoint.
 func TestServeBadRequests(t *testing.T) {
 	stSet(0)
 	_, ts := testServer(t, Config{})
@@ -312,6 +312,7 @@ func TestServeBadRequests(t *testing.T) {
 		"unknown scenario": `{"scenario":"sundial"}`,
 		"undeclared param": `{"scenario":"servetest","params":{"clinet":"x"}}`,
 		"negative seeds":   `{"scenario":"servetest","seeds":-1}`,
+		"oversized seeds":  `{"scenario":"servetest","seeds":2000000000}`,
 	} {
 		if status, _ := submit(t, ts.URL, body); status != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, status)
