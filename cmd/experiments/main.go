@@ -211,8 +211,7 @@ func run(w io.Writer, seed int64, fast bool, only string) error {
 
 	// Table IV and Figure 6 render one cache-snooping result.
 	if want["table4"] || want["fig6"] {
-		specs := dnstime.GenerateOpenResolvers(dnstime.DefaultOpenResolverConfig(), seed+11)
-		res := dnstime.CacheSnoop(specs)
+		res := dnstime.SnoopOpenResolvers(dnstime.DefaultOpenResolverConfig(), seed+11)
 		if want["table4"] {
 			fmt.Fprintln(w, "== Table IV: pool.ntp.org caching state in open resolvers ==")
 			t := stats.NewTable("Query", "Cached %", "Cached", "Not Cached")

@@ -372,8 +372,11 @@ var (
 	DefaultScanConfig = measure.DefaultScanConfig
 	// FragScan reproduces §VII-B / Figure 5.
 	FragScan = measure.FragScan
-	// CacheSnoop reproduces Table IV / Figure 6.
+	// CacheSnoop reproduces Table IV / Figure 6 over a stored population.
 	CacheSnoop = measure.CacheSnoop
+	// SnoopOpenResolvers reproduces Table IV / Figure 6, snooping each
+	// open resolver as it is drawn instead of storing the population.
+	SnoopOpenResolvers = measure.SnoopOpenResolvers
 	// AdStudy reproduces Table V.
 	AdStudy = measure.AdStudy
 	// SharedResolverStudy reproduces §VIII-B3.

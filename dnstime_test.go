@@ -3,6 +3,7 @@ package dnstime_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -109,5 +110,8 @@ func TestFacadeMeasurementsSmoke(t *testing.T) {
 	snoop := dnstime.CacheSnoop(dnstime.GenerateOpenResolvers(orCfg, 1))
 	if len(snoop.Rows) != 6 {
 		t.Errorf("snoop rows = %d, want 6", len(snoop.Rows))
+	}
+	if streamed := dnstime.SnoopOpenResolvers(orCfg, 1); !reflect.DeepEqual(streamed, snoop) {
+		t.Errorf("SnoopOpenResolvers = %+v, CacheSnoop over the stored population = %+v", streamed, snoop)
 	}
 }

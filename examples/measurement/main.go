@@ -30,7 +30,7 @@ func main() {
 		frag.FragNoDNSSECPct(), 100*frag.CumAt(548))
 
 	// Table IV / Figure 6 — open-resolver cache snooping.
-	snoop := dnstime.CacheSnoop(dnstime.GenerateOpenResolvers(dnstime.DefaultOpenResolverConfig(), 11))
+	snoop := dnstime.SnoopOpenResolvers(dnstime.DefaultOpenResolverConfig(), 11)
 	fmt.Printf("Table IV snooping: pool.ntp.org A cached at %.1f%% of verified resolvers (paper 69.41%%)\n",
 		snoop.Rows[1].CachedPct)
 

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
 	"dnstime/internal/ipv4"
 )
@@ -151,33 +150,50 @@ const (
 
 // nameOffset records one encoded name suffix for RFC 1035 compression. A
 // message carries only a handful of distinct suffixes, so a linear table
-// beats a map: no hashing, and reset is a reslice.
+// beats a map: no hashing, and no state to reset.
 type nameOffset struct {
 	name string
 	off  int
 }
 
+// inlineOffsets is how many name suffixes an encoder records without
+// allocating; a message with more distinct suffixes spills the rest to the
+// heap.
+const inlineOffsets = 16
+
+// encoder holds one message's encoding state. AppendMarshal keeps it on
+// its own stack, so compression state costs no allocation and no pool.
 type encoder struct {
-	buf     []byte
-	base    int          // message start within buf (AppendMarshal may append)
-	offsets []nameOffset // name -> first encoded offset, for compression
+	buf    []byte
+	base   int                       // message start within buf (AppendMarshal may append)
+	inline [inlineOffsets]nameOffset // first suffixes in encoding order, for compression
+	n      int                       // entries of inline in use
+	spill  []nameOffset              // suffixes past inline, in encoding order
 }
 
 // lookup returns the first encoded offset of name, if any.
 func (e *encoder) lookup(name string) (int, bool) {
-	for i := range e.offsets {
-		if e.offsets[i].name == name {
-			return e.offsets[i].off, true
+	for _, o := range e.inline[:e.n] {
+		if o.name == name {
+			return o.off, true
+		}
+	}
+	for _, o := range e.spill {
+		if o.name == name {
+			return o.off, true
 		}
 	}
 	return 0, false
 }
 
-// encoderPool recycles encoder compression state across Marshal calls; the
-// resolver/nameserver hot paths encode thousands of messages per simulated
-// campaign and the compression state dominated their allocation profile.
-var encoderPool = sync.Pool{
-	New: func() any { return &encoder{} },
+// record notes that name's first encoding starts at off.
+func (e *encoder) record(name string, off int) {
+	if e.n < len(e.inline) {
+		e.inline[e.n] = nameOffset{name, off}
+		e.n++
+		return
+	}
+	e.spill = append(e.spill, nameOffset{name, off})
 }
 
 func (e *encoder) uint16(v uint16) {
@@ -201,7 +217,7 @@ func (e *encoder) name(n string) error {
 			return nil
 		}
 		if off := len(e.buf) - e.base; off < 0x4000 {
-			e.offsets = append(e.offsets, nameOffset{n, off})
+			e.record(n, off)
 		}
 		label := n
 		rest := ""
@@ -267,19 +283,13 @@ func (m *Message) Marshal() ([]byte, error) {
 }
 
 // AppendMarshal encodes the message to wire format, appending to dst and
-// returning the extended slice. Name-compression state comes from an
-// internal pool, so encoding into a reused caller buffer allocates nothing
-// beyond the buffer's own growth — the send hot path of the resolver and
+// returning the extended slice. Name-compression state lives on the
+// stack, so encoding into a reused caller buffer allocates nothing beyond
+// the buffer's own growth — the send hot path of the resolver and
 // nameserver.
 func (m *Message) AppendMarshal(dst []byte) ([]byte, error) {
-	e, _ := encoderPool.Get().(*encoder)
-	e.buf = dst
-	e.base = len(dst)
-	out, err := e.message(m)
-	e.buf = nil
-	e.offsets = e.offsets[:0]
-	encoderPool.Put(e)
-	return out, err
+	e := encoder{buf: dst, base: len(dst)}
+	return e.message(m)
 }
 
 func (e *encoder) message(m *Message) ([]byte, error) {

@@ -2,6 +2,7 @@ package dnswire
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -304,5 +305,61 @@ func TestTypeAndRRStrings(t *testing.T) {
 		if r.String() == "" {
 			t.Errorf("empty String for %+v", r)
 		}
+	}
+}
+
+// TestCompressionPastInlineTable: a message with more distinct name
+// suffixes than the encoder records inline still compresses every repeat,
+// including repeats of suffixes recorded after the inline table filled.
+func TestCompressionPastInlineTable(t *testing.T) {
+	const hosts = 2 * inlineOffsets
+	m := &Message{Header: Header{QR: true}}
+	for i := range hosts {
+		m.Answers = append(m.Answers, RR{Name: fmt.Sprintf("h%d.zone.example", i), Type: TypeA, TTL: 60, Addr: ipv4.Addr{10, 0, 0, byte(i)}})
+	}
+	once, err := m.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Answers = append(m.Answers, m.Answers...)
+	twice, err := m.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A repeated name is one 2-byte pointer; then type, class, TTL,
+	// RDLENGTH (10 bytes) and the 4-byte address.
+	if got, want := len(twice)-len(once), hosts*(2+10+4); got != want {
+		t.Errorf("repeating %d answers added %d bytes, want %d (every name compressed)", hosts, got, want)
+	}
+	back, err := Unmarshal(twice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range back.Answers {
+		if want := m.Answers[i].Name; r.Name != want {
+			t.Fatalf("answer %d name %q, want %q", i, r.Name, want)
+		}
+	}
+}
+
+func BenchmarkAppendMarshal(b *testing.B) {
+	for _, answers := range []int{4, 89} {
+		b.Run(fmt.Sprintf("a%d", answers), func(b *testing.B) {
+			m := NewResponse(NewQuery(0x1234, "pool.ntp.org", TypeA, true))
+			for i := range answers {
+				m.Answers = append(m.Answers, RR{
+					Name: "pool.ntp.org", Type: TypeA, Class: ClassIN, TTL: 150,
+					Addr: ipv4.Addr{6, 6, byte(i >> 8), byte(i + 1)},
+				})
+			}
+			var buf []byte
+			b.ReportAllocs()
+			for b.Loop() {
+				var err error
+				if buf, err = m.AppendMarshal(buf[:0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -18,6 +18,7 @@ package measure
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dnstime/internal/ipv4"
@@ -261,36 +262,70 @@ type SnoopResult struct {
 // population: verify RD-bit handling, then probe each Table IV record with
 // RD=0 and record cached-copy TTLs.
 func CacheSnoop(specs []population.OpenResolverSpec) SnoopResult {
-	res := SnoopResult{}
-	counts := make(map[population.PoolRecord]int)
-	notCached := make(map[population.PoolRecord]int)
-	for _, r := range specs {
-		if !r.Responds {
+	var f snoopFold
+	for i := range specs {
+		f.add(&specs[i])
+	}
+	return f.result()
+}
+
+// SnoopOpenResolvers is CacheSnoop(population.GenerateOpenResolvers(cfg,
+// seed)) without the stored population: it snoops each resolver as it is
+// drawn and keeps only the result — the Table IV counts and the Figure 6
+// TTL samples.
+func SnoopOpenResolvers(cfg population.OpenResolverConfig, seed int64) SnoopResult {
+	var f snoopFold
+	for r := range population.OpenResolvers(cfg, seed) {
+		f.add(&r)
+	}
+	return f.result()
+}
+
+// tableIV holds the Table IV records in row order; snoopFold counts into
+// arrays indexed by row.
+var tableIV = [6]population.PoolRecord(population.AllPoolRecords())
+
+// snoopFold applies the §VIII-A methodology one resolver at a time.
+type snoopFold struct {
+	res    SnoopResult
+	cached [len(tableIV)]int
+}
+
+func (f *snoopFold) add(r *population.OpenResolverSpec) {
+	if !r.Responds {
+		return
+	}
+	f.res.Probed++
+	if !r.RespectsRD {
+		return
+	}
+	f.res.Verified++
+	// A record listed twice counts once, with its first TTL — the answer
+	// OpenResolverSpec.CachedTTL gives.
+	var seen [len(tableIV)]bool
+	for _, c := range r.Cached {
+		row := slices.Index(tableIV[:], c.Record)
+		if row < 0 || seen[row] {
 			continue
 		}
-		res.Probed++
-		if !r.RespectsRD {
-			continue
-		}
-		res.Verified++
-		for _, rec := range population.AllPoolRecords() {
-			if ttl, ok := r.CachedTTL(rec); ok {
-				counts[rec]++
-				if rec == population.RecPoolA {
-					res.TTLs = append(res.TTLs, float64(ttl))
-				}
-			} else {
-				notCached[rec]++
-			}
+		seen[row] = true
+		f.cached[row]++
+		if c.Record == population.RecPoolA {
+			f.res.TTLs = append(f.res.TTLs, float64(c.TTL))
 		}
 	}
-	for _, rec := range population.AllPoolRecords() {
-		res.Rows = append(res.Rows, SnoopRow{
+}
+
+func (f *snoopFold) result() SnoopResult {
+	res := f.res
+	res.Rows = make([]SnoopRow, len(tableIV))
+	for row, rec := range tableIV {
+		res.Rows[row] = SnoopRow{
 			Record:    rec,
-			CachedPct: pct(counts[rec], res.Verified),
-			Cached:    counts[rec],
-			NotCached: notCached[rec],
-		})
+			CachedPct: pct(f.cached[row], res.Verified),
+			Cached:    f.cached[row],
+			NotCached: res.Verified - f.cached[row],
+		}
 	}
 	return res
 }

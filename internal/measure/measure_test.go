@@ -3,6 +3,8 @@ package measure
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"dnstime/internal/population"
@@ -108,6 +110,138 @@ func TestCacheSnoopTableIV(t *testing.T) {
 		if row.Cached+row.NotCached != res.Verified {
 			t.Errorf("%s: cached+notcached = %d, verified = %d", row.Record, row.Cached+row.NotCached, res.Verified)
 		}
+	}
+}
+
+// TestSnoopOpenResolversMatchesCacheSnoop: snooping each resolver as it
+// is drawn gives the result of snooping the stored population, for the
+// default population and for configs that reach each branch of the draw
+// and the fold.
+func TestSnoopOpenResolversMatchesCacheSnoop(t *testing.T) {
+	with := func(edit func(*population.OpenResolverConfig)) population.OpenResolverConfig {
+		cfg := population.DefaultOpenResolverConfig()
+		edit(&cfg)
+		return cfg
+	}
+	cases := []struct {
+		name string
+		cfg  population.OpenResolverConfig
+		seed int64
+	}{
+		{"default seed 1", population.DefaultOpenResolverConfig(), 1},
+		{"default seed 7", population.DefaultOpenResolverConfig(), 7},
+		{"default seed 12", population.DefaultOpenResolverConfig(), 12},
+		{"fast size", with(func(c *population.OpenResolverConfig) { c.Total = 20000 }), 12},
+		{"empty", with(func(c *population.OpenResolverConfig) { c.Total = 0 }), 12},
+		{"extra record", with(func(c *population.OpenResolverConfig) {
+			c.Total = 20000
+			c.PCached["2.pool.ntp.org IN AAAA"] = 1.0
+		}), 7},
+		{"none respond", with(func(c *population.OpenResolverConfig) { c.Total, c.PResponds = 20000, 0 }), 3},
+		{"all respond", with(func(c *population.OpenResolverConfig) { c.Total, c.PResponds = 20000, 1 }), 3},
+		{"none verify", with(func(c *population.OpenResolverConfig) { c.Total, c.PRespectsRD = 20000, 0 }), 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := SnoopOpenResolvers(tc.cfg, tc.seed)
+			want := CacheSnoop(population.GenerateOpenResolvers(tc.cfg, tc.seed))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("streamed snoop differs from stored snoop:\n%+v\nvs\n%+v", got, want)
+			}
+		})
+	}
+}
+
+// TestCacheSnoopFirstMatchWins pins the fold on hand-built resolvers whose
+// Cached lists are out of Table IV order, repeat a record or carry a
+// record outside Table IV: each row counts a resolver once, and Figure 6
+// reads the first pool.ntp.org A TTL listed — what CachedTTL returns.
+func TestCacheSnoopFirstMatchWins(t *testing.T) {
+	rec := func(r population.PoolRecord, ttl int) population.CachedRecord {
+		return population.CachedRecord{Record: r, TTL: ttl}
+	}
+	verified := func(cached ...population.CachedRecord) population.OpenResolverSpec {
+		return population.OpenResolverSpec{Responds: true, RespectsRD: true, Cached: cached}
+	}
+	cases := []struct {
+		name     string
+		specs    []population.OpenResolverSpec
+		probed   int
+		verified int
+		cached   [6]int // per Table IV row
+		ttls     []float64
+	}{
+		{
+			name:   "reverse order",
+			specs:  []population.OpenResolverSpec{verified(rec(population.Rec3Pool, 3), rec(population.RecPoolA, 40), rec(population.RecPoolNS, 7))},
+			probed: 1, verified: 1,
+			cached: [6]int{1, 1, 0, 0, 0, 1},
+			ttls:   []float64{40},
+		},
+		{
+			name:   "repeated record",
+			specs:  []population.OpenResolverSpec{verified(rec(population.RecPoolA, 12), rec(population.Rec0Pool, 1), rec(population.RecPoolA, 99))},
+			probed: 1, verified: 1,
+			cached: [6]int{0, 1, 1, 0, 0, 0},
+			ttls:   []float64{12},
+		},
+		{
+			name:   "record outside Table IV",
+			specs:  []population.OpenResolverSpec{verified(rec("2.pool.ntp.org IN AAAA", 5), rec(population.Rec2Pool, 6))},
+			probed: 1, verified: 1,
+			cached: [6]int{0, 0, 0, 0, 1, 0},
+		},
+		{
+			name: "unverified and silent resolvers",
+			specs: []population.OpenResolverSpec{
+				{Responds: true, Cached: []population.CachedRecord{rec(population.RecPoolA, 1)}},
+				{Cached: []population.CachedRecord{rec(population.RecPoolA, 2)}},
+				verified(),
+				verified(rec(population.RecPoolA, 3), rec(population.RecPoolA, 4)),
+			},
+			probed: 3, verified: 2,
+			cached: [6]int{0, 1, 0, 0, 0, 0},
+			ttls:   []float64{3},
+		},
+		{name: "empty"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res := CacheSnoop(tc.specs)
+			if res.Probed != tc.probed || res.Verified != tc.verified {
+				t.Errorf("probed/verified = %d/%d, want %d/%d", res.Probed, res.Verified, tc.probed, tc.verified)
+			}
+			if !slices.Equal(res.TTLs, tc.ttls) {
+				t.Errorf("TTLs = %v, want %v", res.TTLs, tc.ttls)
+			}
+			if len(res.Rows) != len(tc.cached) {
+				t.Fatalf("%d rows, want %d", len(res.Rows), len(tc.cached))
+			}
+			for i, row := range res.Rows {
+				if row.Record != population.AllPoolRecords()[i] {
+					t.Errorf("row %d is %s, want %s", i, row.Record, population.AllPoolRecords()[i])
+				}
+				if row.Cached != tc.cached[i] || row.NotCached != tc.verified-tc.cached[i] {
+					t.Errorf("%s: cached/not = %d/%d, want %d/%d", row.Record, row.Cached, row.NotCached, tc.cached[i], tc.verified-tc.cached[i])
+				}
+			}
+			var viaCachedTTL []float64
+			for _, s := range tc.specs {
+				if ttl, ok := s.CachedTTL(population.RecPoolA); ok && s.Responds && s.RespectsRD {
+					viaCachedTTL = append(viaCachedTTL, float64(ttl))
+				}
+			}
+			if !slices.Equal(res.TTLs, viaCachedTTL) {
+				t.Errorf("TTLs = %v, CachedTTL gives %v", res.TTLs, viaCachedTTL)
+			}
+		})
+	}
+}
+
+// TestTableIVRows: the fold's row order is population.AllPoolRecords.
+func TestTableIVRows(t *testing.T) {
+	if !slices.Equal(tableIV[:], population.AllPoolRecords()) {
+		t.Fatalf("tableIV = %v, want %v", tableIV, population.AllPoolRecords())
 	}
 }
 

@@ -50,7 +50,7 @@ func init() {
 		Name:     "table4",
 		Title:    "Resolver cache snooping",
 		PaperRef: "§VIII-B1, Table IV",
-		Impl:     "measure.CacheSnoop",
+		Impl:     "measure.SnoopOpenResolvers",
 		CLI:      "experiments -only table4",
 		Params:   map[string]string{"resolvers": "200000"},
 		Order:    100,
@@ -60,7 +60,7 @@ func init() {
 		Name:     "fig6",
 		Title:    "Cached-TTL distribution",
 		PaperRef: "§VIII-B1, Fig. 6",
-		Impl:     "measure.CacheSnoop",
+		Impl:     "measure.SnoopOpenResolvers",
 		CLI:      "experiments -only fig6",
 		Params:   map[string]string{"resolvers": "200000"},
 		Order:    110,
@@ -150,20 +150,20 @@ func fig5Scenario(_ context.Context, seed int64, cfg scenario.Config) (scenario.
 	return scenario.Result{Metrics: metrics}, nil
 }
 
-// snoopPopulation draws the Table IV / Figure 6 open-resolver population
-// (20k resolvers in fast mode).
-func snoopPopulation(seed int64, cfg scenario.Config) []population.OpenResolverSpec {
+// snoopPopulation snoops the Table IV / Figure 6 open-resolver population
+// as it is drawn (20k resolvers in fast mode).
+func snoopPopulation(seed int64, cfg scenario.Config) SnoopResult {
 	popCfg := population.DefaultOpenResolverConfig()
 	if cfg.Fast {
 		popCfg.Total = 20000
 	}
-	return population.GenerateOpenResolvers(popCfg, seed+11)
+	return SnoopOpenResolvers(popCfg, seed+11)
 }
 
 // tableIVScenario snoops the open-resolver population for the Table IV
 // cached-record percentages.
 func tableIVScenario(_ context.Context, seed int64, cfg scenario.Config) (scenario.Result, error) {
-	res := CacheSnoop(snoopPopulation(seed, cfg))
+	res := snoopPopulation(seed, cfg)
 	metrics := map[string]float64{
 		"probed":   float64(res.Probed),
 		"verified": float64(res.Verified),
@@ -178,7 +178,7 @@ func tableIVScenario(_ context.Context, seed int64, cfg scenario.Config) (scenar
 // fig6Scenario reads the remaining-TTL distribution back from the same
 // snooped population as table4.
 func fig6Scenario(_ context.Context, seed int64, cfg scenario.Config) (scenario.Result, error) {
-	res := CacheSnoop(snoopPopulation(seed, cfg))
+	res := snoopPopulation(seed, cfg)
 	h := res.TTLHistogram()
 	return scenario.Result{
 		Metrics: map[string]float64{

@@ -13,6 +13,7 @@
 package population
 
 import (
+	"iter"
 	"math/rand"
 	"sort"
 	"time"
@@ -214,10 +215,11 @@ type OpenResolverSpec struct {
 	// RespectsRD: RD=0 is answered from cache only (snooping works).
 	RespectsRD bool
 	// Cached holds the cached records in draw order (Table IV order, then
-	// extras); absence means not cached. The per-resolver slices of one
-	// population share a single backing array — a population is drawn per
-	// campaign run, and per-resolver maps dominated the generator's
-	// allocation profile.
+	// extras); absence means not cached. GenerateOpenResolvers carves the
+	// slices of one population out of shared chunks, and OpenResolvers
+	// reuses one scratch slice for every resolver it yields — a population
+	// is drawn per campaign run, and per-resolver maps dominated the
+	// generator's allocation profile.
 	Cached []CachedRecord
 	// AcceptsFragments: fragmented DNS responses are accepted (31%).
 	AcceptsFragments bool
@@ -273,8 +275,78 @@ func DefaultOpenResolverConfig() OpenResolverConfig {
 	}
 }
 
-// GenerateOpenResolvers draws the open-resolver population.
+// GenerateOpenResolvers draws the open-resolver population and stores it.
+// A study that only folds the population should range over OpenResolvers
+// instead, which draws the same resolvers without keeping them.
 func GenerateOpenResolvers(cfg OpenResolverConfig, seed int64) []OpenResolverSpec {
+	out := make([]OpenResolverSpec, 0, cfg.Total)
+	for s := range drawOpenResolvers(cfg, seed, true) {
+		out = append(out, s)
+	}
+	return out
+}
+
+// OpenResolvers draws the open-resolver population one resolver at a
+// time and yields each before drawing the next, so a study can fold a
+// population of any size without storing it. It yields exactly the specs
+// GenerateOpenResolvers returns, in the same order. A yielded spec's
+// Cached slice is scratch that the next draw overwrites: copy it to keep
+// it.
+func OpenResolvers(cfg OpenResolverConfig, seed int64) iter.Seq[OpenResolverSpec] {
+	return drawOpenResolvers(cfg, seed, false)
+}
+
+// drawOpenResolvers is the open-resolver population's one draw loop.
+// Unless keep is set it reuses one scratch slice for every resolver's
+// Cached records. With keep set it carves each resolver's records out of
+// a chunked arena, so yielded specs stay valid: an exhausted chunk is
+// replaced, and carved slices keep the old one alive. Chunks keep
+// allocation count (and GC pressure) orders of magnitude below one slice
+// per resolver without sizing one array as if every record were cached
+// everywhere, and drawing straight into them spares the stored path a
+// second copy of every record.
+func drawOpenResolvers(cfg OpenResolverConfig, seed int64, keep bool) iter.Seq[OpenResolverSpec] {
+	return func(yield func(OpenResolverSpec) bool) {
+		records, probs := openResolverRecords(cfg)
+		rng := rand.New(rand.NewSource(seed))
+		chunkCap := len(records)
+		if keep {
+			chunkCap *= 1024
+		}
+		cached := make([]CachedRecord, 0, chunkCap)
+		for range cfg.Total {
+			if rng.Float64() >= cfg.PResponds {
+				if !yield(OpenResolverSpec{}) {
+					return
+				}
+				continue
+			}
+			s := OpenResolverSpec{Responds: true}
+			s.RespectsRD = rng.Float64() < cfg.PRespectsRD
+			s.AcceptsFragments = rng.Float64() < cfg.PAcceptsFragments
+			switch {
+			case !keep:
+				cached = cached[:0]
+			case len(cached)+len(records) > cap(cached):
+				cached = make([]CachedRecord, 0, chunkCap)
+			}
+			start := len(cached)
+			for j, rec := range records {
+				if rng.Float64() < probs[j] {
+					cached = append(cached, CachedRecord{rec, rng.Intn(cfg.RecordTTL + 1)})
+				}
+			}
+			s.Cached = cached[start:len(cached):len(cached)]
+			if !yield(s) {
+				return
+			}
+		}
+	}
+}
+
+// openResolverRecords returns the records OpenResolvers draws, in draw
+// order, with their caching probabilities.
+func openResolverRecords(cfg OpenResolverConfig) ([]PoolRecord, []float64) {
 	// Fix the record draw order up front — Table IV order, then any extra
 	// configured records sorted by name. Ranging over the PCached map
 	// would consume the RNG in Go's randomised map order and break seed
@@ -311,38 +383,7 @@ func GenerateOpenResolvers(cfg OpenResolverConfig, seed int64) []OpenResolverSpe
 		probs[i] = cfg.PCached[rec]
 	}
 
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]OpenResolverSpec, cfg.Total)
-	// Chunked arena for the Cached slices: each resolver carves a sub-slice
-	// out of the current chunk, and an exhausted chunk is simply replaced —
-	// carved slices keep the old chunk alive, nothing is copied. Chunks keep
-	// allocation count (and GC pressure) orders of magnitude below one map
-	// per resolver without the worst-case footprint of a single backing
-	// array sized as if every record were cached everywhere.
-	chunkCap := 1024 * len(records)
-	chunk := make([]CachedRecord, 0, chunkCap)
-	for i := range out {
-		s := OpenResolverSpec{}
-		if rng.Float64() >= cfg.PResponds {
-			out[i] = s
-			continue
-		}
-		s.Responds = true
-		s.RespectsRD = rng.Float64() < cfg.PRespectsRD
-		s.AcceptsFragments = rng.Float64() < cfg.PAcceptsFragments
-		if len(chunk)+len(records) > cap(chunk) {
-			chunk = make([]CachedRecord, 0, chunkCap)
-		}
-		start := len(chunk)
-		for j, rec := range records {
-			if rng.Float64() < probs[j] {
-				chunk = append(chunk, CachedRecord{rec, rng.Intn(cfg.RecordTTL + 1)})
-			}
-		}
-		s.Cached = chunk[start:len(chunk):len(chunk)]
-		out[i] = s
-	}
-	return out
+	return records, probs
 }
 
 // ---------------------------------------------------------------------------

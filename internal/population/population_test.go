@@ -2,6 +2,7 @@ package population
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -175,6 +176,68 @@ func TestGenerateOpenResolversDeterministic(t *testing.T) {
 	}
 }
 
+// TestOpenResolversMatchesGenerate: the draw loop yields exactly the
+// specs GenerateOpenResolvers stores, in the same order, for the default
+// population and for configs that reach each branch of the draw.
+func TestOpenResolversMatchesGenerate(t *testing.T) {
+	small := func(edit func(*OpenResolverConfig)) OpenResolverConfig {
+		cfg := DefaultOpenResolverConfig()
+		cfg.Total = 20000
+		edit(&cfg)
+		return cfg
+	}
+	cases := []struct {
+		name string
+		cfg  OpenResolverConfig
+		seed int64
+	}{
+		{"default", DefaultOpenResolverConfig(), 1},
+		{"extra record", small(func(c *OpenResolverConfig) { c.PCached["2.pool.ntp.org IN AAAA"] = 1.0 }), 7},
+		{"none respond", small(func(c *OpenResolverConfig) { c.PResponds = 0 }), 3},
+		{"all respond", small(func(c *OpenResolverConfig) { c.PResponds = 1 }), 3},
+		{"no records", small(func(c *OpenResolverConfig) { c.PCached = nil }), 5},
+		{"empty", small(func(c *OpenResolverConfig) { c.Total = 0 }), 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := GenerateOpenResolvers(tc.cfg, tc.seed)
+			i := 0
+			for got := range OpenResolvers(tc.cfg, tc.seed) {
+				if i >= len(want) {
+					t.Fatalf("draw loop yielded more than %d resolvers", len(want))
+				}
+				w := want[i]
+				if got.Responds != w.Responds || got.RespectsRD != w.RespectsRD ||
+					got.AcceptsFragments != w.AcceptsFragments || !slices.Equal(got.Cached, w.Cached) {
+					t.Fatalf("resolver %d: yielded %+v, stored %+v", i, got, w)
+				}
+				i++
+			}
+			if i != len(want) {
+				t.Fatalf("draw loop yielded %d resolvers, stored %d", i, len(want))
+			}
+		})
+	}
+}
+
+// TestOpenResolversStops: a break ends the draw whichever kind of
+// resolver it lands on; the range-over-func runtime panics if the loop
+// yields again.
+func TestOpenResolversStops(t *testing.T) {
+	for _, responds := range []bool{false, true} {
+		drawn := 0
+		for s := range OpenResolvers(DefaultOpenResolverConfig(), 2) {
+			drawn++
+			if s.Responds == responds {
+				break
+			}
+		}
+		if drawn == DefaultOpenResolverConfig().Total {
+			t.Errorf("no resolver with Responds=%v in the population", responds)
+		}
+	}
+}
+
 func TestOpenResolverTTLsWithinRange(t *testing.T) {
 	cfg := DefaultOpenResolverConfig()
 	cfg.Total = 20000
@@ -279,5 +342,13 @@ func TestUniformTTLs(t *testing.T) {
 	}
 	if math.Abs(frac(lo, len(ttls))-0.5) > 0.03 {
 		t.Errorf("TTL distribution not uniform: %d below midpoint", lo)
+	}
+}
+
+func BenchmarkGenerateOpenResolvers(b *testing.B) {
+	cfg := DefaultOpenResolverConfig()
+	b.ReportAllocs()
+	for b.Loop() {
+		GenerateOpenResolvers(cfg, 11)
 	}
 }
