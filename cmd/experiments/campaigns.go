@@ -75,21 +75,22 @@ func campaignFlagSet(cfg *campaignConfig) *flag.FlagSet {
 	return fs
 }
 
-// campaignParams folds -param pairs and the -client shorthand into one
-// validated param set.
-func (cfg *campaignConfig) campaignParams() (dnstime.ScenarioParams, error) {
-	params, err := dnstime.ParseScenarioParams(cfg.params)
+// scenarioParams folds -param pairs and the -client shorthand into one
+// validated param set (the campaigns and search subcommands share both
+// flags).
+func scenarioParams(pairs []string, client string) (dnstime.ScenarioParams, error) {
+	params, err := dnstime.ParseScenarioParams(pairs)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.client != "" {
+	if client != "" {
 		if _, dup := params["client"]; dup {
 			return nil, errors.New("-client and -param client=... are mutually exclusive")
 		}
 		if params == nil {
 			params = dnstime.ScenarioParams{}
 		}
-		params["client"] = cfg.client
+		params["client"] = client
 	}
 	return params, nil
 }
@@ -122,7 +123,7 @@ func runCampaigns(ctx context.Context, argv []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	params, err := cfg.campaignParams()
+	params, err := scenarioParams(cfg.params, cfg.client)
 	if err != nil {
 		return err
 	}

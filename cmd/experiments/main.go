@@ -8,7 +8,7 @@
 //	experiments [-seed N] [-fast] [-only table3,fig5,...]
 //	experiments campaigns [-seeds N] [-workers M] [-json] [-fast] [-only boot,table4,...]
 //	experiments campaigns -only boot [-param client=chrony] [-checkpoint f.jsonl] [-resume f.jsonl]
-//	experiments search -scenario racemargin [-lo -2s -hi 0s -resolution 100ms] [-target 0.5] [-json]
+//	experiments search -scenario racemargin [-lo -2s -hi 0s -resolution 100ms] [-target 0.5] [-state DIR] [-json]
 //	experiments search -scenario racemargin -dim vic-net=lan,wan -dim client=ntpd,chrony [-prune-seeds 4] [-lhs N]
 //	experiments scenarios [-markdown]
 //	experiments serve [-addr HOST:PORT] [-workers M] [-queue N] [-state DIR] [-rate R -burst B] [-pprof]
@@ -75,8 +75,8 @@ func main() {
 	}
 	if len(os.Args) > 1 && os.Args[1] == "search" {
 		// Same signal wiring as campaigns: SIGINT/SIGTERM cancel the
-		// probe campaigns; with -checkpoint the completed probes are
-		// already persisted for -resume.
+		// probe campaigns; with -state every completed seed is already
+		// in its probe's checkpoint for a rerun to resume.
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		context.AfterFunc(ctx, stop)
 		err := runSearch(ctx, os.Args[2:], os.Stdout)

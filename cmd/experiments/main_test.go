@@ -299,7 +299,7 @@ func TestReadmeCommandsParse(t *testing.T) {
 		args := strings.Fields(cmd)
 		var err error
 		switch args[0] {
-		case "git", "cd", "ntpattack", "curl", "kill", "bash":
+		case "git", "cd", "curl", "kill", "bash":
 			// Other binaries (and setup lines, like the serve walkthrough's
 			// curl session) are out of this checker's scope.
 		case "go":
@@ -493,13 +493,17 @@ func TestRunCampaignsNetsweep(t *testing.T) {
 	}
 }
 
-// TestRunCampaignsBadNetParam: an unknown profile or a malformed override
+// TestRunCampaignsBadNetParam: an unknown netem profile, topology
+// preset, client profile or run-time scenario, or a malformed override,
 // is a per-run error, surfaced in the aggregate's error count (param
 // *keys* are validated before the campaign; values are interpreted by the
 // scenario's runs).
 func TestRunCampaignsBadNetParam(t *testing.T) {
 	for name, argv := range map[string][]string{
 		"unknown profile":  {"-only", "boot", "-param", "net=dialup", "-seeds", "1"},
+		"unknown preset":   {"-only", "boot", "-param", "topo=backbone", "-seeds", "1"},
+		"unknown client":   {"-only", "boot", "-client", "swatch", "-seeds", "1"},
+		"unknown scenario": {"-only", "runtime", "-param", "scenario=P3", "-seeds", "1"},
 		"loss not a rate":  {"-only", "boot", "-param", "loss=2", "-seeds", "1"},
 		"loss at sentinel": {"-only", "boot", "-param", "loss=-1", "-seeds", "1"},
 		"rtt not a time":   {"-only", "boot", "-param", "rtt=fast", "-seeds", "1"},

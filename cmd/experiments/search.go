@@ -36,8 +36,7 @@ type searchConfig struct {
 	quiet        bool
 	params       repeatedFlag
 	client       string
-	checkpoint   string
-	resume       string
+	stateDir     string
 	force        bool
 }
 
@@ -65,38 +64,27 @@ func searchFlagSet(cfg *searchConfig) *flag.FlagSet {
 	fs.BoolVar(&cfg.quiet, "q", false, "suppress per-probe progress on stderr")
 	fs.Var(&cfg.params, "param", "fixed scenario param as key=value (repeatable)")
 	fs.StringVar(&cfg.client, "client", "", "client profile param (shorthand for -param client=...)")
-	fs.StringVar(&cfg.checkpoint, "checkpoint", "", "append every completed probe campaign to this JSONL file")
-	fs.StringVar(&cfg.resume, "resume", "", "reuse probe campaigns recorded in this checkpoint file")
-	fs.BoolVar(&cfg.force, "force", false, "resume a checkpoint written by a different build revision")
+	fs.StringVar(&cfg.stateDir, "state", "", "checkpoint directory, one <key>.jsonl per probe campaign as in serve -state; a rerun executes only missing seeds")
+	fs.BoolVar(&cfg.force, "force", false, "resume checkpoints written by a different build revision")
 	return fs
 }
 
 // searchOptions lowers the parsed flags onto the search Options.
 func (cfg *searchConfig) searchOptions() (dnstime.SearchOptions, error) {
-	params, err := dnstime.ParseScenarioParams(cfg.params)
+	params, err := scenarioParams(cfg.params, cfg.client)
 	if err != nil {
 		return dnstime.SearchOptions{}, err
 	}
-	if cfg.client != "" {
-		if _, dup := params["client"]; dup {
-			return dnstime.SearchOptions{}, errors.New("-client and -param client=... are mutually exclusive")
-		}
-		if params == nil {
-			params = dnstime.ScenarioParams{}
-		}
-		params["client"] = cfg.client
-	}
 	opt := dnstime.SearchOptions{
-		Scenario:   cfg.scenarioName,
-		Seeds:      cfg.seeds,
-		BaseSeed:   cfg.baseSeed,
-		Workers:    cfg.workers,
-		Fast:       cfg.fast,
-		Params:     params,
-		Target:     cfg.target,
-		Checkpoint: cfg.checkpoint,
-		Resume:     cfg.resume,
-		Force:      cfg.force,
+		Scenario: cfg.scenarioName,
+		Seeds:    cfg.seeds,
+		BaseSeed: &cfg.baseSeed,
+		Workers:  cfg.workers,
+		Fast:     cfg.fast,
+		Params:   params,
+		Target:   cfg.target,
+		StateDir: cfg.stateDir,
+		Force:    cfg.force,
 	}
 	if !cfg.quiet {
 		opt.Progress = func(p dnstime.SearchProbe, done, total int) {
@@ -188,7 +176,8 @@ func (cfg *searchConfig) searchDims() ([]dnstime.SearchDim, error) {
 // with -dim flags — sweep a parameter grid with Wilson-interval
 // pruning. Every probe is a full multi-seed campaign through the
 // Engine; output is byte-identical at any -workers count, and with
-// -checkpoint/-resume an interrupted search skips completed probes.
+// -state an interrupted search reruns only the seeds it had not
+// completed.
 func runSearch(ctx context.Context, argv []string, w io.Writer) error {
 	var cfg searchConfig
 	fs := searchFlagSet(&cfg)

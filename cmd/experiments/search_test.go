@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -87,6 +89,49 @@ func TestRunSearchTextOutput(t *testing.T) {
 	}
 	if s := out.String(); !strings.Contains(s, "collapse threshold inside (-4s, 0s]") {
 		t.Errorf("text output lacks the bracket line:\n%s", s)
+	}
+}
+
+// TestRunSearchStateDir: -state keeps one Engine checkpoint per probe,
+// named by the probe's JobSpec key (here at an explicit -seed 0), and a
+// second run over the directory prints byte-identical JSON.
+func TestRunSearchStateDir(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-scenario", "racemargin", "-lo", "-8s", "-hi", "0s", "-resolution", "2s",
+		"-seeds", "2", "-seed", "0", "-state", dir, "-json", "-q"}
+	run := func() string {
+		t.Helper()
+		var out bytes.Buffer
+		if err := runSearch(context.Background(), args, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	first := run()
+	var res dnstime.SearchBisectResult
+	if err := json.Unmarshal([]byte(first), &res); err != nil {
+		t.Fatalf("search output is not JSON: %v\n%s", err, first)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(res.Probes) {
+		t.Errorf("%d files in the state directory for %d probes: %v", len(files), len(res.Probes), files)
+	}
+	zero := int64(0)
+	for _, p := range res.Probes {
+		key, err := dnstime.CampaignJobSpec{Scenario: "racemargin", Seeds: 2, BaseSeed: &zero,
+			Params: dnstime.ScenarioParams{"margin": p.Value}}.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, key+".jsonl")); err != nil {
+			t.Errorf("probe %s: no checkpoint at its base-seed-0 JobSpec key: %v", p.Value, err)
+		}
+	}
+	if again := run(); again != first {
+		t.Errorf("rerun over the state directory differs:\n%s\nvs\n%s", again, first)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"path/filepath"
 	"strings"
 
 	"dnstime/internal/scenario"
@@ -136,6 +137,15 @@ func (s JobSpec) Key() (string, error) {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil
+}
+
+// CheckpointPath is where a state directory keeps the Engine checkpoint
+// of the campaign with the given Key: <dir>/<key>.jsonl. The resident
+// service and the search engine both persist campaigns through it, so a
+// checkpoint either one writes warm-starts the same campaign in the
+// other.
+func CheckpointPath(dir, key string) string {
+	return filepath.Join(dir, key+".jsonl")
 }
 
 // Options lowers the spec onto the Engine's option list, appending any

@@ -364,9 +364,6 @@ func (l *Lab) labHost(addr ipv4.Addr, role netem.Role, hc simnet.HostConfig) (*s
 // HonestAddrs returns the honest NTP server addresses.
 func (l *Lab) HonestAddrs() []ipv4.Addr { return append([]ipv4.Addr(nil), l.honestAddr...) }
 
-// EvilAddrs returns the attacker NTP server addresses.
-func (l *Lab) EvilAddrs() []ipv4.Addr { return append([]ipv4.Addr(nil), l.evilAddr...) }
-
 // spareServer returns the server a previous wiring left in s's backing
 // array at slot idx, provided it is still bound to host (lab Reset only
 // truncates l.Honest/l.Evil, so the pointers survive between runs; a slot
@@ -409,17 +406,6 @@ func (l *Lab) addHonest() error {
 func (l *Lab) addEvil() error {
 	addr := ipv4.Addr{6, 6, byte(len(l.evilAddr) >> 8), byte(len(l.evilAddr) + 1)}
 	return l.addServer(&l.Evil, &l.evilAddr, addr, netem.RoleEvilServer, ntpserv.Config{Offset: l.cfg.EvilOffset})
-}
-
-// GrowEvil adds attacker NTP servers until the lab has n (Chronos needs
-// many).
-func (l *Lab) GrowEvil(n int) error {
-	for len(l.evilAddr) < n {
-		if err := l.addEvil(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // NewClient attaches a fresh NTP client host running the given profile.

@@ -154,7 +154,7 @@ func init() {
 		Title:     "Boot-time attack",
 		PaperRef:  "§IV-A, Fig. 2",
 		Impl:      "core.RunBootTimeAttack",
-		CLI:       "ntpattack -mode boot",
+		CLI:       "experiments campaigns -only boot -seeds 1",
 		Params:    map[string]string{"client": "ntpd"},
 		ParamKeys: append([]string{"client"}, labParamKeys...),
 		Order:     10,
@@ -165,7 +165,7 @@ func init() {
 		Title:     "Run-time attack",
 		PaperRef:  "§IV-B, Fig. 3",
 		Impl:      "core.RunRuntimeAttack",
-		CLI:       "ntpattack -mode runtime",
+		CLI:       "experiments campaigns -only runtime -seeds 1",
 		Params:    map[string]string{"client": "ntpd", "scenario": "P1"},
 		ParamKeys: append([]string{"client", "scenario"}, labParamKeys...),
 		Order:     20,
@@ -198,7 +198,7 @@ func init() {
 		Title:     "Chronos pool-poisoning attack",
 		PaperRef:  "§VI-C, Fig. 4",
 		Impl:      "core.RunChronosAttack",
-		CLI:       "ntpattack -mode chronos",
+		CLI:       "experiments campaigns -only chronos -seeds 1",
 		Params:    map[string]string{"N": "5", "spoofed": "89"},
 		ParamKeys: append([]string{"N", "spoofed"}, labParamKeys...),
 		Order:     60,

@@ -122,13 +122,6 @@ func (z *Zone) AddA(name string, ttl uint32, addr ipv4.Addr) {
 	})
 }
 
-// AddNS adds an NS record at the apex.
-func (z *Zone) AddNS(target string, ttl uint32) {
-	z.Records[z.Name] = append(z.Records[z.Name], dnswire.RR{
-		Name: z.Name, Type: dnswire.TypeNS, Class: dnswire.ClassIN, TTL: ttl, Target: dnswire.CanonicalName(target),
-	})
-}
-
 // Config tunes server behaviour.
 type Config struct {
 	// PadResponsesTo appends TXT padding so every positive response is at
@@ -257,16 +250,9 @@ func (s *Server) handle(src ipv4.Addr, srcPort uint16, payload []byte) {
 	_, _ = s.host.SendUDP(src, DNSPort, srcPort, wire)
 }
 
-// Respond computes the authoritative response for a query without sending
-// it (exported so resolvers and tests can exercise zone logic directly).
-func (s *Server) Respond(q *dnswire.Message) *dnswire.Message {
-	resp := &dnswire.Message{}
-	s.respondInto(q, resp)
-	return resp
-}
-
-// respondInto is Respond writing into a caller-owned message, reusing its
-// section slices — the hot path answers every query with one reused message.
+// respondInto computes the authoritative response for a query into a
+// caller-owned message, reusing its section slices — the hot path
+// answers every query with one reused message.
 func (s *Server) respondInto(q, resp *dnswire.Message) {
 	name := dnswire.CanonicalName(q.Questions[0].Name)
 	qtype := q.Questions[0].Type

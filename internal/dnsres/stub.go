@@ -42,9 +42,6 @@ func NewStub(host *simnet.Host, resolver ipv4.Addr, seed int64) *Stub {
 // Resolver returns the upstream resolver address.
 func (s *Stub) Resolver() ipv4.Addr { return s.resolver }
 
-// SetResolver repoints the stub (used when reconfiguring clients).
-func (s *Stub) SetResolver(a ipv4.Addr) { s.resolver = a }
-
 // Lookup sends one query and calls done with the full response message.
 // rd=false performs a cache-snooping (non-recursive) query. The message is
 // the stub's decode scratch: it is valid only for the duration of the

@@ -148,9 +148,6 @@ func (s *Server) Stats() Stats { return s.stats }
 // RateLimits reports whether rate limiting is enabled (population scans).
 func (s *Server) RateLimits() bool { return s.cfg.RateLimit.Enabled }
 
-// SetOffset changes the served time offset (attacker control knob).
-func (s *Server) SetOffset(d time.Duration) { s.cfg.Offset = d }
-
 // IsLimiting reports whether queries from client are currently held down.
 func (s *Server) IsLimiting(client ipv4.Addr) bool {
 	st, ok := s.state[client]

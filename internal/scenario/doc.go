@@ -10,7 +10,7 @@
 //		Title:     "Boot-time attack",
 //		PaperRef:  "§IV-A, Fig. 2",
 //		Impl:      "core.RunBootTimeAttack",
-//		CLI:       "ntpattack -mode boot",
+//		CLI:       "experiments campaigns -only boot -seeds 1",
 //		Params:    map[string]string{"client": "ntpd"},
 //		ParamKeys: []string{"client", "offset", ...},
 //		Order:     10,

@@ -69,7 +69,7 @@ type Scenario struct {
 	// ("core.RunBootTimeAttack") for the DESIGN.md §4 index.
 	Impl string
 	// CLI is the single-run command reproducing the experiment once
-	// ("ntpattack -mode boot").
+	// ("experiments campaigns -only boot -seeds 1").
 	CLI string
 	// Params documents the fixed parameters baked into this registration
 	// (client profile, attack scenario, population size …).

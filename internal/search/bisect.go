@@ -42,7 +42,8 @@ type BisectResult struct {
 // Probe order is a pure function of probe outcomes and probe outcomes
 // are worker-count independent (campaign.Engine's contract), so the
 // marshalled BisectResult is byte-identical at any opt.Workers, and a
-// checkpoint-resumed search reproduces an uninterrupted one exactly.
+// search resumed from a StateDir reproduces an uninterrupted one
+// exactly.
 func Bisect(ctx context.Context, ax Axis, opt Options) (BisectResult, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
@@ -51,11 +52,6 @@ func Bisect(ctx context.Context, ax Axis, opt Options) (BisectResult, error) {
 	if err := ax.validate(); err != nil {
 		return BisectResult{}, err
 	}
-	cache, err := openProbeCache(opt)
-	if err != nil {
-		return BisectResult{}, err
-	}
-	defer cache.close()
 
 	res := BisectResult{
 		Scenario: opt.Scenario,
@@ -74,7 +70,7 @@ func Bisect(ctx context.Context, ax Axis, opt Options) (BisectResult, error) {
 		}
 		mid := lo + (hi-lo)/2
 		value := ax.Format(mid * ax.Step)
-		p, err := runProbe(ctx, opt, cache, map[string]string{ax.Key: value}, opt.Seeds, opt.BaseSeed)
+		p, err := runProbe(ctx, opt, map[string]string{ax.Key: value}, opt.Seeds, *opt.BaseSeed)
 		if err != nil {
 			return res, err
 		}
@@ -93,5 +89,5 @@ func Bisect(ctx context.Context, ax Axis, opt Options) (BisectResult, error) {
 	}
 	res.Lo = ax.Format(lo * ax.Step)
 	res.Hi = ax.Format(hi * ax.Step)
-	return res, cache.close()
+	return res, nil
 }

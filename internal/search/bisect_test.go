@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dnstime/internal/campaign"
 	"dnstime/internal/scenario"
 )
 
@@ -24,6 +26,11 @@ import (
 var (
 	oracleThreshold atomic.Int64 // millionths
 	oracleRuns      atomic.Int64 // every executed oracle run
+	// oracleCancelAt, when oracleCancel is set, is the oracleRuns count
+	// at which the oracle cancels the search's context from inside a
+	// running campaign.
+	oracleCancelAt atomic.Int64
+	oracleCancel   atomic.Pointer[context.CancelFunc]
 )
 
 // oracleSucceeds is the oracle's ground truth, shared by the registered
@@ -46,7 +53,11 @@ func init() {
 		ParamKeys: []string{"x", "mode", "spread", "dir"},
 		Order:     1100,
 		Run: func(_ context.Context, seed int64, cfg scenario.Config) (scenario.Result, error) {
-			oracleRuns.Add(1)
+			if n := oracleRuns.Add(1); n == oracleCancelAt.Load() {
+				if cancel := oracleCancel.Load(); cancel != nil {
+					(*cancel)()
+				}
+			}
 			x, err := cfg.Params.Float("x", 0)
 			if err != nil {
 				return scenario.Result{}, err
@@ -213,14 +224,44 @@ func TestBisectRejectsBadInputs(t *testing.T) {
 	}
 }
 
-// TestBisectCheckpointResume: a completed search's checkpoint answers a
-// re-run without executing a single campaign, a torn checkpoint resumes
-// from its valid prefix, and the resumed output is byte-identical.
+// probePath is the state-directory checkpoint of the oracle probe at
+// params over seeds [base, base+seeds).
+func probePath(t *testing.T, dir string, params scenario.Params, seeds int, base int64) string {
+	t.Helper()
+	key, err := campaign.JobSpec{Scenario: "t-search-step", Params: params, Seeds: seeds, BaseSeed: &base}.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return campaign.CheckpointPath(dir, key)
+}
+
+// seedsOnDisk counts the per-seed lines of every checkpoint in dir.
+func seedsOnDisk(t *testing.T, dir string) int64 {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += int64(strings.Count(string(data), "\n")) - 1
+	}
+	return n
+}
+
+// TestBisectCheckpointResume: a completed search's state directory
+// answers a re-run without executing a single seed, a probe checkpoint
+// torn mid-campaign re-runs only that probe's missing seeds, and the
+// resumed output is byte-identical.
 func TestBisectCheckpointResume(t *testing.T) {
 	ax := unitAxis()
 	oracleThreshold.Store(135000)
-	path := filepath.Join(t.TempDir(), "search.jsonl")
-	opt := Options{Scenario: "t-search-step", Seeds: 4, Checkpoint: path, Resume: path}
+	dir := t.TempDir()
+	opt := Options{Scenario: "t-search-step", Seeds: 4, Workers: 2, StateDir: dir}
 
 	before := oracleRuns.Load()
 	res, err := Bisect(context.Background(), ax, opt)
@@ -231,12 +272,15 @@ func TestBisectCheckpointResume(t *testing.T) {
 	if want := int64(len(res.Probes) * 4); executed != want {
 		t.Fatalf("first search executed %d runs, want %d", executed, want)
 	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "*.jsonl")); len(files) != len(res.Probes) {
+		t.Fatalf("%d checkpoint files for %d probes", len(files), len(res.Probes))
+	}
 	want, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Full resume: zero campaigns.
+	// Full resume: zero runs.
 	before = oracleRuns.Load()
 	res2, err := Bisect(context.Background(), ax, opt)
 	if err != nil {
@@ -254,18 +298,19 @@ func TestBisectCheckpointResume(t *testing.T) {
 		}
 	}
 
-	// Torn resume: keep the header and two probe lines plus a torn
-	// fragment; only the missing probes re-run.
+	// Torn resume: cut the second probe's checkpoint to its header, one
+	// seed and a torn fragment; only its three missing seeds re-run.
+	torn := res.Probes[1].Value
+	path := probePath(t, dir, scenario.Params{"x": torn}, 4, 1)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.SplitAfter(string(data), "\n")
-	if len(lines) < 4 {
+	if len(lines) < 3 {
 		t.Fatalf("checkpoint too short to tear: %q", data)
 	}
-	torn := strings.Join(lines[:3], "") + `{"key":"torn`
-	if err := os.WriteFile(path, []byte(torn), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(strings.Join(lines[:2], "")+`{"seed":`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	before = oracleRuns.Load()
@@ -273,83 +318,176 @@ func TestBisectCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := oracleRuns.Load() - before; n != int64((len(res.Probes)-2)*4) {
-		t.Errorf("torn resume executed %d runs, want %d", n, (len(res.Probes)-2)*4)
+	if n := oracleRuns.Load() - before; n != 3 {
+		t.Errorf("torn resume executed %d runs, want 3", n)
 	}
 	if got, _ := json.Marshal(res3); string(got) != string(want) {
 		t.Errorf("torn-resume output differs:\n%s\nvs\n%s", got, want)
 	}
-}
-
-// TestBisectResumeRejectsMismatch: a checkpoint only answers the search
-// its header describes, and a bare -resume against a missing file is an
-// error (only the checkpoint+resume same-path workflow starts fresh).
-func TestBisectResumeRejectsMismatch(t *testing.T) {
-	ax := unitAxis()
-	oracleThreshold.Store(500000)
-	path := filepath.Join(t.TempDir(), "search.jsonl")
-	if _, err := Bisect(context.Background(), ax, Options{
-		Scenario: "t-search-step", Seeds: 2, Checkpoint: path,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	bad := map[string]Options{
-		"different target": {Scenario: "t-search-step", Seeds: 2, Resume: path, Target: 0.75},
-		"different fast":   {Scenario: "t-search-step", Seeds: 2, Resume: path, Fast: true},
-		"different params": {Scenario: "t-search-step", Seeds: 2, Resume: path, Params: scenario.Params{"spread": "0.1"}},
-	}
-	for name, opt := range bad {
-		if _, err := Bisect(context.Background(), ax, opt); err == nil {
-			t.Errorf("%s: accepted", name)
+	for _, p := range res3.Probes {
+		if p.Cached != (p.Value != torn) {
+			t.Errorf("probe %s cached=%t after tearing probe %s", p.Value, p.Cached, torn)
 		}
 	}
-	missing := Options{Scenario: "t-search-step", Seeds: 2,
-		Resume: filepath.Join(t.TempDir(), "missing.jsonl")}
-	if _, err := Bisect(context.Background(), ax, missing); err == nil {
-		t.Error("missing resume file accepted")
-	}
 }
 
-// TestSearchResumeRevisionGate: search checkpoints carry the writing
-// build's VCS revision and refuse cross-revision resumes unless forced,
-// mirroring the campaign engine's gate.
-func TestSearchResumeRevisionGate(t *testing.T) {
-	defer func(orig func() string) { buildRevision = orig }(buildRevision)
+// TestBisectResumesInterruptedProbe: a search cancelled in the middle
+// of a probe campaign (by the oracle itself, with several workers in
+// flight) keeps every completed seed on disk, and the rerun executes
+// exactly the seeds that are missing — not the whole probe — and prints
+// the uninterrupted search's bytes.
+func TestBisectResumesInterruptedProbe(t *testing.T) {
 	ax := unitAxis()
-	oracleThreshold.Store(500000)
-	path := filepath.Join(t.TempDir(), "search.jsonl")
-
-	buildRevision = func() string { return "aaaa00000000" }
-	if _, err := Bisect(context.Background(), ax, Options{
-		Scenario: "t-search-step", Seeds: 2, Checkpoint: path,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
+	oracleThreshold.Store(415000)
+	const seeds = 16
+	opt := Options{Scenario: "t-search-step", Seeds: seeds, Workers: 4,
+		Params: scenario.Params{"spread": "0.2"}}
+	fresh, err := Bisect(context.Background(), ax, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hdr := strings.SplitN(string(data), "\n", 2)[0]; !strings.Contains(hdr, `"revision":"aaaa00000000"`) {
-		t.Fatalf("header lacks the revision stamp: %s", hdr)
+	want, _ := json.Marshal(fresh)
+	total := int64(len(fresh.Probes) * seeds)
+
+	// Cancel inside the third probe, five seeds in.
+	opt.StateDir = t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	before := oracleRuns.Load()
+	oracleCancelAt.Store(before + 2*seeds + 5)
+	oracleCancel.Store(&cancel)
+	_, err = Bisect(ctx, ax, opt)
+	oracleCancel.Store(nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted search returned %v, want context.Canceled", err)
+	}
+	ran := oracleRuns.Load() - before
+	onDisk := seedsOnDisk(t, opt.StateDir)
+	if onDisk != ran || ran <= 2*seeds || ran >= 3*seeds {
+		t.Fatalf("interrupted search ran %d seeds and checkpointed %d; want equal, inside the third probe", ran, onDisk)
 	}
 
-	buildRevision = func() string { return "bbbb11111111" }
-	if _, err := Bisect(context.Background(), ax, Options{
-		Scenario: "t-search-step", Seeds: 2, Resume: path,
-	}); err == nil || !strings.Contains(err.Error(), "revision") {
-		t.Errorf("cross-revision resume not refused: %v", err)
+	before = oracleRuns.Load()
+	res, err := Bisect(context.Background(), ax, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Bisect(context.Background(), ax, Options{
-		Scenario: "t-search-step", Seeds: 2, Resume: path, Force: true,
-	}); err != nil {
-		t.Errorf("forced cross-revision resume failed: %v", err)
+	if n := oracleRuns.Load() - before; n != total-onDisk {
+		t.Errorf("resumed search executed %d seeds, want the %d missing ones", n, total-onDisk)
+	}
+	if got, _ := json.Marshal(res); string(got) != string(want) {
+		t.Errorf("resumed output differs from an uninterrupted search:\n%s\nvs\n%s", got, want)
+	}
+	for i, p := range res.Probes {
+		if p.Cached != (i < 2) {
+			t.Errorf("probe %d (%s) cached=%t", i, p.Value, p.Cached)
+		}
+	}
+}
+
+// TestBisectStateContentAddress: a probe's checkpoint is addressed by
+// its campaign (scenario, params, seed range, fast mode), not by the
+// search that ran it. A search at another target reuses every probe and
+// equals a fresh search at that target; a different fast mode or
+// different fixed params is a different campaign and executes every
+// probe.
+func TestBisectStateContentAddress(t *testing.T) {
+	ax := unitAxis()
+	oracleThreshold.Store(500000)
+	dir := t.TempDir()
+	base := Options{Scenario: "t-search-step", Seeds: 2, StateDir: dir}
+	first, err := Bisect(context.Background(), ax, base)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	// Unknown current build: nothing to compare, resume allowed.
-	buildRevision = func() string { return "unknown" }
-	if _, err := Bisect(context.Background(), ax, Options{
-		Scenario: "t-search-step", Seeds: 2, Resume: path,
-	}); err != nil {
-		t.Errorf("resume under unknown current revision refused: %v", err)
+	// A step oracle's rates are 0 or 1, so target 0.9 takes the same
+	// probes as 0.5 — all already on disk.
+	at90 := base
+	at90.Target = 0.9
+	before := oracleRuns.Load()
+	resumed, err := Bisect(context.Background(), ax, at90)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if n := oracleRuns.Load() - before; n != 0 {
+		t.Errorf("target 0.9 over a 0.5 search's state executed %d runs, want 0", n)
+	}
+	at90.StateDir = ""
+	freshAt90, err := Bisect(context.Background(), ax, at90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := mustMarshal(t, resumed), mustMarshal(t, freshAt90); got != want {
+		t.Errorf("resumed target-0.9 search differs from a fresh one:\n%s\nvs\n%s", got, want)
+	}
+
+	fast := base
+	fast.Fast = true
+	params := base
+	params.Params = scenario.Params{"mode": "a"}
+	for name, opt := range map[string]Options{"fast": fast, "params": params} {
+		before := oracleRuns.Load()
+		res, err := Bisect(context.Background(), ax, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n, want := oracleRuns.Load()-before, int64(len(res.Probes)*2); n != want {
+			t.Errorf("different %s executed %d runs, want every probe's %d", name, n, want)
+		}
+	}
+	// Neither clobbered the original search's checkpoints.
+	before = oracleRuns.Load()
+	again, err := Bisect(context.Background(), ax, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := oracleRuns.Load() - before; n != 0 {
+		t.Errorf("original search re-executed %d runs", n)
+	}
+	if got, want := mustMarshal(t, again), mustMarshal(t, first); got != want {
+		t.Errorf("original search's output moved:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestBisectBaseSeedZero: an explicit base seed 0 runs seeds 0…n−1
+// (nil means the default base seed 1), and its probes are checkpointed
+// under the JobSpec key of that seed range.
+func TestBisectBaseSeedZero(t *testing.T) {
+	oracleThreshold.Store(500000)
+	dir := t.TempDir()
+	zero := int64(0)
+	// With spread 0.3, seed s flips at 0.5 + 0.1·(s mod 7 − 3): at x =
+	// 0.25 only seed 0 of 0…3 succeeds, and none of 1…4.
+	params := scenario.Params{"spread": "0.3"}
+	ax := Axis{Key: "x", Kind: KindFraction, Lo: 0, Hi: 500000, Step: 250000}
+	for _, c := range []struct {
+		base      *int64
+		successes int
+		first     int64
+	}{{&zero, 1, 0}, {nil, 0, 1}} {
+		res, err := Bisect(context.Background(), ax, Options{
+			Scenario: "t-search-step", Seeds: 4, BaseSeed: c.base, Params: params, StateDir: dir,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Probes) != 1 || res.Probes[0].Value != "0.25" || res.Probes[0].Successes != c.successes {
+			t.Errorf("base seed %d: probes %+v, want one probe at 0.25 with %d successes", c.first, res.Probes, c.successes)
+		}
+		path := probePath(t, dir, scenario.Params{"spread": "0.3", "x": "0.25"}, 4, c.first)
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("base seed %d: no checkpoint at its JobSpec key: %v", c.first, err)
+		}
+	}
+}
+
+// mustMarshal renders a search result as JSON.
+func mustMarshal(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

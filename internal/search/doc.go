@@ -18,9 +18,11 @@
 // worker-count-independent aggregates. The search layer adds its own
 // determinism contract on top — probe order is a pure function of probe
 // outcomes, and results carry no wall-clock fields — so a search's JSON
-// output is byte-identical at any worker count. Completed probes can be
-// checkpointed to a JSONL file and resumed (skipping their campaigns
-// entirely); like campaign checkpoints, the file records the build's
-// VCS revision and a resume under a different revision is refused
-// unless forced.
+// output is byte-identical at any worker count. A probe is an ordinary
+// campaign.JobSpec, so with Options.StateDir it checkpoints to the same
+// <dir>/<key>.jsonl Engine checkpoint `experiments serve -state` keeps:
+// a rerun over the directory executes only the seeds no earlier run
+// completed, and a probe's file warm-starts the matching serve job. The
+// campaign checkpoint's revision gate applies unchanged (Options.Force
+// overrides it).
 package search

@@ -88,7 +88,7 @@ func cellKey(params map[string]string) string {
 // cell that is confidently all-success or all-failure — and only
 // undecided cells pay for the full Seeds. Cells are evaluated and
 // reported in canonical order, so the marshalled GridResult is
-// byte-identical at any worker count and across checkpoint resumes.
+// byte-identical at any worker count and across StateDir resumes.
 func Grid(ctx context.Context, dims []Dim, opt GridOptions) (GridResult, error) {
 	opt.Options = opt.Options.withDefaults()
 	if err := opt.Options.validate(); err != nil {
@@ -104,12 +104,6 @@ func Grid(ctx context.Context, dims []Dim, opt GridOptions) (GridResult, error) 
 	}
 	sort.Slice(cells, func(i, j int) bool { return cellKey(cells[i]) < cellKey(cells[j]) })
 
-	cache, err := openProbeCache(opt.Options)
-	if err != nil {
-		return GridResult{}, err
-	}
-	defer cache.close()
-
 	res := GridResult{
 		Scenario:   opt.Scenario,
 		Target:     opt.Target,
@@ -118,20 +112,21 @@ func Grid(ctx context.Context, dims []Dim, opt GridOptions) (GridResult, error) 
 		Dropped:    full - len(cells),
 	}
 	staged := opt.PruneSeeds > 0 && opt.PruneSeeds < opt.Seeds
+	base := *opt.BaseSeed
 	for _, assign := range cells {
 		if err := ctx.Err(); err != nil {
 			return res, fmt.Errorf("search: grid interrupted: %w", err)
 		}
 		cell := Cell{Params: assign}
 		if !staged {
-			p, err := runProbe(ctx, opt.Options, cache, assign, opt.Seeds, opt.BaseSeed)
+			p, err := runProbe(ctx, opt.Options, assign, opt.Seeds, base)
 			if err != nil {
 				return res, err
 			}
 			cell.Probe = p
 		} else {
 			// Prune stage: a short campaign at the base seed.
-			p, err := runProbe(ctx, opt.Options, cache, assign, opt.PruneSeeds, opt.BaseSeed)
+			p, err := runProbe(ctx, opt.Options, assign, opt.PruneSeeds, base)
 			if err != nil {
 				return res, err
 			}
@@ -144,8 +139,8 @@ func Grid(ctx context.Context, dims []Dim, opt GridOptions) (GridResult, error) 
 				// Extension stage: the remaining seeds, shifted past the
 				// prune stage so no seed is ever counted twice, merged
 				// into one pooled estimate.
-				ext, err := runProbe(ctx, opt.Options, cache, assign,
-					opt.Seeds-opt.PruneSeeds, opt.BaseSeed+int64(opt.PruneSeeds))
+				ext, err := runProbe(ctx, opt.Options, assign,
+					opt.Seeds-opt.PruneSeeds, base+int64(opt.PruneSeeds))
 				if err != nil {
 					return res, err
 				}
@@ -161,7 +156,7 @@ func Grid(ctx context.Context, dims []Dim, opt GridOptions) (GridResult, error) 
 			opt.Progress(cell.Probe, len(res.Cells), len(cells))
 		}
 	}
-	return res, cache.close()
+	return res, nil
 }
 
 // validateDims rejects dimension sets the sweep cannot evaluate.

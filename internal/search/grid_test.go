@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"encoding/json"
+	"os"
 	"reflect"
 	"testing"
 
@@ -92,14 +93,15 @@ func TestGridPruning(t *testing.T) {
 }
 
 // TestGridPruneStagesShareCheckpoint: the prune and extension stages
-// are distinct probe campaigns under distinct keys (different seed
-// ranges), so a resumed sweep re-runs neither.
+// are distinct probe campaigns (different seed ranges, so different
+// JobSpec keys) in one state directory, so a resumed sweep re-runs
+// neither.
 func TestGridPruneStagesShareCheckpoint(t *testing.T) {
 	oracleThreshold.Store(500000)
-	path := t.TempDir() + "/grid.jsonl"
+	dir := t.TempDir()
 	dims := []Dim{{Key: "x", Values: []string{"0.9"}}}
 	opt := GridOptions{
-		Options:    Options{Scenario: "t-search-step", Seeds: 16, Target: 0.9, Checkpoint: path, Resume: path},
+		Options:    Options{Scenario: "t-search-step", Seeds: 16, Target: 0.9, StateDir: dir},
 		PruneSeeds: 4,
 	}
 	res, err := Grid(context.Background(), dims, opt)
@@ -107,6 +109,12 @@ func TestGridPruneStagesShareCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := json.Marshal(res)
+	x := scenario.Params{"x": "0.9"}
+	for _, path := range []string{probePath(t, dir, x, 4, 1), probePath(t, dir, x, 12, 5)} {
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("stage checkpoint missing: %v", err)
+		}
+	}
 	before := oracleRuns.Load()
 	res2, err := Grid(context.Background(), dims, opt)
 	if err != nil {
@@ -117,6 +125,9 @@ func TestGridPruneStagesShareCheckpoint(t *testing.T) {
 	}
 	if got, _ := json.Marshal(res2); string(got) != string(want) {
 		t.Errorf("resumed sweep differs:\n%s\nvs\n%s", got, want)
+	}
+	if !res2.Cells[0].Cached {
+		t.Error("fully resumed cell not marked cached")
 	}
 }
 

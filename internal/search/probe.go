@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
-	"strings"
+	"os"
+	"sync/atomic"
 	"time"
 
 	"dnstime/internal/campaign"
@@ -14,10 +14,10 @@ import (
 	"dnstime/internal/stats"
 )
 
-// probesTotal counts probe campaigns actually executed by the search
-// engine, process-wide (obs.Default; exported on the serve /metrics
-// Prometheus view). Probes answered from a resume checkpoint are not
-// counted — they ran in a previous process.
+// probesTotal counts probe campaigns that executed at least one seed,
+// process-wide (obs.Default; exported on the serve /metrics Prometheus
+// view). A probe answered entirely from its state-directory checkpoint
+// is not counted — its seeds ran in a previous process.
 var probesTotal = obs.Default.Counter("dnstime_search_probes",
 	"Probe campaigns executed by the adaptive search engine (checkpoint-resumed probes excluded).")
 
@@ -30,8 +30,9 @@ type Options struct {
 	Scenario string
 	// Seeds is the number of seeds per probe campaign (default 16).
 	Seeds int
-	// BaseSeed is each probe campaign's first seed (default 1).
-	BaseSeed int64
+	// BaseSeed is each probe campaign's first seed (nil = 1; an explicit
+	// 0 runs seeds 0, 1, …), as in campaign.JobSpec.
+	BaseSeed *int64
 	// Workers caps each probe campaign's concurrency. The search output
 	// does not depend on it.
 	Workers int
@@ -44,16 +45,15 @@ type Options struct {
 	// boundary being searched (default 0.5): a probe "succeeds" when its
 	// campaign's success rate reaches Target.
 	Target float64
-	// Checkpoint, when set, appends every completed probe to this JSONL
-	// file so an interrupted search can resume without re-running them.
-	Checkpoint string
-	// Resume, when set, reuses completed probes recorded in this
-	// checkpoint file. Pass the same path as Checkpoint to keep
-	// extending one file across interruptions (a missing file is then a
-	// fresh start, not an error).
-	Resume string
-	// Force accepts a resume checkpoint written by a different VCS
-	// revision (refused by default — its probes may not reproduce).
+	// StateDir, when set, keeps every probe campaign's Engine checkpoint
+	// at campaign.CheckpointPath(StateDir, key), where key is the
+	// campaign.JobSpec Key of the probe — the layout `experiments serve
+	// -state` uses. Each seed is recorded as it completes, so a rerun
+	// over the same directory executes only the seeds no earlier run
+	// finished. The directory is created if missing.
+	StateDir string
+	// Force resumes checkpoints in StateDir written by a different VCS
+	// revision (refused by default — their seeds may not reproduce).
 	Force bool
 	// Progress, if set, is called after each probe with the probe and
 	// the running done count; total is the remaining worst-case probe
@@ -66,8 +66,9 @@ func (o Options) withDefaults() Options {
 	if o.Seeds <= 0 {
 		o.Seeds = campaign.DefaultSeeds
 	}
-	if o.BaseSeed == 0 {
-		o.BaseSeed = campaign.DefaultBaseSeed
+	if o.BaseSeed == nil {
+		base := int64(campaign.DefaultBaseSeed)
+		o.BaseSeed = &base
 	}
 	if o.Target == 0 {
 		o.Target = 0.5
@@ -104,27 +105,11 @@ type Probe struct {
 	// Success reports whether Rate reached the search target — the bit
 	// the bisection steps on.
 	Success bool `json:"success"`
-	// Cached marks a probe answered from a resume checkpoint instead of
-	// an executed campaign. Excluded from JSON: a resumed search's
-	// output must stay byte-identical to an uninterrupted one.
+	// Cached marks a probe whose campaign executed no seed: every seed
+	// was resumed from its StateDir checkpoint. Excluded from JSON: a
+	// resumed search's output must stay byte-identical to an
+	// uninterrupted one.
 	Cached bool `json:"-"`
-}
-
-// probeKey is a probe campaign's canonical identity inside a checkpoint
-// file: the full param assignment (sorted), plus the seed range — the
-// same point probed at different seed counts is a different measurement.
-func probeKey(params scenario.Params, seeds int, baseSeed int64) string {
-	keys := make([]string, 0, len(params))
-	for k := range params {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&sb, "%s=%s,", k, params[k])
-	}
-	fmt.Fprintf(&sb, "seeds=%d,base=%d", seeds, baseSeed)
-	return sb.String()
 }
 
 // probeParams merges the fixed params with the swept assignment.
@@ -139,29 +124,53 @@ func probeParams(fixed scenario.Params, swept map[string]string) scenario.Params
 	return p
 }
 
-// runProbe executes one probe campaign (or answers it from the resume
-// cache) and folds it to a Probe. Seed errors fail the probe loudly: a
-// threshold read off a partially errored campaign would be garbage with
-// a confident face.
-func runProbe(ctx context.Context, opt Options, cache *probeCache, swept map[string]string, seeds int, baseSeed int64) (Probe, error) {
-	params := probeParams(opt.Params, swept)
-	key := probeKey(params, seeds, baseSeed)
-	if rec, ok := cache.get(key); ok {
-		return foldProbe(opt, swept, rec.Successes, rec.Runs, true), nil
+// runProbe executes one probe campaign — the campaign.JobSpec of the
+// merged params over seeds [baseSeed, baseSeed+seeds) — and folds it to
+// a Probe. With a StateDir the campaign checkpoints to, and resumes
+// from, the spec's state-directory file. Seed errors fail the probe
+// loudly: a threshold read off a partially errored campaign would be
+// garbage with a confident face.
+func runProbe(ctx context.Context, opt Options, swept map[string]string, seeds int, baseSeed int64) (Probe, error) {
+	spec := campaign.JobSpec{
+		Scenario: opt.Scenario,
+		Params:   probeParams(opt.Params, swept),
+		Seeds:    seeds,
+		BaseSeed: &baseSeed,
+		Fast:     opt.Fast,
+	}
+	var executed atomic.Int64
+	opts := spec.Options(
+		campaign.WithWorkers(opt.Workers),
+		// Progress fires once per seed actually executed (resumed seeds
+		// are pre-counted, cancelled runs never report).
+		campaign.WithProgress(func(done, total int) { executed.Add(1) }),
+	)
+	if opt.StateDir != "" {
+		key, err := spec.Key()
+		if err != nil {
+			return Probe{}, err
+		}
+		if err := os.MkdirAll(opt.StateDir, 0o755); err != nil {
+			return Probe{}, fmt.Errorf("search: state dir: %w", err)
+		}
+		path := campaign.CheckpointPath(opt.StateDir, key)
+		opts = append(opts, campaign.WithCheckpoint(path), campaign.WithResume(path))
+		if opt.Force {
+			opts = append(opts, campaign.WithResumeForce())
+		}
 	}
 	start := time.Now()
-	agg, err := campaign.NewEngine(
-		campaign.WithSeeds(seeds),
-		campaign.WithBaseSeed(baseSeed),
-		campaign.WithWorkers(opt.Workers),
-		campaign.WithFast(opt.Fast),
-		campaign.WithParams(params),
-	).Run(ctx, opt.Scenario)
-	obs.ObservePhase(obs.PhaseProbe, time.Since(start))
+	agg, err := campaign.NewEngine(opts...).Run(ctx, opt.Scenario)
+	ran := executed.Load() > 0
+	if ran {
+		obs.ObservePhase(obs.PhaseProbe, time.Since(start))
+	}
 	if err != nil {
 		return Probe{}, err
 	}
-	probesTotal.Inc()
+	if ran {
+		probesTotal.Inc()
+	}
 	if agg.Errors > 0 {
 		first := ""
 		for _, r := range agg.PerRun {
@@ -170,16 +179,13 @@ func runProbe(ctx context.Context, opt Options, cache *probeCache, swept map[str
 				break
 			}
 		}
-		return Probe{}, fmt.Errorf("search: probe %s: %d/%d seeds errored (first: %s)",
-			key, agg.Errors, agg.Runs, first)
+		return Probe{}, fmt.Errorf("search: probe %s over seeds %d..%d: %d/%d seeds errored (first: %s)",
+			spec.Params, baseSeed, baseSeed+int64(seeds)-1, agg.Errors, agg.Runs, first)
 	}
 	if agg.OutcomeRuns == 0 {
 		return Probe{}, fmt.Errorf("search: scenario %s reports no binary outcome — nothing to search", opt.Scenario)
 	}
-	if err := cache.put(key, agg.Successes, agg.OutcomeRuns); err != nil {
-		return Probe{}, err
-	}
-	return foldProbe(opt, swept, agg.Successes, agg.OutcomeRuns, false), nil
+	return foldProbe(opt, swept, agg.Successes, agg.OutcomeRuns, !ran), nil
 }
 
 // foldProbe reduces outcome counts to a Probe against the target.

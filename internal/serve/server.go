@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -36,7 +35,8 @@ type Config struct {
 	// QueueCap bounds the FIFO job queue (0 = 32). Submissions beyond it
 	// are rejected with 503 rather than buffered without limit.
 	QueueCap int
-	// StateDir, when set, holds one engine checkpoint per campaign key:
+	// StateDir, when set, holds one engine checkpoint per campaign key
+	// (campaign.CheckpointPath, shared with search's state directories):
 	// every completed seed is recorded as it finishes, a drained job's
 	// seeds are resumed byte-identically on resubmission (even across a
 	// server restart), and a completed campaign replays entirely from its
@@ -217,7 +217,7 @@ func (s *Server) runJob(j *job) {
 		campaign.WithProgress(func(done, total int) { executed.Add(1) }),
 	)
 	if s.cfg.StateDir != "" {
-		path := filepath.Join(s.cfg.StateDir, j.key+".jsonl")
+		path := campaign.CheckpointPath(s.cfg.StateDir, j.key)
 		opts = append(opts, campaign.WithCheckpoint(path), campaign.WithResume(path))
 	}
 	if j.spec.Trace {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dnstime/internal/campaign"
+	"dnstime/internal/search"
 )
 
 // recvSeed waits (bounded) for a parked scenario run to announce itself.
@@ -297,6 +298,43 @@ func TestServeCompletedCheckpointWarmStart(t *testing.T) {
 	}
 	if comps := stCompletions(); len(comps) != 0 {
 		t.Errorf("warm start re-executed seeds: %v", comps)
+	}
+}
+
+// TestServeWarmStartsFromSearchState pins the one state-directory
+// layout: a search's probes are ordinary JobSpec campaigns
+// checkpointed at campaign.CheckpointPath, so a server whose StateDir is
+// a finished search's directory answers the JobSpec of any probe
+// without executing a seed.
+func TestServeWarmStartsFromSearchState(t *testing.T) {
+	dir := t.TempDir()
+	stSet(0)
+	if _, err := search.Grid(context.Background(),
+		[]search.Dim{{Key: "tag", Values: []string{"probe-a", "probe-b"}}},
+		search.GridOptions{Options: search.Options{Scenario: "servetest", Seeds: 4, StateDir: dir}},
+	); err != nil {
+		t.Fatal(err)
+	}
+
+	stSet(0) // reset completion counts
+	_, ts := testServer(t, Config{Workers: 1, StateDir: dir})
+	_, v := submit(t, ts.URL, `{"scenario":"servetest","seeds":4,"params":{"tag":"probe-b"}}`)
+	final := waitDone(t, ts.URL, v.ID)
+	if final.Type != "aggregate" || final.Error != "" || final.Cached {
+		t.Fatalf("terminal line %+v", final)
+	}
+	var m metricsSnapshot
+	getJSON(t, ts.URL+"/metrics", &m)
+	if m.Engine.ExecutedRuns != 0 || m.Engine.ResumedRuns != 4 {
+		t.Errorf("engine counters %+v, want 0 executed / 4 resumed", m.Engine)
+	}
+	if comps := stCompletions(); len(comps) != 0 {
+		t.Errorf("server re-executed search seeds: %v", comps)
+	}
+	want := engineAggregate(t, campaign.JobSpec{Scenario: "servetest", Seeds: 4,
+		Params: map[string]string{"tag": "probe-b"}})
+	if !bytes.Equal(final.Aggregate, want) {
+		t.Errorf("warm-started aggregate differs from a fresh run:\n%s\nvs\n%s", final.Aggregate, want)
 	}
 }
 

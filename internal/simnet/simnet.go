@@ -289,10 +289,6 @@ func (n *Network) injectOwned(pkt *ipv4.Packet) {
 // duration of the call — handlers that keep bytes must copy them.
 type UDPHandler func(src ipv4.Addr, srcPort uint16, payload []byte)
 
-// ICMPHandler observes ICMP Fragmentation Needed messages after the host's
-// PMTU cache has been updated (src is the claimed sender of the ICMP).
-type ICMPHandler func(src ipv4.Addr, msg *ipv4.ICMPFragNeeded)
-
 // HostConfig tunes per-host stack behaviour.
 type HostConfig struct {
 	// Reassembly selects the defragmentation cache policy
@@ -325,7 +321,6 @@ type Host struct {
 	verify   bool
 	dropFrag bool
 	udp      map[uint16]UDPHandler
-	icmp     ICMPHandler
 	rawObs   func(*ipv4.Packet)
 	nextPort uint16
 
@@ -404,7 +399,6 @@ func (h *Host) Reset(cfg HostConfig) {
 	h.verify = !cfg.DisableChecksum
 	h.dropFrag = cfg.DropFragments
 	clear(h.udp)
-	h.icmp = nil
 	h.rawObs = nil
 	h.nextPort = 49152
 	h.SentPackets, h.ReceivedPackets, h.ChecksumErrors = 0, 0, 0
@@ -443,9 +437,6 @@ func (h *Host) HandleUDP(port uint16, fn UDPHandler) error {
 
 // UnhandleUDP removes a port handler.
 func (h *Host) UnhandleUDP(port uint16) { delete(h.udp, port) }
-
-// HandleICMP installs an observer for fragmentation-needed ICMPs.
-func (h *Host) HandleICMP(fn ICMPHandler) { h.icmp = fn }
 
 // AllocPort returns a fresh ephemeral port. Sequential by default; DNS
 // resolvers randomise ports themselves (that randomness is a resolver
@@ -606,9 +597,6 @@ func (h *Host) receiveICMP(pkt *ipv4.Packet) {
 	// exploits. We update the PMTU toward the destination named in the
 	// embedded original header.
 	h.pmtu.Update(msg.OrigDst, int(msg.NextHopMTU))
-	if h.icmp != nil {
-		h.icmp(pkt.Src, msg)
-	}
 }
 
 func (h *Host) receiveUDP(pkt *ipv4.Packet) {
