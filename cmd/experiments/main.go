@@ -53,6 +53,7 @@ import (
 	"syscall"
 
 	"dnstime"
+	"dnstime/internal/core"
 	"dnstime/internal/stats"
 )
 
@@ -168,34 +169,39 @@ func run(w io.Writer, seed int64, fast bool, only string) error {
 	}
 	labCfg := dnstime.LabConfig{Seed: seed}
 
+	// Tables I and II render one run of their registered scenarios.
 	if want["table1"] {
 		fmt.Fprintln(w, "== Table I: attack scenarios for popular NTP clients ==")
-		rows, err := dnstime.TableI(labCfg)
+		res, err := dnstime.RunScenario(context.Background(), "table1", seed, dnstime.ScenarioConfig{})
 		if err != nil {
 			return err
 		}
 		t := stats.NewTable("Client", "pool usage %", "boot-time", "run-time")
-		for _, r := range rows {
-			usage := fmt.Sprintf("%.1f", r.UsagePct)
-			if r.UsagePct == 0 {
+		for _, pu := range dnstime.AllProfiles() {
+			usage := fmt.Sprintf("%.1f", pu.UsagePct)
+			if pu.UsagePct == 0 {
 				usage = "not listed"
 			}
-			t.AddRow(r.Client, usage, r.BootTime.String(), r.RunTime.String())
+			boot := core.No
+			if res.Metrics["boot/"+pu.Profile.Name] == 1 {
+				boot = core.Yes
+			}
+			t.AddRow(pu.Profile.Name, usage, boot.String(), core.RuntimeApplicability(pu.Profile).String())
 		}
 		fmt.Fprintln(w, t)
 	}
 
 	if want["table2"] && !fast {
 		fmt.Fprintln(w, "== Table II: run-time attack duration (paper values in parentheses) ==")
-		rows, err := dnstime.TableII(labCfg)
+		res, err := dnstime.RunScenario(context.Background(), "table2", seed, dnstime.ScenarioConfig{})
 		if err != nil {
 			return err
 		}
 		t := stats.NewTable("Client", "Scenario", "Measured", "Paper")
-		for _, r := range rows {
-			t.AddRow(r.Client, r.Scenario.String(),
-				fmt.Sprintf("%.0f minutes", r.Duration.Minutes()),
-				fmt.Sprintf("(%.0f minutes)", r.PaperDuration.Minutes()))
+		for _, s := range core.TableIISpecs {
+			t.AddRow(s.Profile.Name, s.Scenario.String(),
+				fmt.Sprintf("%.0f minutes", res.Metrics[s.Metric()]),
+				fmt.Sprintf("(%.0f minutes)", s.Paper.Minutes()))
 		}
 		fmt.Fprintln(w, t)
 	}
@@ -263,7 +269,7 @@ func run(w io.Writer, seed int64, fast bool, only string) error {
 		}
 		fmt.Fprintf(w, "== §VII-A: rate limiting of %d pool.ntp.org NTP servers ==\n", cfg.Servers)
 		specs := dnstime.GeneratePool(cfg, seed+42)
-		res, err := dnstime.RateLimitScan(specs, dnstime.DefaultScanConfig(), seed+42)
+		res, err := dnstime.RateLimitScan(specs, dnstime.DefaultScanConfig())
 		if err != nil {
 			return err
 		}

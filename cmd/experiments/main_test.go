@@ -494,7 +494,8 @@ func TestRunCampaignsNetsweep(t *testing.T) {
 }
 
 // TestRunCampaignsBadNetParam: an unknown netem profile, topology
-// preset, client profile or run-time scenario, or a malformed override,
+// preset, client profile or run-time scenario (in runtime or netsweep),
+// or a malformed override,
 // is a per-run error, surfaced in the aggregate's error count (param
 // *keys* are validated before the campaign; values are interpreted by the
 // scenario's runs).
@@ -504,6 +505,8 @@ func TestRunCampaignsBadNetParam(t *testing.T) {
 		"unknown preset":   {"-only", "boot", "-param", "topo=backbone", "-seeds", "1"},
 		"unknown client":   {"-only", "boot", "-client", "swatch", "-seeds", "1"},
 		"unknown scenario": {"-only", "runtime", "-param", "scenario=P3", "-seeds", "1"},
+		"netsweep unknown scenario": {
+			"-only", "netsweep", "-param", "attack=runtime", "-param", "scenario=P3", "-seeds", "1"},
 		"loss not a rate":  {"-only", "boot", "-param", "loss=2", "-seeds", "1"},
 		"loss at sentinel": {"-only", "boot", "-param", "loss=-1", "-seeds", "1"},
 		"rtt not a time":   {"-only", "boot", "-param", "rtt=fast", "-seeds", "1"},
@@ -636,6 +639,37 @@ func TestRunCampaignsCheckpointResume(t *testing.T) {
 	resumed := render("-seeds", "4", "-resume", path)
 	if resumed != full {
 		t.Errorf("resumed output differs from uninterrupted run:\n%s\nvs\n%s", resumed, full)
+	}
+}
+
+// TestRunCampaignsCheckpointNoOverwrite: rerunning a checkpointed
+// campaign with -checkpoint but without -resume fails, says how to go on,
+// and leaves the checkpoint byte-identical; -resume on the same path
+// still extends it.
+func TestRunCampaignsCheckpointNoOverwrite(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "b.jsonl")
+	argv := func(seeds string, extra ...string) []string {
+		return append([]string{"-only", "boot", "-seeds", seeds, "-checkpoint", path, "-q"}, extra...)
+	}
+	if err := runCampaigns(context.Background(), argv("4"), io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = runCampaigns(context.Background(), argv("2"), io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "resume") || !strings.Contains(err.Error(), "remove") {
+		t.Errorf("rerun without -resume: err = %v, want a refusal naming resume and removal", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("refused run changed the checkpoint (read err %v):\n%s\nwant:\n%s", err, after, before)
+	}
+	if err := runCampaigns(context.Background(), argv("6", "-resume", path), io.Discard); err != nil {
+		t.Fatalf("same-path resume: %v", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.HasPrefix(after, before) || len(after) == len(before) {
+		t.Errorf("same-path resume did not extend the checkpoint (read err %v):\n%s", err, after)
 	}
 }
 

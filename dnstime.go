@@ -12,11 +12,12 @@
 //     an off-path attacker).
 //   - RunBootTimeAttack, RunRuntimeAttack and RunChronosAttack execute the
 //     paper's three headline attacks end to end.
-//   - TableI / TableII / TableIII and the measurement runners regenerate
-//     every table and figure of the evaluation (see EXPERIMENTS.md).
-//   - Every experiment is also registered as a Scenario (Scenarios,
-//     RunScenario), and the campaign Engine (NewEngine) fans any of them
-//     out across many seeds with streaming per-seed results, context
+//   - TableIII and the measurement runners compute Table III and the
+//     §VII–§VIII studies (see EXPERIMENTS.md).
+//   - Every experiment is registered as a Scenario (Scenarios,
+//     RunScenario); Tables I and II exist only as the table1 and table2
+//     scenarios. The campaign Engine (NewEngine) fans any scenario out
+//     across many seeds with streaming per-seed results, context
 //     cancellation, checkpoint/resume and aggregate statistics
 //     (DESIGN.md §6–§7).
 //
@@ -159,9 +160,6 @@ type (
 	RuntimeScenario = core.RuntimeScenario
 	// ChronosResult reports a §VI-C Chronos attack.
 	ChronosResult = core.ChronosResult
-	// TableIRow / TableIIRow are evaluation-table rows.
-	TableIRow  = core.TableIRow
-	TableIIRow = core.TableIIRow
 )
 
 // Attack runners.
@@ -173,10 +171,6 @@ var (
 	// RunChronosAttack executes the Chronos pool-poisoning attack
 	// (Figure 4).
 	RunChronosAttack = core.RunChronosAttack
-	// TableI regenerates the client applicability matrix.
-	TableI = core.TableI
-	// TableII regenerates the run-time attack durations.
-	TableII = core.TableII
 )
 
 // Run-time attack scenarios.

@@ -98,7 +98,7 @@ func TestFacadeDeterminism(t *testing.T) {
 func TestFacadeMeasurementsSmoke(t *testing.T) {
 	poolCfg := dnstime.DefaultPoolConfig()
 	poolCfg.Servers = 60
-	res, err := dnstime.RateLimitScan(dnstime.GeneratePool(poolCfg, 1), dnstime.DefaultScanConfig(), 1)
+	res, err := dnstime.RateLimitScan(dnstime.GeneratePool(poolCfg, 1), dnstime.DefaultScanConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

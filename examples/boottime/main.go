@@ -28,8 +28,10 @@ func main() {
 			res.Profile, res.Poisoned, res.Shifted, res.ClockOffset, res.TimeToShift.Round(time.Second))
 	}
 
-	// Show the low attack volume of the §IV-A planting loop: a 150-second
-	// pool-record TTL window needs at most 5 planting rounds.
+	// Show the low attack volume of the §IV-A planting loop: one round
+	// every 30 s, so 5 per 150-second pool-record TTL window. RunFor
+	// includes the window's closing instant, so it also counts the round
+	// at 150 s.
 	lab := dnstime.MustNewLab(dnstime.LabConfig{Seed: 7})
 	campaign := lab.StartPoisonCampaign(30*time.Second, 0)
 	lab.Clock.RunFor(150 * time.Second)

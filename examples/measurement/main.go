@@ -17,7 +17,7 @@ func main() {
 	poolCfg := dnstime.DefaultPoolConfig()
 	poolCfg.Servers = 400
 	pool := dnstime.GeneratePool(poolCfg, 42)
-	rl, err := dnstime.RateLimitScan(pool, dnstime.DefaultScanConfig(), 42)
+	rl, err := dnstime.RateLimitScan(pool, dnstime.DefaultScanConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package attack
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -77,6 +78,34 @@ func TestPredictIPIDsWraparound(t *testing.T) {
 	ids := PredictIPIDs(probes, 1, 2)
 	if ids[0] != 0 || ids[1] != 1 {
 		t.Errorf("ids = %v, want wraparound to 0,1", ids)
+	}
+}
+
+// TestPredictIPIDsHitsSequentialAllocatorOnly is DESIGN.md §5's IPID
+// allocator ablation: after four probes from the attacker, the predicted
+// 16-wide window holds the nameserver's next IPID toward the resolver
+// only when one global counter serves every destination — §III's
+// requirement on the nameserver's OS. Per-destination and random
+// allocators leave the attacker nothing to extrapolate.
+func TestPredictIPIDsHitsSequentialAllocatorOnly(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		alloc ipv4.IDAllocator
+		hit   bool
+	}{
+		{"sequential", &ipv4.SequentialAllocator{}, true},
+		{"per-destination", &ipv4.PerDestAllocator{}, false},
+		{"random", &ipv4.RandomAllocator{State: 99}, false},
+	} {
+		var probes []uint16
+		for i := 0; i < 4; i++ {
+			probes = append(probes, tc.alloc.Next(nsAddr, eveAddr))
+		}
+		window := PredictIPIDs(probes, 1, 16)
+		next := tc.alloc.Next(nsAddr, resAddr)
+		if got := slices.Contains(window, next); got != tc.hit {
+			t.Errorf("%s: next IPID %d in window %v = %t, want %t", tc.name, next, window, got, tc.hit)
+		}
 	}
 }
 

@@ -3,7 +3,9 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"reflect"
 	"sort"
@@ -157,7 +159,9 @@ type checkpointWriter struct {
 // crash) and opened for append so one file keeps growing across
 // interrupted runs; otherwise it is created fresh with a header line
 // followed by a replay of any resumed results, so the new checkpoint is
-// complete on its own.
+// complete on its own. A fresh checkpoint never replaces an existing
+// file: rerunning a checkpointed campaign without resuming from it would
+// otherwise wipe every seed it recorded.
 func openCheckpoint(path string, cfg engineConfig, scenarioName string, resumed map[int64]scenario.Result, validLen int64) (*checkpointWriter, error) {
 	if path == cfg.resume {
 		if f, err := os.OpenFile(path, os.O_WRONLY, 0o644); err == nil {
@@ -174,7 +178,10 @@ func openCheckpoint(path string, cfg engineConfig, scenarioName string, resumed 
 			return &checkpointWriter{f: f}, nil
 		}
 	}
-	f, err := os.Create(path)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if errors.Is(err, fs.ErrExist) {
+		return nil, fmt.Errorf("campaign: checkpoint %s already exists; resume from the same path (WithResume, -resume) or remove the file", path)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("campaign: checkpoint: %w", err)
 	}

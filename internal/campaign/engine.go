@@ -103,9 +103,9 @@ func WithProgress(fn func(done, total int)) Option {
 
 // WithCheckpoint makes the engine write a JSONL checkpoint to path: one
 // header line identifying the campaign, then one line per completed seed
-// in completion order. Unless path is also the WithResume source, an
-// existing file is truncated. A checkpointing Engine is tied to the one
-// campaign the header describes.
+// in completion order. Unless path is also the WithResume source, the
+// file must not exist yet: the run fails rather than overwrite it. A
+// checkpointing Engine is tied to the one campaign the header describes.
 func WithCheckpoint(path string) Option {
 	return func(c *engineConfig) { c.checkpoint = path }
 }

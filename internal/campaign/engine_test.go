@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"math"
@@ -555,6 +556,43 @@ func TestEngineFreshStartWithResumeAndCheckpoint(t *testing.T) {
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("checkpoint not created: %v", err)
+	}
+}
+
+// TestEngineCheckpointRefusesOverwrite: rerunning a checkpointed campaign
+// without resuming from its file, or resuming from another file into it,
+// fails before any seed runs and leaves the file byte-identical instead of
+// truncating the recorded seeds away.
+func TestEngineCheckpointRefusesOverwrite(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ck.jsonl")
+	if _, err := NewEngine(WithSeeds(4), WithCheckpoint(path)).
+		Run(context.Background(), "t-eng-gate"); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := filepath.Join(dir, "other.jsonl")
+	if err := os.WriteFile(other, before, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, opts := range map[string][]Option{
+		"rerun":             {WithSeeds(2), WithCheckpoint(path)},
+		"cross-file resume": {WithSeeds(6), WithResume(other), WithCheckpoint(path)},
+	} {
+		engineRunCount.Store(0)
+		_, err := NewEngine(opts...).Run(context.Background(), "t-eng-gate")
+		if err == nil || !strings.Contains(err.Error(), "already exists") || !strings.Contains(err.Error(), "remove the file") {
+			t.Errorf("%s: err = %v, want a refusal naming resume and removal", name, err)
+		}
+		if n := engineRunCount.Load(); n != 0 {
+			t.Errorf("%s: %d seeds ran before the refusal", name, n)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+			t.Errorf("%s: checkpoint changed (read err %v):\n%s\nwant:\n%s", name, err, after, before)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"path/filepath"
 	"strings"
 
@@ -63,6 +64,17 @@ type JobSpec struct {
 	// does not carry the tracer itself — the execution layer supplies one
 	// (WithTracerFactory / WithTraceDir).
 	Trace bool `json:"trace,omitempty"`
+}
+
+// DecodeJobSpec reads one JSON job submission from r — the body of the
+// resident service's POST /jobs — refusing unknown fields, so a
+// misspelt field fails instead of silently running the default.
+func DecodeJobSpec(r io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
 }
 
 // Normalize validates the spec against the scenario registry and resolves

@@ -105,8 +105,11 @@ func TestRuntimeAttackOpenNTPDFails(t *testing.T) {
 	}
 }
 
+// TestTableIMatchesPaper: one table1 scenario run reproduces every
+// Table I cell — the boot-time column from the live attacks' boot/<client>
+// metrics, the run-time column from RuntimeApplicability.
 func TestTableIMatchesPaper(t *testing.T) {
-	rows, err := TableI(LabConfig{Seed: 7})
+	res, err := scenario.Run(context.Background(), "table1", 7, scenario.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,46 +122,58 @@ func TestTableIMatchesPaper(t *testing.T) {
 		"ntpclient":         {Yes, No},
 		"systemd-timesyncd": {Yes, Yes},
 	}
-	if len(rows) != len(want) {
-		t.Fatalf("rows = %d, want %d", len(rows), len(want))
+	profiles := ntpclient.AllProfiles()
+	if len(profiles) != len(want) {
+		t.Fatalf("profiles = %d, want %d", len(profiles), len(want))
 	}
-	for _, row := range rows {
-		w, ok := want[row.Client]
+	for _, pu := range profiles {
+		name := pu.Profile.Name
+		w, ok := want[name]
 		if !ok {
-			t.Errorf("unexpected client %q", row.Client)
+			t.Errorf("unexpected client %q", name)
 			continue
 		}
-		if row.BootTime != w.boot {
-			t.Errorf("%s boot-time = %v, want %v", row.Client, row.BootTime, w.boot)
+		boot, ok := res.Metrics["boot/"+name]
+		if !ok {
+			t.Errorf("%s: no boot/%s metric", name, name)
+			continue
 		}
-		if row.RunTime != w.run {
-			t.Errorf("%s run-time = %v, want %v", row.Client, row.RunTime, w.run)
+		got := No
+		if boot == 1 {
+			got = Yes
+		}
+		if got != w.boot {
+			t.Errorf("%s boot-time = %v, want %v", name, got, w.boot)
+		}
+		if got := RuntimeApplicability(pu.Profile); got != w.run {
+			t.Errorf("%s run-time = %v, want %v", name, got, w.run)
 		}
 	}
 }
 
+// TestTableIIShape: one table2 scenario run keeps the paper's ordering of
+// the Table II durations.
 func TestTableIIShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four full run-time attacks")
 	}
-	rows, err := TableII(LabConfig{Seed: 8})
+	res, err := scenario.Run(context.Background(), "table2", 8, scenario.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byKey := map[string]time.Duration{}
-	for _, r := range rows {
-		byKey[r.Client+"/"+r.Scenario.String()] = r.Duration
+	if len(res.Metrics) != len(TableIISpecs) {
+		t.Fatalf("metrics = %v, want one per Table II row", res.Metrics)
 	}
-	p1 := byKey["NTPd/P1"]
-	p2 := byKey["NTPd/P2"]
+	p1 := res.Metrics["minutes/NTPd-P1"]
+	p2 := res.Metrics["minutes/NTPd-P2"]
 	if p1 == 0 || p2 == 0 {
-		t.Fatalf("missing NTPd rows: %v", byKey)
+		t.Fatalf("missing NTPd rows: %v", res.Metrics)
 	}
 	if p2 <= p1 {
-		t.Errorf("NTPd P2 (%v) should exceed P1 (%v), as in the paper (47m vs 17m)", p2, p1)
+		t.Errorf("NTPd P2 (%v min) should exceed P1 (%v min), as in the paper (47m vs 17m)", p2, p1)
 	}
-	if chrony := byKey["chrony/P1"]; chrony <= p1 {
-		t.Errorf("chrony P1 (%v) should exceed NTPd P1 (%v), as in the paper (57m vs 17m)", chrony, p1)
+	if chrony := res.Metrics["minutes/chrony-P1"]; chrony <= p1 {
+		t.Errorf("chrony P1 (%v min) should exceed NTPd P1 (%v min), as in the paper (57m vs 17m)", chrony, p1)
 	}
 }
 
@@ -193,22 +208,70 @@ func TestChronosAttackBeyondBoundFails(t *testing.T) {
 	}
 }
 
+// eventTimes is a test tracer: it records when every event and span
+// started, keyed "cat/name".
+type eventTimes map[string][]time.Time
+
+func (eventTimes) Enabled() bool { return true }
+
+func (e eventTimes) Event(at time.Time, cat, name, _ string) {
+	e[cat+"/"+name] = append(e[cat+"/"+name], at)
+}
+
+func (e eventTimes) Span(from, _ time.Time, cat, name, _ string) {
+	e[cat+"/"+name] = append(e[cat+"/"+name], from)
+}
+
+// TestCampaignLowVolume: §IV-A's planting loop needs "only one low
+// bandwidth attacking host". Its rounds fire exactly 30 s apart from the
+// campaign's start, so any half-open 150 s pool-record TTL window holds 5
+// of them (the EXPERIMENTS.md "planting rounds per 150 s TTL" row);
+// RunFor(150 s) covers the closed window and sees a sixth at 150 s.
 func TestCampaignLowVolume(t *testing.T) {
-	// §IV-A: the planting approach requires "only one low bandwidth
-	// attacking host" — check the attack volume stays small.
-	lab, err := NewLab(LabConfig{Seed: 11})
+	events := eventTimes{}
+	lab, err := NewLab(LabConfig{Seed: 11, Tracer: events})
 	if err != nil {
 		t.Fatal(err)
 	}
+	start := lab.Clock.Now()
 	campaign := lab.StartPoisonCampaign(30*time.Second, 0)
-	lab.Clock.RunFor(150 * time.Second) // one pool-record TTL window
+	lab.Clock.RunFor(150 * time.Second)
 	campaign.Stop()
-	// ≤ 5 rounds (150/30) of (1 ICMP + 1 template + 2 probes + 16 frags).
-	if campaign.Rounds > 6 {
-		t.Errorf("rounds = %d, want ≤6", campaign.Rounds)
+	rounds := events["attack/plant-round"]
+	if len(rounds) != 6 || campaign.Rounds != len(rounds) {
+		t.Fatalf("%d plant-round events, %d rounds counted; want 6 in [0, 150 s]", len(rounds), campaign.Rounds)
 	}
-	if lab.Eve.InjectedPackets > 6*25 {
-		t.Errorf("attack volume = %d packets per TTL window, want ≈≤150", lab.Eve.InjectedPackets)
+	for i, at := range rounds {
+		if want := start.Add(time.Duration(i) * 30 * time.Second); !at.Equal(want) {
+			t.Errorf("round %d at %v, want %v", i+1, at.Sub(start), want.Sub(start))
+		}
+	}
+	// Each round injects at most an ICMP, the spoofed fragments and a
+	// few probes.
+	if lab.Eve.InjectedPackets > 25*len(rounds) {
+		t.Errorf("attack volume = %d packets in %d rounds, want ≤ 25 per round", lab.Eve.InjectedPackets, len(rounds))
+	}
+}
+
+// TestNetsweepRejectsBadAttackParams: netsweep checks the selected
+// attack's params with the parsers its standalone scenario uses, before
+// any lab is built — an unknown run-time scenario no longer runs P1.
+func TestNetsweepRejectsBadAttackParams(t *testing.T) {
+	for _, p := range []scenario.Params{
+		{"attack": "runtime", "scenario": "P3"},
+		{"attack": "runtime", "client": "swatch"},
+		{"attack": "chronos", "N": "-1"},
+		{"attack": "chronos", "spoofed": "many"},
+		{"attack": "boot", "client": "swatch"},
+		{"attack": "replay"},
+	} {
+		events := eventTimes{}
+		if _, err := scenario.Run(context.Background(), "netsweep", 1, scenario.Config{Params: p, Tracer: events}); err == nil {
+			t.Errorf("params %v accepted", p)
+		}
+		if len(events) != 0 {
+			t.Errorf("params %v: a lab ran before the params were rejected (%d event kinds)", p, len(events))
+		}
 	}
 }
 

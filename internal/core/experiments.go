@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"dnstime/internal/chronos"
@@ -31,7 +30,6 @@ type BootTimeResult struct {
 	Shifted     bool          // the client accepted the attacker's time
 	ClockOffset time.Duration // final clock error
 	TimeToShift time.Duration // from client boot to the malicious step
-	PlantRounds int           // §IV-A planting rounds used
 }
 
 // RunBootTimeAttack poisons the resolver before the client boots, then
@@ -225,14 +223,6 @@ func (a Applicability) String() string {
 	}
 }
 
-// TableIRow is one row of Table I.
-type TableIRow struct {
-	Client   string
-	UsagePct float64
-	BootTime Applicability
-	RunTime  Applicability
-}
-
 // RuntimeApplicability classifies a profile's run-time attack cell from
 // its DNS-lookup behaviour (as in the paper's source-code analysis).
 func RuntimeApplicability(prof ntpclient.Profile) Applicability {
@@ -246,73 +236,31 @@ func RuntimeApplicability(prof ntpclient.Profile) Applicability {
 	}
 }
 
-// TableI evaluates boot-time and run-time attacks against every client
-// profile, reproducing Table I. Boot-time cells come from live attack runs;
-// run-time cells come from RuntimeApplicability cross-checked by live runs
-// in the tests.
-func TableI(cfg LabConfig) ([]TableIRow, error) {
-	var rows []TableIRow
-	for _, pu := range ntpclient.AllProfiles() {
-		row := TableIRow{Client: pu.Profile.Name, UsagePct: pu.UsagePct}
-		boot, err := RunBootTimeAttack(pu.Profile, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("table I %s: %w", pu.Profile.Name, err)
-		}
-		if boot.Shifted {
-			row.BootTime = Yes
-		}
-		row.RunTime = RuntimeApplicability(pu.Profile)
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
 // ---------------------------------------------------------------------------
 // Table II: run-time attack durations.
 
-// TableIIRow is one row of Table II.
-type TableIIRow struct {
-	Client   string
+// TableIISpec is one Table II row: the client, its upstream-discovery
+// scenario and the paper's measured duration.
+type TableIISpec struct {
+	Profile  ntpclient.Profile
 	Scenario RuntimeScenario
-	Duration time.Duration
-	// PaperDuration is the paper's measured value for comparison.
-	PaperDuration time.Duration
+	Paper    time.Duration
 }
 
-// TableII runs the four Table II experiments. Note: the paper's table
-// prints "openntpd P1 84 minutes", but §V-A2 states openntpd does not
-// support run-time DNS lookups and that the three practically evaluated
-// clients were ntpd, chrony and systemd-timesyncd; we therefore run
-// systemd-timesyncd for that row and record the discrepancy in
+// Metric names the row's measured duration in the table2 scenario's
+// result: "minutes/<client>-<P1|P2>".
+func (s TableIISpec) Metric() string {
+	return "minutes/" + s.Profile.Name + "-" + s.Scenario.String()
+}
+
+// TableIISpecs are the four Table II rows in the paper's order. The table2
+// scenario runs them and the single-seed CLI renders them. Note: the
+// paper's table prints "openntpd P1 84 minutes", but §V-A2 states openntpd
+// does not support run-time DNS lookups and that the three practically
+// evaluated clients were ntpd, chrony and systemd-timesyncd; we therefore
+// run systemd-timesyncd for that row and record the discrepancy in
 // EXPERIMENTS.md.
-func TableII(cfg LabConfig) ([]TableIIRow, error) {
-	var rows []TableIIRow
-	for _, s := range tableIISpecs {
-		r, err := RunRuntimeAttack(s.prof, s.scenario, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("table II %s/%s: %w", s.prof.Name, s.scenario, err)
-		}
-		if !r.Succeeded {
-			return nil, fmt.Errorf("table II %s/%s: attack did not complete", s.prof.Name, s.scenario)
-		}
-		rows = append(rows, TableIIRow{
-			Client:        s.prof.Name,
-			Scenario:      s.scenario,
-			Duration:      r.Duration,
-			PaperDuration: s.paper,
-		})
-	}
-	return rows, nil
-}
-
-// tableIISpecs are the four Table II rows (client, discovery scenario,
-// the paper's measured duration). The table2 scenario iterates the same
-// list so the two views cannot drift.
-var tableIISpecs = []struct {
-	prof     ntpclient.Profile
-	scenario RuntimeScenario
-	paper    time.Duration
-}{
+var TableIISpecs = []TableIISpec{
 	{ntpclient.ProfileNTPd, ScenarioP2, 47 * time.Minute},
 	{ntpclient.ProfileNTPd, ScenarioP1, 17 * time.Minute},
 	{ntpclient.ProfileSystemd, ScenarioP1, 84 * time.Minute},

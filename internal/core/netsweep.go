@@ -47,10 +47,9 @@ func init() {
 // its historical metric keys byte-for-byte.
 func netsweepScenario(_ context.Context, seed int64, cfg scenario.Config) (scenario.Result, error) {
 	attack := cfg.Params.Str("attack", "boot")
-	switch attack {
-	case "boot", "runtime", "chronos":
-	default:
-		return scenario.Result{}, fmt.Errorf("core: unknown netsweep attack %q (want boot, runtime or chronos)", attack)
+	run, err := sweepAttack(attack, cfg.Params)
+	if err != nil {
+		return scenario.Result{}, err
 	}
 	presets := []string{""}
 	keyed := false
@@ -73,7 +72,7 @@ func netsweepScenario(_ context.Context, seed int64, cfg scenario.Config) (scena
 			if err != nil {
 				return scenario.Result{}, err
 			}
-			shifted, extra, err := runSweepAttack(attack, lab, cfg.Params)
+			shifted, extra, err := run(lab)
 			if err != nil {
 				return scenario.Result{}, fmt.Errorf("netsweep %s on %s: %w", attack, name, err)
 			}
@@ -112,70 +111,72 @@ func sweepLab(seed int64, preset, profile string, tr obs.Tracer) (LabConfig, err
 	return LabConfig{Seed: seed, Topology: topo, Tracer: tr}, nil
 }
 
-// runSweepAttack executes one attack on one grid cell's lab and
-// classifies the outcome: shifted, per-attack extra metrics, or a
+// sweepAttack validates the selected attack and its params, before any
+// lab is built, and returns the runner for one grid cell's lab: it
+// classifies the outcome as shifted, per-attack extra metrics, or a
 // non-attack error.
-func runSweepAttack(attack string, lab LabConfig, p scenario.Params) (bool, map[string]float64, error) {
+func sweepAttack(attack string, p scenario.Params) (func(LabConfig) (bool, map[string]float64, error), error) {
 	switch attack {
 	case "runtime":
 		prof, err := clientFromParams(p)
 		if err != nil {
-			return false, nil, err
+			return nil, err
 		}
-		rs := ScenarioP1
-		if name := p.Str("scenario", "P1"); name == "P2" || name == "p2" {
-			rs = ScenarioP2
-		}
-		res, err := RunRuntimeAttack(prof, rs, lab)
-		if errors.Is(err, ErrNotSynced) {
-			// The client never converged honestly on this path; the attack
-			// precondition itself is unreachable.
-			return false, map[string]float64{"synced": 0}, nil
-		}
+		rs, err := runtimeScenarioParam(p)
 		if err != nil {
-			return false, nil, err
+			return nil, err
 		}
-		extra := map[string]float64{"synced": 1}
-		if res.Succeeded {
-			extra["duration_s"] = res.Duration.Seconds()
-		}
-		return res.Succeeded, extra, nil
+		return func(lab LabConfig) (bool, map[string]float64, error) {
+			res, err := RunRuntimeAttack(prof, rs, lab)
+			if errors.Is(err, ErrNotSynced) {
+				// The client never converged honestly on this path; the
+				// attack precondition itself is unreachable.
+				return false, map[string]float64{"synced": 0}, nil
+			}
+			if err != nil {
+				return false, nil, err
+			}
+			extra := map[string]float64{"synced": 1}
+			if res.Succeeded {
+				extra["duration_s"] = res.Duration.Seconds()
+			}
+			return res.Succeeded, extra, nil
+		}, nil
 	case "chronos":
-		n, err := p.Int("N", 5)
+		n, spoofed, err := chronosParams(p)
 		if err != nil {
-			return false, nil, err
+			return nil, err
 		}
-		spoofed, err := p.Int("spoofed", 89)
-		if err != nil {
-			return false, nil, err
-		}
-		if n < 0 || spoofed < 0 {
-			return false, nil, fmt.Errorf("core: chronos params N=%d spoofed=%d must not be negative", n, spoofed)
-		}
-		res, err := RunChronosAttack(n, spoofed, lab)
-		if err != nil {
-			return false, nil, err
-		}
-		return res.Shifted, map[string]float64{"evil_in_pool": float64(res.EvilInPool)}, nil
-	default: // boot
+		return func(lab LabConfig) (bool, map[string]float64, error) {
+			res, err := RunChronosAttack(n, spoofed, lab)
+			if err != nil {
+				return false, nil, err
+			}
+			return res.Shifted, map[string]float64{"evil_in_pool": float64(res.EvilInPool)}, nil
+		}, nil
+	case "boot":
 		prof, err := clientFromParams(p)
 		if err != nil {
-			return false, nil, err
+			return nil, err
 		}
-		res, err := RunBootTimeAttack(prof, lab)
-		if errors.Is(err, ErrPoisoningFailed) {
-			// Loss broke every planting/trigger round: the attack cannot
-			// even poison the cache on this path.
-			return false, map[string]float64{"poisoned": 0}, nil
-		}
-		if err != nil {
-			return false, nil, err
-		}
-		extra := map[string]float64{"poisoned": 1}
-		if res.Shifted {
-			extra["tts_s"] = res.TimeToShift.Seconds()
-		}
-		return res.Shifted, extra, nil
+		return func(lab LabConfig) (bool, map[string]float64, error) {
+			res, err := RunBootTimeAttack(prof, lab)
+			if errors.Is(err, ErrPoisoningFailed) {
+				// Loss broke every planting/trigger round: the attack
+				// cannot even poison the cache on this path.
+				return false, map[string]float64{"poisoned": 0}, nil
+			}
+			if err != nil {
+				return false, nil, err
+			}
+			extra := map[string]float64{"poisoned": 1}
+			if res.Shifted {
+				extra["tts_s"] = res.TimeToShift.Seconds()
+			}
+			return res.Shifted, extra, nil
+		}, nil
+	default:
+		return nil, fmt.Errorf("core: unknown netsweep attack %q (want boot, runtime or chronos)", attack)
 	}
 }
 

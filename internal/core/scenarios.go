@@ -134,6 +134,35 @@ func clientFromParams(p scenario.Params) (ntpclient.Profile, error) {
 	return ntpclient.ProfileByName(p.Str("client", "ntpd"))
 }
 
+// runtimeScenarioParam resolves the "scenario" param (P1 or P2, either
+// case; default P1) of the run-time attack.
+func runtimeScenarioParam(p scenario.Params) (RuntimeScenario, error) {
+	switch name := p.Str("scenario", "P1"); name {
+	case "P1", "p1":
+		return ScenarioP1, nil
+	case "P2", "p2":
+		return ScenarioP2, nil
+	default:
+		return 0, fmt.Errorf("core: unknown run-time scenario %q (want P1 or P2)", name)
+	}
+}
+
+// chronosParams resolves the Chronos attack's "N" (honest pool queries
+// before poisoning lands; default 5) and "spoofed" (attacker addresses;
+// default 89) params.
+func chronosParams(p scenario.Params) (n, spoofed int, err error) {
+	if n, err = p.Int("N", 5); err != nil {
+		return 0, 0, err
+	}
+	if spoofed, err = p.Int("spoofed", 89); err != nil {
+		return 0, 0, err
+	}
+	if n < 0 || spoofed < 0 {
+		return 0, 0, fmt.Errorf("core: chronos params N=%d spoofed=%d must not be negative", n, spoofed)
+	}
+	return n, spoofed, nil
+}
+
 // labConfig builds the per-run LabConfig from the scenario Config: params
 // plus the run's tracer, so a traced campaign run records its lab.
 func labConfig(seed int64, cfg scenario.Config) (LabConfig, error) {
@@ -175,7 +204,7 @@ func init() {
 		Name:      "table1",
 		Title:     "Table I client matrix",
 		PaperRef:  "§V-A1",
-		Impl:      "core.TableI",
+		Impl:      "core.tableIScenario",
 		CLI:       "experiments -only table1",
 		Params:    map[string]string{"clients": "all 7"},
 		ParamKeys: netParamKeys,
@@ -186,7 +215,7 @@ func init() {
 		Name:      "table2",
 		Title:     "Table II attack durations",
 		PaperRef:  "§V-A2",
-		Impl:      "core.TableII",
+		Impl:      "core.tableIIScenario",
 		CLI:       "experiments -only table2",
 		Params:    map[string]string{"rows": "ntpd/P2 ntpd/P1 systemd/P1 chrony/P1"},
 		ParamKeys: netParamKeys,
@@ -237,13 +266,9 @@ func runtimeScenario(_ context.Context, seed int64, cfg scenario.Config) (scenar
 	if err != nil {
 		return scenario.Result{}, err
 	}
-	rs := ScenarioP1
-	switch name := cfg.Params.Str("scenario", "P1"); name {
-	case "P1", "p1":
-	case "P2", "p2":
-		rs = ScenarioP2
-	default:
-		return scenario.Result{}, fmt.Errorf("core: unknown run-time scenario %q (want P1 or P2)", name)
+	rs, err := runtimeScenarioParam(cfg.Params)
+	if err != nil {
+		return scenario.Result{}, err
 	}
 	lab, err := labConfig(seed, cfg)
 	if err != nil {
@@ -268,7 +293,9 @@ func runtimeScenario(_ context.Context, seed int64, cfg scenario.Config) (scenar
 // by profile name ("boot/NTPd", "tts_s/NTPd", …) so a campaign over this
 // scenario aggregates into per-client Table I rows: the mean of
 // boot/<client> is that client's boot-time success rate. The
-// net/rtt/loss params rerun the matrix under any netem path.
+// net/rtt/loss params rerun the matrix under any netem path. Table I's
+// run-time column is not a run: it is RuntimeApplicability's
+// classification of each profile.
 func tableIScenario(_ context.Context, seed int64, cfg scenario.Config) (scenario.Result, error) {
 	metrics := make(map[string]float64, 3*len(ntpclient.AllProfiles()))
 	allShifted := true
@@ -295,26 +322,27 @@ func tableIScenario(_ context.Context, seed int64, cfg scenario.Config) (scenari
 }
 
 // tableIIScenario runs one seed's four Table II run-time attack duration
-// experiments (under any netem path via the net/rtt/loss params). Each
-// row gets a freshly built path model: stateful loss models must not
-// carry state from one row's lab into the next (the netem one-model-
-// per-lab rule), so the rows stay independent of each other's packet
-// counts and match a standalone runtime run at the same seed and params.
+// experiments (TableIISpecs, each keyed by its Metric) under any netem
+// path via the net/rtt/loss params. Each row gets a freshly built path
+// model: stateful loss models must not carry state from one row's lab
+// into the next (the netem one-model-per-lab rule), so the rows stay
+// independent of each other's packet counts and match a standalone
+// runtime run at the same seed and params.
 func tableIIScenario(_ context.Context, seed int64, cfg scenario.Config) (scenario.Result, error) {
-	metrics := make(map[string]float64, len(tableIISpecs))
-	for _, s := range tableIISpecs {
+	metrics := make(map[string]float64, len(TableIISpecs))
+	for _, s := range TableIISpecs {
 		path, topo, err := netFromParams(cfg.Params)
 		if err != nil {
 			return scenario.Result{}, err
 		}
-		r, err := RunRuntimeAttack(s.prof, s.scenario, LabConfig{Seed: seed, Path: path, Topology: topo, Tracer: cfg.Tracer})
+		r, err := RunRuntimeAttack(s.Profile, s.Scenario, LabConfig{Seed: seed, Path: path, Topology: topo, Tracer: cfg.Tracer})
 		if err != nil {
-			return scenario.Result{}, fmt.Errorf("table II %s/%s: %w", s.prof.Name, s.scenario, err)
+			return scenario.Result{}, fmt.Errorf("table II %s/%s: %w", s.Profile.Name, s.Scenario, err)
 		}
 		if !r.Succeeded {
-			return scenario.Result{}, fmt.Errorf("table II %s/%s: attack did not complete", s.prof.Name, s.scenario)
+			return scenario.Result{}, fmt.Errorf("table II %s/%s: attack did not complete", s.Profile.Name, s.Scenario)
 		}
-		metrics["minutes/"+s.prof.Name+"-"+s.scenario.String()] = r.Duration.Minutes()
+		metrics[s.Metric()] = r.Duration.Minutes()
 	}
 	return scenario.Result{Success: scenario.Bool(true), Metrics: metrics}, nil
 }
@@ -323,16 +351,9 @@ func tableIIScenario(_ context.Context, seed int64, cfg scenario.Config) (scenar
 // parameters (poisoning lands after N=5 honest pool queries, 89 spoofed
 // addresses); params select N, spoofed and lab sizing.
 func chronosScenario(_ context.Context, seed int64, cfg scenario.Config) (scenario.Result, error) {
-	n, err := cfg.Params.Int("N", 5)
+	n, spoofed, err := chronosParams(cfg.Params)
 	if err != nil {
 		return scenario.Result{}, err
-	}
-	spoofed, err := cfg.Params.Int("spoofed", 89)
-	if err != nil {
-		return scenario.Result{}, err
-	}
-	if n < 0 || spoofed < 0 {
-		return scenario.Result{}, fmt.Errorf("core: chronos params N=%d spoofed=%d must not be negative", n, spoofed)
 	}
 	lab, err := labConfig(seed, cfg)
 	if err != nil {

@@ -295,6 +295,28 @@ func TestReassemblyWithinTimeoutSucceeds(t *testing.T) {
 	}
 }
 
+// TestPlantedFragmentLifetimeAcrossTimeouts is DESIGN.md §5's
+// defragmentation-timeout ablation: a planted second fragment waits for
+// its first fragment exactly as long as the reassembly timeout — its
+// bucket is alive 1 s before a 30, 60 or 120 s timeout and gone at it —
+// so the timeout sets how often the attacker must re-plant (every 30 s at
+// the Linux default, the paper's cadence).
+func TestPlantedFragmentLifetimeAcrossTimeouts(t *testing.T) {
+	for _, timeout := range []time.Duration{30 * time.Second, 60 * time.Second, 120 * time.Second} {
+		clk := simclock.New(t0)
+		r := NewReassembler(clk, ReassemblyPolicy{Timeout: timeout, MaxPerPair: 64, Overlap: FirstWins})
+		r.Add(&Packet{Src: hostA, Dst: hostB, ID: 1, Proto: ProtoUDP, FragOff: 48, Payload: make([]byte, 64)})
+		clk.RunFor(timeout - time.Second)
+		if n := r.PendingBuckets(hostA, hostB, ProtoUDP); n != 1 {
+			t.Errorf("timeout %v: %d buckets 1 s before it, want 1", timeout, n)
+		}
+		clk.RunFor(time.Second)
+		if n := r.PendingBuckets(hostA, hostB, ProtoUDP); n != 0 {
+			t.Errorf("timeout %v: %d buckets at it, want 0", timeout, n)
+		}
+	}
+}
+
 func TestReassemblyBucketCap(t *testing.T) {
 	clk := simclock.New(t0)
 	pol := ReassemblyPolicy{Timeout: 30 * time.Second, MaxPerPair: 4, Overlap: FirstWins}

@@ -74,8 +74,9 @@ func DefaultScanConfig() ScanConfig {
 // and scans every one with the paper's methodology: 64 queries at 1/s;
 // count answers in each half; a server is rate-limiting when the first half
 // answered more than HalfGap more queries than the second; any RATE KoD
-// marks a KoD sender.
-func RateLimitScan(specs []population.PoolServerSpec, cfg ScanConfig, seed int64) (RateLimitResult, error) {
+// marks a KoD sender. The scan's path is a fixed, lossless 5 ms link, so
+// the result depends on specs and cfg alone.
+func RateLimitScan(specs []population.PoolServerSpec, cfg ScanConfig) (RateLimitResult, error) {
 	clk := simclock.New(time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC))
 	net := simnet.New(clk, simnet.WithPathModel(&netem.Path{Delay: netem.Fixed(5 * time.Millisecond)}))
 	scanner := net.MustAddHost(ipv4.MustParseAddr("203.0.113.1"), simnet.HostConfig{})

@@ -14,7 +14,7 @@ func TestRateLimitScanSmallPopulation(t *testing.T) {
 	cfg := population.DefaultPoolConfig()
 	cfg.Servers = 120
 	specs := population.GeneratePool(cfg, 5)
-	res, err := RateLimitScan(specs, DefaultScanConfig(), 5)
+	res, err := RateLimitScan(specs, DefaultScanConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestRateLimitScanPaperFractions(t *testing.T) {
 		t.Skip("full 2432-server scan")
 	}
 	specs := population.GeneratePool(population.DefaultPoolConfig(), 42)
-	res, err := RateLimitScan(specs, DefaultScanConfig(), 42)
+	res, err := RateLimitScan(specs, DefaultScanConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,7 @@ func rateLimitScenario(_ context.Context, seed int64, cfg scenario.Config) (scen
 		pool.Servers = 300
 	}
 	specs := population.GeneratePool(pool, seed+42)
-	res, err := RateLimitScan(specs, DefaultScanConfig(), seed+42)
+	res, err := RateLimitScan(specs, DefaultScanConfig())
 	if err != nil {
 		return scenario.Result{}, err
 	}

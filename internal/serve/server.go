@@ -325,10 +325,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusTooManyRequests, "rate limit exceeded")
 		return
 	}
-	var spec campaign.JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := campaign.DecodeJobSpec(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Sprintf("bad submission: %v", err))
 		return
 	}
