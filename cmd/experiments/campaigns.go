@@ -8,10 +8,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 
 	"dnstime"
+	"dnstime/internal/obs"
 	"dnstime/internal/stats"
 )
 
@@ -48,7 +50,6 @@ type campaignConfig struct {
 	params     repeatedFlag
 	client     string
 	checkpoint string
-	resume     string
 	force      bool
 	traceDir   string
 }
@@ -68,9 +69,8 @@ func campaignFlagSet(cfg *campaignConfig) *flag.FlagSet {
 	fs.BoolVar(&cfg.quiet, "q", false, "suppress progress reporting on stderr")
 	fs.Var(&cfg.params, "param", "scenario param override as key=value (repeatable; needs -only with one scenario)")
 	fs.StringVar(&cfg.client, "client", "", "client profile param (shorthand for -param client=...)")
-	fs.StringVar(&cfg.checkpoint, "checkpoint", "", "write a JSONL line per completed seed to this file (needs -only with one scenario)")
-	fs.StringVar(&cfg.resume, "resume", "", "skip seeds already completed in this checkpoint file")
-	fs.BoolVar(&cfg.force, "force", false, "resume a checkpoint written by a different build revision")
+	fs.StringVar(&cfg.checkpoint, "checkpoint", "", "record each completed seed in this JSONL file and skip the seeds it already holds (needs -only with one scenario)")
+	fs.BoolVar(&cfg.force, "force", false, "resume a checkpoint written by a different build revision (default: set it aside as <file>.stale and start afresh)")
 	fs.StringVar(&cfg.traceDir, "trace", "", "write one Chrome trace_event file per seed to this directory (open in Perfetto)")
 	return fs
 }
@@ -99,7 +99,7 @@ func scenarioParams(pairs []string, client string) (dnstime.ScenarioParams, erro
 // scenarios out across many seeds via the Engine and print aggregates to
 // w. Cancelling ctx (the CLI wires SIGINT to it) drains the workers,
 // prints the partial aggregate and reports the interruption; with
-// -checkpoint the run can be picked up again with -resume.
+// -checkpoint F, rerunning the same command picks the run up again.
 func runCampaigns(ctx context.Context, argv []string, w io.Writer) error {
 	var cfg campaignConfig
 	fs := campaignFlagSet(&cfg)
@@ -129,8 +129,13 @@ func runCampaigns(ctx context.Context, argv []string, w io.Writer) error {
 	}
 	// Params and checkpoints are per-scenario; applying one file or one
 	// param set across the whole registry would be nonsense.
-	if (len(params) > 0 || cfg.checkpoint != "" || cfg.resume != "") && len(names) != 1 {
-		return errors.New("-param/-client/-checkpoint/-resume need -only with exactly one scenario")
+	if (len(params) > 0 || cfg.checkpoint != "") && len(names) != 1 {
+		return errors.New("-param/-client/-checkpoint need -only with exactly one scenario")
+	}
+	if cfg.traceDir != "" {
+		if err := os.MkdirAll(cfg.traceDir, 0o755); err != nil {
+			return fmt.Errorf("trace dir: %w", err)
+		}
 	}
 
 	out := campaignOutput{Seeds: cfg.seeds, BaseSeed: cfg.baseSeed, Fast: cfg.fast, Params: params}
@@ -145,14 +150,11 @@ func runCampaigns(ctx context.Context, argv []string, w io.Writer) error {
 		if cfg.checkpoint != "" {
 			opts = append(opts, dnstime.WithCheckpoint(cfg.checkpoint))
 		}
-		if cfg.resume != "" {
-			opts = append(opts, dnstime.WithResume(cfg.resume))
-		}
 		if cfg.force {
 			opts = append(opts, dnstime.WithResumeForce())
 		}
 		if cfg.traceDir != "" {
-			opts = append(opts, dnstime.WithTraceDir(cfg.traceDir))
+			opts = append(opts, dnstime.WithTracerFactory(traceFiles(cfg.traceDir, name)))
 		}
 		if !cfg.quiet {
 			label := name
@@ -191,7 +193,7 @@ func runCampaigns(ctx context.Context, argv []string, w io.Writer) error {
 			}
 			hint := ""
 			if cfg.checkpoint != "" {
-				hint = fmt.Sprintf("; resume with -resume %s", cfg.checkpoint)
+				hint = fmt.Sprintf("; rerun with -checkpoint %s to resume", cfg.checkpoint)
 			}
 			return fmt.Errorf("interrupted after %d/%d %s runs%s", agg.Runs, cfg.seeds, name, hint)
 		}
@@ -203,6 +205,37 @@ func runCampaigns(ctx context.Context, argv []string, w io.Writer) error {
 		return enc.Encode(out)
 	}
 	return nil
+}
+
+// traceFiles is the -trace tracer factory: each executed seed records a
+// Chrome trace_event file (open in Perfetto or chrome://tracing) named
+// <scenario>-seed<N>.trace.json under dir. Timestamps are virtual time,
+// so a seed's file has the same bytes at any worker count.
+func traceFiles(dir, scenario string) func(seed int64) (obs.Tracer, error) {
+	return func(seed int64) (obs.Tracer, error) {
+		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("%s-seed%d.trace.json", scenario, seed)))
+		if err != nil {
+			return nil, err
+		}
+		return &fileTracer{TraceWriter: obs.NewChrome(f, seed), f: f}, nil
+	}
+}
+
+// fileTracer is a Chrome TraceWriter over an owned file, whose Close
+// terminates the trace array and then closes the file.
+type fileTracer struct {
+	*obs.TraceWriter
+	f *os.File
+}
+
+// Close terminates the trace and closes the backing file, reporting the
+// first error.
+func (t *fileTracer) Close() error {
+	err := t.TraceWriter.Close()
+	if cerr := t.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // selectScenarios resolves a -only list against the registry (paper order,

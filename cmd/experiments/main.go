@@ -7,15 +7,15 @@
 //
 //	experiments [-seed N] [-fast] [-only table3,fig5,...]
 //	experiments campaigns [-seeds N] [-workers M] [-json] [-fast] [-only boot,table4,...]
-//	experiments campaigns -only boot [-param client=chrony] [-checkpoint f.jsonl] [-resume f.jsonl]
+//	experiments campaigns -only boot [-param client=chrony] [-checkpoint f.jsonl]
 //	experiments search -scenario racemargin [-lo -2s -hi 0s -resolution 100ms] [-target 0.5] [-state DIR] [-json]
 //	experiments search -scenario racemargin -dim vic-net=lan,wan -dim client=ntpd,chrony [-prune-seeds 4] [-lhs N]
 //	experiments scenarios [-markdown]
 //	experiments serve [-addr HOST:PORT] [-workers M] [-queue N] [-state DIR] [-rate R -burst B] [-pprof]
 //
 // The default (no subcommand) is the original single-seed paper
-// reproduction; -fast skips the slowest experiments (Table II's four full
-// run-time attacks and the 2432-server rate-limit scan). The serve
+// reproduction; -fast skips Table II's four full run-time attacks and
+// shrinks the §VII-A rate-limit scan from 2432 servers to 300. The serve
 // subcommand keeps the whole machinery resident behind an HTTP API —
 // queued campaigns, streamed JSONL results, a content-addressed aggregate
 // cache and graceful drain (DESIGN.md §11).
@@ -25,9 +25,10 @@
 // Engine and prints aggregate statistics; output is identical at any
 // worker count. Parameterisable scenarios take `-param key=value`
 // overrides (`-client` is shorthand for `-param client=...`); with
-// `-checkpoint` the engine records each completed seed so an interrupted
-// campaign (SIGINT drains the workers and prints the partial aggregate)
-// can be picked up with `-resume`. Network conditions are params too:
+// `-checkpoint f.jsonl` the engine records each completed seed, so an
+// interrupted campaign (SIGINT drains the workers and prints the partial
+// aggregate) is picked up by rerunning the same command, which skips the
+// recorded seeds. Network conditions are params too:
 // `-param net=<profile>` runs a scenario's labs over a netem path model
 // (lan, wan, transcontinental, lossy-wifi, congested — DESIGN.md §8),
 // with `-param rtt=...`/`-param loss=...` scalar overrides; `-param
@@ -141,7 +142,7 @@ var sections = []string{
 func experimentsFlagSet(seed *int64, fast *bool, only *string) *flag.FlagSet {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.Int64Var(seed, "seed", 1, "deterministic seed for all experiments")
-	fs.BoolVar(fast, "fast", false, "skip the slowest experiments")
+	fs.BoolVar(fast, "fast", false, "skip Table II and shrink the §VII-A rate-limit scan to 300 servers")
 	fs.StringVar(only, "only", "", "comma-separated subset: "+strings.Join(sections, ","))
 	return fs
 }

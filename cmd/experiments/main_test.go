@@ -63,6 +63,67 @@ func TestRunCampaignsFast16Golden(t *testing.T) {
 	}
 }
 
+// TestRunCampaigns64Golden pins every byte of the 64-seed full-population
+// JSON aggregates of all registered scenarios — the campaign columns
+// EXPERIMENTS.md quotes. The output is identical at any -workers count.
+// After an intended change of output, regenerate the file from the
+// repository root with
+//
+//	go run ./cmd/experiments campaigns -seeds 64 -json -q > cmd/experiments/testdata/campaigns-64.golden
+func TestRunCampaigns64Golden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("64-seed full-population campaign of every scenario in -short mode")
+	}
+	want, err := os.ReadFile("testdata/campaigns-64.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := runCampaigns(context.Background(), []string{"-seeds", "64", "-json", "-q"}, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("campaign aggregates differ from testdata/campaigns-64.golden:\n%s", got.String())
+	}
+}
+
+// TestRunRateLimitMatchesScenario: the single-seed §VII-A section builds
+// its own pool (seed offset and -fast size) rather than running the
+// ratelimit scenario, so this ties the two: at every seed, the printed
+// server, KoD-sender and stopped-replying counts equal the scenario's
+// servers, kod_senders and rate_limited metrics under the same -fast.
+func TestRunRateLimitMatchesScenario(t *testing.T) {
+	cases := []struct {
+		seed int64
+		fast bool
+	}{{1, true}, {2, true}, {3, true}, {1, false}}
+	for _, tc := range cases {
+		if !tc.fast && testing.Short() {
+			continue // full 2432-server scan
+		}
+		var out bytes.Buffer
+		if err := run(&out, tc.seed, tc.fast, "ratelimit"); err != nil {
+			t.Fatal(err)
+		}
+		var servers, kod, limited int
+		for _, line := range strings.Split(out.String(), "\n") {
+			fmt.Sscanf(line, "== §VII-A: rate limiting of %d", &servers)
+			fmt.Sscanf(line, "KoD senders: %d", &kod)
+			fmt.Sscanf(line, "stopped replying: %d", &limited)
+		}
+		res, err := dnstime.RunScenario(context.Background(), "ratelimit", tc.seed,
+			dnstime.ScenarioConfig{Fast: tc.fast})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := [3]int{int(res.Metrics["servers"]), int(res.Metrics["kod_senders"]), int(res.Metrics["rate_limited"])}
+		if got := [3]int{servers, kod, limited}; got != want || kod == 0 {
+			t.Errorf("seed %d fast=%t: CLI servers/KoD/stopped = %v, scenario = %v\n%s",
+				tc.seed, tc.fast, got, want, out.String())
+		}
+	}
+}
+
 // TestRunRejectsPositional: the single-seed mode refuses a leftover
 // positional argument (a misspelt subcommand) instead of dropping the
 // flags after it and printing the full paper run; the error names the
@@ -619,9 +680,9 @@ func TestRunCampaignsParamValidation(t *testing.T) {
 	}
 }
 
-// TestRunCampaignsCheckpointResume: a checkpointed prefix campaign plus a
-// -resume completion emits byte-identical -json output to one
-// uninterrupted run.
+// TestRunCampaignsCheckpointResume: a checkpointed prefix campaign,
+// rerun over more seeds with the same -checkpoint, emits byte-identical
+// -json output to one uninterrupted run.
 func TestRunCampaignsCheckpointResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "boot.jsonl")
 	render := func(argv ...string) string {
@@ -636,40 +697,54 @@ func TestRunCampaignsCheckpointResume(t *testing.T) {
 	full := render("-seeds", "4")
 	// Prefix run: seeds 1–2 recorded in the checkpoint.
 	render("-seeds", "2", "-checkpoint", path)
-	resumed := render("-seeds", "4", "-resume", path)
+	resumed := render("-seeds", "4", "-checkpoint", path)
 	if resumed != full {
 		t.Errorf("resumed output differs from uninterrupted run:\n%s\nvs\n%s", resumed, full)
 	}
 }
 
 // TestRunCampaignsCheckpointNoOverwrite: rerunning a checkpointed
-// campaign with -checkpoint but without -resume fails, says how to go on,
-// and leaves the checkpoint byte-identical; -resume on the same path
-// still extends it.
+// campaign never overwrites its file. A rerun over fewer seeds leaves it
+// byte-identical (every seed it needs is recorded, so none executes), a
+// run for another scenario, fast mode or param set is refused and leaves
+// it byte-identical, and a rerun over more seeds appends to it.
 func TestRunCampaignsCheckpointNoOverwrite(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "b.jsonl")
 	argv := func(seeds string, extra ...string) []string {
-		return append([]string{"-only", "boot", "-seeds", seeds, "-checkpoint", path, "-q"}, extra...)
+		return append([]string{"-seeds", seeds, "-checkpoint", path, "-q"}, extra...)
 	}
-	if err := runCampaigns(context.Background(), argv("4"), io.Discard); err != nil {
+	if err := runCampaigns(context.Background(), argv("4", "-only", "boot"), io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = runCampaigns(context.Background(), argv("2"), io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "resume") || !strings.Contains(err.Error(), "remove") {
-		t.Errorf("rerun without -resume: err = %v, want a refusal naming resume and removal", err)
+	unchanged := func(what string) {
+		t.Helper()
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+			t.Errorf("%s changed the checkpoint (read err %v):\n%s\nwant:\n%s", what, err, after, before)
+		}
 	}
-	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
-		t.Errorf("refused run changed the checkpoint (read err %v):\n%s\nwant:\n%s", err, after, before)
+	if err := runCampaigns(context.Background(), argv("2", "-only", "boot"), io.Discard); err != nil {
+		t.Fatalf("rerun over fewer seeds: %v", err)
 	}
-	if err := runCampaigns(context.Background(), argv("6", "-resume", path), io.Discard); err != nil {
-		t.Fatalf("same-path resume: %v", err)
+	unchanged("rerun over fewer seeds")
+	for name, extra := range map[string][]string{
+		"other scenario": {"-only", "runtime"},
+		"fast":           {"-only", "boot", "-fast"},
+		"param":          {"-only", "boot", "-client", "chrony"},
+	} {
+		if err := runCampaigns(context.Background(), argv("4", extra...), io.Discard); err == nil {
+			t.Errorf("%s: checkpoint for another campaign accepted", name)
+		}
+		unchanged(name)
+	}
+	if err := runCampaigns(context.Background(), argv("6", "-only", "boot"), io.Discard); err != nil {
+		t.Fatalf("rerun over more seeds: %v", err)
 	}
 	if after, err := os.ReadFile(path); err != nil || !bytes.HasPrefix(after, before) || len(after) == len(before) {
-		t.Errorf("same-path resume did not extend the checkpoint (read err %v):\n%s", err, after)
+		t.Errorf("rerun over more seeds did not extend the checkpoint (read err %v):\n%s", err, after)
 	}
 }
 
@@ -687,7 +762,7 @@ func TestRunCampaignsInterrupted(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "interrupted") {
 		t.Fatalf("err = %v, want interruption report", err)
 	}
-	if !strings.Contains(err.Error(), "-resume "+path) {
+	if !strings.Contains(err.Error(), "rerun with -checkpoint "+path+" to resume") {
 		t.Errorf("interruption report lacks resume hint: %v", err)
 	}
 	if !strings.Contains(out.String(), "partial") {

@@ -254,16 +254,14 @@ var (
 	WithParam = campaign.WithParam
 	// WithProgress installs a completion-order progress callback.
 	WithProgress = campaign.WithProgress
-	// WithCheckpoint writes a JSONL line per completed seed to a file.
+	// WithCheckpoint records each completed seed as a JSONL line in a
+	// file and skips the seeds the file already holds, so rerunning an
+	// interrupted campaign resumes it.
 	WithCheckpoint = campaign.WithCheckpoint
-	// WithResume skips seeds already recorded in a checkpoint file.
-	WithResume = campaign.WithResume
-	// WithResumeForce accepts a checkpoint written by a different VCS
-	// revision (refused by default — the seeds may not reproduce).
+	// WithResumeForce resumes a checkpoint written by a different VCS
+	// revision (set aside as <file>.stale by default — the seeds may not
+	// reproduce).
 	WithResumeForce = campaign.WithResumeForce
-	// WithTraceDir writes one deterministic Chrome trace_event file per
-	// executed seed (viewable in Perfetto) into a directory.
-	WithTraceDir = campaign.WithTraceDir
 	// WithTracerFactory installs a per-seed tracer source (see
 	// internal/obs for the tracing contract).
 	WithTracerFactory = campaign.WithTracerFactory

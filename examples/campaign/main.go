@@ -12,8 +12,9 @@
 //     campaign cleanly (workers drain, the partial aggregate is marked);
 //  3. params make attack variants (any client profile, target shift,
 //     Chronos knobs) ordinary campaign runs — no separate entry point;
-//  4. WithCheckpoint/WithResume persist completed seeds as JSONL so an
-//     interrupted campaign picks up where it left off, byte-identically.
+//  4. WithCheckpoint persists completed seeds as JSONL, and rerunning
+//     with the same file picks an interrupted campaign up where it left
+//     off, byte-identically.
 package main
 
 import (

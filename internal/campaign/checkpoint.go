@@ -8,7 +8,6 @@ import (
 	"io/fs"
 	"os"
 	"reflect"
-	"sort"
 
 	"dnstime/internal/obs"
 	"dnstime/internal/scenario"
@@ -47,8 +46,9 @@ type checkpointHeader struct {
 	Params   scenario.Params `json:"params,omitempty"`
 	// Revision records the VCS revision of the binary that wrote the
 	// checkpoint, when known. Per-seed results are only reproducible under
-	// the same simulator code, so resuming under a different revision is
-	// refused unless explicitly forced (WithResumeForce).
+	// the same simulator code, so a checkpoint from a different revision
+	// is set aside rather than resumed unless explicitly forced
+	// (WithResumeForce).
 	Revision string `json:"revision,omitempty"`
 }
 
@@ -65,10 +65,16 @@ func header(cfg engineConfig, scenarioName string) checkpointHeader {
 	}
 }
 
+// errStaleRevision reports a checkpoint header that matches the campaign
+// in every field but the revision of the build that wrote it.
+var errStaleRevision = errors.New("campaign: checkpoint was written at another revision")
+
 // compatible reports whether a checkpoint written under h can seed a
 // campaign under the resolved config: same scenario, fast mode and
 // params. The seed range may differ — the loader only reuses in-range
-// seeds — so a checkpoint can also extend a campaign to more seeds.
+// seeds — so a checkpoint can also extend a campaign to more seeds. The
+// revision is compared last, so errStaleRevision means every other field
+// matched.
 func (h checkpointHeader) compatible(cfg engineConfig, scenarioName string) error {
 	if h.V != checkpointVersion {
 		return fmt.Errorf("campaign: checkpoint version %d, want %d", h.V, checkpointVersion)
@@ -85,10 +91,9 @@ func (h checkpointHeader) compatible(cfg engineConfig, scenarioName string) erro
 	}
 	// The revision gate only fires when both sides are known: an old
 	// checkpoint without the field, or a non-VCS build, has nothing to
-	// compare — refusing there would break every `go test` resume.
+	// compare — gating there would discard every `go test` checkpoint.
 	if cur := stampRevision(); h.Revision != "" && cur != "" && h.Revision != cur && !cfg.forceResume {
-		return fmt.Errorf("campaign: checkpoint was written at revision %.12s, this build is %.12s — its seeds may not reproduce; pass -force (WithResumeForce) to resume anyway",
-			h.Revision, cur)
+		return errStaleRevision
 	}
 	return nil
 }
@@ -109,7 +114,7 @@ func (h checkpointHeader) compatible(cfg engineConfig, scenarioName string) erro
 func loadCheckpoint(path string, cfg engineConfig, scenarioName string) (map[int64]scenario.Result, int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, 0, fmt.Errorf("campaign: resume: %w", err)
+		return nil, 0, fmt.Errorf("campaign: checkpoint: %w", err)
 	}
 	resumed := map[int64]scenario.Result{}
 	var validLen int64
@@ -124,15 +129,15 @@ func loadCheckpoint(path string, cfg engineConfig, scenarioName string) (map[int
 		if lineNo == 1 {
 			var h checkpointHeader
 			if err := json.Unmarshal(line, &h); err != nil {
-				return nil, 0, fmt.Errorf("campaign: resume %s: bad header: %w", path, err)
+				return nil, 0, fmt.Errorf("campaign: checkpoint %s: bad header: %w", path, err)
 			}
 			if err := h.compatible(cfg, scenarioName); err != nil {
-				return nil, 0, fmt.Errorf("%w (resume %s)", err, path)
+				return nil, 0, fmt.Errorf("%w (checkpoint %s)", err, path)
 			}
 		} else {
 			var res scenario.Result
 			if err := json.Unmarshal(line, &res); err != nil {
-				return nil, 0, fmt.Errorf("campaign: resume %s line %d: %w", path, lineNo, err)
+				return nil, 0, fmt.Errorf("campaign: checkpoint %s line %d: %w", path, lineNo, err)
 			}
 			if res.Seed >= cfg.baseSeed && res.Seed < cfg.baseSeed+int64(cfg.seeds) {
 				resumed[res.Seed] = res
@@ -142,7 +147,7 @@ func loadCheckpoint(path string, cfg engineConfig, scenarioName string) (map[int
 		data = data[nl+1:]
 	}
 	if lineNo == 0 {
-		return nil, 0, fmt.Errorf("campaign: resume %s: empty checkpoint", path)
+		return nil, 0, fmt.Errorf("campaign: checkpoint %s: empty checkpoint", path)
 	}
 	return resumed, validLen, nil
 }
@@ -153,62 +158,53 @@ type checkpointWriter struct {
 	f *os.File
 }
 
-// openCheckpoint prepares the checkpoint file. When the file is also the
-// resume source (same path, readable, compatible header already present),
-// it is truncated to its valid prefix (discarding any write torn by a
-// crash) and opened for append so one file keeps growing across
-// interrupted runs; otherwise it is created fresh with a header line
-// followed by a replay of any resumed results, so the new checkpoint is
-// complete on its own. A fresh checkpoint never replaces an existing
-// file: rerunning a checkpointed campaign without resuming from it would
-// otherwise wipe every seed it recorded.
-func openCheckpoint(path string, cfg engineConfig, scenarioName string, resumed map[int64]scenario.Result, validLen int64) (*checkpointWriter, error) {
-	if path == cfg.resume {
-		if f, err := os.OpenFile(path, os.O_WRONLY, 0o644); err == nil {
-			// loadCheckpoint already validated the header and measured the
-			// newline-terminated prefix; drop anything torn beyond it.
-			if err := f.Truncate(validLen); err != nil {
+// openCheckpoint opens the campaign's checkpoint for appending and
+// returns the in-range seeds it already records. A missing file is
+// created with the campaign's header. An existing one is loaded, so a
+// header for another campaign is refused before a byte of the file
+// changes; a compatible one is truncated to its newline-terminated
+// prefix, dropping any write torn by a crash, and appended to, so one
+// file keeps growing across interrupted runs. A header refused only for
+// its revision is renamed to <path>.stale, replacing any earlier one, and
+// the campaign starts afresh at path.
+func openCheckpoint(path string, cfg engineConfig, scenarioName string) (map[int64]scenario.Result, *checkpointWriter, error) {
+	resumed, validLen, err := loadCheckpoint(path, cfg, scenarioName)
+	switch {
+	case err == nil:
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+		if err == nil {
+			if err = f.Truncate(validLen); err != nil {
 				f.Close()
-				return nil, fmt.Errorf("campaign: checkpoint %s: %w", path, err)
 			}
-			if _, err := f.Seek(validLen, 0); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("campaign: checkpoint %s: %w", path, err)
-			}
-			return &checkpointWriter{f: f}, nil
 		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("campaign: checkpoint: %w", err)
+		}
+		return resumed, &checkpointWriter{f: f}, nil
+	case errors.Is(err, errStaleRevision):
+		// The recorded seeds may not reproduce under this build: keep
+		// them for inspection, out of the campaign's way.
+		if err := os.Rename(path, path+".stale"); err != nil {
+			return nil, nil, fmt.Errorf("campaign: checkpoint: %w", err)
+		}
+	case !errors.Is(err, fs.ErrNotExist):
+		return nil, nil, err
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if errors.Is(err, fs.ErrExist) {
-		return nil, fmt.Errorf("campaign: checkpoint %s already exists; resume from the same path (WithResume, -resume) or remove the file", path)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("campaign: checkpoint: %w", err)
-	}
-	w := &checkpointWriter{f: f}
 	hdr, err := json.Marshal(header(cfg, scenarioName))
 	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("campaign: checkpoint: %w", err)
+		return nil, nil, fmt.Errorf("campaign: checkpoint: %w", err)
+	}
+	// O_EXCL: a file that appeared since it was found missing is never
+	// truncated.
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return nil, nil, fmt.Errorf("campaign: checkpoint: %w", err)
 	}
 	if _, err := f.Write(append(hdr, '\n')); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("campaign: checkpoint %s: %w", path, err)
+		return nil, nil, fmt.Errorf("campaign: checkpoint %s: %w", path, err)
 	}
-	// Replay resumed seeds in seed order so a cross-file resume still
-	// yields a self-contained checkpoint.
-	seeds := make([]int64, 0, len(resumed))
-	for seed := range resumed {
-		seeds = append(seeds, seed)
-	}
-	sort.Slice(seeds, func(i, j int) bool { return seeds[i] < seeds[j] })
-	for _, seed := range seeds {
-		if err := w.write(resumed[seed]); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	return w, nil
+	return nil, &checkpointWriter{f: f}, nil
 }
 
 // write appends one completed seed's Result as a JSONL line.

@@ -21,9 +21,10 @@
 // ParamKeys — the attack experiments accept client profile, run-time
 // scenario, target shift and lab sizing, so every attack variant is an
 // ordinary campaign. WithCheckpoint records one JSONL line per completed
-// seed and WithResume skips recorded seeds byte-identically, so an
-// interrupted campaign resumes into the same final aggregate as an
-// uninterrupted run. See DESIGN.md §7 for the full Engine contract.
+// seed and, when its file already exists, reuses the recorded seeds
+// byte-identically and appends the rest, so rerunning an interrupted
+// campaign resumes it into the same final aggregate as an uninterrupted
+// run. See DESIGN.md §7 for the full Engine contract.
 //
 // Each run builds its own Lab around its own simclock.Clock, so runs
 // share no state and the fan-out is embarrassingly parallel. Results are

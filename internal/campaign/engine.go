@@ -5,9 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -28,14 +25,11 @@ type engineConfig struct {
 	baseSeed    int64
 	baseSeedSet bool
 	workers     int
-	batch       int
 	fast        bool
 	params      scenario.Params
 	progress    func(done, total int)
 	checkpoint  string
-	resume      string
 	forceResume bool
-	traceDir    string
 	tracerFor   func(seed int64) (obs.Tracer, error)
 }
 
@@ -59,13 +53,6 @@ func WithBaseSeed(s int64) Option {
 
 // WithWorkers caps concurrent runs (default GOMAXPROCS).
 func WithWorkers(n int) Option { return func(c *engineConfig) { c.workers = n } }
-
-// WithBatch sets how many contiguous seeds a worker claims per scheduling
-// round (default: seeds/(4·workers), at least 1). Larger batches cut
-// channel round-trips and keep each worker's pooled lab hot across
-// consecutive seeds; the aggregate is byte-identical at any batch size, so
-// this is purely a throughput knob.
-func WithBatch(n int) Option { return func(c *engineConfig) { c.batch = n } }
 
 // WithFast passes Fast through to every run's scenario.Config (shrinks
 // the slowest scenarios' populations).
@@ -101,24 +88,19 @@ func WithProgress(fn func(done, total int)) Option {
 	return func(c *engineConfig) { c.progress = fn }
 }
 
-// WithCheckpoint makes the engine write a JSONL checkpoint to path: one
-// header line identifying the campaign, then one line per completed seed
-// in completion order. Unless path is also the WithResume source, the
-// file must not exist yet: the run fails rather than overwrite it. A
-// checkpointing Engine is tied to the one campaign the header describes.
+// WithCheckpoint persists the campaign in the JSONL checkpoint at path:
+// one header line identifying the campaign, then one line per completed
+// seed in completion order. A missing file is created with its header.
+// An existing file must carry a matching header (scenario, fast mode,
+// params); its in-range seeds are reused byte-identically instead of
+// re-executed, a line torn by a crash is truncated away, and new seeds
+// are appended. So one invocation serves the first run and every
+// resumption, a rerun never wipes a recorded seed, and an interrupted
+// campaign folds into the same aggregate as an uninterrupted one. The
+// seed range may differ from the header's: only in-range seeds are
+// reused, so a file can also extend a campaign to more seeds.
 func WithCheckpoint(path string) Option {
 	return func(c *engineConfig) { c.checkpoint = path }
-}
-
-// WithTraceDir makes every executed seed record a deterministic Chrome
-// trace_event file (viewable in Perfetto or chrome://tracing) named
-// <scenario>-seed<N>.trace.json under dir, which is created if missing.
-// Trace timestamps are virtual (simclock) time, so a seed's trace bytes
-// are identical at any worker count, pooled or fresh lab. Resumed seeds
-// are not re-executed and produce no trace. Ignored when a
-// WithTracerFactory is also installed.
-func WithTraceDir(dir string) Option {
-	return func(c *engineConfig) { c.traceDir = dir }
 }
 
 // WithTracerFactory installs a per-seed tracer source: the factory is
@@ -126,30 +108,19 @@ func WithTraceDir(dir string) Option {
 // seed's run (scenario.Config.Tracer). A tracer that implements io.Closer
 // is closed when its run completes. A factory or Close error fails that
 // seed's run — the trace was requested, so a seed that cannot record one
-// did not complete as asked. Takes precedence over WithTraceDir.
+// did not complete as asked. Seeds reused from a checkpoint are not
+// re-executed and produce no trace.
 func WithTracerFactory(fn func(seed int64) (obs.Tracer, error)) Option {
 	return func(c *engineConfig) { c.tracerFor = fn }
 }
 
-// WithResume skips every seed already recorded in the checkpoint at path:
-// the recorded per-seed Results are reused byte-identically, so a
-// cancelled campaign resumed from its checkpoint folds into the same
-// final aggregate as an uninterrupted run. The header must match the
-// engine's scenario, fast mode and params; the seed range may differ
-// (only in-range seeds are reused). Pass the same path to WithCheckpoint
-// to keep extending one file across interruptions — with both options on
-// one path, a missing file is a fresh start rather than an error, so the
-// same invocation works for the first run and every resumption.
-func WithResume(path string) Option {
-	return func(c *engineConfig) { c.resume = path }
-}
-
-// WithResumeForce lets WithResume accept a checkpoint written by a
-// different VCS revision of this binary. By default such a resume is
-// refused: per-seed results are only reproducible under the simulator
-// code that produced them, so mixing revisions can fold incomparable
-// seeds into one aggregate. Forcing is for when the caller knows the
-// intervening changes cannot affect the scenario's results.
+// WithResumeForce lets WithCheckpoint reuse the seeds of a checkpoint
+// written by a different VCS revision of this binary. By default such a
+// file is set aside at <path>.stale and the campaign starts afresh:
+// per-seed results are only reproducible under the simulator code that
+// produced them, so mixing revisions can fold incomparable seeds into
+// one aggregate. Forcing is for when the caller knows the intervening
+// changes cannot affect the scenario's results.
 func WithResumeForce() Option {
 	return func(c *engineConfig) { c.forceResume = true }
 }
@@ -218,42 +189,11 @@ func (e *Engine) Stream(ctx context.Context, scenarioName string) (*Stream, erro
 	if err := sc.AcceptsParams(cfg.params); err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
-	tracerFor := cfg.tracerFor
-	if tracerFor == nil && cfg.traceDir != "" {
-		if err := os.MkdirAll(cfg.traceDir, 0o755); err != nil {
-			return nil, fmt.Errorf("campaign: trace dir: %w", err)
-		}
-		dir, name := cfg.traceDir, sc.Name
-		tracerFor = func(seed int64) (obs.Tracer, error) {
-			f, err := os.Create(filepath.Join(dir,
-				fmt.Sprintf("%s-seed%d.trace.json", name, seed)))
-			if err != nil {
-				return nil, err
-			}
-			return &fileTracer{TraceWriter: obs.NewChrome(f, seed), f: f}, nil
-		}
-	}
-
-	resumed := map[int64]scenario.Result{}
-	var resumeLen int64
-	if cfg.resume != "" {
-		var err error
-		resumed, resumeLen, err = loadCheckpoint(cfg.resume, cfg, sc.Name)
-		switch {
-		case err == nil:
-		case cfg.resume == cfg.checkpoint && errors.Is(err, fs.ErrNotExist):
-			// Fresh start of the append workflow (same path passed to
-			// WithResume and WithCheckpoint): nothing to resume yet, the
-			// checkpoint writer will create the file.
-			resumed, resumeLen = map[int64]scenario.Result{}, 0
-		default:
-			return nil, err
-		}
-	}
+	var resumed map[int64]scenario.Result
 	var ckpt *checkpointWriter
 	if cfg.checkpoint != "" {
 		var err error
-		if ckpt, err = openCheckpoint(cfg.checkpoint, cfg, sc.Name, resumed, resumeLen); err != nil {
+		if resumed, ckpt, err = openCheckpoint(cfg.checkpoint, cfg, sc.Name); err != nil {
 			return nil, err
 		}
 	}
@@ -283,16 +223,16 @@ func (e *Engine) Stream(ctx context.Context, scenarioName string) (*Stream, erro
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	// Workers claim contiguous chunks of the remaining seeds rather than one
-	// seed per channel round-trip. Chunk size is a pure scheduling knob:
-	// every per-seed effect (result slot, progress call, checkpoint line,
-	// cancellation check) is unchanged, so output bytes cannot depend on it.
-	batch := cfg.batch
-	if batch <= 0 && workers > 0 {
-		batch = len(jobs) / (4 * workers)
-	}
-	if batch < 1 {
-		batch = 1
+	// Workers claim the remaining seeds in contiguous chunks of
+	// len(jobs)/(4·workers), at least one, rather than one seed per
+	// channel round-trip, keeping each worker's pooled lab hot across
+	// consecutive seeds. Chunk size is a pure scheduling knob: every
+	// per-seed effect (result slot, progress call, checkpoint line,
+	// cancellation check) is unchanged, so output bytes cannot depend on
+	// it.
+	batch := 1
+	if workers > 0 {
+		batch = max(1, len(jobs)/(4*workers))
 	}
 	chunkCh := make(chan []int, (len(jobs)+batch-1)/batch)
 	for start := 0; start < len(jobs); start += batch {
@@ -316,7 +256,7 @@ func (e *Engine) Stream(ctx context.Context, scenarioName string) (*Stream, erro
 					}
 					seed := cfg.baseSeed + int64(i)
 					res, err := runSeed(ctx, sc, seed,
-						scenario.Config{Fast: cfg.fast, Params: cfg.params}, tracerFor)
+						scenario.Config{Fast: cfg.fast, Params: cfg.params}, cfg.tracerFor)
 					if err != nil {
 						if ctx.Err() != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 							continue // cancelled mid-run: not a completed seed
@@ -403,23 +343,6 @@ func runSeed(ctx context.Context, sc scenario.Scenario, seed int64, cfg scenario
 		}
 	}
 	return res, err
-}
-
-// fileTracer is the WithTraceDir tracer: a Chrome TraceWriter over an
-// owned file, whose Close finalises the trace array and then the file.
-type fileTracer struct {
-	*obs.TraceWriter
-	f *os.File
-}
-
-// Close terminates the trace and closes the backing file, reporting the
-// first error.
-func (t *fileTracer) Close() error {
-	err := t.TraceWriter.Close()
-	if cerr := t.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // Stream is one running campaign: a channel of per-seed Results in

@@ -230,9 +230,10 @@ func TestEngineCancellation(t *testing.T) {
 }
 
 // TestEngineCheckpointResume is the resume acceptance criterion: a
-// campaign cancelled after K seeds and resumed from its checkpoint folds
-// into the byte-identical aggregate of an uninterrupted run, re-executing
-// only the missing seeds.
+// campaign cancelled after K seeds and rerun with the same checkpoint
+// folds into the byte-identical aggregate of an uninterrupted run,
+// re-executing only the missing seeds. The first run creates the missing
+// file, and one WithCheckpoint invocation serves every run.
 func TestEngineCheckpointResume(t *testing.T) {
 	const seeds = 6
 	path := filepath.Join(t.TempDir(), "campaign.jsonl")
@@ -268,11 +269,10 @@ func TestEngineCheckpointResume(t *testing.T) {
 		t.Fatalf("checkpoint has %d lines, want header + 3 seeds:\n%s", lines, data)
 	}
 
-	// Resume: only the 3 missing seeds run; the aggregate is
+	// Rerun: only the 3 missing seeds run; the aggregate is
 	// byte-identical to the uninterrupted campaign.
 	engineRunCount.Store(0)
-	resumed := marshalAgg(t, "t-eng-gate",
-		WithSeeds(seeds), WithWorkers(2), WithResume(path), WithCheckpoint(path))
+	resumed := marshalAgg(t, "t-eng-gate", WithSeeds(seeds), WithWorkers(2), WithCheckpoint(path))
 	if resumed != want {
 		t.Errorf("resumed aggregate differs from uninterrupted run:\n%s\nvs\n%s", resumed, want)
 	}
@@ -280,105 +280,150 @@ func TestEngineCheckpointResume(t *testing.T) {
 		t.Errorf("resume executed %d runs, want %d (checkpointed seeds must be skipped)", n, seeds-3)
 	}
 
-	// The extended checkpoint now covers every seed: a second resume
-	// executes nothing and still folds the identical aggregate.
+	// The extended checkpoint now covers every seed: another rerun
+	// executes nothing, folds the identical aggregate and leaves the
+	// file byte-identical.
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	engineRunCount.Store(0)
-	again := marshalAgg(t, "t-eng-gate", WithSeeds(seeds), WithWorkers(2), WithResume(path))
+	again := marshalAgg(t, "t-eng-gate", WithSeeds(seeds), WithWorkers(2), WithCheckpoint(path))
 	if again != want {
 		t.Errorf("fully-checkpointed resume differs:\n%s\nvs\n%s", again, want)
 	}
 	if n := engineRunCount.Load(); n != 0 {
 		t.Errorf("fully-checkpointed resume executed %d runs, want 0", n)
 	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, full) {
+		t.Errorf("fully-checkpointed resume changed the file (read err %v)", err)
+	}
 }
 
 // TestEngineResumeRejectsMismatch: a checkpoint can only seed the
-// campaign its header describes.
+// campaign its header describes. A run for another scenario, params or
+// fast mode is refused before any seed runs and leaves the file
+// byte-identical.
 func TestEngineResumeRejectsMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
 	if _, err := NewEngine(WithSeeds(2), WithCheckpoint(path)).
 		Run(context.Background(), "t-eng-echo"); err != nil {
 		t.Fatal(err)
 	}
-	cases := map[string][]Option{
-		"different scenario": {WithSeeds(2), WithResume(path)}, // resumed into t-eng-gate below
-		"different params":   {WithSeeds(2), WithResume(path), WithParam("bias", "7")},
-		"different fast":     {WithSeeds(2), WithResume(path), WithFast(true)},
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, opts := range cases {
-		target := "t-eng-echo"
-		if name == "different scenario" {
-			target = "t-eng-gate"
-		}
-		if _, err := NewEngine(opts...).Run(context.Background(), target); err == nil {
-			t.Errorf("%s: incompatible checkpoint accepted", name)
-		}
+	cases := []struct {
+		name, scenario, want string
+		opts                 []Option
+	}{
+		{"different scenario", "t-eng-gate", "scenario", nil},
+		{"different params", "t-eng-echo", "params", []Option{WithParam("bias", "7")}},
+		{"different fast", "t-eng-echo", "fast", []Option{WithFast(true)}},
 	}
-	if _, err := NewEngine(WithResume(filepath.Join(t.TempDir(), "missing.jsonl"))).
-		Run(context.Background(), "t-eng-echo"); err == nil {
-		t.Error("missing resume file accepted")
+	for _, tc := range cases {
+		engineRunCount.Store(0)
+		opts := append([]Option{WithSeeds(4), WithCheckpoint(path)}, tc.opts...)
+		_, err := NewEngine(opts...).Run(context.Background(), tc.scenario)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want a refusal naming %q", tc.name, err, tc.want)
+		}
+		if n := engineRunCount.Load(); n != 0 {
+			t.Errorf("%s: %d seeds ran before the refusal", tc.name, n)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+			t.Errorf("%s: refused run changed the checkpoint (read err %v):\n%s\nwant:\n%s",
+				tc.name, err, after, before)
+		}
 	}
 }
 
 // TestEngineResumeRevisionGate: a checkpoint header records the writing
-// build's VCS revision, and a build at a different revision refuses to
-// resume it unless WithResumeForce is passed — recorded seeds are only
-// reproducible under the simulator code that produced them. The gate is
-// advisory where identity is unknowable: non-VCS builds ("unknown", the
-// `go test` case) stamp nothing and compare nothing.
+// build's VCS revision. A build at a different revision does not resume
+// it — recorded seeds are only reproducible under the simulator code that
+// produced them — but sets the file aside at <path>.stale and starts the
+// campaign afresh, so an upgrade never wedges a checkpoint path.
+// WithResumeForce reuses the seeds anyway. The gate is advisory where
+// identity is unknowable: non-VCS builds ("unknown", the `go test` case)
+// stamp nothing and compare nothing.
 func TestEngineResumeRevisionGate(t *testing.T) {
 	defer func(orig func() string) { buildRevision = orig }(buildRevision)
+	const seeds = 3
+	fresh := marshalAgg(t, "t-eng-echo", WithSeeds(seeds))
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
+	// run folds a checkpointed campaign over n seeds and reports how many
+	// seeds it executed.
+	run := func(n int, opts ...Option) (string, int64) {
+		t.Helper()
+		var executed atomic.Int64
+		opts = append(opts, WithSeeds(n), WithCheckpoint(path),
+			WithProgress(func(int, int) { executed.Add(1) }))
+		return marshalAgg(t, "t-eng-echo", opts...), executed.Load()
+	}
+	read := func(path string) []byte {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	header := func() string { return strings.SplitN(string(read(path)), "\n", 2)[0] }
 
 	buildRevision = func() string { return "aaaa00000000" }
-	if _, err := NewEngine(WithSeeds(2), WithCheckpoint(path)).
-		Run(context.Background(), "t-eng-echo"); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr := strings.SplitN(string(data), "\n", 2)[0]; !strings.Contains(hdr, `"revision":"aaaa00000000"`) {
+	run(seeds)
+	if hdr := header(); !strings.Contains(hdr, `"revision":"aaaa00000000"`) {
 		t.Fatalf("header lacks the revision stamp: %s", hdr)
 	}
-
-	if _, err := NewEngine(WithSeeds(2), WithResume(path)).
-		Run(context.Background(), "t-eng-echo"); err != nil {
-		t.Errorf("same-revision resume refused: %v", err)
+	old := read(path)
+	if _, n := run(seeds); n != 0 {
+		t.Errorf("same-revision run executed %d seeds, want 0", n)
 	}
 
+	// Another revision, forced: every recorded seed is reused in place.
 	buildRevision = func() string { return "bbbb11111111" }
-	if _, err := NewEngine(WithSeeds(2), WithResume(path)).
-		Run(context.Background(), "t-eng-echo"); err == nil || !strings.Contains(err.Error(), "revision") {
-		t.Errorf("cross-revision resume not refused: %v", err)
+	if got, n := run(seeds, WithResumeForce()); got != fresh || n != 0 {
+		t.Errorf("forced cross-revision run executed %d seeds (want 0), aggregate:\n%s\nwant:\n%s", n, got, fresh)
 	}
-	if _, err := NewEngine(WithSeeds(2), WithResume(path), WithResumeForce()).
-		Run(context.Background(), "t-eng-echo"); err != nil {
-		t.Errorf("forced cross-revision resume failed: %v", err)
+	if !bytes.Equal(read(path), old) {
+		t.Error("forced run changed the checkpoint")
+	}
+	if _, err := os.Stat(path + ".stale"); err == nil {
+		t.Error("forced run set the checkpoint aside")
 	}
 
-	// Current build unknown: nothing to compare against, resume allowed.
+	// Another revision, not forced: the old bytes move to .stale
+	// unchanged, every seed executes into a fresh file stamped with the
+	// current revision, and the aggregate is the fresh run's.
+	buildRevision = func() string { return "cccc22222222" }
+	if got, n := run(seeds); got != fresh || n != seeds {
+		t.Errorf("cross-revision run executed %d seeds (want %d), aggregate:\n%s\nwant:\n%s", n, seeds, got, fresh)
+	}
+	if stale := read(path + ".stale"); !bytes.Equal(stale, old) {
+		t.Errorf("set-aside checkpoint:\n%s\nwant the old bytes:\n%s", stale, old)
+	}
+	if hdr := header(); !strings.Contains(hdr, `"revision":"cccc22222222"`) {
+		t.Errorf("fresh checkpoint header lacks the current revision: %s", hdr)
+	}
+
+	// Current build unknown: nothing to compare against, every seed is
+	// reused.
 	buildRevision = func() string { return "unknown" }
-	if _, err := NewEngine(WithSeeds(2), WithResume(path)).
-		Run(context.Background(), "t-eng-echo"); err != nil {
-		t.Errorf("resume under unknown current revision refused: %v", err)
+	if _, n := run(seeds); n != 0 {
+		t.Errorf("run under an unknown current revision executed %d seeds, want 0", n)
 	}
 
 	// Non-VCS builds must omit the field entirely, and such revision-free
 	// checkpoints (including every pre-gate file) stay resumable anywhere.
-	path2 := filepath.Join(t.TempDir(), "ck2.jsonl")
-	if _, err := NewEngine(WithSeeds(2), WithCheckpoint(path2)).
-		Run(context.Background(), "t-eng-echo"); err != nil {
-		t.Fatal(err)
+	path = filepath.Join(t.TempDir(), "ck2.jsonl")
+	run(seeds)
+	if hdr := header(); strings.Contains(hdr, "revision") {
+		t.Errorf("non-VCS build stamped a revision: %s", hdr)
 	}
-	if data, err := os.ReadFile(path2); err != nil || strings.Contains(string(data), "revision") {
-		t.Errorf("non-VCS build stamped a revision (read err %v): %s", err, data)
-	}
-	buildRevision = func() string { return "cccc22222222" }
-	if _, err := NewEngine(WithSeeds(2), WithResume(path2)).
-		Run(context.Background(), "t-eng-echo"); err != nil {
-		t.Errorf("resume of a revision-free checkpoint refused: %v", err)
+	buildRevision = func() string { return "dddd33333333" }
+	if _, n := run(seeds); n != 0 {
+		t.Errorf("run over a revision-free checkpoint executed %d seeds, want 0", n)
 	}
 }
 
@@ -539,33 +584,12 @@ func TestTableIRows(t *testing.T) {
 	}
 }
 
-// TestEngineFreshStartWithResumeAndCheckpoint: pointing WithResume and
-// WithCheckpoint at the same (not yet existing) path is the documented
-// append workflow — the first run starts fresh instead of erroring, so
-// one invocation serves the initial run and every resumption.
-func TestEngineFreshStartWithResumeAndCheckpoint(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "fresh.jsonl")
-	agg, err := NewEngine(
-		WithSeeds(2), WithResume(path), WithCheckpoint(path),
-	).Run(context.Background(), "t-eng-echo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.Runs != 2 || agg.Partial {
-		t.Fatalf("fresh start aggregate: %+v", agg)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("checkpoint not created: %v", err)
-	}
-}
-
-// TestEngineCheckpointRefusesOverwrite: rerunning a checkpointed campaign
-// without resuming from its file, or resuming from another file into it,
-// fails before any seed runs and leaves the file byte-identical instead of
-// truncating the recorded seeds away.
+// TestEngineCheckpointRefusesOverwrite: rerunning a checkpointed
+// campaign never overwrites its file. A rerun over fewer seeds executes
+// none and leaves the file byte-identical; a rerun over more seeds
+// executes only the new ones and appends them after the recorded bytes.
 func TestEngineCheckpointRefusesOverwrite(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ck.jsonl")
+	path := filepath.Join(t.TempDir(), "ck.jsonl")
 	if _, err := NewEngine(WithSeeds(4), WithCheckpoint(path)).
 		Run(context.Background(), "t-eng-gate"); err != nil {
 		t.Fatal(err)
@@ -574,32 +598,34 @@ func TestEngineCheckpointRefusesOverwrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other := filepath.Join(dir, "other.jsonl")
-	if err := os.WriteFile(other, before, 0o644); err != nil {
+	engineRunCount.Store(0)
+	if _, err := NewEngine(WithSeeds(2), WithCheckpoint(path)).
+		Run(context.Background(), "t-eng-gate"); err != nil {
 		t.Fatal(err)
 	}
-	for name, opts := range map[string][]Option{
-		"rerun":             {WithSeeds(2), WithCheckpoint(path)},
-		"cross-file resume": {WithSeeds(6), WithResume(other), WithCheckpoint(path)},
-	} {
-		engineRunCount.Store(0)
-		_, err := NewEngine(opts...).Run(context.Background(), "t-eng-gate")
-		if err == nil || !strings.Contains(err.Error(), "already exists") || !strings.Contains(err.Error(), "remove the file") {
-			t.Errorf("%s: err = %v, want a refusal naming resume and removal", name, err)
-		}
-		if n := engineRunCount.Load(); n != 0 {
-			t.Errorf("%s: %d seeds ran before the refusal", name, n)
-		}
-		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
-			t.Errorf("%s: checkpoint changed (read err %v):\n%s\nwant:\n%s", name, err, after, before)
-		}
+	if n := engineRunCount.Load(); n != 0 {
+		t.Errorf("rerun over fewer seeds executed %d, want 0", n)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("rerun over fewer seeds changed the checkpoint (read err %v):\n%s\nwant:\n%s", err, after, before)
+	}
+	engineRunCount.Store(0)
+	if _, err := NewEngine(WithSeeds(6), WithCheckpoint(path)).
+		Run(context.Background(), "t-eng-gate"); err != nil {
+		t.Fatal(err)
+	}
+	if n := engineRunCount.Load(); n != 2 {
+		t.Errorf("rerun over more seeds executed %d, want the 2 new ones", n)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.HasPrefix(after, before) || len(after) == len(before) {
+		t.Errorf("rerun over more seeds did not append (read err %v):\n%s", err, after)
 	}
 }
 
 // TestEngineResumeToleratesTornTail: a hard kill can tear the final
 // checkpoint line mid-write. The unterminated fragment must be ignored on
-// resume (it is the crash signature, not corruption), truncated away by
-// the same-path append workflow, and the completed campaign must still
+// resume (it is the crash signature, not corruption), truncated away
+// before new seeds are appended, and the completed campaign must still
 // fold the byte-identical aggregate.
 func TestEngineResumeToleratesTornTail(t *testing.T) {
 	const seeds = 4
@@ -620,24 +646,25 @@ func TestEngineResumeToleratesTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	engineRunCount.Store(0)
-	resumed := marshalAgg(t, "t-eng-echo",
-		WithSeeds(seeds), WithResume(path), WithCheckpoint(path))
+	resumed := marshalAgg(t, "t-eng-echo", WithSeeds(seeds), WithCheckpoint(path))
 	if resumed != want {
 		t.Errorf("resume after torn tail differs from uninterrupted run:\n%s\nvs\n%s", resumed, want)
 	}
 	// The torn fragment is gone: the file re-parses cleanly end to end.
-	if _, err := NewEngine(WithSeeds(seeds), WithResume(path)).
-		Run(context.Background(), "t-eng-echo"); err != nil {
-		t.Errorf("checkpoint still corrupt after append: %v", err)
+	if got, _, err := loadCheckpoint(path, NewEngine(WithSeeds(seeds)).resolved(), "t-eng-echo"); err != nil || len(got) != seeds {
+		t.Errorf("checkpoint after append: %d seeds, err %v; want %d seeds", len(got), err, seeds)
 	}
 	// A malformed line *inside* the terminated prefix is real corruption
-	// and must still be rejected.
-	if err := os.WriteFile(path, []byte("{\"v\":1,\"scenario\":\"t-eng-echo\",\"base_seed\":1,\"seeds\":4}\nnot json\n"), 0o644); err != nil {
+	// and must still be rejected, leaving the file as it was.
+	corrupt := []byte("{\"v\":1,\"scenario\":\"t-eng-echo\",\"base_seed\":1,\"seeds\":4}\nnot json\n")
+	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewEngine(WithSeeds(seeds), WithResume(path)).
+	if _, err := NewEngine(WithSeeds(seeds), WithCheckpoint(path)).
 		Run(context.Background(), "t-eng-echo"); err == nil {
 		t.Error("terminated malformed line accepted")
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, corrupt) {
+		t.Errorf("refused run changed the corrupt checkpoint (read err %v):\n%s", err, after)
 	}
 }

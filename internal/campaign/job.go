@@ -62,7 +62,7 @@ type JobSpec struct {
 	// deliverable an untraced one lacks, so Trace is part of the job's
 	// identity (Key) and traced jobs bypass the aggregate cache. The spec
 	// does not carry the tracer itself — the execution layer supplies one
-	// (WithTracerFactory / WithTraceDir).
+	// (WithTracerFactory).
 	Trace bool `json:"trace,omitempty"`
 }
 

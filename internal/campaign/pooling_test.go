@@ -24,11 +24,12 @@ func unpooledAgg(t *testing.T, name string, opts ...Option) string {
 // TestEnginePooledBatchedEquivalence is the pooling/batching safety
 // contract: for EVERY registered scenario, the pooled engine folds a
 // byte-identical aggregate to the unpooled reference at every worker
-// count × batch size combination. Any cross-seed state leaking through a
-// recycled lab, or any scheduling effect of chunked seed claiming, shows
-// up here as a byte diff.
+// count. Workers claim seeds/(4·workers) seeds per chunk, so 8 seeds run
+// in chunks of 2 at one worker and of 1 at 4 and 8. Any cross-seed state
+// leaking through a recycled lab, or any scheduling effect of chunked
+// seed claiming, shows up here as a byte diff.
 func TestEnginePooledBatchedEquivalence(t *testing.T) {
-	const seeds = 3
+	const seeds = 8
 	refs := map[string]string{}
 	for _, sc := range scenario.All() {
 		refs[sc.Name] = unpooledAgg(t, sc.Name,
@@ -39,22 +40,20 @@ func TestEnginePooledBatchedEquivalence(t *testing.T) {
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
 			for _, workers := range []int{1, 4, 8} {
-				for _, batch := range []int{1, 4, 16} {
-					got := marshalAgg(t, sc.Name, WithSeeds(seeds),
-						WithWorkers(workers), WithBatch(batch), WithFast(true))
-					if got != refs[sc.Name] {
-						t.Errorf("pooled workers=%d batch=%d differs from unpooled reference:\n%s\nvs\n%s",
-							workers, batch, got, refs[sc.Name])
-					}
+				got := marshalAgg(t, sc.Name, WithSeeds(seeds),
+					WithWorkers(workers), WithFast(true))
+				if got != refs[sc.Name] {
+					t.Errorf("pooled workers=%d differs from unpooled reference:\n%s\nvs\n%s",
+						workers, got, refs[sc.Name])
 				}
 			}
 		})
 	}
 }
 
-// TestEnginePooledCancellationResume cancels a pooled+batched campaign
-// mid-flight, then resumes it from its checkpoint with a different batch
-// size: the final aggregate must be byte-identical to an uninterrupted
+// TestEnginePooledCancellationResume cancels a pooled campaign
+// mid-flight, then resumes it from its checkpoint at a different worker
+// count: the final aggregate must be byte-identical to an uninterrupted
 // unpooled run, and the cancelled campaign's workers must not leak.
 func TestEnginePooledCancellationResume(t *testing.T) {
 	const seeds = 6
@@ -65,8 +64,7 @@ func TestEnginePooledCancellationResume(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	st, err := NewEngine(
-		WithSeeds(seeds), WithWorkers(2), WithBatch(2), WithFast(true),
-		WithCheckpoint(path),
+		WithSeeds(seeds), WithWorkers(2), WithFast(true), WithCheckpoint(path),
 	).Stream(ctx, "boot")
 	if err != nil {
 		t.Fatal(err)
@@ -94,11 +92,10 @@ func TestEnginePooledCancellationResume(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// Resume pooled with a different batch size: only the missing seeds
-	// run, and the fold must land on the uninterrupted reference bytes.
+	// Resume pooled at another worker count: only the missing seeds run,
+	// and the fold must land on the uninterrupted reference bytes.
 	resumed := marshalAgg(t, "boot",
-		WithSeeds(seeds), WithWorkers(4), WithBatch(16), WithFast(true),
-		WithResume(path), WithCheckpoint(path))
+		WithSeeds(seeds), WithWorkers(4), WithFast(true), WithCheckpoint(path))
 	if resumed != want {
 		t.Errorf("resumed pooled aggregate differs from uninterrupted unpooled run:\n%s\nvs\n%s",
 			resumed, want)

@@ -5,9 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -92,32 +89,6 @@ func TestTraceDeterminism(t *testing.T) {
 			if !bytes.Equal(got[seed], want) {
 				t.Errorf("%s: seed %d trace differs from workers=1 pooled reference", alt.desc, seed)
 			}
-		}
-	}
-}
-
-// TestTraceDir exercises the file-backed trace path: WithTraceDir writes
-// one valid Chrome trace file per executed seed, named after the scenario
-// and seed.
-func TestTraceDir(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "traces")
-	eng := NewEngine(WithSeeds(2), WithBaseSeed(0), WithWorkers(2), WithFast(true),
-		WithTraceDir(dir))
-	if _, err := eng.Run(context.Background(), "boot"); err != nil {
-		t.Fatalf("traced campaign: %v", err)
-	}
-	for seed := 0; seed < 2; seed++ {
-		path := filepath.Join(dir, fmt.Sprintf("boot-seed%d.trace.json", seed))
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("trace file: %v", err)
-		}
-		var events []map[string]any
-		if err := json.Unmarshal(b, &events); err != nil {
-			t.Fatalf("%s: not a JSON array: %v", path, err)
-		}
-		if len(events) == 0 {
-			t.Fatalf("%s: no events", path)
 		}
 	}
 }

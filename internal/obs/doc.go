@@ -15,9 +15,9 @@
 // Because every traced component is deterministic in its seed, a trace is
 // itself deterministic: the same (scenario, seed, params) produces a
 // byte-identical trace file at any worker count and with pooled or fresh
-// labs. Two sinks are provided — newline-delimited JSON (NewJSONL) and
-// the Chrome trace_event array format (NewChrome) viewable in Perfetto or
-// chrome://tracing.
+// labs. The sink, NewChrome, writes the Chrome trace_event array format
+// viewable in Perfetto or chrome://tracing; MergeChrome joins per-seed
+// arrays into one document.
 //
 // # Metrics
 //

@@ -26,49 +26,6 @@ func TestNopTracerAllocFree(t *testing.T) {
 	}
 }
 
-// TestJSONLSink: every line is a standalone JSON object with the virtual
-// timestamp, and the byte output is deterministic across writers.
-func TestJSONLSink(t *testing.T) {
-	emit := func() []byte {
-		var buf bytes.Buffer
-		tr := NewJSONL(&buf)
-		tr.Event(t0, "net", "send", `udp "quoted"`)
-		tr.Span(t0.Add(time.Millisecond), t0.Add(3*time.Millisecond), "attack", "probe-ipids", "")
-		if err := tr.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	out := emit()
-	if !bytes.Equal(out, emit()) {
-		t.Error("two identical emission sequences produced different bytes")
-	}
-	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2:\n%s", len(lines), out)
-	}
-	var ev struct {
-		TsNs   int64  `json:"ts_ns"`
-		Ph     string `json:"ph"`
-		Cat    string `json:"cat"`
-		Name   string `json:"name"`
-		Detail string `json:"detail"`
-		DurNs  int64  `json:"dur_ns"`
-	}
-	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
-		t.Fatalf("line 0 is not JSON: %v\n%s", err, lines[0])
-	}
-	if ev.TsNs != t0.UnixNano() || ev.Ph != "i" || ev.Name != "send" || ev.Detail != `udp "quoted"` {
-		t.Errorf("event line mismatch: %+v", ev)
-	}
-	if err := json.Unmarshal([]byte(lines[1]), &ev); err != nil {
-		t.Fatalf("line 1 is not JSON: %v\n%s", err, lines[1])
-	}
-	if ev.Ph != "X" || ev.DurNs != int64(2*time.Millisecond) {
-		t.Errorf("span line mismatch: %+v", ev)
-	}
-}
-
 // chromeEvent mirrors the trace_event fields the sink emits.
 type chromeEvent struct {
 	Name string  `json:"name"`
@@ -84,19 +41,30 @@ type chromeEvent struct {
 }
 
 // TestChromeSink: the output is one valid JSON array of trace_event
-// objects with microsecond timestamps relative to the first event.
+// objects with microsecond timestamps relative to the first event,
+// details are escaped (quotes, backslashes, control characters) and
+// round-trip through a JSON decoder, and two identical emission
+// sequences produce identical bytes.
 func TestChromeSink(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewChrome(&buf, 7)
-	tr.Event(t0, "clock", "fire", "")
-	tr.Event(t0.Add(1500*time.Nanosecond), "net", "deliver", "pkt")
-	tr.Span(t0, t0.Add(2*time.Microsecond), "attack", "template", "")
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
+	const detail = "udp \"quoted\" \\ tab\t\x01"
+	emit := func() []byte {
+		var buf bytes.Buffer
+		tr := NewChrome(&buf, 7)
+		tr.Event(t0, "clock", "fire", "")
+		tr.Event(t0.Add(1500*time.Nanosecond), "net", "deliver", detail)
+		tr.Span(t0, t0.Add(2*time.Microsecond), "attack", "template", "")
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	out := emit()
+	if !bytes.Equal(out, emit()) {
+		t.Error("two identical emission sequences produced different bytes")
 	}
 	var evs []chromeEvent
-	if err := json.Unmarshal(buf.Bytes(), &evs); err != nil {
-		t.Fatalf("not a JSON array: %v\n%s", err, buf.Bytes())
+	if err := json.Unmarshal(out, &evs); err != nil {
+		t.Fatalf("not a JSON array: %v\n%s", err, out)
 	}
 	if len(evs) != 3 {
 		t.Fatalf("got %d events, want 3", len(evs))
@@ -104,8 +72,8 @@ func TestChromeSink(t *testing.T) {
 	if evs[0].Ts != 0 || evs[0].Ph != "i" || evs[0].Pid != 7 {
 		t.Errorf("event 0 = %+v, want ts=0 ph=i pid=7", evs[0])
 	}
-	if evs[1].Ts != 1.5 || evs[1].Args.Detail != "pkt" {
-		t.Errorf("event 1 = %+v, want ts=1.5 detail=pkt", evs[1])
+	if evs[1].Ts != 1.5 || evs[1].Args.Detail != detail {
+		t.Errorf("event 1 = %+v, want ts=1.5 detail=%q", evs[1], detail)
 	}
 	if evs[2].Ph != "X" || evs[2].Dur != 2 {
 		t.Errorf("event 2 = %+v, want ph=X dur=2", evs[2])

@@ -8,19 +8,16 @@ import (
 	"time"
 )
 
-// TraceWriter is a Tracer that serialises events to an io.Writer in one
-// of two deterministic formats: newline-delimited JSON (NewJSONL) or the
+// TraceWriter is a Tracer that serialises events to an io.Writer as a
 // Chrome trace_event JSON array (NewChrome). All formatting is
 // hand-rolled integer/string work — no maps, no reflection — so the same
 // event sequence always produces the same bytes.
 //
-// Close flushes buffered output (and terminates the Chrome array) and
-// reports the first write error encountered; a TraceWriter must be
-// Closed to produce a valid Chrome trace.
+// Close terminates the array and reports the first write error
+// encountered; a TraceWriter must be Closed to produce a valid trace.
 type TraceWriter struct {
 	mu      sync.Mutex
 	w       io.Writer
-	chrome  bool
 	pid     int64
 	events  int
 	base    time.Time // first emission's virtual time; Chrome ts are relative to it
@@ -30,15 +27,6 @@ type TraceWriter struct {
 	closed  bool
 }
 
-// NewJSONL returns a TraceWriter emitting one JSON object per line:
-//
-//	{"ts_ns":<virtual UnixNano>,"ph":"i"|"X","cat":...,"name":...[,"dur_ns":...][,"detail":...]}
-//
-// ph "i" is an instant event, "X" a completed span with its duration.
-func NewJSONL(w io.Writer) *TraceWriter {
-	return &TraceWriter{w: w, scratch: make([]byte, 0, 256)}
-}
-
 // NewChrome returns a TraceWriter emitting the Chrome trace_event array
 // format understood by Perfetto and chrome://tracing. pid labels every
 // event's process id (the serve path uses the run's seed so a combined
@@ -46,7 +34,7 @@ func NewJSONL(w io.Writer) *TraceWriter {
 // (with nanosecond fractions) relative to the writer's first event, which
 // keeps them inside double precision for viewers.
 func NewChrome(w io.Writer, pid int64) *TraceWriter {
-	return &TraceWriter{w: w, chrome: true, pid: pid, scratch: make([]byte, 0, 256)}
+	return &TraceWriter{w: w, pid: pid, scratch: make([]byte, 0, 256)}
 }
 
 // Enabled always reports true: a constructed TraceWriter records.
@@ -72,53 +60,33 @@ func (t *TraceWriter) emit(from, to time.Time, cat, name, detail string, span bo
 		t.base, t.haveT0 = from, true
 	}
 	b := t.scratch[:0]
-	if t.chrome {
-		if t.events == 0 {
-			b = append(b, "[\n"...)
-		} else {
-			b = append(b, ",\n"...)
-		}
-		b = append(b, `{"name":`...)
-		b = appendJSONString(b, name)
-		b = append(b, `,"cat":`...)
-		b = appendJSONString(b, cat)
-		if span {
-			b = append(b, `,"ph":"X","ts":`...)
-			b = appendMicros(b, from.Sub(t.base))
-			b = append(b, `,"dur":`...)
-			b = appendMicros(b, to.Sub(from))
-		} else {
-			b = append(b, `,"ph":"i","s":"t","ts":`...)
-			b = appendMicros(b, from.Sub(t.base))
-		}
-		b = append(b, `,"pid":`...)
-		b = strconv.AppendInt(b, t.pid, 10)
-		b = append(b, `,"tid":0`...)
-		if detail != "" {
-			b = append(b, `,"args":{"detail":`...)
-			b = appendJSONString(b, detail)
-			b = append(b, '}')
-		}
-		b = append(b, '}')
+	if t.events == 0 {
+		b = append(b, "[\n"...)
 	} else {
-		b = append(b, `{"ts_ns":`...)
-		b = strconv.AppendInt(b, from.UnixNano(), 10)
-		if span {
-			b = append(b, `,"ph":"X","dur_ns":`...)
-			b = strconv.AppendInt(b, int64(to.Sub(from)), 10)
-		} else {
-			b = append(b, `,"ph":"i"`...)
-		}
-		b = append(b, `,"cat":`...)
-		b = appendJSONString(b, cat)
-		b = append(b, `,"name":`...)
-		b = appendJSONString(b, name)
-		if detail != "" {
-			b = append(b, `,"detail":`...)
-			b = appendJSONString(b, detail)
-		}
-		b = append(b, "}\n"...)
+		b = append(b, ",\n"...)
 	}
+	b = append(b, `{"name":`...)
+	b = appendJSONString(b, name)
+	b = append(b, `,"cat":`...)
+	b = appendJSONString(b, cat)
+	if span {
+		b = append(b, `,"ph":"X","ts":`...)
+		b = appendMicros(b, from.Sub(t.base))
+		b = append(b, `,"dur":`...)
+		b = appendMicros(b, to.Sub(from))
+	} else {
+		b = append(b, `,"ph":"i","s":"t","ts":`...)
+		b = appendMicros(b, from.Sub(t.base))
+	}
+	b = append(b, `,"pid":`...)
+	b = strconv.AppendInt(b, t.pid, 10)
+	b = append(b, `,"tid":0`...)
+	if detail != "" {
+		b = append(b, `,"args":{"detail":`...)
+		b = appendJSONString(b, detail)
+		b = append(b, '}')
+	}
+	b = append(b, '}')
 	t.scratch = b[:0]
 	t.events++
 	if _, err := t.w.Write(b); err != nil {
@@ -126,9 +94,9 @@ func (t *TraceWriter) emit(from, to time.Time, cat, name, detail string, span bo
 	}
 }
 
-// Close terminates the output (writing the closing bracket of a Chrome
-// trace, or "[]" if no events were recorded) and returns the first write
-// error. Close is idempotent.
+// Close terminates the output (writing the array's closing bracket, or
+// "[]" if no events were recorded) and returns the first write error.
+// Close is idempotent.
 func (t *TraceWriter) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -136,7 +104,7 @@ func (t *TraceWriter) Close() error {
 		return t.err
 	}
 	t.closed = true
-	if t.chrome && t.err == nil {
+	if t.err == nil {
 		var tail []byte
 		if t.events == 0 {
 			tail = []byte("[]\n")

@@ -23,6 +23,6 @@
 // <dir>/<key>.jsonl Engine checkpoint `experiments serve -state` keeps:
 // a rerun over the directory executes only the seeds no earlier run
 // completed, and a probe's file warm-starts the matching serve job. The
-// campaign checkpoint's revision gate applies unchanged (Options.Force
-// overrides it).
+// campaign checkpoint's revision gate applies unchanged: a file from
+// another build is set aside and its probe reruns, unless Options.Force.
 package search

@@ -53,7 +53,8 @@ type Options struct {
 	// finished. The directory is created if missing.
 	StateDir string
 	// Force resumes checkpoints in StateDir written by a different VCS
-	// revision (refused by default — their seeds may not reproduce).
+	// revision. By default such a checkpoint is set aside at
+	// <path>.stale and its probe reruns: its seeds may not reproduce.
 	Force bool
 	// Progress, if set, is called after each probe with the probe and
 	// the running done count; total is the remaining worst-case probe
@@ -154,7 +155,7 @@ func runProbe(ctx context.Context, opt Options, swept map[string]string, seeds i
 			return Probe{}, fmt.Errorf("search: state dir: %w", err)
 		}
 		path := campaign.CheckpointPath(opt.StateDir, key)
-		opts = append(opts, campaign.WithCheckpoint(path), campaign.WithResume(path))
+		opts = append(opts, campaign.WithCheckpoint(path))
 		if opt.Force {
 			opts = append(opts, campaign.WithResumeForce())
 		}

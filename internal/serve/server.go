@@ -218,7 +218,7 @@ func (s *Server) runJob(j *job) {
 	)
 	if s.cfg.StateDir != "" {
 		path := campaign.CheckpointPath(s.cfg.StateDir, j.key)
-		opts = append(opts, campaign.WithCheckpoint(path), campaign.WithResume(path))
+		opts = append(opts, campaign.WithCheckpoint(path))
 	}
 	if j.spec.Trace {
 		// Traced jobs record one in-memory Chrome trace per executed seed
