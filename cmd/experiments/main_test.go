@@ -98,9 +98,6 @@ func TestRunRateLimitMatchesScenario(t *testing.T) {
 		fast bool
 	}{{1, true}, {2, true}, {3, true}, {1, false}}
 	for _, tc := range cases {
-		if !tc.fast && testing.Short() {
-			continue // full 2432-server scan
-		}
 		var out bytes.Buffer
 		if err := run(&out, tc.seed, tc.fast, "ratelimit"); err != nil {
 			t.Fatal(err)

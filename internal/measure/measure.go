@@ -8,12 +8,15 @@
 //	§VIII-B the ad-network client study (Table V), the shared-resolver
 //	        discovery (§VIII-B3) and the timing side channel (Figure 7).
 //
-// Protocol-level scans (rate limiting, fragmentation) run against live
-// simulated servers — the same code paths as the attacks. Internet-scale
-// population studies (hundreds of thousands of resolvers/clients) run
-// against the behavioural specs from internal/population; the underlying
-// protocol behaviour of those specs is exercised by the live tests in
-// internal/dnsres and internal/simnet.
+// The rate-limiting scan runs against live simulated NTP servers — the
+// same ntpserv rate limiter and KoD the attacks flood — one server per
+// behaviour class, since servers of one class are interchangeable on the
+// scan's fixed path (see RateLimitScan). The fragmentation scan and the
+// Internet-scale population studies (hundreds of thousands of
+// resolvers/clients) evaluate the behavioural specs from
+// internal/population; the protocol behaviour behind those specs is
+// exercised by the live tests in internal/dnsauth, internal/dnsres and
+// internal/simnet, and by the attacks.
 package measure
 
 import (
@@ -70,29 +73,87 @@ func DefaultScanConfig() ScanConfig {
 	return ScanConfig{Queries: 64, Interval: time.Second, HalfGap: 8}
 }
 
-// RateLimitScan builds the given pool-server population as live NTP servers
-// and scans every one with the paper's methodology: 64 queries at 1/s;
-// count answers in each half; a server is rate-limiting when the first half
-// answered more than HalfGap more queries than the second; any RATE KoD
-// marks a KoD sender. The scan's path is a fixed, lossless 5 ms link, so
-// the result depends on specs and cfg alone.
+// RateLimitScan scans a pool-server population with the paper's
+// methodology: 64 queries at 1/s; count answers in each half; a server is
+// rate-limiting when the first half answered more than HalfGap more
+// queries than the second; any RATE KoD marks a KoD sender.
+//
+// A server's outcome depends on its behaviour flags alone: servers share
+// no state, and the scan's path (scanPath) is a fixed, lossless link that
+// draws no randomness. So RateLimitScan groups the specs into classes —
+// the spec with Addr zeroed — scans the first server of each class as a
+// live NTP server (scanServers: the real ntpserv rate limiter and KoD on a
+// simnet host) and counts that outcome once per class member. A
+// GeneratePool population has at most six classes, however many servers
+// it holds.
 func RateLimitScan(specs []population.PoolServerSpec, cfg ScanConfig) (RateLimitResult, error) {
-	clk := simclock.New(time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC))
-	net := simnet.New(clk, simnet.WithPathModel(&netem.Path{Delay: netem.Fixed(5 * time.Millisecond)}))
+	class := make(map[population.PoolServerSpec]int)
+	var reps []population.PoolServerSpec
+	var sizes []int
+	for _, spec := range specs {
+		key := spec
+		key.Addr = ipv4.Addr{}
+		i, ok := class[key]
+		if !ok {
+			i = len(reps)
+			class[key] = i
+			reps = append(reps, spec)
+			sizes = append(sizes, 0)
+		}
+		sizes[i]++
+	}
+	outcomes, err := scanServers(reps, cfg)
+	if err != nil {
+		return RateLimitResult{}, err
+	}
+	res := RateLimitResult{Servers: len(specs)}
+	for i, o := range outcomes {
+		if o.kod {
+			res.KoDSenders += sizes[i]
+		}
+		if o.limited {
+			res.RateLimited += sizes[i]
+		}
+	}
+	return res, nil
+}
+
+// scanOutcome is one server's §VII-A verdict.
+type scanOutcome struct {
+	kod     bool // sent a RATE KoD
+	limited bool // first-half answers exceeded second-half ones by more than HalfGap
+}
+
+// scanPath is the §VII-A scan's network path: a fixed, lossless,
+// in-order 5 ms link that draws no randomness. Every server sees the same
+// path whatever its address or how many share the scan, which is what
+// makes RateLimitScan's one-server-per-class fold exact.
+func scanPath() *netem.Path {
+	return &netem.Path{Delay: netem.Fixed(5 * time.Millisecond)}
+}
+
+// scanServers builds each spec as a live NTP server on one simulated
+// network and probes them all on the §VII-A schedule, returning each
+// server's outcome in spec order. The scanner takes one ephemeral port per
+// server, so the specs need distinct addresses and number at most 16 384.
+func scanServers(specs []population.PoolServerSpec, cfg ScanConfig) ([]scanOutcome, error) {
+	start := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
+	clk := simclock.New(start)
+	net := simnet.New(clk, simnet.WithPathModel(scanPath()))
 	scanner := net.MustAddHost(ipv4.MustParseAddr("203.0.113.1"), simnet.HostConfig{})
 
 	type state struct {
 		firstHalf, secondHalf int
 		kod                   bool
 	}
-	states := make([]*state, len(specs))
+	states := make([]state, len(specs))
 	ports := make([]uint16, len(specs))
 	var wire []byte // shared encode scratch; SendUDP copies before returning
 
 	for i, spec := range specs {
 		host, err := net.AddHost(spec.Addr, simnet.HostConfig{})
 		if err != nil {
-			return RateLimitResult{}, fmt.Errorf("measure: pool host: %w", err)
+			return nil, fmt.Errorf("measure: pool host: %w", err)
 		}
 		scfg := ntpserv.Config{
 			RateLimit: ntpserv.RateLimitConfig{
@@ -106,11 +167,10 @@ func RateLimitScan(specs []population.PoolServerSpec, cfg ScanConfig) (RateLimit
 			UpstreamNames:   []string{"pool.ntp.org"},
 		}
 		if _, err := ntpserv.New(host, scfg); err != nil {
-			return RateLimitResult{}, fmt.Errorf("measure: pool server: %w", err)
+			return nil, fmt.Errorf("measure: pool server: %w", err)
 		}
 
-		st := &state{}
-		states[i] = st
+		st := &states[i]
 		port := scanner.AllocPort()
 		ports[i] = port
 		srvAddr := spec.Addr
@@ -129,14 +189,13 @@ func RateLimitScan(specs []population.PoolServerSpec, cfg ScanConfig) (RateLimit
 			}
 			// Which half was the answered query in? Infer from current
 			// scan time.
-			elapsed := clk.Now().Sub(time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC))
-			if int(elapsed/cfg.Interval) < half {
+			if int(clk.Now().Sub(start)/cfg.Interval) < half {
 				st.firstHalf++
 			} else {
 				st.secondHalf++
 			}
 		}); err != nil {
-			return RateLimitResult{}, err
+			return nil, err
 		}
 	}
 
@@ -165,16 +224,11 @@ func RateLimitScan(specs []population.PoolServerSpec, cfg ScanConfig) (RateLimit
 
 	clk.RunFor(time.Duration(cfg.Queries)*cfg.Interval + 10*time.Second)
 
-	res := RateLimitResult{Servers: len(specs)}
-	for _, st := range states {
-		if st.kod {
-			res.KoDSenders++
-		}
-		if st.firstHalf-st.secondHalf > cfg.HalfGap {
-			res.RateLimited++
-		}
+	out := make([]scanOutcome, len(states))
+	for i, st := range states {
+		out[i] = scanOutcome{kod: st.kod, limited: st.firstHalf-st.secondHalf > cfg.HalfGap}
 	}
-	return res, nil
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -1,14 +1,31 @@
 package measure
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
+	"dnstime/internal/ipv4"
 	"dnstime/internal/population"
 )
+
+// poolTruth counts a pool's rate limiters and KoD senders from its specs:
+// the §VII-A scan must re-derive both.
+func poolTruth(specs []population.PoolServerSpec) (rateLimiters, kodSenders int) {
+	for _, s := range specs {
+		if s.RateLimits {
+			rateLimiters++
+		}
+		if s.SendsKoD {
+			kodSenders++
+		}
+	}
+	return rateLimiters, kodSenders
+}
 
 func TestRateLimitScanSmallPopulation(t *testing.T) {
 	cfg := population.DefaultPoolConfig()
@@ -21,16 +38,7 @@ func TestRateLimitScanSmallPopulation(t *testing.T) {
 	if res.Servers != 120 {
 		t.Fatalf("servers = %d", res.Servers)
 	}
-	// Ground truth for this seed.
-	var wantRate, wantKoD int
-	for _, s := range specs {
-		if s.RateLimits {
-			wantRate++
-		}
-		if s.SendsKoD {
-			wantKoD++
-		}
-	}
+	wantRate, wantKoD := poolTruth(specs)
 	if res.RateLimited != wantRate {
 		t.Errorf("detected %d rate limiters, ground truth %d", res.RateLimited, wantRate)
 	}
@@ -39,10 +47,131 @@ func TestRateLimitScanSmallPopulation(t *testing.T) {
 	}
 }
 
-func TestRateLimitScanPaperFractions(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full 2432-server scan")
+// TestRateLimitScanLargePool: the scan has no population ceiling. With
+// one scanner port per server it refused any pool over 16 384 servers
+// (the ephemeral range wraps), and GeneratePool's addresses repeated past
+// 65 536.
+func TestRateLimitScanLargePool(t *testing.T) {
+	for _, n := range []int{20000, 70000} {
+		cfg := population.DefaultPoolConfig()
+		cfg.Servers = n
+		specs := population.GeneratePool(cfg, 5)
+		res, err := RateLimitScan(specs, DefaultScanConfig())
+		if err != nil {
+			t.Fatalf("%d servers: %v", n, err)
+		}
+		wantRate, wantKoD := poolTruth(specs)
+		if got, want := res, (RateLimitResult{Servers: n, KoDSenders: wantKoD, RateLimited: wantRate}); got != want {
+			t.Errorf("%d servers: scan %+v, ground truth %+v", n, got, want)
+		}
 	}
+}
+
+// TestRateLimitScanMatchesPerServerScan is the oracle for RateLimitScan's
+// class fold: scanning one server per class and counting it once per
+// member gives exactly what scanning every server gives, and every server
+// scans like the first of its class. The cases cover the paper-size and
+// -fast pools at seeds 1–6 and edges of the grouping and of the halves
+// test.
+func TestRateLimitScanMatchesPerServerScan(t *testing.T) {
+	full := population.DefaultPoolConfig()
+	fast := full
+	fast.Servers = 300
+	empty := full
+	empty.Servers = 0
+	oneClass := fast
+	oneClass.PRateLimit, oneClass.PKoD, oneClass.POpenConfig = 1, 1, 0
+	paper := DefaultScanConfig()
+	type tc struct {
+		name    string
+		pool    population.PoolConfig
+		seed    int64
+		scan    ScanConfig
+		classes int // 0: not checked
+	}
+	var cases []tc
+	for seed := int64(1); seed <= 6; seed++ {
+		cases = append(cases,
+			tc{name: fmt.Sprintf("full seed %d", seed), pool: full, seed: seed, scan: paper},
+			tc{name: fmt.Sprintf("fast seed %d", seed), pool: fast, seed: seed, scan: paper})
+	}
+	cases = append(cases,
+		tc{name: "empty", pool: empty, seed: 1, scan: paper},
+		tc{name: "single class", pool: oneClass, seed: 1, scan: paper, classes: 1},
+		tc{name: "no queries", pool: fast, seed: 2, scan: ScanConfig{Queries: 0, Interval: time.Second, HalfGap: 8}},
+		tc{name: "odd queries", pool: fast, seed: 3, scan: ScanConfig{Queries: 63, Interval: time.Second, HalfGap: 8}},
+		tc{name: "negative gap", pool: fast, seed: 4, scan: ScanConfig{Queries: 64, Interval: time.Second, HalfGap: -1}},
+	)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if c.pool.Servers > fast.Servers && testing.Short() {
+				t.Skip("per-server scan of a full-size pool") // ≈2 s under -race
+			}
+			specs := population.GeneratePool(c.pool, c.seed)
+			got, err := RateLimitScan(specs, c.scan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			each, err := scanServers(specs, c.scan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := RateLimitResult{Servers: len(specs)}
+			first := make(map[population.PoolServerSpec]scanOutcome)
+			for i, o := range each {
+				if o.kod {
+					want.KoDSenders++
+				}
+				if o.limited {
+					want.RateLimited++
+				}
+				key := specs[i]
+				key.Addr = ipv4.Addr{}
+				if f, ok := first[key]; !ok {
+					first[key] = o
+				} else if o != f {
+					t.Errorf("server %d (%+v) scans %+v, the first of its class %+v", i, specs[i], o, f)
+				}
+			}
+			if got != want {
+				t.Errorf("RateLimitScan = %+v, per-server scan = %+v", got, want)
+			}
+			if c.classes > 0 && len(first) != c.classes {
+				t.Errorf("%d classes, want %d", len(first), c.classes)
+			}
+			if c.scan.HalfGap < 0 && got.RateLimited != got.Servers {
+				t.Errorf("negative HalfGap: %d of %d servers limited, want all", got.RateLimited, got.Servers)
+			}
+		})
+	}
+}
+
+// TestScanPathFixed: the class fold is exact only while every server sees
+// the same path. The scan's path must never drop, always delay exactly
+// 5 ms and draw nothing from the network RNG, so adding jitter, loss or
+// reordering to it fails here.
+func TestScanPathFixed(t *testing.T) {
+	path := scanPath()
+	rng := rand.New(rand.NewSource(7))
+	scanner, server := ipv4.MustParseAddr("203.0.113.1"), ipv4.MustParseAddr("10.1.0.1")
+	for i := range 10000 {
+		src, dst := scanner, server
+		if i%2 == 1 {
+			src, dst = dst, src
+		}
+		if d := path.Latency(src, dst, rng); d != 5*time.Millisecond {
+			t.Fatalf("packet %d: latency %v, want 5ms", i, d)
+		}
+		if path.Drop(src, dst, rng) {
+			t.Fatalf("packet %d dropped", i)
+		}
+	}
+	if got, want := rng.Int63(), rand.New(rand.NewSource(7)).Int63(); got != want {
+		t.Error("the scan path draws randomness")
+	}
+}
+
+func TestRateLimitScanPaperFractions(t *testing.T) {
 	specs := population.GeneratePool(population.DefaultPoolConfig(), 42)
 	res, err := RateLimitScan(specs, DefaultScanConfig())
 	if err != nil {

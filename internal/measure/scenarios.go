@@ -98,8 +98,8 @@ func init() {
 	})
 }
 
-// rateLimitScenario runs the §VII-A live scan (2432 servers; 300 in fast
-// mode, matching `experiments -fast`).
+// rateLimitScenario runs the §VII-A scan over a 2432-server pool (300 in
+// fast mode, matching `experiments -fast`).
 func rateLimitScenario(_ context.Context, seed int64, cfg scenario.Config) (scenario.Result, error) {
 	pool := population.DefaultPoolConfig()
 	if cfg.Fast {

@@ -54,7 +54,9 @@ func DefaultPoolConfig() PoolConfig {
 	return PoolConfig{Servers: 2432, PRateLimit: 0.38, PKoD: 0.33, POpenConfig: 0.053}
 }
 
-// GeneratePool draws a pool-server population.
+// GeneratePool draws a pool-server population. Server i sits at
+// 10.(1+i>>16).(i>>8).i, so the first 2^24 servers have distinct
+// addresses and the first 65 536 sit in 10.1.0.0/16.
 func GeneratePool(cfg PoolConfig, seed int64) []PoolServerSpec {
 	rng := rand.New(rand.NewSource(seed))
 	if cfg.PKoD > cfg.PRateLimit {
@@ -62,7 +64,7 @@ func GeneratePool(cfg PoolConfig, seed int64) []PoolServerSpec {
 	}
 	out := make([]PoolServerSpec, cfg.Servers)
 	for i := range out {
-		s := PoolServerSpec{Addr: ipv4.Addr{10, 1, byte(i >> 8), byte(i)}}
+		s := PoolServerSpec{Addr: ipv4.Addr{10, byte(1 + i>>16), byte(i >> 8), byte(i)}}
 		r := rng.Float64()
 		if r < cfg.PRateLimit {
 			s.RateLimits = true

@@ -4,6 +4,8 @@ import (
 	"math"
 	"slices"
 	"testing"
+
+	"dnstime/internal/ipv4"
 )
 
 func frac(n, d int) float64 { return float64(n) / float64(d) }
@@ -56,6 +58,29 @@ func TestGeneratePoolDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds produced identical populations")
+	}
+}
+
+// TestGeneratePoolAddresses: every server of a 70 000-server pool has its
+// own address (they used to repeat past 65 536), and the first 65 536 keep
+// the 10.1.(i>>8).i addresses every default-size pool has always had.
+func TestGeneratePoolAddresses(t *testing.T) {
+	cfg := DefaultPoolConfig()
+	cfg.Servers = 70000
+	pop := GeneratePool(cfg, 1)
+	seen := make(map[ipv4.Addr]int, len(pop))
+	for i, s := range pop {
+		if j, dup := seen[s.Addr]; dup {
+			t.Fatalf("servers %d and %d share address %v", j, i, s.Addr)
+		}
+		seen[s.Addr] = i
+		if want := (ipv4.Addr{10, 1, byte(i >> 8), byte(i)}); i < 65536 && s.Addr != want {
+			t.Fatalf("server %d at %v, want %v", i, s.Addr, want)
+		}
+	}
+	def := GeneratePool(DefaultPoolConfig(), 1)
+	if !slices.Equal(def, pop[:len(def)]) {
+		t.Error("a larger pool does not start with the default-size pool")
 	}
 }
 
