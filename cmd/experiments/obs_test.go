@@ -51,6 +51,51 @@ func TestRunBenchProfiles(t *testing.T) {
 	}
 }
 
+// TestRunCampaignsTraceRateLimit: a traced ratelimit seed records the
+// §VII-A scan's clock fires and packets (its trace used to be an empty
+// array: the scan built its own clock and network without the tracer),
+// the trace is byte-identical across runs, and tracing leaves the
+// aggregate's bytes as they are without it.
+func TestRunCampaignsTraceRateLimit(t *testing.T) {
+	args := []string{"-only", "ratelimit", "-seeds", "1", "-fast", "-json", "-q"}
+	var plain strings.Builder
+	if err := runCampaigns(context.Background(), args, &plain); err != nil {
+		t.Fatal(err)
+	}
+	var traces []string
+	for run := 0; run < 2; run++ {
+		dir := filepath.Join(t.TempDir(), "traces")
+		var out strings.Builder
+		if err := runCampaigns(context.Background(), append(args, "-trace", dir), &out); err != nil {
+			t.Fatalf("runCampaigns -only ratelimit -trace: %v", err)
+		}
+		if out.String() != plain.String() {
+			t.Errorf("traced aggregate differs from the untraced one:\n%s\nvs\n%s", out.String(), plain.String())
+		}
+		b, err := os.ReadFile(filepath.Join(dir, "ratelimit-seed1.trace.json"))
+		if err != nil {
+			t.Fatalf("trace file: %v", err)
+		}
+		var events []struct{ Cat, Name string }
+		if err := json.Unmarshal(b, &events); err != nil {
+			t.Fatalf("trace does not parse as a trace array: %v", err)
+		}
+		seen := map[string]bool{}
+		for _, e := range events {
+			seen[e.Cat+"/"+e.Name] = true
+		}
+		for _, want := range []string{"clock/fire", "net/send", "net/deliver"} {
+			if !seen[want] {
+				t.Errorf("ratelimit trace has no %s event (%d events)", want, len(events))
+			}
+		}
+		traces = append(traces, string(b))
+	}
+	if traces[0] != traces[1] {
+		t.Error("ratelimit traces of two identical runs differ")
+	}
+}
+
 // TestRunCampaignsTrace exercises the -trace flag end to end: one valid
 // Chrome trace file appears per seed, carrying network, clock and run
 // events — for boot, and for racemargin and netsweep, which build their

@@ -80,14 +80,14 @@ func TestDocsRelativeLinks(t *testing.T) {
 
 // TestGodocCoverage: internal/scenario, internal/campaign,
 // internal/stats, internal/netem (including the topology layer),
-// internal/simnet, internal/ntpclient, internal/core, internal/serve,
-// internal/obs and internal/search must carry a package comment and a
-// doc comment on every
+// internal/simnet, internal/simrand, internal/ntpclient, internal/core,
+// internal/serve, internal/obs and internal/search must carry a package
+// comment and a doc comment on every
 // exported symbol (types, funcs, methods, and const/var groups).
 func TestGodocCoverage(t *testing.T) {
 	for _, dir := range []string{
 		"internal/scenario", "internal/campaign", "internal/stats",
-		"internal/netem", "internal/simnet", "internal/ntpclient",
+		"internal/netem", "internal/simnet", "internal/simrand", "internal/ntpclient",
 		"internal/core", "internal/serve", "internal/obs", "internal/search",
 	} {
 		fset := token.NewFileSet()

@@ -32,6 +32,7 @@ import (
 	"dnstime/internal/obs"
 	"dnstime/internal/simclock"
 	"dnstime/internal/simnet"
+	"dnstime/internal/simrand"
 	"dnstime/internal/udp"
 )
 
@@ -77,7 +78,7 @@ func New(host *simnet.Host, seed int64) *Attacker {
 		host:  host,
 		net:   host.Network(),
 		clock: host.Clock(),
-		rng:   rand.New(rand.NewSource(seed)),
+		rng:   rand.New(simrand.New(seed)),
 		tr:    obs.Nop,
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"dnstime/internal/ntpwire"
 	"dnstime/internal/simclock"
 	"dnstime/internal/simnet"
+	"dnstime/internal/simrand"
 )
 
 // Config parameterises a Chronos client. Defaults follow the Internet
@@ -159,7 +160,7 @@ func New(host *simnet.Host, cfg Config, resolverAddr ipv4.Addr, initialClockErro
 		cfg:   cfg,
 		local: ntpclient.NewLocalClock(host.Clock(), initialClockError),
 		stub:  dnsres.NewStub(host, resolverAddr, cfg.Seed+7777),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		rng:   rand.New(simrand.New(cfg.Seed)),
 		pool:  make(map[ipv4.Addr]struct{}),
 	}
 }

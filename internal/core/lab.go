@@ -148,7 +148,7 @@ func (c *LabConfig) netOptions() ([]simnet.Option, *netem.Compiler, error) {
 	// source — so campaigns replay byte-identically at any worker count.
 	opts := []simnet.Option{simnet.WithSeed(c.Seed + 3)}
 	if c.Tracer != nil && c.Tracer.Enabled() {
-		opts = append(opts, simnet.WithTrace(traceNet(c.Tracer)))
+		opts = append(opts, simnet.WithTrace(simnet.TraceTo(c.Tracer)))
 	}
 	var topo *netem.Compiler
 	if c.Topology != nil {
@@ -231,20 +231,6 @@ func (l *Lab) tracer() obs.Tracer {
 	return obs.Nop
 }
 
-// traceNet bridges simnet's packet-trace hook onto the lab Tracer. Traced
-// packets are pooled, so the adapter formats what it needs immediately
-// and retains nothing.
-func traceNet(tr obs.Tracer) func(simnet.TraceEvent) {
-	return func(e simnet.TraceEvent) {
-		p := e.Pkt
-		tr.Event(e.Time, "net", e.Kind.String(),
-			p.Src.String()+">"+p.Dst.String()+
-				" id="+strconv.Itoa(int(p.ID))+
-				" off="+strconv.Itoa(p.FragOff)+
-				" len="+strconv.Itoa(p.TotalLen()))
-	}
-}
-
 // wire attaches (or re-attaches) every lab component onto the clock and
 // network, in the exact order NewLab always has: nameserver, resolver,
 // attacker, honest servers, evil servers, pool. Components that survived a
@@ -256,9 +242,7 @@ func (l *Lab) wire() error {
 	if tr := cfg.Tracer; tr != nil && tr.Enabled() {
 		// The clock hook dies with Clock.Reset, so both the fresh and the
 		// pooled path install it here, before any event can fire.
-		l.Clock.SetFireHook(func(at time.Time, seq uint64) {
-			tr.Event(at, "clock", "fire", "seq="+strconv.FormatUint(seq, 10))
-		})
+		l.Clock.SetFireHook(simclock.TraceTo(tr))
 	}
 	authHost, err := l.labHost(NSAddr, netem.RoleNameserver, simnet.HostConfig{})
 	if err != nil {

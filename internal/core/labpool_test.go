@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 	"time"
 
 	"dnstime/internal/ipv4"
 	"dnstime/internal/ntpclient"
+	"dnstime/internal/obs"
+	"dnstime/internal/scenario"
 )
 
 // runBootJSON runs one boot-time attack and returns the marshalled result,
@@ -104,5 +107,37 @@ func TestLabPoolReuseAcrossConfigs(t *testing.T) {
 	}
 	if got := runBootJSON(t, cfgA); got != wantA {
 		t.Errorf("pooled shrunk-config run differs from fresh:\n%s\nvs\n%s", got, wantA)
+	}
+}
+
+// TestTableISeedReusesLabStreams: the seven labs of one table1 seed seed
+// their resolver, attacker and stub streams with the same values, so
+// with the seed cache they cause no more cache misses (streams produced
+// by math/rand's seeding) than the first lab alone, and rerunning the
+// seed causes none. The seeds are far from every other test's, so
+// nothing of theirs is cached when the test starts.
+func TestTableISeedReusesLabStreams(t *testing.T) {
+	misses := obs.Default.Counter("dnstime_rng_seed_cache_misses_total", "")
+	const firstLabSeed, tableSeed = 1 << 40, 1<<40 + 1<<20
+	before := misses.Value()
+	if _, err := RunBootTimeAttack(ntpclient.AllProfiles()[0].Profile, LabConfig{Seed: firstLabSeed}); err != nil {
+		t.Fatal(err)
+	}
+	firstLab := misses.Value() - before
+	if firstLab == 0 {
+		t.Fatal("a lab at an unseen seed caused no seed-cache miss")
+	}
+	for run := 0; run < 2; run++ {
+		before = misses.Value()
+		if _, err := tableIScenario(context.Background(), tableSeed, scenario.Config{}); err != nil {
+			t.Fatal(err)
+		}
+		got := misses.Value() - before
+		switch {
+		case run == 0 && got > firstLab:
+			t.Errorf("table1 seed: %d misses, more than its first lab's %d", got, firstLab)
+		case run == 1 && got != 0:
+			t.Errorf("rerun of the table1 seed: %d misses, want 0", got)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"dnstime/internal/dnswire"
 	"dnstime/internal/ipv4"
 	"dnstime/internal/simnet"
+	"dnstime/internal/simrand"
 )
 
 // Stub is a minimal DNS stub resolver for hosts that query a recursive
@@ -34,7 +35,7 @@ func NewStub(host *simnet.Host, resolver ipv4.Addr, seed int64) *Stub {
 	return &Stub{
 		host:     host,
 		resolver: resolver,
-		rng:      rand.New(rand.NewSource(seed)),
+		rng:      rand.New(simrand.New(seed)),
 		Timeout:  3 * time.Second,
 	}
 }

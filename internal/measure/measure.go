@@ -28,6 +28,7 @@ import (
 	"dnstime/internal/netem"
 	"dnstime/internal/ntpserv"
 	"dnstime/internal/ntpwire"
+	"dnstime/internal/obs"
 	"dnstime/internal/population"
 	"dnstime/internal/simclock"
 	"dnstime/internal/simnet"
@@ -66,6 +67,9 @@ type ScanConfig struct {
 	// HalfGap is the required first-half surplus to call a server
 	// rate-limiting (paper: 8).
 	HalfGap int
+	// Tracer receives the scan's virtual-time events, every clock fire
+	// and every packet event, as a lab's tracer does (nil: none).
+	Tracer obs.Tracer
 }
 
 // DefaultScanConfig returns the paper's parameters.
@@ -139,7 +143,12 @@ func scanPath() *netem.Path {
 func scanServers(specs []population.PoolServerSpec, cfg ScanConfig) ([]scanOutcome, error) {
 	start := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
 	clk := simclock.New(start)
-	net := simnet.New(clk, simnet.WithPathModel(scanPath()))
+	opts := []simnet.Option{simnet.WithPathModel(scanPath())}
+	if tr := cfg.Tracer; tr != nil && tr.Enabled() {
+		clk.SetFireHook(simclock.TraceTo(tr))
+		opts = append(opts, simnet.WithTrace(simnet.TraceTo(tr)))
+	}
+	net := simnet.New(clk, opts...)
 	scanner := net.MustAddHost(ipv4.MustParseAddr("203.0.113.1"), simnet.HostConfig{})
 
 	type state struct {

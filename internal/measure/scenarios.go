@@ -106,7 +106,9 @@ func rateLimitScenario(_ context.Context, seed int64, cfg scenario.Config) (scen
 		pool.Servers = 300
 	}
 	specs := population.GeneratePool(pool, seed+42)
-	res, err := RateLimitScan(specs, DefaultScanConfig())
+	scan := DefaultScanConfig()
+	scan.Tracer = cfg.Tracer
+	res, err := RateLimitScan(specs, scan)
 	if err != nil {
 		return scenario.Result{}, err
 	}

@@ -117,49 +117,3 @@ func lessAddr(a, b ipv4.Addr) bool {
 	}
 	return false
 }
-
-// Pair is one directed src→dst link, the Overrides map key.
-type Pair struct {
-	// Src and Dst identify the directed link.
-	Src, Dst ipv4.Addr
-}
-
-// Overrides wraps a base model with per-directed-pair exceptions: a
-// packet whose (src, dst) appears in Pairs follows that model, everything
-// else follows Base. Model one degraded link inside an otherwise healthy
-// network ("the resolver's uplink is lossy, the rest is a LAN") without
-// touching the other paths.
-type Overrides struct {
-	// Base handles every pair not listed in Pairs (nil: zero-value Path).
-	Base PathModel
-	// Pairs maps directed links to their override models.
-	Pairs map[Pair]PathModel
-}
-
-// model resolves the PathModel owning the src→dst link. A nil Pairs
-// entry and a nil Base both resolve to the documented zero-value Path —
-// explicitly, never by letting a nil model escape — so a zero-valued
-// override keeps the default link's no-randomness-consumed guarantee
-// instead of crashing on delivery.
-func (o *Overrides) model(src, dst ipv4.Addr) PathModel {
-	if m, ok := o.Pairs[Pair{Src: src, Dst: dst}]; ok && m != nil {
-		return m
-	}
-	if o.Base != nil {
-		return o.Base
-	}
-	return &defaultPath
-}
-
-// defaultPath backs Overrides with a nil Base.
-var defaultPath Path
-
-// Latency delegates to the model owning the src→dst link.
-func (o *Overrides) Latency(src, dst ipv4.Addr, rng *rand.Rand) time.Duration {
-	return o.model(src, dst).Latency(src, dst, rng)
-}
-
-// Drop delegates to the model owning the src→dst link.
-func (o *Overrides) Drop(src, dst ipv4.Addr, rng *rand.Rand) bool {
-	return o.model(src, dst).Drop(src, dst, rng)
-}

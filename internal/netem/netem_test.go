@@ -222,30 +222,6 @@ func TestAsymmetricLegSelection(t *testing.T) {
 	}
 }
 
-// TestOverridesPerPair: a listed directed pair follows its override, the
-// reverse direction and other pairs follow the base.
-func TestOverridesPerPair(t *testing.T) {
-	o := &Overrides{
-		Base: &Path{Delay: Fixed(time.Millisecond)},
-		Pairs: map[Pair]PathModel{
-			{Src: srcA, Dst: dstB}: &Path{Delay: Fixed(99 * time.Millisecond), Loss: IID{P: 1}},
-		},
-	}
-	rng := rand.New(rand.NewSource(8))
-	if d := o.Latency(srcA, dstB, rng); d != 99*time.Millisecond {
-		t.Errorf("override latency = %v", d)
-	}
-	if !o.Drop(srcA, dstB, rng) {
-		t.Error("override loss not applied")
-	}
-	if d := o.Latency(dstB, srcA, rng); d != time.Millisecond {
-		t.Errorf("reverse direction latency = %v, want base 1ms", d)
-	}
-	if o.Drop(dstB, srcA, rng) {
-		t.Error("base path dropped")
-	}
-}
-
 // TestProfilesFreshAndDeterministic: every built-in profile builds, two
 // instances share no state, and equal seeds replay equal per-packet
 // decisions — the property campaign workers rely on.

@@ -2,6 +2,7 @@ package netem
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 	"time"
@@ -47,8 +48,8 @@ type RolePair struct {
 // Topology assigns PathModels by role pair: the attacker↔resolver path
 // may be fast while the client↔resolver path is lossy, modelling the
 // attacker racing the legitimate answer from a better network position.
-// It compiles down to the per-directed-link Overrides machinery via
-// Compiler as hosts join a lab (see DESIGN.md §9).
+// A Compiler turns it into per-directed-link models as hosts join a lab
+// (see DESIGN.md §9).
 //
 // Each registered link holds a *factory*, not an instance: the compiler
 // builds a fresh model per directed address pair, so stateful models
@@ -107,71 +108,93 @@ func (t *Topology) linkBuild(src, dst Role) func() PathModel {
 	return nil
 }
 
-// Compiler incrementally compiles a Topology into per-directed-link
-// Overrides as hosts join a lab. The lab registers each host's address
-// and role with Add; Model returns the live compiled PathModel (an
-// Overrides that grows with every Add). Compilation consumes no
-// randomness — model factories only construct instances — so wiring a
-// topology never perturbs a seed's RNG stream.
+// Pair is one directed src→dst link between two addresses.
+type Pair struct {
+	// Src and Dst identify the directed link.
+	Src, Dst ipv4.Addr
+}
+
+// Compiler compiles a Topology into per-directed-link models as hosts
+// join a lab. The lab registers each host's address and role with Add;
+// Model returns the live compiled PathModel.
+//
+// A directed link's model is built on the first packet between two
+// Add-ed hosts, not for every host pair at Add, so a lab builds only the
+// links its traffic uses. Deferring is exact: compilation consumes no
+// randomness — factories only construct instances — and no packet
+// crosses a link before its first one. A packet with an end not yet
+// Add-ed follows Default, and that answer is not kept, so a host added
+// mid-run still gets its links.
 type Compiler struct {
 	topo  *Topology
-	ov    *Overrides
-	hosts []compiledHost
+	base  PathModel
+	roles map[ipv4.Addr]Role
+	links map[Pair]PathModel // directed links resolved so far
 }
 
-// compiledHost is one Add-ed (address, role) assignment.
-type compiledHost struct {
-	addr ipv4.Addr
-	role Role
-}
-
-// Compiler returns a fresh compiler for the topology. The compiled
-// model's base is Default (or the zero Path when Default is nil).
+// Compiler returns a fresh compiler for the topology. Links the topology
+// does not list follow Default (or the zero Path when Default is nil).
 func (t *Topology) Compiler() *Compiler {
 	base := t.Default
 	if base == nil {
 		base = &Path{}
 	}
 	return &Compiler{
-		topo: t,
-		ov:   &Overrides{Base: base, Pairs: make(map[Pair]PathModel)},
+		topo:  t,
+		base:  base,
+		roles: make(map[ipv4.Addr]Role),
+		links: make(map[Pair]PathModel),
 	}
 }
 
-// Add assigns role to addr and materialises the directed links between
-// addr and every previously added host whose role pair the topology
-// lists. Re-adding an address is a no-op (the first role wins, matching
+// Add assigns role to addr; its links are built as packets cross them.
+// Re-adding an address is a no-op (the first role wins, matching
 // simnet's duplicate-host rejection).
 func (c *Compiler) Add(addr ipv4.Addr, role Role) {
-	for _, h := range c.hosts {
-		if h.addr == addr {
-			return
-		}
+	if _, ok := c.roles[addr]; !ok {
+		c.roles[addr] = role
 	}
-	for _, h := range c.hosts {
-		if f := c.topo.linkBuild(role, h.role); f != nil {
-			c.ov.Pairs[Pair{Src: addr, Dst: h.addr}] = f()
-		}
-		if f := c.topo.linkBuild(h.role, role); f != nil {
-			c.ov.Pairs[Pair{Src: h.addr, Dst: addr}] = f()
-		}
-	}
-	c.hosts = append(c.hosts, compiledHost{addr: addr, role: role})
 }
 
-// Model returns the compiled PathModel. It is live: links materialised
-// by later Add calls are visible to it, which is how labs that attach
-// clients mid-run keep their topology consistent.
-func (c *Compiler) Model() PathModel { return c.ov }
+// Model returns the compiled PathModel. It is live: hosts added later
+// get their links too, which is how labs that attach clients mid-run
+// keep their topology consistent.
+func (c *Compiler) Model() PathModel { return c }
 
 // Role reports the role addr was Add-ed under ("" when unknown).
-func (c *Compiler) Role(addr ipv4.Addr) Role {
-	for _, h := range c.hosts {
-		if h.addr == addr {
-			return h.role
+func (c *Compiler) Role(addr ipv4.Addr) Role { return c.roles[addr] }
+
+// link resolves the model owning the src→dst link, building it on the
+// first packet between two Add-ed hosts. A factory that returns nil
+// leaves the link on the base model, so no nil model escapes.
+func (c *Compiler) link(src, dst ipv4.Addr) PathModel {
+	pair := Pair{Src: src, Dst: dst}
+	if m, ok := c.links[pair]; ok {
+		return m
+	}
+	srcRole, srcKnown := c.roles[src]
+	dstRole, dstKnown := c.roles[dst]
+	if !srcKnown || !dstKnown {
+		return c.base
+	}
+	m := c.base
+	if f := c.topo.linkBuild(srcRole, dstRole); f != nil {
+		if built := f(); built != nil {
+			m = built
 		}
 	}
-	return ""
+	c.links[pair] = m
+	return m
+}
+
+// Latency delegates to the model owning the src→dst link.
+func (c *Compiler) Latency(src, dst ipv4.Addr, rng *rand.Rand) time.Duration {
+	return c.link(src, dst).Latency(src, dst, rng)
+}
+
+// Drop delegates to the model owning the src→dst link.
+func (c *Compiler) Drop(src, dst ipv4.Addr, rng *rand.Rand) bool {
+	return c.link(src, dst).Drop(src, dst, rng)
 }
 
 // topologySpec is one named topology preset: a short description for the

@@ -88,49 +88,197 @@ func TestTopologyRolePairResolution(t *testing.T) {
 	}
 }
 
-// TestCompilerIncrementalAndFresh: hosts added after Model() was handed
-// out still get their links (the live-compile contract labs use for
-// mid-run clients), every directed link owns a distinct model instance,
-// and re-adding an address is a no-op.
+// idPath is a fixed-latency model whose delay in milliseconds is its
+// construction number, so a packet's latency names the instance that
+// carried it.
+type idPath struct{ id int }
+
+func (p *idPath) Latency(_, _ ipv4.Addr, _ *rand.Rand) time.Duration {
+	return time.Duration(p.id) * time.Millisecond
+}
+
+func (p *idPath) Drop(_, _ ipv4.Addr, _ *rand.Rand) bool { return false }
+
+// TestCompilerIncrementalAndFresh: through the compiled model, each
+// listed directed link owns one fresh instance, built when its first
+// packet crosses it and kept for the packets after; an unlisted pair
+// follows Default; a packet to a host not yet added follows Default
+// without keeping that answer, so the host gets its links once added,
+// even after traffic started; re-adding an address keeps its first role.
 func TestCompilerIncrementalAndFresh(t *testing.T) {
+	built := 0
 	topo := NewTopology()
 	topo.SetPath(RoleAttacker, RoleAny, func() PathModel {
-		return &Path{Delay: Fixed(3 * time.Millisecond), Loss: &GilbertElliott{PGB: 0.1, PBG: 0.5, LossBad: 1}}
+		built++
+		return &idPath{id: 100 + built}
 	})
 	c := topo.Compiler()
 	m := c.Model()
 	c.Add(topoAttacker, RoleAttacker)
 	c.Add(topoResolver, RoleResolver)
-
 	rng := rand.New(rand.NewSource(13))
-	if d := m.Latency(topoAttacker, topoResolver, rng); d != 3*time.Millisecond {
-		t.Fatalf("attacker→resolver latency = %v, want 3ms", d)
+	lat := func(src, dst ipv4.Addr) time.Duration { return m.Latency(src, dst, rng) }
+
+	if built != 0 {
+		t.Fatalf("Add built %d links before any packet", built)
 	}
-	// A client attached after Model() was installed still gets its links.
+	if d := lat(topoAttacker, topoResolver); d != 101*time.Millisecond {
+		t.Fatalf("attacker→resolver latency = %v, want the first instance (101ms)", d)
+	}
+	if d := lat(topoResolver, topoAttacker); d != 102*time.Millisecond {
+		t.Errorf("resolver→attacker latency = %v, want its own instance (102ms)", d)
+	}
+	if d := lat(topoAttacker, topoResolver); d != 101*time.Millisecond || built != 2 {
+		t.Errorf("second attacker→resolver packet: latency %v after %d builds, want 101ms after 2", d, built)
+	}
+	// The client is not added yet: its packets follow Default, and that
+	// answer must not outlive its arrival.
+	if d := lat(topoAttacker, topoClient); d != DefaultLatency || built != 2 {
+		t.Errorf("attacker→unknown client: latency %v after %d builds, want default after 2", d, built)
+	}
 	c.Add(topoClient, RoleClient)
-	if d := m.Latency(topoAttacker, topoClient, rng); d != 3*time.Millisecond {
-		t.Errorf("late-added client link latency = %v, want 3ms", d)
+	if d := lat(topoAttacker, topoClient); d != 103*time.Millisecond {
+		t.Errorf("attacker→client added mid-run: latency %v, want a fresh instance (103ms)", d)
 	}
-	if d := m.Latency(topoClient, topoResolver, rng); d != DefaultLatency {
-		t.Errorf("client→resolver (unlisted) latency = %v, want default", d)
-	}
-	// Distinct directed links own distinct (stateful) model instances.
-	ov := m.(*Overrides)
-	seen := map[PathModel]Pair{}
-	for pair, model := range ov.Pairs {
-		if prev, dup := seen[model]; dup {
-			t.Errorf("links %v and %v share one model instance", prev, pair)
-		}
-		seen[model] = pair
+	if d := lat(topoClient, topoResolver); d != DefaultLatency || built != 3 {
+		t.Errorf("client→resolver (unlisted): latency %v after %d builds, want default after 3", d, built)
 	}
 	if c.Role(topoClient) != RoleClient || c.Role(ipv4.Addr{9, 9, 9, 9}) != "" {
 		t.Error("Compiler.Role lookup wrong")
 	}
-	// Re-adding an address must not duplicate links or change its role.
-	links := len(ov.Pairs)
-	c.Add(topoClient, RoleAttacker)
-	if len(ov.Pairs) != links || c.Role(topoClient) != RoleClient {
-		t.Error("re-adding an address changed the compiled topology")
+	// Re-adding keeps the first role: the NTP server re-added as an
+	// attacker still talks to the resolver over Default.
+	c.Add(topoNTP, RoleNTPServer)
+	c.Add(topoNTP, RoleAttacker)
+	if d := lat(topoNTP, topoResolver); d != DefaultLatency || c.Role(topoNTP) != RoleNTPServer {
+		t.Errorf("re-added NTP server: latency %v, role %q; want default, %q", d, c.Role(topoNTP), RoleNTPServer)
+	}
+}
+
+// eagerCompiler is the reference the Compiler is checked against: it
+// builds every listed directed link when the second of its hosts is
+// Add-ed, and a link it did not build follows Default.
+type eagerCompiler struct {
+	topo  *Topology
+	base  PathModel
+	roles map[ipv4.Addr]Role
+	order []ipv4.Addr
+	links map[Pair]PathModel
+}
+
+func newEagerCompiler(t *Topology) *eagerCompiler {
+	base := t.Default
+	if base == nil {
+		base = &Path{}
+	}
+	return &eagerCompiler{topo: t, base: base, roles: map[ipv4.Addr]Role{}, links: map[Pair]PathModel{}}
+}
+
+func (e *eagerCompiler) Add(addr ipv4.Addr, role Role) {
+	if _, ok := e.roles[addr]; ok {
+		return
+	}
+	for _, h := range e.order {
+		if f := e.topo.linkBuild(role, e.roles[h]); f != nil {
+			e.links[Pair{Src: addr, Dst: h}] = f()
+		}
+		if f := e.topo.linkBuild(e.roles[h], role); f != nil {
+			e.links[Pair{Src: h, Dst: addr}] = f()
+		}
+	}
+	e.roles[addr] = role
+	e.order = append(e.order, addr)
+}
+
+func (e *eagerCompiler) model(src, dst ipv4.Addr) PathModel {
+	if m := e.links[Pair{Src: src, Dst: dst}]; m != nil {
+		return m
+	}
+	return e.base
+}
+
+// TestCompilerMatchesEagerReference: for every preset, bare and with
+// stateful per-side profiles, a jittery default and a one-directional
+// link, the Compiler's
+// per-packet latency and drop decisions equal the eager reference's
+// over every ordered pair of lab hosts, an address never added, and a
+// client added after traffic started, under one seeded rng per side.
+func TestCompilerMatchesEagerReference(t *testing.T) {
+	hosts := []struct {
+		addr ipv4.Addr
+		role Role
+	}{
+		{topoNS, RoleNameserver},
+		{topoResolver, RoleResolver},
+		{topoAttacker, RoleAttacker},
+		{topoNTP, RoleNTPServer},
+		{ipv4.Addr{10, 0, 0, 2}, RoleNTPServer},
+		{topoEvil, RoleEvilServer},
+		{ipv4.Addr{6, 6, 0, 2}, RoleEvilServer},
+		{topoClient, RoleClient},
+	}
+	late := ipv4.Addr{192, 0, 2, 102}
+	addrs := []ipv4.Addr{late, {9, 9, 9, 9}}
+	for _, h := range hosts {
+		addrs = append(addrs, h.addr)
+	}
+	variants := []struct {
+		atk, cli, dflt string
+		oneWay         bool // add a one-directional nameserver→resolver link
+	}{
+		{}, {atk: "lossy-wifi", cli: "congested"}, {atk: "wan", cli: "lossy-wifi", dflt: "transcontinental", oneWay: true},
+	}
+	for _, name := range TopologyNames() {
+		for _, v := range variants {
+			build := func() *Topology {
+				var dflt PathModel
+				if v.dflt != "" {
+					var err error
+					if dflt, err = Profile(v.dflt); err != nil {
+						t.Fatal(err)
+					}
+				}
+				topo, err := TopologyFromSpec(name, v.atk, v.cli, dflt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v.oneWay {
+					f, err := profileFactory("congested")
+					if err != nil {
+						t.Fatal(err)
+					}
+					topo.SetLink(RoleNameserver, RoleResolver, f)
+				}
+				return topo
+			}
+			lazy, eager := build().Compiler(), newEagerCompiler(build())
+			for _, h := range hosts {
+				lazy.Add(h.addr, h.role)
+				eager.Add(h.addr, h.role)
+			}
+			m := lazy.Model()
+			rngL, rngE := rand.New(rand.NewSource(31)), rand.New(rand.NewSource(31))
+			for round := 0; round < 40; round++ {
+				if round == 20 {
+					lazy.Add(late, RoleClient)
+					eager.Add(late, RoleClient)
+				}
+				for _, src := range addrs {
+					for _, dst := range addrs {
+						if src == dst {
+							continue
+						}
+						ref := eager.model(src, dst)
+						dl, de := m.Drop(src, dst, rngL), ref.Drop(src, dst, rngE)
+						ll, le := m.Latency(src, dst, rngL), ref.Latency(src, dst, rngE)
+						if dl != de || ll != le {
+							t.Fatalf("%s %+v round %d %s→%s: compiled (drop %v, %v), eager (drop %v, %v)",
+								name, v, round, src, dst, dl, ll, de, le)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -291,30 +439,29 @@ func TestGilbertElliottPerLinkConvergence(t *testing.T) {
 	}
 }
 
-// TestOverridesZeroValueFallsBack pins the small fix: a nil Pairs entry
-// (a zero-valued override) and a nil Base resolve to the documented
-// zero-value Path — default latency, lossless — without consuming any
-// randomness and without letting the nil model escape.
-func TestOverridesZeroValueFallsBack(t *testing.T) {
-	o := &Overrides{Pairs: map[Pair]PathModel{
-		{Src: srcA, Dst: dstB}: nil,
-	}}
+// TestCompilerNilLinkFallsBack: a link factory that returns nil leaves
+// the link on the default path — the zero-value Path when Default is nil
+// (default latency, lossless, consuming no randomness), Default
+// otherwise — so no nil model escapes to a packet.
+func TestCompilerNilLinkFallsBack(t *testing.T) {
+	topo := NewTopology()
+	topo.SetLink(RoleClient, RoleResolver, func() PathModel { return nil })
+	m := compileLabTopology(topo).Model()
 	rng := rand.New(rand.NewSource(25))
 	before := rng.Int63()
 	rng = rand.New(rand.NewSource(25))
-	if d := o.Latency(srcA, dstB, rng); d != DefaultLatency {
-		t.Errorf("nil-entry latency = %v, want %v", d, DefaultLatency)
+	if d := m.Latency(topoClient, topoResolver, rng); d != DefaultLatency {
+		t.Errorf("nil-link latency = %v, want %v", d, DefaultLatency)
 	}
-	if o.Drop(srcA, dstB, rng) {
-		t.Error("nil-entry pair dropped a packet")
+	if m.Drop(topoClient, topoResolver, rng) {
+		t.Error("nil link dropped a packet")
 	}
 	if rng.Int63() != before {
-		t.Error("zero-valued override consumed randomness")
+		t.Error("nil link consumed randomness")
 	}
-	// A nil entry means "no override": with a Base installed, Base owns
-	// the link.
-	o.Base = &Path{Delay: Fixed(4 * time.Millisecond)}
-	if d := o.Latency(srcA, dstB, rng); d != 4*time.Millisecond {
-		t.Errorf("nil-entry latency with Base = %v, want 4ms", d)
+	topo.Default = &Path{Delay: Fixed(4 * time.Millisecond)}
+	m = compileLabTopology(topo).Model()
+	if d := m.Latency(topoClient, topoResolver, rng); d != 4*time.Millisecond {
+		t.Errorf("nil-link latency with Default = %v, want 4ms", d)
 	}
 }

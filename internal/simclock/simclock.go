@@ -20,7 +20,10 @@
 package simclock
 
 import (
+	"strconv"
 	"time"
+
+	"dnstime/internal/obs"
 )
 
 // Clock is a virtual time source and event scheduler. The zero value is not
@@ -45,6 +48,14 @@ type FireHook func(at time.Time, seq uint64)
 // SetFireHook installs (or with nil removes) the clock's fire hook.
 // Reset clears it, like every other piece of run state.
 func (c *Clock) SetFireHook(h FireHook) { c.onFire = h }
+
+// TraceTo returns a fire hook that records every fire on tr as a "clock"
+// "fire" event carrying the event's sequence number.
+func TraceTo(tr obs.Tracer) FireHook {
+	return func(at time.Time, seq uint64) {
+		tr.Event(at, "clock", "fire", "seq="+strconv.FormatUint(seq, 10))
+	}
+}
 
 // New returns a Clock whose current time is start.
 func New(start time.Time) *Clock {

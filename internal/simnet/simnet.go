@@ -29,11 +29,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"dnstime/internal/ipv4"
 	"dnstime/internal/netem"
+	"dnstime/internal/obs"
 	"dnstime/internal/simclock"
+	"dnstime/internal/simrand"
 	"dnstime/internal/udp"
 )
 
@@ -125,7 +128,9 @@ func WithPathModel(m netem.PathModel) Option {
 // (loss draws, latency jitter, reordering) — from seed. Labs pass their
 // campaign seed so link behaviour is deterministic per run and
 // independent of campaign worker count. The default seed is 1, the value
-// the pre-netem network hard-coded.
+// the pre-netem network hard-coded. The stream is rand.NewSource(seed)'s,
+// produced by internal/simrand only when a path model first draws from
+// it, so a network on the default path never pays for seeding.
 func WithSeed(seed int64) Option {
 	return func(n *Network) { n.rng.Seed(seed) }
 }
@@ -139,6 +144,22 @@ func WithTrace(f func(TraceEvent)) Option {
 	return func(n *Network) { n.trace = f }
 }
 
+// TraceTo returns a packet-trace callback (for WithTrace) that records
+// every event on tr as a "net" event named after its kind, with the
+// packet's addresses, IPID, fragment offset and length. Traced packets
+// are pooled, so it formats what it needs immediately and retains
+// nothing.
+func TraceTo(tr obs.Tracer) func(TraceEvent) {
+	return func(e TraceEvent) {
+		p := e.Pkt
+		tr.Event(e.Time, "net", e.Kind.String(),
+			p.Src.String()+">"+p.Dst.String()+
+				" id="+strconv.Itoa(int(p.ID))+
+				" off="+strconv.Itoa(p.FragOff)+
+				" len="+strconv.Itoa(p.TotalLen()))
+	}
+}
+
 // New creates a network driven by clock. The default link is netem's
 // zero-value Path: 10 ms one-way, lossless, in-order, consuming no
 // randomness.
@@ -147,7 +168,7 @@ func New(clock *simclock.Clock, opts ...Option) *Network {
 		clock: clock,
 		hosts: make(map[ipv4.Addr]*Host),
 		path:  &netem.Path{},
-		rng:   rand.New(rand.NewSource(1)),
+		rng:   rand.New(simrand.New(1)),
 	}
 	for _, o := range opts {
 		o(n)
