@@ -328,7 +328,12 @@ type SnoopResult struct {
 func CacheSnoop(specs []population.OpenResolverSpec) SnoopResult {
 	var f snoopFold
 	for i := range specs {
-		f.add(&specs[i])
+		s := &specs[i]
+		if f.resolver(s.Responds, s.RespectsRD) {
+			for _, c := range s.Cached {
+				f.record(slices.Index(tableIV[:], c.Record), c.TTL)
+			}
+		}
 	}
 	return f.result()
 }
@@ -336,11 +341,21 @@ func CacheSnoop(specs []population.OpenResolverSpec) SnoopResult {
 // SnoopOpenResolvers is CacheSnoop(population.GenerateOpenResolvers(cfg,
 // seed)) without the stored population: it snoops each resolver as it is
 // drawn and keeps only the result — the Table IV counts and the Figure 6
-// TTL samples.
+// TTL samples. It maps each record the draw decides to its Table IV row
+// once, so the fold compares no record names.
 func SnoopOpenResolvers(cfg population.OpenResolverConfig, seed int64) SnoopResult {
+	records := population.OpenResolverRecords(cfg)
+	rows := make([]int, len(records))
+	for k, rec := range records {
+		rows[k] = slices.Index(tableIV[:], rec)
+	}
 	var f snoopFold
 	for r := range population.OpenResolvers(cfg, seed) {
-		f.add(&r)
+		if f.resolver(r.Responds, r.RespectsRD) {
+			for _, c := range r.Cached {
+				f.record(rows[c.Record], c.TTL)
+			}
+		}
 	}
 	return f.result()
 }
@@ -349,34 +364,44 @@ func SnoopOpenResolvers(cfg population.OpenResolverConfig, seed int64) SnoopResu
 // arrays indexed by row.
 var tableIV = [6]population.PoolRecord(population.AllPoolRecords())
 
-// snoopFold applies the §VIII-A methodology one resolver at a time.
+// rowPoolA is the row of pool.ntp.org A, whose TTLs Figure 6 reads.
+var rowPoolA = slices.Index(tableIV[:], population.RecPoolA)
+
+// snoopFold applies the §VIII-A methodology one resolver at a time: a
+// resolver, then its cached records by Table IV row.
 type snoopFold struct {
 	res    SnoopResult
 	cached [len(tableIV)]int
+	seen   [len(tableIV)]bool // rows the current resolver has counted
 }
 
-func (f *snoopFold) add(r *population.OpenResolverSpec) {
-	if !r.Responds {
-		return
+// resolver counts one resolver and reports whether its RD-bit pre-test
+// verified, in which case its cached records are counted next.
+func (f *snoopFold) resolver(responds, respectsRD bool) bool {
+	if !responds {
+		return false
 	}
 	f.res.Probed++
-	if !r.RespectsRD {
-		return
+	if !respectsRD {
+		return false
 	}
 	f.res.Verified++
-	// A record listed twice counts once, with its first TTL — the answer
-	// OpenResolverSpec.CachedTTL gives.
-	var seen [len(tableIV)]bool
-	for _, c := range r.Cached {
-		row := slices.Index(tableIV[:], c.Record)
-		if row < 0 || seen[row] {
-			continue
-		}
-		seen[row] = true
-		f.cached[row]++
-		if c.Record == population.RecPoolA {
-			f.res.TTLs = append(f.res.TTLs, float64(c.TTL))
-		}
+	f.seen = [len(tableIV)]bool{}
+	return true
+}
+
+// record counts one cached record of the last verified resolver by its
+// Table IV row (−1: not in Table IV, ignored). A record listed twice
+// counts once, with its first TTL — the answer
+// OpenResolverSpec.CachedTTL gives.
+func (f *snoopFold) record(row, ttl int) {
+	if row < 0 || f.seen[row] {
+		return
+	}
+	f.seen[row] = true
+	f.cached[row]++
+	if row == rowPoolA {
+		f.res.TTLs = append(f.res.TTLs, float64(ttl))
 	}
 }
 

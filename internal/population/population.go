@@ -15,10 +15,11 @@ package population
 import (
 	"iter"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"dnstime/internal/ipv4"
+	"dnstime/internal/simrand"
 )
 
 // ---------------------------------------------------------------------------
@@ -218,10 +219,9 @@ type OpenResolverSpec struct {
 	RespectsRD bool
 	// Cached holds the cached records in draw order (Table IV order, then
 	// extras); absence means not cached. GenerateOpenResolvers carves the
-	// slices of one population out of shared chunks, and OpenResolvers
-	// reuses one scratch slice for every resolver it yields — a population
-	// is drawn per campaign run, and per-resolver maps dominated the
-	// generator's allocation profile.
+	// slices of one population out of shared chunks: a population is drawn
+	// per campaign run, and per-resolver maps dominated the generator's
+	// allocation profile.
 	Cached []CachedRecord
 	// AcceptsFragments: fragmented DNS responses are accepted (31%).
 	AcceptsFragments bool
@@ -235,6 +235,21 @@ func (s *OpenResolverSpec) CachedTTL(rec PoolRecord) (int, bool) {
 		}
 	}
 	return 0, false
+}
+
+// DrawnResolver is one open resolver as OpenResolvers draws it: the
+// flags of an OpenResolverSpec, with each cached record named by its
+// index in OpenResolverRecords(cfg).
+type DrawnResolver struct {
+	Responds, RespectsRD, AcceptsFragments bool
+	// Cached holds the cached records in draw order.
+	Cached []CachedIndex
+}
+
+// CachedIndex is one cached record of a DrawnResolver: Record indexes
+// OpenResolverRecords(cfg), and TTL is its remaining TTL (seconds).
+type CachedIndex struct {
+	Record, TTL int
 }
 
 // OpenResolverConfig parameterises the open-resolver population.
@@ -280,9 +295,28 @@ func DefaultOpenResolverConfig() OpenResolverConfig {
 // GenerateOpenResolvers draws the open-resolver population and stores it.
 // A study that only folds the population should range over OpenResolvers
 // instead, which draws the same resolvers without keeping them.
+//
+// Each resolver's records are carved out of a chunked arena: an
+// exhausted chunk is replaced, and carved slices keep the old one alive.
+// Chunks keep allocation count (and GC pressure) orders of magnitude
+// below one slice per resolver without sizing one array as if every
+// record were cached everywhere.
 func GenerateOpenResolvers(cfg OpenResolverConfig, seed int64) []OpenResolverSpec {
+	records := OpenResolverRecords(cfg)
 	out := make([]OpenResolverSpec, 0, cfg.Total)
-	for s := range drawOpenResolvers(cfg, seed, true) {
+	chunk := make([]CachedRecord, 0, 1024*len(records))
+	for r := range OpenResolvers(cfg, seed) {
+		s := OpenResolverSpec{Responds: r.Responds, RespectsRD: r.RespectsRD, AcceptsFragments: r.AcceptsFragments}
+		if r.Responds {
+			if len(chunk)+len(r.Cached) > cap(chunk) {
+				chunk = make([]CachedRecord, 0, 1024*len(records))
+			}
+			start := len(chunk)
+			for _, c := range r.Cached {
+				chunk = append(chunk, CachedRecord{records[c.Record], c.TTL})
+			}
+			s.Cached = chunk[start:len(chunk):len(chunk)]
+		}
 		out = append(out, s)
 	}
 	return out
@@ -290,69 +324,156 @@ func GenerateOpenResolvers(cfg OpenResolverConfig, seed int64) []OpenResolverSpe
 
 // OpenResolvers draws the open-resolver population one resolver at a
 // time and yields each before drawing the next, so a study can fold a
-// population of any size without storing it. It yields exactly the specs
-// GenerateOpenResolvers returns, in the same order. A yielded spec's
+// population of any size without storing it. It yields the resolvers
+// GenerateOpenResolvers returns, in the same order, each cached record
+// named by its index in OpenResolverRecords(cfg). A yielded resolver's
 // Cached slice is scratch that the next draw overwrites: copy it to keep
 // it.
-func OpenResolvers(cfg OpenResolverConfig, seed int64) iter.Seq[OpenResolverSpec] {
-	return drawOpenResolvers(cfg, seed, false)
-}
-
-// drawOpenResolvers is the open-resolver population's one draw loop.
-// Unless keep is set it reuses one scratch slice for every resolver's
-// Cached records. With keep set it carves each resolver's records out of
-// a chunked arena, so yielded specs stay valid: an exhausted chunk is
-// replaced, and carved slices keep the old one alive. Chunks keep
-// allocation count (and GC pressure) orders of magnitude below one slice
-// per resolver without sizing one array as if every record were cached
-// everywhere, and drawing straight into them spares the stored path a
-// second copy of every record.
-func drawOpenResolvers(cfg OpenResolverConfig, seed int64, keep bool) iter.Seq[OpenResolverSpec] {
-	return func(yield func(OpenResolverSpec) bool) {
-		records, probs := openResolverRecords(cfg)
-		rng := rand.New(rand.NewSource(seed))
-		chunkCap := len(records)
-		if keep {
-			chunkCap *= 1024
-		}
-		cached := make([]CachedRecord, 0, chunkCap)
+//
+// This is the population's one draw loop. It consumes
+// rand.New(rand.NewSource(seed)) exactly as
+//
+//	for range cfg.Total {
+//		if rng.Float64() >= cfg.PResponds {
+//			continue // silent resolver
+//		}
+//		RespectsRD = rng.Float64() < cfg.PRespectsRD
+//		AcceptsFragments = rng.Float64() < cfg.PAcceptsFragments
+//		for each record in draw order, with its probability p {
+//			if rng.Float64() < p {
+//				cache it with TTL rng.Intn(cfg.RecordTTL + 1)
+//			}
+//		}
+//	}
+//
+// does, but reads the stream through a simrand.Reader and decides each
+// draw on the raw output with an integer compare (simrand.Cut,
+// simrand.Intn). A resolver on which math/rand would draw again (a
+// Float64 that rounds to 1, an Intn rejection, an invalid RecordTTL) is
+// drawn over from its first output with math/rand's own methods on the
+// same stream, so the draw stays exact.
+func OpenResolvers(cfg OpenResolverConfig, seed int64) iter.Seq[DrawnResolver] {
+	return func(yield func(DrawnResolver) bool) {
+		d := newOpenDraw(cfg)
+		rd := simrand.NewReader(seed)
+		rng := rand.New(rd)
+		r := DrawnResolver{Cached: make([]CachedIndex, 0, len(d.cuts))}
 		for range cfg.Total {
-			if rng.Float64() >= cfg.PResponds {
-				if !yield(OpenResolverSpec{}) {
-					return
-				}
-				continue
+			if n := d.fast(&r, rd.Window(d.most)); n > 0 {
+				rd.Advance(n)
+			} else {
+				d.exact(&r, rng)
 			}
-			s := OpenResolverSpec{Responds: true}
-			s.RespectsRD = rng.Float64() < cfg.PRespectsRD
-			s.AcceptsFragments = rng.Float64() < cfg.PAcceptsFragments
-			switch {
-			case !keep:
-				cached = cached[:0]
-			case len(cached)+len(records) > cap(cached):
-				cached = make([]CachedRecord, 0, chunkCap)
-			}
-			start := len(cached)
-			for j, rec := range records {
-				if rng.Float64() < probs[j] {
-					cached = append(cached, CachedRecord{rec, rng.Intn(cfg.RecordTTL + 1)})
-				}
-			}
-			s.Cached = cached[start:len(cached):len(cached)]
-			if !yield(s) {
+			if !yield(r) {
 				return
 			}
 		}
 	}
 }
 
-// openResolverRecords returns the records OpenResolvers draws, in draw
-// order, with their caching probabilities.
-func openResolverRecords(cfg OpenResolverConfig) ([]PoolRecord, []float64) {
-	// Fix the record draw order up front — Table IV order, then any extra
-	// configured records sorted by name. Ranging over the PCached map
-	// would consume the RNG in Go's randomised map order and break seed
-	// determinism.
+// openDraw holds one configuration's draw decisions.
+type openDraw struct {
+	cfg   OpenResolverConfig
+	probs []float64 // caching probability per record, in draw order
+
+	responds, verifies, fragments simrand.Cut
+	cuts                          []simrand.Cut // per record
+	ttl                           simrand.Intn
+	// most is the number of outputs a responding resolver reads at most
+	// without a redraw: three flags, then a caching draw and a TTL per
+	// record.
+	most int
+}
+
+func newOpenDraw(cfg OpenResolverConfig) *openDraw {
+	records := OpenResolverRecords(cfg)
+	d := &openDraw{
+		cfg:       cfg,
+		probs:     make([]float64, len(records)),
+		responds:  simrand.NotAtLeast(cfg.PResponds),
+		verifies:  simrand.Below(cfg.PRespectsRD),
+		fragments: simrand.Below(cfg.PAcceptsFragments),
+		cuts:      make([]simrand.Cut, len(records)),
+		ttl:       simrand.NewIntn(cfg.RecordTTL + 1),
+		most:      3 + 2*len(records),
+	}
+	for j, rec := range records {
+		d.probs[j] = cfg.PCached[rec]
+		d.cuts[j] = simrand.Below(d.probs[j])
+	}
+	return d
+}
+
+// fast draws one resolver into r from the window w of unread outputs and
+// returns the number it read. It returns 0, leaving r to be drawn over,
+// when w is shorter than the most a resolver can read or math/rand would
+// draw again.
+func (d *openDraw) fast(r *DrawnResolver, w []uint64) int {
+	if len(w) < d.most {
+		return 0
+	}
+	responds, ok := d.responds.Of(w[0])
+	if !ok {
+		return 0
+	}
+	if !responds {
+		*r = DrawnResolver{Cached: r.Cached[:0]}
+		return 1
+	}
+	verifies, ok1 := d.verifies.Of(w[1])
+	fragments, ok2 := d.fragments.Of(w[2])
+	if !ok1 || !ok2 {
+		return 0
+	}
+	// Each record reads its caching draw and, if cached, a TTL from the
+	// next output. The TTL is decided whether or not the record is cached
+	// and the index advances by the outcome, so the loop does not branch
+	// on it; an output that only a cached record would read and math/rand
+	// would reject sends the resolver to the exact path needlessly, but
+	// never wrongly.
+	cuts, ttls := d.cuts, d.ttl
+	cached := r.Cached[:len(cuts)]
+	n, i := 0, 3
+	for j, c := range cuts {
+		hit, ok := c.Of(w[i])
+		ttl, tok := ttls.Of(w[i+1])
+		if !ok || !tok {
+			return 0
+		}
+		cached[n] = CachedIndex{j, ttl}
+		k := 0
+		if hit {
+			k = 1
+		}
+		n += k
+		i += 1 + k
+	}
+	*r = DrawnResolver{true, verifies, fragments, cached[:n]}
+	return i
+}
+
+// exact draws one resolver into r with math/rand's own methods.
+func (d *openDraw) exact(r *DrawnResolver, rng *rand.Rand) {
+	*r = DrawnResolver{Cached: r.Cached[:0]}
+	if rng.Float64() >= d.cfg.PResponds {
+		return
+	}
+	r.Responds = true
+	r.RespectsRD = rng.Float64() < d.cfg.PRespectsRD
+	r.AcceptsFragments = rng.Float64() < d.cfg.PAcceptsFragments
+	for j, p := range d.probs {
+		if rng.Float64() < p {
+			r.Cached = append(r.Cached, CachedIndex{j, rng.Intn(d.cfg.RecordTTL + 1)})
+		}
+	}
+}
+
+// OpenResolverRecords returns the records an open-resolver draw decides,
+// in draw order: the Table IV records cfg.PCached lists, in Table IV
+// order, then any others it lists, sorted by name. Ranging over the
+// PCached map instead would consume the RNG in Go's randomised map order
+// and break seed determinism.
+func OpenResolverRecords(cfg OpenResolverConfig) []PoolRecord {
 	records := make([]PoolRecord, 0, len(cfg.PCached))
 	for _, rec := range AllPoolRecords() {
 		if _, ok := cfg.PCached[rec]; ok {
@@ -362,30 +483,13 @@ func openResolverRecords(cfg OpenResolverConfig) ([]PoolRecord, []float64) {
 	if len(records) < len(cfg.PCached) {
 		known := len(records)
 		for rec := range cfg.PCached {
-			extra := true
-			for _, k := range records[:known] {
-				if rec == k {
-					extra = false
-					break
-				}
-			}
-			if extra {
+			if !slices.Contains(records[:known], rec) {
 				records = append(records, rec)
 			}
 		}
-		sort.Slice(records[known:], func(i, j int) bool {
-			return records[known+i] < records[known+j]
-		})
+		slices.Sort(records[known:])
 	}
-
-	// Hoist the per-record probabilities out of the population loop: the
-	// map lookups otherwise dominate large draws (Total × records accesses).
-	probs := make([]float64, len(records))
-	for i, rec := range records {
-		probs[i] = cfg.PCached[rec]
-	}
-
-	return records, probs
+	return records
 }
 
 // ---------------------------------------------------------------------------

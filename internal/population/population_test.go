@@ -1,7 +1,12 @@
 package population
 
 import (
+	"encoding/binary"
+	"fmt"
+	"iter"
 	"math"
+	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -202,8 +207,8 @@ func TestGenerateOpenResolversDeterministic(t *testing.T) {
 }
 
 // TestOpenResolversMatchesGenerate: the draw loop yields exactly the
-// specs GenerateOpenResolvers stores, in the same order, for the default
-// population and for configs that reach each branch of the draw.
+// resolvers GenerateOpenResolvers stores, in the same order, for the
+// default population and for configs that reach each branch of the draw.
 func TestOpenResolversMatchesGenerate(t *testing.T) {
 	small := func(edit func(*OpenResolverConfig)) OpenResolverConfig {
 		cfg := DefaultOpenResolverConfig()
@@ -226,15 +231,14 @@ func TestOpenResolversMatchesGenerate(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			want := GenerateOpenResolvers(tc.cfg, tc.seed)
+			records := OpenResolverRecords(tc.cfg)
 			i := 0
 			for got := range OpenResolvers(tc.cfg, tc.seed) {
 				if i >= len(want) {
 					t.Fatalf("draw loop yielded more than %d resolvers", len(want))
 				}
-				w := want[i]
-				if got.Responds != w.Responds || got.RespectsRD != w.RespectsRD ||
-					got.AcceptsFragments != w.AcceptsFragments || !slices.Equal(got.Cached, w.Cached) {
-					t.Fatalf("resolver %d: yielded %+v, stored %+v", i, got, w)
+				if diff := sameResolver(got, want[i], records); diff != "" {
+					t.Fatalf("resolver %d: %s", i, diff)
 				}
 				i++
 			}
@@ -261,6 +265,218 @@ func TestOpenResolversStops(t *testing.T) {
 			t.Errorf("no resolver with Responds=%v in the population", responds)
 		}
 	}
+}
+
+// sameResolver returns how a drawn resolver differs from a spec whose
+// records are named, "" when they agree.
+func sameResolver(got DrawnResolver, want OpenResolverSpec, records []PoolRecord) string {
+	if got.Responds != want.Responds || got.RespectsRD != want.RespectsRD ||
+		got.AcceptsFragments != want.AcceptsFragments || len(got.Cached) != len(want.Cached) {
+		return fmt.Sprintf("drawn %+v, want %+v", got, want)
+	}
+	for k, c := range got.Cached {
+		if w := want.Cached[k]; records[c.Record] != w.Record || c.TTL != w.TTL {
+			return fmt.Sprintf("cached record %d is %s TTL %d, want %s TTL %d", k, records[c.Record], c.TTL, w.Record, w.TTL)
+		}
+	}
+	return ""
+}
+
+// referenceOpenResolvers is the open-resolver draw written directly on
+// rand.New(rand.NewSource(seed)), one Float64 per decision and Intn per
+// TTL, as the population was drawn before OpenResolvers read the stream
+// in windows. It yields the specs GenerateOpenResolvers must return,
+// carving each responding resolver's records out of a chunk, so a silent
+// resolver's Cached is nil and a responding one's is non-nil.
+func referenceOpenResolvers(cfg OpenResolverConfig, seed int64) iter.Seq[OpenResolverSpec] {
+	return func(yield func(OpenResolverSpec) bool) {
+		records := OpenResolverRecords(cfg)
+		rng := rand.New(rand.NewSource(seed))
+		chunkCap := 1024 * len(records)
+		cached := make([]CachedRecord, 0, chunkCap)
+		for range cfg.Total {
+			if rng.Float64() >= cfg.PResponds {
+				if !yield(OpenResolverSpec{}) {
+					return
+				}
+				continue
+			}
+			s := OpenResolverSpec{Responds: true}
+			s.RespectsRD = rng.Float64() < cfg.PRespectsRD
+			s.AcceptsFragments = rng.Float64() < cfg.PAcceptsFragments
+			if len(cached)+len(records) > cap(cached) {
+				cached = make([]CachedRecord, 0, chunkCap)
+			}
+			start := len(cached)
+			for _, rec := range records {
+				if rng.Float64() < cfg.PCached[rec] {
+					cached = append(cached, CachedRecord{rec, rng.Intn(cfg.RecordTTL + 1)})
+				}
+			}
+			s.Cached = cached[start:len(cached):len(cached)]
+			if !yield(s) {
+				return
+			}
+		}
+	}
+}
+
+// catch calls f and returns the value it panicked with, nil if none.
+func catch(f func()) (panicked any) {
+	defer func() { panicked = recover() }()
+	f()
+	return nil
+}
+
+// checkOpenResolverDraw compares OpenResolvers and GenerateOpenResolvers
+// with the reference draw for one config and seed: resolver by resolver,
+// and the stored specs with reflect.DeepEqual, nil against empty Cached
+// included. A draw the reference panics on must panic with the same
+// value after the same resolvers.
+func checkOpenResolverDraw(t *testing.T, cfg OpenResolverConfig, seed int64) {
+	t.Helper()
+	want := []OpenResolverSpec{}
+	wantPanic := catch(func() {
+		for s := range referenceOpenResolvers(cfg, seed) {
+			want = append(want, s)
+		}
+	})
+	var drawn []DrawnResolver
+	if p := catch(func() {
+		for r := range OpenResolvers(cfg, seed) {
+			r.Cached = slices.Clone(r.Cached)
+			drawn = append(drawn, r)
+		}
+	}); p != wantPanic {
+		t.Fatalf("OpenResolvers panicked with %v, reference with %v", p, wantPanic)
+	}
+	if len(drawn) != len(want) {
+		t.Fatalf("OpenResolvers yielded %d resolvers, reference %d", len(drawn), len(want))
+	}
+	records := OpenResolverRecords(cfg)
+	for i, r := range drawn {
+		if diff := sameResolver(r, want[i], records); diff != "" {
+			t.Fatalf("resolver %d: %s", i, diff)
+		}
+	}
+	var stored []OpenResolverSpec
+	if p := catch(func() { stored = GenerateOpenResolvers(cfg, seed) }); p != wantPanic {
+		t.Fatalf("GenerateOpenResolvers panicked with %v, reference with %v", p, wantPanic)
+	}
+	if wantPanic == nil && !reflect.DeepEqual(stored, want) {
+		for i := range min(len(stored), len(want)) {
+			if !reflect.DeepEqual(stored[i], want[i]) {
+				t.Fatalf("GenerateOpenResolvers resolver %d = %#v, reference %#v", i, stored[i], want[i])
+			}
+		}
+		t.Fatalf("GenerateOpenResolvers returned %d resolvers, reference %d", len(stored), len(want))
+	}
+}
+
+// openResolverCases are the oracle's configs: the default population at
+// the seeds the studies use and at edge seeds, and configs that reach
+// every branch of the draw's decisions.
+func openResolverCases() []struct {
+	name string
+	cfg  OpenResolverConfig
+	seed int64
+} {
+	with := func(edit func(*OpenResolverConfig)) OpenResolverConfig {
+		cfg := DefaultOpenResolverConfig()
+		cfg.Total = 20000
+		edit(&cfg)
+		return cfg
+	}
+	def := DefaultOpenResolverConfig()
+	return []struct {
+		name string
+		cfg  OpenResolverConfig
+		seed int64
+	}{
+		{"default seed 1", def, 1},
+		{"default seed 7", def, 7},
+		{"default seed 12", def, 12},
+		{"default seed 0", def, 0},
+		{"default seed -1", def, -1},
+		{"default seed MinInt64", def, math.MinInt64},
+		{"default seed MaxInt64", def, math.MaxInt64},
+		{"fast size", with(func(*OpenResolverConfig) {}), 12},
+		{"PCached nil", with(func(c *OpenResolverConfig) { c.PCached = nil }), 5},
+		{"extra records p 0, 1, 1.5", with(func(c *OpenResolverConfig) {
+			c.PCached["0.pool.ntp.org IN AAAA"] = 0
+			c.PCached["1.pool.ntp.org IN AAAA"] = 1
+			c.PCached["2.pool.ntp.org IN AAAA"] = 1.5
+		}), 7},
+		{"70 records", with(func(c *OpenResolverConfig) {
+			c.Total = 5000
+			for i := range 64 {
+				c.PCached[PoolRecord(fmt.Sprintf("%d.extra.pool.ntp.org IN A", i))] = float64(i) / 63
+			}
+		}), 9},
+		{"PResponds 0", with(func(c *OpenResolverConfig) { c.PResponds = 0 }), 3},
+		{"PResponds 1", with(func(c *OpenResolverConfig) { c.PResponds = 1 }), 3},
+		{"PResponds NaN", with(func(c *OpenResolverConfig) { c.PResponds = math.NaN() }), 3},
+		{"PRespectsRD 0", with(func(c *OpenResolverConfig) { c.PRespectsRD = 0 }), 3},
+		{"RecordTTL 127", with(func(c *OpenResolverConfig) { c.RecordTTL = 127 }), 4},
+		{"RecordTTL 1<<30", with(func(c *OpenResolverConfig) { c.RecordTTL = 1 << 30 }), 4},
+		{"RecordTTL 1<<31-1", with(func(c *OpenResolverConfig) { c.RecordTTL = 1<<31 - 1 }), 4},
+		{"RecordTTL 3<<61", with(func(c *OpenResolverConfig) { c.RecordTTL = 3 << 61 }), 4},
+		{"RecordTTL -1", with(func(c *OpenResolverConfig) { c.RecordTTL = -1 }), 4},
+		{"empty", with(func(c *OpenResolverConfig) { c.Total = 0 }), 1},
+	}
+}
+
+// TestOpenResolverDrawMatchesMathRand is the oracle for the windowed
+// draw: it must consume math/rand's stream exactly as the reference loop
+// does. RecordTTL 127 takes Intn's power-of-two branch; at 1<<30 about
+// half of all Int31n draws are rejected, so the draw falls back to
+// math/rand thousands of times; from 1<<31−1 on Intn draws with Int63n,
+// and at 3<<61 a quarter of those are rejected; at −1 Intn(0) must panic
+// rather than draw.
+func TestOpenResolverDrawMatchesMathRand(t *testing.T) {
+	for _, tc := range openResolverCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			checkOpenResolverDraw(t, tc.cfg, tc.seed)
+		})
+	}
+}
+
+// FuzzOpenResolverDraw: for any seed, population size up to 2 000, flag
+// and record probabilities from raw float64 bits (NaN, infinities,
+// subnormals, values above 1) and any RecordTTL, OpenResolvers and
+// GenerateOpenResolvers draw what the reference loop draws. records
+// holds up to eight probabilities, eight bytes each: the first six
+// belong to the Table IV records, the rest to extra records. The seed
+// corpus holds every oracle case, cut to those bounds.
+func FuzzOpenResolverDraw(f *testing.F) {
+	for _, tc := range openResolverCases() {
+		cfg := tc.cfg
+		records := OpenResolverRecords(cfg)
+		var recs []byte
+		for _, rec := range records[:min(len(records), 8)] {
+			recs = binary.LittleEndian.AppendUint64(recs, math.Float64bits(cfg.PCached[rec]))
+		}
+		f.Add(tc.seed, uint16(min(cfg.Total, 2000)), math.Float64bits(cfg.PResponds),
+			math.Float64bits(cfg.PRespectsRD), math.Float64bits(cfg.PAcceptsFragments), recs, int64(cfg.RecordTTL))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, total uint16, responds, verifies, fragments uint64, records []byte, recordTTL int64) {
+		cfg := OpenResolverConfig{
+			Total:             int(total % 2001),
+			PResponds:         math.Float64frombits(responds),
+			PRespectsRD:       math.Float64frombits(verifies),
+			PAcceptsFragments: math.Float64frombits(fragments),
+			PCached:           map[PoolRecord]float64{},
+			RecordTTL:         int(recordTTL),
+		}
+		for i := 0; i < 8 && len(records) >= 8*(i+1); i++ {
+			rec := PoolRecord(fmt.Sprintf("%d.extra.pool.ntp.org IN A", i))
+			if i < len(AllPoolRecords()) {
+				rec = AllPoolRecords()[i]
+			}
+			cfg.PCached[rec] = math.Float64frombits(binary.LittleEndian.Uint64(records[8*i:]))
+		}
+		checkOpenResolverDraw(t, cfg, seed)
+	})
 }
 
 func TestOpenResolverTTLsWithinRange(t *testing.T) {
@@ -375,5 +591,21 @@ func BenchmarkGenerateOpenResolvers(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		GenerateOpenResolvers(cfg, 11)
+	}
+}
+
+var sinkInt int
+
+// BenchmarkOpenResolverDraw times the draw alone, with no fold or stored
+// population: beside BenchmarkGenerateOpenResolvers here and
+// BenchmarkSnoopOpenResolvers and BenchmarkCacheSnoop in internal/measure
+// it pins a slowdown on the draw or on the fold.
+func BenchmarkOpenResolverDraw(b *testing.B) {
+	cfg := DefaultOpenResolverConfig()
+	b.ReportAllocs()
+	for b.Loop() {
+		for r := range OpenResolvers(cfg, 11) {
+			sinkInt += len(r.Cached)
+		}
 	}
 }

@@ -1,0 +1,163 @@
+package simrand
+
+import (
+	"math/rand"
+)
+
+// A Reader reads math/rand's stream for one seed as windows of raw
+// outputs, for a generator that draws 10⁵–10⁶ values per seeding and
+// decides most of them with one integer compare (see Cut and Intn).
+// Window shows the unread outputs without consuming them; Advance
+// consumes them. A Reader is also a rand.Source64 over the same stream,
+// so a draw that leaves the integer path, such as a Float64 that math/rand
+// would draw again, can continue with math/rand's own methods on
+// rand.New(reader) and stay exact.
+//
+// A Reader's first block comes from one private rand.NewSource(seed), not
+// the lab seed cache: a population seed is drawn once and would only
+// evict the lab's. Later blocks come from the recurrence Source uses.
+type Reader struct {
+	// buf[rngLen:] is the register, the current block of the stream;
+	// refill carries the unread outputs of the previous block into
+	// buf[:rngLen], just in front of it, so a window never ends mid-draw.
+	buf [2 * rngLen]uint64
+	pos int // next unread output in buf
+}
+
+// NewReader returns a Reader at the start of rand.NewSource(seed)'s
+// stream.
+func NewReader(seed int64) *Reader {
+	r := &Reader{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed restarts the stream at rand.NewSource(seed)'s first output.
+func (r *Reader) Seed(seed int64) {
+	src := rand.NewSource(seed).(rand.Source64)
+	for i := rngLen; i < len(r.buf); i++ {
+		r.buf[i] = src.Uint64()
+	}
+	r.pos = rngLen
+}
+
+// Window returns the stream's unread outputs, at least min(n, 607) of
+// them, without consuming any.
+func (r *Reader) Window(n int) []uint64 {
+	if k := len(r.buf) - r.pos; k < n && k < rngLen {
+		r.refill()
+	}
+	return r.buf[r.pos:]
+}
+
+// Advance consumes the next n outputs; n must not exceed the length of
+// the last Window.
+func (r *Reader) Advance(n int) { r.pos += n }
+
+// Uint64 returns the next output of the stream.
+func (r *Reader) Uint64() uint64 {
+	if r.pos == len(r.buf) {
+		r.refill()
+	}
+	x := r.buf[r.pos]
+	r.pos++
+	return x
+}
+
+// Int63 returns the next output with its top bit cleared, as math/rand's
+// source does.
+func (r *Reader) Int63() int64 { return int64(r.Uint64() & mask63) }
+
+// refill moves the unread outputs in front of the register and steps the
+// register to the next block.
+func (r *Reader) refill() {
+	k := copy(r.buf[rngLen-(len(r.buf)-r.pos):rngLen], r.buf[r.pos:])
+	step((*[rngLen]uint64)(r.buf[rngLen:]))
+	r.pos = rngLen - k
+}
+
+// Redraw is the least 63-bit value on which math/rand's Float64 draws
+// again: float64(v)/(1<<63) rounds to 1 for every v from 2⁶³−512 on.
+const Redraw = 1<<63 - 512
+
+// A Cut decides one Float64 test on a raw output with an integer compare:
+// the test passes exactly on the 63-bit values below the Cut.
+type Cut uint64
+
+// Below returns the Cut for Float64() < p: for every output whose 63-bit
+// value v = x&(1<<63−1) is below Redraw, float64(v)/(1<<63) < p exactly
+// when v < Below(p). It is found by bisection on math/rand's own
+// expression, so it is exact for every p, NaN, infinities and
+// subnormals included.
+func Below(p float64) Cut { return cut(func(f float64) bool { return f < p }) }
+
+// NotAtLeast returns the Cut for !(Float64() >= p). It differs from
+// Below(p) only when p is NaN, which every draw passes.
+func NotAtLeast(p float64) Cut { return cut(func(f float64) bool { return !(f >= p) }) }
+
+// cut returns the number of 63-bit values below Redraw whose Float64
+// passes; pass must hold on a prefix of them, as any test monotone in the
+// drawn value does.
+func cut(pass func(f float64) bool) Cut {
+	lo, hi := uint64(0), uint64(Redraw)
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if pass(float64(int64(mid)) / (1 << 63)) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return Cut(lo)
+}
+
+// Of decides the test on output x. ok is false when math/rand's Float64
+// would draw again on x, and then pass means nothing.
+func (c Cut) Of(x uint64) (pass, ok bool) {
+	v := x & mask63
+	return v < uint64(c), v < Redraw
+}
+
+// An Intn decides math/rand's Rand.Intn(n) on one raw output. Up to
+// n = 2³¹−1 Intn draws with Int31n, from bits 32–62 of the output, and
+// above it with Int63n, from bits 0–62. Either takes that value v mod n,
+// but draws again when v ≥ n·⌊2³¹/n⌋ (n·⌊2⁶³/n⌋), so that every
+// remainder is equally likely; for a power of two that bound is 2³¹
+// (2⁶³), and no value is drawn again.
+type Intn struct {
+	n     int64
+	shift uint  // 32 for Int31n, 0 for Int63n
+	max   int64 // the largest accepted value; −1 refuses every output
+}
+
+// NewIntn returns the decider for Rand.Intn(n). For n ≤ 0 it refuses
+// every output, so a caller that falls back to math/rand panics there
+// as Intn does.
+func NewIntn(n int) Intn {
+	switch {
+	case n <= 0:
+		return Intn{n: 1, max: -1}
+	case n <= 1<<31-1:
+		max := int64(1<<31 - 1)
+		if n&(n-1) != 0 {
+			max -= int64((1 << 31) % uint32(n))
+		}
+		return Intn{n: int64(n), shift: 32, max: max}
+	default:
+		max := int64(1<<63 - 1)
+		if n&(n-1) != 0 {
+			max -= int64((1 << 63) % uint64(n))
+		}
+		return Intn{n: int64(n), max: max}
+	}
+}
+
+// Of returns Rand.Intn(n) drawn from output x, and false when math/rand
+// would draw again instead.
+func (d Intn) Of(x uint64) (int, bool) {
+	v := int64(x&mask63) >> d.shift
+	if v > d.max {
+		return 0, false
+	}
+	return int(v % d.n), true
+}

@@ -1,0 +1,210 @@
+package simrand
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// TestReaderMatchesMathRand: a Reader's stream is rand.NewSource's for
+// edge seeds, read through windows of every size (the rest of a block,
+// a window across a block boundary, one longer than a block), partial
+// advances, Uint64 and Int63, and math/rand's own methods on
+// rand.New(reader) in between.
+func TestReaderMatchesMathRand(t *testing.T) {
+	const m = 1<<31 - 1
+	driver := rand.New(rand.NewSource(3))
+	for _, seed := range []int64{0, 1, -1, m, -m, math.MinInt64, math.MaxInt64, 42} {
+		want := rand.New(rand.NewSource(seed))
+		r := NewReader(seed)
+		got := rand.New(r)
+		for op := 0; op < 3000; op++ {
+			switch driver.Intn(4) {
+			case 0:
+				n := 1 + driver.Intn(700)
+				w := r.Window(n)
+				if len(w) < min(n, rngLen) {
+					t.Fatalf("seed %d, op %d: Window(%d) holds %d outputs", seed, op, n, len(w))
+				}
+				k := driver.Intn(len(w) + 1)
+				for i, x := range w[:k] {
+					if y := want.Uint64(); x != y {
+						t.Fatalf("seed %d, op %d: window output %d is %#x, math/rand %#x", seed, op, i, x, y)
+					}
+				}
+				r.Advance(k)
+			case 1:
+				if x, y := r.Uint64(), want.Uint64(); x != y {
+					t.Fatalf("seed %d, op %d: Uint64 %#x, math/rand %#x", seed, op, x, y)
+				}
+			case 2:
+				if x, y := r.Int63(), want.Int63(); x != y {
+					t.Fatalf("seed %d, op %d: Int63 %d, math/rand %d", seed, op, x, y)
+				}
+			case 3:
+				if x, y := got.Float64(), want.Float64(); x != y {
+					t.Fatalf("seed %d, op %d: Float64 %v, math/rand %v", seed, op, x, y)
+				}
+				if x, y := got.Intn(151), want.Intn(151); x != y {
+					t.Fatalf("seed %d, op %d: Intn %d, math/rand %d", seed, op, x, y)
+				}
+			}
+		}
+	}
+}
+
+// TestReaderSeedsPrivately: a Reader does not touch the lab seed cache.
+func TestReaderSeedsPrivately(t *testing.T) {
+	resetCache()
+	before := cacheHits.Value() + cacheMisses.Value()
+	r := NewReader(77)
+	r.Advance(len(r.Window(rngLen)))
+	r.Seed(78)
+	_ = r.Uint64()
+	if after := cacheHits.Value() + cacheMisses.Value(); after != before || cached(77) || cached(78) {
+		t.Errorf("a Reader used the seed cache (%d lookups)", after-before)
+	}
+}
+
+// float64Of is math/rand's Float64 of one output, before its redraw
+// test.
+func float64Of(x uint64) float64 { return float64(int64(x&(1<<63-1))) / (1 << 63) }
+
+// TestCutMatchesFloat64: for every p, Below(p) and NotAtLeast(p) decide
+// Float64() < p and !(Float64() >= p) exactly, at the outputs around the
+// cut, at 0 and at the largest output math/rand keeps, with the top bit
+// math/rand clears set or not.
+func TestCutMatchesFloat64(t *testing.T) {
+	ps := []float64{
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 0x1p-64, 0x1p-53,
+		0.5, 1 - 0x1p-53, 1, 1.5, math.Inf(1), math.Inf(-1), math.NaN(),
+		0.5828, 0.6941, 0.6392, 0.6128, 0.6155, 0.5858,
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		p := rng.Float64()
+		if i%2 == 1 {
+			p = math.Float64frombits(rng.Uint64())
+		}
+		ps = append(ps, p)
+	}
+	for _, p := range ps {
+		for _, tc := range []struct {
+			name string
+			cut  Cut
+			pass func(f float64) bool
+		}{
+			{"Below", Below(p), func(f float64) bool { return f < p }},
+			{"NotAtLeast", NotAtLeast(p), func(f float64) bool { return !(f >= p) }},
+		} {
+			c := uint64(tc.cut)
+			if c > Redraw {
+				t.Fatalf("%s(%v) = %d, above Redraw", tc.name, p, c)
+			}
+			for _, x := range []uint64{0, c - 1, c, c + 1, Redraw - 1} {
+				if x >= Redraw {
+					continue // c−1 wrapped, or c+1 is past the last kept output
+				}
+				want := tc.pass(float64Of(x))
+				if (x < c) != want {
+					t.Fatalf("%s(%v): %d < %d is %v, Float64 test %v", tc.name, p, x, c, x < c, want)
+				}
+				for _, top := range []uint64{0, 1 << 63} {
+					if pass, ok := tc.cut.Of(x | top); !ok || pass != want {
+						t.Fatalf("%s(%v).Of(%#x) = %v, %v; want %v, true", tc.name, p, x|top, pass, ok, want)
+					}
+				}
+			}
+		}
+	}
+	// NaN is where the two forms part: no draw is below NaN, and no draw
+	// is at least NaN either.
+	if Below(math.NaN()) != 0 || NotAtLeast(math.NaN()) != Redraw {
+		t.Errorf("Below(NaN) = %d, NotAtLeast(NaN) = %d; want 0, %d", Below(math.NaN()), NotAtLeast(math.NaN()), uint64(Redraw))
+	}
+}
+
+// script is a rand.Source64 that yields a fixed list of outputs and
+// counts what was read.
+type script struct {
+	out  []uint64
+	read int
+}
+
+func (s *script) Uint64() uint64 {
+	x := s.out[s.read]
+	s.read++
+	return x
+}
+func (s *script) Int63() int64 { return int64(s.Uint64() & (1<<63 - 1)) }
+func (s *script) Seed(int64)   {}
+
+// TestRedraw: the 63-bit values 2⁶³−512 … 2⁶³−1 are exactly the outputs
+// on which math/rand's Float64 draws again, and Cut.Of refuses exactly
+// those.
+func TestRedraw(t *testing.T) {
+	for _, tc := range []struct {
+		x      uint64
+		redraw bool
+	}{
+		{1<<63 - 513, false},
+		{1<<63 - 512, true},
+		{1<<63 - 1, true},
+		{1<<64 - 513, false},
+		{1<<64 - 512, true},
+		{1<<64 - 1, true},
+	} {
+		if got := float64Of(tc.x) == 1; got != tc.redraw {
+			t.Errorf("%#x: Float64 rounds to 1 is %v, want %v", tc.x, got, tc.redraw)
+		}
+		s := &script{out: []uint64{tc.x, 7}}
+		f := rand.New(s).Float64()
+		if redrawn := s.read == 2; redrawn != tc.redraw {
+			t.Errorf("%#x: math/rand's Float64 read %d outputs, redraw %v", tc.x, s.read, tc.redraw)
+		}
+		if want := float64Of(7); tc.redraw && f != want {
+			t.Errorf("%#x: redrawn Float64 = %v, want %v", tc.x, f, want)
+		}
+		for _, p := range []float64{0, 0.5, 1, math.NaN()} {
+			if _, ok := Below(p).Of(tc.x); ok == tc.redraw {
+				t.Errorf("Below(%v).Of(%#x) ok = %v, redraw %v", p, tc.x, ok, tc.redraw)
+			}
+		}
+	}
+}
+
+// TestIntnMatchesMathRand: Intn.Of returns what math/rand's Intn(n)
+// returns from the same output, and refuses exactly the outputs Intn
+// draws again on: around each accepted bound, for n on both of Intn's
+// branches, powers of two included. For n ≤ 0 it refuses every output,
+// where Intn panics.
+func TestIntnMatchesMathRand(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 2, 3, 128, 151, 1<<30 + 1, 1<<31 - 1, 1 << 31, 1<<31 + 1, 1 << 40, 3<<61 + 1, math.MaxInt64} {
+		d := NewIntn(n)
+		xs := []uint64{0, 1<<63 - 1, 1<<64 - 1}
+		bound := uint64(d.max) << d.shift // the largest accepted output
+		for _, b := range []uint64{bound, bound + 1<<d.shift, bound + 1<<d.shift - 1} {
+			xs = append(xs, b, b|1<<63)
+		}
+		for range 200 {
+			xs = append(xs, rng.Uint64())
+		}
+		for _, x := range xs {
+			s := &script{out: []uint64{x, 0}}
+			want := rand.New(s).Intn(n)
+			got, ok := d.Of(x)
+			if accepted := s.read == 1; ok != accepted {
+				t.Fatalf("Intn(%d) on %#x: Of ok = %v, math/rand read %d outputs", n, x, ok, s.read)
+			}
+			if ok && got != want {
+				t.Fatalf("Intn(%d) on %#x: Of = %d, math/rand %d", n, x, got, want)
+			}
+		}
+	}
+	for _, n := range []int{0, -1, math.MinInt} {
+		if _, ok := NewIntn(n).Of(0); ok {
+			t.Errorf("NewIntn(%d) accepted an output", n)
+		}
+	}
+}
