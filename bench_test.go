@@ -85,7 +85,8 @@ func BenchmarkCampaignAllScenarios(b *testing.B) {
 }
 
 // BenchmarkPoisoningPipeline measures the §III unit pipeline: template →
-// malicious twin → spoofed fragments with fixed checksum.
+// malicious twin → spoofed fragments with fixed checksum, built through
+// one attacker's reused scratch as the lab's planting loop builds them.
 func BenchmarkPoisoningPipeline(b *testing.B) {
 	b.ReportAllocs()
 	// Build a representative padded pool response template once.
@@ -107,9 +108,10 @@ func BenchmarkPoisoningPipeline(b *testing.B) {
 	}
 	evil := []ipv4.Addr{{6, 6, 6, 6}}
 	ipids := []uint16{1, 2, 3, 4, 5, 6, 7, 8}
+	eve := new(attack.Attacker)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		frags, err := attack.BuildSpoofedFragments(attack.PoisonPlan{
+		frags, err := eve.BuildSpoofedFragments(attack.PoisonPlan{
 			NS:       core.NSAddr,
 			Resolver: core.ResolverAddr,
 			Template: template, Malicious: evil, MTU: 68, IPIDs: ipids,

@@ -1,7 +1,8 @@
 // Documentation enforcement: the DESIGN.md §4 experiment index must match
 // the scenario registry, relative links in the top-level docs must
-// resolve, and the packages named in ISSUE-tracked godoc passes must
-// document every exported symbol. CI runs these in its docs job; they are
+// resolve, the packages TestGodocCoverage names must document every
+// exported symbol, and every internal package must be imported by
+// non-test code. CI runs these in its docs job; they are
 // ordinary tests so `go test ./...` catches drift locally too.
 package dnstime_test
 
@@ -14,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -133,6 +135,58 @@ func TestGodocCoverage(t *testing.T) {
 					check("method", typ.Name+"."+m.Name, m.Doc)
 				}
 			}
+		}
+	}
+}
+
+// TestEveryInternalPackageIsImported: every package under internal/ is
+// imported by a non-test file of another package of this module (a
+// package cannot import itself), so code that only its own tests reach
+// cannot linger. Nested modules such as bench/ do not count.
+func TestEveryInternalPackageIsImported(t *testing.T) {
+	fset := token.NewFileSet()
+	var packages []string
+	imported := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." {
+				if strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
+					return filepath.SkipDir
+				}
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
+			}
+			return nil
+		}
+		if filepath.Ext(path) != ".go" || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		pkg := "dnstime/" + filepath.ToSlash(filepath.Dir(path))
+		if strings.HasPrefix(pkg, "dnstime/internal/") && !slices.Contains(packages, pkg) {
+			packages = append(packages, pkg)
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			imported[strings.Trim(imp.Path.Value, `"`)] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(packages) == 0 {
+		t.Fatal("found no packages under internal/")
+	}
+	for _, pkg := range packages {
+		if !imported[pkg] {
+			t.Errorf("%s is imported by no non-test file of another package", pkg)
 		}
 	}
 }

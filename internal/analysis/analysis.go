@@ -1,13 +1,8 @@
 // Package analysis implements the paper's closed-form probability analysis
-// of the run-time attack (Section V-B, Table III) and the expected-duration
-// model behind Table II, plus Monte-Carlo cross-checks.
+// of the run-time attack (Section V-B, Table III).
 package analysis
 
-import (
-	"math"
-	"math/rand"
-	"time"
-)
+import "math"
 
 // DefaultPRate is the measured fraction of pool.ntp.org servers that
 // rate-limit (Section VII-A: 904 of 2432 ≈ 38%).
@@ -92,52 +87,4 @@ func TableIII(p float64) []TableIIIRow {
 		})
 	}
 	return rows
-}
-
-// MonteCarloP2 estimates P2(m,n) by sampling server populations — a
-// cross-check on the closed form used in the property tests.
-func MonteCarloP2(m, n int, p float64, trials int, seed int64) float64 {
-	rng := rand.New(rand.NewSource(seed))
-	hit := 0
-	for t := 0; t < trials; t++ {
-		limiting := 0
-		for i := 0; i < m; i++ {
-			if rng.Float64() < p {
-				limiting++
-			}
-		}
-		if limiting >= n {
-			hit++
-		}
-	}
-	return float64(hit) / float64(trials)
-}
-
-// DurationModel predicts the run-time attack duration for a client, per the
-// mechanism of Section V-A2: each targeted association takes
-// UnreachableAfter missed polls to demobilise; in Scenario P1 all targets
-// are starved concurrently, while in Scenario P2 the attacker discovers and
-// starves them one at a time (discovery adds one poll round per server as
-// the client fails over); accepting the attacker's time then takes
-// SelectMinSamples polls of the new servers.
-type DurationModel struct {
-	PollInterval     time.Duration
-	UnreachableAfter int
-	SelectMinSamples int
-	ServersToRemove  int
-}
-
-// P1Duration is the expected duration with all upstream addresses known.
-func (d DurationModel) P1Duration() time.Duration {
-	removal := time.Duration(d.UnreachableAfter) * d.PollInterval
-	accept := time.Duration(d.SelectMinSamples+1) * d.PollInterval
-	return removal + accept
-}
-
-// P2Duration is the expected duration with one-at-a-time RefID discovery.
-func (d DurationModel) P2Duration() time.Duration {
-	perServer := time.Duration(d.UnreachableAfter+1) * d.PollInterval
-	removal := time.Duration(d.ServersToRemove) * perServer
-	accept := time.Duration(d.SelectMinSamples+1) * d.PollInterval
-	return removal + accept
 }

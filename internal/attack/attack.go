@@ -7,11 +7,8 @@
 //	        records,
 //	§III-3  fixing the UDP checksum through attacker-controlled slack
 //	        bytes,
-//	§IV-A   the 30-second defragmentation-cache planting loop used when
-//	        query timing is unpredictable,
 //	§IV-B   rate-limit abuse floods that break a client's existing NTP
-//	        associations, and upstream discovery via pool enumeration,
-//	        RefID leakage (P2) and the mode-7 config interface.
+//	        associations, and upstream discovery via RefID leakage (P2).
 //
 // The attacker is strictly off-path: it observes only packets addressed to
 // its own hosts and injects packets with spoofed sources via
@@ -19,7 +16,6 @@
 package attack
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -147,11 +143,13 @@ func (a *Attacker) ForceFragmentation(ns, victim ipv4.Addr, mtu int) {
 
 // ProbeIPIDs sends n DNS probe queries for probeName to ns, spaced by
 // `spacing`, observing the IPIDs of the responses. done receives the
-// observed IPIDs in order.
+// observed IPIDs in order. It holds the host's raw-packet observer for the
+// whole probe and clears it afterwards, so one attacker runs one probe at
+// a time.
 func (a *Attacker) ProbeIPIDs(ns ipv4.Addr, probeName string, n int, spacing time.Duration, done func([]uint16, error)) {
 	probeStart := a.clock.Now()
 	var ids []uint16
-	prevObs := swapRawObserver(a.host, func(pkt *ipv4.Packet) {
+	a.host.ObserveRaw(func(pkt *ipv4.Packet) {
 		if pkt.Src == ns && pkt.Proto == ipv4.ProtoUDP && !pkt.IsFragment() {
 			ids = append(ids, pkt.ID)
 		}
@@ -176,7 +174,7 @@ func (a *Attacker) ProbeIPIDs(ns ipv4.Addr, probeName string, n int, spacing tim
 	}
 	a.clock.Schedule(time.Duration(n)*spacing+2*time.Second, func() {
 		a.host.UnhandleUDP(port)
-		a.host.ObserveRaw(prevObs)
+		a.host.ObserveRaw(nil)
 		if a.traceOn() {
 			a.tr.Span(probeStart, a.clock.Now(), "attack", "probe-ipids",
 				"answered="+strconv.Itoa(len(ids)))
@@ -187,13 +185,6 @@ func (a *Attacker) ProbeIPIDs(ns ipv4.Addr, probeName string, n int, spacing tim
 		}
 		done(ids, nil)
 	})
-}
-
-// swapRawObserver installs fn and returns the previous observer (there is
-// no getter on simnet.Host, so the attacker tracks it itself; nil is fine).
-func swapRawObserver(h *simnet.Host, fn func(*ipv4.Packet)) func(*ipv4.Packet) {
-	h.ObserveRaw(fn)
-	return nil
 }
 
 // PredictIPIDs extrapolates a window of IPID candidates from probe
@@ -249,17 +240,11 @@ type PoisonPlan struct {
 // IPID. Each fragment reassembles with the nameserver's real first fragment
 // (which carries TXID, ports and UDP checksum) into a response whose answer
 // addresses are the attacker's and whose UDP checksum still verifies.
-// The returned packets share one payload slice — only the IPID varies, and
-// Inject copies packets on entry — so mutating one payload affects all.
-func BuildSpoofedFragments(plan PoisonPlan) ([]*ipv4.Packet, error) {
-	var a Attacker
-	return a.BuildSpoofedFragments(plan)
-}
-
-// BuildSpoofedFragments is the scratch-reusing form: the returned packets
-// and their shared payload belong to the attacker and stay valid only until
-// its next call. Inject copies on entry, so the planting loop's
-// rebuild-inject-repeat cycle never observes the reuse.
+// The returned packets share one payload slice — only the IPID varies — and
+// they and that payload belong to the attacker, valid only until its next
+// call. Inject copies on entry, so the lab's planting loop
+// (core.Campaign) never observes the reuse. A zero Attacker builds
+// fragments too.
 func (a *Attacker) BuildSpoofedFragments(plan PoisonPlan) ([]*ipv4.Packet, error) {
 	mal, err := a.maliciousTwin(plan.Template, plan.Malicious, plan.TTL)
 	if err != nil {
@@ -329,18 +314,12 @@ func growZeroHeader(b []byte, n int) []byte {
 	return b
 }
 
-// MaliciousTwin parses a predicted DNS response and re-encodes it with the
+// maliciousTwin parses a predicted DNS response and re-encodes it with the
 // answer A-record addresses replaced by the attacker's (cycling through
 // them) and, optionally, the TTLs overridden. The result must have exactly
 // the template's length, since the first fragment (with the length-bearing
-// headers) is the nameserver's own.
-func MaliciousTwin(template []byte, malicious []ipv4.Addr, ttl uint32) ([]byte, error) {
-	var a Attacker
-	return a.maliciousTwin(template, malicious, ttl)
-}
-
-// maliciousTwin is MaliciousTwin through the attacker's decode and encode
-// scratch; the returned bytes are valid until the next call.
+// headers) is the nameserver's own. It works through the attacker's decode
+// and encode scratch; the returned bytes are valid until the next call.
 func (a *Attacker) maliciousTwin(template []byte, malicious []ipv4.Addr, ttl uint32) ([]byte, error) {
 	if len(malicious) == 0 {
 		return nil, fmt.Errorf("%w: no malicious addresses", ErrShapeMismatch)
@@ -388,37 +367,6 @@ func findSlack(f2 []byte) (int, error) {
 	}
 	return 0, ErrNoSlack
 }
-
-// ---------------------------------------------------------------------------
-// §IV-A: the defragmentation-cache planting loop.
-
-// PlantLoop repeatedly injects the given spoofed fragments (refreshed via
-// rebuild, which may update IPID predictions) every interval, until stopped.
-// This is the "periodically plant the spoofed fragment every 30 seconds"
-// strategy used when query timing is unpredictable.
-type PlantLoop struct {
-	ticker *simclock.Ticker
-	// Rounds counts planting rounds performed.
-	Rounds int
-}
-
-// StartPlantLoop begins planting. rebuild is called each round to produce
-// the fragments to inject (return nil to skip a round).
-func (a *Attacker) StartPlantLoop(interval time.Duration, rebuild func() []*ipv4.Packet) *PlantLoop {
-	pl := &PlantLoop{}
-	inject := func() {
-		pl.Rounds++
-		for _, f := range rebuild() {
-			a.Inject(f)
-		}
-	}
-	inject() // first round immediately
-	pl.ticker = a.clock.Tick(interval, inject)
-	return pl
-}
-
-// Stop ends the planting loop.
-func (pl *PlantLoop) Stop() { pl.ticker.Stop() }
 
 // ---------------------------------------------------------------------------
 // Query triggering.
@@ -553,83 +501,4 @@ func (a *Attacker) DiscoverUpstreamViaRefID(victim ipv4.Addr, done func(ipv4.Add
 	q := ntpwire.NewClientPacket(a.clock.Now())
 	a.InjectedPackets++
 	_, _ = a.host.SendUDP(victim, port, ntpwire.Port, q.Marshal())
-}
-
-// DiscoverUpstreamsViaConfig reads the victim server's mode-7 config
-// interface, returning configured names and current upstream addresses.
-func (a *Attacker) DiscoverUpstreamsViaConfig(victim ipv4.Addr, done func(names []string, addrs []ipv4.Addr, err error)) {
-	port := a.host.AllocPort()
-	var timer *simclock.Timer
-	if err := a.host.HandleUDP(port, func(src ipv4.Addr, _ uint16, payload []byte) {
-		if src != victim {
-			return
-		}
-		names, addrs, ok := parseConfig(payload)
-		if !ok {
-			return
-		}
-		timer.Stop()
-		a.host.UnhandleUDP(port)
-		done(names, addrs, nil)
-	}); err != nil {
-		done(nil, nil, err)
-		return
-	}
-	timer = a.clock.Schedule(3*time.Second, func() {
-		a.host.UnhandleUDP(port)
-		done(nil, nil, fmt.Errorf("attack: config interface closed"))
-	})
-	a.InjectedPackets++
-	_, _ = a.host.SendUDP(victim, port, ntpwire.Port, []byte{byte(ntpwire.ModePrivate)})
-}
-
-// parseConfig duplicates ntpserv.ParseConfigResponse without importing the
-// server package (the attacker parses wire bytes, not server internals).
-func parseConfig(payload []byte) (names []string, addrs []ipv4.Addr, ok bool) {
-	if len(payload) < 1 || ntpwire.Mode(payload[0]&0x7) != ntpwire.ModePrivate {
-		return nil, nil, false
-	}
-	for _, line := range bytes.Split(payload[1:], []byte{'\n'}) {
-		s := string(line)
-		const srvPrefix, peerPrefix = "server ", "peer "
-		switch {
-		case len(s) > len(srvPrefix) && s[:len(srvPrefix)] == srvPrefix:
-			names = append(names, s[len(srvPrefix):])
-		case len(s) > len(peerPrefix) && s[:len(peerPrefix)] == peerPrefix:
-			if a, err := ipv4.ParseAddr(s[len(peerPrefix):]); err == nil {
-				addrs = append(addrs, a)
-			}
-		}
-	}
-	return names, addrs, true
-}
-
-// EnumeratePool collects the candidate upstream population by repeatedly
-// resolving the pool domain directly at the nameserver (§IV-B2a: "the
-// attacker queries the DNS system ... and creates a list of possible
-// upstream NTP server addresses").
-func (a *Attacker) EnumeratePool(ns ipv4.Addr, domain string, rounds int, done func([]ipv4.Addr)) {
-	seen := make(map[ipv4.Addr]struct{})
-	var order []ipv4.Addr
-	var step func(i int)
-	step = func(i int) {
-		if i >= rounds {
-			done(order)
-			return
-		}
-		a.FetchTemplate(ns, domain, func(payload []byte, err error) {
-			if err == nil {
-				if m, err := dnswire.Unmarshal(payload); err == nil {
-					for _, addr := range m.AddrsInAnswer(domain) {
-						if _, ok := seen[addr]; !ok {
-							seen[addr] = struct{}{}
-							order = append(order, addr)
-						}
-					}
-				}
-			}
-			a.clock.Schedule(200*time.Millisecond, func() { step(i + 1) })
-		})
-	}
-	step(0)
 }

@@ -144,9 +144,9 @@ func TestMaliciousTwinPreservesShape(t *testing.T) {
 	if template == nil {
 		t.Fatal("no template")
 	}
-	mal, err := MaliciousTwin(template, []ipv4.Addr{evilNTP}, 86400*2)
+	mal, err := new(Attacker).maliciousTwin(template, []ipv4.Addr{evilNTP}, 86400*2)
 	if err != nil {
-		t.Fatalf("MaliciousTwin: %v", err)
+		t.Fatalf("maliciousTwin: %v", err)
 	}
 	if len(mal) != len(template) {
 		t.Fatalf("length changed: %d -> %d", len(template), len(mal))
@@ -168,12 +168,12 @@ func TestMaliciousTwinPreservesShape(t *testing.T) {
 }
 
 func TestMaliciousTwinErrors(t *testing.T) {
-	if _, err := MaliciousTwin([]byte{1, 2}, []ipv4.Addr{evilNTP}, 0); err == nil {
+	if _, err := new(Attacker).maliciousTwin([]byte{1, 2}, []ipv4.Addr{evilNTP}, 0); err == nil {
 		t.Error("garbage template accepted")
 	}
 	q := dnswire.NewQuery(1, "x.test", dnswire.TypeA, true)
 	wire, _ := q.Marshal()
-	if _, err := MaliciousTwin(wire, nil, 0); !errors.Is(err, ErrShapeMismatch) {
+	if _, err := new(Attacker).maliciousTwin(wire, nil, 0); !errors.Is(err, ErrShapeMismatch) {
 		t.Errorf("err = %v, want ErrShapeMismatch for empty malicious set", err)
 	}
 }
@@ -220,7 +220,7 @@ func TestFullPoisoningPipeline(t *testing.T) {
 	}
 
 	// (4) Craft and plant the spoofed second fragments.
-	frags, err := BuildSpoofedFragments(PoisonPlan{
+	frags, err := eve.BuildSpoofedFragments(PoisonPlan{
 		NS: nsAddr, Resolver: resAddr, Template: template,
 		Malicious: []ipv4.Addr{evilNTP}, TTL: 0, MTU: 68, IPIDs: window,
 	})
@@ -265,7 +265,7 @@ func TestPoisoningFailsWithoutChecksumFix(t *testing.T) {
 	eve.FetchTemplate(nsAddr, "pool.ntp.org", func(p []byte, err error) { template = p })
 	f.clk.RunFor(2 * time.Second)
 
-	frags, err := BuildSpoofedFragments(PoisonPlan{
+	frags, err := eve.BuildSpoofedFragments(PoisonPlan{
 		NS: nsAddr, Resolver: resAddr, Template: template,
 		Malicious: []ipv4.Addr{evilNTP}, MTU: 68, IPIDs: []uint16{0, 1, 2, 3},
 	})
@@ -302,7 +302,7 @@ func TestPoisoningFailsWithWrongIPIDs(t *testing.T) {
 	var template []byte
 	eve.FetchTemplate(nsAddr, "pool.ntp.org", func(p []byte, err error) { template = p })
 	f.clk.RunFor(2 * time.Second)
-	frags, err := BuildSpoofedFragments(PoisonPlan{
+	frags, err := eve.BuildSpoofedFragments(PoisonPlan{
 		NS: nsAddr, Resolver: resAddr, Template: template,
 		Malicious: []ipv4.Addr{evilNTP}, MTU: 68, IPIDs: []uint16{40000, 40001},
 	})
@@ -325,51 +325,6 @@ func TestPoisoningFailsWithWrongIPIDs(t *testing.T) {
 		if rr.Addr == evilNTP {
 			t.Fatal("malicious record cached despite wrong IPIDs")
 		}
-	}
-}
-
-func TestPlantLoopKeepsCacheWarm(t *testing.T) {
-	f := newFixture(t, 4)
-	eve := f.eve
-	eve.ForceFragmentation(nsAddr, resAddr, 68)
-	f.clk.RunFor(time.Second)
-	var template []byte
-	eve.FetchTemplate(nsAddr, "pool.ntp.org", func(p []byte, err error) { template = p })
-	f.clk.RunFor(2 * time.Second)
-
-	rebuild := func() []*ipv4.Packet {
-		frags, err := BuildSpoofedFragments(PoisonPlan{
-			NS: nsAddr, Resolver: resAddr, Template: template,
-			Malicious: []ipv4.Addr{evilNTP}, MTU: 68,
-			IPIDs: []uint16{0, 1, 2, 3, 4, 5, 6, 7},
-		})
-		if err != nil {
-			return nil
-		}
-		return frags
-	}
-	loop := eve.StartPlantLoop(30*time.Second, rebuild)
-	// The victim's query happens at an unpredictable moment, 2 minutes in.
-	f.clk.RunFor(2 * time.Minute)
-	eve.TriggerOpenResolverQuery(resAddr, "pool.ntp.org")
-	f.clk.RunFor(5 * time.Second)
-	loop.Stop()
-
-	if loop.Rounds < 4 {
-		t.Errorf("plant rounds = %d, want ≥4 over 2 minutes", loop.Rounds)
-	}
-	entry, ok := f.res.Peek("pool.ntp.org", dnswire.TypeA)
-	if !ok {
-		t.Fatal("nothing cached")
-	}
-	found := false
-	for _, rr := range entry.RRs {
-		if rr.Addr == evilNTP {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("plant loop did not poison the cache")
 	}
 }
 
@@ -398,67 +353,13 @@ func TestRateLimitFloodStarvesVictim(t *testing.T) {
 	}
 }
 
-func TestDiscoverUpstreamsViaConfig(t *testing.T) {
-	f := newFixture(t, 4)
-	up := ipv4.MustParseAddr("10.3.3.3")
-	srvHost := f.net.MustAddHost(ipv4.MustParseAddr("10.1.1.1"), simnet.HostConfig{})
-	if _, err := ntpserv.New(srvHost, ntpserv.Config{
-		ConfigInterface: true,
-		UpstreamNames:   []string{"pool.ntp.org"},
-		UpstreamAddrs:   []ipv4.Addr{up},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	var addrs []ipv4.Addr
-	f.eve.DiscoverUpstreamsViaConfig(srvHost.Addr(), func(n []string, a []ipv4.Addr, err error) {
-		if err != nil {
-			t.Errorf("config discovery: %v", err)
-			return
-		}
-		names, addrs = n, a
-	})
-	f.clk.RunFor(5 * time.Second)
-	if len(names) != 1 || len(addrs) != 1 || addrs[0] != up {
-		t.Errorf("names=%v addrs=%v", names, addrs)
-	}
-}
-
-func TestDiscoverUpstreamsViaConfigClosed(t *testing.T) {
-	f := newFixture(t, 4)
-	srvHost := f.net.MustAddHost(ipv4.MustParseAddr("10.1.1.1"), simnet.HostConfig{})
-	if _, err := ntpserv.New(srvHost, ntpserv.Config{}); err != nil {
-		t.Fatal(err)
-	}
-	var gotErr error
-	called := false
-	f.eve.DiscoverUpstreamsViaConfig(srvHost.Addr(), func(_ []string, _ []ipv4.Addr, err error) {
-		called = true
-		gotErr = err
-	})
-	f.clk.RunFor(10 * time.Second)
-	if !called || gotErr == nil {
-		t.Error("closed config interface should produce an error")
-	}
-}
-
-func TestEnumeratePoolCollectsRotatingAnswers(t *testing.T) {
-	f := newFixture(t, 12) // pool rotates 4 at a time through 12
-	var got []ipv4.Addr
-	f.eve.EnumeratePool(nsAddr, "pool.ntp.org", 6, func(addrs []ipv4.Addr) { got = addrs })
-	f.clk.RunFor(time.Minute)
-	if len(got) != 12 {
-		t.Errorf("enumerated %d addresses, want 12", len(got))
-	}
-}
-
 func TestBuildSpoofedFragmentsErrors(t *testing.T) {
 	q := dnswire.NewQuery(1, "pool.ntp.org", dnswire.TypeA, true)
 	r := dnswire.NewResponse(q)
 	r.Answers = []dnswire.RR{{Name: "pool.ntp.org", Type: dnswire.TypeA, TTL: 150, Addr: ipv4.Addr{1, 1, 1, 1}}}
 	small, _ := r.Marshal()
 	// Response too small to span two fragments at MTU 1500.
-	_, err := BuildSpoofedFragments(PoisonPlan{
+	_, err := new(Attacker).BuildSpoofedFragments(PoisonPlan{
 		NS: nsAddr, Resolver: resAddr, Template: small,
 		Malicious: []ipv4.Addr{evilNTP}, MTU: 1500, IPIDs: []uint16{1},
 	})
@@ -466,7 +367,7 @@ func TestBuildSpoofedFragmentsErrors(t *testing.T) {
 		t.Errorf("err = %v, want ErrFragmentBounds", err)
 	}
 	// No padding slack in the second fragment region.
-	_, err = BuildSpoofedFragments(PoisonPlan{
+	_, err = new(Attacker).BuildSpoofedFragments(PoisonPlan{
 		NS: nsAddr, Resolver: resAddr, Template: small,
 		Malicious: []ipv4.Addr{evilNTP}, MTU: 68, IPIDs: []uint16{1},
 	})

@@ -131,12 +131,6 @@ type Config struct {
 	// two fragments of at most this size regardless of path MTU — the test
 	// nameserver behaviour from the ad study.
 	AlwaysFragmentMTU int
-	// WildcardA, when set, answers any otherwise-unknown name inside a
-	// served zone with this address (used by the measurement test domains
-	// where every random token resolves).
-	WildcardA *ipv4.Addr
-	// WildcardTTL is the TTL for wildcard answers (default 60).
-	WildcardTTL uint32
 }
 
 // Server is an authoritative nameserver.
@@ -280,17 +274,6 @@ func (s *Server) respondInto(q, resp *dnswire.Message) {
 		for _, rr := range z.Records[name] {
 			if rr.Type == qtype || rr.Type == dnswire.TypeCNAME {
 				resp.Answers = append(resp.Answers, rr)
-			}
-		}
-		if len(resp.Answers) == 0 && s.cfg.WildcardA != nil {
-			ttl := s.cfg.WildcardTTL
-			if ttl == 0 {
-				ttl = 60
-			}
-			if qtype == dnswire.TypeA {
-				resp.Answers = append(resp.Answers, dnswire.RR{
-					Name: name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: ttl, Addr: *s.cfg.WildcardA,
-				})
 			}
 		}
 	} else if s.poolFor(name) == nil {

@@ -166,17 +166,6 @@ func TestBogusSignatures(t *testing.T) {
 	}
 }
 
-func TestWildcardAnswers(t *testing.T) {
-	wc := ipv4.Addr{9, 8, 7, 6}
-	n, s, c := newServer(t, Config{WildcardA: &wc})
-	s.AddZone(NewZone("study.test"))
-	got := query(t, n, c, "tok123.ftiny.study.test", dnswire.TypeA)
-	addrs := got.AddrsInAnswer("tok123.ftiny.study.test")
-	if len(addrs) != 1 || addrs[0] != wc {
-		t.Errorf("wildcard answer = %v, want %v", addrs, wc)
-	}
-}
-
 func TestPaddingReachesTargetSize(t *testing.T) {
 	n, s, c := newServer(t, Config{PadResponsesTo: 1200})
 	z := NewZone("example.org")

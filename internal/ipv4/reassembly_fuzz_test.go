@@ -161,7 +161,8 @@ func (r *refReassembler) add(p *Packet, now time.Time) ([]byte, bool) {
 func runTo(clk *simclock.Clock, deadline time.Time) {
 	reached := false
 	clk.ScheduleAt(deadline, func() { reached = true })
-	clk.RunWhile(func() bool { return !reached })
+	for !reached && clk.Step() {
+	}
 }
 
 // FuzzReassembly feeds arbitrary fragment sequences — any pair, IPID,

@@ -172,8 +172,6 @@ func scanServers(specs []population.PoolServerSpec, cfg ScanConfig) ([]scanOutco
 				HoldDown:    60 * time.Second,
 				SendKoD:     spec.SendsKoD,
 			},
-			ConfigInterface: spec.OpenConfig,
-			UpstreamNames:   []string{"pool.ntp.org"},
 		}
 		if _, err := ntpserv.New(host, scfg); err != nil {
 			return nil, fmt.Errorf("measure: pool server: %w", err)
@@ -603,28 +601,6 @@ func (r TimingResult) Histogram() *stats.Histogram {
 		h.Add(d)
 	}
 	return h
-}
-
-// BestThresholdAccuracy sweeps candidate thresholds T and returns the best
-// achievable classification accuracy if "cached" were declared whenever
-// t_first − t_avg < T, given the ground truth. The paper's conclusion — no
-// reasonable T exists — corresponds to accuracies well below 1.
-func BestThresholdAccuracy(deltas []float64, cached []bool) (bestT float64, accuracy float64) {
-	if len(deltas) != len(cached) || len(deltas) == 0 {
-		return 0, 0
-	}
-	for t := -50.0; t <= 200; t += 5 {
-		correct := 0
-		for i, d := range deltas {
-			if (d < t) == cached[i] {
-				correct++
-			}
-		}
-		if acc := float64(correct) / float64(len(deltas)); acc > accuracy {
-			accuracy, bestT = acc, t
-		}
-	}
-	return bestT, accuracy
 }
 
 // TimingSideChannel generates the Figure 7 measurement from the probe

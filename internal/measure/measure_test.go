@@ -465,7 +465,7 @@ func TestTimingSideChannelInconclusive(t *testing.T) {
 			deltas[i] = rtt + jitter
 		}
 	}
-	_, acc := BestThresholdAccuracy(deltas, cached)
+	_, acc := bestThresholdAccuracy(deltas, cached)
 	if acc > 0.93 {
 		t.Errorf("best threshold accuracy = %.3f; Figure 7 expects no clean separation", acc)
 	}
@@ -475,10 +475,32 @@ func TestTimingSideChannelInconclusive(t *testing.T) {
 }
 
 func TestBestThresholdAccuracyDegenerate(t *testing.T) {
-	if _, acc := BestThresholdAccuracy(nil, nil); acc != 0 {
+	if _, acc := bestThresholdAccuracy(nil, nil); acc != 0 {
 		t.Error("empty input should yield 0")
 	}
-	if _, acc := BestThresholdAccuracy([]float64{1}, []bool{true, false}); acc != 0 {
+	if _, acc := bestThresholdAccuracy([]float64{1}, []bool{true, false}); acc != 0 {
 		t.Error("mismatched input should yield 0")
 	}
+}
+
+// bestThresholdAccuracy sweeps candidate thresholds T and returns the best
+// achievable classification accuracy if "cached" were declared whenever
+// t_first − t_avg < T, given the ground truth. The paper's conclusion — no
+// reasonable T exists — corresponds to accuracies well below 1.
+func bestThresholdAccuracy(deltas []float64, cached []bool) (bestT float64, accuracy float64) {
+	if len(deltas) != len(cached) || len(deltas) == 0 {
+		return 0, 0
+	}
+	for t := -50.0; t <= 200; t += 5 {
+		correct := 0
+		for i, d := range deltas {
+			if (d < t) == cached[i] {
+				correct++
+			}
+		}
+		if acc := float64(correct) / float64(len(deltas)); acc > accuracy {
+			accuracy, bestT = acc, t
+		}
+	}
+	return bestT, accuracy
 }

@@ -85,7 +85,11 @@ type Event struct {
 
 // String renders the event.
 func (e Event) String() string {
-	return fmt.Sprintf("%s %-11s %s %s", e.At.Format("15:04:05"), e.Kind, e.Addr, e.Note)
+	s := fmt.Sprintf("%s %-11s %s", e.At.Format("15:04:05"), e.Kind, e.Addr)
+	if e.Note != "" {
+		s += " " + e.Note
+	}
+	return s
 }
 
 // Client is a behavioural NTP client bound to a simnet host.
@@ -152,16 +156,6 @@ func (c *Client) ClockOffset() time.Duration { return c.local.Offset() }
 // Selected returns the current sync source (zero address if none).
 func (c *Client) Selected() ipv4.Addr { return c.selected }
 
-// Associations returns a snapshot of all (including demobilised)
-// associations in mobilisation order.
-func (c *Client) Associations() []Association {
-	out := make([]Association, 0, len(c.order))
-	for _, a := range c.order {
-		out = append(out, *c.assocs[a])
-	}
-	return out
-}
-
 // UsableCount reports the number of usable associations.
 func (c *Client) UsableCount() int {
 	n := 0
@@ -214,20 +208,6 @@ func (c *Client) Stop() {
 		c.ticker.Stop()
 	}
 	c.host.UnhandleUDP(c.port)
-}
-
-// Restart simulates a reboot: all associations are forgotten and the boot
-// sequence (including the boot-time DNS lookup) runs again.
-func (c *Client) Restart() error {
-	c.Stop()
-	c.assocs = make(map[ipv4.Addr]*Association)
-	c.order = nil
-	c.cached = nil
-	c.selected = ipv4.Addr{}
-	c.bootDone = false
-	c.Done = false
-	c.pollNow = c.prof.PollInterval
-	return c.Start()
 }
 
 func (c *Client) scheduleTick() {

@@ -393,25 +393,6 @@ func TestPanicThresholdBlocksHugeShiftAfterSync(t *testing.T) {
 	}
 }
 
-func TestRestartForgetsAssociations(t *testing.T) {
-	l := newLab(t, 8)
-	c := l.newClient(ProfileNTPd, 0)
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	l.clk.RunFor(15 * time.Minute)
-	if err := c.Restart(); err != nil {
-		t.Fatal(err)
-	}
-	if c.MobilizedCount() != 0 && len(c.Associations()) > ProfileNTPd.TargetServers {
-		t.Error("restart did not clear associations")
-	}
-	l.clk.RunFor(15 * time.Minute)
-	if c.MobilizedCount() < ProfileNTPd.TargetServers {
-		t.Errorf("client did not rebuild associations after restart: %d", c.MobilizedCount())
-	}
-}
-
 func TestEventStringsNonEmpty(t *testing.T) {
 	kinds := []EventKind{EventDNSLookup, EventMobilize, EventDemobilize, EventStep, EventPanic, EventKoD, EventKind(99)}
 	for _, k := range kinds {
@@ -419,9 +400,14 @@ func TestEventStringsNonEmpty(t *testing.T) {
 			t.Errorf("empty string for kind %d", k)
 		}
 	}
-	e := Event{At: t0, Kind: EventStep, Addr: nsAddr, Note: "x"}
-	if e.String() == "" {
-		t.Error("empty event string")
+	// An empty note leaves no trailing separator.
+	for note, want := range map[string]string{
+		"x": "00:00:00 step        198.51.100.53 x",
+		"":  "00:00:00 step        198.51.100.53",
+	} {
+		if got := (Event{At: t0, Kind: EventStep, Addr: nsAddr, Note: note}).String(); got != want {
+			t.Errorf("note %q: event string %q, want %q", note, got, want)
+		}
 	}
 }
 

@@ -1,5 +1,6 @@
-// Package ntpserv implements an NTP server on a simnet host. It models the
-// server-side behaviours the paper measures and exploits:
+// Package ntpserv implements an NTP server on a simnet host. It answers
+// only mode-3 client queries, and it models the server-side behaviours the
+// paper measures and exploits:
 //
 //   - server-side rate limiting (ntpd's "restrict limited" / "discard"):
 //     when queries from one client IP arrive faster than a minimum
@@ -7,15 +8,12 @@
 //     (RATE) and then stops answering that client for a hold-down period.
 //     Spoofed mode-3 floods with the victim's source address therefore make
 //     the server appear dead to the victim (Section IV-B2);
-//   - the mode-7 "Config interface" some servers still expose, leaking
-//     configured upstream hostnames and addresses (Section IV-B2c);
 //   - attacker-operated servers that serve deliberately shifted time
 //     (step C of the attack).
 package ntpserv
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"dnstime/internal/ipv4"
@@ -59,12 +57,6 @@ type Config struct {
 	RefID [4]byte
 	// RateLimit configures rate limiting.
 	RateLimit RateLimitConfig
-	// ConfigInterface answers mode-7 queries with the configured upstream
-	// names and addresses (paper: 5.3% of pool servers still do).
-	ConfigInterface bool
-	// UpstreamNames and UpstreamAddrs are leaked via the config interface.
-	UpstreamNames []string
-	UpstreamAddrs []ipv4.Addr
 }
 
 // Stats counts server activity.
@@ -73,7 +65,6 @@ type Stats struct {
 	Answered    int
 	RateLimited int
 	KoDSent     int
-	ConfigReads int
 }
 
 type limiterState struct {
@@ -161,13 +152,6 @@ func (s *Server) now() time.Time {
 
 func (s *Server) handle(src ipv4.Addr, srcPort uint16, payload []byte) {
 	s.stats.Queries++
-	// Mode-7 config interface probe: a short non-48-byte datagram with the
-	// mode bits set to 7 (we accept any packet whose first byte carries
-	// mode 7, as real implementations key on the mode field).
-	if len(payload) > 0 && ntpwire.Mode(payload[0]&0x7) == ntpwire.ModePrivate {
-		s.handleConfig(src, srcPort)
-		return
-	}
 	var q ntpwire.Packet
 	if err := ntpwire.UnmarshalInto(&q, payload); err != nil || q.Mode != ntpwire.ModeClient {
 		return
@@ -221,44 +205,4 @@ func (s *Server) limit(src ipv4.Addr, srcPort uint16) bool {
 		_, _ = s.host.SendUDP(src, ntpwire.Port, srcPort, kod.Marshal())
 	}
 	return true
-}
-
-// handleConfig serves the mode-7 configuration interface: a plain-text
-// stand-in for ntpdc's "sysinfo"/"listpeers", leaking upstream hostnames
-// and current upstream addresses.
-func (s *Server) handleConfig(src ipv4.Addr, srcPort uint16) {
-	if !s.cfg.ConfigInterface {
-		return
-	}
-	s.stats.ConfigReads++
-	var sb strings.Builder
-	sb.WriteString("config\n")
-	for _, n := range s.cfg.UpstreamNames {
-		fmt.Fprintf(&sb, "server %s\n", n)
-	}
-	for _, a := range s.cfg.UpstreamAddrs {
-		fmt.Fprintf(&sb, "peer %s\n", a)
-	}
-	// Mode-7 response: first byte carries mode 7 with the response bit.
-	out := append([]byte{0x80 | byte(ntpwire.ModePrivate)}, []byte(sb.String())...)
-	_, _ = s.host.SendUDP(src, ntpwire.Port, srcPort, out)
-}
-
-// ParseConfigResponse extracts upstream names and addresses from a mode-7
-// response (attacker-side helper).
-func ParseConfigResponse(payload []byte) (names []string, addrs []ipv4.Addr, ok bool) {
-	if len(payload) < 1 || ntpwire.Mode(payload[0]&0x7) != ntpwire.ModePrivate {
-		return nil, nil, false
-	}
-	for _, line := range strings.Split(string(payload[1:]), "\n") {
-		switch {
-		case strings.HasPrefix(line, "server "):
-			names = append(names, strings.TrimPrefix(line, "server "))
-		case strings.HasPrefix(line, "peer "):
-			if a, err := ipv4.ParseAddr(strings.TrimPrefix(line, "peer ")); err == nil {
-				addrs = append(addrs, a)
-			}
-		}
-	}
-	return names, addrs, true
 }

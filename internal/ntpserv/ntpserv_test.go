@@ -187,40 +187,42 @@ func TestNoRateLimitWhenDisabled(t *testing.T) {
 	}
 }
 
-func TestConfigInterfaceLeaksUpstreams(t *testing.T) {
-	up := ipv4.MustParseAddr("10.9.9.9")
-	f := newFixture(t, Config{
-		ConfigInterface: true,
-		UpstreamNames:   []string{"pool.ntp.org"},
-		UpstreamAddrs:   []ipv4.Addr{up},
-	})
-	var names []string
-	var addrs []ipv4.Addr
-	port := f.client.AllocPort()
-	f.client.HandleUDP(port, func(_ ipv4.Addr, _ uint16, payload []byte) {
-		names, addrs, _ = ParseConfigResponse(payload)
-	})
-	// Mode-7 probe.
-	probe := []byte{byte(ntpwire.ModePrivate)}
-	f.client.SendUDP(serverAddr, port, ntpwire.Port, probe)
-	f.clk.RunFor(time.Second)
-	if len(names) != 1 || names[0] != "pool.ntp.org" {
-		t.Errorf("names = %v", names)
+// TestServerIgnoresNonClientModes: the server answers mode-3 queries only.
+// NTP bytes are attacker-controlled input, so every other mode — including
+// a mode-7 config probe — and every datagram too short to be a packet is
+// counted and dropped without an answer.
+func TestServerIgnoresNonClientModes(t *testing.T) {
+	withMode := func(m ntpwire.Mode) []byte {
+		p := ntpwire.NewClientPacket(t0)
+		p.Mode = m
+		return p.Marshal()
 	}
-	if len(addrs) != 1 || addrs[0] != up {
-		t.Errorf("addrs = %v", addrs)
-	}
-}
-
-func TestConfigInterfaceClosedByDefault(t *testing.T) {
 	f := newFixture(t, Config{})
-	answered := false
+	answered := 0
 	port := f.client.AllocPort()
-	f.client.HandleUDP(port, func(ipv4.Addr, uint16, []byte) { answered = true })
-	f.client.SendUDP(serverAddr, port, ntpwire.Port, []byte{byte(ntpwire.ModePrivate)})
-	f.clk.RunFor(time.Second)
-	if answered {
-		t.Error("closed config interface answered")
+	f.client.HandleUDP(port, func(ipv4.Addr, uint16, []byte) { answered++ })
+	for i, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"mode-7 probe, 1 byte", []byte{byte(ntpwire.ModePrivate)}},
+		{"mode 7, 48 bytes", withMode(ntpwire.ModePrivate)},
+		{"mode 4", withMode(ntpwire.ModeServer)},
+		{"mode 6", withMode(ntpwire.ModeControl)},
+		{"empty", nil},
+		{"47 bytes", withMode(ntpwire.ModeClient)[:ntpwire.PacketLen-1]},
+	} {
+		if _, err := f.client.SendUDP(serverAddr, port, ntpwire.Port, tc.payload); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		f.clk.RunFor(time.Second)
+		if answered != 0 {
+			t.Errorf("%s: answered", tc.name)
+			answered = 0
+		}
+		if st := f.server.Stats(); st.Queries != i+1 || st.Answered != 0 {
+			t.Errorf("%s: stats %+v, want %d queries and none answered", tc.name, st, i+1)
+		}
 	}
 }
 

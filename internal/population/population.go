@@ -16,7 +16,6 @@ import (
 	"iter"
 	"math/rand"
 	"slices"
-	"time"
 
 	"dnstime/internal/ipv4"
 	"dnstime/internal/simrand"
@@ -34,6 +33,8 @@ type PoolServerSpec struct {
 	// (paper: 33%; KoD senders are a subset of rate limiters).
 	SendsKoD bool
 	// OpenConfig: the mode-7 config interface answers (paper: 5.3%).
+	// No scan sends mode 7; the draw stays so the population's random
+	// stream keeps its bytes.
 	OpenConfig bool
 }
 
@@ -712,17 +713,6 @@ func GenerateTimingDeltas(cfg TimingProbeConfig, seed int64) []float64 {
 			rtt := cfg.UpstreamRTTMinMS + rng.Float64()*(cfg.UpstreamRTTMaxMS-cfg.UpstreamRTTMinMS)
 			out[i] = rtt + jitter
 		}
-	}
-	return out
-}
-
-// UniformTTLs draws n remaining-TTL values uniform on [0, maxTTL] seconds —
-// the Figure 6 ground truth distribution.
-func UniformTTLs(n, maxTTL int, seed int64) []time.Duration {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]time.Duration, n)
-	for i := range out {
-		out[i] = time.Duration(rng.Intn(maxTTL+1)) * time.Second
 	}
 	return out
 }

@@ -564,28 +564,6 @@ func TestGenerateTimingDeltasOverlap(t *testing.T) {
 	}
 }
 
-func TestUniformTTLs(t *testing.T) {
-	ttls := UniformTTLs(10000, 150, 3)
-	if len(ttls) != 10000 {
-		t.Fatal("wrong count")
-	}
-	var lo, hi int
-	for _, ttl := range ttls {
-		s := int(ttl.Seconds())
-		if s < 0 || s > 150 {
-			t.Fatalf("ttl %d out of range", s)
-		}
-		if s < 75 {
-			lo++
-		} else {
-			hi++
-		}
-	}
-	if math.Abs(frac(lo, len(ttls))-0.5) > 0.03 {
-		t.Errorf("TTL distribution not uniform: %d below midpoint", lo)
-	}
-}
-
 func BenchmarkGenerateOpenResolvers(b *testing.B) {
 	cfg := DefaultOpenResolverConfig()
 	b.ReportAllocs()

@@ -310,18 +310,6 @@ func (c *Clock) RunUntil(deadline time.Time) {
 	}
 }
 
-// RunWhile steps the clock while cond returns true and events remain. It
-// reports whether cond is still true when it returns (i.e. the event queue
-// drained first).
-func (c *Clock) RunWhile(cond func() bool) bool {
-	for cond() {
-		if !c.Step() {
-			return true
-		}
-	}
-	return false
-}
-
 type event struct {
 	at        time.Time
 	atN       int64 // at.UnixNano(), the heap comparison key

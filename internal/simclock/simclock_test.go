@@ -191,34 +191,6 @@ func TestTickerStopIsIdempotent(t *testing.T) {
 	}
 }
 
-func TestRunWhile(t *testing.T) {
-	c := New(t0)
-	n := 0
-	for i := 0; i < 10; i++ {
-		c.Schedule(time.Duration(i)*time.Second, func() { n++ })
-	}
-	drained := c.RunWhile(func() bool { return n < 4 })
-	if drained {
-		t.Error("RunWhile reported drained queue while events remain")
-	}
-	if n != 4 {
-		t.Errorf("n = %d, want 4", n)
-	}
-}
-
-func TestRunWhileDrains(t *testing.T) {
-	c := New(t0)
-	n := 0
-	c.Schedule(time.Second, func() { n++ })
-	drained := c.RunWhile(func() bool { return true })
-	if !drained {
-		t.Error("RunWhile did not report drained queue")
-	}
-	if n != 1 {
-		t.Errorf("n = %d, want 1", n)
-	}
-}
-
 func TestLenCountsOnlyPending(t *testing.T) {
 	c := New(t0)
 	c.Schedule(time.Second, func() {})

@@ -107,27 +107,6 @@ func (c *CDF) At(v float64) float64 {
 	return float64(i) / float64(len(c.samples))
 }
 
-// Percentile returns the p-th percentile (p in [0,100]).
-func (c *CDF) Percentile(p float64) float64 {
-	if len(c.samples) == 0 {
-		return math.NaN()
-	}
-	c.sort()
-	if p <= 0 {
-		return c.samples[0]
-	}
-	if p >= 100 {
-		return c.samples[len(c.samples)-1]
-	}
-	idx := p / 100 * float64(len(c.samples)-1)
-	lo := int(idx)
-	frac := idx - float64(lo)
-	if lo+1 >= len(c.samples) {
-		return c.samples[lo]
-	}
-	return c.samples[lo]*(1-frac) + c.samples[lo+1]*frac
-}
-
 // Points returns (x, P(X≤x)) pairs at the given x values — the series
 // plotted in Figure 5.
 func (c *CDF) Points(xs []float64) [][2]float64 {
@@ -162,19 +141,6 @@ func Stddev(xs []float64) float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(len(xs)-1))
-}
-
-// PercentileOf returns the p-th percentile (p in [0,100]) of xs by linear
-// interpolation, without mutating xs.
-func PercentileOf(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var c CDF
-	for _, x := range xs {
-		c.Add(x)
-	}
-	return c.Percentile(p)
 }
 
 // Interval is a two-sided 95% confidence interval.

@@ -60,22 +60,6 @@ func TestCDFAt(t *testing.T) {
 	}
 }
 
-func TestCDFPercentile(t *testing.T) {
-	var c CDF
-	for i := 1; i <= 100; i++ {
-		c.Add(float64(i))
-	}
-	if got := c.Percentile(50); math.Abs(got-50.5) > 1 {
-		t.Errorf("P50 = %f", got)
-	}
-	if got := c.Percentile(0); got != 1 {
-		t.Errorf("P0 = %f", got)
-	}
-	if got := c.Percentile(100); got != 100 {
-		t.Errorf("P100 = %f", got)
-	}
-}
-
 func TestCDFPoints(t *testing.T) {
 	var c CDF
 	c.Add(1)
@@ -90,9 +74,6 @@ func TestCDFEmpty(t *testing.T) {
 	var c CDF
 	if c.At(5) != 0 {
 		t.Error("empty CDF At != 0")
-	}
-	if !math.IsNaN(c.Percentile(50)) {
-		t.Error("empty CDF percentile should be NaN")
 	}
 }
 
@@ -183,22 +164,6 @@ func TestStddev(t *testing.T) {
 	}
 	if got := Stddev([]float64{42}); got != 0 {
 		t.Errorf("Stddev of one sample = %v, want 0", got)
-	}
-}
-
-func TestPercentileOf(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	if got := PercentileOf(xs, 50); got != 3 {
-		t.Errorf("p50 = %v, want 3", got)
-	}
-	if got := PercentileOf(xs, 100); got != 5 {
-		t.Errorf("p100 = %v, want 5", got)
-	}
-	if xs[0] != 5 {
-		t.Error("PercentileOf mutated its input")
-	}
-	if !math.IsNaN(PercentileOf(nil, 50)) {
-		t.Error("PercentileOf(nil) is not NaN")
 	}
 }
 
