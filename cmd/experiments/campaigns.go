@@ -256,8 +256,9 @@ func selectScenarios(only string) ([]string, error) {
 }
 
 // selectNames parses a comma-separated -only list into the set of names
-// it selects (all of valid when the list is empty), rejecting any name
-// not in valid with an error that lists the valid ones.
+// it selects (all of valid when the list is blank), rejecting any name
+// not in valid, and a non-blank list that names none (",", " , "), with
+// an error that lists the valid ones.
 func selectNames(only string, valid []string, kind string) (map[string]bool, error) {
 	want := make(map[string]bool, len(valid))
 	if strings.TrimSpace(only) == "" {
@@ -275,6 +276,9 @@ func selectNames(only string, valid []string, kind string) (map[string]bool, err
 			return nil, fmt.Errorf("unknown %s %q (have: %s)", kind, name, strings.Join(valid, ", "))
 		}
 		want[name] = true
+	}
+	if len(want) == 0 {
+		return nil, fmt.Errorf("-only %q names no %s (have: %s)", only, kind, strings.Join(valid, ", "))
 	}
 	return want, nil
 }

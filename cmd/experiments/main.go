@@ -13,9 +13,10 @@
 //	experiments scenarios [-markdown]
 //	experiments serve [-addr HOST:PORT] [-workers M] [-queue N] [-state DIR] [-rate R -burst B] [-pprof]
 //
-// The default (no subcommand) is the original single-seed paper
-// reproduction; -fast skips Table II's four full run-time attacks and
-// shrinks the §VII-A rate-limit scan from 2432 servers to 300. The serve
+// The default (no subcommand) is the single-seed paper reproduction:
+// each section prints one run of the registered scenario of the same
+// name, and -fast runs it at the scenario's fast size (scenario
+// Config.Fast, as campaigns -fast does). The serve
 // subcommand keeps the whole machinery resident behind an HTTP API —
 // queued campaigns, streamed JSONL results, a content-addressed aggregate
 // cache and graceful drain (DESIGN.md §11).
@@ -54,7 +55,9 @@ import (
 	"syscall"
 
 	"dnstime"
+	"dnstime/internal/analysis"
 	"dnstime/internal/core"
+	"dnstime/internal/measure"
 	"dnstime/internal/stats"
 )
 
@@ -129,10 +132,11 @@ func main() {
 	}
 }
 
-// sections names the single-seed mode's -only sections. The flag's help
-// text and its validation both derive from this one list.
+// sections names the single-seed mode's -only sections in print order.
+// Each is a registered scenario, rendered from one run of it. The flag's
+// help text and its validation both derive from this one list.
 var sections = []string{
-	"table1", "table2", "table3", "table4", "table5", "fig5", "fig6", "fig7",
+	"table1", "table2", "table3", "table4", "fig6", "table5", "fig5", "fig7",
 	"ratelimit", "nsfrag", "chronos", "shared",
 }
 
@@ -142,7 +146,7 @@ var sections = []string{
 func experimentsFlagSet(seed *int64, fast *bool, only *string) *flag.FlagSet {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.Int64Var(seed, "seed", 1, "deterministic seed for all experiments")
-	fs.BoolVar(fast, "fast", false, "skip Table II and shrink the §VII-A rate-limit scan to 300 servers")
+	fs.BoolVar(fast, "fast", false, "run each section at its scenario's fast size, as `campaigns -fast` does")
 	fs.StringVar(only, "only", "", "comma-separated subset: "+strings.Join(sections, ","))
 	return fs
 }
@@ -161,151 +165,111 @@ func noPositional(fs *flag.FlagSet) error {
 	return fmt.Errorf("unexpected argument %q (subcommands: %s)", fs.Arg(0), strings.Join(subcommands, ", "))
 }
 
-// run is the single-seed mode: it prints the selected sections to w in
-// the paper's layout.
+// run is the single-seed mode: it prints one scenario.Run of each
+// selected section to w in the paper's layout. Tables I and II render the
+// run's Metrics; every other section renders its Detail.
 func run(w io.Writer, seed int64, fast bool, only string) error {
 	want, err := selectNames(only, sections, "section")
 	if err != nil {
 		return err
 	}
-	labCfg := dnstime.LabConfig{Seed: seed}
-
-	// Tables I and II render one run of their registered scenarios.
-	if want["table1"] {
-		fmt.Fprintln(w, "== Table I: attack scenarios for popular NTP clients ==")
-		res, err := dnstime.RunScenario(context.Background(), "table1", seed, dnstime.ScenarioConfig{})
+	for _, name := range sections {
+		if !want[name] {
+			continue
+		}
+		res, err := dnstime.RunScenario(context.Background(), name, seed, dnstime.ScenarioConfig{Fast: fast})
 		if err != nil {
 			return err
 		}
-		t := stats.NewTable("Client", "pool usage %", "boot-time", "run-time")
-		for _, pu := range dnstime.AllProfiles() {
-			usage := fmt.Sprintf("%.1f", pu.UsagePct)
-			if pu.UsagePct == 0 {
-				usage = "not listed"
+		switch name {
+		case "table1":
+			fmt.Fprintln(w, "== Table I: attack scenarios for popular NTP clients ==")
+			t := stats.NewTable("Client", "pool usage %", "boot-time", "run-time")
+			for _, pu := range dnstime.AllProfiles() {
+				usage := fmt.Sprintf("%.1f", pu.UsagePct)
+				if pu.UsagePct == 0 {
+					usage = "not listed"
+				}
+				boot := core.No
+				if res.Metrics["boot/"+pu.Profile.Name] == 1 {
+					boot = core.Yes
+				}
+				t.AddRow(pu.Profile.Name, usage, boot.String(), core.RuntimeApplicability(pu.Profile).String())
 			}
-			boot := core.No
-			if res.Metrics["boot/"+pu.Profile.Name] == 1 {
-				boot = core.Yes
+			fmt.Fprintln(w, t)
+		case "table2":
+			fmt.Fprintln(w, "== Table II: run-time attack duration (paper values in parentheses) ==")
+			t := stats.NewTable("Client", "Scenario", "Measured", "Paper")
+			for _, s := range core.TableIISpecs {
+				t.AddRow(s.Profile.Name, s.Scenario.String(),
+					fmt.Sprintf("%.0f minutes", res.Metrics[s.Metric()]),
+					fmt.Sprintf("(%.0f minutes)", s.Paper.Minutes()))
 			}
-			t.AddRow(pu.Profile.Name, usage, boot.String(), core.RuntimeApplicability(pu.Profile).String())
-		}
-		fmt.Fprintln(w, t)
-	}
-
-	if want["table2"] && !fast {
-		fmt.Fprintln(w, "== Table II: run-time attack duration (paper values in parentheses) ==")
-		res, err := dnstime.RunScenario(context.Background(), "table2", seed, dnstime.ScenarioConfig{})
-		if err != nil {
-			return err
-		}
-		t := stats.NewTable("Client", "Scenario", "Measured", "Paper")
-		for _, s := range core.TableIISpecs {
-			t.AddRow(s.Profile.Name, s.Scenario.String(),
-				fmt.Sprintf("%.0f minutes", res.Metrics[s.Metric()]),
-				fmt.Sprintf("(%.0f minutes)", s.Paper.Minutes()))
-		}
-		fmt.Fprintln(w, t)
-	}
-
-	if want["table3"] {
-		fmt.Fprintln(w, "== Table III: run-time attack success probabilities (p_rate = 38%) ==")
-		t := stats.NewTable("m", "n", "P1(n) %", "P2(m,n) %")
-		for _, r := range dnstime.TableIII(dnstime.DefaultPRate) {
-			t.AddRow(r.M, r.N, r.P1, r.P2)
-		}
-		fmt.Fprintln(w, t)
-	}
-
-	// Table IV and Figure 6 render one cache-snooping result.
-	if want["table4"] || want["fig6"] {
-		res := dnstime.SnoopOpenResolvers(dnstime.DefaultOpenResolverConfig(), seed+11)
-		if want["table4"] {
+			fmt.Fprintln(w, t)
+		case "table3":
+			fmt.Fprintln(w, "== Table III: run-time attack success probabilities (p_rate = 38%) ==")
+			t := stats.NewTable("m", "n", "P1(n) %", "P2(m,n) %")
+			for _, r := range res.Detail.([]analysis.TableIIIRow) {
+				t.AddRow(r.M, r.N, r.P1, r.P2)
+			}
+			fmt.Fprintln(w, t)
+		case "table4":
+			r := res.Detail.(measure.SnoopResult)
 			fmt.Fprintln(w, "== Table IV: pool.ntp.org caching state in open resolvers ==")
 			t := stats.NewTable("Query", "Cached %", "Cached", "Not Cached")
-			for _, row := range res.Rows {
+			for _, row := range r.Rows {
 				t.AddRow(string(row.Record), row.CachedPct, row.Cached, row.NotCached)
 			}
 			fmt.Fprintln(w, t)
-			fmt.Fprintf(w, "probed=%d verified=%d\n\n", res.Probed, res.Verified)
-		}
-		if want["fig6"] {
+			fmt.Fprintf(w, "probed=%d verified=%d\n\n", r.Probed, r.Verified)
+		case "fig6":
 			fmt.Fprintln(w, "== Figure 6: TTL values of cached NTP pool records ==")
-			fmt.Fprintln(w, res.TTLHistogram().Render(50))
+			fmt.Fprintln(w, res.Detail.(measure.SnoopResult).TTLHistogram().Render(50))
+		case "table5":
+			r := res.Detail.(measure.AdStudyResult)
+			fmt.Fprintln(w, "== Table V: client resolver study using ads ==")
+			fmt.Fprint(w, r.Render())
+			fmt.Fprintf(w, "valid=%d filtered=%d google=%d  DNSSEC validation %.2f%%–%.2f%% (paper: 19.14%%–28.94%%)\n\n",
+				r.ValidClients, r.Filtered, r.GoogleClients, r.DNSSECMinPct, r.DNSSECMaxPct)
+		case "fig5":
+			r := res.Detail.(measure.FragScanResult)
+			fmt.Fprintln(w, "== Figure 5: CDF of min fragment sizes (1M-domain nameservers, no DNSSEC) ==")
+			t := stats.NewTable("Min fragment size (bytes)", "cumulative fraction %")
+			for _, pt := range r.MinSizes.Points([]float64{68, 292, 548, 1276, 1500}) {
+				t.AddRow(int(pt[0]), 100*pt[1])
+			}
+			fmt.Fprintln(w, t)
+			fmt.Fprintf(w, "fragmenting without DNSSEC: %.2f%% of domains (paper: 7.66%%)\n\n", r.FragNoDNSSECPct())
+		case "fig7":
+			h := res.Detail.(measure.TimingResult).Histogram()
+			fmt.Fprintln(w, "== Figure 7: latency difference t_first − t_avg (ms) ==")
+			fmt.Fprintln(w, h.Render(50))
+			fmt.Fprintf(w, "clamped tails: %d below −50 ms, %d above 200 ms\n\n", h.Under(), h.Over())
+		case "ratelimit":
+			r := res.Detail.(measure.RateLimitResult)
+			fmt.Fprintf(w, "== §VII-A: rate limiting of %d pool.ntp.org NTP servers ==\n", r.Servers)
+			fmt.Fprintf(w, "KoD senders:      %d (%.0f%%, paper: 33%%)\n", r.KoDSenders, r.KoDPct())
+			fmt.Fprintf(w, "stopped replying: %d (%.0f%%, paper: 38%%)\n\n", r.RateLimited, r.RateLimitedPct())
+		case "nsfrag":
+			r := res.Detail.(measure.FragScanResult)
+			fmt.Fprintln(w, "== §VII-B: fragmentation support of pool.ntp.org nameservers ==")
+			fmt.Fprintf(w, "%d of %d nameservers fragment below 548 B (paper: 16 of 30); DNSSEC: %d (paper: 0)\n\n",
+				r.FragBelow548, r.Total, r.DNSSEC)
+		case "chronos":
+			r := res.Detail.(core.ChronosResult)
+			fmt.Fprintln(w, "== §VI-C: DNS poisoning attack against Chronos ==")
+			fmt.Fprintf(w, "analytic bound: poisoning must land before query N ≤ %d (paper: 11)\n", r.Bound)
+			fmt.Fprintf(w, "N=%d: pool=%d (evil %d), 2/3 control=%t, clock shifted=%t (offset %v)\n\n",
+				r.N, r.PoolSize, r.EvilInPool, r.ControlsPool, r.Shifted, r.ClockOffset)
+		case "shared":
+			r := res.Detail.(measure.SharedResolverResult)
+			fmt.Fprintln(w, "== §VIII-B3: shared DNS resolvers ==")
+			fmt.Fprintf(w, "web only:      %d (%.1f%%, paper: 86.2%%)\n", r.WebOnly, 100*float64(r.WebOnly)/float64(r.Total))
+			fmt.Fprintf(w, "web + SMTP:    %d (%.1f%%, paper: 11.3%%)\n", r.WebAndSMTP, 100*float64(r.WebAndSMTP)/float64(r.Total))
+			fmt.Fprintf(w, "open:          %d (%.1f%%, paper: 2.3%%)\n", r.OpenOnly, 100*float64(r.OpenOnly)/float64(r.Total))
+			fmt.Fprintf(w, "open + SMTP:   %d (%.1f%%, paper: 0.2%%)\n", r.OpenAndSMTP, 100*float64(r.OpenAndSMTP)/float64(r.Total))
+			fmt.Fprintf(w, "triggerable:   %d (%.1f%%, paper: 13.8%%)\n\n", r.Triggerable(), r.TriggerablePct())
 		}
-	}
-
-	if want["table5"] {
-		fmt.Fprintln(w, "== Table V: client resolver study using ads ==")
-		clients := dnstime.GenerateAdClients(dnstime.DefaultAdStudyConfig(), seed+9)
-		res := dnstime.AdStudy(clients)
-		fmt.Fprint(w, res.Render())
-		fmt.Fprintf(w, "valid=%d filtered=%d google=%d  DNSSEC validation %.2f%%–%.2f%% (paper: 19.14%%–28.94%%)\n\n",
-			res.ValidClients, res.Filtered, res.GoogleClients, res.DNSSECMinPct, res.DNSSECMaxPct)
-	}
-
-	if want["fig5"] {
-		fmt.Fprintln(w, "== Figure 5: CDF of min fragment sizes (1M-domain nameservers, no DNSSEC) ==")
-		specs := dnstime.GenerateDomainNameservers(dnstime.DefaultDomainNameserverConfig(), seed+5)
-		res := dnstime.FragScan(specs, nil)
-		t := stats.NewTable("Min fragment size (bytes)", "cumulative fraction %")
-		for _, pt := range res.MinSizes.Points([]float64{68, 292, 548, 1276, 1500}) {
-			t.AddRow(int(pt[0]), 100*pt[1])
-		}
-		fmt.Fprintln(w, t)
-		fmt.Fprintf(w, "fragmenting without DNSSEC: %.2f%% of domains (paper: 7.66%%)\n\n", res.FragNoDNSSECPct())
-	}
-
-	if want["fig7"] {
-		fmt.Fprintln(w, "== Figure 7: latency difference t_first − t_avg (ms) ==")
-		res := dnstime.TimingSideChannel(dnstime.DefaultTimingProbeConfig(), seed+17)
-		h := res.Histogram()
-		fmt.Fprintln(w, h.Render(50))
-		fmt.Fprintf(w, "clamped tails: %d below −50 ms, %d above 200 ms\n\n", h.Under(), h.Over())
-	}
-
-	if want["ratelimit"] {
-		cfg := dnstime.DefaultPoolConfig()
-		if fast {
-			cfg.Servers = 300
-		}
-		fmt.Fprintf(w, "== §VII-A: rate limiting of %d pool.ntp.org NTP servers ==\n", cfg.Servers)
-		specs := dnstime.GeneratePool(cfg, seed+42)
-		res, err := dnstime.RateLimitScan(specs, dnstime.DefaultScanConfig())
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "KoD senders:      %d (%.0f%%, paper: 33%%)\n", res.KoDSenders, res.KoDPct())
-		fmt.Fprintf(w, "stopped replying: %d (%.0f%%, paper: 38%%)\n\n", res.RateLimited, res.RateLimitedPct())
-	}
-
-	if want["nsfrag"] {
-		fmt.Fprintln(w, "== §VII-B: fragmentation support of pool.ntp.org nameservers ==")
-		specs := dnstime.GeneratePoolNameservers(dnstime.DefaultPoolNameserverConfig(), seed+3)
-		res := dnstime.FragScan(specs, nil)
-		fmt.Fprintf(w, "%d of %d nameservers fragment below 548 B (paper: 16 of 30); DNSSEC: %d (paper: 0)\n\n",
-			res.FragBelow548, res.Total, res.DNSSEC)
-	}
-
-	if want["chronos"] {
-		fmt.Fprintln(w, "== §VI-C: DNS poisoning attack against Chronos ==")
-		fmt.Fprintf(w, "analytic bound: poisoning must land before query N ≤ %d (paper: 11)\n",
-			dnstime.ChronosAttackBound(4, 89))
-		res, err := dnstime.RunChronosAttack(5, 89, labCfg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "N=%d: pool=%d (evil %d), 2/3 control=%t, clock shifted=%t (offset %v)\n\n",
-			res.N, res.PoolSize, res.EvilInPool, res.ControlsPool, res.Shifted, res.ClockOffset)
-	}
-
-	if want["shared"] {
-		fmt.Fprintln(w, "== §VIII-B3: shared DNS resolvers ==")
-		res := dnstime.SharedResolverStudy(dnstime.GenerateSharedResolvers(dnstime.DefaultSharedResolverConfig(), seed+21))
-		fmt.Fprintf(w, "web only:      %d (%.1f%%, paper: 86.2%%)\n", res.WebOnly, 100*float64(res.WebOnly)/float64(res.Total))
-		fmt.Fprintf(w, "web + SMTP:    %d (%.1f%%, paper: 11.3%%)\n", res.WebAndSMTP, 100*float64(res.WebAndSMTP)/float64(res.Total))
-		fmt.Fprintf(w, "open:          %d (%.1f%%, paper: 2.3%%)\n", res.OpenOnly, 100*float64(res.OpenOnly)/float64(res.Total))
-		fmt.Fprintf(w, "open + SMTP:   %d (%.1f%%, paper: 0.2%%)\n", res.OpenAndSMTP, 100*float64(res.OpenAndSMTP)/float64(res.Total))
-		fmt.Fprintf(w, "triggerable:   %d (%.1f%%, paper: 13.8%%)\n\n", res.Triggerable(), res.TriggerablePct())
 	}
 	return nil
 }

@@ -9,36 +9,38 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"dnstime"
 )
 
-// TestRunFastTable1 smoke-tests the single-seed path the same way the CLI
-// invokes it: experiments -fast -only table1.
-func TestRunFastTable1(t *testing.T) {
-	if err := run(io.Discard, 1, true, "table1"); err != nil {
-		t.Fatalf("run(-fast -only table1): %v", err)
-	}
-}
-
-// TestRunDefaultGolden pins every byte of the no-flag single-seed output
-// (the paper-layout tables and figures at seed 1). After an intended
-// change of output, regenerate the file from the repository root with
+// TestRunDefaultGolden pins every byte of the single-seed output at seed
+// 1: the paper-layout tables and figures with no flags, and the same
+// sections at their scenarios' fast sizes with -fast. After an intended
+// change of output, regenerate a file from the repository root with
 //
 //	go run ./cmd/experiments > cmd/experiments/testdata/default-seed1.golden
+//	go run ./cmd/experiments -fast > cmd/experiments/testdata/fast-seed1.golden
 func TestRunDefaultGolden(t *testing.T) {
-	want, err := os.ReadFile("testdata/default-seed1.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	if err := run(&got, 1, false, ""); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("default output differs from testdata/default-seed1.golden:\n%s", got.String())
+	for _, tc := range []struct {
+		golden string
+		fast   bool
+	}{{"default-seed1.golden", false}, {"fast-seed1.golden", true}} {
+		t.Run(tc.golden, func(t *testing.T) {
+			want, err := os.ReadFile("testdata/" + tc.golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := run(&got, 1, tc.fast, ""); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("output (fast=%t) differs from testdata/%s:\n%s", tc.fast, tc.golden, got.String())
+			}
+		})
 	}
 }
 
@@ -84,40 +86,6 @@ func TestRunCampaigns64Golden(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("campaign aggregates differ from testdata/campaigns-64.golden:\n%s", got.String())
-	}
-}
-
-// TestRunRateLimitMatchesScenario: the single-seed §VII-A section builds
-// its own pool (seed offset and -fast size) rather than running the
-// ratelimit scenario, so this ties the two: at every seed, the printed
-// server, KoD-sender and stopped-replying counts equal the scenario's
-// servers, kod_senders and rate_limited metrics under the same -fast.
-func TestRunRateLimitMatchesScenario(t *testing.T) {
-	cases := []struct {
-		seed int64
-		fast bool
-	}{{1, true}, {2, true}, {3, true}, {1, false}}
-	for _, tc := range cases {
-		var out bytes.Buffer
-		if err := run(&out, tc.seed, tc.fast, "ratelimit"); err != nil {
-			t.Fatal(err)
-		}
-		var servers, kod, limited int
-		for _, line := range strings.Split(out.String(), "\n") {
-			fmt.Sscanf(line, "== §VII-A: rate limiting of %d", &servers)
-			fmt.Sscanf(line, "KoD senders: %d", &kod)
-			fmt.Sscanf(line, "stopped replying: %d", &limited)
-		}
-		res, err := dnstime.RunScenario(context.Background(), "ratelimit", tc.seed,
-			dnstime.ScenarioConfig{Fast: tc.fast})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := [3]int{int(res.Metrics["servers"]), int(res.Metrics["kod_senders"]), int(res.Metrics["rate_limited"])}
-		if got := [3]int{servers, kod, limited}; got != want || kod == 0 {
-			t.Errorf("seed %d fast=%t: CLI servers/KoD/stopped = %v, scenario = %v\n%s",
-				tc.seed, tc.fast, got, want, out.String())
-		}
 	}
 }
 
@@ -175,24 +143,48 @@ func checkRejectsPositional(t *testing.T, argv []string) {
 	}
 }
 
-// TestRunOnlyUnknownSection: a misspelt -only section is an error naming
-// it and listing the valid sections, not a silent empty run.
+// TestRunOnlyUnknownSection: a misspelt -only section, or a list that
+// names none, is an error naming it and listing the valid sections, not a
+// silent empty run.
 func TestRunOnlyUnknownSection(t *testing.T) {
-	var out bytes.Buffer
-	err := run(&out, 1, true, "table3,tabel1")
-	if err == nil {
-		t.Fatal("unknown section accepted")
-	}
-	if !strings.Contains(err.Error(), `"tabel1"`) || !strings.Contains(err.Error(), strings.Join(sections, ", ")) {
-		t.Errorf("error does not name the section and list the valid ones: %v", err)
-	}
-	if out.Len() != 0 {
-		t.Errorf("printed output before rejecting the selection:\n%s", out.String())
+	for only, named := range map[string]string{
+		"table3,tabel1": `"tabel1"`,
+		",":             `","`,
+		" , ":           `" , "`,
+	} {
+		var out bytes.Buffer
+		err := run(&out, 1, true, only)
+		if err == nil {
+			t.Errorf("-only %q accepted", only)
+			continue
+		}
+		if !strings.Contains(err.Error(), named) || !strings.Contains(err.Error(), strings.Join(sections, ", ")) {
+			t.Errorf("-only %q: error does not name %s and list the valid sections: %v", only, named, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-only %q: printed output before rejecting the selection:\n%s", only, out.String())
+		}
 	}
 }
 
-// TestRunOnlyFig6: Figure 6 renders on its own, without the Table IV block
-// it shares a cache-snooping run with, and matches the golden's rendering.
+// TestScenarioCLIColumn ties the registry's "Single-run CLI" column (the
+// DESIGN.md §4 index) to the single-seed sections: a scenario with a
+// section names `experiments -only <name>`, every other one a one-seed
+// campaign.
+func TestScenarioCLIColumn(t *testing.T) {
+	for _, sc := range dnstime.Scenarios() {
+		want := "experiments campaigns -only " + sc.Name + " -seeds 1"
+		if slices.Contains(sections, sc.Name) {
+			want = "experiments -only " + sc.Name
+		}
+		if sc.CLI != want {
+			t.Errorf("%s: CLI = %q, want %q", sc.Name, sc.CLI, want)
+		}
+	}
+}
+
+// TestRunOnlyFig6: Figure 6 renders on its own from one fig6 run, without
+// the Table IV block, and matches the golden's rendering.
 func TestRunOnlyFig6(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(&out, 1, false, "fig6"); err != nil {
@@ -271,13 +263,18 @@ func TestRunCampaignsAllScenariosByDefault(t *testing.T) {
 	}
 }
 
+// TestRunCampaignsUnknownScenario: an unknown -only scenario, or a list
+// that names none, is an error naming it and listing the registry.
 func TestRunCampaignsUnknownScenario(t *testing.T) {
-	err := runCampaigns(context.Background(), []string{"-only", "sundial"}, io.Discard)
-	if err == nil {
-		t.Fatal("unknown scenario accepted")
-	}
-	if !strings.Contains(err.Error(), "sundial") {
-		t.Errorf("error does not name the unknown scenario: %v", err)
+	for _, only := range []string{"sundial", ",", " , "} {
+		err := runCampaigns(context.Background(), []string{"-only", only, "-json", "-q"}, io.Discard)
+		if err == nil {
+			t.Errorf("-only %q accepted", only)
+			continue
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("%q", only)) || !strings.Contains(err.Error(), strings.Join(dnstime.ScenarioNames(), ", ")) {
+			t.Errorf("-only %q: error does not name it and list the registry: %v", only, err)
+		}
 	}
 }
 

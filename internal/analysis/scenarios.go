@@ -25,7 +25,7 @@ func init() {
 }
 
 // tableIIIScenario evaluates every Table III row at the paper's measured
-// rate-limiting probability.
+// rate-limiting probability; Detail carries the rows.
 func tableIIIScenario(context.Context, int64, scenario.Config) (scenario.Result, error) {
 	rows := TableIII(DefaultPRate)
 	metrics := make(map[string]float64, 3*len(rows))
@@ -34,5 +34,5 @@ func tableIIIScenario(context.Context, int64, scenario.Config) (scenario.Result,
 		metrics[fmt.Sprintf("p1_pct/m=%d", r.M)] = r.P1
 		metrics[fmt.Sprintf("p2_pct/m=%d", r.M)] = r.P2
 	}
-	return scenario.Result{Metrics: metrics}, nil
+	return scenario.Result{Metrics: metrics, Detail: rows}, nil
 }

@@ -317,8 +317,9 @@ func (e *Engine) Stream(ctx context.Context, scenarioName string) (*Stream, erro
 }
 
 // runSeed executes one seed: it materialises the per-seed tracer (when
-// tracing is on), runs the scenario with it, closes the tracer, and feeds
-// the obs run-phase and seed-latency instrumentation. Tracer creation or
+// tracing is on), runs the scenario with it, clears the Result's Detail
+// so that no Engine output carries it, closes the tracer, and feeds the
+// obs run-phase and seed-latency instrumentation. Tracer creation or
 // Close failures fail the run.
 func runSeed(ctx context.Context, sc scenario.Scenario, seed int64, cfg scenario.Config, tracerFor func(seed int64) (obs.Tracer, error)) (scenario.Result, error) {
 	var closeTracer io.Closer
@@ -334,6 +335,7 @@ func runSeed(ctx context.Context, sc scenario.Scenario, seed int64, cfg scenario
 	}
 	start := time.Now()
 	res, err := sc.Run(ctx, seed, cfg)
+	res.Detail = nil
 	d := time.Since(start)
 	obs.ObservePhase(obs.PhaseRun, d)
 	seedSeconds.With(sc.Name).Observe(d.Seconds())

@@ -142,6 +142,46 @@ func TestEngineMatchesRunScenario(t *testing.T) {
 	}
 }
 
+// TestEngineClearsDetail: a Result's Detail is for a single-run renderer.
+// scenario.Run returns it, but no Result the Engine streams or keeps in
+// PerRun carries it, at any worker count.
+func TestEngineClearsDetail(t *testing.T) {
+	for _, name := range []string{"table4", "chronos"} {
+		for seed := int64(1); seed <= 2; seed++ {
+			res, err := scenario.Run(context.Background(), name, seed, scenario.Config{Fast: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Detail == nil {
+				t.Errorf("%s seed %d: scenario.Run returned no Detail", name, seed)
+			}
+		}
+		for _, workers := range []int{1, 2} {
+			st, err := NewEngine(WithSeeds(2), WithWorkers(workers), WithFast(true)).
+				Stream(context.Background(), name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var runs []scenario.Result
+			for r := range st.Results() {
+				runs = append(runs, r)
+			}
+			agg, err := st.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(runs) != 2 || len(agg.PerRun) != 2 {
+				t.Fatalf("%s workers=%d: streamed %d results, PerRun %d, want 2 each", name, workers, len(runs), len(agg.PerRun))
+			}
+			for _, r := range append(runs, agg.PerRun...) {
+				if r.Detail != nil {
+					t.Errorf("%s workers=%d: seed %d left the Engine with a %T Detail", name, workers, r.Seed, r.Detail)
+				}
+			}
+		}
+	}
+}
+
 // TestEngineBaseSeedZero is the zero-value regression: WithBaseSeed(0)
 // really runs seed 0 rather than being taken for the unset default.
 func TestEngineBaseSeedZero(t *testing.T) {

@@ -16,7 +16,7 @@ func init() {
 		Title:    "Chronos attack bound sweep",
 		PaperRef: "§VI-C",
 		Impl:     "chronos.AttackBound",
-		CLI:      "experiments campaigns -only chronosbound",
+		CLI:      "experiments campaigns -only chronosbound -seeds 1",
 		Params:   map[string]string{"per_query": "4", "spoofed": "20,45,89,120"},
 		Order:    61,
 		Run:      boundScenario,

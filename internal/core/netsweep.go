@@ -24,7 +24,7 @@ func init() {
 		Title:     "Attack × network-profile sweep",
 		PaperRef:  "beyond §IV–§VI",
 		Impl:      "core.netsweepScenario",
-		CLI:       "experiments campaigns -only netsweep",
+		CLI:       "experiments campaigns -only netsweep -seeds 1",
 		Params:    map[string]string{"attack": "boot", "profiles": "all", "topo": "uniform"},
 		ParamKeys: []string{"attack", "client", "scenario", "N", "spoofed", "topo"},
 		Order:     65,

@@ -29,7 +29,7 @@ func init() {
 		Title:     "Race-margin sweep",
 		PaperRef:  "beyond §IV-A",
 		Impl:      "core.racemarginScenario",
-		CLI:       "experiments campaigns -only racemargin",
+		CLI:       "experiments campaigns -only racemargin -seeds 1",
 		Params:    map[string]string{"client": "ntpd", "margins": "10-point grid", "topo": "near-attacker"},
 		ParamKeys: []string{"client", "margin", "margins", "vic-net"},
 		Order:     66,

@@ -227,7 +227,7 @@ func init() {
 		Title:     "Chronos pool-poisoning attack",
 		PaperRef:  "§VI-C, Fig. 4",
 		Impl:      "core.RunChronosAttack",
-		CLI:       "experiments campaigns -only chronos -seeds 1",
+		CLI:       "experiments -only chronos",
 		Params:    map[string]string{"N": "5", "spoofed": "89"},
 		ParamKeys: append([]string{"N", "spoofed"}, labParamKeys...),
 		Order:     60,
@@ -349,7 +349,8 @@ func tableIIScenario(_ context.Context, seed int64, cfg scenario.Config) (scenar
 
 // chronosScenario runs the §VI-C attack — by default with the paper's
 // parameters (poisoning lands after N=5 honest pool queries, 89 spoofed
-// addresses); params select N, spoofed and lab sizing.
+// addresses); params select N, spoofed and lab sizing. Detail carries the
+// ChronosResult.
 func chronosScenario(_ context.Context, seed int64, cfg scenario.Config) (scenario.Result, error) {
 	n, spoofed, err := chronosParams(cfg.Params)
 	if err != nil {
@@ -376,5 +377,6 @@ func chronosScenario(_ context.Context, seed int64, cfg scenario.Config) (scenar
 			"controls_pool": controls,
 			"offset_s":      res.ClockOffset.Seconds(),
 		},
+		Detail: res,
 	}, nil
 }

@@ -10,11 +10,12 @@ import (
 )
 
 // The §VII/§VIII measurement studies register themselves with the
-// scenario registry. Each Run keeps the seed offset the single-seed
-// `experiments` CLI has always used (seed+42 for the rate-limit scan,
-// seed+11 for cache snooping, …) so campaign seed 1 reproduces the
-// EXPERIMENTS.md point values. Config.Fast shrinks the large populations
-// for quick runs.
+// scenario registry. Each Run owns its population's seed offset (seed+42
+// for the rate-limit scan, seed+11 for cache snooping, …), which lives
+// nowhere else, so campaign seed 1 reproduces the EXPERIMENTS.md point
+// values. Each also sets Result.Detail to its typed result, which the
+// single-seed `experiments` sections render. Config.Fast shrinks the
+// large populations for quick runs.
 func init() {
 	scenario.Register(scenario.Scenario{
 		Name:     "ratelimit",
@@ -99,7 +100,7 @@ func init() {
 }
 
 // rateLimitScenario runs the §VII-A scan over a 2432-server pool (300 in
-// fast mode, matching `experiments -fast`).
+// fast mode).
 func rateLimitScenario(_ context.Context, seed int64, cfg scenario.Config) (scenario.Result, error) {
 	pool := population.DefaultPoolConfig()
 	if cfg.Fast {
@@ -120,6 +121,7 @@ func rateLimitScenario(_ context.Context, seed int64, cfg scenario.Config) (scen
 			"rate_limited":     float64(res.RateLimited),
 			"rate_limited_pct": res.RateLimitedPct(),
 		},
+		Detail: res,
 	}, nil
 }
 
@@ -133,6 +135,7 @@ func nsFragScenario(_ context.Context, seed int64, _ scenario.Config) (scenario.
 			"frag_below_548": float64(res.FragBelow548),
 			"dnssec":         float64(res.DNSSEC),
 		},
+		Detail: res,
 	}, nil
 }
 
@@ -149,7 +152,7 @@ func fig5Scenario(_ context.Context, seed int64, cfg scenario.Config) (scenario.
 	for _, size := range []float64{68, 292, 548, 1276, 1500} {
 		metrics[fmt.Sprintf("cdf_pct/%.0fB", size)] = 100 * res.CumAt(size)
 	}
-	return scenario.Result{Metrics: metrics}, nil
+	return scenario.Result{Metrics: metrics, Detail: res}, nil
 }
 
 // snoopPopulation snoops the Table IV / Figure 6 open-resolver population
@@ -174,7 +177,7 @@ func tableIVScenario(_ context.Context, seed int64, cfg scenario.Config) (scenar
 		metrics["cached_pct/"+string(row.Record)] = row.CachedPct
 		metrics["cached/"+string(row.Record)] = float64(row.Cached)
 	}
-	return scenario.Result{Metrics: metrics}, nil
+	return scenario.Result{Metrics: metrics, Detail: res}, nil
 }
 
 // fig6Scenario reads the remaining-TTL distribution back from the same
@@ -188,6 +191,7 @@ func fig6Scenario(_ context.Context, seed int64, cfg scenario.Config) (scenario.
 			"ttl_mean_s":   stats.Mean(res.TTLs),
 			"ttl_median_s": stats.Median(res.TTLs),
 		},
+		Detail: res,
 	}, nil
 }
 
@@ -206,7 +210,7 @@ func tableVScenario(_ context.Context, seed int64, _ scenario.Config) (scenario.
 		metrics["tiny_pct/"+row.Label] = row.TinyPct
 		metrics["any_pct/"+row.Label] = row.AnyPct
 	}
-	return scenario.Result{Metrics: metrics}, nil
+	return scenario.Result{Metrics: metrics, Detail: res}, nil
 }
 
 // sharedScenario classifies the §VIII-B3 shared-resolver topology.
@@ -222,6 +226,7 @@ func sharedScenario(_ context.Context, seed int64, _ scenario.Config) (scenario.
 			"triggerable":     float64(res.Triggerable()),
 			"triggerable_pct": res.TriggerablePct(),
 		},
+		Detail: res,
 	}, nil
 }
 
@@ -240,5 +245,6 @@ func fig7Scenario(_ context.Context, seed int64, cfg scenario.Config) (scenario.
 			"clamped_under": float64(h.Under()),
 			"clamped_over":  float64(h.Over()),
 		},
+		Detail: res,
 	}, nil
 }

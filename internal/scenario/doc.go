@@ -18,7 +18,8 @@
 //	})
 //
 // Run takes a context, a seed and a Config and returns a Result: an
-// optional binary outcome plus a flat map of named float64 metrics.
+// optional binary outcome plus a flat map of named float64 metrics (and,
+// for a single-run renderer, an unserialised typed Detail).
 // Because every scenario speaks this one shape, generic machinery can
 // operate on all of them — the campaign Engine (internal/campaign) fans
 // any registered scenario out across many seeds on a worker pool, streams

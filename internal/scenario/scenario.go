@@ -16,7 +16,9 @@ type Config struct {
 	// Fast shrinks the slowest scenarios (the 2432-server rate-limit scan,
 	// the 100k–200k-entry population studies) to a fraction of their full
 	// size. Results remain deterministic per seed but no longer match the
-	// paper-scale numbers in EXPERIMENTS.md.
+	// paper-scale numbers in EXPERIMENTS.md. It is the one meaning of
+	// -fast in every front end: `experiments -fast` renders each section
+	// from a Fast run, as `experiments campaigns -fast` aggregates them.
 	Fast bool
 	// Params overrides a parameterisable scenario's defaults (keys from
 	// Scenario.ParamKeys — client profile, target shift, attack knobs).
@@ -50,6 +52,13 @@ type Result struct {
 	// Err is the run error, if any ("" on clean runs). Set by the campaign
 	// engine, never by Run itself (Run returns its error).
 	Err string `json:"err,omitempty"`
+	// Detail is the run's typed result (a measure.SnoopResult, a
+	// core.ChronosResult, …) for a front end that renders more than
+	// Metrics, such as the single-seed `experiments` sections; nil for
+	// scenarios that have nothing beyond Metrics. It is never serialised,
+	// and the campaign Engine clears it as soon as Run returns, so no
+	// stream, checkpoint, aggregate or cache entry holds it.
+	Detail any `json:"-"`
 }
 
 // Bool returns a pointer to b, for setting Result.Success in literals.
