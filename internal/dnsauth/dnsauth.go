@@ -79,8 +79,9 @@ type Pool struct {
 	cursor int
 }
 
-// next returns the next PerResponse addresses, advancing the cursor.
-func (p *Pool) next() []ipv4.Addr {
+// next appends the next PerResponse addresses to dst, advancing the
+// cursor, and returns the extended slice.
+func (p *Pool) next(dst []ipv4.Addr) []ipv4.Addr {
 	k := p.PerResponse
 	if k <= 0 {
 		k = 4
@@ -88,12 +89,11 @@ func (p *Pool) next() []ipv4.Addr {
 	if k > len(p.Addrs) {
 		k = len(p.Addrs)
 	}
-	out := make([]ipv4.Addr, 0, k)
 	for i := 0; i < k; i++ {
-		out = append(out, p.Addrs[(p.cursor+i)%len(p.Addrs)])
+		dst = append(dst, p.Addrs[(p.cursor+i)%len(p.Addrs)])
 	}
 	p.cursor = (p.cursor + k) % max(1, len(p.Addrs))
-	return out
+	return dst
 }
 
 // Zone is a statically configured zone.
@@ -146,12 +146,12 @@ type Server struct {
 	// Per-server scratch state for the query hot path. SendUDP/SendUDPMTU
 	// copy the payload before returning, so the wire buffers are safe to
 	// reuse across queries.
-	dec        dnswire.Decoder
-	query      dnswire.Message
-	resp       dnswire.Message
-	wire       []byte
-	padScratch []byte
-	filler     string
+	dec    dnswire.Decoder
+	query  dnswire.Message
+	resp   dnswire.Message
+	wire   []byte
+	addrs  []ipv4.Addr // pool addresses of the response being built
+	filler string      // TXT padding text, at least cfg.PadResponsesTo bytes
 }
 
 // New binds an authoritative server to port 53 on host.
@@ -230,8 +230,19 @@ func (s *Server) handle(src ipv4.Addr, srcPort uint16, payload []byte) {
 	if err := s.dec.UnmarshalInto(q, payload); err != nil || q.Header.QR || len(q.Questions) != 1 {
 		return
 	}
-	s.respondInto(q, &s.resp)
-	wire, err := s.resp.AppendMarshal(s.wire[:0])
+	var wire []byte
+	var err error
+	if name, positive := s.respondInto(q, &s.resp); positive && s.cfg.PadResponsesTo > 0 {
+		// A positive answer grows by a TXT filler record owned by the
+		// query name until it is PadResponsesTo bytes long. The filler
+		// record is encoded after the answer, in the same pass.
+		if len(s.filler) < s.cfg.PadResponsesTo {
+			s.filler = strings.Repeat("p", s.cfg.PadResponsesTo)
+		}
+		wire, err = s.resp.AppendMarshalPadded(s.wire[:0], s.cfg.PadResponsesTo, name, s.filler)
+	} else {
+		wire, err = s.resp.AppendMarshal(s.wire[:0])
+	}
 	if err != nil {
 		return
 	}
@@ -246,8 +257,9 @@ func (s *Server) handle(src ipv4.Addr, srcPort uint16, payload []byte) {
 
 // respondInto computes the authoritative response for a query into a
 // caller-owned message, reusing its section slices — the hot path
-// answers every query with one reused message.
-func (s *Server) respondInto(q, resp *dnswire.Message) {
+// answers every query with one reused message. It returns the canonical
+// query name and whether the response carries answers.
+func (s *Server) respondInto(q, resp *dnswire.Message) (string, bool) {
 	name := dnswire.CanonicalName(q.Questions[0].Name)
 	qtype := q.Questions[0].Type
 	*resp = dnswire.Message{
@@ -265,7 +277,8 @@ func (s *Server) respondInto(q, resp *dnswire.Message) {
 	}
 
 	if p := s.poolFor(name); p != nil && qtype == dnswire.TypeA {
-		for _, a := range p.next() {
+		s.addrs = p.next(s.addrs[:0])
+		for _, a := range s.addrs {
 			resp.Answers = append(resp.Answers, dnswire.RR{
 				Name: name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: p.TTL, Addr: a,
 			})
@@ -278,12 +291,12 @@ func (s *Server) respondInto(q, resp *dnswire.Message) {
 		}
 	} else if s.poolFor(name) == nil {
 		resp.Header.RCode = dnswire.RCodeNXDomain
-		return
+		return name, false
 	}
 
 	if len(resp.Answers) == 0 {
 		resp.Header.RCode = dnswire.RCodeNXDomain
-		return
+		return name, false
 	}
 
 	if signed {
@@ -297,32 +310,5 @@ func (s *Server) respondInto(q, resp *dnswire.Message) {
 		})
 	}
 
-	if s.cfg.PadResponsesTo > 0 {
-		s.pad(resp, name)
-	}
-}
-
-// pad grows the response with a TXT filler record until the encoded size
-// reaches cfg.PadResponsesTo.
-func (s *Server) pad(resp *dnswire.Message, name string) {
-	b, err := resp.AppendMarshal(s.padScratch[:0])
-	if err != nil {
-		return
-	}
-	s.padScratch = b
-	if len(b) >= s.cfg.PadResponsesTo {
-		return
-	}
-	// TXT overhead: pointer(2)+type/class/ttl/rdlen(10)+len-bytes.
-	need := s.cfg.PadResponsesTo - len(b) - 13
-	if need < 1 {
-		need = 1
-	}
-	if need > len(s.filler) {
-		s.filler = strings.Repeat("p", need)
-	}
-	filler := s.filler[:need]
-	resp.Additional = append(resp.Additional, dnswire.RR{
-		Name: name, Type: dnswire.TypeTXT, Class: dnswire.ClassIN, TTL: 0, Text: filler,
-	})
+	return name, true
 }

@@ -161,6 +161,15 @@ type nameOffset struct {
 // heap.
 const inlineOffsets = 16
 
+// canonName pairs a name as a message holds it with its canonical form.
+type canonName struct {
+	raw, name string
+}
+
+// inlineCanon is how many distinct name strings an encoder remembers in
+// canonical form; past it, further names are canonicalised on every use.
+const inlineCanon = 8
+
 // encoder holds one message's encoding state. AppendMarshal keeps it on
 // its own stack, so compression state costs no allocation and no pool.
 type encoder struct {
@@ -169,6 +178,25 @@ type encoder struct {
 	inline [inlineOffsets]nameOffset // first suffixes in encoding order, for compression
 	n      int                       // entries of inline in use
 	spill  []nameOffset              // suffixes past inline, in encoding order
+	canon  [inlineCanon]canonName    // name strings already canonicalised
+	nc     int                       // entries of canon in use
+}
+
+// canonical returns CanonicalName(raw), computing it once per distinct
+// name string of the message: a response repeats its owner name in every
+// record, and comparing a string with itself costs no byte comparison.
+func (e *encoder) canonical(raw string) string {
+	for _, c := range e.canon[:e.nc] {
+		if c.raw == raw {
+			return c.name
+		}
+	}
+	name := CanonicalName(raw)
+	if e.nc < len(e.canon) {
+		e.canon[e.nc] = canonName{raw, name}
+		e.nc++
+	}
+	return name
 }
 
 // lookup returns the first encoded offset of name, if any.
@@ -210,7 +238,7 @@ func (e *encoder) uint32(v uint32) {
 
 // name encodes a domain name with RFC 1035 §4.1.4 compression.
 func (e *encoder) name(n string) error {
-	n = CanonicalName(n)
+	n = e.canonical(n)
 	for n != "" {
 		if off, ok := e.lookup(n); ok && off < 0x4000 {
 			e.uint16(uint16(0xC000 | off))
@@ -292,6 +320,40 @@ func (m *Message) AppendMarshal(dst []byte) ([]byte, error) {
 	return e.message(m)
 }
 
+// txtPadOverhead is the wire size of a TXT record beyond its text when its
+// owner compresses to a pointer and the text fits one character-string:
+// the pointer (2), type, class, TTL and RDLENGTH (10), and the string's
+// length byte (1).
+const txtPadOverhead = 13
+
+// AppendMarshalPadded encodes m like AppendMarshal, padded towards size
+// bytes: when the encoding is shorter, a TXT record for owner (class IN,
+// TTL 0) follows the additional section. Its text is the first need bytes
+// of filler, need being what reaches size when owner compresses to a
+// pointer and the text fits one character-string (at least 1, at most
+// len(filler); a filler of size bytes always suffices). The bytes equal
+// AppendMarshal of m with that record appended to Additional, but m is
+// encoded once: the record continues the same encoder, so its owner
+// compresses against the names already written, and ARCOUNT is raised in
+// place.
+func (m *Message) AppendMarshalPadded(dst []byte, size int, owner, filler string) ([]byte, error) {
+	e := encoder{buf: dst, base: len(dst)}
+	if _, err := e.message(m); err != nil {
+		return nil, err
+	}
+	n := len(e.buf) - e.base
+	if n >= size {
+		return e.buf, nil
+	}
+	need := max(1, size-n-txtPadOverhead)
+	pad := RR{Name: owner, Type: TypeTXT, Class: ClassIN, Text: filler[:min(need, len(filler))]}
+	if err := e.rr(pad); err != nil {
+		return nil, err
+	}
+	binary.BigEndian.PutUint16(e.buf[e.base+10:], uint16(len(m.Additional)+1))
+	return e.buf, nil
+}
+
 func (e *encoder) message(m *Message) ([]byte, error) {
 	e.uint16(m.Header.ID)
 	var flags uint16
@@ -346,11 +408,52 @@ type decoder struct {
 	pos     int
 	nameBuf []byte            // scratch the current name is assembled into
 	intern  map[string]string // optional name intern table (Decoder only)
+	names   [maxNameRefs]nameRef
+	nn      int // entries of names in use
 }
 
 // maxInterned bounds a Decoder's intern table; past it, new names are
 // still decoded correctly, just not retained.
 const maxInterned = 4096
+
+// maxHops bounds the compression pointers one name may follow.
+const maxHops = 32
+
+// nameRef records a label the current message's decoded names start or
+// continue at: a compression pointer to off decodes to name after
+// following hops more pointers. While its name is being decoded, at is the
+// label's start within the name and hops counts the pointers followed
+// before it.
+type nameRef struct {
+	off, at, hops int32
+	name          string
+}
+
+// maxNameRefs is how many label offsets a decoder remembers per message;
+// pointers to later labels are followed label by label.
+const maxNameRefs = 32
+
+// lookupName returns the finished record of a label at off, if any among
+// the first n.
+func (d *decoder) lookupName(off, n int) (nameRef, bool) {
+	for _, r := range d.names[:n] {
+		if int(r.off) == off {
+			return r, true
+		}
+	}
+	return nameRef{}, false
+}
+
+// finishName materialises the assembled name after hops pointers and
+// completes the records its labels started at from index first on.
+func (d *decoder) finishName(first, hops int) string {
+	s := d.internName()
+	for i := first; i < d.nn; i++ {
+		r := &d.names[i]
+		r.name, r.hops = s[r.at:], int32(hops)-r.hops
+	}
+	return s
+}
 
 func (d *decoder) uint16() (uint16, error) {
 	if d.pos+2 > len(d.buf) {
@@ -375,11 +478,17 @@ func (d *decoder) uint32() (uint32, error) {
 // interned when the decoder carries an intern table, so repeated names
 // decode without allocating. Lowercasing is ASCII-only — exactly the
 // case-insensitivity DNS defines (RFC 4343).
+//
+// A pointer to a label an earlier name of the message was decoded from
+// takes that name's rest from the decoder's table instead of walking its
+// labels again. The walk would read the same bytes to the same end, so the
+// result, and the pointer limit it is held to, are the walk's.
 func (d *decoder) name() (string, error) {
 	d.nameBuf = d.nameBuf[:0]
 	pos := d.pos
 	jumped := false
 	hops := 0
+	first := d.nn // records this name starts from here on
 	for {
 		if pos >= len(d.buf) {
 			return "", ErrShortMessage
@@ -390,12 +499,12 @@ func (d *decoder) name() (string, error) {
 			if !jumped {
 				d.pos = pos + 1
 			}
-			return d.internName(), nil
+			return d.finishName(first, hops), nil
 		case c&0xC0 == 0xC0:
 			if pos+2 > len(d.buf) {
 				return "", ErrShortMessage
 			}
-			if hops++; hops > 32 {
+			if hops++; hops > maxHops {
 				return "", ErrBadPointer
 			}
 			target := int(binary.BigEndian.Uint16(d.buf[pos:]) & 0x3FFF)
@@ -407,6 +516,17 @@ func (d *decoder) name() (string, error) {
 				return "", ErrBadPointer
 			}
 			pos = target
+			if r, ok := d.lookupName(target, first); ok {
+				if hops += int(r.hops); hops > maxHops {
+					return "", ErrBadPointer
+				}
+				if len(d.nameBuf) == 0 {
+					return r.name, nil
+				}
+				d.nameBuf = append(d.nameBuf, '.')
+				d.nameBuf = append(d.nameBuf, r.name...)
+				return d.finishName(first, hops), nil
+			}
 		case c&0xC0 != 0:
 			return "", ErrBadName
 		default:
@@ -415,6 +535,10 @@ func (d *decoder) name() (string, error) {
 			}
 			if len(d.nameBuf) > 0 {
 				d.nameBuf = append(d.nameBuf, '.')
+			}
+			if d.nn < len(d.names) {
+				d.names[d.nn] = nameRef{off: int32(pos), at: int32(len(d.nameBuf)), hops: int32(hops)}
+				d.nn++
 			}
 			for _, ch := range d.buf[pos+1 : pos+1+int(c)] {
 				if 'A' <= ch && ch <= 'Z' {
@@ -555,6 +679,7 @@ func (d *decoder) message(m *Message) error {
 	if len(d.buf) < 12 {
 		return ErrShortMessage
 	}
+	d.nn = 0
 	id, _ := d.uint16()
 	flags, _ := d.uint16()
 	m.Header = Header{

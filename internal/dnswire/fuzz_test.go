@@ -2,6 +2,7 @@ package dnswire
 
 import (
 	"bytes"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -54,9 +55,10 @@ func sameMessage(a, b *Message) bool {
 
 // FuzzUnmarshal feeds the decoder wire bytes seeded from well-formed
 // messages, so mutations reach the sections past the header. Properties:
-// decoding never panics; Unmarshal and a warm Decoder (recycled slices,
-// populated intern table) agree; and when a decoded message re-encodes,
-// that encoding decodes and re-encodes to the same bytes.
+// decoding never panics; Unmarshal, a warm Decoder (recycled slices,
+// populated intern table) and the label-by-label oracle decoder agree,
+// errors included; and when a decoded message re-encodes, that encoding
+// decodes and re-encodes to the same bytes.
 func FuzzUnmarshal(f *testing.F) {
 	msgs := fuzzMessages()
 	for _, m := range msgs {
@@ -66,6 +68,10 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		f.Add(wire)
 		f.Add(wire[:len(wire)-2]) // truncated
+	}
+	wires := nameWires()
+	for _, name := range slices.Sorted(maps.Keys(wires)) {
+		f.Add(wires[name])
 	}
 	f.Add([]byte{1, 2, 3})                                            // short header
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xC0, 12, 0, 0}) // self-pointing name
@@ -83,6 +89,9 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		if errInto := dc.UnmarshalInto(&reused, data); (err == nil) != (errInto == nil) {
 			t.Fatalf("Unmarshal err %v, Decoder err %v", err, errInto)
+		}
+		if want, werr := oracleUnmarshal(data); !sameDecode(m, err, want, werr) {
+			t.Fatalf("Unmarshal = %+v, %v\noracle = %+v, %v", m, err, want, werr)
 		}
 		if err != nil {
 			return

@@ -69,15 +69,19 @@ type Reassembler struct {
 	stats   ReassemblyStats
 }
 
-type bucketKey struct {
-	src, dst Addr
-	proto    Protocol
-	id       uint16
-}
-
+// pairKey is the (src, dst, proto) pair a bucket counts against.
 type pairKey struct {
 	src, dst Addr
 	proto    Protocol
+}
+
+// bucketKey identifies one datagram: its pair and its IPID, held as two
+// big-endian bytes. Both keys are built of byte-sized fields only, so they
+// have no padding, and a map hashes and compares each as one run of
+// memory rather than field by field.
+type bucketKey struct {
+	pairKey
+	id [2]byte
 }
 
 type bucket struct {
@@ -85,7 +89,6 @@ type bucket struct {
 	covered  []byte // 1 where buf holds fragment data (byte-wide: coverage scans vectorise)
 	totalLen int    // -1 until the MF=0 fragment arrives
 	key      bucketKey
-	pair     pairKey
 	expireFn func()         // timeout callback bound to this bucket, reused across recycles
 	expiry   simclock.Timer // caller-owned timer, re-armed in place
 }
@@ -148,7 +151,7 @@ func (r *Reassembler) acquireBucket() *bucket {
 		return b
 	}
 	b := &bucket{totalLen: -1}
-	b.expireFn = func() { r.expire(b.key, b.pair) }
+	b.expireFn = func() { r.expire(b.key) }
 	return b
 }
 
@@ -183,19 +186,20 @@ func (r *Reassembler) Add(p *Packet) (*Packet, bool) {
 	if !p.IsFragment() {
 		return p, true
 	}
-	key := bucketKey{p.Src, p.Dst, p.Proto, p.ID}
 	pair := pairKey{p.Src, p.Dst, p.Proto}
+	key := bucketKey{pair, [2]byte{byte(p.ID >> 8), byte(p.ID)}}
 	b, ok := r.buckets[key]
 	if !ok {
-		if r.perPair[pair] >= r.policy.MaxPerPair {
+		n := r.perPair[pair]
+		if n >= r.policy.MaxPerPair {
 			r.stats.FragmentsOut++
 			return nil, false
 		}
 		b = r.acquireBucket()
-		b.key, b.pair = key, pair
+		b.key = key
 		r.clock.ScheduleInto(&b.expiry, r.policy.Timeout, b.expireFn)
 		r.buckets[key] = b
-		r.perPair[pair]++
+		r.perPair[pair] = n + 1
 	}
 	r.stats.FragmentsIn++
 	b.apply(p.FragOff, p.Payload, r.policy.Overlap)
@@ -213,7 +217,7 @@ func (r *Reassembler) Add(p *Packet) (*Packet, bool) {
 	// the returned packet owns its payload.
 	payload := b.buf[:b.totalLen:b.totalLen]
 	b.buf = nil
-	r.dropBucket(key, pair)
+	r.dropBucket(b)
 	r.stats.Reassembled++
 	whole := &Packet{
 		Src:     p.Src,
@@ -226,25 +230,25 @@ func (r *Reassembler) Add(p *Packet) (*Packet, bool) {
 	return whole, true
 }
 
-// expire is the bucket-timeout callback.
-func (r *Reassembler) expire(key bucketKey, pair pairKey) {
-	r.dropBucket(key, pair)
+// expire is the bucket-timeout callback: it drops the bucket held under
+// key, if any.
+func (r *Reassembler) expire(key bucketKey) {
+	if b, ok := r.buckets[key]; ok {
+		r.dropBucket(b)
+	}
 	r.stats.Expired++
 }
 
-func (r *Reassembler) dropBucket(key bucketKey, pair pairKey) {
-	b, ok := r.buckets[key]
-	if !ok {
-		return
+// dropBucket removes b from the cache and its pair's count, and recycles
+// it.
+func (r *Reassembler) dropBucket(b *bucket) {
+	delete(r.buckets, b.key)
+	if n := r.perPair[b.key.pairKey]; n > 1 {
+		r.perPair[b.key.pairKey] = n - 1
+	} else {
+		delete(r.perPair, b.key.pairKey)
 	}
-	delete(r.buckets, key)
 	r.recycle(b)
-	if r.perPair[pair] > 0 {
-		r.perPair[pair]--
-	}
-	if r.perPair[pair] == 0 {
-		delete(r.perPair, pair)
-	}
 }
 
 // apply writes one fragment's bytes into the bucket buffer, growing it to

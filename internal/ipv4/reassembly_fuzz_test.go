@@ -74,6 +74,13 @@ func encodeFrags(frags ...fuzzFrag) []byte {
 	return data
 }
 
+// refKey is the reference reassembler's datagram key.
+type refKey struct {
+	src, dst Addr
+	proto    Protocol
+	id       uint16
+}
+
 // refBucket is one datagram of the reference reassembler.
 type refBucket struct {
 	data    [256]byte // every fuzzed fragment ends below 127+63
@@ -88,7 +95,7 @@ type refBucket struct {
 // comparing times. It shares no code with the cache under test.
 type refReassembler struct {
 	overlap OverlapPolicy
-	buckets map[bucketKey]*refBucket
+	buckets map[refKey]*refBucket
 	stats   ReassemblyStats
 }
 
@@ -119,7 +126,7 @@ func (r *refReassembler) add(p *Packet, now time.Time) ([]byte, bool) {
 	if !p.MF && p.FragOff == 0 {
 		return p.Payload, true
 	}
-	key := bucketKey{p.Src, p.Dst, p.Proto, p.ID}
+	key := refKey{p.Src, p.Dst, p.Proto, p.ID}
 	b := r.buckets[key]
 	if b == nil {
 		if r.pending(pairKey{p.Src, p.Dst, p.Proto}) >= fuzzMaxPerPair {
@@ -214,7 +221,7 @@ func FuzzReassembly(f *testing.F) {
 		for _, overlap := range []OverlapPolicy{FirstWins, LastWins} {
 			clk := simclock.New(t0)
 			r := NewReassembler(clk, ReassemblyPolicy{Timeout: fuzzTimeout, MaxPerPair: fuzzMaxPerPair, Overlap: overlap})
-			ref := &refReassembler{overlap: overlap, buckets: map[bucketKey]*refBucket{}}
+			ref := &refReassembler{overlap: overlap, buckets: map[refKey]*refBucket{}}
 			check := func(step int) {
 				t.Helper()
 				if got := r.Stats(); got != ref.stats {

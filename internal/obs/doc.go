@@ -17,7 +17,10 @@
 // byte-identical trace file at any worker count and with pooled or fresh
 // labs. The sink, NewChrome, writes the Chrome trace_event array format
 // viewable in Perfetto or chrome://tracing; MergeChrome joins per-seed
-// arrays into one document.
+// arrays into one document. Two tracers record no trace at all:
+// WorkCounter counts a run's layer-boundary work (clock fires, packet
+// sends, deliveries and reassemblies, planting rounds), and Digest folds
+// the whole trace into one SHA-256, so a test can pin both.
 //
 // # Metrics
 //

@@ -204,3 +204,72 @@ func TestBuildInfo(t *testing.T) {
 		t.Errorf("GoVersion = %q, want go*", b.GoVersion)
 	}
 }
+
+// TestWorkCounter: each Work category counts its own event and nothing
+// else; other events and spans are ignored.
+func TestWorkCounter(t *testing.T) {
+	var c WorkCounter
+	for _, e := range [][2]string{
+		{"clock", "fire"}, {"clock", "fire"}, {"net", "send"}, {"net", "deliver"},
+		{"net", "reasm"}, {"attack", "plant-round"}, {"net", "drop"}, {"attack", "probe"},
+	} {
+		c.Event(t0, e[0], e[1], "detail")
+	}
+	c.Span(t0, t0.Add(time.Second), "clock", "fire", "")
+	if want := (Work{ClockFires: 2, NetSends: 1, NetDelivers: 1, NetReasm: 1, PlantRounds: 1}); c.Work != want {
+		t.Errorf("Work = %+v, want %+v", c.Work, want)
+	}
+}
+
+// TestDigest: equal traces hash equal; moving an event in time, changing
+// any of its strings, swapping two events, turning an event into a span
+// or shifting bytes between adjacent strings changes the sum.
+func TestDigest(t *testing.T) {
+	type rec struct {
+		span     bool
+		from, to time.Duration
+		cat      string
+		name     string
+		detail   string
+	}
+	base := []rec{
+		{false, 0, 0, "clock", "fire", "seq=1"},
+		{true, 0, 2 * time.Second, "attack", "template", ""},
+		{false, time.Millisecond, 0, "net", "send", "udp 53"},
+	}
+	sum := func(rs []rec) string {
+		d := NewDigest()
+		for _, r := range rs {
+			if r.span {
+				d.Span(t0.Add(r.from), t0.Add(r.to), r.cat, r.name, r.detail)
+			} else {
+				d.Event(t0.Add(r.from), r.cat, r.name, r.detail)
+			}
+		}
+		if d.Events+d.Spans != int64(len(rs)) {
+			t.Fatalf("counted %d events and %d spans for %d records", d.Events, d.Spans, len(rs))
+		}
+		return d.Sum()
+	}
+	want := sum(base)
+	if got := sum(base); got != want {
+		t.Fatalf("equal traces: %s vs %s", got, want)
+	}
+	variants := map[string]func(rs []rec){
+		"time":     func(rs []rec) { rs[2].from++ },
+		"cat":      func(rs []rec) { rs[0].cat = "net" },
+		"name":     func(rs []rec) { rs[0].name = "fired" },
+		"detail":   func(rs []rec) { rs[0].detail = "seq=2" },
+		"span end": func(rs []rec) { rs[1].to++ },
+		"kind":     func(rs []rec) { rs[1].span = false },
+		"order":    func(rs []rec) { rs[0], rs[2] = rs[2], rs[0] },
+		"shift":    func(rs []rec) { rs[0].cat, rs[0].name = "clockf", "ire" },
+	}
+	for name, mutate := range variants {
+		rs := append([]rec(nil), base...)
+		mutate(rs)
+		if sum(rs) == want {
+			t.Errorf("%s: changed trace has the same digest", name)
+		}
+	}
+}

@@ -13,10 +13,20 @@
 // goroutine, so the scheduler carries no locks on its hot path.
 //
 // The event queue is allocation-lean: fired and cancelled events return to
-// a per-clock free list, the heap orders events by pre-computed integer
+// a per-clock free list, events are ordered by pre-computed integer
 // nanosecond keys, and the After/AfterArg entry points schedule without
 // allocating a Timer handle — the campaign engine's packet-delivery hot
 // path schedules millions of events per second through them.
+//
+// A simulation schedules most of its events with a few recurring delays
+// (link latency, poll intervals, reassembly timeouts). An event whose delay
+// recurs joins a FIFO lane for that delay: the clock never moves backwards
+// and sequence numbers only grow, so appending now+d keeps each lane sorted
+// by (timestamp, sequence) at no cost. Only the head of each non-empty lane
+// competes in a 4-ary min-heap, beside the events whose delays do not
+// recur, so the heap stays a few nodes deep however many events are
+// pending. Execution order is the same (timestamp, sequence) total order
+// whichever structure holds an event.
 package simclock
 
 import (
@@ -30,12 +40,14 @@ import (
 // usable; construct with New.
 type Clock struct {
 	now    time.Time
-	nowN   int64 // now.UnixNano(), the heap ordering key
-	events []heapNode
+	nowN   int64      // now.UnixNano(), the heap ordering key
+	events []heapNode // 4-ary min-heap: one-off events and the head of each non-empty lane
+	lanes  []lane     // FIFO lanes, one per admitted recurring delay
 	seq    uint64
-	arena  []event  // every event slot this clock has ever allocated
-	free   []int32  // recycled arena slots (fired or cancelled events)
-	onFire FireHook // observability hook; nil (the default) costs one branch
+	arena  []event               // every event slot this clock has ever allocated
+	free   []int32               // recycled arena slots (fired or cancelled events)
+	onFire FireHook              // observability hook; nil (the default) costs one branch
+	delays [delaySlots]delaySlot // delays seen, for lane admission; last, off the hot fields' cache lines
 }
 
 // FireHook observes every event the clock executes, called from Step with
@@ -65,13 +77,22 @@ func New(start time.Time) *Clock {
 // Reset drops every pending event and rewinds the clock to start, keeping
 // the allocated event-queue capacity. It is the lab pool's hard-reset hook:
 // a reset clock is indistinguishable from New(start) to every scheduler
-// client, while reusing the heap and free-list storage warmed up by the
-// previous run.
+// client — no lane is admitted and no delay remembered — while reusing the
+// heap, lane and free-list storage warmed up by the previous run.
 func (c *Clock) Reset(start time.Time) {
 	for _, n := range c.events {
-		c.recycleEvent(n.idx)
+		if n.lane == 0 {
+			c.recycleEvent(n.idx)
+		}
 	}
 	c.events = c.events[:0]
+	for i := range c.lanes {
+		for l := &c.lanes[i]; l.n > 0; {
+			c.recycleEvent(l.pop().idx)
+		}
+	}
+	c.lanes = c.lanes[:0]
+	c.delays = [delaySlots]delaySlot{}
 	c.seq = 0
 	c.now = start
 	c.nowN = start.UnixNano()
@@ -85,8 +106,16 @@ func (c *Clock) Now() time.Time { return c.now }
 func (c *Clock) Len() int {
 	n := 0
 	for _, node := range c.events {
-		if !c.arena[node.idx].cancelled {
+		if node.lane == 0 && !c.arena[node.idx].cancelled {
 			n++
+		}
+	}
+	for i := range c.lanes {
+		l := &c.lanes[i]
+		for j := range l.n {
+			if !c.arena[l.at(j).idx].cancelled {
+				n++
+			}
 		}
 	}
 	return n
@@ -188,8 +217,58 @@ func (c *Clock) scheduleEvent(d time.Duration, fn func(), argFn func(any), arg a
 	ev.cancelled = false
 	ev.fired = false
 	c.seq++
-	c.heapPush(ev.atN, ev.seq, idx)
+	n := heapNode{atN: ev.atN, seq: ev.seq, idx: idx}
+	// A lane only takes an event whose timestamp did not overflow, so
+	// every lane stays sorted.
+	if k := c.laneFor(int64(d)); k > 0 && n.atN >= c.nowN {
+		l := &c.lanes[k-1]
+		l.push(n)
+		if l.n == 1 {
+			n.lane = k
+			c.heapPush(n)
+		}
+		return idx
+	}
+	c.heapPush(n)
 	return idx
+}
+
+// laneFor returns 1 + the index of the lane for delay d, or 0: the event
+// goes to the heap. A delay is remembered in the table of seen delays when
+// first used and admitted to a lane on its next use, while fewer than
+// maxLanes are taken. A lookup starts at the delay's hash and steps over
+// the slots of other delays' lanes to the first slot that holds no lane:
+// there it finds the delay remembered, or remembers it in place of
+// whatever delay was there. Lanes keep their slots until Reset, so a
+// delay's lane lies on its path before any slot without one.
+func (c *Clock) laneFor(d int64) int32 {
+	// Delays are round numbers of nanoseconds, rich in trailing zero
+	// bits, so fold high bits down before the multiplicative hash.
+	h := uint64(d)
+	h ^= h >> 25
+	i := h * 0x9E3779B97F4A7C15 >> (64 - delaySlotBits)
+	s := &c.delays[i]
+	for s.lane > 0 {
+		if s.d == d {
+			return s.lane
+		}
+		i = (i + 1) % delaySlots
+		s = &c.delays[i]
+	}
+	if s.d != d || s.lane == 0 {
+		s.d, s.lane = d, -1
+		return 0
+	}
+	if len(c.lanes) == maxLanes {
+		return 0
+	}
+	if len(c.lanes) < cap(c.lanes) {
+		c.lanes = c.lanes[:len(c.lanes)+1] // reuse the ring of a lane dropped by Reset
+	} else {
+		c.lanes = append(c.lanes, lane{})
+	}
+	s.lane = int32(len(c.lanes))
+	return s.lane
 }
 
 // recycleEvent returns a popped event slot to the free list, invalidating
@@ -258,7 +337,7 @@ func (c *Clock) Step() bool {
 		if len(c.events) == 0 {
 			return false
 		}
-		idx := c.heapPopMin()
+		idx := c.popMin()
 		ev := &c.arena[idx]
 		if ev.cancelled {
 			c.recycleEvent(idx)
@@ -331,9 +410,62 @@ type event struct {
 // skip the GC write barrier and the garbage collector never scans the heap
 // array at all.
 type heapNode struct {
-	atN int64
-	seq uint64
-	idx int32
+	atN  int64
+	seq  uint64
+	idx  int32
+	lane int32 // in the heap: 1 + the index of the lane this node heads, or 0
+}
+
+// maxLanes bounds how many recurring delays get a lane; later ones share
+// the heap with the one-off delays. A lane costs little while it is empty,
+// and a long simulation uses a few dozen recurring delays, some only after
+// its first phase.
+const maxLanes = 64
+
+// delaySlotBits sizes the table of seen delays that admits lanes. With
+// four times as many slots as lanes, a lookup rarely steps over a lane.
+const (
+	delaySlotBits = 8
+	delaySlots    = 1 << delaySlotBits
+)
+
+// delaySlot remembers one delay: lane is 1 + its lane index once admitted,
+// -1 while the delay has been used once, and 0 for an empty slot.
+type delaySlot struct {
+	d    int64
+	lane int32
+}
+
+// lane is a FIFO of the pending events of one delay, in a ring whose
+// length is zero or a power of two. Pushes arrive in (timestamp, sequence)
+// order, so the head is always the lane's earliest event.
+type lane struct {
+	ring []heapNode
+	head int // ring index of the earliest node
+	n    int // nodes queued
+}
+
+// at returns the j-th queued node, 0 being the head.
+func (l *lane) at(j int) heapNode { return l.ring[(l.head+j)&(len(l.ring)-1)] }
+
+func (l *lane) push(n heapNode) {
+	if l.n == len(l.ring) {
+		ring := make([]heapNode, max(8, 2*len(l.ring)))
+		for j := range l.n {
+			ring[j] = l.at(j)
+		}
+		l.ring, l.head = ring, 0
+	}
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = n
+	l.n++
+}
+
+// pop removes and returns the head node.
+func (l *lane) pop() heapNode {
+	n := l.ring[l.head]
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+	return n
 }
 
 // less orders nodes by (timestamp, insertion sequence): deterministic FIFO
@@ -347,11 +479,10 @@ func (a heapNode) less(b heapNode) bool {
 	return a.seq < b.seq
 }
 
-// heapPush inserts an event into the 4-ary min-heap. A 4-ary layout halves
+// heapPush inserts a node into the 4-ary min-heap. A 4-ary layout halves
 // the tree depth of a binary heap and keeps sibling comparisons within one
 // or two cache lines of the node array.
-func (c *Clock) heapPush(atN int64, seq uint64, idx int32) {
-	n := heapNode{atN: atN, seq: seq, idx: idx}
+func (c *Clock) heapPush(n heapNode) {
 	h := append(c.events, n)
 	i := len(h) - 1
 	for i > 0 {
@@ -366,18 +497,35 @@ func (c *Clock) heapPush(atN int64, seq uint64, idx int32) {
 	c.events = h
 }
 
-// heapPopMin removes and returns the arena slot of the earliest event. The
-// caller must have checked len(c.events) > 0.
-func (c *Clock) heapPopMin() int32 {
+// popMin removes and returns the arena slot of the earliest event. The
+// caller must have checked len(c.events) > 0. When the earliest event heads
+// a lane, the lane's next event takes its place at the top of the heap.
+func (c *Clock) popMin() int32 {
 	h := c.events
-	ev := h[0].idx
+	top := h[0]
+	if top.lane > 0 {
+		l := &c.lanes[top.lane-1]
+		if l.pop(); l.n > 0 {
+			next := l.at(0)
+			next.lane = top.lane
+			c.siftDown(next)
+			return top.idx
+		}
+	}
 	n := len(h) - 1
 	last := h[n]
-	h = h[:n]
-	c.events = h
-	if n == 0 {
-		return ev
+	c.events = h[:n]
+	if n > 0 {
+		c.siftDown(last)
 	}
+	return top.idx
+}
+
+// siftDown puts node at the root of the heap in place of the node there
+// and moves it down to its ordered position.
+func (c *Clock) siftDown(node heapNode) {
+	h := c.events
+	n := len(h)
 	i := 0
 	for {
 		first := 4*i + 1
@@ -394,12 +542,11 @@ func (c *Clock) heapPopMin() int32 {
 				m = j
 			}
 		}
-		if !h[m].less(last) {
+		if !h[m].less(node) {
 			break
 		}
 		h[i] = h[m]
 		i = m
 	}
-	h[i] = last
-	return ev
+	h[i] = node
 }

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // HeaderLen is the length of a UDP header in bytes.
@@ -92,25 +93,39 @@ func PutHeader(b []byte, srcPort, dstPort uint16, totalLen int) {
 
 // Sum1 computes the 16-bit ones'-complement sum of b (without the final
 // inversion). Odd-length input is padded with a zero byte, per RFC 1071.
+//
+// 2^16 ≡ 1 modulo 2^16−1, so a big-endian 64-bit word is congruent to the
+// sum of its four 16-bit words, and 2^64−1 is a multiple of 2^16−1: adding
+// the buffer 64 bits at a time with end-around carry, then folding the sum
+// to 16 bits with end-around carry, gives the 16-bit sum. Neither step
+// turns a non-zero sum into zero, so the result is 0 only for a buffer of
+// zeros, as a 16-bit loop gives.
 func Sum1(b []byte) uint16 {
-	var sum uint64
-	i := 0
-	// Eight bytes per iteration; ones'-complement addition is commutative,
-	// and a uint64 accumulator of 16-bit words cannot overflow for any
-	// datagram this simulation produces (< 256 TiB).
-	for ; i+8 <= len(b); i += 8 {
-		v := binary.BigEndian.Uint64(b[i : i+8])
-		sum += v>>48 + v>>32&0xffff + v>>16&0xffff + v&0xffff
+	var sum, carry uint64
+	for ; len(b) >= 32; b = b[32:] {
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[0:8]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[8:16]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[16:24]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[24:32]), carry)
 	}
-	for ; i+1 < len(b); i += 2 {
-		sum += uint64(binary.BigEndian.Uint16(b[i : i+2]))
+	for ; len(b) >= 8; b = b[8:] {
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b), carry)
 	}
-	if len(b)%2 == 1 {
-		sum += uint64(b[len(b)-1]) << 8
+	// The tail is under 8 bytes: at most 6 of them are whole 16-bit
+	// words and one is an odd byte, so it fits one 64-bit word.
+	var tail uint64
+	for ; len(b) >= 2; b = b[2:] {
+		tail += uint64(binary.BigEndian.Uint16(b))
 	}
-	for sum > 0xffff {
-		sum = sum&0xffff + sum>>16
+	if len(b) == 1 {
+		tail += uint64(b[0]) << 8
 	}
+	sum, carry = bits.Add64(sum, tail, carry)
+	sum += carry // a carry out leaves sum at most tail, so this cannot overflow
+	sum = sum>>32 + sum&0xffffffff
+	sum = sum>>32 + sum&0xffffffff
+	sum = sum>>16 + sum&0xffff
+	sum = sum>>16 + sum&0xffff
 	return uint16(sum)
 }
 

@@ -2,7 +2,9 @@ package udp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -204,5 +206,74 @@ func TestOnesComplementArithmetic(t *testing.T) {
 		if d := subOnes(s, tt.b); !sameOnes(d, tt.a) {
 			t.Errorf("subOnes(addOnes(%#04x,%#04x),%#04x) = %#04x", tt.a, tt.b, tt.b, d)
 		}
+	}
+}
+
+// sum16 is RFC 1071's plain loop: 16-bit big-endian words added into a
+// 32-bit accumulator, an odd last byte padded with zero, and the carries
+// folded back at the end.
+func sum16(b []byte) uint16 {
+	var sum uint32
+	for i := 0; i+1 < len(b); i += 2 {
+		sum += uint32(b[i])<<8 | uint32(b[i+1])
+	}
+	if len(b)%2 == 1 {
+		sum += uint32(b[len(b)-1]) << 8
+	}
+	for sum > 0xffff {
+		sum = sum&0xffff + sum>>16
+	}
+	return uint16(sum)
+}
+
+// TestSum1MatchesRFC1071Loop: Sum1 equals the plain 16-bit loop on random
+// buffers of every length from 0 to 1500, odd ones included, at every
+// alignment within a word, and on all-zero and all-0xFF buffers, where
+// the 64-bit carries are densest.
+func TestSum1MatchesRFC1071Loop(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	buf := make([]byte, 1500+8)
+	for n := 0; n <= 1500; n++ {
+		for _, off := range []int{0, 1, 3, 7} {
+			b := buf[off : off+n]
+			rng.Read(b)
+			if got, want := Sum1(b), sum16(b); got != want {
+				t.Fatalf("random len %d at %d: Sum1 = %#04x, want %#04x", n, off, got, want)
+			}
+		}
+		zeros := make([]byte, n)
+		if got := Sum1(zeros); got != 0 {
+			t.Fatalf("zeros len %d: Sum1 = %#04x, want 0", n, got)
+		}
+		ones := bytes.Repeat([]byte{0xff}, n)
+		if got, want := Sum1(ones), sum16(ones); got != want {
+			t.Fatalf("0xff len %d: Sum1 = %#04x, want %#04x", n, got, want)
+		}
+	}
+}
+
+// TestZeroSumSentAsFFFF: a datagram whose computed checksum is zero
+// carries 0xFFFF, per RFC 768, and verifies.
+func TestZeroSumSentAsFFFF(t *testing.T) {
+	d := make([]byte, HeaderLen+10)
+	PutHeader(d, 53, 4444, len(d))
+	copy(d[HeaderLen:], "zero-sum")
+	// Choose the last payload word so the checksummed sum is 0xFFFF,
+	// whose complement is 0.
+	pseudo := []byte{srcAddr[0], srcAddr[1], srcAddr[2], srcAddr[3], dstAddr[0], dstAddr[1], dstAddr[2], dstAddr[3], 0, 17, 0, byte(len(d))}
+	s := addOnes(Sum1(pseudo), Sum1(d))
+	binary.BigEndian.PutUint16(d[len(d)-2:], subOnes(0xffff, s))
+	if got := ^addOnes(Sum1(pseudo), Sum1(d)); got != 0 {
+		t.Fatalf("constructed datagram sums to complement %#04x, want 0", got)
+	}
+	if got := ComputeChecksum(srcAddr, dstAddr, d); got != 0xffff {
+		t.Errorf("ComputeChecksum = %#04x, want 0xffff", got)
+	}
+	FillChecksum(srcAddr, dstAddr, d)
+	if got := binary.BigEndian.Uint16(d[6:8]); got != 0xffff {
+		t.Errorf("FillChecksum wrote %#04x, want 0xffff", got)
+	}
+	if err := Verify(srcAddr, dstAddr, d); err != nil {
+		t.Errorf("Verify: %v", err)
 	}
 }
