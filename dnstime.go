@@ -69,8 +69,9 @@ var (
 // Network-condition emulation (DESIGN.md §8): every lab link runs over a
 // composable netem path model — latency distributions, loss models
 // (i.i.d. and Gilbert–Elliott bursts), reordering, asymmetric legs and
-// per-pair overrides — selected per lab via LabConfig.Path or per
-// campaign via the net/rtt/loss scenario params.
+// per-pair overrides — selected per lab as the Default of
+// LabConfig.Topology (NetTopology{Default: path} for a uniform path) or
+// per campaign via the net/rtt/loss scenario params.
 type (
 	// PathModel decides per-packet latency and loss on lab links.
 	PathModel = netem.PathModel

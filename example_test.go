@@ -386,12 +386,14 @@ func Example_netsweep() {
 	}
 	fmt.Printf("\nboot on lossy-wifi at 8%% i.i.d. loss: %s\n", lossy)
 
-	// 3. Or build a model directly for single-run experiments.
+	// 3. Or build a model directly for single-run experiments: a uniform
+	// path is the Default of a topology without links.
 	path, err := dnstime.NetPathFromSpec("transcontinental", 0, dnstime.NetNoLossOverride)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := dnstime.RunBootTimeAttack(dnstime.ProfileNTPd, dnstime.LabConfig{Seed: 1, Path: path})
+	res, err := dnstime.RunBootTimeAttack(dnstime.ProfileNTPd,
+		dnstime.LabConfig{Seed: 1, Topology: &dnstime.NetTopology{Default: path}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,9 +8,9 @@ import (
 // laboratory to a new seed: Lab.Reset re-wires nameserver, resolver,
 // attacker and twelve NTP servers in place, so the remaining allocations
 // are the handful of per-run config values (the defaults pointer, network
-// options, the pool record set). Building the same lab from scratch costs
-// thousands of allocations; this gate keeps the pooled path two orders of
-// magnitude under that.
+// options, the pool record set). It measured 35 against 214 allocations
+// (40.5 KB) for building the same lab with NewLab (Go 1.24.0, -cpu 1);
+// this gate holds the pooled path under a fifth of a cold build.
 const allocBudgetLabReset = 40
 
 func TestAllocBudgetLabReset(t *testing.T) {

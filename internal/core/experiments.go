@@ -40,7 +40,7 @@ func RunBootTimeAttack(prof ntpclient.Profile, cfg LabConfig) (BootTimeResult, e
 		return BootTimeResult{}, err
 	}
 	defer releaseLab(lab)
-	tr := lab.tracer()
+	tr := lab.cfg.Tracer
 	res := BootTimeResult{Profile: prof.Name}
 	poisonStart := lab.Clock.Now()
 	if err := lab.PoisonResolver(86400); err != nil {
@@ -123,7 +123,7 @@ func RunRuntimeAttack(prof ntpclient.Profile, scenario RuntimeScenario, cfg LabC
 		return RuntimeResult{}, err
 	}
 	defer releaseLab(lab)
-	tr := lab.tracer()
+	tr := lab.cfg.Tracer
 	res := RuntimeResult{Profile: prof.Name, Scenario: scenario}
 
 	client, err := lab.NewClient(prof, 30*time.Second)
@@ -330,7 +330,7 @@ func RunChronosAttack(n, spoofedAddrs int, cfg LabConfig) (ChronosResult, error)
 	}
 
 	res := ChronosResult{N: n, Bound: chronos.AttackBound(perQuery, spoofedAddrs)}
-	tr := lab.tracer()
+	tr := lab.cfg.Tracer
 
 	// Let n honest hourly queries complete.
 	honestStart := lab.Clock.Now()

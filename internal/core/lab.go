@@ -67,20 +67,17 @@ type LabConfig struct {
 	// ResolverValidatesDNSSEC enables validation at the victim resolver
 	// (default false; pool.ntp.org is unsigned so it would not help).
 	ResolverValidatesDNSSEC bool
-	// Path models the network conditions on every lab link — latency
-	// distribution, loss, reordering (internal/netem; DESIGN.md §8). nil
-	// keeps the default lab path: fixed 10 ms one-way, lossless. All link
-	// randomness derives from Seed, so lossy labs stay deterministic per
-	// seed. Stateful models must be fresh per lab (netem.Profile and
-	// netem.FromSpec return fresh instances each call).
-	Path netem.PathModel
-	// Topology assigns path conditions by network position instead of
-	// uniformly: a netem.Topology maps role pairs (attacker↔resolver,
-	// client↔resolver, resolver↔nameserver, …) to path models, and the
-	// lab compiles it into per-directed-link overrides as hosts join
-	// (DESIGN.md §9). nil keeps the uniform Path on every link — the
-	// byte-identical special case. Path and Topology are mutually
-	// exclusive: fold a uniform path into Topology.Default instead.
+	// Topology models the network conditions on the lab's links —
+	// latency distribution, loss, reordering (internal/netem; DESIGN.md
+	// §8). Its Default path covers every link, and role-pair entries
+	// (attacker↔resolver, client↔resolver, resolver↔nameserver, …)
+	// override it by network position; the lab compiles them into
+	// per-directed-link models as hosts join (DESIGN.md §9). A uniform
+	// path is Topology{Default: path}. nil keeps the default lab path:
+	// fixed 10 ms one-way, lossless. All link randomness derives from
+	// Seed, so lossy labs stay deterministic per seed. Stateful models
+	// must be fresh per lab (netem.Profile and netem.FromSpec return
+	// fresh instances each call).
 	Topology *netem.Topology
 	// Tracer receives the lab's virtual-time observability events: every
 	// simnet packet event, every clock fire and the attacker's phase spans
@@ -137,48 +134,33 @@ type Lab struct {
 // labEpoch is the virtual start time of every laboratory.
 var labEpoch = time.Date(2020, 2, 1, 0, 0, 0, 0, time.UTC)
 
-// netOptions translates the config's path/topology settings into network
-// options plus the live topology compiler (nil without a topology).
-func (c *LabConfig) netOptions() ([]simnet.Option, *netem.Compiler, error) {
-	if c.Path != nil && c.Topology != nil {
-		return nil, nil, errors.New("core: LabConfig.Path and Topology are mutually exclusive (set the uniform path as Topology.Default)")
-	}
+// netOptions translates the config into network options plus the live
+// topology compiler (nil without a topology).
+func (c *LabConfig) netOptions() ([]simnet.Option, *netem.Compiler) {
 	// Link randomness (loss, jitter, reordering under non-default path
 	// models) derives from the lab seed — never from a global or pinned
 	// source — so campaigns replay byte-identically at any worker count.
 	opts := []simnet.Option{simnet.WithSeed(c.Seed + 3)}
-	if c.Tracer != nil && c.Tracer.Enabled() {
+	if c.Tracer.Enabled() {
 		opts = append(opts, simnet.WithTrace(simnet.TraceTo(c.Tracer)))
 	}
-	var topo *netem.Compiler
-	if c.Topology != nil {
-		// The compiled model is live: every host the lab adds (including
-		// clients attached mid-run) registers its role and receives the
-		// topology's per-directed-link models.
-		topo = c.Topology.Compiler()
-		opts = append(opts, simnet.WithPathModel(topo.Model()))
-	} else {
-		opts = append(opts, simnet.WithPathModel(c.Path))
+	if c.Topology == nil {
+		return opts, nil
 	}
-	return opts, topo, nil
+	// The compiled model is live: every host the lab adds (including
+	// clients attached mid-run) registers its role and receives the
+	// topology's per-directed-link models.
+	topo := c.Topology.Compiler()
+	return append(opts, simnet.WithPathModel(topo.Model())), topo
 }
 
 // NewLab builds the laboratory: nameserver serving pool.ntp.org backed by
 // the honest servers, victim resolver, attacker servers and attacker host.
+// It builds an empty clock and network, then runs Reset.
 func NewLab(cfg LabConfig) (*Lab, error) {
-	cfg.applyDefaults()
-	opts, topo, err := cfg.netOptions()
-	if err != nil {
-		return nil, err
-	}
 	clk := simclock.New(labEpoch)
-	l := &Lab{
-		Clock: clk,
-		Net:   simnet.New(clk, opts...),
-		cfg:   cfg,
-		topo:  topo,
-	}
-	if err := l.wire(); err != nil {
+	l := &Lab{Clock: clk, Net: simnet.New(clk)}
+	if err := l.Reset(cfg); err != nil {
 		return nil, err
 	}
 	return l, nil
@@ -188,16 +170,14 @@ func NewLab(cfg LabConfig) (*Lab, error) {
 // the clock's event queue, the network's packet pools and the attached
 // server hosts. The contract is hard: a reset lab is observably identical
 // to NewLab(cfg) — same component wiring, same RNG streams (all derived
-// from cfg.Seed), same virtual start time — which the engine equivalence
-// suite enforces byte-for-byte. Client hosts from the previous run and
-// servers beyond the new population are detached; in-flight events die with
-// the clock reset.
+// from cfg.Seed), same virtual start time. It holds by construction,
+// since NewLab is an empty lab plus Reset, and the engine equivalence
+// suite checks it byte-for-byte. Client hosts from the previous run and
+// servers beyond the new population are detached; in-flight events die
+// with the clock reset.
 func (l *Lab) Reset(cfg LabConfig) error {
 	cfg.applyDefaults()
-	opts, topo, err := cfg.netOptions()
-	if err != nil {
-		return err
-	}
+	opts, topo := cfg.netOptions()
 	// Clock first: every pending timer and ticker callback dies before any
 	// component state is touched, so nothing fires mid-reset.
 	l.Clock.Reset(labEpoch)
@@ -222,26 +202,18 @@ func (l *Lab) Reset(cfg LabConfig) error {
 // labs: the resolver only reads it.
 var labDelegations = map[string]ipv4.Addr{"ntp.org": NSAddr}
 
-// tracer returns the lab's Tracer (obs.Nop when tracing is off), for the
-// experiment runners' phase spans.
-func (l *Lab) tracer() obs.Tracer {
-	if l.cfg.Tracer != nil {
-		return l.cfg.Tracer
-	}
-	return obs.Nop
-}
-
 // wire attaches (or re-attaches) every lab component onto the clock and
-// network, in the exact order NewLab always has: nameserver, resolver,
-// attacker, honest servers, evil servers, pool. Components that survived a
-// pool Reset still bound to their (hard-reset) hosts are reset in place
-// rather than rebuilt — same observable state, but their RNGs, maps and
-// scratch buffers are recycled instead of reallocated every seed.
+// network, in a fixed order: nameserver, resolver, attacker, honest
+// servers, evil servers, pool. Components that survived a pool Reset
+// still bound to their (hard-reset) hosts are reset in place rather than
+// rebuilt — each constructor is an allocation plus that same Reset, but
+// their RNGs, maps and scratch buffers are recycled instead of
+// reallocated every seed.
 func (l *Lab) wire() error {
 	cfg := l.cfg
-	if tr := cfg.Tracer; tr != nil && tr.Enabled() {
-		// The clock hook dies with Clock.Reset, so both the fresh and the
-		// pooled path install it here, before any event can fire.
+	if tr := cfg.Tracer; tr.Enabled() {
+		// The clock hook dies with Clock.Reset, so it is installed here,
+		// before any event can fire.
 		l.Clock.SetFireHook(simclock.TraceTo(tr))
 	}
 	authHost, err := l.labHost(NSAddr, netem.RoleNameserver, simnet.HostConfig{})
@@ -458,7 +430,7 @@ func (c *Campaign) Stop() {
 // fragments, inject.
 func (c *Campaign) plantOnce() {
 	l := c.lab
-	if tr := l.tracer(); tr.Enabled() {
+	if tr := l.cfg.Tracer; tr.Enabled() {
 		tr.Event(l.Clock.Now(), "attack", "plant-round", "round="+strconv.Itoa(c.Rounds))
 	}
 	l.Eve.ForceFragmentation(NSAddr, ResolverAddr, 68)

@@ -23,8 +23,7 @@ var labPool struct {
 // Pool effectiveness counters (obs.Default; exposed on the serve /metrics
 // Prometheus view): hits are acquisitions served by recycling a pooled
 // lab, misses built fresh, resets counts hard Reset calls on recycled
-// labs (hits that then failed config validation fall back to a fresh
-// build but still reset first).
+// labs.
 var (
 	poolHits = obs.Default.Counter("dnstime_labpool_hits_total",
 		"Lab acquisitions served by recycling a pooled laboratory.")
@@ -63,9 +62,8 @@ func acquireLab(cfg LabConfig) (*Lab, error) {
 	err := l.Reset(cfg)
 	obs.ObservePhase(obs.PhaseReset, time.Since(start))
 	if err != nil {
-		// Reset only fails on configs NewLab rejects too; surface the
-		// identical error from the identical validation path.
-		return NewLab(cfg)
+		// NewLab runs this same Reset, so it would fail the same way.
+		return nil, err
 	}
 	return l, nil
 }

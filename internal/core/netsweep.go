@@ -92,22 +92,18 @@ func netsweepScenario(_ context.Context, seed int64, cfg scenario.Config) (scena
 	return scenario.Result{Success: scenario.Bool(allShifted), Metrics: metrics}, nil
 }
 
-// sweepLab builds one grid cell's lab config: the profile alone (empty
-// preset — the uniform sweep), or a fresh topology preset whose default
-// path is the profile (the topology axis). The lab records into tr.
+// sweepLab builds one grid cell's lab config: a fresh topology preset
+// (the uniform one for an empty preset — the uniform sweep) whose default
+// path is the profile. The lab records into tr.
 func sweepLab(seed int64, preset, profile string, tr obs.Tracer) (LabConfig, error) {
 	path, err := netem.Profile(profile)
 	if err != nil {
 		return LabConfig{}, err
 	}
-	if preset == "" {
-		return LabConfig{Seed: seed, Path: path, Tracer: tr}, nil
-	}
-	topo, err := netem.TopologyPreset(preset)
+	topo, err := netem.TopologyFromSpec(preset, "", "", path)
 	if err != nil {
 		return LabConfig{}, err
 	}
-	topo.Default = path
 	return LabConfig{Seed: seed, Topology: topo, Tracer: tr}, nil
 }
 

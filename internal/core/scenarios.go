@@ -52,26 +52,21 @@ func pathFromParams(p scenario.Params) (netem.PathModel, error) {
 }
 
 // netFromParams resolves the full network-condition param surface into
-// either a uniform PathModel (net/rtt/loss only — the §8 path) or a
-// role-based Topology (topo/atk-net/cli-net present — the §9 path, with
-// any uniform spec folded in as the topology default). Exactly one of
-// the two returns non-nil; both nil means the default lab link.
-func netFromParams(p scenario.Params) (netem.PathModel, *netem.Topology, error) {
+// one Topology: net/rtt/loss give its Default path (the §8 uniform path)
+// and topo/atk-net/cli-net its role-pair links (the §9 topology). nil,
+// when no param is set, means the default lab link.
+func netFromParams(p scenario.Params) (*netem.Topology, error) {
 	path, err := pathFromParams(p)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	preset := p.Str("topo", "")
 	atkNet := p.Str("atk-net", "")
 	cliNet := p.Str("cli-net", "")
-	if preset == "" && atkNet == "" && cliNet == "" {
-		return path, nil, nil
+	if path == nil && preset == "" && atkNet == "" && cliNet == "" {
+		return nil, nil
 	}
-	topo, err := netem.TopologyFromSpec(preset, atkNet, cliNet, path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return nil, topo, nil
+	return netem.TopologyFromSpec(preset, atkNet, cliNet, path)
 }
 
 // sizeParam reads a non-negative integer sizing param (0 keeps the lab
@@ -122,7 +117,7 @@ func labFromParams(seed int64, p scenario.Params) (LabConfig, error) {
 	if cfg.ResolverValidatesDNSSEC, err = p.Bool("dnssec", false); err != nil {
 		return cfg, err
 	}
-	if cfg.Path, cfg.Topology, err = netFromParams(p); err != nil {
+	if cfg.Topology, err = netFromParams(p); err != nil {
 		return cfg, err
 	}
 	return cfg, nil
@@ -300,11 +295,11 @@ func tableIScenario(_ context.Context, seed int64, cfg scenario.Config) (scenari
 	metrics := make(map[string]float64, 3*len(ntpclient.AllProfiles()))
 	allShifted := true
 	for _, pu := range ntpclient.AllProfiles() {
-		path, topo, err := netFromParams(cfg.Params)
+		topo, err := netFromParams(cfg.Params)
 		if err != nil {
 			return scenario.Result{}, err
 		}
-		boot, err := RunBootTimeAttack(pu.Profile, LabConfig{Seed: seed, Path: path, Topology: topo, Tracer: cfg.Tracer})
+		boot, err := RunBootTimeAttack(pu.Profile, LabConfig{Seed: seed, Topology: topo, Tracer: cfg.Tracer})
 		if err != nil {
 			return scenario.Result{}, fmt.Errorf("table I %s: %w", pu.Profile.Name, err)
 		}
@@ -331,11 +326,11 @@ func tableIScenario(_ context.Context, seed int64, cfg scenario.Config) (scenari
 func tableIIScenario(_ context.Context, seed int64, cfg scenario.Config) (scenario.Result, error) {
 	metrics := make(map[string]float64, len(TableIISpecs))
 	for _, s := range TableIISpecs {
-		path, topo, err := netFromParams(cfg.Params)
+		topo, err := netFromParams(cfg.Params)
 		if err != nil {
 			return scenario.Result{}, err
 		}
-		r, err := RunRuntimeAttack(s.Profile, s.Scenario, LabConfig{Seed: seed, Path: path, Topology: topo, Tracer: cfg.Tracer})
+		r, err := RunRuntimeAttack(s.Profile, s.Scenario, LabConfig{Seed: seed, Topology: topo, Tracer: cfg.Tracer})
 		if err != nil {
 			return scenario.Result{}, fmt.Errorf("table II %s/%s: %w", s.Profile.Name, s.Scenario, err)
 		}

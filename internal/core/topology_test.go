@@ -13,22 +13,6 @@ import (
 	"dnstime/internal/scenario"
 )
 
-// TestLabPathTopologyExclusive: a LabConfig carrying both a uniform Path
-// and a Topology is a configuration error, not a silent precedence.
-func TestLabPathTopologyExclusive(t *testing.T) {
-	topo, err := netem.TopologyPreset("colo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path, err := netem.Profile("wan")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewLab(LabConfig{Seed: 1, Path: path, Topology: topo}); err == nil {
-		t.Fatal("NewLab accepted Path and Topology together")
-	}
-}
-
 // TestUniformTopologyByteIdentical is the tentpole's compatibility
 // acceptance at the lab level: a lab under the uniform topology preset
 // replays the topology-free lab byte-for-byte — same attack outcome,
@@ -93,33 +77,38 @@ func TestScenarioTopoUniformByteIdentical(t *testing.T) {
 	}
 }
 
-// TestLabFromParamsTopology: the topo/atk-net/cli-net params build a
-// Topology (folding any uniform net= spec into its default), plain
-// net/rtt/loss keep the uniform Path, and bad names fail per parameter.
+// TestLabFromParamsTopology: every network param builds the one
+// Topology — net/rtt/loss as its default path, topo/atk-net/cli-net as
+// its links — no param leaves the default lab link, and bad names fail
+// per parameter.
 func TestLabFromParamsTopology(t *testing.T) {
 	cfg, err := labFromParams(1, scenario.Params{"topo": "near-attacker"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Topology == nil || cfg.Path != nil {
-		t.Errorf("topo param: Topology=%v Path=%v, want topology only", cfg.Topology, cfg.Path)
+	if cfg.Topology == nil {
+		t.Error("topo param built no topology")
 	}
 	cfg, err = labFromParams(1, scenario.Params{"atk-net": "lan", "net": "wan"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Topology == nil || cfg.Path != nil {
-		t.Error("atk-net + net should fold into a topology")
-	}
-	if cfg.Topology.Default == nil {
-		t.Error("net= did not become the topology default")
+	if cfg.Topology == nil || cfg.Topology.Default == nil {
+		t.Error("atk-net + net should fold into a topology with net= as its default")
 	}
 	cfg, err = labFromParams(1, scenario.Params{"net": "wan"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Topology != nil || cfg.Path == nil {
-		t.Error("plain net= should stay a uniform Path")
+	if cfg.Topology == nil || cfg.Topology.Default == nil {
+		t.Error("plain net= should become the default of a topology")
+	}
+	cfg, err = labFromParams(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Topology != nil {
+		t.Error("no network param should keep the default lab link")
 	}
 	for name, p := range map[string]scenario.Params{
 		"unknown preset":  {"topo": "backbone"},

@@ -154,23 +154,22 @@ type Server struct {
 	filler string      // TXT padding text, at least cfg.PadResponsesTo bytes
 }
 
-// New binds an authoritative server to port 53 on host.
+// New binds an authoritative server to port 53 on host, as Reset does.
 func New(host *simnet.Host, cfg Config) (*Server, error) {
 	s := &Server{
 		host:  host,
-		cfg:   cfg,
 		zones: make(map[string]*Zone),
 		pools: make(map[string]*Pool),
 	}
-	if err := host.HandleUDP(DNSPort, s.handle); err != nil {
-		return nil, fmt.Errorf("dnsauth: bind: %w", err)
+	if err := s.Reset(cfg); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-// Reset re-binds the server to its (freshly host.Reset) host under a new
-// configuration, restoring the observable state New produces: no zones, no
-// pools, zero counters, handler on port 53. Decode/encode scratch, the
+// Reset binds the server to port 53 of its (freshly host.Reset) host
+// under cfg, with no zones, no pools and zero counters. New ends with a
+// Reset, so a reset server is a fresh one. Decode/encode scratch, the
 // padding filler and the map storage survive — a pooled lab resets its
 // nameserver every campaign seed and re-adds its zones afterwards.
 func (s *Server) Reset(cfg Config) error {

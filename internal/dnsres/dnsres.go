@@ -76,19 +76,13 @@ type cacheKey struct {
 
 // Resolver is a recursive caching resolver.
 type Resolver struct {
-	host  *simnet.Host
+	// exchanger sends the upstream queries. Its one reused decode message
+	// absorbs the attacker's response floods without allocating.
+	exchanger
 	clock *simclock.Clock
 	cfg   Config
-	rng   *rand.Rand
 	cache map[cacheKey]CacheEntry
 	stats Stats
-
-	// dec and rxMsg are the upstream-response decode scratch: the handler
-	// fully consumes the message before returning (acceptAnswer copies the
-	// RR values it keeps), and packet deliveries never nest, so one reused
-	// message absorbs the attacker's response floods without allocating.
-	dec   dnswire.Decoder
-	rxMsg dnswire.Message
 
 	// cliDec and cliMsg decode client queries; handleClient copies the
 	// question value out before any asynchronous work, so the scratch is
@@ -100,34 +94,27 @@ type Resolver struct {
 	replyBuf []byte
 }
 
-// New binds a resolver to port 53 of host.
+// New binds a resolver to port 53 of host, as Reset does.
 func New(host *simnet.Host, cfg Config) (*Resolver, error) {
-	if cfg.QueryTimeout == 0 {
-		cfg.QueryTimeout = 2 * time.Second
-	}
-	if cfg.Retries == 0 {
-		cfg.Retries = 1
-	}
 	r := &Resolver{
-		host:  host,
-		clock: host.Clock(),
-		cfg:   cfg,
-		rng:   rand.New(simrand.New(cfg.RandSeed)),
-		cache: make(map[cacheKey]CacheEntry),
+		exchanger: exchanger{host: host, rng: rand.New(simrand.New(0))},
+		clock:     host.Clock(),
+		cache:     make(map[cacheKey]CacheEntry),
 	}
-	if err := host.HandleUDP(DNSPort, r.handleClient); err != nil {
-		return nil, fmt.Errorf("dnsres: bind: %w", err)
+	if err := r.Reset(cfg); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
 
-// Reset re-binds the resolver to its (freshly host.Reset) host under a new
-// configuration, restoring the observable state New produces: empty cache,
-// zero stats, RNG stream identical to rand.New(rand.NewSource(RandSeed)).
-// Reseeding only records RandSeed: the stream's first outputs are copied
-// from internal/simrand's seed cache when the first TXID or port is drawn.
-// Decode scratch — including the decoders' name-intern tables, which hold
-// only immutable content-addressed strings — and map storage are retained.
+// Reset binds the resolver to port 53 of its (freshly host.Reset) host
+// under cfg, with defaults applied, an empty cache, zero stats and an RNG
+// stream identical to rand.New(rand.NewSource(RandSeed)). New ends with a
+// Reset, so a reset resolver is a fresh one. Reseeding only records
+// RandSeed: the stream's first outputs are copied from internal/simrand's
+// seed cache when the first TXID or port is drawn. Decode scratch —
+// including the decoders' name-intern tables, which hold only immutable
+// content-addressed strings — and map storage are retained.
 func (r *Resolver) Reset(cfg Config) error {
 	if cfg.QueryTimeout == 0 {
 		cfg.QueryTimeout = 2 * time.Second
@@ -347,63 +334,17 @@ func hasSuffixLabel(name, apex string) bool {
 		name[len(name)-len(apex):] == apex
 }
 
-// queryUpstream sends one upstream query with fresh random port and TXID,
-// retrying on timeout.
+// queryUpstream sends one upstream query, and again on each timeout
+// while retries remain.
 func (r *Resolver) queryUpstream(server ipv4.Addr, name string, qtype dnswire.Type, retries int, done func(*dnswire.Message, error)) {
 	r.stats.UpstreamQueries++
-	txid := uint16(r.rng.Intn(1 << 16))
-	var timer *simclock.Timer
-	var port uint16
-	handler := func(src ipv4.Addr, srcPort uint16, payload []byte) {
-		// Challenge-response checks (RFC 5452): source address, source
-		// port (implicit: this handler is bound to the random port), TXID
-		// and question must all match. The fragmentation attack defeats
-		// these because the real first fragment carries all of them.
-		if src != server || srcPort != DNSPort {
-			return
-		}
-		m := &r.rxMsg
-		if err := r.dec.UnmarshalInto(m, payload); err != nil || !m.Header.QR || m.Header.ID != txid {
-			return
-		}
-		if len(m.Questions) != 1 || dnswire.CanonicalName(m.Questions[0].Name) != name || m.Questions[0].Type != qtype {
-			return
-		}
-		timer.Stop()
-		r.host.UnhandleUDP(port)
-		done(m, nil)
-	}
-	// Random source port in [1024, 65535]; re-draw on collision.
-	for {
-		port = uint16(1024 + r.rng.Intn(64512))
-		if port == DNSPort {
-			continue
-		}
-		if err := r.host.HandleUDP(port, handler); err == nil {
-			break
-		}
-	}
-	timer = r.clock.Schedule(r.cfg.QueryTimeout, func() {
-		r.host.UnhandleUDP(port)
-		if retries > 0 {
+	r.exchange(server, name, qtype, false, r.cfg.QueryTimeout, func(m *dnswire.Message, err error) {
+		if retries > 0 && errors.Is(err, ErrTimeout) {
 			r.queryUpstream(server, name, qtype, retries-1, done)
 			return
 		}
-		done(nil, fmt.Errorf("%w: %s %s @%s", ErrTimeout, name, qtype, server))
+		done(m, err)
 	})
-	q := dnswire.NewQuery(txid, name, qtype, false)
-	wire, err := q.Marshal()
-	if err != nil {
-		timer.Stop()
-		r.host.UnhandleUDP(port)
-		done(nil, err)
-		return
-	}
-	if _, err := r.host.SendUDP(server, port, DNSPort, wire); err != nil {
-		timer.Stop()
-		r.host.UnhandleUDP(port)
-		done(nil, err)
-	}
 }
 
 // handleClient serves stub queries arriving on port 53. RD=1 queries are

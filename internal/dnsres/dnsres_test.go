@@ -349,3 +349,50 @@ func TestDelegationLongestSuffixWins(t *testing.T) {
 		t.Errorf("addrs = %v; longest-suffix delegation not used", addrs)
 	}
 }
+
+// TestStubIgnoresMismatchedQuestion: a response from the resolver's port
+// 53, to the query's port and with its TXID, still does not answer the
+// query when it echoes another question (RFC 5452): the stub keeps
+// waiting and times out.
+func TestStubIgnoresMismatchedQuestion(t *testing.T) {
+	for name, echo := range map[string]struct {
+		name  string
+		qtype dnswire.Type
+	}{
+		"other name": {"other.ntp.org", dnswire.TypeA},
+		"other type": {"pool.ntp.org", dnswire.TypeNS},
+	} {
+		clk := simclock.New(t0)
+		n := simnet.New(clk)
+		resHost := n.MustAddHost(resAddr, simnet.HostConfig{})
+		if err := resHost.HandleUDP(DNSPort, func(src ipv4.Addr, srcPort uint16, payload []byte) {
+			q, err := dnswire.Unmarshal(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp := dnswire.NewQuery(q.Header.ID, echo.name, echo.qtype, true)
+			resp.Header.QR = true
+			resp.Answers = []dnswire.RR{{Name: echo.name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 60, Addr: poolHost1}}
+			wire, err := resp.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := resHost.SendUDP(src, DNSPort, srcPort, wire); err != nil {
+				t.Fatal(err)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		stub := NewStub(n.MustAddHost(stubAddr, simnet.HostConfig{}), resAddr, 99)
+		calls := 0
+		var got error
+		stub.Lookup("pool.ntp.org", dnswire.TypeA, true, func(_ *dnswire.Message, err error) {
+			calls++
+			got = err
+		})
+		clk.RunFor(10 * time.Second)
+		if calls != 1 || !errors.Is(got, ErrTimeout) {
+			t.Errorf("%s: %d callbacks, last error %v; want one ErrTimeout", name, calls, got)
+		}
+	}
+}

@@ -83,21 +83,17 @@ type pmtuEntry struct {
 	expires time.Time
 }
 
-// NewPMTUCache returns a PMTU cache with the given acceptance floor.
+// NewPMTUCache returns a PMTU cache with the given acceptance floor
+// (clamped as Reset does).
 func NewPMTUCache(clock *simclock.Clock, minAccepted int) *PMTUCache {
-	if minAccepted < MinMTU {
-		minAccepted = MinMTU
-	}
-	return &PMTUCache{
-		clock:       clock,
-		MinAccepted: minAccepted,
-		TTL:         10 * time.Minute,
-		entries:     make(map[Addr]pmtuEntry),
-	}
+	c := &PMTUCache{clock: clock, entries: make(map[Addr]pmtuEntry)}
+	c.Reset(minAccepted)
+	return c
 }
 
-// Reset empties the cache and adopts a new acceptance floor (with the same
-// clamping as NewPMTUCache), for host reuse across pooled-lab runs.
+// Reset empties the cache and adopts a new acceptance floor, raised to
+// MinMTU if below it, with a 10-minute entry TTL. Hosts reset their cache
+// for reuse across pooled-lab runs.
 func (c *PMTUCache) Reset(minAccepted int) {
 	if minAccepted < MinMTU {
 		minAccepted = MinMTU

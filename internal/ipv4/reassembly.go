@@ -93,33 +93,27 @@ type bucket struct {
 	expiry   simclock.Timer // caller-owned timer, re-armed in place
 }
 
-// NewReassembler returns a defragmentation cache using the given policy.
+// NewReassembler returns a defragmentation cache using the given policy
+// (zero fields defaulted as Reset does).
 func NewReassembler(clock *simclock.Clock, policy ReassemblyPolicy) *Reassembler {
-	if policy.Overlap == 0 {
-		policy.Overlap = FirstWins
-	}
-	if policy.Timeout == 0 {
-		policy.Timeout = 30 * time.Second
-	}
-	if policy.MaxPerPair == 0 {
-		policy.MaxPerPair = 64
-	}
-	return &Reassembler{
+	r := &Reassembler{
 		clock:   clock,
-		policy:  policy,
 		buckets: make(map[bucketKey]*bucket),
 		perPair: make(map[pairKey]int),
 	}
+	r.Reset(policy)
+	return r
 }
 
 // Stats returns a snapshot of cache counters.
 func (r *Reassembler) Stats() ReassemblyStats { return r.stats }
 
-// Reset empties the cache and zeroes its counters, adopting policy (with
-// the same defaulting as NewReassembler). Expiry timers are assumed dead —
-// the lab pool resets the clock before resetting hosts — so buckets are
-// recycled without stopping them. A reset cache is indistinguishable from a
-// fresh one while keeping its bucket free list warm.
+// Reset empties the cache and zeroes its counters, adopting policy: a
+// zero Overlap means FirstWins, a zero Timeout 30 s and a zero MaxPerPair
+// 64. Expiry timers are assumed dead — the lab pool resets the clock
+// before resetting hosts — so buckets are recycled without stopping them.
+// NewReassembler ends with a Reset, so a reset cache is a fresh one that
+// keeps its bucket free list warm.
 func (r *Reassembler) Reset(policy ReassemblyPolicy) {
 	if policy.Overlap == 0 {
 		policy.Overlap = FirstWins

@@ -158,8 +158,15 @@ func (c *Compiler) Add(addr ipv4.Addr, role Role) {
 
 // Model returns the compiled PathModel. It is live: hosts added later
 // get their links too, which is how labs that attach clients mid-run
-// keep their topology consistent.
-func (c *Compiler) Model() PathModel { return c }
+// keep their topology consistent. A topology without links compiles to
+// its Default itself (the zero Path when nil), so a uniform lab's packets
+// reach their path model with no per-link lookup.
+func (c *Compiler) Model() PathModel {
+	if len(c.topo.links) == 0 {
+		return c.base
+	}
+	return c
+}
 
 // Role reports the role addr was Add-ed under ("" when unknown).
 func (c *Compiler) Role(addr ipv4.Addr) Role { return c.roles[addr] }

@@ -58,6 +58,28 @@ func TestZeroTopologyIsDefaultLink(t *testing.T) {
 	}
 }
 
+// TestLinkFreeModelIsDefault: a topology without links compiles to its
+// Default itself (the zero Path when nil), so a uniform lab's packets
+// skip the per-link lookup; one link makes the model the compiler.
+func TestLinkFreeModelIsDefault(t *testing.T) {
+	wan, err := Profile("wan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := compileLabTopology(&Topology{Default: wan}).Model(); m != wan {
+		t.Errorf("link-free topology's model = %T %p, want its Default %p", m, m, wan)
+	}
+	if m, ok := compileLabTopology(NewTopology()).Model().(*Path); !ok || *m != (Path{}) {
+		t.Errorf("link-free topology without Default: model %#v, want the zero Path", m)
+	}
+	topo := &Topology{Default: wan}
+	topo.SetLink(RoleClient, RoleResolver, fixedPath(time.Millisecond))
+	c := compileLabTopology(topo)
+	if m := c.Model(); m != PathModel(c) {
+		t.Errorf("one-link topology's model = %T, want its compiler", m)
+	}
+}
+
 // TestTopologyRolePairResolution: exact role pairs beat src-wildcards,
 // which beat dst-wildcards; unlisted pairs follow Default.
 func TestTopologyRolePairResolution(t *testing.T) {

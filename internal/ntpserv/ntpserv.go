@@ -83,41 +83,36 @@ type Server struct {
 	wire  []byte // response encode scratch; SendUDP copies before returning
 }
 
-func (c *Config) applyDefaults() {
-	if c.Stratum == 0 {
-		c.Stratum = 2
-	}
-	if c.RefID == ([4]byte{}) {
-		c.RefID = [4]byte{127, 127, 1, 0}
-	}
-	if c.RateLimit.MinInterval == 0 {
-		c.RateLimit.MinInterval = 2 * time.Second
-	}
-	if c.RateLimit.Burst == 0 {
-		c.RateLimit.Burst = 12
-	}
-	if c.RateLimit.HoldDown == 0 {
-		c.RateLimit.HoldDown = 60 * time.Second
-	}
-}
-
-// New binds a server to UDP port 123 on host.
+// New binds a server to UDP port 123 on host, as Reset does.
 func New(host *simnet.Host, cfg Config) (*Server, error) {
-	cfg.applyDefaults()
-	s := &Server{host: host, cfg: cfg, state: make(map[ipv4.Addr]*limiterState)}
-	if err := host.HandleUDP(ntpwire.Port, s.handle); err != nil {
-		return nil, fmt.Errorf("ntpserv: bind: %w", err)
+	s := &Server{host: host, state: make(map[ipv4.Addr]*limiterState)}
+	if err := s.Reset(cfg); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-// Reset re-binds the server to its (freshly host.Reset) host under a new
-// configuration, restoring the exact observable state New produces: empty
-// limiter table, zero stats, handler on port 123. The encode scratch and
-// the limiter map's storage are retained — that reuse is the point (the
-// lab pool resets a dozen servers per campaign seed).
+// Reset binds the server to UDP port 123 of its (freshly host.Reset)
+// host under cfg, with defaults applied, an empty limiter table and zero
+// stats. New ends with a Reset, so a reset server is a fresh one. The
+// encode scratch and the limiter map's storage are retained — that reuse
+// is the point (the lab pool resets a dozen servers per campaign seed).
 func (s *Server) Reset(cfg Config) error {
-	cfg.applyDefaults()
+	if cfg.Stratum == 0 {
+		cfg.Stratum = 2
+	}
+	if cfg.RefID == ([4]byte{}) {
+		cfg.RefID = [4]byte{127, 127, 1, 0}
+	}
+	if cfg.RateLimit.MinInterval == 0 {
+		cfg.RateLimit.MinInterval = 2 * time.Second
+	}
+	if cfg.RateLimit.Burst == 0 {
+		cfg.RateLimit.Burst = 12
+	}
+	if cfg.RateLimit.HoldDown == 0 {
+		cfg.RateLimit.HoldDown = 60 * time.Second
+	}
 	s.cfg = cfg
 	clear(s.state)
 	s.stats = Stats{}

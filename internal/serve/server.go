@@ -163,11 +163,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for {
 		select {
 		case j := <-s.queueCh:
-			if before, acted := j.requestCancel("server draining"); acted && before == stateQueued {
-				s.metrics.jobsQueued.Dec()
-				s.metrics.jobsCanceled.Inc()
-			}
-			s.dropInflight(j)
+			s.cancelJob(j, "server draining")
 		default:
 			return nil
 		}
@@ -234,8 +230,7 @@ func (s *Server) runJob(j *job) {
 
 	st, err := campaign.NewEngine(opts...).Stream(ctx, j.spec.Scenario)
 	if err != nil {
-		j.finish(stateFailed, nil, err.Error())
-		s.finalizeJob(j, stateFailed, 0, 0, s.clock().Sub(start).Seconds())
+		s.endJob(j, stateFailed, nil, err.Error(), 0, 0, s.clock().Sub(start).Seconds())
 		return
 	}
 	for res := range st.Results() {
@@ -250,8 +245,7 @@ func (s *Server) runJob(j *job) {
 	case err == nil && !agg.Partial:
 		raw, merr := marshalAggregate(agg)
 		if merr != nil {
-			j.finish(stateFailed, nil, merr.Error())
-			s.finalizeJob(j, stateFailed, exec, resumed, seconds)
+			s.endJob(j, stateFailed, nil, merr.Error(), exec, resumed, seconds)
 			return
 		}
 		if !j.spec.Trace {
@@ -261,8 +255,7 @@ func (s *Server) runJob(j *job) {
 			// with untraced entries either.
 			s.cache.put(j.key, agg)
 		}
-		j.finish(stateDone, raw, "")
-		s.finalizeJob(j, stateDone, exec, resumed, seconds)
+		s.endJob(j, stateDone, raw, "", exec, resumed, seconds)
 	case agg.Partial:
 		// A cancelled campaign still has a well-defined partial aggregate
 		// over its completed seeds; the checkpoint (if any) holds them for
@@ -272,17 +265,19 @@ func (s *Server) runJob(j *job) {
 		if err != nil {
 			msg = err.Error()
 		}
-		j.finish(stateCanceled, raw, msg)
-		s.finalizeJob(j, stateCanceled, exec, resumed, seconds)
+		s.endJob(j, stateCanceled, raw, msg, exec, resumed, seconds)
 	default:
-		j.finish(stateFailed, nil, err.Error())
-		s.finalizeJob(j, stateFailed, exec, resumed, seconds)
+		s.endJob(j, stateFailed, nil, err.Error(), exec, resumed, seconds)
 	}
 }
 
-// finalizeJob folds a finished run into the metrics and frees its
-// campaign key for resubmission.
-func (s *Server) finalizeJob(j *job, state string, executed, resumed int64, seconds float64) {
+// endJob frees a run's campaign key, then records its terminal state
+// and folds it into the metrics. The key goes first: a client that sees
+// the job ended and resubmits its spec must get a fresh job, never this
+// one.
+func (s *Server) endJob(j *job, state string, agg json.RawMessage, errMsg string, executed, resumed int64, seconds float64) {
+	s.dropInflight(j)
+	j.finish(state, agg, errMsg)
 	s.metrics.jobsRunning.Dec()
 	switch state {
 	case stateDone:
@@ -293,7 +288,6 @@ func (s *Server) finalizeJob(j *job, state string, executed, resumed int64, seco
 		s.metrics.jobsCanceled.Inc()
 	}
 	s.metrics.jobFinished(j.spec.Scenario, executed, resumed, seconds)
-	s.dropInflight(j)
 }
 
 // dropInflight removes the job's campaign-key reservation if it still
@@ -426,17 +420,25 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "no such job")
 		return
 	}
-	before, acted := j.requestCancel("canceled by client")
-	if !acted {
+	if before, acted := s.cancelJob(j, "canceled by client"); !acted {
 		writeErr(w, http.StatusConflict, fmt.Sprintf("job already %s", before))
 		return
 	}
-	if before == stateQueued {
+	writeJSON(w, http.StatusOK, j.view(true))
+}
+
+// cancelJob frees j's campaign key, then asks the job to stop: a queued
+// job turns canceled on the spot, a running one when its engine drains.
+// Like endJob it frees the key first, so a resubmission never coalesces
+// onto a job that is ending. It returns requestCancel's report.
+func (s *Server) cancelJob(j *job, reason string) (before string, acted bool) {
+	s.dropInflight(j)
+	before, acted = j.requestCancel(reason)
+	if acted && before == stateQueued {
 		s.metrics.jobsQueued.Dec()
 		s.metrics.jobsCanceled.Inc()
-		s.dropInflight(j)
 	}
-	writeJSON(w, http.StatusOK, j.view(true))
+	return before, acted
 }
 
 // streamLine is one JSONL line of GET /jobs/{id}/stream: per-seed

@@ -160,19 +160,15 @@ func TraceTo(tr obs.Tracer) func(TraceEvent) {
 	}
 }
 
-// New creates a network driven by clock. The default link is netem's
-// zero-value Path: 10 ms one-way, lossless, in-order, consuming no
-// randomness.
+// New creates a network driven by clock, with no hosts, configured as
+// Reset(opts...) configures it.
 func New(clock *simclock.Clock, opts ...Option) *Network {
 	n := &Network{
 		clock: clock,
 		hosts: make(map[ipv4.Addr]*Host),
-		path:  &netem.Path{},
-		rng:   rand.New(simrand.New(1)),
+		rng:   rand.New(simrand.New(0)),
 	}
-	for _, o := range opts {
-		o(n)
-	}
+	n.Reset(opts...)
 	return n
 }
 
@@ -187,10 +183,12 @@ func (n *Network) Host(a ipv4.Addr) *Host { return n.hosts[a] }
 // run-scoped hosts (clients, surplus servers) when resetting a lab.
 func (n *Network) RemoveHost(addr ipv4.Addr) { delete(n.hosts, addr) }
 
-// Reset restores the network's link behaviour to the New defaults — fresh
-// default path model, RNG seed 1, no trace — then applies opts, keeping
-// the attached hosts and the packet free lists. Together with Host.Reset it
-// gives the lab pool a network indistinguishable from a freshly built one.
+// Reset restores the network's link behaviour to the defaults, then
+// applies opts, keeping the attached hosts and the packet free lists. The
+// default link is netem's zero-value Path: 10 ms one-way, lossless,
+// in-order, consuming no randomness; the default RNG seed is 1, and no
+// trace is installed. New ends with a Reset, so together with Host.Reset
+// it gives the lab pool a network that is a freshly built one.
 func (n *Network) Reset(opts ...Option) {
 	n.path = &netem.Path{}
 	n.rng.Seed(1)
@@ -268,26 +266,15 @@ func (n *Network) emit(kind TraceKind, pkt *ipv4.Packet) {
 // mutate it immediately (attack planting loops re-inject the same spoofed
 // fragments every round).
 func (n *Network) Inject(pkt *ipv4.Packet) {
-	n.emit(TraceSend, pkt)
-	if n.path.Drop(pkt.Src, pkt.Dst, n.rng) {
-		n.emit(TraceDrop, pkt)
-		return
-	}
-	dst, ok := n.hosts[pkt.Dst]
-	if !ok {
-		n.emit(TraceDrop, pkt)
-		return
-	}
-	d := n.path.Latency(pkt.Src, pkt.Dst, n.rng)
 	p := n.getPacket()
 	p.CopyFrom(pkt)
-	n.scheduleDelivery(d, dst, p)
+	n.injectOwned(p)
 }
 
-// injectOwned is Inject for packets the network already owns (taken from
-// getPacket): no copy is made, and the packet returns to the free list on
-// drop as well as after delivery. Host send paths build datagrams directly
-// into pooled packets and hand them over here.
+// injectOwned sends a packet the network owns (taken from getPacket): no
+// copy is made, and the packet returns to the free list on drop as well
+// as after delivery. Host send paths build datagrams directly into pooled
+// packets and hand them over here.
 func (n *Network) injectOwned(pkt *ipv4.Packet) {
 	n.emit(TraceSend, pkt)
 	if n.path.Drop(pkt.Src, pkt.Dst, n.rng) {
@@ -356,30 +343,14 @@ func (n *Network) AddHost(addr ipv4.Addr, cfg HostConfig) (*Host, error) {
 	if _, ok := n.hosts[addr]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateHost, addr)
 	}
-	if cfg.Reassembly == (ipv4.ReassemblyPolicy{}) {
-		cfg.Reassembly = ipv4.LinuxPolicy
-	}
-	if cfg.IDAlloc == nil {
-		cfg.IDAlloc = &ipv4.SequentialAllocator{}
-	}
-	if cfg.PMTUFloor == 0 {
-		cfg.PMTUFloor = ipv4.MinMTU
-	}
-	if cfg.LinkMTU == 0 {
-		cfg.LinkMTU = ipv4.DefaultMTU
-	}
 	h := &Host{
-		net:      n,
-		addr:     addr,
-		reasm:    ipv4.NewReassembler(n.clock, cfg.Reassembly),
-		pmtu:     ipv4.NewPMTUCache(n.clock, cfg.PMTUFloor),
-		ids:      cfg.IDAlloc,
-		linkMTU:  cfg.LinkMTU,
-		verify:   !cfg.DisableChecksum,
-		dropFrag: cfg.DropFragments,
-		udp:      make(map[uint16]UDPHandler),
-		nextPort: 49152,
+		net:   n,
+		addr:  addr,
+		reasm: ipv4.NewReassembler(n.clock, ipv4.ReassemblyPolicy{}),
+		pmtu:  ipv4.NewPMTUCache(n.clock, 0),
+		udp:   make(map[uint16]UDPHandler),
 	}
+	h.Reset(cfg)
 	n.hosts[addr] = h
 	return h, nil
 }
@@ -393,13 +364,13 @@ func (n *Network) MustAddHost(addr ipv4.Addr, cfg HostConfig) *Host {
 	return h
 }
 
-// Reset restores the host to the state AddHost would have built with cfg —
-// empty reassembly and PMTU caches, fresh IPID allocator, no UDP/ICMP
-// handlers or raw observer, ephemeral ports rewound, stats zeroed — while
-// keeping warmed-up cache storage. The lab pool resets every kept host
-// before re-binding its protocol servers; callers must only invoke it when
-// no packets are in flight toward the host (the pool resets the clock
-// first, which drops them all).
+// Reset configures the host per cfg — empty reassembly and PMTU caches,
+// fresh IPID allocator, no UDP/ICMP handlers or raw observer, ephemeral
+// ports rewound, stats zeroed — while keeping warmed-up cache storage.
+// AddHost ends with a Reset, so a reset host is a fresh one. The lab pool
+// resets every kept host before re-binding its protocol servers; callers
+// must only invoke it when no packets are in flight toward the host (the
+// pool resets the clock first, which drops them all).
 func (h *Host) Reset(cfg HostConfig) {
 	if cfg.Reassembly == (ipv4.ReassemblyPolicy{}) {
 		cfg.Reassembly = ipv4.LinuxPolicy

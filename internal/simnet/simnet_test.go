@@ -3,6 +3,7 @@ package simnet
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -378,5 +379,78 @@ func TestFragmentedSpoofInjection(t *testing.T) {
 	}
 	if b.ChecksumErrors != 0 {
 		t.Errorf("ChecksumErrors = %d, want 0", b.ChecksumErrors)
+	}
+}
+
+// TestHostResetIsFreshHost: a host dirtied with a pending reassembly
+// bucket, a PMTU entry, bound handlers, a raw observer, allocated ports
+// and counted packets behaves, once Reset(cfg), exactly like a host that
+// AddHost(cfg) built, under the same traffic. A dirtied host that is not
+// reset behaves differently, so the probe sees that state.
+func TestHostResetIsFreshHost(t *testing.T) {
+	cfg := HostConfig{PMTUFloor: 552, LinkMTU: 1400}
+	n := New(simclock.New(t0))
+	n.MustAddHost(addrB, HostConfig{})
+	seen := map[*Host]string{} // what each host's handlers and observer saw
+	icmp := func(dst ipv4.Addr, mtu uint16) {
+		msg := &ipv4.ICMPFragNeeded{NextHopMTU: mtu, OrigSrc: dst, OrigDst: addrB, OrigProto: ipv4.ProtoUDP}
+		n.Inject(&ipv4.Packet{Src: addrB, Dst: dst, Proto: ipv4.ProtoICMP, TTL: 64, Payload: msg.Marshal()})
+	}
+	// Fragments of one datagram addrB→dst on port 53, IPID 77.
+	frags := func(dst ipv4.Addr) []*ipv4.Packet {
+		d := &udp.Datagram{Header: udp.Header{SrcPort: 53, DstPort: 53}, Payload: bytes.Repeat([]byte("x"), 100)}
+		wire := udp.WithChecksum(addrB, dst, d.Marshal())
+		fs, err := ipv4.Fragment(&ipv4.Packet{Src: addrB, Dst: dst, ID: 77, Proto: ipv4.ProtoUDP, TTL: 64, Payload: wire}, ipv4.MinMTU)
+		if err != nil || len(fs) < 2 {
+			t.Fatalf("fragment: %v, %d fragments", err, len(fs))
+		}
+		return fs
+	}
+	dirtied := func(addr ipv4.Addr) *Host {
+		h := n.MustAddHost(addr, HostConfig{})
+		for _, port := range []uint16{53, 7000} {
+			if err := h.HandleUDP(port, func(ipv4.Addr, uint16, []byte) { seen[h] += " old-handler" }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h.ObserveRaw(func(*ipv4.Packet) { seen[h] += " raw" })
+		h.AllocPort()
+		h.AllocPort()
+		icmp(addr, 576)
+		n.Inject(frags(addr)[0])
+		if _, err := h.SendUDP(addrB, 1, 2, []byte("out")); err != nil {
+			t.Fatal(err)
+		}
+		n.Clock().RunFor(time.Second)
+		if h.Reassembler().PendingBuckets(addrB, addr, ipv4.ProtoUDP) != 1 || h.PathMTU(addrB) != 576 {
+			t.Fatal("host was not dirtied")
+		}
+		return h
+	}
+	probe := func(h *Host) string {
+		seen[h] = ""
+		p1, p2 := h.AllocPort(), h.AllocPort()
+		mtu := h.PathMTU(addrB)
+		bindErr := h.HandleUDP(53, func(ipv4.Addr, uint16, []byte) { seen[h] += " new-handler" })
+		icmp(h.Addr(), 600) // honoured above the 552 floor, unless an entry is lower
+		icmp(h.Addr(), 500) // below the floor
+		for _, f := range frags(h.Addr())[1:] {
+			n.Inject(f)
+		}
+		n.Clock().RunFor(time.Second)
+		return fmt.Sprintf("ports %d %d, mtu %d then %d, bind %v, pending %d, reasm %+v, sent %d received %d badsum %d, saw%s",
+			p1, p2, mtu, h.PathMTU(addrB), bindErr,
+			h.Reassembler().PendingBuckets(addrB, h.Addr(), ipv4.ProtoUDP), h.Reassembler().Stats(),
+			h.SentPackets, h.ReceivedPackets, h.ChecksumErrors, seen[h])
+	}
+
+	reset := dirtied(addrA)
+	reset.Reset(cfg)
+	want := probe(n.MustAddHost(addrEve, cfg))
+	if got := probe(reset); got != want {
+		t.Errorf("reset host:\n got %s\nwant %s (a fresh AddHost host)", got, want)
+	}
+	if got := probe(dirtied(ipv4.MustParseAddr("192.0.2.2"))); got == want {
+		t.Errorf("a dirtied host that was not reset probes like a fresh one: %s", got)
 	}
 }
