@@ -21,6 +21,7 @@ package measure
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -310,19 +311,27 @@ type SnoopRow struct {
 	NotCached int
 }
 
-// SnoopResult is the Table IV dataset plus the Figure 6 TTL samples.
+// SnoopResult is the Table IV dataset plus the Figure 6 TTL counts.
 type SnoopResult struct {
 	Probed   int // resolvers probed (responding)
 	Verified int // resolvers where the RD-bit pre-test verified
 	Rows     []SnoopRow
-	// TTLs holds the remaining TTLs (seconds) read back from cached
-	// pool.ntp.org A records — the Figure 6 samples.
-	TTLs []float64
+	// TTLCounts[t] counts the cached pool.ntp.org A records read back
+	// with t seconds of TTL left: the Figure 6 samples, without their
+	// order, which no Figure 6 statistic reads. Its length is one more
+	// than the largest TTL read, and it is nil when none was read, so one
+	// population has one TTLCounts however it is snooped.
+	TTLCounts []int
 }
 
 // CacheSnoop performs the §VIII-A methodology over an open-resolver
 // population: verify RD-bit handling, then probe each Table IV record with
-// RD=0 and record cached-copy TTLs.
+// RD=0 and count cached-copy TTLs. A TTL outside [0, seven days], which
+// only a hand-built spec holds, counts at the nearer end: a negative one
+// as 0, as RFC 2181 §8 reads a wire TTL with its top bit set (negative to
+// a signed reader), and a longer one as seven days, the cap RFC 8767 §4
+// recommends for cached TTLs. So TTLCounts stays bounded whatever the
+// specs hold.
 func CacheSnoop(specs []population.OpenResolverSpec) SnoopResult {
 	var f snoopFold
 	for i := range specs {
@@ -339,7 +348,7 @@ func CacheSnoop(specs []population.OpenResolverSpec) SnoopResult {
 // SnoopOpenResolvers is CacheSnoop(population.GenerateOpenResolvers(cfg,
 // seed)) without the stored population: it snoops each resolver as it is
 // drawn and keeps only the result — the Table IV counts and the Figure 6
-// TTL samples. It maps each record the draw decides to its Table IV row
+// TTL counts. It maps each record the draw decides to its Table IV row
 // once, so the fold compares no record names.
 func SnoopOpenResolvers(cfg population.OpenResolverConfig, seed int64) SnoopResult {
 	records := population.OpenResolverRecords(cfg)
@@ -364,6 +373,10 @@ var tableIV = [6]population.PoolRecord(population.AllPoolRecords())
 
 // rowPoolA is the row of pool.ntp.org A, whose TTLs Figure 6 reads.
 var rowPoolA = slices.Index(tableIV[:], population.RecPoolA)
+
+// maxTTL is the longest remaining TTL the fold counts, in seconds: seven
+// days, the cap RFC 8767 §4 recommends for cached TTLs.
+const maxTTL = 7 * 24 * 3600
 
 // snoopFold applies the §VIII-A methodology one resolver at a time: a
 // resolver, then its cached records by Table IV row.
@@ -391,7 +404,8 @@ func (f *snoopFold) resolver(responds, respectsRD bool) bool {
 // record counts one cached record of the last verified resolver by its
 // Table IV row (−1: not in Table IV, ignored). A record listed twice
 // counts once, with its first TTL — the answer
-// OpenResolverSpec.CachedTTL gives.
+// OpenResolverSpec.CachedTTL gives. A pool.ntp.org A TTL is counted in
+// TTLCounts, clamped to [0, maxTTL] (see CacheSnoop).
 func (f *snoopFold) record(row, ttl int) {
 	if row < 0 || f.seen[row] {
 		return
@@ -399,7 +413,11 @@ func (f *snoopFold) record(row, ttl int) {
 	f.seen[row] = true
 	f.cached[row]++
 	if row == rowPoolA {
-		f.res.TTLs = append(f.res.TTLs, float64(ttl))
+		ttl = min(max(ttl, 0), maxTTL)
+		if counts := f.res.TTLCounts; ttl >= len(counts) {
+			f.res.TTLCounts = append(counts, make([]int, ttl+1-len(counts))...)
+		}
+		f.res.TTLCounts[ttl]++
 	}
 }
 
@@ -421,10 +439,54 @@ func (f *snoopFold) result() SnoopResult {
 // [0, 160]).
 func (r SnoopResult) TTLHistogram() *stats.Histogram {
 	h := stats.NewHistogram(0, 160, 10)
-	for _, ttl := range r.TTLs {
-		h.Add(ttl)
+	for ttl, n := range r.TTLCounts {
+		h.AddN(float64(ttl), n)
 	}
 	return h
+}
+
+// TTLMean returns the mean of the Figure 6 samples, NaN when there are
+// none: stats.Mean of them in any order, since every partial sum of
+// integer TTLs is an integer below 2⁵³, which float64 adds exactly.
+func (r SnoopResult) TTLMean() float64 {
+	n, sum := 0, 0
+	for ttl, c := range r.TTLCounts {
+		n += c
+		sum += ttl * c
+	}
+	if n == 0 {
+		return math.NaN()
+	}
+	return float64(sum) / float64(n)
+}
+
+// TTLMedian returns the median of the Figure 6 samples, NaN when there
+// are none: stats.Median of them, found by walking the counts to the
+// middle ranks instead of sorting.
+func (r SnoopResult) TTLMedian() float64 {
+	n := 0
+	for _, c := range r.TTLCounts {
+		n += c
+	}
+	switch {
+	case n == 0:
+		return math.NaN()
+	case n%2 == 1:
+		return float64(r.ttlAt(n / 2))
+	}
+	return (float64(r.ttlAt(n/2-1)) + float64(r.ttlAt(n/2))) / 2
+}
+
+// ttlAt returns the TTL at rank k, counted from 0, of the sorted Figure 6
+// samples; k must be below their number.
+func (r SnoopResult) ttlAt(k int) int {
+	for ttl, c := range r.TTLCounts {
+		if k < c {
+			return ttl
+		}
+		k -= c
+	}
+	panic("measure: TTL rank past the last sample")
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import (
 
 	"dnstime/internal/ipv4"
 	"dnstime/internal/population"
+	"dnstime/internal/stats"
 )
 
 // poolTruth counts a pool's rate limiters and KoD senders from its specs:
@@ -282,9 +283,10 @@ func TestSnoopOpenResolversMatchesCacheSnoop(t *testing.T) {
 }
 
 // TestCacheSnoopFirstMatchWins pins the fold on hand-built resolvers whose
-// Cached lists are out of Table IV order, repeat a record or carry a
-// record outside Table IV: each row counts a resolver once, and Figure 6
-// reads the first pool.ntp.org A TTL listed — what CachedTTL returns.
+// Cached lists are out of Table IV order, repeat a record, carry a record
+// outside Table IV or a TTL outside [0, maxTTL]: each row counts a
+// resolver once, and Figure 6 counts the first pool.ntp.org A TTL listed —
+// what CachedTTL returns — clamped to [0, maxTTL].
 func TestCacheSnoopFirstMatchWins(t *testing.T) {
 	rec := func(r population.PoolRecord, ttl int) population.CachedRecord {
 		return population.CachedRecord{Record: r, TTL: ttl}
@@ -298,21 +300,21 @@ func TestCacheSnoopFirstMatchWins(t *testing.T) {
 		probed   int
 		verified int
 		cached   [6]int // per Table IV row
-		ttls     []float64
+		ttls     []int  // the counted Figure 6 samples
 	}{
 		{
 			name:   "reverse order",
 			specs:  []population.OpenResolverSpec{verified(rec(population.Rec3Pool, 3), rec(population.RecPoolA, 40), rec(population.RecPoolNS, 7))},
 			probed: 1, verified: 1,
 			cached: [6]int{1, 1, 0, 0, 0, 1},
-			ttls:   []float64{40},
+			ttls:   []int{40},
 		},
 		{
 			name:   "repeated record",
 			specs:  []population.OpenResolverSpec{verified(rec(population.RecPoolA, 12), rec(population.Rec0Pool, 1), rec(population.RecPoolA, 99))},
 			probed: 1, verified: 1,
 			cached: [6]int{0, 1, 1, 0, 0, 0},
-			ttls:   []float64{12},
+			ttls:   []int{12},
 		},
 		{
 			name:   "record outside Table IV",
@@ -330,7 +332,20 @@ func TestCacheSnoopFirstMatchWins(t *testing.T) {
 			},
 			probed: 3, verified: 2,
 			cached: [6]int{0, 1, 0, 0, 0, 0},
-			ttls:   []float64{3},
+			ttls:   []int{3},
+		},
+		{
+			name: "TTLs out of range",
+			specs: []population.OpenResolverSpec{
+				verified(rec(population.RecPoolA, -1)),
+				verified(rec(population.RecPoolA, math.MinInt)),
+				verified(rec(population.RecPoolA, maxTTL+1)),
+				verified(rec(population.RecPoolA, math.MaxInt)),
+				verified(rec(population.RecPoolA, 0)),
+			},
+			probed: 5, verified: 5,
+			cached: [6]int{0, 5, 0, 0, 0, 0},
+			ttls:   []int{0, 0, maxTTL, maxTTL, 0},
 		},
 		{name: "empty"},
 	}
@@ -340,8 +355,8 @@ func TestCacheSnoopFirstMatchWins(t *testing.T) {
 			if res.Probed != tc.probed || res.Verified != tc.verified {
 				t.Errorf("probed/verified = %d/%d, want %d/%d", res.Probed, res.Verified, tc.probed, tc.verified)
 			}
-			if !slices.Equal(res.TTLs, tc.ttls) {
-				t.Errorf("TTLs = %v, want %v", res.TTLs, tc.ttls)
+			if want := countsOf(tc.ttls); !slices.Equal(res.TTLCounts, want) || (res.TTLCounts == nil) != (want == nil) {
+				t.Errorf("TTLCounts = %v, want %v", res.TTLCounts, want)
 			}
 			if len(res.Rows) != len(tc.cached) {
 				t.Fatalf("%d rows, want %d", len(res.Rows), len(tc.cached))
@@ -354,16 +369,80 @@ func TestCacheSnoopFirstMatchWins(t *testing.T) {
 					t.Errorf("%s: cached/not = %d/%d, want %d/%d", row.Record, row.Cached, row.NotCached, tc.cached[i], tc.verified-tc.cached[i])
 				}
 			}
-			var viaCachedTTL []float64
+			var viaCachedTTL []int
 			for _, s := range tc.specs {
 				if ttl, ok := s.CachedTTL(population.RecPoolA); ok && s.Responds && s.RespectsRD {
-					viaCachedTTL = append(viaCachedTTL, float64(ttl))
+					viaCachedTTL = append(viaCachedTTL, min(max(ttl, 0), maxTTL))
 				}
 			}
-			if !slices.Equal(res.TTLs, viaCachedTTL) {
-				t.Errorf("TTLs = %v, CachedTTL gives %v", res.TTLs, viaCachedTTL)
+			if want := countsOf(viaCachedTTL); !slices.Equal(res.TTLCounts, want) {
+				t.Errorf("TTLCounts = %v, CachedTTL gives %v", res.TTLCounts, want)
 			}
 		})
+	}
+}
+
+// countsOf returns the TTLCounts of samples in [0, maxTTL].
+func countsOf(ttls []int) []int {
+	var counts []int
+	for _, ttl := range ttls {
+		if ttl >= len(counts) {
+			counts = append(counts, make([]int, ttl+1-len(counts))...)
+		}
+		counts[ttl]++
+	}
+	return counts
+}
+
+// TestTTLCountsMatchSamples is the oracle for Figure 6's count fold: over
+// multisets of integer TTLs, folded by CacheSnoop from resolvers in
+// random order, the sample count, TTLMean, TTLMedian and every
+// TTLHistogram bin equal what stats.Mean, stats.Median and
+// stats.Histogram.Add give over the samples themselves. The multisets
+// include the empty one, one sample, odd and even sizes, all samples
+// equal, and TTLs past the histogram's 160 s.
+func TestTTLCountsMatchSamples(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	sets := [][]int{nil, {0}, {150}, {7, 7, 7, 7}, {5, 5, 5}, {0, 150}, {149, 151, 160, 161, 400}, {maxTTL, 0, 3}}
+	for range 300 {
+		set := make([]int, rng.Intn(80))
+		hi := []int{1, 10, 151, 400, 5000}[rng.Intn(5)]
+		for i := range set {
+			set[i] = rng.Intn(hi)
+		}
+		sets = append(sets, set)
+	}
+	same := func(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }
+	for _, set := range sets {
+		specs := make([]population.OpenResolverSpec, len(set))
+		for i, ttl := range set {
+			specs[i] = population.OpenResolverSpec{Responds: true, RespectsRD: true,
+				Cached: []population.CachedRecord{{Record: population.RecPoolA, TTL: ttl}}}
+		}
+		rng.Shuffle(len(specs), func(i, j int) { specs[i], specs[j] = specs[j], specs[i] })
+		res := CacheSnoop(specs)
+		samples := make([]float64, len(set))
+		want := stats.NewHistogram(0, 160, 10)
+		for i, ttl := range set {
+			samples[i] = float64(ttl)
+			want.Add(samples[i])
+		}
+		if got, w := res.TTLMean(), stats.Mean(samples); !same(got, w) {
+			t.Errorf("%v: TTLMean = %v, stats.Mean %v", set, got, w)
+		}
+		if got, w := res.TTLMedian(), stats.Median(samples); !same(got, w) {
+			t.Errorf("%v: TTLMedian = %v, stats.Median %v", set, got, w)
+		}
+		h := res.TTLHistogram()
+		if h.Total() != len(set) || h.Under() != want.Under() || h.Over() != want.Over() {
+			t.Errorf("%v: histogram total/under/over = %d/%d/%d, want %d/%d/%d",
+				set, h.Total(), h.Under(), h.Over(), len(set), want.Under(), want.Over())
+		}
+		for i := range h.Bins() {
+			if h.Bin(i) != want.Bin(i) {
+				t.Errorf("%v: bin %d = %d, want %d", set, i, h.Bin(i), want.Bin(i))
+			}
+		}
 	}
 }
 

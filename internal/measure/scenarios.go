@@ -3,10 +3,12 @@ package measure
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 
+	"dnstime/internal/obs"
 	"dnstime/internal/population"
 	"dnstime/internal/scenario"
-	"dnstime/internal/stats"
 )
 
 // The §VII/§VIII measurement studies register themselves with the
@@ -156,13 +158,102 @@ func fig5Scenario(_ context.Context, seed int64, cfg scenario.Config) (scenario.
 }
 
 // snoopPopulation snoops the Table IV / Figure 6 open-resolver population
-// as it is drawn (20k resolvers in fast mode).
+// as it is drawn (20k resolvers in fast mode). table4 and fig6 read the
+// one §VIII-B1 measurement, so the draw for a (seed, size) runs once
+// while the snoop memo holds it, and the other scenario gets a copy.
 func snoopPopulation(seed int64, cfg scenario.Config) SnoopResult {
 	popCfg := population.DefaultOpenResolverConfig()
 	if cfg.Fast {
 		popCfg.Total = 20000
 	}
-	return SnoopOpenResolvers(popCfg, seed+11)
+	key := snoopKey{seed: seed + 11, total: popCfg.Total}
+	if res, ok := snoops.get(key); ok {
+		return res
+	}
+	res := SnoopOpenResolvers(popCfg, key.seed)
+	snoops.put(key, res)
+	return res
+}
+
+// snoopMemoCap is the number of draws the snoop memo holds: the default
+// `campaigns -seeds`, so a default campaign of table4 and then fig6 draws
+// each seed once. 64 entries of about 1.6 KB stay under 128 KiB.
+const snoopMemoCap = 64
+
+// snoopKey names a snoopPopulation draw by every input of it that varies.
+type snoopKey struct {
+	seed  int64 // population seed: the campaign seed + 11
+	total int   // resolvers drawn
+}
+
+// snoopMemo holds the last snoopMemoCap snoopPopulation results. It is
+// pure: a hit returns copies of exactly what the miss computed, so runs
+// that share it still share nothing mutable (DESIGN §6). It is safe for
+// concurrent use; the draw runs outside its lock, so two concurrent
+// misses on one key both draw and store equal results.
+type snoopMemo struct {
+	mu      sync.Mutex
+	entries []snoopEntry // most recently used first
+}
+
+type snoopEntry struct {
+	key snoopKey
+	res SnoopResult // Rows and TTLCounts belong to the memo
+}
+
+var snoops snoopMemo
+
+var (
+	snoopMemoHits = obs.Default.Counter("dnstime_snoop_memo_hits_total",
+		"table4/fig6 open-resolver snoops answered from the snoop memo.")
+	snoopMemoMisses = obs.Default.Counter("dnstime_snoop_memo_misses_total",
+		"table4/fig6 open-resolver snoops that drew the population.")
+)
+
+// get returns a copy of key's result, if the memo holds it, and makes it
+// the most recently used.
+func (m *snoopMemo) get(key snoopKey) (SnoopResult, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	i := slices.IndexFunc(m.entries, func(e snoopEntry) bool { return e.key == key })
+	if i < 0 {
+		snoopMemoMisses.Inc()
+		return SnoopResult{}, false
+	}
+	snoopMemoHits.Inc()
+	m.front(i)
+	return m.entries[0].res.clone(), true
+}
+
+// put stores a copy of key's result as the most recently used, evicting
+// the least recently used when the memo is full. A key a concurrent miss
+// has stored meanwhile, with an equal result, only moves to the front.
+func (m *snoopMemo) put(key snoopKey, res SnoopResult) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if i := slices.IndexFunc(m.entries, func(e snoopEntry) bool { return e.key == key }); i >= 0 {
+		m.front(i)
+		return
+	}
+	if len(m.entries) < snoopMemoCap {
+		m.entries = append(m.entries, snoopEntry{})
+	}
+	copy(m.entries[1:], m.entries)
+	m.entries[0] = snoopEntry{key, res.clone()}
+}
+
+// front moves entry i to the front.
+func (m *snoopMemo) front(i int) {
+	e := m.entries[i]
+	copy(m.entries[1:i+1], m.entries[:i])
+	m.entries[0] = e
+}
+
+// clone returns r with copies of its Rows and TTLCounts.
+func (r SnoopResult) clone() SnoopResult {
+	r.Rows = slices.Clone(r.Rows)
+	r.TTLCounts = slices.Clone(r.TTLCounts)
+	return r
 }
 
 // tableIVScenario snoops the open-resolver population for the Table IV
@@ -188,8 +279,8 @@ func fig6Scenario(_ context.Context, seed int64, cfg scenario.Config) (scenario.
 	return scenario.Result{
 		Metrics: map[string]float64{
 			"ttl_samples":  float64(h.Total()),
-			"ttl_mean_s":   stats.Mean(res.TTLs),
-			"ttl_median_s": stats.Median(res.TTLs),
+			"ttl_mean_s":   res.TTLMean(),
+			"ttl_median_s": res.TTLMedian(),
 		},
 		Detail: res,
 	}, nil

@@ -1,0 +1,198 @@
+package measure
+
+import (
+	"context"
+	"encoding/json"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+
+	"dnstime/internal/population"
+	"dnstime/internal/scenario"
+)
+
+// snoopMemoBudget is the committed bound on the heap the snoop memo keeps
+// live when full.
+const snoopMemoBudget = 128 << 10
+
+// resetSnoopMemo empties the snoop memo, so a test sees first draws as
+// misses.
+func resetSnoopMemo() {
+	snoops.mu.Lock()
+	defer snoops.mu.Unlock()
+	snoops.entries = nil
+}
+
+// snoopRun is a table4 or fig6 run as a campaign and the single-seed
+// sections see it: its metrics as JSON, and its Detail.
+type snoopRun struct {
+	metrics string
+	detail  SnoopResult
+}
+
+func runSnoop(name string, seed int64, fast bool) (snoopRun, error) {
+	res, err := scenario.Run(context.Background(), name, seed, scenario.Config{Fast: fast})
+	if err != nil {
+		return snoopRun{}, err
+	}
+	b, err := json.Marshal(res.Metrics)
+	return snoopRun{string(b), res.Detail.(SnoopResult)}, err
+}
+
+func mustRunSnoop(t *testing.T, name string, seed int64, fast bool) snoopRun {
+	t.Helper()
+	r, err := runSnoop(name, seed, fast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestSnoopMemoHitEqualsMiss: table4 and fig6 each give the same metrics
+// and Detail whether their draw missed the snoop memo or hit the other
+// scenario's, at full size and under Fast, whichever runs first. The
+// second scenario at a (seed, size) is one hit and no draw, and the two
+// sizes of one seed are two draws.
+func TestSnoopMemoHitEqualsMiss(t *testing.T) {
+	const seed = 3
+	type run struct {
+		name string
+		fast bool
+	}
+	alone := map[run]snoopRun{}
+	for _, name := range []string{"table4", "fig6"} {
+		for _, fast := range []bool{false, true} {
+			resetSnoopMemo()
+			alone[run{name, fast}] = mustRunSnoop(t, name, seed, fast)
+		}
+	}
+	for _, order := range [][2]string{{"table4", "fig6"}, {"fig6", "table4"}} {
+		resetSnoopMemo()
+		hits, misses := snoopMemoHits.Value(), snoopMemoMisses.Value()
+		for _, fast := range []bool{false, true} {
+			for _, name := range order {
+				if got := mustRunSnoop(t, name, seed, fast); !reflect.DeepEqual(got, alone[run{name, fast}]) {
+					t.Errorf("%s then %s, fast=%v: %s differs from its run on an empty memo", order[0], order[1], fast, name)
+				}
+			}
+		}
+		if h, m := snoopMemoHits.Value()-hits, snoopMemoMisses.Value()-misses; h != 2 || m != 2 {
+			t.Errorf("%s then %s at both sizes: %d hits and %d misses, want 2 and 2", order[0], order[1], h, m)
+		}
+	}
+}
+
+// TestSnoopMemoEviction: over more seeds than the memo holds, fig6 gets
+// the snoop table4 drew, by a hit on the seeds still held and by a fresh
+// draw on the evicted ones.
+func TestSnoopMemoEviction(t *testing.T) {
+	const evicted = 8
+	n := snoopMemoCap + evicted
+	resetSnoopMemo()
+	table4 := make([]SnoopResult, n)
+	for i := range n {
+		table4[i] = mustRunSnoop(t, "table4", int64(i+1), true).detail
+	}
+	hits, misses := snoopMemoHits.Value(), snoopMemoMisses.Value()
+	for i := n - 1; i >= 0; i-- {
+		if got := mustRunSnoop(t, "fig6", int64(i+1), true).detail; !reflect.DeepEqual(got, table4[i]) {
+			t.Errorf("seed %d: fig6 snoop differs from table4's", i+1)
+		}
+	}
+	if h, m := snoopMemoHits.Value()-hits, snoopMemoMisses.Value()-misses; h != int64(snoopMemoCap) || m != evicted {
+		t.Errorf("fig6 pass: %d hits and %d misses, want %d and %d", h, m, snoopMemoCap, evicted)
+	}
+}
+
+// TestSnoopMemoConcurrent: GOMAXPROCS goroutines run table4 and fig6 over
+// shared seeds at once, each writing to what it gets back; every run sees
+// the seed's own draw. Under -race this also checks the memo's locking
+// and that no two runs share a slice.
+func TestSnoopMemoConcurrent(t *testing.T) {
+	const seeds = 4
+	cfg := population.DefaultOpenResolverConfig()
+	cfg.Total = 20000
+	want := make([]SnoopResult, seeds)
+	for i := range want {
+		want[i] = SnoopOpenResolvers(cfg, int64(i+1)+11)
+	}
+	resetSnoopMemo()
+	var wg sync.WaitGroup
+	for g := range max(runtime.GOMAXPROCS(0), 2) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range 2 * seeds {
+				i := (g + k) % seeds
+				name := [2]string{"table4", "fig6"}[(g+k/seeds)%2]
+				r, err := runSnoop(name, int64(i+1), true)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(r.detail, want[i]) {
+					t.Errorf("goroutine %d: %s seed %d differs from its draw", g, name, i+1)
+				}
+				r.detail.Rows[0].Cached++
+				r.detail.TTLCounts[0]++
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestSnoopMemoReturnsCopies: writing to the Rows or TTLCounts of a
+// snoop, whether it came from a miss or a hit, changes no later hit.
+func TestSnoopMemoReturnsCopies(t *testing.T) {
+	cfg := population.DefaultOpenResolverConfig()
+	cfg.Total = 20000
+	want := SnoopOpenResolvers(cfg, 5+11)
+	resetSnoopMemo()
+	fast := scenario.Config{Fast: true}
+	for i := range 3 {
+		got := snoopPopulation(5, fast)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d: snoop differs from its draw", i)
+		}
+		got.Rows[1].Cached = -1
+		got.TTLCounts[3] = -1
+	}
+}
+
+// TestSnoopMemoMemoryBound: however many draws pass through it, the snoop
+// memo holds snoopMemoCap entries and keeps less than snoopMemoBudget of
+// heap live, with each entry the size of a default draw's (151 TTL
+// counts).
+func TestSnoopMemoMemoryBound(t *testing.T) {
+	cfg := population.DefaultOpenResolverConfig()
+	cfg.Total = 20000
+	res := SnoopOpenResolvers(cfg, 12)
+	if n := len(res.TTLCounts); n != cfg.RecordTTL+1 {
+		t.Fatalf("%d TTL counts, want %d", n, cfg.RecordTTL+1)
+	}
+	defer resetSnoopMemo()
+	resetSnoopMemo()
+	before := liveHeap()
+	for seed := range int64(200) {
+		snoops.put(snoopKey{seed, cfg.Total}, res)
+	}
+	got := liveHeap() - before
+	if n := len(snoops.entries); n != snoopMemoCap {
+		t.Errorf("memo holds %d entries, want %d", n, snoopMemoCap)
+	}
+	if got > snoopMemoBudget {
+		t.Errorf("full memo keeps %d bytes live, budget %d", got, snoopMemoBudget)
+	}
+	t.Logf("%d entries: %d bytes live, budget %d", len(snoops.entries), got, snoopMemoBudget)
+}
+
+// liveHeap returns the bytes of heap objects still reachable. It collects
+// twice: sync.Pool caches survive one collection as victims.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}

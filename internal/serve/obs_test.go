@@ -194,6 +194,8 @@ func TestMetricsPrometheus(t *testing.T) {
 			"dnstime_labpool_misses_total",
 			"dnstime_rng_seed_cache_hits_total",
 			"dnstime_rng_seed_cache_misses_total",
+			"dnstime_snoop_memo_hits_total",
+			"dnstime_snoop_memo_misses_total",
 			"dnstime_phase_seconds_total",
 			"dnstime_engine_seed_seconds",
 		} {

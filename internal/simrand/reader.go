@@ -1,6 +1,7 @@
 package simrand
 
 import (
+	"math/bits"
 	"math/rand"
 )
 
@@ -124,10 +125,17 @@ func (c Cut) Of(x uint64) (pass, ok bool) {
 // but draws again when v ≥ n·⌊2³¹/n⌋ (n·⌊2⁶³/n⌋), so that every
 // remainder is equally likely; for a power of two that bound is 2³¹
 // (2⁶³), and no value is drawn again.
+//
+// On the Int31n branch Of takes the remainder without a divide, after
+// Lemire, Kaser and Kurz, "Faster remainder by direct computation"
+// (2019): with m = ⌊(2⁶⁴−1)/n⌋ + 1, v mod n is the high 64 bits of
+// (m·v mod 2⁶⁴)·n, exactly, for every 32-bit v and n. At n = 1, m wraps
+// to 0 and so does the remainder.
 type Intn struct {
-	n     int64
-	shift uint  // 32 for Int31n, 0 for Int63n
-	max   int64 // the largest accepted value; −1 refuses every output
+	n     uint64
+	m     uint64 // ⌊(2⁶⁴−1)/n⌋ + 1 mod 2⁶⁴ for Int31n; unused for Int63n
+	shift uint   // 32 for Int31n, 0 for Int63n
+	max   int64  // the largest accepted value; −1 refuses every output
 }
 
 // NewIntn returns the decider for Rand.Intn(n). For n ≤ 0 it refuses
@@ -142,13 +150,13 @@ func NewIntn(n int) Intn {
 		if n&(n-1) != 0 {
 			max -= int64((1 << 31) % uint32(n))
 		}
-		return Intn{n: int64(n), shift: 32, max: max}
+		return Intn{n: uint64(n), m: ^uint64(0)/uint64(n) + 1, shift: 32, max: max}
 	default:
 		max := int64(1<<63 - 1)
 		if n&(n-1) != 0 {
 			max -= int64((1 << 63) % uint64(n))
 		}
-		return Intn{n: int64(n), max: max}
+		return Intn{n: uint64(n), max: max}
 	}
 }
 
@@ -159,5 +167,9 @@ func (d Intn) Of(x uint64) (int, bool) {
 	if v > d.max {
 		return 0, false
 	}
-	return int(v % d.n), true
+	if d.shift == 0 {
+		return int(uint64(v) % d.n), true
+	}
+	rem, _ := bits.Mul64(d.m*uint64(v), d.n)
+	return int(rem), true
 }

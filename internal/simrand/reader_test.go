@@ -1,6 +1,7 @@
 package simrand
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -176,11 +177,15 @@ func TestRedraw(t *testing.T) {
 // TestIntnMatchesMathRand: Intn.Of returns what math/rand's Intn(n)
 // returns from the same output, and refuses exactly the outputs Intn
 // draws again on: around each accepted bound, for n on both of Intn's
-// branches, powers of two included. For n ≤ 0 it refuses every output,
-// where Intn panics.
+// branches, powers of two and 500 random n on the Int31n branch
+// included. For n ≤ 0 it refuses every output, where Intn panics.
 func TestIntnMatchesMathRand(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, n := range []int{1, 2, 3, 128, 151, 1<<30 + 1, 1<<31 - 1, 1 << 31, 1<<31 + 1, 1 << 40, 3<<61 + 1, math.MaxInt64} {
+	ns := []int{0, -1, math.MinInt, 1, 2, 3, 128, 151, 1<<30 + 1, 1<<31 - 1, 1 << 31, 1<<31 + 1, 1 << 40, 3<<61 + 1, math.MaxInt64}
+	for range 500 {
+		ns = append(ns, 1+rng.Intn(1<<31-1))
+	}
+	for _, n := range ns {
 		d := NewIntn(n)
 		xs := []uint64{0, 1<<63 - 1, 1<<64 - 1}
 		bound := uint64(d.max) << d.shift // the largest accepted output
@@ -191,20 +196,51 @@ func TestIntnMatchesMathRand(t *testing.T) {
 			xs = append(xs, rng.Uint64())
 		}
 		for _, x := range xs {
-			s := &script{out: []uint64{x, 0}}
-			want := rand.New(s).Intn(n)
-			got, ok := d.Of(x)
-			if accepted := s.read == 1; ok != accepted {
-				t.Fatalf("Intn(%d) on %#x: Of ok = %v, math/rand read %d outputs", n, x, ok, s.read)
-			}
-			if ok && got != want {
-				t.Fatalf("Intn(%d) on %#x: Of = %d, math/rand %d", n, x, got, want)
+			if msg := intnDiff(n, x); msg != "" {
+				t.Fatal(msg)
 			}
 		}
 	}
-	for _, n := range []int{0, -1, math.MinInt} {
-		if _, ok := NewIntn(n).Of(0); ok {
-			t.Errorf("NewIntn(%d) accepted an output", n)
+}
+
+// intnDiff describes how NewIntn(n).Of(x) departs from math/rand's
+// Intn(n) on a source whose next output is x, or returns "" when they
+// agree: Of must refuse x exactly when Intn draws again, return Intn's
+// value when it accepts, and refuse every x for n ≤ 0, where Intn
+// panics.
+func intnDiff(n int, x uint64) (msg string) {
+	got, ok := NewIntn(n).Of(x)
+	s := &script{out: []uint64{x, 0}}
+	defer func() {
+		if recover() != nil && (n > 0 || ok) {
+			msg = fmt.Sprintf("Intn(%d) on %#x: math/rand panicked, Of = %d, %v", n, x, got, ok)
 		}
+	}()
+	want := rand.New(s).Intn(n)
+	switch accepted := s.read == 1; {
+	case n <= 0:
+		return fmt.Sprintf("Intn(%d) did not panic", n)
+	case ok != accepted:
+		return fmt.Sprintf("Intn(%d) on %#x: Of ok = %v, math/rand read %d outputs", n, x, ok, s.read)
+	case ok && got != want:
+		return fmt.Sprintf("Intn(%d) on %#x: Of = %d, math/rand %d", n, x, got, want)
 	}
+	return ""
+}
+
+// FuzzIntn: for any n, on either of Intn's branches or at most 0, and any
+// output x, Intn.Of(x) decides math/rand's Intn(n) exactly.
+func FuzzIntn(f *testing.F) {
+	f.Add(int64(1), uint64(0))
+	f.Add(int64(151), uint64(1<<64-1))
+	f.Add(int64(3), uint64(0xFFFFFFFD)<<32)
+	f.Add(int64(1<<31-1), uint64(1<<63-1))
+	f.Add(int64(1<<31+1), uint64(1<<62))
+	f.Add(int64(0), uint64(7))
+	f.Add(int64(-1), uint64(1<<63))
+	f.Fuzz(func(t *testing.T, n int64, x uint64) {
+		if msg := intnDiff(int(n), x); msg != "" {
+			t.Fatal(msg)
+		}
+	})
 }

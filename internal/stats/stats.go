@@ -30,15 +30,18 @@ func NewHistogram(min, max, binWidth float64) *Histogram {
 // Add records one sample. Out-of-range samples are clamped into the under/
 // over buckets (as Figure 7 does: "values below −50 ms and above 200 ms are
 // summed up on the sides").
-func (h *Histogram) Add(v float64) {
-	h.total++
+func (h *Histogram) Add(v float64) { h.AddN(v, 1) }
+
+// AddN records n ≥ 0 samples of value v, as n calls of Add do.
+func (h *Histogram) AddN(v float64, n int) {
+	h.total += n
 	switch {
 	case v < h.Min:
-		h.under++
+		h.under += n
 	case v >= h.Max:
-		h.over++
+		h.over += n
 	default:
-		h.counts[int((v-h.Min)/h.BinWidth)]++
+		h.counts[int((v-h.Min)/h.BinWidth)] += n
 	}
 }
 

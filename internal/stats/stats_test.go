@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -27,6 +28,23 @@ func TestHistogramClampsTails(t *testing.T) {
 	h.Add(0)
 	if h.Under() != 1 || h.Over() != 1 {
 		t.Errorf("under/over = %d/%d", h.Under(), h.Over())
+	}
+}
+
+// TestHistogramAddN: AddN(v, n) records what n calls of Add(v) record,
+// in range, on the edges and in both tails, n = 0 included.
+func TestHistogramAddN(t *testing.T) {
+	for _, v := range []float64{-60, -50, -0.5, 0, 4.99, 5, 199.9, 200, 1e9} {
+		for _, n := range []int{0, 1, 3} {
+			got, want := NewHistogram(-50, 200, 5), NewHistogram(-50, 200, 5)
+			got.AddN(v, n)
+			for range n {
+				want.Add(v)
+			}
+			if got.Total() != want.Total() || got.Under() != want.Under() || got.Over() != want.Over() || !slices.Equal(got.counts, want.counts) {
+				t.Errorf("AddN(%v, %d) = %+v, %d Adds give %+v", v, n, *got, n, *want)
+			}
+		}
 	}
 }
 
