@@ -46,50 +46,60 @@ func tracedCampaign(t *testing.T, name string, seeds, workers int, pooled bool) 
 	return out
 }
 
+// traceScenarios are the traced lab scenarios whose runs recycle pooled
+// labs, their client hosts and clients included.
+var traceScenarios = []string{"boot", "table1", "racemargin", "netsweep", "runtime", "chronos"}
+
 // TestTraceDeterminism is the trace byte-identity contract from the
-// observability design: for a fixed seed, the Chrome trace produced by a
-// boot-attack run has exactly the same bytes at any worker count and
-// whether the lab was recycled from the pool or built fresh.
+// observability design: for a fixed seed, the Chrome trace a lab
+// scenario's run produces has exactly the same bytes at any worker count
+// and whether the lab was recycled from the pool or built fresh. Pooled
+// labs carry spare client hosts and clients from run to run, so a client
+// reset that misses any state shows up here as a trace diff.
 func TestTraceDeterminism(t *testing.T) {
 	const seeds = 3
-	ref := tracedCampaign(t, "boot", seeds, 1, true)
-	for seed, b := range ref {
-		if len(b) == 0 {
-			t.Fatalf("seed %d: empty trace", seed)
-		}
-		var events []map[string]any
-		if err := json.Unmarshal(b, &events); err != nil {
-			t.Fatalf("seed %d: trace is not a JSON array: %v", seed, err)
-		}
-		if len(events) == 0 {
-			t.Fatalf("seed %d: no trace events", seed)
-		}
-		for _, e := range events {
-			for _, key := range []string{"name", "cat", "ph", "ts", "pid", "tid"} {
-				if _, ok := e[key]; !ok {
-					t.Fatalf("seed %d: event %v missing %q", seed, e, key)
+	for _, name := range traceScenarios {
+		t.Run(name, func(t *testing.T) {
+			ref := tracedCampaign(t, name, seeds, 1, true)
+			for seed, b := range ref {
+				if len(b) == 0 {
+					t.Fatalf("seed %d: empty trace", seed)
+				}
+				var events []map[string]any
+				if err := json.Unmarshal(b, &events); err != nil {
+					t.Fatalf("seed %d: trace is not a JSON array: %v", seed, err)
+				}
+				if len(events) == 0 {
+					t.Fatalf("seed %d: no trace events", seed)
+				}
+				for _, e := range events {
+					for _, key := range []string{"name", "cat", "ph", "ts", "pid", "tid"} {
+						if _, ok := e[key]; !ok {
+							t.Fatalf("seed %d: event %v missing %q", seed, e, key)
+						}
+					}
+					if e["pid"] != float64(seed) {
+						t.Fatalf("seed %d: event pid = %v, want %d", seed, e["pid"], seed)
+					}
 				}
 			}
-			if e["pid"] != float64(seed) {
-				t.Fatalf("seed %d: event pid = %v, want %d", seed, e["pid"], seed)
+			for _, alt := range []struct {
+				desc    string
+				workers int
+				pooled  bool
+			}{
+				{"workers=4 pooled", 4, true},
+				{"workers=1 fresh", 1, false},
+				{"workers=4 fresh", 4, false},
+			} {
+				got := tracedCampaign(t, name, seeds, alt.workers, alt.pooled)
+				for seed, want := range ref {
+					if !bytes.Equal(got[seed], want) {
+						t.Errorf("%s: seed %d trace differs from workers=1 pooled reference", alt.desc, seed)
+					}
+				}
 			}
-		}
-	}
-	for _, alt := range []struct {
-		desc    string
-		workers int
-		pooled  bool
-	}{
-		{"workers=4 pooled", 4, true},
-		{"workers=1 fresh", 1, false},
-		{"workers=4 fresh", 4, false},
-	} {
-		got := tracedCampaign(t, "boot", seeds, alt.workers, alt.pooled)
-		for seed, want := range ref {
-			if !bytes.Equal(got[seed], want) {
-				t.Errorf("%s: seed %d trace differs from workers=1 pooled reference", alt.desc, seed)
-			}
-		}
+		})
 	}
 }
 

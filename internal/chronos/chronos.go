@@ -151,18 +151,41 @@ type Client struct {
 }
 
 // New creates a Chronos client on host, using the resolver at resolverAddr
-// and starting with the given local clock error.
+// and starting with the given local clock error. It is an allocation plus
+// Reset.
 func New(host *simnet.Host, cfg Config, resolverAddr ipv4.Addr, initialClockError time.Duration) *Client {
-	cfg.applyDefaults()
-	return &Client{
+	c := &Client{
 		host:  host,
 		clock: host.Clock(),
-		cfg:   cfg,
-		local: ntpclient.NewLocalClock(host.Clock(), initialClockError),
-		stub:  dnsres.NewStub(host, resolverAddr, cfg.Seed+7777),
-		rng:   rand.New(simrand.New(cfg.Seed)),
+		local: ntpclient.NewLocalClock(host.Clock(), 0),
+		stub:  dnsres.NewStub(host, resolverAddr, 0),
+		rng:   rand.New(simrand.New(0)),
 		pool:  make(map[ipv4.Addr]struct{}),
 	}
+	c.Reset(cfg, resolverAddr, initialClockError)
+	return c
+}
+
+// Reset turns the client into the one New builds from these arguments on
+// its own host, keeping its storage: a reset client is a fresh one, with
+// RNG streams identical to a new client's. The host must be reset with it
+// and the clock too (the lab pool re-attaches the host and resets the
+// clock), since queries and tickers of the previous run are forgotten
+// here. Rounds is truncated in place: a slice read from it before the
+// Reset changes with it.
+func (c *Client) Reset(cfg Config, resolverAddr ipv4.Addr, initialClockError time.Duration) {
+	cfg.applyDefaults()
+	c.cfg = cfg
+	c.local.Reset(initialClockError)
+	c.stub.Reset(resolverAddr, cfg.Seed+7777)
+	c.rng.Seed(cfg.Seed)
+	clear(c.pool)
+	c.poolOrder = c.poolOrder[:0]
+	c.queries = 0
+	c.running = false
+	c.genTicker, c.pollTick = nil, nil
+	c.PoolQueries = 0
+	c.Rounds = c.Rounds[:0]
 }
 
 // LocalNow returns the client's local clock reading.

@@ -1,6 +1,8 @@
 package chronos
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,6 +29,7 @@ type lab struct {
 	hAddrs []ipv4.Addr
 	eAddrs []ipv4.Addr
 	next   byte
+	honest []*ntpserv.Server
 }
 
 func newLab(t *testing.T, honest int) *lab {
@@ -47,10 +50,12 @@ func newLab(t *testing.T, honest int) *lab {
 	for i := 0; i < honest; i++ {
 		addr := ipv4.Addr{10, 0, byte(i >> 8), byte(i)}
 		h := n.MustAddHost(addr, simnet.HostConfig{})
-		if _, err := ntpserv.New(h, ntpserv.Config{}); err != nil {
+		s, err := ntpserv.New(h, ntpserv.Config{})
+		if err != nil {
 			t.Fatal(err)
 		}
 		l.hAddrs = append(l.hAddrs, addr)
+		l.honest = append(l.honest, s)
 	}
 	l.auth.AddPool(&dnsauth.Pool{Name: "pool.ntp.org", Addrs: l.hAddrs, PerResponse: 4, TTL: 150})
 	return l
@@ -221,5 +226,79 @@ func TestRoundKindString(t *testing.T) {
 		if k.String() == "" {
 			t.Errorf("empty string for %d", k)
 		}
+	}
+}
+
+// reset rewinds the lab as the lab pool does between runs: the clock,
+// the network, the nameserver, the resolver and every honest server,
+// their hosts included.
+func (l *lab) reset() {
+	l.clk.Reset(t0)
+	l.net.Reset()
+	l.auth.Host().Reset(simnet.HostConfig{})
+	if err := l.auth.Reset(dnsauth.Config{}); err != nil {
+		l.t.Fatal(err)
+	}
+	l.auth.AddPool(&dnsauth.Pool{Name: "pool.ntp.org", Addrs: l.hAddrs, PerResponse: 4, TTL: 150})
+	l.res.Host().Reset(simnet.HostConfig{})
+	if err := l.res.Reset(dnsres.Config{Delegations: map[string]ipv4.Addr{"ntp.org": nsAddr}}); err != nil {
+		l.t.Fatal(err)
+	}
+	for _, s := range l.honest {
+		s.Host().Reset(simnet.HostConfig{})
+		if err := s.Reset(ntpserv.Config{}); err != nil {
+			l.t.Fatal(err)
+		}
+	}
+}
+
+// TestClientResetIsFreshClient: a Chronos client dirtied by a run under
+// another config — its pool generated, rounds logged, queries in flight —
+// and then reset with its host and lab behaves exactly like a New client
+// under the same traffic: the same DNS queries (TXIDs included), pool,
+// sampled servers, rounds and clock. A dirtied client that is not reset behaves
+// differently, so the probe sees that state.
+func TestClientResetIsFreshClient(t *testing.T) {
+	cfg := Config{Seed: 5, QueryInterval: 10 * time.Minute, QueryCount: 6}
+	probe := func(l *lab, c *Client) string {
+		var b strings.Builder
+		l.res.Host().ObserveRaw(func(p *ipv4.Packet) {
+			if p.Src == c.host.Addr() {
+				fmt.Fprintf(&b, "query %x\n", p.Payload)
+			}
+		})
+		c.host.ObserveRaw(func(p *ipv4.Packet) {
+			if p.Src != resAddr {
+				fmt.Fprintf(&b, "reply from %v\n", p.Src)
+			}
+		})
+		err := c.Start()
+		l.clk.RunFor(3 * time.Hour)
+		fmt.Fprintf(&b, "start %v, pool %d, pool queries %d, offset %v\n", err, c.PoolSize(), c.PoolQueries, c.ClockOffset())
+		for _, r := range c.Rounds {
+			fmt.Fprintf(&b, "%+v\n", r)
+		}
+		return b.String()
+	}
+	fresh := newLab(t, 40)
+	want := probe(fresh, fresh.client(cfg))
+	dirtied := func() (*lab, *Client) {
+		l := newLab(t, 40)
+		c := l.client(Config{Seed: 9, PollInterval: time.Minute})
+		if got := probe(l, c); got == want {
+			t.Fatal("the dirtying run probes like the fresh one")
+		}
+		l.clk.RunFor(time.Minute + 5*time.Millisecond) // leave a round in flight
+		l.reset()
+		c.host.Reset(simnet.HostConfig{})
+		return l, c
+	}
+	l, c := dirtied()
+	c.Reset(cfg, resAddr, 0)
+	if got := probe(l, c); got != want {
+		t.Errorf("reset client:\n%s\nwant (a New client):\n%s", got, want)
+	}
+	if got := probe(dirtied()); got == want {
+		t.Errorf("a dirtied client that was not reset probes like a fresh one:\n%s", got)
 	}
 }

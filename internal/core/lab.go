@@ -7,6 +7,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"strconv"
 	"time"
 
@@ -123,20 +124,38 @@ type Lab struct {
 	Evil     []*ntpserv.Server
 	Eve      *attack.Attacker
 
-	cfg        LabConfig
+	cfg LabConfig
+	// topo is the live topology compiler, nil without a topology; when
+	// set it is compiler, which the lab keeps across Resets and
+	// re-targets at each run's topology.
 	topo       *netem.Compiler
+	compiler   *netem.Compiler
 	honestAddr []ipv4.Addr
 	evilAddr   []ipv4.Addr
 	nextClient byte
 	seedStep   int64
+	// clients holds, per client slot, the host NewClient or NewChronos
+	// attached at 192.0.2.(100+slot) and the last client of each kind
+	// bound to it. Reset detaches the hosts; they and their clients stay
+	// here as spares, which the next run's NewClient and NewChronos
+	// re-attach and reset in place, as addServer does with servers.
+	clients []clientSlot
+}
+
+// clientSlot is one client slot's spare host and clients (nil until a
+// run first fills them).
+type clientSlot struct {
+	host    *simnet.Host
+	ntp     *ntpclient.Client
+	chronos *chronos.Client
 }
 
 // labEpoch is the virtual start time of every laboratory.
 var labEpoch = time.Date(2020, 2, 1, 0, 0, 0, 0, time.UTC)
 
-// netOptions translates the config into network options plus the live
-// topology compiler (nil without a topology).
-func (c *LabConfig) netOptions() ([]simnet.Option, *netem.Compiler) {
+// netOptions translates the config into network options for a lab whose
+// live topology compiler is topo (nil without a topology).
+func (c *LabConfig) netOptions(topo *netem.Compiler) []simnet.Option {
 	// Link randomness (loss, jitter, reordering under non-default path
 	// models) derives from the lab seed — never from a global or pinned
 	// source — so campaigns replay byte-identically at any worker count.
@@ -144,14 +163,13 @@ func (c *LabConfig) netOptions() ([]simnet.Option, *netem.Compiler) {
 	if c.Tracer.Enabled() {
 		opts = append(opts, simnet.WithTrace(simnet.TraceTo(c.Tracer)))
 	}
-	if c.Topology == nil {
-		return opts, nil
+	if topo == nil {
+		return opts
 	}
 	// The compiled model is live: every host the lab adds (including
 	// clients attached mid-run) registers its role and receives the
 	// topology's per-directed-link models.
-	topo := c.Topology.Compiler()
-	return append(opts, simnet.WithPathModel(topo.Model())), topo
+	return append(opts, simnet.WithPathModel(topo.Model()))
 }
 
 // NewLab builds the laboratory: nameserver serving pool.ntp.org backed by
@@ -167,23 +185,36 @@ func NewLab(cfg LabConfig) (*Lab, error) {
 }
 
 // Reset rebuilds the laboratory in place for a new configuration, reusing
-// the clock's event queue, the network's packet pools and the attached
-// server hosts. The contract is hard: a reset lab is observably identical
-// to NewLab(cfg) — same component wiring, same RNG streams (all derived
-// from cfg.Seed), same virtual start time. It holds by construction,
-// since NewLab is an empty lab plus Reset, and the engine equivalence
-// suite checks it byte-for-byte. Client hosts from the previous run and
-// servers beyond the new population are detached; in-flight events die
-// with the clock reset.
+// the clock's event queue, the network's packet pools, the topology
+// compiler and the attached server hosts. The contract is hard: a reset
+// lab is observably identical to NewLab(cfg) — same component wiring,
+// same RNG streams (all derived from cfg.Seed), same virtual start time.
+// It holds by construction, since NewLab is an empty lab plus Reset, and
+// the engine equivalence suite checks it byte-for-byte. Client hosts from
+// the previous run and servers beyond the new population are detached;
+// in-flight events die with the clock reset, and their packets return to
+// the network's free lists. Detached client hosts and their clients stay
+// as spares for the next NewClient and NewChronos: a client obtained
+// before a Reset must not be used after it.
 func (l *Lab) Reset(cfg LabConfig) error {
 	cfg.applyDefaults()
-	opts, topo := cfg.netOptions()
+	l.topo = nil
+	if cfg.Topology != nil {
+		if l.compiler == nil {
+			l.compiler = cfg.Topology.Compiler()
+		} else {
+			l.compiler.Reset(cfg.Topology)
+		}
+		l.topo = l.compiler
+	}
 	// Clock first: every pending timer and ticker callback dies before any
 	// component state is touched, so nothing fires mid-reset.
 	l.Clock.Reset(labEpoch)
-	l.Net.Reset(opts...)
-	for i := byte(1); i <= l.nextClient; i++ {
-		l.Net.RemoveHost(ipv4.Addr{192, 0, 2, 100 + i})
+	l.Net.Reset(cfg.netOptions(l.topo)...)
+	for _, c := range l.clients {
+		if c.host != nil {
+			l.Net.RemoveHost(c.host.Addr())
+		}
 	}
 	for i := cfg.HonestServers; i < len(l.honestAddr); i++ {
 		l.Net.RemoveHost(l.honestAddr[i])
@@ -194,7 +225,7 @@ func (l *Lab) Reset(cfg LabConfig) error {
 	l.nextClient, l.seedStep = 0, 0
 	l.Honest, l.Evil = l.Honest[:0], l.Evil[:0]
 	l.honestAddr, l.evilAddr = l.honestAddr[:0], l.evilAddr[:0]
-	l.cfg, l.topo = cfg, topo
+	l.cfg = cfg
 	return l.wire()
 }
 
@@ -364,30 +395,70 @@ func (l *Lab) addEvil() error {
 	return l.addServer(&l.Evil, &l.evilAddr, addr, netem.RoleEvilServer, ntpserv.Config{Offset: l.cfg.EvilOffset})
 }
 
-// NewClient attaches a fresh NTP client host running the given profile.
+// NewClient attaches the next client host running the given profile. The
+// host and client are the slot's spares from an earlier run, reset in
+// place, when the lab has them.
 func (l *Lab) NewClient(prof ntpclient.Profile, clockErr time.Duration) (*ntpclient.Client, error) {
-	l.nextClient++
 	l.seedStep++
-	addr := ipv4.Addr{192, 0, 2, 100 + l.nextClient}
-	host, err := l.addHost(addr, netem.RoleClient, simnet.HostConfig{})
+	slot, err := l.clientHost()
 	if err != nil {
 		return nil, err
 	}
-	return ntpclient.New(host, prof, ResolverAddr, PoolDomain, clockErr, l.cfg.Seed+100+l.seedStep), nil
+	seed := l.cfg.Seed + 100 + l.seedStep
+	if slot.ntp != nil {
+		slot.ntp.Reset(prof, ResolverAddr, PoolDomain, clockErr, seed)
+	} else {
+		slot.ntp = ntpclient.New(slot.host, prof, ResolverAddr, PoolDomain, clockErr, seed)
+	}
+	return slot.ntp, nil
 }
 
-// NewChronos attaches a Chronos client host.
+// NewChronos attaches the next client host running a Chronos client, the
+// slot's spares reset in place when the lab has them.
 func (l *Lab) NewChronos(cfg chronos.Config) (*chronos.Client, error) {
-	l.nextClient++
-	addr := ipv4.Addr{192, 0, 2, 100 + l.nextClient}
-	host, err := l.addHost(addr, netem.RoleClient, simnet.HostConfig{})
+	slot, err := l.clientHost()
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = l.cfg.Seed + 500
 	}
-	return chronos.New(host, cfg, ResolverAddr, 0), nil
+	if slot.chronos != nil {
+		slot.chronos.Reset(cfg, ResolverAddr, 0)
+	} else {
+		slot.chronos = chronos.New(slot.host, cfg, ResolverAddr, 0)
+	}
+	return slot.chronos, nil
+}
+
+// clientHost attaches the host of the next client slot at
+// 192.0.2.(100+slot) and returns the slot: its spare host re-attached and
+// reset, or a new one. Either way the host joins the network and the
+// topology here, where a fresh lab adds it, so a packet sent to a client
+// not yet attached is dropped as in a fresh lab.
+func (l *Lab) clientHost() (*clientSlot, error) {
+	l.nextClient++
+	addr := ipv4.Addr{192, 0, 2, 100 + l.nextClient}
+	i := int(l.nextClient) - 1
+	for len(l.clients) <= i {
+		l.clients = append(l.clients, clientSlot{})
+	}
+	slot := &l.clients[i]
+	if slot.host == nil {
+		host, err := l.addHost(addr, netem.RoleClient, simnet.HostConfig{})
+		if err != nil {
+			return nil, err
+		}
+		slot.host = host
+		return slot, nil
+	}
+	if err := l.Net.Reattach(slot.host, simnet.HostConfig{}); err != nil {
+		return nil, err
+	}
+	if l.topo != nil {
+		l.topo.Add(addr, netem.RoleClient)
+	}
+	return slot, nil
 }
 
 // Campaign is a running poisoning campaign (§IV-A option 3): every round it
@@ -491,12 +562,8 @@ func (l *Lab) CachePoisoned() bool {
 	if !ok {
 		return false
 	}
-	evil := make(map[ipv4.Addr]bool, len(l.evilAddr))
-	for _, a := range l.evilAddr {
-		evil[a] = true
-	}
 	for _, rr := range entry.RRs {
-		if rr.Type == dnswire.TypeA && evil[rr.Addr] {
+		if rr.Type == dnswire.TypeA && slices.Contains(l.evilAddr, rr.Addr) {
 			return true
 		}
 	}

@@ -152,6 +152,9 @@ type Server struct {
 	wire   []byte
 	addrs  []ipv4.Addr // pool addresses of the response being built
 	filler string      // TXT padding text, at least cfg.PadResponsesTo bytes
+	// recv is handle bound once, so that Reset re-binds the port without
+	// allocating a method value.
+	recv simnet.UDPHandler
 }
 
 // New binds an authoritative server to port 53 on host, as Reset does.
@@ -161,6 +164,7 @@ func New(host *simnet.Host, cfg Config) (*Server, error) {
 		zones: make(map[string]*Zone),
 		pools: make(map[string]*Pool),
 	}
+	s.recv = s.handle
 	if err := s.Reset(cfg); err != nil {
 		return nil, err
 	}
@@ -177,7 +181,7 @@ func (s *Server) Reset(cfg Config) error {
 	clear(s.zones)
 	clear(s.pools)
 	s.QueriesServed = 0
-	if err := s.host.HandleUDP(DNSPort, s.handle); err != nil {
+	if err := s.host.HandleUDP(DNSPort, s.recv); err != nil {
 		return fmt.Errorf("dnsauth: bind: %w", err)
 	}
 	return nil

@@ -66,7 +66,7 @@ func TestPoolReturnsFourAddresses(t *testing.T) {
 	if got == nil {
 		t.Fatal("no response")
 	}
-	addrs := got.AddrsInAnswer("pool.ntp.org")
+	addrs := got.AppendAddrsInAnswer(nil, "pool.ntp.org")
 	if len(addrs) != 4 {
 		t.Fatalf("got %d addresses, want 4", len(addrs))
 	}
@@ -81,8 +81,8 @@ func TestPoolReturnsFourAddresses(t *testing.T) {
 func TestPoolRoundRobinRotates(t *testing.T) {
 	n, s, c := newServer(t, Config{})
 	s.AddPool(&Pool{Name: "pool.ntp.org", Addrs: poolAddrs(12), PerResponse: 4, TTL: 150})
-	first := query(t, n, c, "pool.ntp.org", dnswire.TypeA).AddrsInAnswer("pool.ntp.org")
-	second := query(t, n, c, "pool.ntp.org", dnswire.TypeA).AddrsInAnswer("pool.ntp.org")
+	first := query(t, n, c, "pool.ntp.org", dnswire.TypeA).AppendAddrsInAnswer(nil, "pool.ntp.org")
+	second := query(t, n, c, "pool.ntp.org", dnswire.TypeA).AppendAddrsInAnswer(nil, "pool.ntp.org")
 	if first[0] == second[0] {
 		t.Error("round-robin cursor did not advance")
 	}
@@ -93,7 +93,7 @@ func TestPoolServesSubZones(t *testing.T) {
 	s.AddPool(&Pool{Name: "pool.ntp.org", Addrs: poolAddrs(8), PerResponse: 4, TTL: 150})
 	for _, name := range []string{"0.pool.ntp.org", "2.pool.ntp.org", "de.pool.ntp.org"} {
 		got := query(t, n, c, name, dnswire.TypeA)
-		if got == nil || len(got.AddrsInAnswer(name)) != 4 {
+		if got == nil || len(got.AppendAddrsInAnswer(nil, name)) != 4 {
 			t.Errorf("%s: no pool answer", name)
 		}
 	}
@@ -108,7 +108,7 @@ func TestStaticZoneAnswers(t *testing.T) {
 	if got == nil {
 		t.Fatal("no response")
 	}
-	addrs := got.AddrsInAnswer("www.example.org")
+	addrs := got.AppendAddrsInAnswer(nil, "www.example.org")
 	if len(addrs) != 1 || addrs[0] != (ipv4.Addr{5, 5, 5, 5}) {
 		t.Errorf("answer = %v", addrs)
 	}
@@ -257,7 +257,7 @@ func TestPoolSmallerThanPerResponse(t *testing.T) {
 	n, s, c := newServer(t, Config{})
 	s.AddPool(&Pool{Name: "tiny.pool", Addrs: poolAddrs(2), PerResponse: 4, TTL: 150})
 	got := query(t, n, c, "tiny.pool", dnswire.TypeA)
-	if len(got.AddrsInAnswer("tiny.pool")) != 2 {
-		t.Errorf("answers = %v", got.AddrsInAnswer("tiny.pool"))
+	if len(got.AppendAddrsInAnswer(nil, "tiny.pool")) != 2 {
+		t.Errorf("answers = %v", got.AppendAddrsInAnswer(nil, "tiny.pool"))
 	}
 }

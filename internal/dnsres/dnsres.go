@@ -52,7 +52,9 @@ type Config struct {
 	MinTTL time.Duration
 }
 
-// CacheEntry is one cached RRset.
+// CacheEntry is one cached RRset. Its RRs live in the resolver's record
+// arena: they never change while the entry is cached and stay valid until
+// the resolver's next Reset, which reuses the arena.
 type CacheEntry struct {
 	RRs      []dnswire.RR
 	Inserted time.Time
@@ -83,6 +85,11 @@ type Resolver struct {
 	cfg   Config
 	cache map[cacheKey]CacheEntry
 	stats Stats
+	// arena holds every RRset cached since the last Reset, each stored once
+	// and never changed; CacheEntry.RRs are windows of it. hits is the
+	// scratch cache hits are served from, with their TTLs counted down.
+	arena []dnswire.RR
+	hits  []dnswire.RR
 
 	// cliDec and cliMsg decode client queries; handleClient copies the
 	// question value out before any asynchronous work, so the scratch is
@@ -92,6 +99,9 @@ type Resolver struct {
 	cliDec   dnswire.Decoder
 	cliMsg   dnswire.Message
 	replyBuf []byte
+	// recv is handleClient bound once, so that Reset re-binds port 53
+	// without allocating a method value.
+	recv simnet.UDPHandler
 }
 
 // New binds a resolver to port 53 of host, as Reset does.
@@ -101,6 +111,7 @@ func New(host *simnet.Host, cfg Config) (*Resolver, error) {
 		clock:     host.Clock(),
 		cache:     make(map[cacheKey]CacheEntry),
 	}
+	r.recv = r.handleClient
 	if err := r.Reset(cfg); err != nil {
 		return nil, err
 	}
@@ -114,7 +125,10 @@ func New(host *simnet.Host, cfg Config) (*Resolver, error) {
 // RandSeed: the stream's first outputs are copied from internal/simrand's
 // seed cache when the first TXID or port is drawn. Decode scratch —
 // including the decoders' name-intern tables, which hold only immutable
-// content-addressed strings — and map storage are retained.
+// content-addressed strings — map storage and the record arena are
+// retained. Upstream queries still outstanding return to the query pool
+// unanswered, so the clock must have been reset too, which drops their
+// timeouts (the lab pool resets it first).
 func (r *Resolver) Reset(cfg Config) error {
 	if cfg.QueryTimeout == 0 {
 		cfg.QueryTimeout = 2 * time.Second
@@ -124,9 +138,12 @@ func (r *Resolver) Reset(cfg Config) error {
 	}
 	r.cfg = cfg
 	r.rng.Seed(cfg.RandSeed)
+	r.reclaim()
 	clear(r.cache)
+	clear(r.arena)
+	r.arena = r.arena[:0]
 	r.stats = Stats{}
-	if err := r.host.HandleUDP(DNSPort, r.handleClient); err != nil {
+	if err := r.host.HandleUDP(DNSPort, r.recv); err != nil {
 		return fmt.Errorf("dnsres: bind: %w", err)
 	}
 	return nil
@@ -155,7 +172,10 @@ func (r *Resolver) CacheLen() int {
 
 // Lookup resolves (name, qtype) and calls done with the answer RRs.
 // Answers come from cache when fresh, otherwise from the delegated
-// authoritative server with a randomised source port and TXID.
+// authoritative server with a randomised source port and TXID. The RRs
+// are valid only for the duration of done: a cache hit serves them from
+// the resolver's scratch, which the next hit overwrites, so done must copy
+// what it keeps. handleClient's reply encodes them before it returns.
 func (r *Resolver) Lookup(name string, qtype dnswire.Type, done func([]dnswire.RR, error)) {
 	name = dnswire.CanonicalName(name)
 	if rrs, ok := r.cached(name, qtype); ok {
@@ -200,17 +220,18 @@ func (r *Resolver) acceptAnswer(name string, qtype dnswire.Type, m *dnswire.Mess
 			return nil
 		}
 	}
-	var rrs []dnswire.RR
+	start := len(r.arena)
 	for _, rr := range m.Answers {
 		if rr.Type == dnswire.TypeRRSIG {
 			continue
 		}
-		rrs = append(rrs, rr)
+		r.arena = append(r.arena, rr)
 	}
-	if len(rrs) == 0 {
+	if len(r.arena) == start {
 		done(nil, fmt.Errorf("%w: empty answer", ErrServFail))
 		return nil
 	}
+	rrs := r.arena[start:len(r.arena):len(r.arena)]
 	r.insert(name, qtype, rrs)
 	return rrs
 }
@@ -239,7 +260,8 @@ func validateAnswer(answers []dnswire.RR) error {
 	return nil
 }
 
-// cached returns fresh RRs with decremented TTLs.
+// cached returns fresh RRs with decremented TTLs, in the hit scratch:
+// they are valid until the next hit.
 func (r *Resolver) cached(name string, qtype dnswire.Type) ([]dnswire.RR, bool) {
 	e, ok := r.cache[cacheKey{name, qtype}]
 	if !ok {
@@ -251,15 +273,15 @@ func (r *Resolver) cached(name string, qtype dnswire.Type) ([]dnswire.RR, bool) 
 		return nil, false
 	}
 	remaining := uint32(e.Expires.Sub(now) / time.Second)
-	out := make([]dnswire.RR, len(e.RRs))
-	copy(out, e.RRs)
-	for i := range out {
-		out[i].TTL = remaining
+	r.hits = append(r.hits[:0], e.RRs...)
+	for i := range r.hits {
+		r.hits[i].TTL = remaining
 	}
-	return out, true
+	return r.hits, true
 }
 
 // insert caches an RRset keyed by (name, qtype) using the smallest TTL.
+// rrs must be a window of the arena, which the entry keeps as is.
 func (r *Resolver) insert(name string, qtype dnswire.Type, rrs []dnswire.RR) {
 	minTTL := rrs[0].TTL
 	for _, rr := range rrs {
@@ -273,13 +295,14 @@ func (r *Resolver) insert(name string, qtype dnswire.Type, rrs []dnswire.RR) {
 	}
 	now := r.clock.Now()
 	r.cache[cacheKey{name, qtype}] = CacheEntry{
-		RRs:      append([]dnswire.RR(nil), rrs...),
+		RRs:      rrs,
 		Inserted: now,
 		Expires:  now.Add(ttl),
 	}
 }
 
 // Peek returns the live cache entry for (name, qtype) without refreshing.
+// Its RRs are the cached ones, valid until the resolver's next Reset.
 func (r *Resolver) Peek(name string, qtype dnswire.Type) (CacheEntry, bool) {
 	e, ok := r.cache[cacheKey{dnswire.CanonicalName(name), qtype}]
 	if !ok || !r.clock.Now().Before(e.Expires) {
@@ -297,8 +320,10 @@ func (r *Resolver) Peek(name string, qtype dnswire.Type) (CacheEntry, bool) {
 // this hook and document the substitution in EXPERIMENTS.md.
 func (r *Resolver) OverrideCache(name string, qtype dnswire.Type, rrs []dnswire.RR, ttl time.Duration) {
 	now := r.clock.Now()
+	start := len(r.arena)
+	r.arena = append(r.arena, rrs...)
 	r.cache[cacheKey{dnswire.CanonicalName(name), qtype}] = CacheEntry{
-		RRs:      append([]dnswire.RR(nil), rrs...),
+		RRs:      r.arena[start:len(r.arena):len(r.arena)],
 		Inserted: now,
 		Expires:  now.Add(ttl),
 	}

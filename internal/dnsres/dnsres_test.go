@@ -2,6 +2,8 @@ package dnsres
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -68,7 +70,7 @@ func TestRecursiveResolution(t *testing.T) {
 			t.Errorf("LookupA: %v", err)
 			return
 		}
-		addrs, ttl = a, tt
+		addrs, ttl = append([]ipv4.Addr(nil), a...), tt
 	})
 	f.clk.RunFor(5 * time.Second)
 	if len(addrs) != 4 {
@@ -203,7 +205,7 @@ func TestDNSSECValidationRejectsBogus(t *testing.T) {
 	}
 
 	var okAddrs []ipv4.Addr
-	f.stub.LookupA("sigok.test", func(a []ipv4.Addr, _ uint32, err error) { okAddrs = a })
+	f.stub.LookupA("sigok.test", func(a []ipv4.Addr, _ uint32, err error) { okAddrs = append([]ipv4.Addr(nil), a...) })
 	f.clk.RunFor(5 * time.Second)
 	if len(okAddrs) != 1 {
 		t.Error("valid signature rejected")
@@ -218,7 +220,7 @@ func TestNonValidatingResolverAcceptsBogus(t *testing.T) {
 	z.AddA("sigfail.test", 60, ipv4.Addr{7, 7, 7, 7})
 	f.auth.AddZone(z)
 	var addrs []ipv4.Addr
-	f.stub.LookupA("sigfail.test", func(a []ipv4.Addr, _ uint32, err error) { addrs = a })
+	f.stub.LookupA("sigfail.test", func(a []ipv4.Addr, _ uint32, err error) { addrs = append([]ipv4.Addr(nil), a...) })
 	f.clk.RunFor(5 * time.Second)
 	if len(addrs) != 1 {
 		t.Error("non-validating resolver rejected bogus signature")
@@ -266,7 +268,7 @@ func TestFragmentAcceptingResolverSucceeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rrs []dnswire.RR
-	res.Lookup("frag.test", dnswire.TypeA, func(r []dnswire.RR, err error) { rrs = r })
+	res.Lookup("frag.test", dnswire.TypeA, func(r []dnswire.RR, err error) { rrs = append([]dnswire.RR(nil), r...) })
 	clk.RunFor(30 * time.Second)
 	if len(rrs) != 1 {
 		t.Errorf("rrs = %v, want the fragmented answer", rrs)
@@ -325,7 +327,7 @@ func TestRetryAfterTimeoutSucceeds(t *testing.T) {
 	}
 	var rrs []dnswire.RR
 	var lookupErr error
-	res.Lookup("pool.ntp.org", dnswire.TypeA, func(r []dnswire.RR, err error) { rrs, lookupErr = r, err })
+	res.Lookup("pool.ntp.org", dnswire.TypeA, func(r []dnswire.RR, err error) { rrs, lookupErr = append([]dnswire.RR(nil), r...), err })
 	clk.RunFor(30 * time.Second)
 	if lookupErr != nil || len(rrs) != 1 {
 		t.Errorf("rrs=%v err=%v", rrs, lookupErr)
@@ -343,7 +345,7 @@ func TestDelegationLongestSuffixWins(t *testing.T) {
 	}}, dnsauth.Config{})
 	f.addPool(8)
 	var addrs []ipv4.Addr
-	f.stub.LookupA("pool.ntp.org", func(a []ipv4.Addr, _ uint32, err error) { addrs = a })
+	f.stub.LookupA("pool.ntp.org", func(a []ipv4.Addr, _ uint32, err error) { addrs = append([]ipv4.Addr(nil), a...) })
 	f.clk.RunFor(10 * time.Second)
 	if len(addrs) != 4 {
 		t.Errorf("addrs = %v; longest-suffix delegation not used", addrs)
@@ -394,5 +396,63 @@ func TestStubIgnoresMismatchedQuestion(t *testing.T) {
 		if calls != 1 || !errors.Is(got, ErrTimeout) {
 			t.Errorf("%s: %d callbacks, last error %v; want one ErrTimeout", name, calls, got)
 		}
+	}
+}
+
+// TestStubResetIsFreshStub: a stub left with its RNG stream advanced and
+// a query outstanding behaves, once it is reset with its host and clock,
+// exactly like a NewStub under the same traffic: the same query bytes
+// (TXIDs) from the same source ports, and the same answers. A dirtied
+// stub that is not reset behaves differently, so the probe sees that
+// state.
+func TestStubResetIsFreshStub(t *testing.T) {
+	probe := func(f *fixture) string {
+		var log strings.Builder
+		f.res.Host().ObserveRaw(func(p *ipv4.Packet) {
+			if p.Src == stubAddr {
+				fmt.Fprintf(&log, "query %x\n", p.Payload)
+			}
+		})
+		for _, name := range []string{"pool.ntp.org", "nosuch.example.org", "pool.ntp.org"} {
+			f.stub.LookupA(name, func(addrs []ipv4.Addr, ttl uint32, err error) {
+				fmt.Fprintf(&log, "answer %v %d %v\n", addrs, ttl, err)
+			})
+			f.clk.RunFor(5 * time.Second)
+		}
+		return log.String()
+	}
+	fresh := newFixture(t, Config{}, dnsauth.Config{})
+	fresh.addPool(12)
+	want := probe(fresh)
+
+	dirtied := func() *fixture {
+		f := newFixture(t, Config{}, dnsauth.Config{})
+		f.addPool(12)
+		for i := 0; i < 3; i++ {
+			f.stub.LookupA("pool.ntp.org", func([]ipv4.Addr, uint32, error) {})
+			f.clk.RunFor(5 * time.Millisecond) // all three stay outstanding
+		}
+		// Reset the lab around the stub, as the lab pool does.
+		f.clk.Reset(t0)
+		f.net.Reset()
+		for _, h := range []*simnet.Host{f.auth.Host(), f.res.Host(), f.net.Host(stubAddr)} {
+			h.Reset(simnet.HostConfig{})
+		}
+		if err := f.auth.Reset(dnsauth.Config{}); err != nil {
+			t.Fatal(err)
+		}
+		f.addPool(12)
+		if err := f.res.Reset(Config{Delegations: map[string]ipv4.Addr{"ntp.org": nsAddr, "example.org": nsAddr, "sigfail.test": nsAddr, "sigok.test": nsAddr}}); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	f := dirtied()
+	f.stub.Reset(resAddr, 99)
+	if got := probe(f); got != want {
+		t.Errorf("reset stub:\n%s\nwant (a NewStub):\n%s", got, want)
+	}
+	if got := probe(dirtied()); got == want {
+		t.Errorf("a dirtied stub that was not reset probes like a fresh one:\n%s", got)
 	}
 }

@@ -756,9 +756,11 @@ func NewResponse(q *Message) *Message {
 	return r
 }
 
-// AddrsInAnswer extracts the A-record addresses from the answer section for
-// the given (canonicalised) name, following at most one CNAME hop.
-func (m *Message) AddrsInAnswer(name string) []ipv4.Addr {
+// AppendAddrsInAnswer appends the A-record addresses of the answer
+// section for the given (canonicalised) name, following at most one CNAME
+// hop, to dst and returns the extended slice: a caller with a scratch
+// slice allocates nothing.
+func (m *Message) AppendAddrsInAnswer(dst []ipv4.Addr, name string) []ipv4.Addr {
 	name = CanonicalName(name)
 	target := name
 	for _, rr := range m.Answers {
@@ -766,13 +768,12 @@ func (m *Message) AddrsInAnswer(name string) []ipv4.Addr {
 			target = CanonicalName(rr.Target)
 		}
 	}
-	var out []ipv4.Addr
 	for _, rr := range m.Answers {
 		if rr.Type == TypeA && (CanonicalName(rr.Name) == name || CanonicalName(rr.Name) == target) {
-			out = append(out, rr.Addr)
+			dst = append(dst, rr.Addr)
 		}
 	}
-	return out
+	return dst
 }
 
 // MaxARecords reports how many A records for name fit in a response of at

@@ -206,9 +206,9 @@ func TestAddrsInAnswer(t *testing.T) {
 		{Name: "other.org", Type: TypeA, Addr: ipv4.Addr{9, 9, 9, 9}},
 		{Name: "pool.ntp.org", Type: TypeA, Addr: ipv4.Addr{2, 2, 2, 2}},
 	}}
-	got := m.AddrsInAnswer("POOL.ntp.org")
+	got := m.AppendAddrsInAnswer(nil, "POOL.ntp.org")
 	if len(got) != 2 || got[0] != (ipv4.Addr{1, 1, 1, 1}) || got[1] != (ipv4.Addr{2, 2, 2, 2}) {
-		t.Errorf("AddrsInAnswer = %v", got)
+		t.Errorf("AppendAddrsInAnswer = %v", got)
 	}
 }
 
@@ -217,9 +217,9 @@ func TestAddrsInAnswerFollowsCNAME(t *testing.T) {
 		{Name: "www.example", Type: TypeCNAME, Target: "host.example"},
 		{Name: "host.example", Type: TypeA, Addr: ipv4.Addr{4, 4, 4, 4}},
 	}}
-	got := m.AddrsInAnswer("www.example")
+	got := m.AppendAddrsInAnswer(nil, "www.example")
 	if len(got) != 1 || got[0] != (ipv4.Addr{4, 4, 4, 4}) {
-		t.Errorf("AddrsInAnswer = %v", got)
+		t.Errorf("AppendAddrsInAnswer = %v", got)
 	}
 }
 

@@ -58,8 +58,9 @@ type ReassemblyStats struct {
 // Fragment bytes are applied into a persistent per-bucket buffer on
 // arrival (the overlap policy decides winners at write time), so Add never
 // retains the caller's packet or payload and performs no per-arrival
-// re-assembly work. Dropped buckets return to a free list, keeping the
-// cache allocation-lean under the attacker's bucket-filling floods.
+// re-assembly work. Dropped and completed buckets return to a free list
+// with their buffers, keeping the cache allocation-lean under the
+// attacker's bucket-filling floods and across completed datagrams.
 type Reassembler struct {
 	clock   *simclock.Clock
 	policy  ReassemblyPolicy
@@ -149,10 +150,11 @@ func (r *Reassembler) acquireBucket() *bucket {
 	return b
 }
 
-// recycle returns a dropped bucket to the free list. The coverage bitmap is
-// cleared out to its full capacity so a reused bucket never sees stale
-// coverage; the byte buffer needs no clearing because completeness requires
-// every read byte to have been covered (written) this cycle.
+// recycle returns a dropped bucket to the free list, buffers included. The
+// coverage bitmap is cleared out to its full capacity so a reused bucket
+// never sees stale coverage; the byte buffer needs no clearing because
+// completeness requires every read byte to have been covered (written)
+// this cycle.
 func (r *Reassembler) recycle(b *bucket) {
 	b.buf = b.buf[:0]
 	b.covered = b.covered[:cap(b.covered)]
@@ -175,11 +177,48 @@ func (r *Reassembler) PendingBuckets(src, dst Addr, proto Protocol) int {
 // reassembled packet is returned. The boolean reports whether a full packet
 // is being returned. Add never retains p or p.Payload: fragment bytes are
 // copied into the bucket's own buffer at write time, so callers may recycle
-// the packet as soon as Add returns.
+// the packet as soon as Add returns. A reassembled packet is newly
+// allocated and its payload belongs to the caller; AddInto is the variant
+// that assembles into a packet the caller supplies.
 func (r *Reassembler) Add(p *Packet) (*Packet, bool) {
 	if !p.IsFragment() {
 		return p, true
 	}
+	b := r.place(p)
+	if b == nil {
+		return nil, false
+	}
+	whole := &Packet{}
+	r.finish(whole, p, b)
+	return whole, true
+}
+
+// AddInto is Add writing the complete datagram into whole instead of
+// allocating a packet: whole's header is overwritten and the datagram's
+// bytes are copied into whole.Payload's storage, grown only when too
+// small. A non-fragment is copied into whole the same way. It reports
+// whether whole now holds a complete datagram; when it does not, whole is
+// untouched. The bucket keeps its buffers for the next datagram, so in
+// the steady state reassembly allocates nothing. The payload belongs to
+// the caller and no later Add or AddInto changes it.
+func (r *Reassembler) AddInto(whole, p *Packet) bool {
+	if !p.IsFragment() {
+		whole.CopyFrom(p)
+		return true
+	}
+	b := r.place(p)
+	if b == nil {
+		return false
+	}
+	r.finish(whole, p, b)
+	return true
+}
+
+// place files the fragment p into its bucket, opening one when the pair's
+// cap allows, and returns the bucket when p completed its datagram (nil
+// otherwise). The completed bucket's expiry is already stopped; finish
+// copies the datagram out and recycles it.
+func (r *Reassembler) place(p *Packet) *bucket {
 	pair := pairKey{p.Src, p.Dst, p.Proto}
 	key := bucketKey{pair, [2]byte{byte(p.ID >> 8), byte(p.ID)}}
 	b, ok := r.buckets[key]
@@ -187,7 +226,7 @@ func (r *Reassembler) Add(p *Packet) (*Packet, bool) {
 		n := r.perPair[pair]
 		if n >= r.policy.MaxPerPair {
 			r.stats.FragmentsOut++
-			return nil, false
+			return nil
 		}
 		b = r.acquireBucket()
 		b.key = key
@@ -204,24 +243,26 @@ func (r *Reassembler) Add(p *Packet) (*Packet, bool) {
 		}
 	}
 	if !b.complete() {
-		return nil, false
+		return nil
 	}
 	b.expiry.Stop()
-	// Transfer the assembled buffer out of the bucket before recycling it:
-	// the returned packet owns its payload.
-	payload := b.buf[:b.totalLen:b.totalLen]
-	b.buf = nil
-	r.dropBucket(b)
-	r.stats.Reassembled++
-	whole := &Packet{
+	return b
+}
+
+// finish writes the datagram the completed bucket b holds into whole,
+// with the header of p, the fragment that completed it, and recycles the
+// bucket with its buffers.
+func (r *Reassembler) finish(whole, p *Packet, b *bucket) {
+	*whole = Packet{
 		Src:     p.Src,
 		Dst:     p.Dst,
 		ID:      p.ID,
 		Proto:   p.Proto,
 		TTL:     p.TTL,
-		Payload: payload,
+		Payload: append(whole.Payload[:0], b.buf[:b.totalLen]...),
 	}
-	return whole, true
+	r.dropBucket(b)
+	r.stats.Reassembled++
 }
 
 // expire is the bucket-timeout callback: it drops the bucket held under

@@ -174,13 +174,14 @@ func runTo(clk *simclock.Clock, deadline time.Time) {
 
 // FuzzReassembly feeds arbitrary fragment sequences — any pair, IPID,
 // byte offset, length, MF bit and clock advance — to a Reassembler under
-// both overlap policies and checks every Add against refReassembler:
+// both overlap policies and checks every arrival against refReassembler:
 // completion, the reassembled bytes and header, Stats and the per-pair
-// bucket counts. All arrivals share one payload buffer that is
-// overwritten after each Add, so a cache that retained the caller's bytes
-// diverges from the reference, and every reassembled payload is checked
-// again at the end, so a cache that handed out a buffer it still writes
-// is caught too.
+// bucket counts. Even arrivals go through Add, odd ones through AddInto
+// with a packet of the caller's that holds stale bytes. All arrivals
+// share one payload buffer that is overwritten after each one, so a cache
+// that retained the caller's bytes diverges from the reference, and every
+// reassembled payload is checked again at the end, so a cache that handed
+// out a buffer it still writes — its buckets keep theirs — is caught too.
 func FuzzReassembly(f *testing.F) {
 	first := fuzzFrag{pair: 0, id: 1, off: 0, n: 16, mf: true, fill: 0x10}
 	middle := fuzzFrag{pair: 0, id: 1, off: 16, n: 16, mf: true, fill: 0x40}
@@ -247,14 +248,27 @@ func FuzzReassembly(f *testing.F) {
 				p := &Packet{Src: pair.src, Dst: pair.dst, Proto: pair.proto, ID: fr.id,
 					TTL: uint8(i), MF: fr.mf, FragOff: fr.off, Payload: payload}
 				want, wantDone := ref.add(p, clk.Now())
-				got, done := r.Add(p)
+				// Odd steps assemble into a caller's packet whose payload
+				// storage holds stale bytes, as simnet's pooled packets do.
+				var got *Packet
+				var done bool
+				if i%2 == 0 {
+					got, done = r.Add(p)
+				} else {
+					into := &Packet{ID: 0xbeef, MF: true, FragOff: 8, Payload: append(make([]byte, 0, 64), 0xdd, 0xdd)}
+					if done = r.AddInto(into, p); done {
+						got = into
+					}
+				}
 				switch {
 				case done != wantDone:
 					t.Fatalf("policy %d, step %d (%+v): completed %t, reference %t", overlap, i, fr, done, wantDone)
 				case !done && got != nil:
 					t.Fatalf("policy %d, step %d: incomplete Add returned a packet", overlap, i)
-				case done && !p.IsFragment() && got != p:
+				case done && !p.IsFragment() && i%2 == 0 && got != p:
 					t.Fatalf("policy %d, step %d: a whole packet was not passed through", overlap, i)
+				case done && !p.IsFragment() && i%2 == 1 && (got.ID != p.ID || got.MF || got.FragOff != 0 || !bytes.Equal(got.Payload, p.Payload)):
+					t.Fatalf("policy %d, step %d: a whole packet was not copied whole: %+v from %+v", overlap, i, got, p)
 				case done && p.IsFragment():
 					if got.Src != p.Src || got.Dst != p.Dst || got.Proto != p.Proto || got.ID != p.ID ||
 						got.TTL != p.TTL || got.MF || got.FragOff != 0 {

@@ -130,21 +130,35 @@ type Compiler struct {
 	base  PathModel
 	roles map[ipv4.Addr]Role
 	links map[Pair]PathModel // directed links resolved so far
+	zero  Path               // base when Default is nil, kept to spare an allocation per Reset
 }
 
-// Compiler returns a fresh compiler for the topology. Links the topology
-// does not list follow Default (or the zero Path when Default is nil).
+// Compiler returns a fresh compiler for the topology: an allocation plus
+// Reset.
 func (t *Topology) Compiler() *Compiler {
-	base := t.Default
-	if base == nil {
-		base = &Path{}
-	}
-	return &Compiler{
-		topo:  t,
-		base:  base,
+	c := &Compiler{
 		roles: make(map[ipv4.Addr]Role),
 		links: make(map[Pair]PathModel),
 	}
+	c.Reset(t)
+	return c
+}
+
+// Reset re-targets the compiler at t, forgetting every role and link, and
+// keeps its map storage: a reset compiler is a fresh t.Compiler(). Links
+// the topology does not list follow Default (or the zero Path when
+// Default is nil). Models compiled for t's links are built from t's
+// factories, so they are fresh per Reset, as a topology's stateful models
+// must be per lab.
+func (c *Compiler) Reset(t *Topology) {
+	c.topo = t
+	c.base = t.Default
+	if c.base == nil {
+		c.zero = Path{}
+		c.base = &c.zero
+	}
+	clear(c.roles)
+	clear(c.links)
 }
 
 // Add assigns role to addr; its links are built as packets cross them.

@@ -10,7 +10,7 @@ package ntpclient
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"dnstime/internal/dnsres"
@@ -75,19 +75,42 @@ func (k EventKind) String() string {
 	}
 }
 
-// Event is one entry in the client's event log.
+// Event is one entry in the client's event log. The log records values
+// and String formats them, so logging costs no formatting.
 type Event struct {
 	At   time.Time
 	Kind EventKind
 	Addr ipv4.Addr
+	// Note is the text of a lookup (the domain), a mobilisation
+	// ("revived" for a revived association) or a KoD (the kiss code).
 	Note string
+	// Count is the number of misses that demobilised the association
+	// (EventDemobilize) or of the sources a step agreed on (EventStep).
+	Count int
+	// Offset is the offset stepped by (EventStep) or refused for
+	// exceeding the panic threshold (EventPanic).
+	Offset time.Duration
+}
+
+// detail renders the event's note: Note itself, or for demobilisations,
+// steps and panics the text their values make.
+func (e Event) detail() string {
+	switch e.Kind {
+	case EventDemobilize:
+		return fmt.Sprintf("after %d misses", e.Count)
+	case EventStep:
+		return fmt.Sprintf("%v (%d sources)", e.Offset, e.Count)
+	case EventPanic:
+		return fmt.Sprintf("offset %v exceeds panic threshold", e.Offset)
+	}
+	return e.Note
 }
 
 // String renders the event.
 func (e Event) String() string {
 	s := fmt.Sprintf("%s %-11s %s", e.At.Format("15:04:05"), e.Kind, e.Addr)
-	if e.Note != "" {
-		s += " " + e.Note
+	if d := e.detail(); d != "" {
+		s += " " + d
 	}
 	return s
 }
@@ -111,7 +134,23 @@ type Client struct {
 	synced    bool
 	lookingUp bool
 	pollNow   time.Duration // current (possibly backed-off) poll interval
-	ticker    *simclock.Timer
+	ticker    simclock.Timer
+
+	// Callbacks bound once, so that polling, lookups and receives
+	// allocate no closures.
+	onTick   func()
+	onLookup func([]ipv4.Addr, uint32, error)
+	recv     simnet.UDPHandler
+
+	// Scratch: the NTP encode buffer and decoded packet, the selection
+	// round's slices and the free associations. Sends copy the wire bytes
+	// before returning, and no handler nests on the event loop.
+	wire         []byte
+	rx           ntpwire.Packet
+	offsets      []time.Duration
+	contributors []*Association
+	agreeing     []*Association
+	assocFree    []*Association
 
 	// Done is set when a OneShot client has synchronised.
 	Done bool
@@ -125,19 +164,52 @@ type Client struct {
 
 // New creates a client on host using profile prof, discovering servers by
 // resolving domain through the resolver at resolverAddr. initialClockError
-// is the local clock's starting error versus true time.
+// is the local clock's starting error versus true time. It is an
+// allocation plus Reset.
 func New(host *simnet.Host, prof Profile, resolverAddr ipv4.Addr, domain string, initialClockError time.Duration, seed int64) *Client {
 	c := &Client{
 		host:   host,
 		clock:  host.Clock(),
-		prof:   prof,
-		local:  NewLocalClock(host.Clock(), initialClockError),
+		local:  NewLocalClock(host.Clock(), 0),
 		stub:   dnsres.NewStub(host, resolverAddr, seed),
-		domain: domain,
 		assocs: make(map[ipv4.Addr]*Association),
 	}
-	c.pollNow = prof.PollInterval
+	c.onTick = func() {
+		c.tick()
+		c.scheduleTick()
+	}
+	c.onLookup = c.lookupDone
+	c.recv = c.receive
+	c.Reset(prof, resolverAddr, domain, initialClockError, seed)
 	return c
+}
+
+// Reset turns the client into the one New builds from these arguments on
+// its own host, keeping its storage: a reset client is a fresh one. The
+// host must be reset with it and the clock too (the lab pool re-attaches
+// the host and resets the clock), since the previous run's port binding
+// and poll timer are forgotten here. Steps and Events are truncated in
+// place: slices read from them before the Reset change with it.
+func (c *Client) Reset(prof Profile, resolverAddr ipv4.Addr, domain string, initialClockError time.Duration, seed int64) {
+	c.prof = prof
+	c.local.Reset(initialClockError)
+	c.stub.Reset(resolverAddr, seed)
+	c.domain = domain
+	for _, addr := range c.order {
+		c.assocFree = append(c.assocFree, c.assocs[addr])
+	}
+	clear(c.assocs)
+	c.order = c.order[:0]
+	c.cached = c.cached[:0]
+	c.selected = ipv4.Addr{}
+	c.port = 0
+	c.running, c.bootDone, c.synced, c.lookingUp = false, false, false, false
+	c.pollNow = prof.PollInterval
+	c.ticker = simclock.Timer{}
+	c.Done = false
+	c.Steps = c.Steps[:0]
+	c.Events = c.Events[:0]
+	c.DNSLookups = 0
 }
 
 // Profile returns the client's behaviour profile.
@@ -178,8 +250,9 @@ func (c *Client) MobilizedCount() int {
 	return n
 }
 
-func (c *Client) logEvent(kind EventKind, addr ipv4.Addr, note string) {
-	c.Events = append(c.Events, Event{At: c.clock.Now(), Kind: kind, Addr: addr, Note: note})
+func (c *Client) logEvent(e Event) {
+	e.At = c.clock.Now()
+	c.Events = append(c.Events, e)
 }
 
 // Start boots the client: bind the NTP port, do the boot-time DNS lookup,
@@ -189,7 +262,7 @@ func (c *Client) Start() error {
 		return fmt.Errorf("ntpclient %s: already running", c.prof.Name)
 	}
 	c.port = ntpwire.Port
-	if err := c.host.HandleUDP(c.port, c.receive); err != nil {
+	if err := c.host.HandleUDP(c.port, c.recv); err != nil {
 		return fmt.Errorf("ntpclient %s: bind: %w", c.prof.Name, err)
 	}
 	c.running = true
@@ -204,9 +277,7 @@ func (c *Client) Stop() {
 		return
 	}
 	c.running = false
-	if c.ticker != nil {
-		c.ticker.Stop()
-	}
+	c.ticker.Stop()
 	c.host.UnhandleUDP(c.port)
 }
 
@@ -214,10 +285,7 @@ func (c *Client) scheduleTick() {
 	if !c.running {
 		return
 	}
-	c.ticker = c.clock.Schedule(c.pollNow, func() {
-		c.tick()
-		c.scheduleTick()
-	})
+	c.clock.ScheduleInto(&c.ticker, c.pollNow, c.onTick)
 }
 
 // tick is one poll round: account the previous round, maintain the server
@@ -251,7 +319,7 @@ func (c *Client) accountMisses() {
 			}
 			if a.Misses >= c.prof.UnreachableAfter {
 				a.Demobilized = true
-				c.logEvent(EventDemobilize, addr, fmt.Sprintf("after %d misses", a.Misses))
+				c.logEvent(Event{Kind: EventDemobilize, Addr: addr, Count: a.Misses})
 				if c.selected == addr {
 					c.selected = ipv4.Addr{}
 				}
@@ -306,33 +374,36 @@ func (c *Client) lookup() {
 	}
 	c.lookingUp = true
 	c.DNSLookups++
-	c.logEvent(EventDNSLookup, ipv4.Addr{}, c.domain)
-	c.stub.LookupA(c.domain, func(addrs []ipv4.Addr, _ uint32, err error) {
-		c.lookingUp = false
-		if err != nil || !c.running {
-			return
+	c.logEvent(Event{Kind: EventDNSLookup, Note: c.domain})
+	c.stub.LookupA(c.domain, c.onLookup)
+}
+
+// lookupDone mobilises the servers a lookup returned.
+func (c *Client) lookupDone(addrs []ipv4.Addr, _ uint32, err error) {
+	c.lookingUp = false
+	if err != nil || !c.running {
+		return
+	}
+	if c.prof.SNTP {
+		c.handleSNTPAnswer(addrs)
+		return
+	}
+	// Boot-phase growth stops at TargetServers; run-time refill may go
+	// up to MaxServers (ntpd NTP_MAXCLOCK).
+	limit := c.prof.TargetServers
+	if c.bootDone {
+		limit = c.prof.MaxServers
+	}
+	for _, a := range addrs {
+		if c.MobilizedCount() >= limit {
+			break
 		}
-		if c.prof.SNTP {
-			c.handleSNTPAnswer(addrs)
-			return
-		}
-		// Boot-phase growth stops at TargetServers; run-time refill may go
-		// up to MaxServers (ntpd NTP_MAXCLOCK).
-		limit := c.prof.TargetServers
-		if c.bootDone {
-			limit = c.prof.MaxServers
-		}
-		for _, a := range addrs {
-			if c.MobilizedCount() >= limit {
-				break
-			}
-			c.mobilize(a)
-		}
-		if c.MobilizedCount() >= c.prof.TargetServers {
-			c.bootDone = true
-		}
-		c.sendPolls()
-	})
+		c.mobilize(a)
+	}
+	if c.MobilizedCount() >= c.prof.TargetServers {
+		c.bootDone = true
+	}
+	c.sendPolls()
 }
 
 func (c *Client) handleSNTPAnswer(addrs []ipv4.Addr) {
@@ -355,7 +426,7 @@ func (c *Client) handleSNTPAnswer(addrs []ipv4.Addr) {
 		if c.prof.MaxCachedAddrs > 0 && len(rest) > c.prof.MaxCachedAddrs {
 			rest = rest[:c.prof.MaxCachedAddrs]
 		}
-		c.cached = append([]ipv4.Addr(nil), rest...)
+		c.cached = append(c.cached[:0], rest...)
 	}
 	c.bootDone = true
 	c.pollNow = c.prof.PollInterval
@@ -370,12 +441,21 @@ func (c *Client) mobilize(addr ipv4.Addr) {
 		}
 		a.Demobilized = false
 		a.Reach, a.Misses, a.Samples = 0, 0, 0
-		c.logEvent(EventMobilize, addr, "revived")
+		c.logEvent(Event{Kind: EventMobilize, Addr: addr, Note: "revived"})
 		return
 	}
-	c.assocs[addr] = &Association{Addr: addr}
+	var a *Association
+	if n := len(c.assocFree); n > 0 {
+		a = c.assocFree[n-1]
+		c.assocFree[n-1] = nil
+		c.assocFree = c.assocFree[:n-1]
+	} else {
+		a = new(Association)
+	}
+	*a = Association{Addr: addr}
+	c.assocs[addr] = a
 	c.order = append(c.order, addr)
-	c.logEvent(EventMobilize, addr, "")
+	c.logEvent(Event{Kind: EventMobilize, Addr: addr})
 }
 
 // sendPolls sends one mode-3 query to every live association.
@@ -387,16 +467,17 @@ func (c *Client) sendPolls() {
 		}
 		a.pending = true
 		a.t1Local = c.local.Now()
-		pkt := ntpwire.NewClientPacket(a.t1Local)
-		_, _ = c.host.SendUDP(addr, c.port, ntpwire.Port, pkt.Marshal())
+		q := ntpwire.ClientPacket(a.t1Local)
+		c.wire = q.AppendMarshal(c.wire[:0])
+		_, _ = c.host.SendUDP(addr, c.port, ntpwire.Port, c.wire)
 	}
 }
 
 // receive handles both mode-4 responses and (when ActsAsServer) mode-3
 // queries from third parties.
 func (c *Client) receive(src ipv4.Addr, srcPort uint16, payload []byte) {
-	pkt, err := ntpwire.Unmarshal(payload)
-	if err != nil {
+	pkt := &c.rx
+	if err := ntpwire.UnmarshalInto(pkt, payload); err != nil {
 		return
 	}
 	switch pkt.Mode {
@@ -413,8 +494,9 @@ func (c *Client) receive(src ipv4.Addr, srcPort uint16, payload []byte) {
 // source in the reference ID (stratum 3 ⇒ RefID is the upstream address).
 func (c *Client) serveQuery(src ipv4.Addr, srcPort uint16, q *ntpwire.Packet) {
 	refid := [4]byte(c.selected)
-	resp := ntpwire.NewServerPacket(q, c.local.Now(), 3, refid)
-	_, _ = c.host.SendUDP(src, c.port, srcPort, resp.Marshal())
+	resp := ntpwire.ServerPacket(q, c.local.Now(), 3, refid)
+	c.wire = resp.AppendMarshal(c.wire[:0])
+	_, _ = c.host.SendUDP(src, c.port, srcPort, c.wire)
 }
 
 func (c *Client) receiveResponse(src ipv4.Addr, pkt *ntpwire.Packet) {
@@ -424,7 +506,7 @@ func (c *Client) receiveResponse(src ipv4.Addr, pkt *ntpwire.Packet) {
 	}
 	if pkt.IsKoD() {
 		a.kodSeen = true
-		c.logEvent(EventKoD, src, pkt.KissCode())
+		c.logEvent(Event{Kind: EventKoD, Addr: src, Note: pkt.KissCode()})
 		// Honour the KoD by backing off this association only.
 		a.pending = false
 		return
@@ -445,8 +527,7 @@ func (c *Client) evaluate() {
 		c.evaluateSNTP()
 		return
 	}
-	var offsets []time.Duration
-	var contributors []*Association
+	offsets, contributors := c.offsets[:0], c.contributors[:0]
 	for _, addr := range c.order {
 		a := c.assocs[addr]
 		if a.Usable() && a.Samples >= c.prof.SelectMinSamples {
@@ -454,6 +535,7 @@ func (c *Client) evaluate() {
 			contributors = append(contributors, a)
 		}
 	}
+	c.offsets, c.contributors = offsets, contributors
 	if len(offsets) == 0 {
 		return
 	}
@@ -462,18 +544,19 @@ func (c *Client) evaluate() {
 		// Fewer than a majority of live sources are selectable: wait.
 		return
 	}
-	sort.Slice(offsets, func(i, j int) bool { return offsets[i] < offsets[j] })
+	slices.Sort(offsets)
 	median := offsets[len(offsets)/2]
 	// The clique that agrees with the median within 128 ms must be a
 	// majority of contributors (simplified Marzullo/cluster step).
 	agree := 0
-	var agreeing []*Association
+	agreeing := c.agreeing[:0]
 	for _, a := range contributors {
 		if within(a.LastOffset, median, 128*time.Millisecond) {
 			agree++
 			agreeing = append(agreeing, a)
 		}
 	}
+	c.agreeing = agreeing
 	if agree*2 <= len(contributors) {
 		return
 	}
@@ -504,13 +587,13 @@ func (c *Client) applyOffset(off time.Duration, sources int) {
 	// The panic threshold is not enforced before the first successful
 	// synchronisation ("the clock may be way off when the system starts").
 	if c.prof.PanicThreshold > 0 && c.synced && abs(off) > c.prof.PanicThreshold {
-		c.logEvent(EventPanic, c.selected, fmt.Sprintf("offset %v exceeds panic threshold", off))
+		c.logEvent(Event{Kind: EventPanic, Addr: c.selected, Offset: off})
 		return
 	}
 	c.local.Step(off)
 	c.synced = true
 	c.Steps = append(c.Steps, StepEvent{At: c.clock.Now(), Delta: off, Sources: sources})
-	c.logEvent(EventStep, c.selected, fmt.Sprintf("%v (%d sources)", off, sources))
+	c.logEvent(Event{Kind: EventStep, Addr: c.selected, Count: sources, Offset: off})
 	// Offsets measured before the step are stale.
 	for _, a := range c.assocs {
 		a.LastOffset = 0

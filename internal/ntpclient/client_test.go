@@ -1,6 +1,8 @@
 package ntpclient
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -400,13 +402,22 @@ func TestEventStringsNonEmpty(t *testing.T) {
 			t.Errorf("empty string for kind %d", k)
 		}
 	}
-	// An empty note leaves no trailing separator.
-	for note, want := range map[string]string{
-		"x": "00:00:00 step        198.51.100.53 x",
-		"":  "00:00:00 step        198.51.100.53",
+	// An empty note leaves no trailing separator, and demobilisations,
+	// steps and panics render their values as the log once formatted
+	// them eagerly.
+	for _, tc := range []struct {
+		e    Event
+		want string
+	}{
+		{Event{Kind: EventMobilize, Note: "revived"}, "00:00:00 mobilize    198.51.100.53 revived"},
+		{Event{Kind: EventMobilize}, "00:00:00 mobilize    198.51.100.53"},
+		{Event{Kind: EventDemobilize, Count: 3}, "00:00:00 demobilize  198.51.100.53 after 3 misses"},
+		{Event{Kind: EventStep, Count: 3, Offset: -500 * time.Second}, "00:00:00 step        198.51.100.53 -8m20s (3 sources)"},
+		{Event{Kind: EventPanic, Offset: 2000 * time.Second}, "00:00:00 panic       198.51.100.53 offset 33m20s exceeds panic threshold"},
 	} {
-		if got := (Event{At: t0, Kind: EventStep, Addr: nsAddr, Note: note}).String(); got != want {
-			t.Errorf("note %q: event string %q, want %q", note, got, want)
+		tc.e.At, tc.e.Addr = t0, nsAddr
+		if got := tc.e.String(); got != tc.want {
+			t.Errorf("%+v: event string %q, want %q", tc.e, got, tc.want)
 		}
 	}
 }
@@ -453,5 +464,95 @@ func TestProfileByName(t *testing.T) {
 	}
 	if _, err := ProfileByName("sundial"); err == nil {
 		t.Error("unknown profile accepted")
+	}
+}
+
+// reset rewinds the lab as the lab pool does between runs: the clock,
+// the network, every host and server (re-attaching any a run detached),
+// the nameserver's pool and the resolver.
+func (l *lab) reset() {
+	l.clk.Reset(t0)
+	l.net.Reset()
+	for _, h := range []*simnet.Host{l.auth.Host(), l.res.Host()} {
+		h.Reset(simnet.HostConfig{})
+	}
+	if err := l.auth.Reset(dnsauth.Config{}); err != nil {
+		l.t.Fatal(err)
+	}
+	l.syncPool()
+	if err := l.res.Reset(dnsres.Config{Delegations: map[string]ipv4.Addr{"ntp.org": nsAddr}}); err != nil {
+		l.t.Fatal(err)
+	}
+	for _, s := range l.honest {
+		if l.net.Host(s.Addr()) == nil {
+			if err := l.net.Reattach(s.Host(), simnet.HostConfig{}); err != nil {
+				l.t.Fatal(err)
+			}
+		} else {
+			s.Host().Reset(simnet.HostConfig{})
+		}
+		if err := s.Reset(ntpserv.Config{RateLimit: ntpserv.RateLimitConfig{Enabled: true}}); err != nil {
+			l.t.Fatal(err)
+		}
+	}
+}
+
+// TestClientResetIsFreshClient: a client dirtied by a run under another
+// profile — booted, synchronised and stepped, its server lost to an
+// outage, backed off or done, a lookup or polls in flight — and then
+// reset with its host and lab behaves exactly like a New client under the
+// same traffic: the same sync source from the start, the same log, steps,
+// lookups and clock. A dirtied client that is not reset behaves
+// differently, so the probe sees that state.
+func TestClientResetIsFreshClient(t *testing.T) {
+	probe := func(l *lab, c *Client) string {
+		var b strings.Builder
+		err := c.Start()
+		fmt.Fprintf(&b, "start %v, source %v\n", err, c.Selected())
+		l.clk.RunFor(20 * time.Minute)
+		// Lose the sync source for a while: misses, backoff, demobilising
+		// and the cached addresses come into play.
+		if sel := c.Selected(); !sel.IsZero() {
+			l.net.RemoveHost(sel)
+			l.clk.RunFor(40 * time.Minute)
+		}
+		fmt.Fprintf(&b, "source %v, offset %v, lookups %d, usable %d, mobilised %d, done %t\n",
+			c.Selected(), c.ClockOffset(), c.DNSLookups, c.UsableCount(), c.MobilizedCount(), c.Done)
+		for _, e := range c.Events {
+			fmt.Fprintln(&b, e)
+		}
+		for _, s := range c.Steps {
+			fmt.Fprintf(&b, "%+v\n", s)
+		}
+		return b.String()
+	}
+	for _, tc := range []struct{ dirty, prof Profile }{
+		{ProfileNTPd, ProfileSystemd},
+		{ProfileSystemd, ProfileSystemd},
+		{ProfileNtpdate, ProfileNtpdate},
+		{ProfileSystemd, ProfileNTPd},
+		{ProfileChrony, ProfileAndroid},
+	} {
+		fresh := newLab(t, 12)
+		want := probe(fresh, fresh.newClient(tc.prof, -300*time.Second))
+		dirtied := func() (*lab, *Client) {
+			l := newLab(t, 12)
+			c := l.newClient(tc.dirty, 45*time.Second)
+			if got := probe(l, c); got == want {
+				t.Fatalf("%s run probes like the %s one it should dirty", tc.dirty.Name, tc.prof.Name)
+			}
+			l.clk.RunFor(64*time.Second + 15*time.Millisecond) // leave a poll or lookup in flight
+			l.reset()
+			c.host.Reset(simnet.HostConfig{})
+			return l, c
+		}
+		l, c := dirtied()
+		c.Reset(tc.prof, resAddr, "pool.ntp.org", -300*time.Second, 1)
+		if got := probe(l, c); got != want {
+			t.Errorf("%s client reset to %s:\n%s\nwant (a New client):\n%s", tc.dirty.Name, tc.prof.Name, got, want)
+		}
+		if got := probe(dirtied()); got == want {
+			t.Errorf("a dirtied %s client that was not reset probes like a fresh %s one:\n%s", tc.dirty.Name, tc.prof.Name, got)
+		}
 	}
 }

@@ -20,6 +20,10 @@ func NewLocalClock(clock *simclock.Clock, initialError time.Duration) *LocalCloc
 	return &LocalClock{clock: clock, offset: initialError}
 }
 
+// Reset sets the clock's error back to initialError, as NewLocalClock
+// starts it.
+func (c *LocalClock) Reset(initialError time.Duration) { c.offset = initialError }
+
 // Now returns the client's current local time.
 func (c *LocalClock) Now() time.Time { return c.clock.Now().Add(c.offset) }
 

@@ -81,11 +81,15 @@ type Server struct {
 	state map[ipv4.Addr]*limiterState
 	stats Stats
 	wire  []byte // response encode scratch; SendUDP copies before returning
+	// recv is handle bound once, so that Reset re-binds the port without
+	// allocating a method value.
+	recv simnet.UDPHandler
 }
 
 // New binds a server to UDP port 123 on host, as Reset does.
 func New(host *simnet.Host, cfg Config) (*Server, error) {
 	s := &Server{host: host, state: make(map[ipv4.Addr]*limiterState)}
+	s.recv = s.handle
 	if err := s.Reset(cfg); err != nil {
 		return nil, err
 	}
@@ -116,7 +120,7 @@ func (s *Server) Reset(cfg Config) error {
 	s.cfg = cfg
 	clear(s.state)
 	s.stats = Stats{}
-	if err := s.host.HandleUDP(ntpwire.Port, s.handle); err != nil {
+	if err := s.host.HandleUDP(ntpwire.Port, s.recv); err != nil {
 		return fmt.Errorf("ntpserv: bind: %w", err)
 	}
 	return nil
@@ -197,7 +201,8 @@ func (s *Server) limit(src ipv4.Addr, srcPort uint16) bool {
 		st.kodSent = true
 		s.stats.KoDSent++
 		kod := ntpwire.NewKoD(&ntpwire.Packet{}, ntpwire.KissRATE)
-		_, _ = s.host.SendUDP(src, ntpwire.Port, srcPort, kod.Marshal())
+		s.wire = kod.AppendMarshal(s.wire[:0])
+		_, _ = s.host.SendUDP(src, ntpwire.Port, srcPort, s.wire)
 	}
 	return true
 }

@@ -195,16 +195,10 @@ func ClientPacket(localNow time.Time) Packet {
 	}
 }
 
-// NewServerPacket builds a mode-4 reply to query. serverNow is the server's
-// (possibly shifted) clock reading, used for both T2 and T3; refid is the
-// server's reference identifier.
-func NewServerPacket(query *Packet, serverNow time.Time, stratum uint8, refid [4]byte) *Packet {
-	p := ServerPacket(query, serverNow, stratum, refid)
-	return &p
-}
-
-// ServerPacket is NewServerPacket returning by value, for callers that keep
-// the reply on the stack (the server hot path).
+// ServerPacket builds a mode-4 reply to query, by value so that callers
+// keep it on the stack. serverNow is the server's (possibly shifted) clock
+// reading, used for both T2 and T3; refid is the server's reference
+// identifier.
 func ServerPacket(query *Packet, serverNow time.Time, stratum uint8, refid [4]byte) Packet {
 	return Packet{
 		Leap:     LeapNone,

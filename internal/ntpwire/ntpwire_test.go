@@ -71,7 +71,7 @@ func TestClientPacketShape(t *testing.T) {
 
 func TestServerPacketEchoesOrigin(t *testing.T) {
 	q := NewClientPacket(t0)
-	r := NewServerPacket(q, t0.Add(42*time.Second), 2, [4]byte{1, 2, 3, 4})
+	r := ServerPacket(q, t0.Add(42*time.Second), 2, [4]byte{1, 2, 3, 4})
 	if r.Mode != ModeServer || r.Stratum != 2 {
 		t.Errorf("mode/stratum = %d/%d", r.Mode, r.Stratum)
 	}
@@ -92,7 +92,7 @@ func TestKoD(t *testing.T) {
 	if k.KissCode() != "RATE" {
 		t.Errorf("kiss code = %q", k.KissCode())
 	}
-	r := NewServerPacket(q, t0, 2, [4]byte{1, 2, 3, 4})
+	r := ServerPacket(q, t0, 2, [4]byte{1, 2, 3, 4})
 	if r.IsKoD() {
 		t.Error("normal response classified as KoD")
 	}
@@ -115,13 +115,13 @@ func TestKoDSurvivesWire(t *testing.T) {
 func TestRefIDLeak(t *testing.T) {
 	upstream := ipv4.MustParseAddr("10.20.30.40")
 	q := NewClientPacket(t0)
-	r := NewServerPacket(q, t0, 3, [4]byte(upstream))
+	r := ServerPacket(q, t0, 3, [4]byte(upstream))
 	got, ok := r.RefIDAddr()
 	if !ok || got != upstream {
 		t.Errorf("RefIDAddr = %v, %t; want %v", got, ok, upstream)
 	}
 	// Stratum 1 RefID is a clock source code, not an address.
-	r1 := NewServerPacket(q, t0, 1, [4]byte{'G', 'P', 'S', 0})
+	r1 := ServerPacket(q, t0, 1, [4]byte{'G', 'P', 'S', 0})
 	if _, ok := r1.RefIDAddr(); ok {
 		t.Error("stratum-1 RefID interpreted as address")
 	}
@@ -134,9 +134,9 @@ func TestOffsetSymmetricPath(t *testing.T) {
 	t1 := trueT1.Add(shift) // client's wrong local clock
 	serverTime := trueT1.Add(10 * time.Millisecond)
 	q := NewClientPacket(t1)
-	r := NewServerPacket(q, serverTime, 2, [4]byte{1, 1, 1, 1})
+	r := ServerPacket(q, serverTime, 2, [4]byte{1, 1, 1, 1})
 	t4 := trueT1.Add(20 * time.Millisecond).Add(shift)
-	off := Offset(r, t1, t4)
+	off := Offset(&r, t1, t4)
 	// Offset should be ≈ +500 s (client must advance by 500 s).
 	if d := off - 500*time.Second; d < -50*time.Millisecond || d > 50*time.Millisecond {
 		t.Errorf("offset = %v, want ≈500 s", off)
@@ -147,9 +147,9 @@ func TestDelayComputation(t *testing.T) {
 	t1 := t0
 	serverTime := t0.Add(15 * time.Millisecond)
 	q := NewClientPacket(t1)
-	r := NewServerPacket(q, serverTime, 2, [4]byte{1, 1, 1, 1})
+	r := ServerPacket(q, serverTime, 2, [4]byte{1, 1, 1, 1})
 	t4 := t0.Add(30 * time.Millisecond)
-	d := Delay(r, t1, t4)
+	d := Delay(&r, t1, t4)
 	if d != 30*time.Millisecond {
 		t.Errorf("delay = %v, want 30 ms (T3==T2 so full RTT)", d)
 	}

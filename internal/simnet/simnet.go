@@ -106,6 +106,12 @@ type Network struct {
 
 	pktFree []*ipv4.Packet
 	delFree []*delivery
+	// dels holds every delivery record the network has allocated, so that
+	// Reset can take back the ones a clock reset left pending.
+	dels []*delivery
+	// defPath is the default link: Reset points path at it instead of
+	// allocating a fresh zero Path.
+	defPath netem.Path
 }
 
 // Option configures a Network.
@@ -189,12 +195,35 @@ func (n *Network) RemoveHost(addr ipv4.Addr) { delete(n.hosts, addr) }
 // in-order, consuming no randomness; the default RNG seed is 1, and no
 // trace is installed. New ends with a Reset, so together with Host.Reset
 // it gives the lab pool a network that is a freshly built one.
+//
+// No delivery may be pending when Reset runs: the clock has either run
+// them all or been reset, which drops them (the lab pool resets the clock
+// first). The packets and delivery records of deliveries a clock reset
+// dropped return to the free lists here, so the next run reuses them.
 func (n *Network) Reset(opts ...Option) {
-	n.path = &netem.Path{}
+	n.reclaim()
+	n.defPath = netem.Path{}
+	n.path = &n.defPath
 	n.rng.Seed(1)
 	n.trace = nil
 	for _, o := range opts {
 		o(n)
+	}
+}
+
+// reclaim returns every delivery record that is not on the free list,
+// with its packet, to the free lists. Outside a run each such record
+// belongs to a delivery event that a clock reset dropped.
+func (n *Network) reclaim() {
+	if len(n.delFree) == len(n.dels) {
+		return
+	}
+	for _, d := range n.dels {
+		if d.pkt != nil {
+			n.putPacket(d.pkt)
+			d.dst, d.pkt = nil, nil
+			n.delFree = append(n.delFree, d)
+		}
 	}
 }
 
@@ -248,6 +277,7 @@ func (n *Network) scheduleDelivery(after time.Duration, dst *Host, pkt *ipv4.Pac
 		n.delFree = n.delFree[:l-1]
 	} else {
 		d = &delivery{net: n}
+		n.dels = append(n.dels, d)
 	}
 	d.dst, d.pkt = dst, pkt
 	n.clock.AfterArg(after, deliverFn, d)
@@ -331,6 +361,12 @@ type Host struct {
 	udp      map[uint16]UDPHandler
 	rawObs   func(*ipv4.Packet)
 	nextPort uint16
+	// seq is the default IPID allocator, kept in the host so Reset
+	// rewinds it in place.
+	seq ipv4.SequentialAllocator
+	// wire is the fragmented send path's scratch: the checksummed
+	// datagram, cut from here into pooled packets.
+	wire []byte
 
 	// Stats
 	SentPackets     int
@@ -338,7 +374,8 @@ type Host struct {
 	ChecksumErrors  int
 }
 
-// AddHost registers a new host at addr with the given configuration.
+// AddHost registers a new host at addr with the given configuration: an
+// allocation plus Reattach.
 func (n *Network) AddHost(addr ipv4.Addr, cfg HostConfig) (*Host, error) {
 	if _, ok := n.hosts[addr]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateHost, addr)
@@ -350,9 +387,26 @@ func (n *Network) AddHost(addr ipv4.Addr, cfg HostConfig) (*Host, error) {
 		pmtu:  ipv4.NewPMTUCache(n.clock, 0),
 		udp:   make(map[uint16]UDPHandler),
 	}
-	h.Reset(cfg)
-	n.hosts[addr] = h
+	if err := n.Reattach(h, cfg); err != nil {
+		return nil, err
+	}
 	return h, nil
+}
+
+// Reattach resets h to cfg and attaches it at its own address, where
+// RemoveHost detached it: the host is then a freshly added one that keeps
+// its warmed-up storage. h must have been added to this network. The lab
+// pool keeps its detached client hosts this way between runs.
+func (n *Network) Reattach(h *Host, cfg HostConfig) error {
+	if h.net != n {
+		return fmt.Errorf("simnet: host %s belongs to another network", h.addr)
+	}
+	if _, ok := n.hosts[h.addr]; ok {
+		return fmt.Errorf("%w: %s", ErrDuplicateHost, h.addr)
+	}
+	h.Reset(cfg)
+	n.hosts[h.addr] = h
+	return nil
 }
 
 // MustAddHost is AddHost for experiment setup; it panics on error.
@@ -376,7 +430,8 @@ func (h *Host) Reset(cfg HostConfig) {
 		cfg.Reassembly = ipv4.LinuxPolicy
 	}
 	if cfg.IDAlloc == nil {
-		cfg.IDAlloc = &ipv4.SequentialAllocator{}
+		h.seq = ipv4.SequentialAllocator{}
+		cfg.IDAlloc = &h.seq
 	}
 	if cfg.PMTUFloor == 0 {
 		cfg.PMTUFloor = ipv4.MinMTU
@@ -475,28 +530,7 @@ func (h *Host) SendUDP(dst ipv4.Addr, srcPort, dstPort uint16, payload []byte) (
 		h.net.injectOwned(p)
 		return id, nil
 	}
-	d := &udp.Datagram{
-		Header:  udp.Header{SrcPort: srcPort, DstPort: dstPort},
-		Payload: payload,
-	}
-	wire := udp.WithChecksum(h.addr, dst, d.Marshal())
-	pkt := &ipv4.Packet{
-		Src:     h.addr,
-		Dst:     dst,
-		ID:      h.ids.Next(h.addr, dst),
-		Proto:   ipv4.ProtoUDP,
-		TTL:     ipv4.DefaultTTL,
-		Payload: wire,
-	}
-	frags, err := ipv4.Fragment(pkt, mtu)
-	if err != nil {
-		return 0, fmt.Errorf("send udp %s -> %s: %w", h.addr, dst, err)
-	}
-	for _, f := range frags {
-		h.SentPackets++
-		h.net.Inject(f)
-	}
-	return pkt.ID, nil
+	return h.sendFragmented(dst, srcPort, dstPort, payload, mtu, false)
 }
 
 // SendUDPMTU is SendUDP with an explicit MTU override, ignoring the path
@@ -504,42 +538,56 @@ func (h *Host) SendUDP(dst ipv4.Addr, srcPort, dstPort uint16, payload []byte) (
 // with fragmented packets "even if the size is way below the maximum MTU of
 // the path" (Section VIII-B).
 func (h *Host) SendUDPMTU(dst ipv4.Addr, srcPort, dstPort uint16, payload []byte, mtu int) (uint16, error) {
-	d := &udp.Datagram{
-		Header:  udp.Header{SrcPort: srcPort, DstPort: dstPort},
-		Payload: payload,
+	return h.sendFragmented(dst, srcPort, dstPort, payload, mtu, true)
+}
+
+// sendFragmented is the one fragmenting send path. It draws the IPID,
+// checksums the datagram once into the host's scratch and cuts each
+// fragment straight into a pooled packet for the network: fragment data
+// is a multiple of 8 bytes, all fragments but the last carry MF, and the
+// packets go out in offset order. A datagram that fits mtu whole goes out
+// as one packet — unless split is set and it is longer than 16 bytes:
+// then it is forced into two fragments, cut at the largest 8-byte
+// boundary at or below its middle. An mtu below ipv4.MinMTU is an
+// ipv4.ErrBadMTU error, returned after the IPID draw and before any send.
+func (h *Host) sendFragmented(dst ipv4.Addr, srcPort, dstPort uint16, payload []byte, mtu int, split bool) (uint16, error) {
+	id := h.ids.Next(h.addr, dst)
+	if mtu < ipv4.MinMTU {
+		return 0, fmt.Errorf("send udp %s -> %s: %w: %d", h.addr, dst, ipv4.ErrBadMTU, mtu)
 	}
-	wire := udp.WithChecksum(h.addr, dst, d.Marshal())
-	pkt := &ipv4.Packet{
-		Src:     h.addr,
-		Dst:     dst,
-		ID:      h.ids.Next(h.addr, dst),
-		Proto:   ipv4.ProtoUDP,
-		TTL:     ipv4.DefaultTTL,
-		Payload: wire,
+	total := udp.HeaderLen + len(payload)
+	if cap(h.wire) < total {
+		h.wire = make([]byte, total)
 	}
-	frags, err := ipv4.Fragment(pkt, mtu)
-	if err != nil {
-		return 0, fmt.Errorf("send udp %s -> %s: %w", h.addr, dst, err)
-	}
-	// Force at least two fragments when the datagram fits the MTU whole:
-	// split at the largest 8-byte boundary below the payload end.
-	if len(frags) == 1 && len(wire) > 16 {
-		cut := (len(wire) / 2) &^ 7
-		if cut >= 8 {
-			first := pkt.Clone()
-			first.MF = true
-			first.Payload = wire[:cut]
-			second := pkt.Clone()
-			second.FragOff = cut
-			second.Payload = wire[cut:]
-			frags = []*ipv4.Packet{first, second}
+	wire := h.wire[:total]
+	udp.PutHeader(wire, srcPort, dstPort, total)
+	copy(wire[udp.HeaderLen:], payload)
+	udp.FillChecksum(h.addr, dst, wire)
+	first := (mtu - ipv4.HeaderLen) &^ 7
+	step := first
+	if ipv4.HeaderLen+total <= mtu {
+		first, step = total, total
+		if split && total > 16 {
+			first = (total / 2) &^ 7
 		}
 	}
-	for _, f := range frags {
+	for off, end := 0, first; off < total; off, end = end, end+step {
+		end = min(end, total)
+		p := h.net.getPacket()
+		*p = ipv4.Packet{
+			Src:     h.addr,
+			Dst:     dst,
+			ID:      id,
+			Proto:   ipv4.ProtoUDP,
+			TTL:     ipv4.DefaultTTL,
+			MF:      end < total,
+			FragOff: off,
+			Payload: append(p.Payload[:0], wire[off:end]...),
+		}
 		h.SentPackets++
-		h.net.Inject(f)
+		h.net.injectOwned(p)
 	}
-	return pkt.ID, nil
+	return id, nil
 }
 
 // SendICMPFragNeeded emits a fragmentation-needed ICMP toward dst. Routers
@@ -595,17 +643,16 @@ func (h *Host) receiveUDP(pkt *ipv4.Packet) {
 	if h.dropFrag && pkt.IsFragment() {
 		return
 	}
-	whole, ok := h.reasm.Add(pkt)
-	if !ok {
-		return
-	}
-	if whole.IsFragment() {
-		return
-	}
+	whole := pkt
 	if pkt.IsFragment() {
+		// Reassemble into a pooled packet, network-private like delivered
+		// packets: it is recycled once the handler returns.
+		whole = h.net.getPacket()
+		if !h.reasm.AddInto(whole, pkt) {
+			h.net.putPacket(whole)
+			return
+		}
 		h.net.emit(TraceReassembled, whole)
-		// The reassembled packet and its buffer are network-private: recycle
-		// them once the handler returns, like delivered packets.
 		defer h.net.putPacket(whole)
 	}
 	if h.verify {
