@@ -3,6 +3,7 @@ package ipv4
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 	"time"
 
 	"dnstime/internal/simclock"
@@ -74,11 +75,15 @@ type PMTUCache struct {
 	// Many stacks clamp to 552 or 576; permissive ones accept down to 68.
 	MinAccepted int
 	// TTL is the entry lifetime.
-	TTL     time.Duration
-	entries map[Addr]pmtuEntry
+	TTL time.Duration
+	// entries is sorted by destination and searched by binary search: a
+	// lab host learns at most one path MTU, but a spoofed ICMP may name
+	// any destination.
+	entries []pmtuEntry
 }
 
 type pmtuEntry struct {
+	dst     uint32 // big-endian destination address
 	mtu     int
 	expires time.Time
 }
@@ -86,7 +91,7 @@ type pmtuEntry struct {
 // NewPMTUCache returns a PMTU cache with the given acceptance floor
 // (clamped as Reset does).
 func NewPMTUCache(clock *simclock.Clock, minAccepted int) *PMTUCache {
-	c := &PMTUCache{clock: clock, entries: make(map[Addr]pmtuEntry)}
+	c := &PMTUCache{clock: clock}
 	c.Reset(minAccepted)
 	return c
 }
@@ -100,7 +105,23 @@ func (c *PMTUCache) Reset(minAccepted int) {
 	}
 	c.MinAccepted = minAccepted
 	c.TTL = 10 * time.Minute
-	clear(c.entries)
+	c.entries = c.entries[:0]
+}
+
+// find returns where dst is, or would be inserted, in c.entries, and
+// whether it is there.
+func (c *PMTUCache) find(dst Addr) (int, bool) {
+	key := binary.BigEndian.Uint32(dst[:])
+	lo, hi := 0, len(c.entries)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c.entries[m].dst < key {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(c.entries) && c.entries[lo].dst == key
 }
 
 // Update records an MTU learned for dst. It reports whether the update was
@@ -110,22 +131,27 @@ func (c *PMTUCache) Update(dst Addr, mtu int) bool {
 	if mtu < c.MinAccepted {
 		return false
 	}
-	cur, ok := c.entries[dst]
+	i, ok := c.find(dst)
 	now := c.clock.Now()
-	if ok && now.Before(cur.expires) && mtu >= cur.mtu {
+	e := pmtuEntry{dst: binary.BigEndian.Uint32(dst[:]), mtu: mtu, expires: now.Add(c.TTL)}
+	if !ok {
+		c.entries = slices.Insert(c.entries, i, e)
+		return true
+	}
+	if cur := c.entries[i]; now.Before(cur.expires) && mtu >= cur.mtu {
 		// Never raise the path MTU from an ICMP; only a timeout does.
 		return false
 	}
-	c.entries[dst] = pmtuEntry{mtu: mtu, expires: now.Add(c.TTL)}
+	c.entries[i] = e
 	return true
 }
 
 // MTU returns the current path MTU toward dst, or DefaultMTU when no live
 // entry exists.
 func (c *PMTUCache) MTU(dst Addr) int {
-	e, ok := c.entries[dst]
-	if !ok || c.clock.Now().After(e.expires) {
+	i, ok := c.find(dst)
+	if !ok || c.clock.Now().After(c.entries[i].expires) {
 		return DefaultMTU
 	}
-	return e.mtu
+	return c.entries[i].mtu
 }

@@ -440,6 +440,24 @@ func TestPMTUCacheUpdateAndLookup(t *testing.T) {
 	if got := c.MTU(hostB); got != 576 {
 		t.Errorf("MTU = %d, want 576", got)
 	}
+	// Entries for other destinations, learned out of address order, keep
+	// their own MTUs, and an unknown destination still gets the default.
+	learned := map[Addr]int{hostB: 576}
+	for i, dst := range []Addr{attacker, {10, 0, 0, 1}, hostA, {255, 255, 255, 255}, {}, {10, 0, 0, 2}} {
+		mtu := 1000 - 100*i
+		if !c.Update(dst, mtu) {
+			t.Fatalf("update %v to %d rejected", dst, mtu)
+		}
+		learned[dst] = mtu
+	}
+	for dst, mtu := range learned {
+		if got := c.MTU(dst); got != mtu {
+			t.Errorf("MTU(%v) = %d, want %d", dst, got, mtu)
+		}
+	}
+	if got := c.MTU(Addr{10, 0, 0, 3}); got != DefaultMTU {
+		t.Errorf("MTU of an unknown destination = %d, want %d", got, DefaultMTU)
+	}
 }
 
 func TestPMTUCacheFloor(t *testing.T) {

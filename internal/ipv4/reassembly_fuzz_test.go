@@ -19,14 +19,25 @@ const (
 	fuzzTick       = 250 * time.Millisecond
 )
 
-// fuzzPairs are the (src, dst, proto) pairs fragments arrive on: two
-// sources to one destination, the same hosts under another protocol, and
-// another destination, so bucket keys and caps differ in every field.
-var fuzzPairs = [4]pairKey{
+// fuzzPair is one (src, dst, proto) pair fragments arrive on.
+type fuzzPair struct {
+	src, dst Addr
+	proto    Protocol
+}
+
+// fuzzPairs are the pairs fragments arrive on: several sources to one
+// destination, the same hosts under another protocol and in reverse, and
+// the lowest and highest addresses, so pairs differ in every field and
+// open and close at both ends and the middle of the cache's pair order.
+var fuzzPairs = [8]fuzzPair{
 	{hostA, hostB, ProtoUDP},
 	{attacker, hostB, ProtoUDP},
 	{hostA, hostB, ProtoICMP},
 	{hostA, attacker, ProtoUDP},
+	{hostB, hostA, ProtoUDP},
+	{Addr{255, 255, 255, 255}, hostB, ProtoUDP},
+	{Addr{}, Addr{255, 255, 255, 255}, ProtoUDP},
+	{hostB, Addr{}, ProtoICMP},
 }
 
 // fuzzFrag is one fragment arrival decoded from FuzzReassembly's input.
@@ -49,8 +60,8 @@ func decodeFrags(data []byte) []fuzzFrag {
 		b := data[:fuzzFragBytes]
 		data = data[fuzzFragBytes:]
 		frags = append(frags, fuzzFrag{
-			pair:    int(b[0] & 3),
-			mf:      b[0]&4 != 0,
+			pair:    int(b[0] & 7),
+			mf:      b[0]&8 != 0,
 			id:      uint16(b[1] & 7),
 			off:     int(b[2] & 127),
 			n:       int(b[3] & 63),
@@ -67,7 +78,7 @@ func encodeFrags(frags ...fuzzFrag) []byte {
 	for _, f := range frags {
 		flags := byte(f.pair)
 		if f.mf {
-			flags |= 4
+			flags |= 8
 		}
 		data = append(data, flags, byte(f.id), byte(f.off), byte(f.n), f.fill, byte(f.advance/fuzzTick))
 	}
@@ -110,10 +121,10 @@ func (r *refReassembler) expire(now time.Time) {
 }
 
 // pending counts the buckets open for one pair.
-func (r *refReassembler) pending(pair pairKey) int {
+func (r *refReassembler) pending(pair fuzzPair) int {
 	n := 0
 	for key := range r.buckets {
-		if (pairKey{key.src, key.dst, key.proto}) == pair {
+		if (fuzzPair{key.src, key.dst, key.proto}) == pair {
 			n++
 		}
 	}
@@ -129,7 +140,7 @@ func (r *refReassembler) add(p *Packet, now time.Time) ([]byte, bool) {
 	key := refKey{p.Src, p.Dst, p.Proto, p.ID}
 	b := r.buckets[key]
 	if b == nil {
-		if r.pending(pairKey{p.Src, p.Dst, p.Proto}) >= fuzzMaxPerPair {
+		if r.pending(fuzzPair{p.Src, p.Dst, p.Proto}) >= fuzzMaxPerPair {
 			r.stats.FragmentsOut++
 			return nil, false
 		}
@@ -176,7 +187,8 @@ func runTo(clk *simclock.Clock, deadline time.Time) {
 // byte offset, length, MF bit and clock advance — to a Reassembler under
 // both overlap policies and checks every arrival against refReassembler:
 // completion, the reassembled bytes and header, Stats and the per-pair
-// bucket counts. Even arrivals go through Add, odd ones through AddInto
+// bucket counts of all eight pairs, and at a pair's cap that a new IPID
+// is counted in FragmentsOut and opens nothing. Even arrivals go through Add, odd ones through AddInto
 // with a packet of the caller's that holds stale bytes. All arrivals
 // share one payload buffer that is overwritten after each one, so a cache
 // that retained the caller's bytes diverges from the reference, and every
@@ -186,9 +198,21 @@ func FuzzReassembly(f *testing.F) {
 	first := fuzzFrag{pair: 0, id: 1, off: 0, n: 16, mf: true, fill: 0x10}
 	middle := fuzzFrag{pair: 0, id: 1, off: 16, n: 16, mf: true, fill: 0x40}
 	last := fuzzFrag{pair: 0, id: 1, off: 32, n: 8, fill: 0x70}
-	planted := func(id uint16) fuzzFrag {
-		return fuzzFrag{pair: 1, id: id, off: 16, n: 16, fill: 0xa0}
+	plantOn := func(pair int, id uint16) fuzzFrag {
+		return fuzzFrag{pair: pair, id: id, off: 16, n: 16, fill: 0xa0}
 	}
+	planted := func(id uint16) fuzzFrag { return plantOn(1, id) }
+	// Every pair from 4 on is filled to the cap and overrun; then a head
+	// completes one bucket of pair 5 and frees room for a new IPID there.
+	var capped []fuzzFrag
+	for pair := 4; pair < len(fuzzPairs); pair++ {
+		for id := uint16(0); id <= fuzzMaxPerPair; id++ {
+			capped = append(capped, plantOn(pair, id))
+		}
+	}
+	capped = append(capped,
+		fuzzFrag{pair: 5, id: 1, off: 0, n: 16, mf: true, fill: 0x20},
+		plantOn(5, 7), plantOn(5, 6))
 	genuine := fuzzFrag{pair: 1, id: 2, off: 0, n: 16, mf: true, fill: 0x20, advance: 4 * fuzzTick}
 	seeds := [][]fuzzFrag{
 		// In order, then out of order.
@@ -213,6 +237,20 @@ func FuzzReassembly(f *testing.F) {
 		{fuzzFrag{pair: 3, n: 12, fill: 9},
 			fuzzFrag{pair: 3, id: 7, off: 8, n: 0},
 			fuzzFrag{pair: 3, id: 7, off: 0, n: 8, mf: true, fill: 4, advance: fuzzTick}},
+		capped,
+		// Pairs that differ only in protocol interleave, and an emptied
+		// pair opens again after another pair has taken its place.
+		{fuzzFrag{pair: 0, id: 3, off: 8, n: 8, fill: 1},
+			fuzzFrag{pair: 2, id: 3, off: 8, n: 8, fill: 2},
+			fuzzFrag{pair: 0, id: 4, off: 8, n: 8, fill: 3},
+			fuzzFrag{pair: 2, id: 3, off: 0, n: 8, mf: true, fill: 4},
+			fuzzFrag{pair: 0, id: 3, off: 0, n: 8, mf: true, fill: 5},
+			fuzzFrag{pair: 0, id: 4, off: 0, n: 8, mf: true, fill: 6},
+			fuzzFrag{pair: 4, id: 1, off: 8, n: 8, fill: 7},
+			fuzzFrag{pair: 0, id: 5, off: 8, n: 8, fill: 8},
+			fuzzFrag{pair: 0, id: 6, off: 8, n: 8, fill: 9},
+			fuzzFrag{pair: 4, id: 1, off: 0, n: 8, mf: true, fill: 10},
+			fuzzFrag{pair: 0, id: 5, off: 0, n: 8, mf: true, fill: 11}},
 	}
 	for _, frags := range seeds {
 		f.Add(encodeFrags(frags...))
@@ -247,6 +285,11 @@ func FuzzReassembly(f *testing.F) {
 				}
 				p := &Packet{Src: pair.src, Dst: pair.dst, Proto: pair.proto, ID: fr.id,
 					TTL: uint8(i), MF: fr.mf, FragOff: fr.off, Payload: payload}
+				// A fragment under a new IPID on a pair at the cap must be
+				// turned away and counted, leaving the pair at the cap.
+				atCap := p.IsFragment() && ref.buckets[refKey{pair.src, pair.dst, pair.proto, fr.id}] == nil &&
+					ref.pending(pair) >= fuzzMaxPerPair
+				outBefore := r.Stats().FragmentsOut
 				want, wantDone := ref.add(p, clk.Now())
 				// Odd steps assemble into a caller's packet whose payload
 				// storage holds stale bytes, as simnet's pooled packets do.
@@ -278,6 +321,12 @@ func FuzzReassembly(f *testing.F) {
 						t.Fatalf("policy %d, step %d: reassembled %x, reference %x", overlap, i, got.Payload, want)
 					}
 					delivered = append(delivered, [2][]byte{got.Payload, want})
+				}
+				if atCap {
+					if out, pending := r.Stats().FragmentsOut, r.PendingBuckets(pair.src, pair.dst, pair.proto); done || out != outBefore+1 || pending != fuzzMaxPerPair {
+						t.Fatalf("policy %d, step %d: new IPID on %v at the cap: completed %t, FragmentsOut %d → %d, pending %d, want %d",
+							overlap, i, pair, done, outBefore, out, pending, fuzzMaxPerPair)
+					}
 				}
 				for j := range payload {
 					payload[j] = 0xee

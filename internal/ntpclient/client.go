@@ -124,8 +124,10 @@ type Client struct {
 	stub   *dnsres.Stub
 	domain string
 
-	assocs    map[ipv4.Addr]*Association
-	order     []ipv4.Addr
+	// assocs holds one association per server ever mobilised, in
+	// mobilisation order, and is searched linearly: demobilised ones stay
+	// to be revived, and a lab client holds at most ten.
+	assocs    []Association
 	cached    []ipv4.Addr // systemd-style cached addresses
 	selected  ipv4.Addr   // current sync source (zero = none)
 	port      uint16
@@ -142,15 +144,14 @@ type Client struct {
 	onLookup func([]ipv4.Addr, uint32, error)
 	recv     simnet.UDPHandler
 
-	// Scratch: the NTP encode buffer and decoded packet, the selection
-	// round's slices and the free associations. Sends copy the wire bytes
-	// before returning, and no handler nests on the event loop.
+	// Scratch: the NTP encode buffer and decoded packet and the selection
+	// round's slices. Sends copy the wire bytes before returning, and no
+	// handler nests on the event loop.
 	wire         []byte
 	rx           ntpwire.Packet
 	offsets      []time.Duration
 	contributors []*Association
 	agreeing     []*Association
-	assocFree    []*Association
 
 	// Done is set when a OneShot client has synchronised.
 	Done bool
@@ -168,11 +169,10 @@ type Client struct {
 // allocation plus Reset.
 func New(host *simnet.Host, prof Profile, resolverAddr ipv4.Addr, domain string, initialClockError time.Duration, seed int64) *Client {
 	c := &Client{
-		host:   host,
-		clock:  host.Clock(),
-		local:  NewLocalClock(host.Clock(), 0),
-		stub:   dnsres.NewStub(host, resolverAddr, seed),
-		assocs: make(map[ipv4.Addr]*Association),
+		host:  host,
+		clock: host.Clock(),
+		local: NewLocalClock(host.Clock(), 0),
+		stub:  dnsres.NewStub(host, resolverAddr, seed),
 	}
 	c.onTick = func() {
 		c.tick()
@@ -195,11 +195,7 @@ func (c *Client) Reset(prof Profile, resolverAddr ipv4.Addr, domain string, init
 	c.local.Reset(initialClockError)
 	c.stub.Reset(resolverAddr, seed)
 	c.domain = domain
-	for _, addr := range c.order {
-		c.assocFree = append(c.assocFree, c.assocs[addr])
-	}
-	clear(c.assocs)
-	c.order = c.order[:0]
+	c.assocs = c.assocs[:0]
 	c.cached = c.cached[:0]
 	c.selected = ipv4.Addr{}
 	c.port = 0
@@ -231,8 +227,8 @@ func (c *Client) Selected() ipv4.Addr { return c.selected }
 // UsableCount reports the number of usable associations.
 func (c *Client) UsableCount() int {
 	n := 0
-	for _, a := range c.assocs {
-		if a.Usable() {
+	for i := range c.assocs {
+		if c.assocs[i].Usable() {
 			n++
 		}
 	}
@@ -242,12 +238,23 @@ func (c *Client) UsableCount() int {
 // MobilizedCount reports the number of live (non-demobilised) associations.
 func (c *Client) MobilizedCount() int {
 	n := 0
-	for _, a := range c.assocs {
-		if !a.Demobilized {
+	for i := range c.assocs {
+		if !c.assocs[i].Demobilized {
 			n++
 		}
 	}
 	return n
+}
+
+// assoc returns the association with addr, or nil. The pointer is good
+// until the next mobilisation.
+func (c *Client) assoc(addr ipv4.Addr) *Association {
+	for i := range c.assocs {
+		if c.assocs[i].Addr == addr {
+			return &c.assocs[i]
+		}
+	}
+	return nil
 }
 
 func (c *Client) logEvent(e Event) {
@@ -302,8 +309,8 @@ func (c *Client) tick() {
 // accountMisses shifts reach registers for pending (unanswered) polls and
 // demobilises dead associations.
 func (c *Client) accountMisses() {
-	for _, addr := range c.order {
-		a := c.assocs[addr]
+	for i := range c.assocs {
+		a := &c.assocs[i]
 		if a.Demobilized {
 			continue
 		}
@@ -319,8 +326,8 @@ func (c *Client) accountMisses() {
 			}
 			if a.Misses >= c.prof.UnreachableAfter {
 				a.Demobilized = true
-				c.logEvent(Event{Kind: EventDemobilize, Addr: addr, Count: a.Misses})
-				if c.selected == addr {
+				c.logEvent(Event{Kind: EventDemobilize, Addr: a.Addr, Count: a.Misses})
+				if c.selected == a.Addr {
 					c.selected = ipv4.Addr{}
 				}
 			}
@@ -354,7 +361,7 @@ func (c *Client) maintainSNTP() {
 	for len(c.cached) > 0 {
 		next := c.cached[0]
 		c.cached = c.cached[1:]
-		if a, ok := c.assocs[next]; ok && a.Demobilized {
+		if a := c.assoc(next); a != nil && a.Demobilized {
 			continue
 		}
 		c.mobilize(next)
@@ -412,7 +419,7 @@ func (c *Client) handleSNTPAnswer(addrs []ipv4.Addr) {
 	}
 	fresh := addrs[:0:0]
 	for _, a := range addrs {
-		if assoc, ok := c.assocs[a]; ok && assoc.Demobilized {
+		if assoc := c.assoc(a); assoc != nil && assoc.Demobilized {
 			continue
 		}
 		fresh = append(fresh, a)
@@ -435,7 +442,7 @@ func (c *Client) handleSNTPAnswer(addrs []ipv4.Addr) {
 
 // mobilize creates (or revives) an association.
 func (c *Client) mobilize(addr ipv4.Addr) {
-	if a, ok := c.assocs[addr]; ok {
+	if a := c.assoc(addr); a != nil {
 		if !a.Demobilized {
 			return
 		}
@@ -444,24 +451,14 @@ func (c *Client) mobilize(addr ipv4.Addr) {
 		c.logEvent(Event{Kind: EventMobilize, Addr: addr, Note: "revived"})
 		return
 	}
-	var a *Association
-	if n := len(c.assocFree); n > 0 {
-		a = c.assocFree[n-1]
-		c.assocFree[n-1] = nil
-		c.assocFree = c.assocFree[:n-1]
-	} else {
-		a = new(Association)
-	}
-	*a = Association{Addr: addr}
-	c.assocs[addr] = a
-	c.order = append(c.order, addr)
+	c.assocs = append(c.assocs, Association{Addr: addr})
 	c.logEvent(Event{Kind: EventMobilize, Addr: addr})
 }
 
 // sendPolls sends one mode-3 query to every live association.
 func (c *Client) sendPolls() {
-	for _, addr := range c.order {
-		a := c.assocs[addr]
+	for i := range c.assocs {
+		a := &c.assocs[i]
 		if a.Demobilized || a.pending {
 			continue
 		}
@@ -469,7 +466,7 @@ func (c *Client) sendPolls() {
 		a.t1Local = c.local.Now()
 		q := ntpwire.ClientPacket(a.t1Local)
 		c.wire = q.AppendMarshal(c.wire[:0])
-		_, _ = c.host.SendUDP(addr, c.port, ntpwire.Port, c.wire)
+		_, _ = c.host.SendUDP(a.Addr, c.port, ntpwire.Port, c.wire)
 	}
 }
 
@@ -500,8 +497,8 @@ func (c *Client) serveQuery(src ipv4.Addr, srcPort uint16, q *ntpwire.Packet) {
 }
 
 func (c *Client) receiveResponse(src ipv4.Addr, pkt *ntpwire.Packet) {
-	a, ok := c.assocs[src]
-	if !ok || a.Demobilized || !a.pending {
+	a := c.assoc(src)
+	if a == nil || a.Demobilized || !a.pending {
 		return
 	}
 	if pkt.IsKoD() {
@@ -528,8 +525,8 @@ func (c *Client) evaluate() {
 		return
 	}
 	offsets, contributors := c.offsets[:0], c.contributors[:0]
-	for _, addr := range c.order {
-		a := c.assocs[addr]
+	for i := range c.assocs {
+		a := &c.assocs[i]
 		if a.Usable() && a.Samples >= c.prof.SelectMinSamples {
 			offsets = append(offsets, a.LastOffset)
 			contributors = append(contributors, a)
@@ -566,8 +563,8 @@ func (c *Client) evaluate() {
 }
 
 func (c *Client) evaluateSNTP() {
-	for _, addr := range c.order {
-		a := c.assocs[addr]
+	for i := range c.assocs {
+		a := &c.assocs[i]
 		if a.Usable() && a.Samples >= c.prof.SelectMinSamples {
 			c.selected = a.Addr
 			c.applyOffset(a.LastOffset, 1)
@@ -595,8 +592,8 @@ func (c *Client) applyOffset(off time.Duration, sources int) {
 	c.Steps = append(c.Steps, StepEvent{At: c.clock.Now(), Delta: off, Sources: sources})
 	c.logEvent(Event{Kind: EventStep, Addr: c.selected, Count: sources, Offset: off})
 	// Offsets measured before the step are stale.
-	for _, a := range c.assocs {
-		a.LastOffset = 0
+	for i := range c.assocs {
+		c.assocs[i].LastOffset = 0
 	}
 	if c.prof.OneShot {
 		c.Done = true

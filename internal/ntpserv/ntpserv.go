@@ -13,7 +13,9 @@
 package ntpserv
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"dnstime/internal/ipv4"
@@ -67,7 +69,9 @@ type Stats struct {
 	KoDSent     int
 }
 
+// limiterState is one client's token bucket, under its address.
 type limiterState struct {
+	client     ipv4.Addr
 	tokens     float64
 	lastRefill time.Time
 	heldUntil  time.Time
@@ -76,9 +80,12 @@ type limiterState struct {
 
 // Server is an NTP server bound to port 123 of a simnet host.
 type Server struct {
-	host  *simnet.Host
-	cfg   Config
-	state map[ipv4.Addr]*limiterState
+	host *simnet.Host
+	cfg  Config
+	// state holds the rate limiter's clients sorted by address and is
+	// searched by binary search: a lab server limits one client, but the
+	// limiter keys on spoofable source addresses.
+	state []limiterState
 	stats Stats
 	wire  []byte // response encode scratch; SendUDP copies before returning
 	// recv is handle bound once, so that Reset re-binds the port without
@@ -88,7 +95,7 @@ type Server struct {
 
 // New binds a server to UDP port 123 on host, as Reset does.
 func New(host *simnet.Host, cfg Config) (*Server, error) {
-	s := &Server{host: host, state: make(map[ipv4.Addr]*limiterState)}
+	s := &Server{host: host}
 	s.recv = s.handle
 	if err := s.Reset(cfg); err != nil {
 		return nil, err
@@ -99,7 +106,7 @@ func New(host *simnet.Host, cfg Config) (*Server, error) {
 // Reset binds the server to UDP port 123 of its (freshly host.Reset)
 // host under cfg, with defaults applied, an empty limiter table and zero
 // stats. New ends with a Reset, so a reset server is a fresh one. The
-// encode scratch and the limiter map's storage are retained — that reuse
+// encode scratch and the limiter table's storage are retained — that reuse
 // is the point (the lab pool resets a dozen servers per campaign seed).
 func (s *Server) Reset(cfg Config) error {
 	if cfg.Stratum == 0 {
@@ -118,7 +125,7 @@ func (s *Server) Reset(cfg Config) error {
 		cfg.RateLimit.HoldDown = 60 * time.Second
 	}
 	s.cfg = cfg
-	clear(s.state)
+	s.state = s.state[:0]
 	s.stats = Stats{}
 	if err := s.host.HandleUDP(ntpwire.Port, s.recv); err != nil {
 		return fmt.Errorf("ntpserv: bind: %w", err)
@@ -140,9 +147,28 @@ func (s *Server) RateLimits() bool { return s.cfg.RateLimit.Enabled }
 
 // IsLimiting reports whether queries from client are currently held down.
 func (s *Server) IsLimiting(client ipv4.Addr) bool {
-	st, ok := s.state[client]
-	return ok && s.host.Clock().Now().Before(st.heldUntil)
+	i, ok := s.find(client)
+	return ok && s.host.Clock().Now().Before(s.state[i].heldUntil)
 }
+
+// find returns where client is, or would be inserted, in s.state, and
+// whether it is there.
+func (s *Server) find(client ipv4.Addr) (int, bool) {
+	key := addrKey(client)
+	lo, hi := 0, len(s.state)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if addrKey(s.state[m].client) < key {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(s.state) && s.state[lo].client == client
+}
+
+// addrKey orders addresses as integers.
+func addrKey(a ipv4.Addr) uint32 { return binary.BigEndian.Uint32(a[:]) }
 
 // now returns the server's (possibly shifted) clock reading.
 func (s *Server) now() time.Time {
@@ -172,11 +198,11 @@ func (s *Server) handle(src ipv4.Addr, srcPort uint16, payload []byte) {
 func (s *Server) limit(src ipv4.Addr, srcPort uint16) bool {
 	now := s.host.Clock().Now()
 	cfg := s.cfg.RateLimit
-	st, ok := s.state[src]
+	i, ok := s.find(src)
 	if !ok {
-		st = &limiterState{tokens: float64(cfg.Burst), lastRefill: now}
-		s.state[src] = st
+		s.state = slices.Insert(s.state, i, limiterState{client: src, tokens: float64(cfg.Burst), lastRefill: now})
 	}
+	st := &s.state[i]
 	if now.Before(st.heldUntil) {
 		// Every query during hold-down re-arms it.
 		st.heldUntil = now.Add(cfg.HoldDown)

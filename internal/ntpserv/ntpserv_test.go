@@ -113,6 +113,32 @@ func TestRateLimitTriggersOnFlood(t *testing.T) {
 	}
 }
 
+// TestRateLimitPerClient: the limiter keeps one bucket per claimed source,
+// whatever order sources first appear in, so flooding some addresses
+// limits those and no others.
+func TestRateLimitPerClient(t *testing.T) {
+	f := newFixture(t, Config{RateLimit: RateLimitConfig{Enabled: true, MinInterval: 2 * time.Second, Burst: 4, HoldDown: 60 * time.Second}})
+	wire := ntpwire.NewClientPacket(f.clk.Now()).Marshal()
+	srcs := []ipv4.Addr{{10, 9, 0, 5}, {10, 0, 0, 2}, {192, 0, 2, 77}, {10, 5, 5, 5}, {172, 16, 0, 1}, {10, 0, 0, 3}, {255, 0, 0, 1}}
+	flooded := func(i int) bool { return i%2 == 0 }
+	for round := 0; round < 20; round++ {
+		for i, src := range srcs {
+			if round == 0 || flooded(i) {
+				f.net.Inject(buildSpoofedQuery(src, serverAddr, wire))
+			}
+		}
+		f.clk.RunFor(100 * time.Millisecond)
+	}
+	for i, src := range srcs {
+		if got := f.server.IsLimiting(src); got != flooded(i) {
+			t.Errorf("IsLimiting(%v) = %t, want %t", src, got, flooded(i))
+		}
+	}
+	if f.server.IsLimiting(clientAddr) {
+		t.Error("a client that never queried is limited")
+	}
+}
+
 func TestRateLimitHoldDownReArms(t *testing.T) {
 	f := newFixture(t, Config{RateLimit: RateLimitConfig{Enabled: true, MinInterval: 2 * time.Second, Burst: 4, HoldDown: 10 * time.Second}})
 	wire := ntpwire.NewClientPacket(f.clk.Now()).Marshal()

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"time"
 
@@ -45,6 +46,7 @@ var (
 	ErrDuplicateHost = errors.New("simnet: host address already in use")
 	ErrPortInUse     = errors.New("simnet: UDP port already has a handler")
 	ErrNoSuchHost    = errors.New("simnet: no host with that address")
+	ErrNilHandler    = errors.New("simnet: nil UDP handler")
 )
 
 // TraceKind classifies packet-trace events.
@@ -339,8 +341,8 @@ type HostConfig struct {
 	PMTUFloor int
 	// LinkMTU is the interface MTU (default 1500).
 	LinkMTU int
-	// VerifyChecksums makes the host discard UDP datagrams whose checksum
-	// fails (default true — set explicitly via DisableChecksum for tests).
+	// DisableChecksum makes the host accept UDP datagrams whose checksum
+	// fails; by default it discards them and counts each in ChecksumErrors.
 	DisableChecksum bool
 	// DropFragments discards incoming IP fragments, modelling resolvers
 	// behind fragment-filtering middleboxes (the ~68% of resolvers in the
@@ -358,7 +360,12 @@ type Host struct {
 	linkMTU  int
 	verify   bool
 	dropFrag bool
-	udp      map[uint16]UDPHandler
+	// ports holds the bound UDP ports, sorted and searched by binary
+	// search, and handlers their handlers, index for index: a host binds
+	// one or two ports, a Chronos client up to ≈100 and the per-server
+	// §VII-A scan up to 16 384.
+	ports    []uint16
+	handlers []UDPHandler
 	rawObs   func(*ipv4.Packet)
 	nextPort uint16
 	// seq is the default IPID allocator, kept in the host so Reset
@@ -385,7 +392,6 @@ func (n *Network) AddHost(addr ipv4.Addr, cfg HostConfig) (*Host, error) {
 		addr:  addr,
 		reasm: ipv4.NewReassembler(n.clock, ipv4.ReassemblyPolicy{}),
 		pmtu:  ipv4.NewPMTUCache(n.clock, 0),
-		udp:   make(map[uint16]UDPHandler),
 	}
 	if err := n.Reattach(h, cfg); err != nil {
 		return nil, err
@@ -445,7 +451,9 @@ func (h *Host) Reset(cfg HostConfig) {
 	h.linkMTU = cfg.LinkMTU
 	h.verify = !cfg.DisableChecksum
 	h.dropFrag = cfg.DropFragments
-	clear(h.udp)
+	h.ports = h.ports[:0]
+	clear(h.handlers)
+	h.handlers = h.handlers[:0]
 	h.rawObs = nil
 	h.nextPort = 49152
 	h.SentPackets, h.ReceivedPackets, h.ChecksumErrors = 0, 0, 0
@@ -473,17 +481,28 @@ func (h *Host) PathMTU(dst ipv4.Addr) int {
 // by measurements).
 func (h *Host) Reassembler() *ipv4.Reassembler { return h.reasm }
 
-// HandleUDP installs a handler for a UDP port.
+// HandleUDP installs a handler for a UDP port. A nil handler is
+// ErrNilHandler and a bound port ErrPortInUse; neither binds anything.
 func (h *Host) HandleUDP(port uint16, fn UDPHandler) error {
-	if _, ok := h.udp[port]; ok {
+	if fn == nil {
+		return fmt.Errorf("%w: %s:%d", ErrNilHandler, h.addr, port)
+	}
+	i, bound := slices.BinarySearch(h.ports, port)
+	if bound {
 		return fmt.Errorf("%w: %s:%d", ErrPortInUse, h.addr, port)
 	}
-	h.udp[port] = fn
+	h.ports = slices.Insert(h.ports, i, port)
+	h.handlers = slices.Insert(h.handlers, i, fn)
 	return nil
 }
 
-// UnhandleUDP removes a port handler.
-func (h *Host) UnhandleUDP(port uint16) { delete(h.udp, port) }
+// UnhandleUDP removes a port handler (no-op when the port is unbound).
+func (h *Host) UnhandleUDP(port uint16) {
+	if i, bound := slices.BinarySearch(h.ports, port); bound {
+		h.ports = slices.Delete(h.ports, i, i+1)
+		h.handlers = slices.Delete(h.handlers, i, i+1)
+	}
+}
 
 // AllocPort returns a fresh ephemeral port. Sequential by default; DNS
 // resolvers randomise ports themselves (that randomness is a resolver
@@ -666,10 +685,11 @@ func (h *Host) receiveUDP(pkt *ipv4.Packet) {
 	if err != nil {
 		return
 	}
-	fn, ok := h.udp[hdr.DstPort]
-	if !ok {
+	i, bound := slices.BinarySearch(h.ports, hdr.DstPort)
+	if !bound {
 		return
 	}
+	fn := h.handlers[i]
 	// The payload aliases the (pooled) packet buffer: handlers must not
 	// retain it after returning (see the Network doc comment).
 	fn(whole.Src, hdr.SrcPort, payload)

@@ -89,6 +89,26 @@ func TestDuplicatePortRejected(t *testing.T) {
 	}
 }
 
+// TestNilHandlerRejected: binding a nil handler is an error that binds
+// nothing, so a datagram to the port is dropped instead of calling nil,
+// and a real handler can still take the port.
+func TestNilHandlerRejected(t *testing.T) {
+	n, a, b := twoHosts(t)
+	if err := b.HandleUDP(53, nil); !errors.Is(err, ErrNilHandler) {
+		t.Fatalf("err = %v, want ErrNilHandler", err)
+	}
+	if _, err := a.SendUDP(addrB, 1, 53, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	n.Clock().RunFor(time.Second)
+	if b.ReceivedPackets != 1 {
+		t.Fatalf("ReceivedPackets = %d, want 1", b.ReceivedPackets)
+	}
+	if err := b.HandleUDP(53, func(ipv4.Addr, uint16, []byte) {}); err != nil {
+		t.Errorf("bind after a rejected nil handler: %v", err)
+	}
+}
+
 func TestUnhandledPortDropped(t *testing.T) {
 	n, a, b := twoHosts(t)
 	delivered := false
