@@ -16,9 +16,11 @@
 package attack
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"time"
 
@@ -53,6 +55,10 @@ type Attacker struct {
 
 	wire []byte // encode scratch; SendUDP copies before returning
 
+	// ICMP scratch for ForceFragmentation; Inject copies on entry.
+	icmpWire []byte
+	icmpPkt  ipv4.Packet
+
 	// Fragment-building scratch: a planting campaign rebuilds its spoofed
 	// fragments every round, so the template decode, the twin re-encode,
 	// the wire images and the candidate packets are all reused. Inject
@@ -66,6 +72,19 @@ type Attacker struct {
 	spoofF2  []byte
 	fragPkts []ipv4.Packet
 	frags    []*ipv4.Packet
+
+	// The key of the last successful build, whose second fragment spoofF2
+	// still holds, cut at byte lastCut of the datagram: the template's
+	// bytes after its 2-byte DNS ID (empty when no build is held), the
+	// malicious addresses, the TTL and the MTU. A round whose plan matches
+	// re-stamps only the packet headers. A failed or differing build
+	// empties lastTmpl before it overwrites spoofF2. The key is content
+	// alone, so it survives Reset.
+	lastTmpl []byte
+	lastMal  []ipv4.Addr
+	lastTTL  uint32
+	lastMTU  int
+	lastCut  int
 }
 
 // New creates an attacker operating from host.
@@ -123,19 +142,21 @@ func (a *Attacker) ForceFragmentation(ns, victim ipv4.Addr, mtu int) {
 		a.tr.Event(a.clock.Now(), "attack", "force-frag",
 			"ns="+ns.String()+" victim="+victim.String()+" mtu="+strconv.Itoa(mtu))
 	}
-	msg := &ipv4.ICMPFragNeeded{
+	msg := ipv4.ICMPFragNeeded{
 		NextHopMTU: uint16(mtu),
 		OrigSrc:    ns,
 		OrigDst:    victim,
 		OrigProto:  ipv4.ProtoUDP,
 	}
-	a.Inject(&ipv4.Packet{
+	a.icmpWire = msg.AppendMarshal(a.icmpWire[:0])
+	a.icmpPkt = ipv4.Packet{
 		Src:     ipv4.Addr{192, 0, 2, 254}, // fictitious on-path router
 		Dst:     ns,
 		Proto:   ipv4.ProtoICMP,
 		TTL:     ipv4.DefaultTTL,
-		Payload: msg.Marshal(),
-	})
+		Payload: a.icmpWire,
+	}
+	a.Inject(&a.icmpPkt)
 }
 
 // ---------------------------------------------------------------------------
@@ -245,36 +266,19 @@ type PoisonPlan struct {
 // call. Inject copies on entry, so the lab's planting loop
 // (core.Campaign) never observes the reuse. A zero Attacker builds
 // fragments too.
+//
+// A planting campaign builds the same fragment every round, so the last
+// successful build is kept: a plan with the same template bytes after the
+// DNS ID, malicious addresses, TTL and MTU reuses its payload. Leaving the
+// ID out is exact: the cut is at least 16 bytes into the datagram, so the
+// ID lies in the nameserver's own first fragment.
 func (a *Attacker) BuildSpoofedFragments(plan PoisonPlan) ([]*ipv4.Packet, error) {
-	mal, err := a.maliciousTwin(plan.Template, plan.Malicious, plan.TTL)
-	if err != nil {
-		return nil, err
+	if !a.repeats(plan) {
+		if err := a.buildSecondFragment(plan); err != nil {
+			return nil, err
+		}
 	}
-	// Both datagrams as the wire sees them: UDP header + DNS payload. The
-	// attacker does not know the real ports/checksum but they sit in the
-	// first fragment; any placeholder works for computing the split.
-	a.realWire = growZeroHeader(a.realWire, udp.HeaderLen+len(plan.Template))
-	realWire := a.realWire
-	copy(realWire[udp.HeaderLen:], plan.Template)
-	a.malWire = growZeroHeader(a.malWire, udp.HeaderLen+len(mal))
-	malWire := a.malWire
-	copy(malWire[udp.HeaderLen:], mal)
-
-	cut := (plan.MTU - ipv4.HeaderLen) &^ 7
-	if cut <= udp.HeaderLen || cut >= len(realWire) {
-		return nil, fmt.Errorf("%w: len=%d cut=%d", ErrFragmentBounds, len(realWire), cut)
-	}
-	realF2 := realWire[cut:]
-	a.spoofF2 = append(a.spoofF2[:0], malWire[cut:]...)
-	spoofF2 := a.spoofF2
-
-	slack, err := findSlack(spoofF2)
-	if err != nil {
-		return nil, err
-	}
-	if err := udp.FixSum(realF2, spoofF2, slack); err != nil {
-		return nil, fmt.Errorf("attack: %w", err)
-	}
+	cut, spoofF2 := a.lastCut, a.spoofF2
 	if a.traceOn() {
 		a.tr.Event(a.clock.Now(), "attack", "build-frags",
 			"candidates="+strconv.Itoa(len(plan.IPIDs))+" cut="+strconv.Itoa(cut))
@@ -301,6 +305,52 @@ func (a *Attacker) BuildSpoofedFragments(plan PoisonPlan) ([]*ipv4.Packet, error
 		a.frags = append(a.frags, &pkts[i])
 	}
 	return a.frags, nil
+}
+
+// repeats reports whether plan's second fragment is the one the last
+// successful build left in spoofF2.
+func (a *Attacker) repeats(plan PoisonPlan) bool {
+	return len(plan.Template) > 2 && bytes.Equal(plan.Template[2:], a.lastTmpl) &&
+		slices.Equal(plan.Malicious, a.lastMal) && plan.TTL == a.lastTTL && plan.MTU == a.lastMTU
+}
+
+// buildSecondFragment builds plan's spoofed second fragment into spoofF2
+// and, on success, records plan as the last build.
+func (a *Attacker) buildSecondFragment(plan PoisonPlan) error {
+	a.lastTmpl = a.lastTmpl[:0]
+	mal, err := a.maliciousTwin(plan.Template, plan.Malicious, plan.TTL)
+	if err != nil {
+		return err
+	}
+	// Both datagrams as the wire sees them: UDP header + DNS payload. The
+	// attacker does not know the real ports/checksum but they sit in the
+	// first fragment; any placeholder works for computing the split.
+	a.realWire = growZeroHeader(a.realWire, udp.HeaderLen+len(plan.Template))
+	realWire := a.realWire
+	copy(realWire[udp.HeaderLen:], plan.Template)
+	a.malWire = growZeroHeader(a.malWire, udp.HeaderLen+len(mal))
+	malWire := a.malWire
+	copy(malWire[udp.HeaderLen:], mal)
+
+	cut := (plan.MTU - ipv4.HeaderLen) &^ 7
+	if cut <= udp.HeaderLen || cut >= len(realWire) {
+		return fmt.Errorf("%w: len=%d cut=%d", ErrFragmentBounds, len(realWire), cut)
+	}
+	realF2 := realWire[cut:]
+	a.spoofF2 = append(a.spoofF2[:0], malWire[cut:]...)
+	spoofF2 := a.spoofF2
+
+	slack, err := findSlack(spoofF2)
+	if err != nil {
+		return err
+	}
+	if err := udp.FixSum(realF2, spoofF2, slack); err != nil {
+		return fmt.Errorf("attack: %w", err)
+	}
+	a.lastTmpl = append(a.lastTmpl, plan.Template[2:]...)
+	a.lastMal = append(a.lastMal[:0], plan.Malicious...)
+	a.lastTTL, a.lastMTU, a.lastCut = plan.TTL, plan.MTU, cut
+	return nil
 }
 
 // growZeroHeader returns b resized to n bytes with the UDP-header prefix
@@ -380,10 +430,11 @@ func (a *Attacker) TriggerOpenResolverQuery(resolver ipv4.Addr, name string) {
 		a.tr.Event(a.clock.Now(), "attack", "trigger-query", name)
 	}
 	q := dnswire.NewQuery(uint16(a.rng.Intn(1<<16)), name, dnswire.TypeA, true)
-	wire, err := q.Marshal()
+	wire, err := q.AppendMarshal(a.wire[:0])
 	if err != nil {
 		return
 	}
+	a.wire = wire
 	port := a.host.AllocPort()
 	_ = a.host.HandleUDP(port, func(ipv4.Addr, uint16, []byte) {})
 	a.clock.Schedule(5*time.Second, func() { a.host.UnhandleUDP(port) })
@@ -426,13 +477,14 @@ func (a *Attacker) FetchTemplate(ns ipv4.Addr, name string, done func([]byte, er
 		done(nil, fmt.Errorf("attack: template fetch timed out"))
 	})
 	q := dnswire.NewQuery(uint16(a.rng.Intn(1<<16)), name, dnswire.TypeA, false)
-	wire, err := q.Marshal()
+	wire, err := q.AppendMarshal(a.wire[:0])
 	if err != nil {
 		timer.Stop()
 		a.host.UnhandleUDP(port)
 		done(nil, err)
 		return
 	}
+	a.wire = wire
 	a.InjectedPackets++
 	_, _ = a.host.SendUDP(ns, port, 53, wire)
 }

@@ -1,7 +1,10 @@
 package attack
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -373,5 +376,93 @@ func TestBuildSpoofedFragmentsErrors(t *testing.T) {
 	})
 	if !errors.Is(err, ErrNoSlack) {
 		t.Errorf("err = %v, want ErrNoSlack", err)
+	}
+}
+
+// TestSpoofedFragmentsMemo: an attacker that keeps its last build answers
+// every plan of a sequence with exactly the packets and errors a zero
+// Attacker builds from scratch. The sequence repeats a plan, changes one
+// input at a time (the template's ID, one of its answer bytes, the TTL, a
+// malicious address, the MTU), and puts a failing template of each kind
+// between two equal good plans.
+func TestSpoofedFragmentsMemo(t *testing.T) {
+	f := newFixture(t, 4)
+	var template []byte
+	f.eve.FetchTemplate(nsAddr, "pool.ntp.org", func(p []byte, err error) {
+		if err != nil {
+			t.Errorf("FetchTemplate: %v", err)
+			return
+		}
+		template = slices.Clone(p)
+	})
+	f.clk.RunFor(5 * time.Second)
+	if template == nil {
+		t.Fatal("no template")
+	}
+	good := PoisonPlan{
+		NS: nsAddr, Resolver: resAddr, Template: template,
+		Malicious: []ipv4.Addr{evilNTP, {6, 6, 6, 7}}, MTU: 68, IPIDs: []uint16{7, 8, 9},
+	}
+	with := func(edit func(p *PoisonPlan)) PoisonPlan {
+		p := good
+		p.Template = slices.Clone(good.Template)
+		p.Malicious = slices.Clone(good.Malicious)
+		edit(&p)
+		return p
+	}
+	encode := func(m *dnswire.Message) []byte {
+		b, err := m.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	q := dnswire.NewQuery(1, "pool.ntp.org", dnswire.TypeA, true)
+	unpadded := dnswire.NewResponse(q)
+	unpadded.Answers = []dnswire.RR{{Name: "pool.ntp.org", Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 150, Addr: ipv4.Addr{1, 1, 1, 1}}}
+
+	type step struct {
+		name string
+		plan PoisonPlan
+		err  error
+	}
+	steps := []step{{"first", good, nil}, {"repeat", good, nil}}
+	// Each change follows a build of good and is followed by one.
+	for _, s := range []step{
+		{"other IPIDs", with(func(p *PoisonPlan) { p.IPIDs = []uint16{65535, 0} }), nil},
+		{"template ID", with(func(p *PoisonPlan) { p.Template[0] ^= 0x5a; p.Template[1] ^= 0xa5 }), nil},
+		{"answer byte", with(func(p *PoisonPlan) {
+			i := bytes.Index(p.Template, []byte{10, 0, 0, 2})
+			if i < 0 {
+				t.Fatal("template holds no 10.0.0.2 answer")
+			}
+			p.Template[i+3] = 99
+		}), nil},
+		{"TTL", with(func(p *PoisonPlan) { p.TTL = 86400 }), nil},
+		{"malicious address", with(func(p *PoisonPlan) { p.Malicious[1] = ipv4.Addr{6, 6, 6, 8} }), nil},
+		{"MTU", with(func(p *PoisonPlan) { p.MTU = 76 }), nil},
+		{"trailing bytes", with(func(p *PoisonPlan) { p.Template = append(p.Template, 0, 0, 0, 0) }), ErrShapeMismatch},
+		{"unpadded", with(func(p *PoisonPlan) { p.Template = encode(unpadded) }), ErrNoSlack},
+		{"one fragment", with(func(p *PoisonPlan) { p.Template = encode(dnswire.NewResponse(q)) }), ErrFragmentBounds},
+	} {
+		steps = append(steps, s, step{"after " + s.name, good, nil})
+	}
+	for _, s := range steps {
+		got, gotErr := f.eve.BuildSpoofedFragments(s.plan)
+		want, wantErr := new(Attacker).BuildSpoofedFragments(s.plan)
+		if !errors.Is(wantErr, s.err) {
+			t.Fatalf("%s: zero Attacker's error %v, want %v", s.name, wantErr, s.err)
+		}
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Errorf("%s: error %v, zero Attacker's %v", s.name, gotErr, wantErr)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d packets, zero Attacker's %d", s.name, len(got), len(want))
+		}
+		for i := range got {
+			if !reflect.DeepEqual(*got[i], *want[i]) {
+				t.Errorf("%s: packet %d differs:\n got  %+v\n want %+v", s.name, i, *got[i], *want[i])
+			}
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dnstime/internal/ipv4"
 	"dnstime/internal/netem"
 	"dnstime/internal/ntpclient"
 	"dnstime/internal/scenario"
@@ -369,6 +370,55 @@ func TestRacemarginRegistered(t *testing.T) {
 	for _, want := range []string{"client", "margins", "vic-net"} {
 		if !strings.Contains(keys, want) {
 			t.Errorf("racemargin ParamKeys missing %q (have %s)", want, keys)
+		}
+	}
+}
+
+// TestLateClientTakesTopologyLink: the attacker sends to a client's
+// address before the client's host is attached, so those packets follow
+// the default path and are dropped; once NewClient attaches the host, the
+// next packet takes the topology's attacker-side link. It runs in a fresh
+// lab and again in the same lab reset, where the client's spare host is
+// re-attached.
+func TestLateClientTakesTopologyLink(t *testing.T) {
+	cfg := func() LabConfig {
+		topo, err := netem.TopologyPreset("near-attacker")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return LabConfig{Seed: 1, Topology: topo}
+	}
+	lab := MustNewLab(cfg())
+	dst := ipv4.Addr{192, 0, 2, 101} // the first client slot
+	for run := 0; run < 2; run++ {
+		if run > 0 {
+			if err := lab.Reset(cfg()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eve := lab.Eve.Host()
+		for i := 0; i < 3; i++ {
+			if _, err := eve.SendUDP(dst, 4000, 4000, []byte("early")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lab.Clock.RunFor(time.Second)
+		if _, err := lab.NewClient(ntpclient.ProfileNTPd, 0); err != nil {
+			t.Fatal(err)
+		}
+		var took time.Duration
+		sent := lab.Clock.Now()
+		if err := lab.Net.Host(dst).HandleUDP(4000, func(ipv4.Addr, uint16, []byte) {
+			took = lab.Clock.Now().Sub(sent)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eve.SendUDP(dst, 4000, 4000, []byte("late")); err != nil {
+			t.Fatal(err)
+		}
+		lab.Clock.RunFor(time.Second)
+		if took != netem.NearAttackerDelay {
+			t.Errorf("run %d: attacker→client took %v, want the attacker-side link's %v", run, took, netem.NearAttackerDelay)
 		}
 	}
 }

@@ -17,6 +17,7 @@
 package dnsauth
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"strings"
@@ -146,10 +147,16 @@ type Server struct {
 	// Per-server scratch state for the query hot path. SendUDP/SendUDPMTU
 	// copy the payload before returning, so the wire buffers are safe to
 	// reuse across queries.
-	dec    dnswire.Decoder
-	query  dnswire.Message
-	resp   dnswire.Message
+	dec   dnswire.Decoder
+	query dnswire.Message
+	resp  dnswire.Message
+	// wire is the last answer sent, and key the bytes after the 2-byte ID
+	// of the query it answered, or empty when the answer may not repeat:
+	// a query with the same bytes after its ID gets wire with its own ID
+	// patched in. Reset, AddZone and AddPool empty key, and every query
+	// that misses empties it before wire is overwritten.
 	wire   []byte
+	key    []byte
 	addrs  []ipv4.Addr // pool addresses of the response being built
 	filler string      // TXT padding text, at least cfg.PadResponsesTo bytes
 	// recv is handle bound once, so that Reset re-binds the port without
@@ -180,6 +187,7 @@ func (s *Server) Reset(cfg Config) error {
 	s.cfg = cfg
 	clear(s.zones)
 	clear(s.pools)
+	s.key = s.key[:0]
 	s.QueriesServed = 0
 	if err := s.host.HandleUDP(DNSPort, s.recv); err != nil {
 		return fmt.Errorf("dnsauth: bind: %w", err)
@@ -193,49 +201,60 @@ func (s *Server) Host() *simnet.Host { return s.host }
 // Addr returns the server's address.
 func (s *Server) Addr() ipv4.Addr { return s.host.Addr() }
 
-// AddZone serves a zone.
-func (s *Server) AddZone(z *Zone) { s.zones[z.Name] = z }
+// AddZone serves a zone, replacing any zone of the same apex. The server
+// treats an added zone as frozen: a caller must not change its records or
+// flags afterwards, since a repeated query is answered from the last
+// answer's wire image.
+func (s *Server) AddZone(z *Zone) {
+	s.zones[z.Name] = z
+	s.key = s.key[:0]
+}
 
-// AddPool serves a round-robin pool.
+// AddPool serves a round-robin pool, replacing any pool of the same apex.
+// Like a zone, an added pool is frozen: only the server moves its cursor.
 func (s *Server) AddPool(p *Pool) {
 	p.Name = dnswire.CanonicalName(p.Name)
 	s.pools[p.Name] = p
+	s.key = s.key[:0]
 }
 
-// Pool returns the pool serving name, matching the apex or any sub-zone
-// label (N.pool.ntp.org, de.pool.ntp.org).
-func (s *Server) poolFor(name string) *Pool {
-	if p, ok := s.pools[name]; ok {
-		return p
-	}
-	for apex, p := range s.pools {
-		if strings.HasSuffix(name, "."+apex) {
-			return p
+// lookup returns the pool and the zone serving name: for each, the one
+// whose apex is the longest suffix of name at a label boundary (the name
+// itself, then each parent in turn), so nested apexes resolve the same
+// way whatever the map order. Either may be nil.
+func (s *Server) lookup(name string) (*Pool, *Zone) {
+	var p *Pool
+	var z *Zone
+	for suffix := name; ; {
+		if p == nil {
+			p = s.pools[suffix]
 		}
-	}
-	return nil
-}
-
-func (s *Server) zoneFor(name string) *Zone {
-	if z, ok := s.zones[name]; ok {
-		return z
-	}
-	for apex, z := range s.zones {
-		if strings.HasSuffix(name, "."+apex) {
-			return z
+		if z == nil {
+			z = s.zones[suffix]
 		}
+		dot := strings.IndexByte(suffix, '.')
+		if (p != nil && z != nil) || dot < 0 {
+			return p, z
+		}
+		suffix = suffix[dot+1:]
 	}
-	return nil
 }
 
 func (s *Server) handle(src ipv4.Addr, srcPort uint16, payload []byte) {
+	if len(payload) > 2 && bytes.Equal(payload[2:], s.key) {
+		copy(s.wire, payload[:2])
+		s.send(src, srcPort)
+		return
+	}
+	s.key = s.key[:0]
 	q := &s.query
 	if err := s.dec.UnmarshalInto(q, payload); err != nil || q.Header.QR || len(q.Questions) != 1 {
 		return
 	}
 	var wire []byte
 	var err error
-	if name, positive := s.respondInto(q, &s.resp); positive && s.cfg.PadResponsesTo > 0 {
+	name, positive, repeats := s.respondInto(q, &s.resp)
+	if positive && s.cfg.PadResponsesTo > 0 {
 		// A positive answer grows by a TXT filler record owned by the
 		// query name until it is PadResponsesTo bytes long. The filler
 		// record is encoded after the answer, in the same pass.
@@ -250,20 +269,31 @@ func (s *Server) handle(src ipv4.Addr, srcPort uint16, payload []byte) {
 		return
 	}
 	s.wire = wire
+	if repeats {
+		s.key = append(s.key, payload[2:]...)
+	}
+	s.send(src, srcPort)
+}
+
+// send counts and sends the answer in wire: the one send tail of a fresh
+// answer and a repeated one.
+func (s *Server) send(dst ipv4.Addr, dstPort uint16) {
 	s.QueriesServed++
 	if s.cfg.AlwaysFragmentMTU > 0 {
-		_, _ = s.host.SendUDPMTU(src, DNSPort, srcPort, wire, s.cfg.AlwaysFragmentMTU)
+		_, _ = s.host.SendUDPMTU(dst, DNSPort, dstPort, s.wire, s.cfg.AlwaysFragmentMTU)
 		return
 	}
-	_, _ = s.host.SendUDP(src, DNSPort, srcPort, wire)
+	_, _ = s.host.SendUDP(dst, DNSPort, dstPort, s.wire)
 }
 
 // respondInto computes the authoritative response for a query into a
 // caller-owned message, reusing its section slices — the hot path
 // answers every query with one reused message. It returns the canonical
-// query name and whether the response carries answers.
-func (s *Server) respondInto(q, resp *dnswire.Message) (string, bool) {
-	name := dnswire.CanonicalName(q.Questions[0].Name)
+// query name, whether the response carries answers, and whether the same
+// query would get the same response again: it would not when the answer
+// moved a pool's cursor.
+func (s *Server) respondInto(q, resp *dnswire.Message) (name string, positive, repeats bool) {
+	name = dnswire.CanonicalName(q.Questions[0].Name)
 	qtype := q.Questions[0].Type
 	*resp = dnswire.Message{
 		Header:     dnswire.Header{ID: q.Header.ID, QR: true, RD: q.Header.RD},
@@ -274,37 +304,34 @@ func (s *Server) respondInto(q, resp *dnswire.Message) (string, bool) {
 	}
 	resp.Header.AA = true
 
-	var signed, bogus bool
-	if z := s.zoneFor(name); z != nil {
-		signed, bogus = z.Signed, z.BogusSignatures
-	}
-
-	if p := s.poolFor(name); p != nil && qtype == dnswire.TypeA {
+	repeats = true
+	p, z := s.lookup(name)
+	switch {
+	case p != nil && qtype == dnswire.TypeA:
+		cursor := p.cursor
 		s.addrs = p.next(s.addrs[:0])
+		repeats = p.cursor == cursor
 		for _, a := range s.addrs {
 			resp.Answers = append(resp.Answers, dnswire.RR{
 				Name: name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: p.TTL, Addr: a,
 			})
 		}
-	} else if z := s.zoneFor(name); z != nil {
+	case z != nil:
 		for _, rr := range z.Records[name] {
 			if rr.Type == qtype || rr.Type == dnswire.TypeCNAME {
 				resp.Answers = append(resp.Answers, rr)
 			}
 		}
-	} else if s.poolFor(name) == nil {
-		resp.Header.RCode = dnswire.RCodeNXDomain
-		return name, false
 	}
 
 	if len(resp.Answers) == 0 {
 		resp.Header.RCode = dnswire.RCodeNXDomain
-		return name, false
+		return name, false, repeats
 	}
 
-	if signed {
+	if z != nil && z.Signed {
 		marker := SigValid + SignRRSet(resp.Answers)
-		if bogus {
+		if z.BogusSignatures {
 			marker = SigBogus + SignRRSet(resp.Answers)
 		}
 		resp.Answers = append(resp.Answers, dnswire.RR{
@@ -313,5 +340,5 @@ func (s *Server) respondInto(q, resp *dnswire.Message) (string, bool) {
 		})
 	}
 
-	return name, true
+	return name, true, repeats
 }

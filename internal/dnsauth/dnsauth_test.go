@@ -1,6 +1,8 @@
 package dnsauth
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -259,5 +261,47 @@ func TestPoolSmallerThanPerResponse(t *testing.T) {
 	got := query(t, n, c, "tiny.pool", dnswire.TypeA)
 	if len(got.AppendAddrsInAnswer(nil, "tiny.pool")) != 2 {
 		t.Errorf("answers = %v", got.AppendAddrsInAnswer(nil, "tiny.pool"))
+	}
+}
+
+// TestNestedApexesLongestMatch serves nested pools and zones from many
+// fresh servers, whose maps iterate in different orders, and requires
+// every server to answer from the longest matching apex: records and
+// signing flags from the same, innermost zone.
+func TestNestedApexesLongestMatch(t *testing.T) {
+	inner := []ipv4.Addr{{10, 9, 9, 1}, {10, 9, 9, 2}}
+	names := []string{"0.de.pool.ntp.org", "0.pool.ntp.org", "x.sub.example.org"}
+	var first []*dnswire.Message
+	for i := 0; i < 64; i++ {
+		n, s, c := newServer(t, Config{})
+		s.AddPool(&Pool{Name: "pool.ntp.org", Addrs: poolAddrs(4), PerResponse: 4, TTL: 150})
+		s.AddPool(&Pool{Name: "de.pool.ntp.org", Addrs: inner, PerResponse: 2, TTL: 150})
+		outer := NewZone("example.org")
+		outer.AddA("x.sub.example.org", 300, ipv4.Addr{1, 1, 1, 1})
+		s.AddZone(outer)
+		sub := NewZone("sub.example.org")
+		sub.Signed = true
+		sub.AddA("x.sub.example.org", 60, ipv4.Addr{2, 2, 2, 2})
+		s.AddZone(sub)
+		for k, name := range names {
+			got := query(t, n, c, name, dnswire.TypeA)
+			if got == nil {
+				t.Fatalf("server %d, %s: no response", i, name)
+			}
+			if i == 0 {
+				first = append(first, got)
+			} else if !reflect.DeepEqual(got, first[k]) {
+				t.Fatalf("server %d, %s: answer differs from server 0's", i, name)
+			}
+		}
+	}
+	if got := first[0].AppendAddrsInAnswer(nil, names[0]); !slices.Equal(got, inner) {
+		t.Errorf("%s = %v, want the nested pool's %v", names[0], got, inner)
+	}
+	if got := first[2].AppendAddrsInAnswer(nil, names[2]); !slices.Equal(got, []ipv4.Addr{{2, 2, 2, 2}}) {
+		t.Errorf("%s = %v, want the nested zone's 2.2.2.2", names[2], got)
+	}
+	if k := len(first[2].Answers); k != 2 || first[2].Answers[1].Type != dnswire.TypeRRSIG {
+		t.Errorf("%s: %d answers, want the A record and the nested zone's RRSIG", names[2], k)
 	}
 }

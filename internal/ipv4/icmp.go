@@ -36,14 +36,22 @@ const icmpFragNeededLen = 17
 
 // Marshal encodes the message as an IP payload.
 func (m *ICMPFragNeeded) Marshal() []byte {
-	b := make([]byte, icmpFragNeededLen)
+	return m.AppendMarshal(make([]byte, 0, icmpFragNeededLen))
+}
+
+// AppendMarshal appends the message's encoding to dst and returns the
+// extended slice: a caller with a scratch buffer allocates nothing.
+func (m *ICMPFragNeeded) AppendMarshal(dst []byte) []byte {
+	dst = slices.Grow(dst, icmpFragNeededLen)
+	b := dst[len(dst) : len(dst)+icmpFragNeededLen]
+	clear(b)
 	b[0] = ICMPDestUnreachable
 	b[1] = ICMPCodeFragNeeded
 	binary.BigEndian.PutUint16(b[6:8], m.NextHopMTU)
 	copy(b[8:12], m.OrigSrc[:])
 	copy(b[12:16], m.OrigDst[:])
 	b[16] = byte(m.OrigProto)
-	return b
+	return dst[:len(dst)+icmpFragNeededLen]
 }
 
 // ParseICMPFragNeeded decodes an ICMP payload. It returns (nil, nil) for

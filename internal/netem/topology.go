@@ -123,14 +123,19 @@ type Pair struct {
 // links its traffic uses. Deferring is exact: compilation consumes no
 // randomness — factories only construct instances — and no packet
 // crosses a link before its first one. A packet with an end not yet
-// Add-ed follows Default, and that answer is not kept, so a host added
-// mid-run still gets its links.
+// Add-ed follows Default, and that answer is not kept past the next Add,
+// so a host added mid-run still gets its links.
 type Compiler struct {
 	topo  *Topology
 	base  PathModel
 	roles map[ipv4.Addr]Role
 	links map[Pair]PathModel // directed links resolved so far
-	zero  Path               // base when Default is nil, kept to spare an allocation per Reset
+	// last and lastModel are the pair resolved last and its model (nil:
+	// none), since a packet asks Drop and then Latency for the same pair.
+	// Reset and Add forget them.
+	last      Pair
+	lastModel PathModel
+	zero      Path // base when Default is nil, kept to spare an allocation per Reset
 }
 
 // Compiler returns a fresh compiler for the topology: an allocation plus
@@ -159,6 +164,7 @@ func (c *Compiler) Reset(t *Topology) {
 	}
 	clear(c.roles)
 	clear(c.links)
+	c.lastModel = nil
 }
 
 // Add assigns role to addr; its links are built as packets cross them.
@@ -167,6 +173,7 @@ func (c *Compiler) Reset(t *Topology) {
 func (c *Compiler) Add(addr ipv4.Addr, role Role) {
 	if _, ok := c.roles[addr]; !ok {
 		c.roles[addr] = role
+		c.lastModel = nil
 	}
 }
 
@@ -190,21 +197,24 @@ func (c *Compiler) Role(addr ipv4.Addr) Role { return c.roles[addr] }
 // leaves the link on the base model, so no nil model escapes.
 func (c *Compiler) link(src, dst ipv4.Addr) PathModel {
 	pair := Pair{Src: src, Dst: dst}
-	if m, ok := c.links[pair]; ok {
-		return m
+	if c.lastModel != nil && pair == c.last {
+		return c.lastModel
 	}
-	srcRole, srcKnown := c.roles[src]
-	dstRole, dstKnown := c.roles[dst]
-	if !srcKnown || !dstKnown {
-		return c.base
-	}
-	m := c.base
-	if f := c.topo.linkBuild(srcRole, dstRole); f != nil {
-		if built := f(); built != nil {
-			m = built
+	m, ok := c.links[pair]
+	if !ok {
+		m = c.base
+		srcRole, srcKnown := c.roles[src]
+		dstRole, dstKnown := c.roles[dst]
+		if srcKnown && dstKnown {
+			if f := c.topo.linkBuild(srcRole, dstRole); f != nil {
+				if built := f(); built != nil {
+					m = built
+				}
+			}
+			c.links[pair] = m
 		}
 	}
-	c.links[pair] = m
+	c.last, c.lastModel = pair, m
 	return m
 }
 

@@ -124,9 +124,11 @@ func (p *idPath) Drop(_, _ ipv4.Addr, _ *rand.Rand) bool { return false }
 // TestCompilerIncrementalAndFresh: through the compiled model, each
 // listed directed link owns one fresh instance, built when its first
 // packet crosses it and kept for the packets after; an unlisted pair
-// follows Default; a packet to a host not yet added follows Default
-// without keeping that answer, so the host gets its links once added,
-// even after traffic started; re-adding an address keeps its first role.
+// follows Default; a packet to a host not yet added follows Default, and
+// adding the host forgets that answer, so the host gets its links once
+// added, even after traffic started; re-adding an address keeps its
+// first role; a reset compiler forgets every role and link, the last one
+// resolved included.
 func TestCompilerIncrementalAndFresh(t *testing.T) {
 	built := 0
 	topo := NewTopology()
@@ -174,6 +176,16 @@ func TestCompilerIncrementalAndFresh(t *testing.T) {
 	c.Add(topoNTP, RoleAttacker)
 	if d := lat(topoNTP, topoResolver); d != DefaultLatency || c.Role(topoNTP) != RoleNTPServer {
 		t.Errorf("re-added NTP server: latency %v, role %q; want default, %q", d, c.Role(topoNTP), RoleNTPServer)
+	}
+	lat(topoAttacker, topoResolver)
+	c.Reset(topo)
+	if d := lat(topoAttacker, topoResolver); d != DefaultLatency {
+		t.Errorf("attacker→resolver after Reset, before Add: latency %v, want default", d)
+	}
+	c.Add(topoAttacker, RoleAttacker)
+	c.Add(topoResolver, RoleResolver)
+	if d := lat(topoAttacker, topoResolver); d != 104*time.Millisecond || built != 4 {
+		t.Errorf("attacker→resolver after Reset: latency %v after %d builds, want a fresh instance (104ms) after 4", d, built)
 	}
 }
 

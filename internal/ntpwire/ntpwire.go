@@ -200,6 +200,7 @@ func ClientPacket(localNow time.Time) Packet {
 // reading, used for both T2 and T3; refid is the server's reference
 // identifier.
 func ServerPacket(query *Packet, serverNow time.Time, stratum uint8, refid [4]byte) Packet {
+	now := ToTimestamp(serverNow)
 	return Packet{
 		Leap:     LeapNone,
 		Version:  4,
@@ -207,10 +208,10 @@ func ServerPacket(query *Packet, serverNow time.Time, stratum uint8, refid [4]by
 		Stratum:  stratum,
 		Poll:     query.Poll,
 		RefID:    refid,
-		RefTime:  ToTimestamp(serverNow),
+		RefTime:  now,
 		OrigTime: query.XmitTime, // echo T1
-		RecvTime: ToTimestamp(serverNow),
-		XmitTime: ToTimestamp(serverNow),
+		RecvTime: now,
+		XmitTime: now,
 	}
 }
 

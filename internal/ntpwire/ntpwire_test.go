@@ -83,6 +83,19 @@ func TestServerPacketEchoesOrigin(t *testing.T) {
 	}
 }
 
+// TestServerPacketOneTimestamp: the reference, receive and transmit
+// timestamps of a reply all carry the server clock's one reading.
+func TestServerPacketOneTimestamp(t *testing.T) {
+	q := NewClientPacket(t0)
+	for _, now := range []time.Time{t0, t0.Add(1500 * time.Millisecond), t0.Add(-37 * time.Nanosecond), {}} {
+		r := ServerPacket(q, now, 2, [4]byte{1, 2, 3, 4})
+		want := ToTimestamp(now)
+		if r.RefTime != want || r.RecvTime != want || r.XmitTime != want {
+			t.Errorf("server time %v: ref %#x, recv %#x, xmit %#x; want all %#x", now, r.RefTime, r.RecvTime, r.XmitTime, want)
+		}
+	}
+}
+
 func TestKoD(t *testing.T) {
 	q := NewClientPacket(t0)
 	k := NewKoD(q, KissRATE)
