@@ -1,9 +1,11 @@
 package measure
 
 import (
+	"context"
 	"testing"
 
 	"dnstime/internal/population"
+	"dnstime/internal/scenario"
 )
 
 // Committed heap budgets for the open-resolver snoop. table4 and fig6
@@ -24,6 +26,21 @@ const (
 // call allocates about 17 KB; building a host and server per pool server
 // costs about 4.5 MB.
 const heapBudgetRateLimitScan = 256 << 10 // bytes per default-size RateLimitScan call
+
+// Committed heap budgets for the fig5, table5 and shared scenarios, one
+// default-size seed each: 100 000 domain nameservers, 8 014 ad clients
+// and 18 668 resolvers. Each folds its population as it is drawn, from a
+// Reader on the stack, and keeps only the result, so a seed allocates
+// the Reader's seeding source (about 4.9 KB), the fold's counters and
+// its metrics map: about 6.3 KB, 8.8 KB and 5.7 KB. Figure 5's CDF holds
+// one count per probe size. Storing the populations cost 2.66 MB, 458 KB
+// and 63 KB per seed, a heap-allocated Reader 9.7 KB more, and keeping
+// fig5's ≈7 700 samples 61 KB or more.
+const (
+	heapBudgetFig5   = 12 << 10 // bytes per default-size fig5 seed
+	heapBudgetTableV = 12 << 10 // bytes per table5 seed
+	heapBudgetShared = 8 << 10  // bytes per shared seed
+)
 
 // heapGate fails when bench allocates more than budget bytes per call.
 func heapGate(t *testing.T, name string, bench func(*testing.B), budget int64) {
@@ -79,3 +96,29 @@ func BenchmarkCacheSnoop(b *testing.B) {
 		CacheSnoop(specs)
 	}
 }
+
+func TestHeapBudgetFig5Scenario(t *testing.T) {
+	heapGate(t, "fig5 seed", BenchmarkFig5Scenario, heapBudgetFig5)
+}
+
+func TestHeapBudgetTableVScenario(t *testing.T) {
+	heapGate(t, "table5 seed", BenchmarkTableVScenario, heapBudgetTableV)
+}
+
+func TestHeapBudgetSharedScenario(t *testing.T) {
+	heapGate(t, "shared seed", BenchmarkSharedScenario, heapBudgetShared)
+}
+
+// benchScenario runs one scenario at campaign seed 1 and default size.
+func benchScenario(b *testing.B, run func(context.Context, int64, scenario.Config) (scenario.Result, error)) {
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := run(context.Background(), 1, scenario.Config{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkFig5Scenario(b *testing.B)   { benchScenario(b, fig5Scenario) }
+func BenchmarkTableVScenario(b *testing.B) { benchScenario(b, tableVScenario) }
+func BenchmarkSharedScenario(b *testing.B) { benchScenario(b, sharedScenario) }

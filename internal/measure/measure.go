@@ -245,7 +245,8 @@ func scanServers(specs []population.PoolServerSpec, cfg ScanConfig) ([]scanOutco
 // FragScanResult summarises a nameserver fragmentation scan.
 type FragScanResult struct {
 	Total int
-	// FragBelow548 counts nameservers emitting fragments ≤ 548 B.
+	// FragBelow548 counts fragmenting, unsigned nameservers that honoured
+	// a probe of 548 B or less.
 	FragBelow548 int
 	// DNSSEC counts signed nameservers.
 	DNSSEC int
@@ -253,42 +254,71 @@ type FragScanResult struct {
 	// vulnerable set).
 	FragNoDNSSEC int
 	// MinSizes holds the observed minimum fragment size per fragmenting,
-	// unsigned nameserver — the Figure 5 sample set.
+	// unsigned nameserver, the smallest probe size it honoured — the
+	// Figure 5 sample set, one count per probe size.
 	MinSizes *stats.CDF
 }
 
 // FragScan applies the §VII-B probe logic to a nameserver population: for
-// each server, walk the probe MTUs downward and record the smallest the
-// server honours. (The live ICMP → PMTU → fragmentation path is exercised
-// end-to-end in internal/dnsauth's tests and by the attack; this scan
-// evaluates populations at spec level for scale.)
+// each server, probe at each of probeSizes and record the smallest the
+// server honours, whatever their order. (The live ICMP → PMTU →
+// fragmentation path is exercised end-to-end in internal/dnsauth's tests
+// and by the attack; this scan evaluates populations at spec level for
+// scale.) A server that honours none of the sizes is not counted as
+// fragmenting. nil probeSizes means the paper's 1500, 1276, 548, 292 and
+// 68 bytes, which include every floor the population generators draw.
 func FragScan(specs []population.NameserverSpec, probeSizes []int) FragScanResult {
+	f := newFragFold(probeSizes)
+	for _, ns := range specs {
+		f.nameserver(ns)
+	}
+	return f.result()
+}
+
+// fragFold applies the §VII-B scan one nameserver at a time, to a stored
+// population (FragScan) or to one drawn as it is scanned (the fig5
+// scenario). It counts the fragmenting, unsigned nameservers by the
+// smallest probe size each honours, and builds MinSizes from those
+// counts.
+type fragFold struct {
+	res    FragScanResult
+	sizes  []int // the probe sizes, ascending, each once
+	counts []int // nameservers by the smallest size in sizes they honour
+}
+
+func newFragFold(probeSizes []int) *fragFold {
 	if len(probeSizes) == 0 {
 		probeSizes = []int{1500, 1276, 548, 292, 68}
 	}
-	res := FragScanResult{Total: len(specs), MinSizes: &stats.CDF{}}
-	for _, ns := range specs {
-		if ns.DNSSEC {
-			res.DNSSEC++
-			continue
+	sizes := slices.Compact(slices.Sorted(slices.Values(probeSizes)))
+	return &fragFold{sizes: sizes, counts: make([]int, len(sizes))}
+}
+
+func (f *fragFold) nameserver(ns population.NameserverSpec) {
+	f.res.Total++
+	if ns.DNSSEC {
+		f.res.DNSSEC++
+		return
+	}
+	if !ns.Fragments {
+		return
+	}
+	// The smallest size the server honours is the first at or above its
+	// floor.
+	if i, _ := slices.BinarySearch(f.sizes, ns.MinFragSize); i < len(f.sizes) {
+		f.counts[i]++
+	}
+}
+
+func (f *fragFold) result() FragScanResult {
+	res := f.res
+	res.MinSizes = &stats.CDF{}
+	for i, n := range f.counts {
+		res.FragNoDNSSEC += n
+		if f.sizes[i] <= 548 {
+			res.FragBelow548 += n
 		}
-		if !ns.Fragments {
-			continue
-		}
-		min := 0
-		for _, sz := range probeSizes {
-			if sz >= ns.MinFragSize {
-				min = sz
-			}
-		}
-		if min == 0 {
-			continue
-		}
-		res.FragNoDNSSEC++
-		res.MinSizes.Add(float64(ns.MinFragSize))
-		if ns.MinFragSize <= 548 {
-			res.FragBelow548++
-		}
+		res.MinSizes.AddN(float64(f.sizes[i]), n)
 	}
 	return res
 }
@@ -521,79 +551,101 @@ type AdStudyResult struct {
 // AdStudy runs the §VIII-B analysis over a client population: filter
 // invalid results, then aggregate tiny-fragment and any-fragment acceptance
 // and DNSSEC validation by region, device class, overall, and excluding
-// Google-DNS clients.
+// Google-DNS clients. A client from a region outside
+// population.AllRegions, or of a device class other than PC and
+// Mobile,Tablet, counts in every row but its region's or its device's.
+// With no valid client of a Table V region, the DNSSEC range is 0–0.
 func AdStudy(clients []population.AdClientSpec) AdStudyResult {
-	res := AdStudyResult{}
-	type agg struct{ tiny, any, dnssec, total int }
-	regions := make(map[population.Region]*agg)
-	devices := make(map[population.Device]*agg)
-	all := &agg{}
-	noGoogle := &agg{}
-
-	add := func(a *agg, c population.AdClientSpec) {
-		a.total++
-		if c.AcceptsTiny {
-			a.tiny++
-		}
-		if c.AcceptsTiny || c.AcceptsSmall || c.AcceptsMedium || c.AcceptsBig {
-			a.any++
-		}
-		if c.ValidatesDNSSEC {
-			a.dnssec++
-		}
+	var f adFold
+	for i := range clients {
+		f.client(&clients[i])
 	}
+	return f.result()
+}
 
-	for _, c := range clients {
-		if c.PageOpenSeconds < 30 || !c.BaselineOK || !c.SigrightOK {
-			res.Filtered++
+// tableVRegions and tableVDevices hold Table V's region and device rows
+// in order; adFold counts into arrays indexed by row.
+var (
+	tableVRegions = [5]population.Region(population.AllRegions())
+	tableVDevices = [...]population.Device{population.PC, population.Mobile}
+)
+
+// adAgg counts one Table V row's clients.
+type adAgg struct{ tiny, any, dnssec, total int }
+
+func (a *adAgg) add(c *population.AdClientSpec) {
+	a.total++
+	if c.AcceptsTiny {
+		a.tiny++
+	}
+	if c.AcceptsTiny || c.AcceptsSmall || c.AcceptsMedium || c.AcceptsBig {
+		a.any++
+	}
+	if c.ValidatesDNSSEC {
+		a.dnssec++
+	}
+}
+
+func (a *adAgg) row(label string) AdRow {
+	return AdRow{
+		Label:     label,
+		TinyCount: a.tiny, TinyPct: pct(a.tiny, a.total),
+		AnyCount: a.any, AnyPct: pct(a.any, a.total),
+		Total:     a.total,
+		DNSSECPct: pct(a.dnssec, a.total),
+	}
+}
+
+// adFold applies the §VIII-B analysis one client at a time, to a stored
+// population (AdStudy) or to one drawn as it is studied (the table5
+// scenario).
+type adFold struct {
+	res           AdStudyResult
+	regions       [len(tableVRegions)]adAgg
+	devices       [len(tableVDevices)]adAgg
+	all, noGoogle adAgg
+}
+
+func (f *adFold) client(c *population.AdClientSpec) {
+	if c.PageOpenSeconds < 30 || !c.BaselineOK || !c.SigrightOK {
+		f.res.Filtered++
+		return
+	}
+	f.res.ValidClients++
+	if c.GoogleDNS {
+		f.res.GoogleClients++
+	} else {
+		f.noGoogle.add(c)
+	}
+	if i := slices.Index(tableVRegions[:], c.Region); i >= 0 {
+		f.regions[i].add(c)
+	}
+	if i := slices.Index(tableVDevices[:], c.Device); i >= 0 {
+		f.devices[i].add(c)
+	}
+	f.all.add(c)
+}
+
+func (f *adFold) result() AdStudyResult {
+	res := f.res
+	res.Rows = make([]AdRow, 0, len(tableVRegions)+2+len(tableVDevices))
+	for i, region := range tableVRegions {
+		a := &f.regions[i]
+		if a.total == 0 {
 			continue
 		}
-		res.ValidClients++
-		if c.GoogleDNS {
-			res.GoogleClients++
-		} else {
-			add(noGoogle, c)
+		r := a.row(string(region))
+		if len(res.Rows) == 0 {
+			res.DNSSECMinPct, res.DNSSECMaxPct = r.DNSSECPct, r.DNSSECPct
 		}
-		if regions[c.Region] == nil {
-			regions[c.Region] = &agg{}
-		}
-		if devices[c.Device] == nil {
-			devices[c.Device] = &agg{}
-		}
-		add(regions[c.Region], c)
-		add(devices[c.Device], c)
-		add(all, c)
-	}
-
-	row := func(label string, a *agg) AdRow {
-		return AdRow{
-			Label:     label,
-			TinyCount: a.tiny, TinyPct: pct(a.tiny, a.total),
-			AnyCount: a.any, AnyPct: pct(a.any, a.total),
-			Total:     a.total,
-			DNSSECPct: pct(a.dnssec, a.total),
-		}
-	}
-	res.DNSSECMinPct = 100
-	for _, region := range population.AllRegions() {
-		a := regions[region]
-		if a == nil {
-			continue
-		}
-		r := row(string(region), a)
+		res.DNSSECMinPct = min(res.DNSSECMinPct, r.DNSSECPct)
+		res.DNSSECMaxPct = max(res.DNSSECMaxPct, r.DNSSECPct)
 		res.Rows = append(res.Rows, r)
-		if r.DNSSECPct < res.DNSSECMinPct {
-			res.DNSSECMinPct = r.DNSSECPct
-		}
-		if r.DNSSECPct > res.DNSSECMaxPct {
-			res.DNSSECMaxPct = r.DNSSECPct
-		}
 	}
-	res.Rows = append(res.Rows, row("ALL", all))
-	res.Rows = append(res.Rows, row("Without Google", noGoogle))
-	for _, dev := range []population.Device{population.PC, population.Mobile} {
-		if a := devices[dev]; a != nil {
-			res.Rows = append(res.Rows, row(string(dev), a))
+	res.Rows = append(res.Rows, f.all.row("ALL"), f.noGoogle.row("Without Google"))
+	for i, dev := range tableVDevices {
+		if f.devices[i].total > 0 {
+			res.Rows = append(res.Rows, f.devices[i].row(string(dev)))
 		}
 	}
 	return res
@@ -631,20 +683,28 @@ func (r SharedResolverResult) TriggerablePct() float64 { return pct(r.Triggerabl
 
 // SharedResolverStudy classifies the topology per §VIII-B3.
 func SharedResolverStudy(specs []population.SharedResolverSpec) SharedResolverResult {
-	res := SharedResolverResult{Total: len(specs)}
+	var res SharedResolverResult
 	for _, s := range specs {
-		switch {
-		case s.Open && s.UsedBySMTP:
-			res.OpenAndSMTP++
-		case s.Open:
-			res.OpenOnly++
-		case s.UsedBySMTP:
-			res.WebAndSMTP++
-		default:
-			res.WebOnly++
-		}
+		res.resolver(s)
 	}
 	return res
+}
+
+// resolver classifies one resolver, from a stored topology
+// (SharedResolverStudy) or one drawn as it is classified (the shared
+// scenario).
+func (r *SharedResolverResult) resolver(s population.SharedResolverSpec) {
+	r.Total++
+	switch {
+	case s.Open && s.UsedBySMTP:
+		r.OpenAndSMTP++
+	case s.Open:
+		r.OpenOnly++
+	case s.UsedBySMTP:
+		r.WebAndSMTP++
+	default:
+		r.WebOnly++
+	}
 }
 
 // ---------------------------------------------------------------------------

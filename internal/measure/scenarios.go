@@ -148,8 +148,11 @@ func fig5Scenario(_ context.Context, seed int64, cfg scenario.Config) (scenario.
 	if cfg.Fast {
 		popCfg.Total = 10000
 	}
-	specs := population.GenerateDomainNameservers(popCfg, seed+5)
-	res := FragScan(specs, nil)
+	f := newFragFold(nil)
+	for ns := range population.DomainNameservers(popCfg, seed+5) {
+		f.nameserver(ns)
+	}
+	res := f.result()
 	metrics := map[string]float64{"frag_nodnssec_pct": res.FragNoDNSSECPct()}
 	for _, size := range []float64{68, 292, 548, 1276, 1500} {
 		metrics[fmt.Sprintf("cdf_pct/%.0fB", size)] = 100 * res.CumAt(size)
@@ -288,8 +291,11 @@ func fig6Scenario(_ context.Context, seed int64, cfg scenario.Config) (scenario.
 
 // tableVScenario runs the §VIII-B2 ad-network client study.
 func tableVScenario(_ context.Context, seed int64, _ scenario.Config) (scenario.Result, error) {
-	clients := population.GenerateAdClients(population.DefaultAdStudyConfig(), seed+9)
-	res := AdStudy(clients)
+	var f adFold
+	for c := range population.AdClients(population.DefaultAdStudyConfig(), seed+9) {
+		f.client(&c)
+	}
+	res := f.result()
 	metrics := map[string]float64{
 		"valid_clients":  float64(res.ValidClients),
 		"filtered":       float64(res.Filtered),
@@ -306,7 +312,10 @@ func tableVScenario(_ context.Context, seed int64, _ scenario.Config) (scenario.
 
 // sharedScenario classifies the §VIII-B3 shared-resolver topology.
 func sharedScenario(_ context.Context, seed int64, _ scenario.Config) (scenario.Result, error) {
-	res := SharedResolverStudy(population.GenerateSharedResolvers(population.DefaultSharedResolverConfig(), seed+21))
+	var res SharedResolverResult
+	for s := range population.SharedResolvers(population.DefaultSharedResolverConfig(), seed+21) {
+		res.resolver(s)
+	}
 	return scenario.Result{
 		Metrics: map[string]float64{
 			"total":           float64(res.Total),

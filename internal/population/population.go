@@ -10,6 +10,18 @@
 // reproducible. Generation parameters default to the paper's measured
 // ground truth; the measurement harness (internal/measure) then re-derives
 // those numbers through the paper's methodology, closing the loop.
+//
+// The four large populations, the popular-domain nameservers, the open
+// resolvers, the ad clients and the shared resolvers, each have one draw
+// loop, an iter.Seq (DomainNameservers, OpenResolvers, AdClients,
+// SharedResolvers) that yields each member before drawing the next, so a
+// study folds a population without storing it; the Generate function of
+// each collects the same loop. The loops read math/rand's exact stream
+// for the seed through a simrand.Reader and decide each draw with an
+// integer compare, so they draw exactly what the same loops written on
+// rand.New(rand.NewSource(seed)) draw; the package's tests keep those
+// loops as oracles. GeneratePool, GeneratePoolNameservers and
+// GenerateTimingDeltas stay on math/rand.
 package population
 
 import (
@@ -152,36 +164,71 @@ func DefaultDomainNameserverConfig() DomainNameserverConfig {
 	}
 }
 
-// GenerateDomainNameservers draws the popular-domain nameserver population.
+// GenerateDomainNameservers draws the popular-domain nameserver population
+// and stores it. A study that only folds the population should range over
+// DomainNameservers instead, which draws the same nameservers without
+// keeping them.
 func GenerateDomainNameservers(cfg DomainNameserverConfig, seed int64) []NameserverSpec {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]NameserverSpec, cfg.Total)
-	for i := range out {
-		var s NameserverSpec
-		switch {
-		case rng.Float64() < cfg.PDNSSEC:
-			s = NameserverSpec{DNSSEC: true, MinFragSize: ipv4.DefaultMTU}
-		case rng.Float64() < cfg.PFragNoDNSSEC/(1-cfg.PDNSSEC):
-			s = NameserverSpec{Fragments: true, MinFragSize: drawFragSize(rng, cfg)}
-		default:
-			s = NameserverSpec{MinFragSize: ipv4.DefaultMTU}
-		}
-		out[i] = s
+	out := make([]NameserverSpec, 0, cfg.Total)
+	for s := range DomainNameservers(cfg, seed) {
+		out = append(out, s)
 	}
 	return out
 }
 
-func drawFragSize(rng *rand.Rand, cfg DomainNameserverConfig) int {
-	r := rng.Float64()
-	switch {
-	case r < cfg.CumAt292:
-		return 292
-	case r < cfg.CumAt548:
-		return 548
-	case r < cfg.CumAt1276:
-		return 1276
-	default:
-		return 1500
+// DomainNameservers draws the popular-domain nameserver population one
+// nameserver at a time and yields each before drawing the next, so a
+// study can fold it without storing it.
+//
+// This is the population's one draw loop. It consumes
+// rand.New(rand.NewSource(seed)) exactly as
+//
+//	for range cfg.Total {
+//		switch {
+//		case rng.Float64() < cfg.PDNSSEC:
+//			signed
+//		case rng.Float64() < cfg.PFragNoDNSSEC/(1-cfg.PDNSSEC):
+//			fragmenting, with MinFragSize 292, 548, 1276 or 1500 as
+//			r := rng.Float64() is below CumAt292, CumAt548, CumAt1276
+//			or none of them, tested in that order
+//		default:
+//			neither
+//		}
+//	}
+//
+// does, but reads the stream through a simrand.Reader and decides each
+// Float64 test with an integer compare.
+func DomainNameservers(cfg DomainNameserverConfig, seed int64) iter.Seq[NameserverSpec] {
+	return func(yield func(NameserverSpec) bool) {
+		signed := simrand.Below(cfg.PDNSSEC)
+		fragments := simrand.Below(cfg.PFragNoDNSSEC / (1 - cfg.PDNSSEC))
+		at292 := uint64(simrand.Below(cfg.CumAt292))
+		at548 := uint64(simrand.Below(cfg.CumAt548))
+		at1276 := uint64(simrand.Below(cfg.CumAt1276))
+		var rd simrand.Reader // a value, so it stays on the stack (see Reader)
+		rd.Seed(seed)
+		for range cfg.Total {
+			s := NameserverSpec{MinFragSize: ipv4.DefaultMTU}
+			switch {
+			case rd.Test(signed):
+				s.DNSSEC = true
+			case rd.Test(fragments):
+				s.Fragments = true
+				switch v := rd.Float64Value(); {
+				case v < at292:
+					s.MinFragSize = 292
+				case v < at548:
+					s.MinFragSize = 548
+				case v < at1276:
+					s.MinFragSize = 1276
+				default:
+					s.MinFragSize = 1500
+				}
+			}
+			if !yield(s) {
+				return
+			}
+		}
 	}
 }
 
@@ -575,56 +622,121 @@ func DefaultAdStudyConfig() AdStudyConfig {
 }
 
 // GenerateAdClients draws the ad-study client population (valid and
-// invalid results; the harness applies the paper's filtering).
+// invalid results; the harness applies the paper's filtering) and stores
+// it. A study that only folds the population should range over AdClients
+// instead, which draws the same clients without keeping them.
 func GenerateAdClients(cfg AdStudyConfig, seed int64) []AdClientSpec {
-	rng := rand.New(rand.NewSource(seed))
 	total := 0
 	for _, region := range AllRegions() {
 		total += cfg.Regions[region].Clients
 	}
 	out := make([]AdClientSpec, 0, total)
-	for _, region := range AllRegions() {
-		p := cfg.Regions[region]
-		for i := 0; i < p.Clients; i++ {
-			c := AdClientSpec{Region: region, Device: PC, BaselineOK: true, SigrightOK: true, PageOpenSeconds: 31 + rng.Intn(600)}
-			if rng.Float64() < p.PMobile {
-				c.Device = Mobile
-			}
-			if rng.Float64() < cfg.PInvalidPage {
-				// Invalid result: early close or failed control.
-				if rng.Float64() < 0.5 {
-					c.PageOpenSeconds = rng.Intn(30)
-				} else {
-					c.BaselineOK = false
-				}
-			}
-			c.GoogleDNS = rng.Float64() < p.PGoogle
-			if c.GoogleDNS {
-				// Google filters fragments below "big" but accepts big ones,
-				// so Google clients count toward any-size acceptance.
-				c.AcceptsBig = true
-			} else {
-				// Table V's PTiny/PAnyFragment are marginals over ALL valid
-				// clients (including the Google users, who never accept tiny
-				// fragments); condition the non-Google rates accordingly.
-				pAnyNG := (p.PAnyFragment - p.PGoogle) / (1 - p.PGoogle)
-				pTinyNG := p.PTiny / (1 - p.PGoogle)
-				if rng.Float64() < pAnyNG {
-					c.AcceptsBig = true
-					c.AcceptsMedium = rng.Float64() < 0.95
-					c.AcceptsSmall = c.AcceptsMedium && rng.Float64() < 0.95
-					pTinyGivenSmall := pTinyNG / (pAnyNG * 0.95 * 0.95)
-					if pTinyGivenSmall > 1 {
-						pTinyGivenSmall = 1
-					}
-					c.AcceptsTiny = c.AcceptsSmall && rng.Float64() < pTinyGivenSmall
-				}
-			}
-			c.ValidatesDNSSEC = rng.Float64() < p.PDNSSEC
-			out = append(out, c)
-		}
+	for c := range AdClients(cfg, seed) {
+		out = append(out, c)
 	}
 	return out
+}
+
+// AdClients draws the ad-study client population one client at a time,
+// region by region in AllRegions order, and yields each before drawing
+// the next, so a study can fold it without storing it.
+//
+// This is the population's one draw loop. It consumes
+// rand.New(rand.NewSource(seed)) exactly as the loop below does, for
+// each region's p = cfg.Regions[region], but reads the stream through a
+// simrand.Reader and decides each Float64 test with an integer compare.
+//
+//	for range p.Clients {
+//		PageOpenSeconds = 31 + rng.Intn(600)
+//		Mobile if rng.Float64() < p.PMobile
+//		if rng.Float64() < cfg.PInvalidPage {
+//			if rng.Float64() < 0.5 {
+//				PageOpenSeconds = rng.Intn(30)
+//			} else {
+//				BaselineOK = false
+//			}
+//		}
+//		GoogleDNS = rng.Float64() < p.PGoogle
+//		if GoogleDNS {
+//			AcceptsBig = true
+//		} else if rng.Float64() < pAnyNG {
+//			AcceptsBig = true
+//			AcceptsMedium = rng.Float64() < 0.95
+//			AcceptsSmall = AcceptsMedium && rng.Float64() < 0.95
+//			AcceptsTiny = AcceptsSmall && rng.Float64() < pTinyGivenSmall
+//		}
+//		ValidatesDNSSEC = rng.Float64() < p.PDNSSEC
+//	}
+//
+// Table V's PTiny and PAnyFragment are marginals over all valid clients,
+// Google users included, who never accept tiny fragments, so the
+// non-Google rates are conditioned on not using Google: pAnyNG is
+// (PAnyFragment − PGoogle)/(1 − PGoogle), and pTinyGivenSmall is
+// PTiny/(1 − PGoogle) over pAnyNG·0.95·0.95, at most 1.
+func AdClients(cfg AdStudyConfig, seed int64) iter.Seq[AdClientSpec] {
+	return func(yield func(AdClientSpec) bool) {
+		invalid := simrand.Below(cfg.PInvalidPage)
+		half, likely := simrand.Below(0.5), simrand.Below(0.95)
+		openFor, closedAfter := simrand.NewIntn(600), simrand.NewIntn(30)
+		var rd simrand.Reader // a value, so it stays on the stack (see Reader)
+		rd.Seed(seed)
+		for _, region := range AllRegions() {
+			p := cfg.Regions[region]
+			d := newAdRegionDraw(p)
+			for range p.Clients {
+				c := AdClientSpec{Region: region, Device: PC, BaselineOK: true, SigrightOK: true, PageOpenSeconds: 31 + rd.Intn(openFor)}
+				if rd.Test(d.mobile) {
+					c.Device = Mobile
+				}
+				if rd.Test(invalid) {
+					// Invalid result: early close or failed control.
+					if rd.Test(half) {
+						c.PageOpenSeconds = rd.Intn(closedAfter)
+					} else {
+						c.BaselineOK = false
+					}
+				}
+				c.GoogleDNS = rd.Test(d.google)
+				if c.GoogleDNS {
+					// Google filters fragments below "big" but accepts big ones,
+					// so Google clients count toward any-size acceptance.
+					c.AcceptsBig = true
+				} else if rd.Test(d.anyNG) {
+					c.AcceptsBig = true
+					c.AcceptsMedium = rd.Test(likely)
+					c.AcceptsSmall = c.AcceptsMedium && rd.Test(likely)
+					c.AcceptsTiny = c.AcceptsSmall && rd.Test(d.tinyGivenSmall)
+				}
+				c.ValidatesDNSSEC = rd.Test(d.dnssec)
+				if !yield(c) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// adRegionDraw holds one region's draw decisions.
+type adRegionDraw struct {
+	mobile, google, anyNG, tinyGivenSmall, dnssec simrand.Cut
+}
+
+// newAdRegionDraw returns the Cuts of p's tests, with the non-Google
+// rates conditioned as AdClients describes.
+func newAdRegionDraw(p RegionParams) adRegionDraw {
+	pAnyNG := (p.PAnyFragment - p.PGoogle) / (1 - p.PGoogle)
+	pTinyNG := p.PTiny / (1 - p.PGoogle)
+	pTinyGivenSmall := pTinyNG / (pAnyNG * 0.95 * 0.95)
+	if pTinyGivenSmall > 1 {
+		pTinyGivenSmall = 1
+	}
+	return adRegionDraw{
+		mobile:         simrand.Below(p.PMobile),
+		google:         simrand.Below(p.PGoogle),
+		anyNG:          simrand.Below(pAnyNG),
+		tinyGivenSmall: simrand.Below(pTinyGivenSmall),
+		dnssec:         simrand.Below(p.PDNSSEC),
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -651,24 +763,60 @@ func DefaultSharedResolverConfig() SharedResolverConfig {
 	return SharedResolverConfig{Total: 18668, PSMTPOnly: 0.113, POpenOnly: 0.023, PBoth: 0.002}
 }
 
-// GenerateSharedResolvers draws the shared-resolver topology.
+// GenerateSharedResolvers draws the shared-resolver topology and stores
+// it. A study that only folds the topology should range over
+// SharedResolvers instead, which draws the same resolvers without keeping
+// them.
 func GenerateSharedResolvers(cfg SharedResolverConfig, seed int64) []SharedResolverSpec {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]SharedResolverSpec, cfg.Total)
-	for i := range out {
-		s := SharedResolverSpec{UsedByWeb: true}
-		r := rng.Float64()
-		switch {
-		case r < cfg.PBoth:
-			s.Open, s.UsedBySMTP = true, true
-		case r < cfg.PBoth+cfg.POpenOnly:
-			s.Open = true
-		case r < cfg.PBoth+cfg.POpenOnly+cfg.PSMTPOnly:
-			s.UsedBySMTP = true
-		}
-		out[i] = s
+	out := make([]SharedResolverSpec, 0, cfg.Total)
+	for s := range SharedResolvers(cfg, seed) {
+		out = append(out, s)
 	}
 	return out
+}
+
+// SharedResolvers draws the shared-resolver topology one resolver at a
+// time and yields each before drawing the next, so a study can fold it
+// without storing it.
+//
+// This is the topology's one draw loop. It consumes
+// rand.New(rand.NewSource(seed)) exactly as
+//
+//	for range cfg.Total {
+//		switch r := rng.Float64(); {
+//		case r < cfg.PBoth:
+//			open and used by SMTP
+//		case r < cfg.PBoth+cfg.POpenOnly:
+//			open
+//		case r < cfg.PBoth+cfg.POpenOnly+cfg.PSMTPOnly:
+//			used by SMTP
+//		}
+//	}
+//
+// does, every resolver used by the web, but reads the stream through a
+// simrand.Reader and compares each drawn value with one integer per case.
+func SharedResolvers(cfg SharedResolverConfig, seed int64) iter.Seq[SharedResolverSpec] {
+	return func(yield func(SharedResolverSpec) bool) {
+		both := uint64(simrand.Below(cfg.PBoth))
+		open := uint64(simrand.Below(cfg.PBoth + cfg.POpenOnly))
+		smtp := uint64(simrand.Below(cfg.PBoth + cfg.POpenOnly + cfg.PSMTPOnly))
+		var rd simrand.Reader // a value, so it stays on the stack (see Reader)
+		rd.Seed(seed)
+		for range cfg.Total {
+			s := SharedResolverSpec{UsedByWeb: true}
+			switch v := rd.Float64Value(); {
+			case v < both:
+				s.Open, s.UsedBySMTP = true, true
+			case v < open:
+				s.Open = true
+			case v < smtp:
+				s.UsedBySMTP = true
+			}
+			if !yield(s) {
+				return
+			}
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------

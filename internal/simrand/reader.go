@@ -5,14 +5,24 @@ import (
 	"math/rand"
 )
 
-// A Reader reads math/rand's stream for one seed as windows of raw
-// outputs, for a generator that draws 10⁵–10⁶ values per seeding and
-// decides most of them with one integer compare (see Cut and Intn).
-// Window shows the unread outputs without consuming them; Advance
-// consumes them. A Reader is also a rand.Source64 over the same stream,
-// so a draw that leaves the integer path, such as a Float64 that math/rand
-// would draw again, can continue with math/rand's own methods on
-// rand.New(reader) and stay exact.
+// A Reader reads math/rand's stream for one seed, for a generator that
+// draws 10⁴–10⁶ values per seeding and decides each with one integer
+// compare (see Cut and Intn). It reads the stream in one of two ways:
+//
+//   - in sequence: Float64Value, Test and Intn each decide the next
+//     Float64 or Intn of rand.New(rand.NewSource(seed)) and consume
+//     exactly the outputs it would, drawing again where it does;
+//   - in windows: Window shows the unread outputs without consuming them,
+//     and Advance consumes them, for a draw that decides a whole record
+//     from one window. A Reader is also a rand.Source64 over the same
+//     stream, so a record on which math/rand would draw again can be
+//     drawn over with math/rand's own methods on rand.New(reader) and
+//     stay exact.
+//
+// A Reader holds two blocks of outputs, 9.7 KB. A draw loop that declares
+// it as a value (var rd Reader; rd.Seed(seed)) keeps it on the stack; a
+// pointer from NewReader moved to the heap once the loop was inlined into
+// a caller in another package.
 //
 // A Reader's first block comes from one private rand.NewSource(seed), not
 // the lab seed cache: a population seed is drawn once and would only
@@ -69,8 +79,50 @@ func (r *Reader) Uint64() uint64 {
 // source does.
 func (r *Reader) Int63() int64 { return int64(r.Uint64() & mask63) }
 
+// Float64Value returns the 63-bit value v from which math/rand's next
+// Float64 is taken, float64(v)/(1<<63): the next output with its top bit
+// cleared, read again exactly where Float64 draws again (v ≥ Redraw). So
+// Float64() < p is Float64Value() < uint64(Below(p)), and one value can
+// be compared with several Cuts, as a switch on one Float64 does.
+func (r *Reader) Float64Value() uint64 {
+	for {
+		if v := r.Uint64() & mask63; v < Redraw {
+			return v
+		}
+	}
+}
+
+// Test draws math/rand's next Float64 and reports whether it passes c:
+// whether it is below p for c = Below(p). It is Float64Value() < c,
+// written out so that a decision costs one call, not two: neither
+// method inlines.
+func (r *Reader) Test(c Cut) bool {
+	for {
+		if v := r.Uint64() & mask63; v < Redraw {
+			return v < uint64(c)
+		}
+	}
+}
+
+// Intn returns math/rand's next Rand.Intn(n) for d = NewIntn(n), reading
+// again exactly where it draws again. Like Rand.Intn it panics for
+// n ≤ 0.
+func (r *Reader) Intn(d Intn) int {
+	if d.max < 0 {
+		panic("invalid argument to Intn")
+	}
+	for {
+		if v, ok := d.Of(r.Uint64()); ok {
+			return v
+		}
+	}
+}
+
 // refill moves the unread outputs in front of the register and steps the
-// register to the next block.
+// register to the next block. It runs once per block, so it is kept out
+// of line: inlined, it made Uint64 too large to inline.
+//
+//go:noinline
 func (r *Reader) refill() {
 	k := copy(r.buf[rngLen-(len(r.buf)-r.pos):rngLen], r.buf[r.pos:])
 	step((*[rngLen]uint64)(r.buf[rngLen:]))
@@ -140,7 +192,7 @@ type Intn struct {
 
 // NewIntn returns the decider for Rand.Intn(n). For n ≤ 0 it refuses
 // every output, so a caller that falls back to math/rand panics there
-// as Intn does.
+// as Intn does, and Reader.Intn panics.
 func NewIntn(n int) Intn {
 	switch {
 	case n <= 0:

@@ -25,15 +25,19 @@
 // dnstime_rng_seed_cache_hits_total and
 // dnstime_rng_seed_cache_misses_total.
 //
-// The open-resolver population (internal/population) draws about 1.3
-// million outputs per seed, nearly all of them Float64 and Intn
-// decisions. It reads its stream through a Reader: math/rand's stream
-// for the seed, from one private rand.NewSource and then the same
-// recurrence, shown as windows of raw outputs that it decides with
-// integer compares (Cut, Intn) giving exactly math/rand's answers. The
-// other population generators, the search and the analysis stay on
-// math/rand: they seed once per 10⁵–10⁶ draws, so seeding is noise for
-// them, and no profile puts their draws among the leading costs.
+// The population generators (internal/population) that draw 10⁴–10⁶
+// values per seed read their streams through a Reader instead:
+// math/rand's stream for the seed, from one private rand.NewSource and
+// then the same recurrence, decided with integer compares (Cut, Intn)
+// that give exactly math/rand's answers. The open-resolver draw reads
+// the stream as windows of raw outputs, a resolver at a time; the
+// domain-nameserver, ad-client and shared-resolver draws read it in
+// sequence, one Float64 or Intn at a time (Float64Value, Test,
+// Reader.Intn), each reading again exactly where math/rand draws again.
+// The pool populations, fig7's timing draw (which needs math/rand's
+// NormFloat64 tables), the search and the analysis stay on math/rand:
+// they draw a few thousand values per seeding or fewer, or no profile
+// puts their draws among the leading costs.
 package simrand
 
 import (

@@ -78,36 +78,45 @@ func (h *Histogram) Render(width int) string {
 	return sb.String()
 }
 
-// CDF is an empirical cumulative distribution over float64 samples.
+// CDF is an empirical cumulative distribution over float64 samples. It
+// keeps each added value with its count, one entry per Add or AddN call,
+// so a distribution over a few distinct values, such as Figure 5's
+// fragment sizes, takes a few entries however many samples it holds.
 type CDF struct {
-	samples []float64
-	sorted  bool
+	values []float64
+	counts []int
+	n      int // samples
 }
 
 // Add records one sample.
-func (c *CDF) Add(v float64) {
-	c.samples = append(c.samples, v)
-	c.sorted = false
+func (c *CDF) Add(v float64) { c.AddN(v, 1) }
+
+// AddN records n ≥ 0 samples of value v, as n calls of Add do.
+func (c *CDF) AddN(v float64, n int) {
+	if n > 0 {
+		c.values = append(c.values, v)
+		c.counts = append(c.counts, n)
+		c.n += n
+	}
 }
 
 // Len returns the number of samples.
-func (c *CDF) Len() int { return len(c.samples) }
+func (c *CDF) Len() int { return c.n }
 
-func (c *CDF) sort() {
-	if !c.sorted {
-		sort.Float64s(c.samples)
-		c.sorted = true
-	}
-}
-
-// At returns P(X ≤ v).
+// At returns P(X ≤ v): the fraction of samples below the least float64
+// above v. A NaN sample counts as below every v, and At(NaN) is 1.
 func (c *CDF) At(v float64) float64 {
-	if len(c.samples) == 0 {
+	if c.n == 0 {
 		return 0
 	}
-	c.sort()
-	i := sort.SearchFloat64s(c.samples, math.Nextafter(v, math.Inf(1)))
-	return float64(i) / float64(len(c.samples))
+	above := math.Nextafter(v, math.Inf(1))
+	k := 0
+	for i, s := range c.values {
+		if !(s >= above) {
+			k += c.counts[i]
+		}
+	}
+	return float64(k) / float64(c.n)
 }
 
 // Points returns (x, P(X≤x)) pairs at the given x values — the series

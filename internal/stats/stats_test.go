@@ -2,7 +2,9 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -43,6 +45,47 @@ func TestHistogramAddN(t *testing.T) {
 			}
 			if got.Total() != want.Total() || got.Under() != want.Under() || got.Over() != want.Over() || !slices.Equal(got.counts, want.counts) {
 				t.Errorf("AddN(%v, %d) = %+v, %d Adds give %+v", v, n, *got, n, *want)
+			}
+		}
+	}
+}
+
+// TestCDFAddNMatchesSortedSamples: a CDF built with Add and AddN answers
+// At exactly as a search of its sorted samples does, NaNs first, for
+// samples and points that include NaN, ±Inf and −0, and n = 0.
+func TestCDFAddNMatchesSortedSamples(t *testing.T) {
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 292, 548}
+	rng := rand.New(rand.NewSource(1))
+	pick := func() float64 {
+		if rng.Intn(2) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return float64(rng.Intn(2000) - 100)
+	}
+	for round := range 200 {
+		var c CDF
+		var samples []float64
+		for range rng.Intn(8) {
+			v, n := pick(), rng.Intn(4)
+			if n == 1 && rng.Intn(2) == 0 {
+				c.Add(v)
+			} else {
+				c.AddN(v, n)
+			}
+			samples = append(samples, slices.Repeat([]float64{v}, n)...)
+		}
+		sort.Float64s(samples)
+		if c.Len() != len(samples) {
+			t.Fatalf("round %d: Len %d, %d samples", round, c.Len(), len(samples))
+		}
+		for range 20 {
+			v := pick()
+			want := 0.0
+			if len(samples) > 0 {
+				want = float64(sort.SearchFloat64s(samples, math.Nextafter(v, math.Inf(1)))) / float64(len(samples))
+			}
+			if got := c.At(v); got != want {
+				t.Fatalf("round %d: At(%v) = %v over %v, sorted search %v", round, v, got, samples, want)
 			}
 		}
 	}
