@@ -115,3 +115,64 @@ func TestFacadeMeasurementsSmoke(t *testing.T) {
 		t.Errorf("SnoopOpenResolvers = %+v, CacheSnoop over the stored population = %+v", streamed, snoop)
 	}
 }
+
+// TestFacadeNegativePopulationSizes: a negative population size draws
+// nothing, as a size of zero does, in every generator that sizes its
+// result from the config; the ad study skips a region of −5 000 clients
+// and draws the other four.
+func TestFacadeNegativePopulationSizes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		draw func() int // the number of members drawn
+		want int
+	}{
+		{"GeneratePool", func() int {
+			cfg := dnstime.DefaultPoolConfig()
+			cfg.Servers = -1
+			return len(dnstime.GeneratePool(cfg, 1))
+		}, 0},
+		{"GeneratePoolNameservers", func() int {
+			cfg := dnstime.DefaultPoolNameserverConfig()
+			cfg.Total = -1
+			return len(dnstime.GeneratePoolNameservers(cfg, 1))
+		}, 0},
+		{"GenerateDomainNameservers", func() int {
+			cfg := dnstime.DefaultDomainNameserverConfig()
+			cfg.Total = -1
+			return len(dnstime.GenerateDomainNameservers(cfg, 1))
+		}, 0},
+		{"GenerateOpenResolvers", func() int {
+			cfg := dnstime.DefaultOpenResolverConfig()
+			cfg.Total = -1
+			return len(dnstime.GenerateOpenResolvers(cfg, 1))
+		}, 0},
+		{"GenerateAdClients", func() int {
+			cfg := dnstime.DefaultAdStudyConfig()
+			asia := cfg.Regions["Asia"]
+			asia.Clients = -5000
+			cfg.Regions["Asia"] = asia
+			return len(dnstime.GenerateAdClients(cfg, 1))
+		}, 303 + 1390 + 2314 + 838},
+		{"GenerateSharedResolvers", func() int {
+			cfg := dnstime.DefaultSharedResolverConfig()
+			cfg.Total = -1
+			return len(dnstime.GenerateSharedResolvers(cfg, 1))
+		}, 0},
+		{"TimingSideChannel", func() int {
+			cfg := dnstime.DefaultTimingProbeConfig()
+			cfg.Resolvers = -1
+			return len(dnstime.TimingSideChannel(cfg, 1).Deltas)
+		}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("panicked: %v", p)
+				}
+			}()
+			if got := tc.draw(); got != tc.want {
+				t.Errorf("drew %d members, want %d", got, tc.want)
+			}
+		})
+	}
+}

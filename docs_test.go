@@ -1,9 +1,10 @@
 // Documentation enforcement: the DESIGN.md §4 experiment index must match
 // the scenario registry, relative links in the top-level docs must
 // resolve, the packages TestGodocCoverage names must document every
-// exported symbol, and every internal package must be imported by
-// non-test code. CI runs these in its docs job; they are
-// ordinary tests so `go test ./...` catches drift locally too.
+// exported symbol, every internal package must be imported by non-test
+// code, and only internal/simrand's seed cache may seed math/rand. CI
+// runs these in its docs job; they are ordinary tests so `go test ./...`
+// catches drift locally too.
 package dnstime_test
 
 import (
@@ -139,14 +140,12 @@ func TestGodocCoverage(t *testing.T) {
 	}
 }
 
-// TestEveryInternalPackageIsImported: every package under internal/ is
-// imported by a non-test file of another package of this module (a
-// package cannot import itself), so code that only its own tests reach
-// cannot linger. Nested modules such as bench/ do not count.
-func TestEveryInternalPackageIsImported(t *testing.T) {
-	fset := token.NewFileSet()
-	var packages []string
-	imported := map[string]bool{}
+// nonTestGoFiles returns the paths of this module's non-test Go files.
+// Hidden directories, testdata and nested modules such as bench/ do not
+// count.
+func nonTestGoFiles(t *testing.T) []string {
+	t.Helper()
+	var files []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -162,24 +161,37 @@ func TestEveryInternalPackageIsImported(t *testing.T) {
 			}
 			return nil
 		}
-		if filepath.Ext(path) != ".go" || strings.HasSuffix(path, "_test.go") {
-			return nil
+		if filepath.Ext(path) == ".go" && !strings.HasSuffix(path, "_test.go") {
+			files = append(files, path)
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestEveryInternalPackageIsImported: every package under internal/ is
+// imported by a non-test file of another package of this module (a
+// package cannot import itself), so code that only its own tests reach
+// cannot linger.
+func TestEveryInternalPackageIsImported(t *testing.T) {
+	fset := token.NewFileSet()
+	var packages []string
+	imported := map[string]bool{}
+	for _, path := range nonTestGoFiles(t) {
 		pkg := "dnstime/" + filepath.ToSlash(filepath.Dir(path))
 		if strings.HasPrefix(pkg, "dnstime/internal/") && !slices.Contains(packages, pkg) {
 			packages = append(packages, pkg)
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
 		for _, imp := range f.Imports {
 			imported[strings.Trim(imp.Path.Value, `"`)] = true
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(packages) == 0 {
 		t.Fatal("found no packages under internal/")
@@ -187,6 +199,49 @@ func TestEveryInternalPackageIsImported(t *testing.T) {
 	for _, pkg := range packages {
 		if !imported[pkg] {
 			t.Errorf("%s is imported by no non-test file of another package", pkg)
+		}
+	}
+}
+
+// TestOneSeedingPath: the seed cache's load, in internal/simrand, is the
+// only non-test code that calls math/rand's NewSource. Every random
+// stream is a simrand.Source, whose first outputs come from that cache,
+// so a generator that seeds math/rand itself pays the seeding the cache
+// saves, and shows on none of its counters.
+func TestOneSeedingPath(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, path := range nonTestGoFiles(t) {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rand := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"math/rand"` {
+				rand = "rand"
+				if imp.Name != nil {
+					rand = imp.Name.Name
+				}
+			}
+		}
+		if rand == "" {
+			continue
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.Name == "load" &&
+				filepath.ToSlash(filepath.Dir(path)) == "internal/simrand" {
+				continue
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "NewSource" {
+						if x, ok := sel.X.(*ast.Ident); ok && x.Name == rand {
+							t.Errorf("%s: rand.NewSource outside the seed cache; draw from rand.New(simrand.New(seed))", fset.Position(call.Pos()))
+						}
+					}
+				}
+				return true
+			})
 		}
 	}
 }

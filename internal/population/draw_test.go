@@ -15,7 +15,7 @@ import (
 // shared-resolver generators as they were written on
 // rand.New(rand.NewSource(seed)), one Float64 per test and one Intn per
 // count, before each became one draw loop reading the stream through a
-// simrand.Reader. The oracle tests and fuzz targets compare the draw
+// simrand.Source. The oracle tests and fuzz targets compare the draw
 // loops and their collectors with them.
 
 func referenceDomainNameservers(cfg DomainNameserverConfig, seed int64) []NameserverSpec {

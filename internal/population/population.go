@@ -17,11 +17,14 @@
 // SharedResolvers) that yields each member before drawing the next, so a
 // study folds a population without storing it; the Generate function of
 // each collects the same loop. The loops read math/rand's exact stream
-// for the seed through a simrand.Reader and decide each draw with an
+// for the seed from a simrand.Source and decide each draw with an
 // integer compare, so they draw exactly what the same loops written on
 // rand.New(rand.NewSource(seed)) draw; the package's tests keep those
 // loops as oracles. GeneratePool, GeneratePoolNameservers and
-// GenerateTimingDeltas stay on math/rand.
+// GenerateTimingDeltas draw with math/rand's own methods on
+// rand.New(simrand.New(seed)), the same stream.
+//
+// A negative population size draws nothing, as a size of zero does.
 package population
 
 import (
@@ -72,11 +75,11 @@ func DefaultPoolConfig() PoolConfig {
 // 10.(1+i>>16).(i>>8).i, so the first 2^24 servers have distinct
 // addresses and the first 65 536 sit in 10.1.0.0/16.
 func GeneratePool(cfg PoolConfig, seed int64) []PoolServerSpec {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(simrand.New(seed))
 	if cfg.PKoD > cfg.PRateLimit {
 		cfg.PKoD = cfg.PRateLimit
 	}
-	out := make([]PoolServerSpec, cfg.Servers)
+	out := make([]PoolServerSpec, max(cfg.Servers, 0))
 	for i := range out {
 		s := PoolServerSpec{Addr: ipv4.Addr{10, byte(1 + i>>16), byte(i >> 8), byte(i)}}
 		r := rng.Float64()
@@ -120,9 +123,9 @@ func DefaultPoolNameserverConfig() PoolNameserverConfig {
 
 // GeneratePoolNameservers draws the pool.ntp.org nameserver population.
 func GeneratePoolNameservers(cfg PoolNameserverConfig, seed int64) []NameserverSpec {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]NameserverSpec, cfg.Total)
-	perm := rng.Perm(cfg.Total)
+	rng := rand.New(simrand.New(seed))
+	out := make([]NameserverSpec, max(cfg.Total, 0))
+	perm := rng.Perm(len(out))
 	for i := range out {
 		if i < cfg.FragBelow548 {
 			out[perm[i]] = NameserverSpec{Fragments: true, MinFragSize: 292 + rng.Intn(2)*256}
@@ -169,7 +172,7 @@ func DefaultDomainNameserverConfig() DomainNameserverConfig {
 // DomainNameservers instead, which draws the same nameservers without
 // keeping them.
 func GenerateDomainNameservers(cfg DomainNameserverConfig, seed int64) []NameserverSpec {
-	out := make([]NameserverSpec, 0, cfg.Total)
+	out := make([]NameserverSpec, 0, max(cfg.Total, 0))
 	for s := range DomainNameservers(cfg, seed) {
 		out = append(out, s)
 	}
@@ -196,7 +199,7 @@ func GenerateDomainNameservers(cfg DomainNameserverConfig, seed int64) []Nameser
 //		}
 //	}
 //
-// does, but reads the stream through a simrand.Reader and decides each
+// does, but reads the stream from a simrand.Source and decides each
 // Float64 test with an integer compare.
 func DomainNameservers(cfg DomainNameserverConfig, seed int64) iter.Seq[NameserverSpec] {
 	return func(yield func(NameserverSpec) bool) {
@@ -205,16 +208,16 @@ func DomainNameservers(cfg DomainNameserverConfig, seed int64) iter.Seq[Nameserv
 		at292 := uint64(simrand.Below(cfg.CumAt292))
 		at548 := uint64(simrand.Below(cfg.CumAt548))
 		at1276 := uint64(simrand.Below(cfg.CumAt1276))
-		var rd simrand.Reader // a value, so it stays on the stack (see Reader)
-		rd.Seed(seed)
+		var src simrand.Source // a value, so it stays on the stack (see Source)
+		src.Seed(seed)
 		for range cfg.Total {
 			s := NameserverSpec{MinFragSize: ipv4.DefaultMTU}
 			switch {
-			case rd.Test(signed):
+			case src.Test(signed):
 				s.DNSSEC = true
-			case rd.Test(fragments):
+			case src.Test(fragments):
 				s.Fragments = true
-				switch v := rd.Float64Value(); {
+				switch v := src.Float64Value(); {
 				case v < at292:
 					s.MinFragSize = 292
 				case v < at548:
@@ -351,7 +354,7 @@ func DefaultOpenResolverConfig() OpenResolverConfig {
 // record were cached everywhere.
 func GenerateOpenResolvers(cfg OpenResolverConfig, seed int64) []OpenResolverSpec {
 	records := OpenResolverRecords(cfg)
-	out := make([]OpenResolverSpec, 0, cfg.Total)
+	out := make([]OpenResolverSpec, 0, max(cfg.Total, 0))
 	chunk := make([]CachedRecord, 0, 1024*len(records))
 	for r := range OpenResolvers(cfg, seed) {
 		s := OpenResolverSpec{Responds: r.Responds, RespectsRD: r.RespectsRD, AcceptsFragments: r.AcceptsFragments}
@@ -394,23 +397,26 @@ func GenerateOpenResolvers(cfg OpenResolverConfig, seed int64) []OpenResolverSpe
 //		}
 //	}
 //
-// does, but reads the stream through a simrand.Reader and decides each
+// does, but reads the stream from a simrand.Source and decides each
 // draw on the raw output with an integer compare (simrand.Cut,
-// simrand.Intn). A resolver on which math/rand would draw again (a
-// Float64 that rounds to 1, an Intn rejection, an invalid RecordTTL) is
-// drawn over from its first output with math/rand's own methods on the
-// same stream, so the draw stays exact.
+// simrand.Intn), a resolver at a time from the unread rest of the
+// stream's current block. A resolver that block cannot decide is drawn
+// over from its first output in sequence, with the Source's Test and
+// Intn, so the draw stays exact: a responding resolver that starts with
+// fewer outputs left than it may read (about one per block), and one on
+// which math/rand would draw again (a Float64 that rounds to 1, an Intn
+// rejection, an invalid RecordTTL).
 func OpenResolvers(cfg OpenResolverConfig, seed int64) iter.Seq[DrawnResolver] {
 	return func(yield func(DrawnResolver) bool) {
 		d := newOpenDraw(cfg)
-		rd := simrand.NewReader(seed)
-		rng := rand.New(rd)
+		var src simrand.Source // a value, so it stays on the stack (see Source)
+		src.Seed(seed)
 		r := DrawnResolver{Cached: make([]CachedIndex, 0, len(d.cuts))}
 		for range cfg.Total {
-			if n := d.fast(&r, rd.Window(d.most)); n > 0 {
-				rd.Advance(n)
+			if n := d.fast(&r, src.Unread()); n > 0 {
+				src.Advance(n)
 			} else {
-				d.exact(&r, rng)
+				d.sequential(&r, &src)
 			}
 			if !yield(r) {
 				return
@@ -421,9 +427,6 @@ func OpenResolvers(cfg OpenResolverConfig, seed int64) iter.Seq[DrawnResolver] {
 
 // openDraw holds one configuration's draw decisions.
 type openDraw struct {
-	cfg   OpenResolverConfig
-	probs []float64 // caching probability per record, in draw order
-
 	responds, verifies, fragments simrand.Cut
 	cuts                          []simrand.Cut // per record
 	ttl                           simrand.Intn
@@ -436,8 +439,6 @@ type openDraw struct {
 func newOpenDraw(cfg OpenResolverConfig) *openDraw {
 	records := OpenResolverRecords(cfg)
 	d := &openDraw{
-		cfg:       cfg,
-		probs:     make([]float64, len(records)),
 		responds:  simrand.NotAtLeast(cfg.PResponds),
 		verifies:  simrand.Below(cfg.PRespectsRD),
 		fragments: simrand.Below(cfg.PAcceptsFragments),
@@ -446,20 +447,16 @@ func newOpenDraw(cfg OpenResolverConfig) *openDraw {
 		most:      3 + 2*len(records),
 	}
 	for j, rec := range records {
-		d.probs[j] = cfg.PCached[rec]
-		d.cuts[j] = simrand.Below(d.probs[j])
+		d.cuts[j] = simrand.Below(cfg.PCached[rec])
 	}
 	return d
 }
 
-// fast draws one resolver into r from the window w of unread outputs and
-// returns the number it read. It returns 0, leaving r to be drawn over,
-// when w is shorter than the most a resolver can read or math/rand would
-// draw again.
+// fast draws one resolver into r from the unread outputs w, at least
+// one, and returns the number it read. It returns 0, leaving r to be
+// drawn over, when math/rand would draw again or the resolver responds
+// and w is shorter than the most a responding resolver can read.
 func (d *openDraw) fast(r *DrawnResolver, w []uint64) int {
-	if len(w) < d.most {
-		return 0
-	}
 	responds, ok := d.responds.Of(w[0])
 	if !ok {
 		return 0
@@ -467,6 +464,9 @@ func (d *openDraw) fast(r *DrawnResolver, w []uint64) int {
 	if !responds {
 		*r = DrawnResolver{Cached: r.Cached[:0]}
 		return 1
+	}
+	if len(w) < d.most {
+		return 0
 	}
 	verifies, ok1 := d.verifies.Of(w[1])
 	fragments, ok2 := d.fragments.Of(w[2])
@@ -477,8 +477,8 @@ func (d *openDraw) fast(r *DrawnResolver, w []uint64) int {
 	// next output. The TTL is decided whether or not the record is cached
 	// and the index advances by the outcome, so the loop does not branch
 	// on it; an output that only a cached record would read and math/rand
-	// would reject sends the resolver to the exact path needlessly, but
-	// never wrongly.
+	// would reject sends the resolver to the sequential path needlessly,
+	// but never wrongly.
 	cuts, ttls := d.cuts, d.ttl
 	cached := r.Cached[:len(cuts)]
 	n, i := 0, 3
@@ -500,18 +500,19 @@ func (d *openDraw) fast(r *DrawnResolver, w []uint64) int {
 	return i
 }
 
-// exact draws one resolver into r with math/rand's own methods.
-func (d *openDraw) exact(r *DrawnResolver, rng *rand.Rand) {
+// sequential draws one resolver into r one decision at a time, reading
+// again wherever math/rand draws again.
+func (d *openDraw) sequential(r *DrawnResolver, src *simrand.Source) {
 	*r = DrawnResolver{Cached: r.Cached[:0]}
-	if rng.Float64() >= d.cfg.PResponds {
+	if !src.Test(d.responds) {
 		return
 	}
 	r.Responds = true
-	r.RespectsRD = rng.Float64() < d.cfg.PRespectsRD
-	r.AcceptsFragments = rng.Float64() < d.cfg.PAcceptsFragments
-	for j, p := range d.probs {
-		if rng.Float64() < p {
-			r.Cached = append(r.Cached, CachedIndex{j, rng.Intn(d.cfg.RecordTTL + 1)})
+	r.RespectsRD = src.Test(d.verifies)
+	r.AcceptsFragments = src.Test(d.fragments)
+	for j, c := range d.cuts {
+		if src.Test(c) {
+			r.Cached = append(r.Cached, CachedIndex{j, src.Intn(d.ttl)})
 		}
 	}
 }
@@ -628,7 +629,7 @@ func DefaultAdStudyConfig() AdStudyConfig {
 func GenerateAdClients(cfg AdStudyConfig, seed int64) []AdClientSpec {
 	total := 0
 	for _, region := range AllRegions() {
-		total += cfg.Regions[region].Clients
+		total += max(cfg.Regions[region].Clients, 0)
 	}
 	out := make([]AdClientSpec, 0, total)
 	for c := range AdClients(cfg, seed) {
@@ -643,8 +644,8 @@ func GenerateAdClients(cfg AdStudyConfig, seed int64) []AdClientSpec {
 //
 // This is the population's one draw loop. It consumes
 // rand.New(rand.NewSource(seed)) exactly as the loop below does, for
-// each region's p = cfg.Regions[region], but reads the stream through a
-// simrand.Reader and decides each Float64 test with an integer compare.
+// each region's p = cfg.Regions[region], but reads the stream from a
+// simrand.Source and decides each Float64 test with an integer compare.
 //
 //	for range p.Clients {
 //		PageOpenSeconds = 31 + rng.Intn(600)
@@ -678,36 +679,36 @@ func AdClients(cfg AdStudyConfig, seed int64) iter.Seq[AdClientSpec] {
 		invalid := simrand.Below(cfg.PInvalidPage)
 		half, likely := simrand.Below(0.5), simrand.Below(0.95)
 		openFor, closedAfter := simrand.NewIntn(600), simrand.NewIntn(30)
-		var rd simrand.Reader // a value, so it stays on the stack (see Reader)
-		rd.Seed(seed)
+		var src simrand.Source // a value, so it stays on the stack (see Source)
+		src.Seed(seed)
 		for _, region := range AllRegions() {
 			p := cfg.Regions[region]
 			d := newAdRegionDraw(p)
 			for range p.Clients {
-				c := AdClientSpec{Region: region, Device: PC, BaselineOK: true, SigrightOK: true, PageOpenSeconds: 31 + rd.Intn(openFor)}
-				if rd.Test(d.mobile) {
+				c := AdClientSpec{Region: region, Device: PC, BaselineOK: true, SigrightOK: true, PageOpenSeconds: 31 + src.Intn(openFor)}
+				if src.Test(d.mobile) {
 					c.Device = Mobile
 				}
-				if rd.Test(invalid) {
+				if src.Test(invalid) {
 					// Invalid result: early close or failed control.
-					if rd.Test(half) {
-						c.PageOpenSeconds = rd.Intn(closedAfter)
+					if src.Test(half) {
+						c.PageOpenSeconds = src.Intn(closedAfter)
 					} else {
 						c.BaselineOK = false
 					}
 				}
-				c.GoogleDNS = rd.Test(d.google)
+				c.GoogleDNS = src.Test(d.google)
 				if c.GoogleDNS {
 					// Google filters fragments below "big" but accepts big ones,
 					// so Google clients count toward any-size acceptance.
 					c.AcceptsBig = true
-				} else if rd.Test(d.anyNG) {
+				} else if src.Test(d.anyNG) {
 					c.AcceptsBig = true
-					c.AcceptsMedium = rd.Test(likely)
-					c.AcceptsSmall = c.AcceptsMedium && rd.Test(likely)
-					c.AcceptsTiny = c.AcceptsSmall && rd.Test(d.tinyGivenSmall)
+					c.AcceptsMedium = src.Test(likely)
+					c.AcceptsSmall = c.AcceptsMedium && src.Test(likely)
+					c.AcceptsTiny = c.AcceptsSmall && src.Test(d.tinyGivenSmall)
 				}
-				c.ValidatesDNSSEC = rd.Test(d.dnssec)
+				c.ValidatesDNSSEC = src.Test(d.dnssec)
 				if !yield(c) {
 					return
 				}
@@ -768,7 +769,7 @@ func DefaultSharedResolverConfig() SharedResolverConfig {
 // SharedResolvers instead, which draws the same resolvers without keeping
 // them.
 func GenerateSharedResolvers(cfg SharedResolverConfig, seed int64) []SharedResolverSpec {
-	out := make([]SharedResolverSpec, 0, cfg.Total)
+	out := make([]SharedResolverSpec, 0, max(cfg.Total, 0))
 	for s := range SharedResolvers(cfg, seed) {
 		out = append(out, s)
 	}
@@ -793,18 +794,18 @@ func GenerateSharedResolvers(cfg SharedResolverConfig, seed int64) []SharedResol
 //		}
 //	}
 //
-// does, every resolver used by the web, but reads the stream through a
-// simrand.Reader and compares each drawn value with one integer per case.
+// does, every resolver used by the web, but reads the stream from a
+// simrand.Source and compares each drawn value with one integer per case.
 func SharedResolvers(cfg SharedResolverConfig, seed int64) iter.Seq[SharedResolverSpec] {
 	return func(yield func(SharedResolverSpec) bool) {
 		both := uint64(simrand.Below(cfg.PBoth))
 		open := uint64(simrand.Below(cfg.PBoth + cfg.POpenOnly))
 		smtp := uint64(simrand.Below(cfg.PBoth + cfg.POpenOnly + cfg.PSMTPOnly))
-		var rd simrand.Reader // a value, so it stays on the stack (see Reader)
-		rd.Seed(seed)
+		var src simrand.Source // a value, so it stays on the stack (see Source)
+		src.Seed(seed)
 		for range cfg.Total {
 			s := SharedResolverSpec{UsedByWeb: true}
-			switch v := rd.Float64Value(); {
+			switch v := src.Float64Value(); {
 			case v < both:
 				s.Open, s.UsedBySMTP = true, true
 			case v < open:
@@ -849,8 +850,8 @@ func DefaultTimingProbeConfig() TimingProbeConfig {
 // GenerateTimingDeltas draws t_first − t_avg samples (milliseconds) for the
 // probe population.
 func GenerateTimingDeltas(cfg TimingProbeConfig, seed int64) []float64 {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]float64, cfg.Resolvers)
+	rng := rand.New(simrand.New(seed))
+	out := make([]float64, max(cfg.Resolvers, 0))
 	for i := range out {
 		jitter := rng.NormFloat64() * cfg.JitterMS
 		if rng.Float64() < cfg.PCached {

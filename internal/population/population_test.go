@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"dnstime/internal/ipv4"
+	"dnstime/internal/obs"
 )
 
 func frac(n, d int) float64 { return float64(n) / float64(d) }
@@ -564,6 +565,62 @@ func TestGenerateTimingDeltasOverlap(t *testing.T) {
 	}
 }
 
+// TestDrawsSeedThroughCache: every generator's stream is seeded through
+// simrand's shared seed cache, with no private math/rand source: a draw
+// at a seed the process has not drawn costs one cache miss, and a second
+// draw at that seed one hit and no miss.
+func TestDrawsSeedThroughCache(t *testing.T) {
+	hits := obs.Default.Counter("dnstime_rng_seed_cache_hits_total", "")
+	misses := obs.Default.Counter("dnstime_rng_seed_cache_misses_total", "")
+	domains, resolvers := DefaultDomainNameserverConfig(), DefaultOpenResolverConfig()
+	domains.Total, resolvers.Total = 1000, 1000
+	for i, tc := range []struct {
+		name string
+		draw func(seed int64)
+	}{
+		{"GeneratePool", func(seed int64) { GeneratePool(DefaultPoolConfig(), seed) }},
+		{"GeneratePoolNameservers", func(seed int64) { GeneratePoolNameservers(DefaultPoolNameserverConfig(), seed) }},
+		{"DomainNameservers", func(seed int64) { GenerateDomainNameservers(domains, seed) }},
+		{"OpenResolvers", func(seed int64) { GenerateOpenResolvers(resolvers, seed) }},
+		{"AdClients", func(seed int64) { GenerateAdClients(DefaultAdStudyConfig(), seed) }},
+		{"SharedResolvers", func(seed int64) { GenerateSharedResolvers(DefaultSharedResolverConfig(), seed) }},
+		{"GenerateTimingDeltas", func(seed int64) { GenerateTimingDeltas(DefaultTimingProbeConfig(), seed) }},
+	} {
+		seed := 1<<40 + int64(i) // drawn by no other test
+		for _, want := range []struct {
+			draw         string
+			hits, misses int64
+		}{{"first", 0, 1}, {"second", 1, 0}} {
+			h, m := hits.Value(), misses.Value()
+			tc.draw(seed)
+			if dh, dm := hits.Value()-h, misses.Value()-m; dh != want.hits || dm != want.misses {
+				t.Errorf("%s: %s draw at seed %d cost %d hits and %d misses, want %d and %d",
+					tc.name, want.draw, seed, dh, dm, want.hits, want.misses)
+			}
+		}
+	}
+}
+
+// heapBudgetOpenResolverDraw is the committed heap budget for one
+// default-size open-resolver draw (200 000 resolvers, drawn and
+// discarded): its decisions, its scratch record slice and its closures,
+// 432 B with or without -race, with its Source on the stack and the
+// seed's first block copied from the seed cache. A Source on the heap,
+// or a math/rand source seeded privately per draw, costs 4.9 KB more.
+const heapBudgetOpenResolverDraw = 640
+
+func TestHeapBudgetOpenResolverDraw(t *testing.T) {
+	r := testing.Benchmark(BenchmarkOpenResolverDraw)
+	if r.N == 0 {
+		t.Fatal("benchmark did not run")
+	}
+	got := r.AllocedBytesPerOp()
+	if got > heapBudgetOpenResolverDraw {
+		t.Errorf("a default-size open-resolver draw allocates %d bytes, budget %d", got, heapBudgetOpenResolverDraw)
+	}
+	t.Logf("open-resolver draw: %d bytes per call, budget %d", got, heapBudgetOpenResolverDraw)
+}
+
 func BenchmarkGenerateOpenResolvers(b *testing.B) {
 	cfg := DefaultOpenResolverConfig()
 	b.ReportAllocs()
@@ -580,6 +637,8 @@ var sinkInt int
 // it pins a slowdown on the draw or on the fold.
 func BenchmarkOpenResolverDraw(b *testing.B) {
 	cfg := DefaultOpenResolverConfig()
+	for range OpenResolvers(cfg, 11) { // the seed cache's entry for the seed is allocated outside the loop
+	}
 	b.ReportAllocs()
 	for b.Loop() {
 		for r := range OpenResolvers(cfg, 11) {

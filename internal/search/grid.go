@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+
+	"dnstime/internal/simrand"
 )
 
 // Dim is one dimension of a grid sweep: a scenario param key and the
@@ -223,7 +225,7 @@ func latinSample(dims []Dim, n int) []map[string]string {
 		for i := range col {
 			col[i] = d.Values[i%len(d.Values)]
 		}
-		rng := rand.New(rand.NewSource(0x5ea4c4 + int64(di)))
+		rng := rand.New(simrand.New(0x5ea4c4 + int64(di)))
 		rng.Shuffle(n, func(i, j int) { col[i], col[j] = col[j], col[i] })
 		cols[di] = col
 	}

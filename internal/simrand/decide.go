@@ -1,92 +1,15 @@
 package simrand
 
-import (
-	"math/bits"
-	"math/rand"
-)
-
-// A Reader reads math/rand's stream for one seed, for a generator that
-// draws 10⁴–10⁶ values per seeding and decides each with one integer
-// compare (see Cut and Intn). It reads the stream in one of two ways:
-//
-//   - in sequence: Float64Value, Test and Intn each decide the next
-//     Float64 or Intn of rand.New(rand.NewSource(seed)) and consume
-//     exactly the outputs it would, drawing again where it does;
-//   - in windows: Window shows the unread outputs without consuming them,
-//     and Advance consumes them, for a draw that decides a whole record
-//     from one window. A Reader is also a rand.Source64 over the same
-//     stream, so a record on which math/rand would draw again can be
-//     drawn over with math/rand's own methods on rand.New(reader) and
-//     stay exact.
-//
-// A Reader holds two blocks of outputs, 9.7 KB. A draw loop that declares
-// it as a value (var rd Reader; rd.Seed(seed)) keeps it on the stack; a
-// pointer from NewReader moved to the heap once the loop was inlined into
-// a caller in another package.
-//
-// A Reader's first block comes from one private rand.NewSource(seed), not
-// the lab seed cache: a population seed is drawn once and would only
-// evict the lab's. Later blocks come from the recurrence Source uses.
-type Reader struct {
-	// buf[rngLen:] is the register, the current block of the stream;
-	// refill carries the unread outputs of the previous block into
-	// buf[:rngLen], just in front of it, so a window never ends mid-draw.
-	buf [2 * rngLen]uint64
-	pos int // next unread output in buf
-}
-
-// NewReader returns a Reader at the start of rand.NewSource(seed)'s
-// stream.
-func NewReader(seed int64) *Reader {
-	r := &Reader{}
-	r.Seed(seed)
-	return r
-}
-
-// Seed restarts the stream at rand.NewSource(seed)'s first output.
-func (r *Reader) Seed(seed int64) {
-	src := rand.NewSource(seed).(rand.Source64)
-	for i := rngLen; i < len(r.buf); i++ {
-		r.buf[i] = src.Uint64()
-	}
-	r.pos = rngLen
-}
-
-// Window returns the stream's unread outputs, at least min(n, 607) of
-// them, without consuming any.
-func (r *Reader) Window(n int) []uint64 {
-	if k := len(r.buf) - r.pos; k < n && k < rngLen {
-		r.refill()
-	}
-	return r.buf[r.pos:]
-}
-
-// Advance consumes the next n outputs; n must not exceed the length of
-// the last Window.
-func (r *Reader) Advance(n int) { r.pos += n }
-
-// Uint64 returns the next output of the stream.
-func (r *Reader) Uint64() uint64 {
-	if r.pos == len(r.buf) {
-		r.refill()
-	}
-	x := r.buf[r.pos]
-	r.pos++
-	return x
-}
-
-// Int63 returns the next output with its top bit cleared, as math/rand's
-// source does.
-func (r *Reader) Int63() int64 { return int64(r.Uint64() & mask63) }
+import "math/bits"
 
 // Float64Value returns the 63-bit value v from which math/rand's next
 // Float64 is taken, float64(v)/(1<<63): the next output with its top bit
 // cleared, read again exactly where Float64 draws again (v ≥ Redraw). So
 // Float64() < p is Float64Value() < uint64(Below(p)), and one value can
 // be compared with several Cuts, as a switch on one Float64 does.
-func (r *Reader) Float64Value() uint64 {
+func (s *Source) Float64Value() uint64 {
 	for {
-		if v := r.Uint64() & mask63; v < Redraw {
+		if v := s.Uint64() & mask63; v < Redraw {
 			return v
 		}
 	}
@@ -96,9 +19,9 @@ func (r *Reader) Float64Value() uint64 {
 // whether it is below p for c = Below(p). It is Float64Value() < c,
 // written out so that a decision costs one call, not two: neither
 // method inlines.
-func (r *Reader) Test(c Cut) bool {
+func (s *Source) Test(c Cut) bool {
 	for {
-		if v := r.Uint64() & mask63; v < Redraw {
+		if v := s.Uint64() & mask63; v < Redraw {
 			return v < uint64(c)
 		}
 	}
@@ -107,26 +30,15 @@ func (r *Reader) Test(c Cut) bool {
 // Intn returns math/rand's next Rand.Intn(n) for d = NewIntn(n), reading
 // again exactly where it draws again. Like Rand.Intn it panics for
 // n ≤ 0.
-func (r *Reader) Intn(d Intn) int {
+func (s *Source) Intn(d Intn) int {
 	if d.max < 0 {
 		panic("invalid argument to Intn")
 	}
 	for {
-		if v, ok := d.Of(r.Uint64()); ok {
+		if v, ok := d.Of(s.Uint64()); ok {
 			return v
 		}
 	}
-}
-
-// refill moves the unread outputs in front of the register and steps the
-// register to the next block. It runs once per block, so it is kept out
-// of line: inlined, it made Uint64 too large to inline.
-//
-//go:noinline
-func (r *Reader) refill() {
-	k := copy(r.buf[rngLen-(len(r.buf)-r.pos):rngLen], r.buf[r.pos:])
-	step((*[rngLen]uint64)(r.buf[rngLen:]))
-	r.pos = rngLen - k
 }
 
 // Redraw is the least 63-bit value on which math/rand's Float64 draws
@@ -191,8 +103,7 @@ type Intn struct {
 }
 
 // NewIntn returns the decider for Rand.Intn(n). For n ≤ 0 it refuses
-// every output, so a caller that falls back to math/rand panics there
-// as Intn does, and Reader.Intn panics.
+// every output, and Source.Intn panics, as Rand.Intn does.
 func NewIntn(n int) Intn {
 	switch {
 	case n <= 0:

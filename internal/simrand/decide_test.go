@@ -8,66 +8,6 @@ import (
 	"testing"
 )
 
-// TestReaderMatchesMathRand: a Reader's stream is rand.NewSource's for
-// edge seeds, read through windows of every size (the rest of a block,
-// a window across a block boundary, one longer than a block), partial
-// advances, Uint64 and Int63, and math/rand's own methods on
-// rand.New(reader) in between.
-func TestReaderMatchesMathRand(t *testing.T) {
-	const m = 1<<31 - 1
-	driver := rand.New(rand.NewSource(3))
-	for _, seed := range []int64{0, 1, -1, m, -m, math.MinInt64, math.MaxInt64, 42} {
-		want := rand.New(rand.NewSource(seed))
-		r := NewReader(seed)
-		got := rand.New(r)
-		for op := 0; op < 3000; op++ {
-			switch driver.Intn(4) {
-			case 0:
-				n := 1 + driver.Intn(700)
-				w := r.Window(n)
-				if len(w) < min(n, rngLen) {
-					t.Fatalf("seed %d, op %d: Window(%d) holds %d outputs", seed, op, n, len(w))
-				}
-				k := driver.Intn(len(w) + 1)
-				for i, x := range w[:k] {
-					if y := want.Uint64(); x != y {
-						t.Fatalf("seed %d, op %d: window output %d is %#x, math/rand %#x", seed, op, i, x, y)
-					}
-				}
-				r.Advance(k)
-			case 1:
-				if x, y := r.Uint64(), want.Uint64(); x != y {
-					t.Fatalf("seed %d, op %d: Uint64 %#x, math/rand %#x", seed, op, x, y)
-				}
-			case 2:
-				if x, y := r.Int63(), want.Int63(); x != y {
-					t.Fatalf("seed %d, op %d: Int63 %d, math/rand %d", seed, op, x, y)
-				}
-			case 3:
-				if x, y := got.Float64(), want.Float64(); x != y {
-					t.Fatalf("seed %d, op %d: Float64 %v, math/rand %v", seed, op, x, y)
-				}
-				if x, y := got.Intn(151), want.Intn(151); x != y {
-					t.Fatalf("seed %d, op %d: Intn %d, math/rand %d", seed, op, x, y)
-				}
-			}
-		}
-	}
-}
-
-// TestReaderSeedsPrivately: a Reader does not touch the lab seed cache.
-func TestReaderSeedsPrivately(t *testing.T) {
-	resetCache()
-	before := cacheHits.Value() + cacheMisses.Value()
-	r := NewReader(77)
-	r.Advance(len(r.Window(rngLen)))
-	r.Seed(78)
-	_ = r.Uint64()
-	if after := cacheHits.Value() + cacheMisses.Value(); after != before || cached(77) || cached(78) {
-		t.Errorf("a Reader used the seed cache (%d lookups)", after-before)
-	}
-}
-
 // float64Of is math/rand's Float64 of one output, before its redraw
 // test.
 func float64Of(x uint64) float64 { return float64(int64(x&(1<<63-1))) / (1 << 63) }
@@ -246,123 +186,71 @@ func FuzzIntn(f *testing.F) {
 	})
 }
 
-// decisionPs are the probabilities FuzzReaderDecisions tests Float64
-// against: the ends of [0, 1] and beyond, NaN, the smallest and largest
-// steps, and the populations' own.
-var decisionPs = []float64{
-	0, 1, 1.5, math.NaN(), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, 1 - 0x1p-53,
-	0.5, 0.95, 0.01, 0.0766, 0.0705, 0.832, 0.6, 0.113, 0.002,
-}
+// decision maps a FuzzReaderDecisions program byte to the pair.step op
+// and argument it runs: b%3 picks Float64Value, Test or Intn, and b/3
+// the test's p and cut, or the n.
+func decision(b byte) (op, arg byte) { return opFloat64Value + b%3, b / 3 }
 
-// decisionNs are the n FuzzReaderDecisions draws Intn(n) at: both of
-// Intn's branches, powers of two, the rejection-heavy 1<<30+1 (about half
-// of all Int31n values drawn again) and 3<<61 (a quarter of all Int63n
-// values), and n ≤ 0, where Intn panics.
-var decisionNs = []int{1, 2, 3, 30, 151, 600, 1<<30 + 1, 1<<31 - 1, 1 << 31, 3 << 61, math.MaxInt64, 0, -1, math.MinInt}
-
-// testOp and intnOp are the program bytes for Test(Below(p)) and
-// Intn(n), for p in decisionPs (NaN by math.IsNaN) and n in decisionNs.
-func testOp(p float64) byte {
-	return byte(1 + 3*slices.IndexFunc(decisionPs, func(q float64) bool { return q == p || math.IsNaN(p) && math.IsNaN(q) }))
-}
-func intnOp(n int) byte { return byte(2 + 3*slices.Index(decisionNs, n)) }
-
-// decisionDiff runs one decision, picked by op, on a Reader and on
-// math/rand over the same stream, and describes how they differ, "" when
-// they agree. Intn for n ≤ 0 must panic on both, with the same value,
-// and draw nothing.
-func decisionDiff(r *Reader, want *rand.Rand, op byte) string {
-	switch k := int(op) / 3; op % 3 {
-	case 0:
-		v, f := r.Float64Value(), want.Float64()
-		if float64(int64(v))/(1<<63) != f || v >= Redraw {
-			return fmt.Sprintf("Float64Value %d, math/rand Float64 %v", v, f)
-		}
-	case 1:
-		p := decisionPs[k%len(decisionPs)]
-		if got, f := r.Test(Below(p)), want.Float64(); got != (f < p) {
-			return fmt.Sprintf("Test(Below(%v)) = %v, math/rand Float64 %v", p, got, f)
-		}
-	case 2:
-		n := decisionNs[k%len(decisionNs)]
-		var got, w int
-		gotPanic := catch(func() { got = r.Intn(NewIntn(n)) })
-		wantPanic := catch(func() { w = want.Intn(n) })
-		if gotPanic != wantPanic || got != w {
-			return fmt.Sprintf("Intn(%d) = %d (panic %v), math/rand %d (panic %v)", n, got, gotPanic, w, wantPanic)
-		}
-	}
-	return ""
-}
-
-// catch calls f and returns the value it panicked with, nil if none.
-func catch(f func()) (panicked any) {
-	defer func() { panicked = recover() }()
-	f()
-	return nil
-}
-
-// FuzzReaderDecisions: for any seed and program of decisions, a Reader's
+// FuzzReaderDecisions: for any seed and program of decisions, a Source's
 // Float64Value, Test and Intn read math/rand's stream exactly as
 // rand.New(rand.NewSource(seed))'s Float64 and Intn do, and both streams
-// stand at the same output afterwards. Each program byte picks a
-// decision and its p or n; a corpus program that repeats Intn(1<<30+1)
-// redraws across block boundaries.
+// stand at the same output afterwards. The corpus runs every decision,
+// and Intn(1<<30+1) 1 500 times, which redraws across block boundaries,
+// at edge seeds.
 func FuzzReaderDecisions(f *testing.F) {
 	every := make([]byte, 256)
-	for op := range every {
-		every[op] = byte(op)
+	for b := range every {
+		every[b] = byte(b)
 	}
-	rejecting := slices.Repeat([]byte{intnOp(1<<30 + 1)}, 1500)
+	rejecting := slices.Repeat([]byte{opIntn - opFloat64Value + 3*intnArg(1<<30+1)}, 1500)
 	for _, seed := range []int64{1, 0, -1, math.MinInt64, math.MaxInt64} {
 		f.Add(seed, every)
 		f.Add(seed, rejecting)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, program []byte) {
-		var r Reader
-		r.Seed(seed)
-		want := rand.New(rand.NewSource(seed))
-		for i, op := range program {
-			if msg := decisionDiff(&r, want, op); msg != "" {
-				t.Fatalf("seed %d, decision %d: %s", seed, i, msg)
+		p := newPair(seed)
+		for i, b := range program {
+			if diff := p.step(decision(b)); diff != "" {
+				t.Fatalf("seed %d, decision %d: %s differs from math/rand", seed, i, diff)
 			}
 		}
-		if x, y := r.Uint64(), want.Uint64(); x != y {
-			t.Fatalf("seed %d: next output %#x after the program, math/rand %#x", seed, x, y)
+		if diff := p.step(1, 0); diff != "" {
+			t.Fatalf("seed %d: next output after the program: %s differs from math/rand", seed, diff)
 		}
 	})
 }
 
-// TestReaderDecisionsDrawAgain: the sequential decisions read again on
-// exactly the outputs math/rand's Float64 and Intn draw again on, which
-// no seed reaches often enough to test: Float64 on the 512 largest 63-bit
-// values, Intn past the last whole multiple of n. Each case feeds the
-// same outputs to a Reader, through its buffer, and to math/rand,
-// through a script source, and compares the answer and the outputs read.
+// TestReaderDecisionsDrawAgain: a Source's sequential decisions read
+// again on exactly the outputs math/rand's Float64 and Intn draw again
+// on, which no seed reaches often enough to test: Float64 on the 512
+// largest 63-bit values, Intn past the last whole multiple of n. Each
+// case feeds the same outputs to a Source, at the end of its loaded
+// block, and to math/rand, through a script source, and compares the
+// answer and the outputs read.
 func TestReaderDecisionsDrawAgain(t *testing.T) {
 	rejected31 := uint64(1<<30+1) << 32 // the least Int31n value Intn(1<<30+1) draws again on
 	for _, tc := range []struct {
-		name string
-		out  []uint64
-		op   byte
+		name    string
+		out     []uint64
+		op, arg byte
 	}{
-		{"Float64Value past Redraw", []uint64{Redraw, 1<<63 - 1, 1<<64 - 1, 5}, 0},
-		{"Float64Value top bit set", []uint64{1<<63 | 7}, 0},
-		{"Test past Redraw", []uint64{1<<64 - 512, 1 << 62}, testOp(0.5)},
-		{"Test NaN past Redraw", []uint64{Redraw, 3}, testOp(math.NaN())},
-		{"Intn(1<<30+1) rejected", []uint64{rejected31, rejected31 | 1<<63, rejected31 - 1<<32}, intnOp(1<<30 + 1)},
-		{"Intn(3<<61) rejected", []uint64{3 << 61, 1<<63 - 1, 3<<61 - 1}, intnOp(3 << 61)},
-		{"Intn(0)", []uint64{9}, intnOp(0)},
+		{"Float64Value past Redraw", []uint64{Redraw, 1<<63 - 1, 1<<64 - 1, 5}, opFloat64Value, 0},
+		{"Float64Value top bit set", []uint64{1<<63 | 7}, opFloat64Value, 0},
+		{"Test past Redraw", []uint64{1<<64 - 512, 1 << 62}, opTest, testArg(0.5, false)},
+		{"Test NaN past Redraw", []uint64{Redraw, 3}, opTest, testArg(math.NaN(), false)},
+		{"Test NotAtLeast NaN past Redraw", []uint64{Redraw, 3}, opTest, testArg(math.NaN(), true)},
+		{"Intn(1<<30+1) rejected", []uint64{rejected31, rejected31 | 1<<63, rejected31 - 1<<32}, opIntn, intnArg(1<<30 + 1)},
+		{"Intn(3<<61) rejected", []uint64{3 << 61, 1<<63 - 1, 3<<61 - 1}, opIntn, intnArg(3 << 61)},
+		{"Intn(0)", []uint64{9}, opIntn, intnArg(0)},
 	} {
-		var r Reader
-		r.pos = len(r.buf) - len(tc.out)
-		copy(r.buf[r.pos:], tc.out)
+		src := &Source{loaded: true, pos: rngLen - len(tc.out)}
+		copy(src.buf[src.pos:], tc.out)
 		s := &script{out: tc.out}
-		if msg := decisionDiff(&r, rand.New(s), tc.op); msg != "" {
-			t.Errorf("%s: %s", tc.name, msg)
+		if diff := (pair{src: src, want: rand.New(s)}).step(tc.op, tc.arg); diff != "" {
+			t.Errorf("%s: %s differs from math/rand", tc.name, diff)
 		}
-		if read := r.pos - (len(r.buf) - len(tc.out)); read != s.read {
-			t.Errorf("%s: the Reader read %d outputs, math/rand %d", tc.name, read, s.read)
+		if read := src.pos - (rngLen - len(tc.out)); read != s.read {
+			t.Errorf("%s: the Source read %d outputs, math/rand %d", tc.name, read, s.read)
 		}
 	}
 }

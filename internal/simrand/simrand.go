@@ -1,7 +1,6 @@
-// Package simrand provides the random sources of the simulated lab's
-// components: a Source yields exactly the stream rand.NewSource(seed)
-// yields, so every reproduced number keeps its bytes, but seeding it
-// costs almost nothing.
+// Package simrand provides the simulation's random streams: a Source
+// yields exactly the stream rand.NewSource(seed) yields, so every
+// reproduced number keeps its bytes, but seeding it costs almost nothing.
 //
 // math/rand's Seed runs ≈1 900 steps of its seeding generator (≈11 µs)
 // before the first draw, and a campaign seed builds many labs whose
@@ -25,19 +24,16 @@
 // dnstime_rng_seed_cache_hits_total and
 // dnstime_rng_seed_cache_misses_total.
 //
-// The population generators (internal/population) that draw 10⁴–10⁶
-// values per seed read their streams through a Reader instead:
-// math/rand's stream for the seed, from one private rand.NewSource and
-// then the same recurrence, decided with integer compares (Cut, Intn)
-// that give exactly math/rand's answers. The open-resolver draw reads
-// the stream as windows of raw outputs, a resolver at a time; the
-// domain-nameserver, ad-client and shared-resolver draws read it in
-// sequence, one Float64 or Intn at a time (Float64Value, Test,
-// Reader.Intn), each reading again exactly where math/rand draws again.
-// The pool populations, fig7's timing draw (which needs math/rand's
-// NormFloat64 tables), the search and the analysis stay on math/rand:
-// they draw a few thousand values per seeding or fewer, or no profile
-// puts their draws among the leading costs.
+// The lab components, the pool populations, fig7's timing draw and the
+// search draw through math/rand's own methods on rand.New(source). The
+// population draw loops (internal/population) that draw 10⁴–10⁶ values
+// per seed decide on the Source's raw outputs instead, with integer
+// compares (Cut, Intn) that give exactly math/rand's answers: the
+// open-resolver draw reads a resolver at a time from the unread rest of
+// the current block (Unread, Advance), and the domain-nameserver,
+// ad-client and shared-resolver draws read in sequence, one Float64 or
+// Intn at a time (Float64Value, Test, Source.Intn), each reading again
+// exactly where math/rand draws again.
 package simrand
 
 import (
@@ -62,6 +58,10 @@ const mask63 = 1<<63 - 1
 // Source is a rand.Source64 whose stream is exactly rand.NewSource(seed)'s
 // for the seed last passed to New or Seed. Like math/rand's sources it is
 // not safe for concurrent use; the cache behind it is.
+//
+// A Source holds one block of outputs, 4.9 KB. A draw loop declares it
+// as a value (var src Source; src.Seed(seed)) to keep it on the stack;
+// one from New is usually on the heap.
 type Source struct {
 	seed   int64
 	loaded bool // buf holds outputs of seed (false until the first draw)
@@ -95,6 +95,21 @@ func (s *Source) Uint64() uint64 {
 	s.pos++
 	return x
 }
+
+// Unread returns the unread rest of the stream's current block of 607
+// outputs, at least one output, without consuming any. A draw that
+// decides a whole record from the returned outputs consumes them with
+// Advance; one that needs more than the block holds draws in sequence.
+func (s *Source) Unread() []uint64 {
+	if s.pos == rngLen {
+		s.refill()
+	}
+	return s.buf[s.pos:]
+}
+
+// Advance consumes the next n outputs; n must not exceed the length of
+// the last Unread.
+func (s *Source) Advance(n int) { s.pos += n }
 
 // refill puts the next rngLen outputs into buf: the seed's first ones
 // from the cache, then each block from the one before by the recurrence.
@@ -150,9 +165,9 @@ var cache struct {
 
 var (
 	cacheHits = obs.Default.Counter("dnstime_rng_seed_cache_hits_total",
-		"Lab random streams whose first outputs were copied from the seed cache.")
+		"Random streams whose first outputs were copied from the seed cache.")
 	cacheMisses = obs.Default.Counter("dnstime_rng_seed_cache_misses_total",
-		"Lab random streams whose seed had to be run through math/rand's seeding.")
+		"Random streams whose seed had to be run through math/rand's seeding.")
 )
 
 // load copies seed's first rngLen outputs into dst, producing them on a

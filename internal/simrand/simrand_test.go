@@ -1,6 +1,7 @@
 package simrand
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -24,19 +25,67 @@ func cached(seed int64) bool {
 	return slices.ContainsFunc(cache.entries, func(e *entry) bool { return e.seed == seed })
 }
 
-// pair drives a Source and a math/rand reference source in lockstep.
+// pair drives a Source and a math/rand reference source in lockstep:
+// through math/rand's own methods on rand.New(src), and through the
+// Source's own reads and decisions.
 type pair struct {
+	src       *Source
 	got, want *rand.Rand
 }
 
 func newPair(seed int64) pair {
-	return pair{got: rand.New(New(seed)), want: rand.New(rand.NewSource(seed))}
+	src := New(seed)
+	return pair{src: src, got: rand.New(src), want: rand.New(rand.NewSource(seed))}
+}
+
+// The ops of pair.step that read the Source itself, after the ten that
+// draw through rand.New(src).
+const (
+	opUnread = 10 + iota
+	opFloat64Value
+	opTest
+	opIntn
+	numOps
+)
+
+// decisionPs are the probabilities opTest tests Float64 against: the
+// ends of [0, 1] and beyond, NaN, the smallest and largest steps, and
+// the populations' own.
+var decisionPs = []float64{
+	0, 1, 1.5, math.NaN(), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, 1 - 0x1p-53,
+	0.5, 0.95, 0.01, 0.0766, 0.0705, 0.832, 0.6, 0.113, 0.002,
+}
+
+// decisionNs are the n opIntn draws Intn(n) at: both of Intn's branches,
+// powers of two, the rejection-heavy 1<<30+1 (about half of all Int31n
+// values drawn again) and 3<<61 (a quarter of all Int63n values), and
+// n ≤ 0, where Intn panics.
+var decisionNs = []int{1, 2, 3, 30, 151, 600, 1<<30 + 1, 1<<31 - 1, 1 << 31, 3 << 61, math.MaxInt64, 0, -1, math.MinInt}
+
+// testArg and intnArg are the step arguments for Test(Below(p)), or
+// Test(NotAtLeast(p)), and Intn(n), for p in decisionPs and n in
+// decisionNs. An opTest argument picks p by its remainder and the cut by
+// the parity of its quotient, both modulo len(decisionPs).
+func testArg(p float64, notAtLeast bool) byte {
+	i := slices.IndexFunc(decisionPs, func(q float64) bool { return q == p || math.IsNaN(p) && math.IsNaN(q) })
+	if notAtLeast {
+		i += len(decisionPs)
+	}
+	return byte(i)
+}
+func intnArg(n int) byte { return byte(slices.Index(decisionNs, n)) }
+
+// catch calls f and returns the value it panicked with, nil if none.
+func catch(f func()) (panicked any) {
+	defer func() { panicked = recover() }()
+	f()
+	return nil
 }
 
 // step performs op on both sides, with arg choosing its argument, and
 // returns a description of the first difference ("" when they agree).
 func (p pair) step(op, arg byte) string {
-	switch op % 10 {
+	switch op % numOps {
 	case 0:
 		if g, w := p.got.Int63(), p.want.Int63(); g != w {
 			return "Int63"
@@ -91,6 +140,46 @@ func (p pair) step(op, arg byte) string {
 		if g, w := p.got.Uint32(), p.want.Uint32(); g != w {
 			return "Uint32"
 		}
+	case opUnread:
+		// Unread shows the rest of the current block. Consume a prefix
+		// of it, or all of it (arg a multiple of 4), so that the window
+		// ends at the block boundary and the next read steps the block.
+		w := p.src.Unread()
+		if len(w) == 0 || p.src.pos+len(w) != rngLen {
+			return fmt.Sprintf("Unread (%d outputs at %d)", len(w), p.src.pos)
+		}
+		k := len(w)
+		if arg%4 != 0 {
+			k = int(arg) % (len(w) + 1)
+		}
+		for _, x := range w[:k] {
+			if x != p.want.Uint64() {
+				return "Unread"
+			}
+		}
+		p.src.Advance(k)
+	case opFloat64Value:
+		if v, f := p.src.Float64Value(), p.want.Float64(); float64(int64(v))/(1<<63) != f || v >= Redraw {
+			return "Float64Value"
+		}
+	case opTest:
+		q, notAtLeast := decisionPs[int(arg)%len(decisionPs)], int(arg)/len(decisionPs)%2 == 1
+		c, pass := Below(q), func(f float64) bool { return f < q }
+		if notAtLeast {
+			c, pass = NotAtLeast(q), func(f float64) bool { return !(f >= q) }
+		}
+		if g, f := p.src.Test(c), p.want.Float64(); g != pass(f) {
+			return fmt.Sprintf("Test (p %v, NotAtLeast %v)", q, notAtLeast)
+		}
+	case opIntn:
+		// For n ≤ 0 both must panic alike without drawing.
+		n := decisionNs[int(arg)%len(decisionNs)]
+		var g, w int
+		gotPanic := catch(func() { g = p.src.Intn(NewIntn(n)) })
+		wantPanic := catch(func() { w = p.want.Intn(n) })
+		if gotPanic != wantPanic || g != w {
+			return fmt.Sprintf("Source.Intn(NewIntn(%d)) (panic %v)", n, gotPanic)
+		}
 	}
 	return ""
 }
@@ -103,9 +192,10 @@ func (p pair) reseed(seed int64) {
 
 // TestSourceMatchesMathRand: a Source's stream is rand.NewSource's for
 // edge seeds (0, ±1, multiples of 2³¹−1, the int64 extremes) over more
-// than 100 000 mixed draws, with Seed called mid-stream, on a seed's
-// first use (a cache miss), on its reuse (a hit) and on its reuse after
-// the cache evicted it.
+// than 100 000 mixed draws, math/rand's own methods on rand.New(src)
+// between the Source's Unread and Advance, Float64Value, Test and Intn,
+// with Seed called mid-stream, on a seed's first use (a cache miss), on
+// its reuse (a hit) and on its reuse after the cache evicted it.
 func TestSourceMatchesMathRand(t *testing.T) {
 	resetCache()
 	const m = 1<<31 - 1
@@ -164,6 +254,55 @@ func TestSourceMatchesMathRand(t *testing.T) {
 	run([]int64{6}, "double seed")
 	if draws < 100000 {
 		t.Fatalf("only %d draws compared", draws)
+	}
+}
+
+// TestReaderMatchesMathRand: a Source read the way the population draws
+// read it is rand.NewSource's stream for edge seeds: the unread rest of
+// its block (Unread), consumed whole, so that the next read steps the
+// block, or by any prefix, none included (Advance), with Uint64, Int63
+// and math/rand's own methods on rand.New(src) in between.
+func TestReaderMatchesMathRand(t *testing.T) {
+	const m = 1<<31 - 1
+	driver := rand.New(rand.NewSource(3))
+	for _, seed := range []int64{0, 1, -1, m, -m, math.MinInt64, math.MaxInt64, 42} {
+		want := rand.New(rand.NewSource(seed))
+		src := New(seed)
+		got := rand.New(src)
+		for op := 0; op < 3000; op++ {
+			switch driver.Intn(4) {
+			case 0:
+				w := src.Unread()
+				if len(w) == 0 || src.pos+len(w) != rngLen {
+					t.Fatalf("seed %d, op %d: Unread holds %d outputs at %d", seed, op, len(w), src.pos)
+				}
+				k := len(w)
+				if driver.Intn(2) == 0 {
+					k = driver.Intn(len(w) + 1)
+				}
+				for i, x := range w[:k] {
+					if y := want.Uint64(); x != y {
+						t.Fatalf("seed %d, op %d: unread output %d is %#x, math/rand %#x", seed, op, i, x, y)
+					}
+				}
+				src.Advance(k)
+			case 1:
+				if x, y := src.Uint64(), want.Uint64(); x != y {
+					t.Fatalf("seed %d, op %d: Uint64 %#x, math/rand %#x", seed, op, x, y)
+				}
+			case 2:
+				if x, y := src.Int63(), want.Int63(); x != y {
+					t.Fatalf("seed %d, op %d: Int63 %d, math/rand %d", seed, op, x, y)
+				}
+			case 3:
+				if x, y := got.Float64(), want.Float64(); x != y {
+					t.Fatalf("seed %d, op %d: Float64 %v, math/rand %v", seed, op, x, y)
+				}
+				if x, y := got.Intn(151), want.Intn(151); x != y {
+					t.Fatalf("seed %d, op %d: Intn %d, math/rand %d", seed, op, x, y)
+				}
+			}
+		}
 	}
 }
 
@@ -235,8 +374,9 @@ func TestCacheMemoryBound(t *testing.T) {
 	t.Logf("%d entries: %d bytes allocated, bound %d", len(cache.entries), got, cacheBytes)
 }
 
-// FuzzSource: for any seed and any program of draws and reseeds, a
-// Source's stream is math/rand's.
+// FuzzSource: for any seed and any program of draws, reads, decisions
+// and reseeds, a Source's stream is math/rand's, and both stand at the
+// same output afterwards.
 func FuzzSource(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add(int64(0), []byte{10, 0, 255, 7})
@@ -264,6 +404,9 @@ func FuzzSource(f *testing.F) {
 					t.Fatalf("op %d: %s differs from math/rand", i/2, diff)
 				}
 			}
+		}
+		if diff := p.step(1, 0); diff != "" {
+			t.Fatalf("next output after the program: %s differs from math/rand", diff)
 		}
 	})
 }

@@ -32,11 +32,12 @@ func NewHistogram(min, max, binWidth float64) *Histogram {
 // summed up on the sides").
 func (h *Histogram) Add(v float64) { h.AddN(v, 1) }
 
-// AddN records n ≥ 0 samples of value v, as n calls of Add do.
+// AddN records n ≥ 0 samples of value v, as n calls of Add do. A NaN
+// sample counts as under Min, as CDF ranks NaN below every value.
 func (h *Histogram) AddN(v float64, n int) {
 	h.total += n
 	switch {
-	case v < h.Min:
+	case !(v >= h.Min):
 		h.under += n
 	case v >= h.Max:
 		h.over += n

@@ -33,6 +33,19 @@ func TestHistogramClampsTails(t *testing.T) {
 	}
 }
 
+// TestHistogramNaNCountsUnder: a NaN sample, such as Figure 7's delta
+// under a NaN jitter, counts under Min, where CDF ranks it, instead of
+// indexing a bin.
+func TestHistogramNaNCountsUnder(t *testing.T) {
+	h := NewHistogram(-50, 200, 5)
+	h.Add(math.NaN())
+	h.AddN(math.NaN(), 2)
+	h.Add(0)
+	if h.Under() != 3 || h.Over() != 0 || h.Total() != 4 || h.Bin(10) != 1 {
+		t.Errorf("under %d, over %d, total %d, bin of 0 %d; want 3, 0, 4, 1", h.Under(), h.Over(), h.Total(), h.Bin(10))
+	}
+}
+
 // TestHistogramAddN: AddN(v, n) records what n calls of Add(v) record,
 // in range, on the edges and in both tails, n = 0 included.
 func TestHistogramAddN(t *testing.T) {
