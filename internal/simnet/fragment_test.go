@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -11,10 +12,11 @@ import (
 	"dnstime/internal/udp"
 )
 
-// refSend is the reference for the one fragmented send path: the send as
-// it was written before, a udp.Datagram marshalled and copied through
-// udp.WithChecksum, then cut by ipv4.Fragment, with SendUDPMTU's forced
-// split of a datagram that fits whole. It returns the packets the host
+// refSend is the reference for the send paths: a udp.Datagram marshalled
+// and copied through udp.WithChecksum, then cut by ipv4.Fragment, with
+// SendUDPMTU's forced split of a datagram that fits whole. A datagram that
+// SendUDP (forceSplit false) sends as one packet carries the marshalled
+// bytes with the checksum field left zero. It returns the packets the host
 // must emit, in order, or the error.
 func refSend(src, dst ipv4.Addr, id uint16, payload []byte, mtu int, forceSplit bool) ([]*ipv4.Packet, error) {
 	d := &udp.Datagram{Header: udp.Header{SrcPort: 4000, DstPort: 53}, Payload: payload}
@@ -23,6 +25,9 @@ func refSend(src, dst ipv4.Addr, id uint16, payload []byte, mtu int, forceSplit 
 	frags, err := ipv4.Fragment(pkt, mtu)
 	if err != nil {
 		return nil, fmt.Errorf("send udp %s -> %s: %w", src, dst, err)
+	}
+	if !forceSplit && len(frags) == 1 {
+		frags[0].Payload = d.Marshal()
 	}
 	if forceSplit && len(frags) == 1 && len(wire) > 16 {
 		if cut := (len(wire) / 2) &^ 7; cut >= 8 {
@@ -64,7 +69,9 @@ func oracleSizes() []int {
 // offset, TTL, protocol and payload bytes, in order — count them in
 // SentPackets, and draw one IPID per send, for MTUs at and just above the
 // minimum, at odd and common sizes, and payloads across every 8-byte
-// boundary up to 1 500 bytes.
+// boundary up to 1 500 bytes. So a fragmented or SendUDPMTU datagram
+// carries the full checksum, and one SendUDP sends whole a zero checksum
+// field; the test also checks each send's checksum field directly.
 func TestFragmentedSendMatchesReference(t *testing.T) {
 	var sent []*ipv4.Packet
 	n := New(simclock.New(t0), WithTrace(func(e TraceEvent) {
@@ -108,6 +115,9 @@ func TestFragmentedSendMatchesReference(t *testing.T) {
 					if !samePacket(sent[i], want[i]) {
 						t.Fatalf("%s: packet %d is %v %x, reference %v %x", name, i, sent[i], sent[i].Payload, want[i], want[i].Payload)
 					}
+				}
+				if sum := binary.BigEndian.Uint16(sent[0].Payload[6:8]); (sum != 0) != (forceSplit || len(sent) > 1) {
+					t.Fatalf("%s: %d packets, checksum field %#04x", name, len(sent), sum)
 				}
 			}
 		}

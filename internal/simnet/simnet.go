@@ -187,9 +187,15 @@ func (n *Network) Clock() *simclock.Clock { return n.clock }
 func (n *Network) Host(a ipv4.Addr) *Host { return n.hosts[a] }
 
 // RemoveHost detaches the host at addr (no-op when absent). Packets already
-// in flight toward it are dropped on delivery. The lab pool removes
-// run-scoped hosts (clients, surplus servers) when resetting a lab.
-func (n *Network) RemoveHost(addr ipv4.Addr) { delete(n.hosts, addr) }
+// in flight toward it are dropped on delivery, even if the host is
+// reattached before they arrive. The lab pool removes run-scoped hosts
+// (clients, surplus servers) when resetting a lab.
+func (n *Network) RemoveHost(addr ipv4.Addr) {
+	if h, ok := n.hosts[addr]; ok {
+		h.attach++
+		delete(n.hosts, addr)
+	}
+}
 
 // Reset restores the network's link behaviour to the defaults, then
 // applies opts, keeping the attached hosts and the packet free lists. The
@@ -249,21 +255,28 @@ func (n *Network) putPacket(p *ipv4.Packet) {
 
 // delivery is one in-flight packet: the scheduled argument of deliverFn,
 // pooled so the per-packet hot path allocates neither closure nor event.
+// attach is dst.attach when the packet was sent.
 type delivery struct {
-	net *Network
-	dst *Host
-	pkt *ipv4.Packet
+	net    *Network
+	dst    *Host
+	pkt    *ipv4.Packet
+	attach uint32
 }
 
 // deliverFn is the static delivery callback; the argument carries state.
+// A packet whose host was removed after it was sent is dropped.
 func deliverFn(a any) {
 	d, ok := a.(*delivery)
 	if !ok {
 		return
 	}
 	n := d.net
-	n.emit(TraceDeliver, d.pkt)
-	d.dst.receive(d.pkt)
+	if d.attach != d.dst.attach {
+		n.emit(TraceDrop, d.pkt)
+	} else {
+		n.emit(TraceDeliver, d.pkt)
+		d.dst.receive(d.pkt)
+	}
 	n.putPacket(d.pkt)
 	d.dst, d.pkt = nil, nil
 	n.delFree = append(n.delFree, d)
@@ -281,7 +294,7 @@ func (n *Network) scheduleDelivery(after time.Duration, dst *Host, pkt *ipv4.Pac
 		d = &delivery{net: n}
 		n.dels = append(n.dels, d)
 	}
-	d.dst, d.pkt = dst, pkt
+	d.dst, d.pkt, d.attach = dst, pkt, dst.attach
 	n.clock.AfterArg(after, deliverFn, d)
 }
 
@@ -324,7 +337,9 @@ func (n *Network) injectOwned(pkt *ipv4.Packet) {
 	n.scheduleDelivery(d, dst, pkt)
 }
 
-// UDPHandler processes a reassembled, checksum-verified UDP payload. The
+// UDPHandler processes a UDP payload, reassembled if it arrived in
+// fragments, whose datagram passed udp.Verify: its checksum field matched,
+// or was zero ("no checksum", as SendUDP sends whole datagrams). The
 // payload slice aliases a pooled packet buffer and is only valid for the
 // duration of the call — handlers that keep bytes must copy them.
 type UDPHandler func(src ipv4.Addr, srcPort uint16, payload []byte)
@@ -341,9 +356,6 @@ type HostConfig struct {
 	PMTUFloor int
 	// LinkMTU is the interface MTU (default 1500).
 	LinkMTU int
-	// DisableChecksum makes the host accept UDP datagrams whose checksum
-	// fails; by default it discards them and counts each in ChecksumErrors.
-	DisableChecksum bool
 	// DropFragments discards incoming IP fragments, modelling resolvers
 	// behind fragment-filtering middleboxes (the ~68% of resolvers in the
 	// ad study that rejected fragmented DNS responses).
@@ -358,8 +370,10 @@ type Host struct {
 	pmtu     *ipv4.PMTUCache
 	ids      ipv4.IDAllocator
 	linkMTU  int
-	verify   bool
 	dropFrag bool
+	// attach counts RemoveHost calls on the host; each in-flight packet
+	// records it when sent and is dropped on delivery if it has moved.
+	attach uint32
 	// ports holds the bound UDP ports, sorted and searched by binary
 	// search, and handlers their handlers, index for index: a host binds
 	// one or two ports, a Chronos client up to ≈100 and the per-server
@@ -371,8 +385,8 @@ type Host struct {
 	// seq is the default IPID allocator, kept in the host so Reset
 	// rewinds it in place.
 	seq ipv4.SequentialAllocator
-	// wire is the fragmented send path's scratch: the checksummed
-	// datagram, cut from here into pooled packets.
+	// wire is the fragmented send path's scratch: the datagram with its
+	// checksum filled, cut from here into pooled packets.
 	wire []byte
 
 	// Stats
@@ -449,7 +463,6 @@ func (h *Host) Reset(cfg HostConfig) {
 	h.pmtu.Reset(cfg.PMTUFloor)
 	h.ids = cfg.IDAlloc
 	h.linkMTU = cfg.LinkMTU
-	h.verify = !cfg.DisableChecksum
 	h.dropFrag = cfg.DropFragments
 	h.ports = h.ports[:0]
 	clear(h.handlers)
@@ -516,13 +529,17 @@ func (h *Host) AllocPort() uint16 {
 	return p
 }
 
-// SendUDP builds a checksummed UDP datagram, wraps it in IPv4 packets
-// fragmented to the current path MTU, and sends them. It returns the IPID
-// used (visible to on-host observers; the attacker predicts it instead).
+// SendUDP builds a UDP datagram, wraps it in IPv4 packets fragmented to
+// the current path MTU, and sends them. It returns the IPID used (visible
+// to on-host observers; the attacker predicts it instead).
 //
 // When the datagram fits the path MTU whole — the overwhelmingly common
-// case — the wire bytes are built and checksummed directly inside a pooled
-// packet and handed to the network with no intermediate copies.
+// case — the wire bytes are built directly inside a pooled packet and
+// handed to the network with no intermediate copies, and the checksum
+// field is left zero, RFC 768's "no checksum": the network never alters a
+// byte, so no checksum could fail. A datagram cut into fragments carries
+// its checksum (see sendFragmented), since the receiver reassembles it
+// from fragments an off-path attacker can spoof.
 func (h *Host) SendUDP(dst ipv4.Addr, srcPort, dstPort uint16, payload []byte) (uint16, error) {
 	mtu := h.PathMTU(dst)
 	total := udp.HeaderLen + len(payload)
@@ -536,7 +553,6 @@ func (h *Host) SendUDP(dst ipv4.Addr, srcPort, dstPort uint16, payload []byte) (
 		wire = wire[:total]
 		udp.PutHeader(wire, srcPort, dstPort, total)
 		copy(wire[udp.HeaderLen:], payload)
-		udp.FillChecksum(h.addr, dst, wire)
 		*p = ipv4.Packet{
 			Src:     h.addr,
 			Dst:     dst,
@@ -674,12 +690,10 @@ func (h *Host) receiveUDP(pkt *ipv4.Packet) {
 		h.net.emit(TraceReassembled, whole)
 		defer h.net.putPacket(whole)
 	}
-	if h.verify {
-		if err := udp.Verify(whole.Src, whole.Dst, whole.Payload); err != nil {
-			h.ChecksumErrors++
-			h.net.emit(TraceChecksumFail, whole)
-			return
-		}
+	if err := udp.Verify(whole.Src, whole.Dst, whole.Payload); err != nil {
+		h.ChecksumErrors++
+		h.net.emit(TraceChecksumFail, whole)
+		return
 	}
 	hdr, payload, err := udp.Parse(whole.Payload)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -179,8 +180,16 @@ func TestInjectSpoofedUDP(t *testing.T) {
 	}
 }
 
+// TestChecksumVerificationDropsCorrupt: an injected whole datagram whose
+// checksum fails is dropped before any handler runs, counted once and
+// traced once.
 func TestChecksumVerificationDropsCorrupt(t *testing.T) {
-	n, _, b := twoHosts(t)
+	badsums := 0
+	n, _, b := twoHosts(t, WithTrace(func(e TraceEvent) {
+		if e.Kind == TraceChecksumFail {
+			badsums++
+		}
+	}))
 	delivered := false
 	b.HandleUDP(53, func(ipv4.Addr, uint16, []byte) { delivered = true })
 	d := &udp.Datagram{Header: udp.Header{SrcPort: 1, DstPort: 53}, Payload: []byte("query")}
@@ -191,8 +200,8 @@ func TestChecksumVerificationDropsCorrupt(t *testing.T) {
 	if delivered {
 		t.Error("corrupt datagram delivered")
 	}
-	if b.ChecksumErrors != 1 {
-		t.Errorf("ChecksumErrors = %d, want 1", b.ChecksumErrors)
+	if b.ChecksumErrors != 1 || badsums != 1 {
+		t.Errorf("ChecksumErrors = %d and %d traced, want 1 and 1", b.ChecksumErrors, badsums)
 	}
 }
 
@@ -349,14 +358,25 @@ func TestAllocPortMonotonic(t *testing.T) {
 	}
 }
 
-func TestFragmentedSpoofInjection(t *testing.T) {
-	// End-to-end: attacker plants a spoofed second fragment; the real
-	// host then sends a fragmented datagram with a matching IPID; the
-	// reassembled datagram carries the attacker's bytes and passes the
-	// checksum (attacker fixed it via slack bytes).
-	n, a, b := twoHosts(t)
-	var got []byte
-	b.HandleUDP(53, func(_ ipv4.Addr, _ uint16, p []byte) { got = p })
+// spoofSecondFragment runs the fragment-replacement attack end to end: B
+// lowers A's path MTU toward it to 576, an off-path attacker plants a
+// spoofed second fragment of the 1 032-byte datagram A is about to send B
+// (IPID 0, the first A's allocator gives), and A sends it. The spoofed
+// fragment's bytes are 0xEE up to its last two, which, when fix is set,
+// udp.FixSum chooses so that the reassembled datagram keeps A's checksum.
+// It returns whether B's handler ran and the payload it saw, B, and the
+// number of reassembly and checksum-failure events B's network traced.
+func spoofSecondFragment(t *testing.T, fix bool) (ran bool, got []byte, b *Host, reasms, badsums int) {
+	t.Helper()
+	n, a, b := twoHosts(t, WithTrace(func(e TraceEvent) {
+		switch e.Kind {
+		case TraceReassembled:
+			reasms++
+		case TraceChecksumFail:
+			badsums++
+		}
+	}))
+	b.HandleUDP(5353, func(_ ipv4.Addr, _ uint16, p []byte) { ran, got = true, append([]byte(nil), p...) })
 
 	// Force A to fragment toward B.
 	b.SendICMPFragNeeded(addrA, &ipv4.ICMPFragNeeded{NextHopMTU: 576, OrigSrc: addrA, OrigDst: addrB, OrigProto: ipv4.ProtoUDP})
@@ -373,32 +393,96 @@ func TestFragmentedSpoofInjection(t *testing.T) {
 		t.Fatalf("predicted fragmentation: %v, %d frags", err, len(frags))
 	}
 
-	// Attacker crafts the spoofed second fragment with fixed checksum.
 	spoof := frags[1].Clone()
 	for i := 0; i < len(spoof.Payload)-2; i++ {
 		spoof.Payload[i] = 0xEE
 	}
-	if err := udp.FixSum(frags[1].Payload, spoof.Payload, len(spoof.Payload)-2); err != nil {
-		t.Fatalf("FixSum: %v", err)
+	if fix {
+		if err := udp.FixSum(frags[1].Payload, spoof.Payload, len(spoof.Payload)-2); err != nil {
+			t.Fatalf("FixSum: %v", err)
+		}
 	}
 	n.Inject(spoof)
 	n.Clock().RunFor(100 * time.Millisecond)
 
-	// Real host sends; its IPID allocator starts at 0, matching the spoof.
-	b.HandleUDP(5353, func(_ ipv4.Addr, _ uint16, p []byte) { got = p })
 	if _, err := a.SendUDP(addrB, 53, 5353, payload); err != nil {
 		t.Fatal(err)
 	}
 	n.Clock().RunFor(time.Second)
+	return ran, got, b, reasms, badsums
+}
 
-	if len(got) == 0 {
-		t.Fatal("no datagram delivered — checksum fix or reassembly failed")
+// TestFragmentedSpoofInjection: the reassembled datagram carries the
+// attacker's bytes and passes the checksum, which the attacker kept with
+// slack bytes.
+func TestFragmentedSpoofInjection(t *testing.T) {
+	ran, got, b, reasms, badsums := spoofSecondFragment(t, true)
+	if !ran || reasms != 1 {
+		t.Fatalf("handler ran %t after %d reassemblies — checksum fix or reassembly failed", ran, reasms)
 	}
 	if got[len(got)-3] != 0xEE {
 		t.Error("delivered datagram does not contain attacker bytes")
 	}
-	if b.ChecksumErrors != 0 {
-		t.Errorf("ChecksumErrors = %d, want 0", b.ChecksumErrors)
+	if b.ChecksumErrors != 0 || badsums != 0 {
+		t.Errorf("ChecksumErrors = %d and %d traced, want 0", b.ChecksumErrors, badsums)
+	}
+}
+
+// TestFragmentedSpoofUnfixedDropped: the same spoofed second fragment
+// without the checksum fix reassembles into a datagram whose checksum
+// fails: it is dropped before any handler runs, counted once and traced
+// once.
+func TestFragmentedSpoofUnfixedDropped(t *testing.T) {
+	ran, _, b, reasms, badsums := spoofSecondFragment(t, false)
+	if reasms != 1 {
+		t.Fatalf("%d reassemblies, want 1", reasms)
+	}
+	if ran {
+		t.Error("datagram with a broken checksum delivered")
+	}
+	if b.ChecksumErrors != 1 || badsums != 1 {
+		t.Errorf("ChecksumErrors = %d and %d traced, want 1 and 1", b.ChecksumErrors, badsums)
+	}
+}
+
+// TestRemoveHostDropsInFlight: a datagram in flight toward a host that is
+// removed before it arrives is dropped and traced as a drop, also when the
+// host is reattached (and binds its port again) before the arrival; a
+// datagram sent after the reattach is delivered.
+func TestRemoveHostDropsInFlight(t *testing.T) {
+	for _, reattach := range []bool{false, true} {
+		t.Run(fmt.Sprintf("reattach=%t", reattach), func(t *testing.T) {
+			var kinds []TraceKind
+			n, a, b := twoHosts(t, WithTrace(func(e TraceEvent) { kinds = append(kinds, e.Kind) }))
+			ran := 0
+			handler := func(ipv4.Addr, uint16, []byte) { ran++ }
+			b.HandleUDP(53, handler)
+			if _, err := a.SendUDP(addrB, 1, 53, []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+			n.Clock().RunFor(5 * time.Millisecond) // half the default 10 ms latency
+			n.RemoveHost(addrB)
+			if reattach {
+				if err := n.Reattach(b, HostConfig{}); err != nil {
+					t.Fatal(err)
+				}
+				b.HandleUDP(53, handler)
+			}
+			n.Clock().RunFor(time.Second)
+			if ran != 0 || b.ReceivedPackets != 0 || !slices.Equal(kinds, []TraceKind{TraceSend, TraceDrop}) {
+				t.Fatalf("handler ran %d times, %d packets received, trace %v; want none, none, [send drop]", ran, b.ReceivedPackets, kinds)
+			}
+			if !reattach {
+				return
+			}
+			if _, err := a.SendUDP(addrB, 1, 53, []byte("y")); err != nil {
+				t.Fatal(err)
+			}
+			n.Clock().RunFor(time.Second)
+			if ran != 1 || b.ReceivedPackets != 1 {
+				t.Errorf("after the reattach: handler ran %d times, %d packets received, want 1 and 1", ran, b.ReceivedPackets)
+			}
+		})
 	}
 }
 

@@ -277,3 +277,65 @@ func TestZeroSumSentAsFFFF(t *testing.T) {
 		t.Errorf("Verify: %v", err)
 	}
 }
+
+// refChecksum is the RFC 768 checksum of datagram computed with sum16: the
+// pseudo-header (addresses, protocol 17, the datagram's length) followed
+// by the datagram with its checksum field zeroed, complemented, and a
+// result of 0 sent as 0xFFFF.
+func refChecksum(src, dst [4]byte, datagram []byte) uint16 {
+	b := []byte{src[0], src[1], src[2], src[3], dst[0], dst[1], dst[2], dst[3], 0, 17, 0, 0}
+	binary.BigEndian.PutUint16(b[10:12], uint16(len(datagram)))
+	b = append(b, datagram...)
+	b[12+6], b[12+7] = 0, 0
+	if cs := ^sum16(b); cs != 0 {
+		return cs
+	}
+	return 0xffff
+}
+
+// FuzzVerify: for any bytes and addresses, Verify agrees with refChecksum.
+// Input shorter than a header is ErrShortDatagram; a zero checksum field
+// is accepted; any other field is accepted exactly when it equals the
+// reference, and rejected with ErrBadChecksum otherwise. FillChecksum
+// followed by Verify always accepts.
+func FuzzVerify(f *testing.F) {
+	d := &Datagram{Header: Header{SrcPort: 53, DstPort: 1234}, Payload: []byte("a dns response payload")}
+	good := WithChecksum(srcAddr, dstAddr, d.Marshal())
+	bad := append([]byte(nil), good...)
+	bad[len(bad)-1] ^= 0xff
+	src, dst := binary.BigEndian.Uint32(srcAddr[:]), binary.BigEndian.Uint32(dstAddr[:])
+	f.Add(src, dst, []byte{})
+	f.Add(src, dst, []byte{1, 2, 3, 4, 5, 6, 7})
+	f.Add(src, dst, d.Marshal())
+	f.Add(src, dst, good)
+	f.Add(src, dst, bad)
+	f.Add(dst, src, good)
+	f.Add(src, dst, []byte{0, 53, 0, 53, 0, 8, 0xff, 0xff})
+	f.Add(uint32(0), uint32(0), make([]byte, 9))
+	f.Add(^uint32(0), ^uint32(0), bytes.Repeat([]byte{0xff}, 33))
+	f.Fuzz(func(t *testing.T, src, dst uint32, datagram []byte) {
+		var s, d [4]byte
+		binary.BigEndian.PutUint32(s[:], src)
+		binary.BigEndian.PutUint32(d[:], dst)
+		err := Verify(s, d, datagram)
+		if len(datagram) < HeaderLen {
+			if !errors.Is(err, ErrShortDatagram) {
+				t.Fatalf("%d-byte datagram: %v, want ErrShortDatagram", len(datagram), err)
+			}
+			return
+		}
+		field := binary.BigEndian.Uint16(datagram[6:8])
+		if field == 0 || field == refChecksum(s, d, datagram) {
+			if err != nil {
+				t.Fatalf("field %#04x, reference %#04x: %v, want accepted", field, refChecksum(s, d, datagram), err)
+			}
+		} else if !errors.Is(err, ErrBadChecksum) {
+			t.Fatalf("field %#04x, reference %#04x: %v, want ErrBadChecksum", field, refChecksum(s, d, datagram), err)
+		}
+		filled := append([]byte(nil), datagram...)
+		FillChecksum(s, d, filled)
+		if err := Verify(s, d, filled); err != nil {
+			t.Fatalf("after FillChecksum: %v", err)
+		}
+	})
+}
