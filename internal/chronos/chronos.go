@@ -20,8 +20,7 @@ package chronos
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"dnstime/internal/dnsres"
@@ -125,7 +124,11 @@ type Client struct {
 	cfg   Config
 	local *ntpclient.LocalClock
 	stub  *dnsres.Stub
-	rng   *rand.Rand
+	// src is the sampling stream, math/rand's for cfg.Seed, and intn[i]
+	// decides its Intn(i+1): sampleServers draws with these exactly what
+	// rand.New(src).Intn draws.
+	src  simrand.Source
+	intn []simrand.Intn
 
 	pool      map[ipv4.Addr]struct{}
 	poolOrder []ipv4.Addr
@@ -159,7 +162,6 @@ func New(host *simnet.Host, cfg Config, resolverAddr ipv4.Addr, initialClockErro
 		clock: host.Clock(),
 		local: ntpclient.NewLocalClock(host.Clock(), 0),
 		stub:  dnsres.NewStub(host, resolverAddr, 0),
-		rng:   rand.New(simrand.New(0)),
 		pool:  make(map[ipv4.Addr]struct{}),
 	}
 	c.Reset(cfg, resolverAddr, initialClockError)
@@ -178,7 +180,7 @@ func (c *Client) Reset(cfg Config, resolverAddr ipv4.Addr, initialClockError tim
 	c.cfg = cfg
 	c.local.Reset(initialClockError)
 	c.stub.Reset(resolverAddr, cfg.Seed+7777)
-	c.rng.Seed(cfg.Seed)
+	c.src.Seed(cfg.Seed)
 	clear(c.pool)
 	c.poolOrder = c.poolOrder[:0]
 	c.queries = 0
@@ -272,9 +274,12 @@ func (c *Client) sampleServers(m int) []ipv4.Addr {
 	if cap(c.permBuf) < n {
 		c.permBuf = make([]int, n)
 	}
+	for k := len(c.intn); k < n; k++ {
+		c.intn = append(c.intn, simrand.NewIntn(k+1))
+	}
 	perm := c.permBuf[:n]
-	for i := 0; i < n; i++ {
-		j := c.rng.Intn(i + 1)
+	for i, d := range c.intn[:n] {
+		j := c.src.Intn(d)
 		perm[i] = perm[j]
 		perm[j] = i
 	}
@@ -412,7 +417,7 @@ func (c *Client) finishRound(offsets []time.Duration) {
 		c.Rounds = append(c.Rounds, Round{At: c.clock.Now(), Kind: RoundInconclusive})
 		return
 	}
-	sort.Slice(offsets, func(i, j int) bool { return offsets[i] < offsets[j] })
+	slices.Sort(offsets)
 	d := c.cfg.DiscardEach
 	if len(offsets) <= 2*d {
 		d = (len(offsets) - 1) / 2
@@ -436,7 +441,7 @@ func (c *Client) panicMode() {
 			c.Rounds = append(c.Rounds, Round{At: c.clock.Now(), Kind: RoundInconclusive})
 			return
 		}
-		sort.Slice(offsets, func(i, j int) bool { return offsets[i] < offsets[j] })
+		slices.Sort(offsets)
 		d := len(offsets) / 3
 		surv := offsets[d : len(offsets)-d]
 		avg := average(surv)

@@ -2,6 +2,8 @@ package chronos
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -300,5 +302,47 @@ func TestClientResetIsFreshClient(t *testing.T) {
 	}
 	if got := probe(dirtied()); got == want {
 		t.Errorf("a dirtied client that was not reset probes like a fresh one:\n%s", got)
+	}
+}
+
+// TestSampleServersMatchesMathRand: sampleServers, which decides each
+// Fisher–Yates draw from the client's Source with a table of Intn
+// deciders, samples exactly what the same loop drawing rand.Intn on
+// rand.New(rand.NewSource(seed)) samples, round after round while the
+// pool grows from 1 to 120 servers (and its decider table with it), and
+// leaves the stream where math/rand's is: the next draws agree.
+func TestSampleServersMatchesMathRand(t *testing.T) {
+	const rounds, maxPool, m = 60, 120, 15
+	pool := make([]ipv4.Addr, maxPool)
+	for i := range pool {
+		pool[i] = ipv4.Addr{10, 1, byte(i >> 8), byte(i)}
+	}
+	for _, seed := range []int64{0, 1, -1, 500} {
+		c := &Client{}
+		c.src.Seed(seed)
+		ref := rand.New(rand.NewSource(seed))
+		for r := range rounds {
+			c.poolOrder = pool[:1+r*(maxPool-1)/(rounds-1)]
+			n := len(c.poolOrder)
+			perm := make([]int, n)
+			for i := 0; i < n; i++ {
+				j := ref.Intn(i + 1)
+				perm[i] = perm[j]
+				perm[j] = i
+			}
+			k := min(m, n)
+			want := make([]ipv4.Addr, k)
+			for i, j := range perm[:k] {
+				want[i] = c.poolOrder[j]
+			}
+			if got := c.sampleServers(k); !slices.Equal(got, want) {
+				t.Fatalf("seed %d, round %d (pool %d): sampled %v, math/rand samples %v", seed, r, n, got, want)
+			}
+		}
+		for i := range 3 {
+			if got, want := c.src.Int63(), ref.Int63(); got != want {
+				t.Fatalf("seed %d: draw %d after the rounds is %d, math/rand's %d", seed, i, got, want)
+			}
+		}
 	}
 }

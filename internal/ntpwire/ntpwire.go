@@ -3,6 +3,13 @@
 // and reference-identifier fields, plus the Kiss-o'-Death (KoD) convention
 // and the reference-ID upstream leak the run-time attack's P2 discovery
 // uses (a stratum-2 server's RefID is the IPv4 address of its sync source).
+//
+// Timestamp arithmetic runs on integers: ToTimestamp reads an instant's
+// Unix seconds and nanoseconds, and Offset subtracts nanoseconds since the
+// NTP epoch, with no time.Time built. Both give exactly what the
+// time.Time expressions give. Those expressions saturate for a zero
+// timestamp (the zero time.Time) and for instants before 1900 or from
+// 2192 on, and there the expressions themselves still decide.
 package ntpwire
 
 import (
@@ -50,19 +57,51 @@ var ErrShortPacket = errors.New("ntpwire: short packet")
 // ntpEpoch is the NTP era-0 epoch (1 Jan 1900).
 var ntpEpoch = time.Date(1900, 1, 1, 0, 0, 0, 0, time.UTC)
 
+const (
+	// unixToNTP is the Unix epoch in seconds since the NTP epoch.
+	unixToNTP = 2208988800
+	// exactSecs bounds the whole seconds since the NTP epoch for which
+	// t.Sub(ntpEpoch) does not saturate at the largest Duration, with
+	// any nanosecond part (early in 2192).
+	exactSecs = (1<<63 - 1) / int64(time.Second)
+)
+
+// sinceEpoch returns t.Sub(ntpEpoch) in nanoseconds, computed from t's
+// Unix seconds and nanoseconds, and reports whether t lies in the range
+// where it can: from 1900 to exactSecs seconds later, where that Sub
+// neither goes negative nor saturates.
+func sinceEpoch(t time.Time) (int64, bool) {
+	s := t.Unix() + unixToNTP
+	if s < 0 || s >= exactSecs {
+		return 0, false
+	}
+	return s*int64(time.Second) + int64(t.Nanosecond()), true
+}
+
 // Timestamp is a 64-bit NTP timestamp: 32.32 fixed-point seconds since 1900.
 type Timestamp uint64
 
 // ToTimestamp converts a time.Time to NTP format. The zero time maps to the
 // zero timestamp (meaning "not set").
 func ToTimestamp(t time.Time) Timestamp {
-	if t.IsZero() {
-		return 0
+	d, ok := sinceEpoch(t)
+	if !ok {
+		if t.IsZero() {
+			return 0
+		}
+		d = int64(t.Sub(ntpEpoch))
 	}
-	d := t.Sub(ntpEpoch)
-	secs := uint64(d / time.Second)
-	frac := uint64(d%time.Second) << 32 / uint64(time.Second)
+	secs := uint64(d / int64(time.Second))
+	frac := uint64(d%int64(time.Second)) << 32 / uint64(time.Second)
 	return Timestamp(secs<<32 | frac)
+}
+
+// nanos returns the timestamp in nanoseconds since the NTP epoch, the
+// fraction rounded down to a nanosecond as Time rounds it.
+func (ts Timestamp) nanos() int64 {
+	secs := uint64(ts) >> 32
+	frac := uint64(ts) & 0xffffffff
+	return int64(secs)*int64(time.Second) + int64(frac*uint64(time.Second)>>32)
 }
 
 // Time converts back to time.Time; the zero timestamp yields the zero time.
@@ -70,10 +109,7 @@ func (ts Timestamp) Time() time.Time {
 	if ts == 0 {
 		return time.Time{}
 	}
-	secs := uint64(ts) >> 32
-	frac := uint64(ts) & 0xffffffff
-	ns := frac * uint64(time.Second) >> 32
-	return ntpEpoch.Add(time.Duration(secs)*time.Second + time.Duration(ns))
+	return ntpEpoch.Add(time.Duration(ts.nanos()))
 }
 
 // Packet is a mode 3/4 NTP packet.
@@ -229,8 +265,19 @@ func NewKoD(query *Packet, code [4]byte) *Packet {
 
 // Offset computes the clock offset θ = ((T2−T1)+(T3−T4))/2 from a
 // client-server exchange, where t1 and t4 are the client's local transmit
-// and receive times.
+// and receive times. T1 is the echoed origin timestamp, or t1 when the
+// reply echoes none.
 func Offset(resp *Packet, t1, t4 time.Time) time.Duration {
+	n1, ok1 := resp.OrigTime.nanos(), resp.OrigTime != 0
+	if !ok1 {
+		n1, ok1 = sinceEpoch(t1)
+	}
+	n4, ok4 := sinceEpoch(t4)
+	if ok1 && ok4 && resp.RecvTime != 0 && resp.XmitTime != 0 {
+		return (time.Duration(resp.RecvTime.nanos()-n1) + time.Duration(resp.XmitTime.nanos()-n4)) / 2
+	}
+	// A zero T2 or T3 is the zero time, and t1 or t4 may lie outside
+	// sinceEpoch's range: Sub saturates there.
 	T1 := t1
 	if resp.OrigTime != 0 {
 		T1 = resp.OrigTime.Time()
@@ -238,11 +285,4 @@ func Offset(resp *Packet, t1, t4 time.Time) time.Duration {
 	T2 := resp.RecvTime.Time()
 	T3 := resp.XmitTime.Time()
 	return (T2.Sub(T1) + T3.Sub(t4)) / 2
-}
-
-// Delay computes the round-trip delay δ = (T4−T1)−(T3−T2).
-func Delay(resp *Packet, t1, t4 time.Time) time.Duration {
-	T2 := resp.RecvTime.Time()
-	T3 := resp.XmitTime.Time()
-	return t4.Sub(t1) - T3.Sub(T2)
 }

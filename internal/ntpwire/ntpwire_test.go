@@ -156,18 +156,6 @@ func TestOffsetSymmetricPath(t *testing.T) {
 	}
 }
 
-func TestDelayComputation(t *testing.T) {
-	t1 := t0
-	serverTime := t0.Add(15 * time.Millisecond)
-	q := NewClientPacket(t1)
-	r := ServerPacket(q, serverTime, 2, [4]byte{1, 1, 1, 1})
-	t4 := t0.Add(30 * time.Millisecond)
-	d := Delay(&r, t1, t4)
-	if d != 30*time.Millisecond {
-		t.Errorf("delay = %v, want 30 ms (T3==T2 so full RTT)", d)
-	}
-}
-
 // Property: packets round-trip for arbitrary field values.
 func TestPropertyPacketRoundTrip(t *testing.T) {
 	f := func(stratum, leap uint8, poll, prec int8, refid [4]byte, ts uint64) bool {

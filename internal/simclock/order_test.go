@@ -27,6 +27,10 @@ var tickIntervals = []time.Duration{time.Second, 5 * time.Second, 30 * time.Seco
 // maxTickers bounds the tickers one FuzzClockOrder input starts.
 const maxTickers = 8
 
+// fuzzZones are the locations FuzzClockOrder's start time may be in. Now
+// must keep the start's location, not only its instant.
+var fuzzZones = []*time.Location{time.UTC, time.FixedZone("UTC+5:30", 5*3600+1800), time.FixedZone("UTC-8", -8*3600)}
+
 // refEvent is one event of the reference queue.
 type refEvent struct {
 	at        int64
@@ -159,18 +163,20 @@ func (o *fuzzOps) delay() time.Duration {
 	return time.Duration(binary.BigEndian.Uint32(w[:])&0x3fffffff) * time.Microsecond
 }
 
-// FuzzClockOrder drives Clock with a call sequence decoded from the input
-// (Schedule, ScheduleInto, After, AfterArg, ScheduleAt, Tick, Timer.Stop,
-// Ticker.Stop, Step, RunUntil and Reset, with fired events scheduling
-// children) and checks every fire, every Step and Stop result, Len and Now
-// against refClock after each call.
+// FuzzClockOrder drives Clock, started at t0 in one of fuzzZones, with a
+// call sequence decoded from the input (Schedule, ScheduleInto, After,
+// AfterArg, ScheduleAt, Tick, Timer.Stop, Ticker.Stop, Step, RunUntil and
+// Reset, with fired events scheduling children) and checks every fire,
+// every Step and Stop result, Len and Now against refClock after each
+// call. Now, read after each call and inside each callback, must equal
+// the start time advanced to the reference's time, location and all.
 func FuzzClockOrder(f *testing.F) {
 	// A stopped timer at 1 s is the earliest event when RunUntil(5 s)
 	// looks, so the 20 s timer behind it fires.
-	f.Add([]byte{0, 4, 0, 0, 5, 0, 6, 0, 9, 10})
-	f.Add([]byte{0, 3, 0, 3, 0, 3, 1, 10, 8, 0})
-	f.Add([]byte{5, 1, 0, 200, 1, 2, 3, 4, 2, 6, 6, 0, 9, 40, 7, 0, 8, 0})
-	f.Add([]byte{0, 5, 0, 5, 0, 5, 0, 5, 6, 0, 9, 2, 10, 9, 200, 0})
+	f.Add(uint8(0), []byte{0, 4, 0, 0, 5, 0, 6, 0, 9, 10})
+	f.Add(uint8(0), []byte{0, 3, 0, 3, 0, 3, 1, 10, 8, 0})
+	f.Add(uint8(0), []byte{5, 1, 0, 200, 1, 2, 3, 4, 2, 6, 6, 0, 9, 40, 7, 0, 8, 0})
+	f.Add(uint8(0), []byte{0, 5, 0, 5, 0, 5, 0, 5, 6, 0, 9, 2, 10, 9, 200, 0})
 	// Every recurring delay twice, so the lanes run out, then a run, two
 	// steps, a Reset and the same again on the reset clock.
 	var seed []byte
@@ -180,15 +186,38 @@ func FuzzClockOrder(f *testing.F) {
 		}
 	}
 	seed = append(seed, 9, 255, 8, 8, 10, 0)
-	f.Add(append(seed, seed...))
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add(uint8(0), append(seed, seed...))
+	// Steps, a RunUntil and a Reset, in a zone east of UTC.
+	f.Add(uint8(1), []byte{0, 4, 1, 3, 2, 5, 1, 8, 8, 4, 250, 9, 30, 10, 3, 2, 1, 0, 8})
+	f.Fuzz(func(t *testing.T, zone uint8, data []byte) {
 		ops := &fuzzOps{data: data}
-		c := New(t0)
-		ref := &refClock{now: t0.UnixNano()}
+		base := t0.In(fuzzZones[int(zone)%len(fuzzZones)])
+		start := base // the last New or Reset time
+		c := New(start)
+		ref := &refClock{now: start.UnixNano()}
+		// wantNow is what Now must return when the reference reads n.
+		wantNow := func(n int64) time.Time { return start.Add(time.Duration(n - start.UnixNano())) }
 		var fires []fire
-		checked := 0 // fires already compared with ref's
+		var nows []time.Time // Now as each callback read it, fire for fire
+		checked := 0         // fires already compared with ref's
+		checkFires := func(when string) {
+			t.Helper()
+			if !slices.Equal(fires[checked:], ref.fires[checked:]) {
+				t.Fatalf("%s: fires\n%v\nwant\n%v", when, fires[checked:], ref.fires[checked:])
+			}
+			for k := checked; k < len(fires); k++ {
+				if want := wantNow(ref.fires[k].at); nows[k] != want {
+					t.Fatalf("%s: fire %d read Now() = %v, want %v", when, k, nows[k], want)
+				}
+			}
+			checked = len(fires)
+		}
 		record := func(id int) func() {
-			return func() { fires = append(fires, fire{id, c.Now().UnixNano()}) }
+			return func() {
+				now := c.Now()
+				fires = append(fires, fire{id, now.UnixNano()})
+				nows = append(nows, now)
+			}
 		}
 		type timer struct {
 			tm  *Timer
@@ -296,7 +325,7 @@ func FuzzClockOrder(f *testing.F) {
 				c.RunUntil(deadline)
 				ref.runUntil(deadline.UnixNano())
 			case 10:
-				start := t0.Add(time.Duration(ops.byte()) * time.Hour)
+				start = base.Add(time.Duration(ops.byte()) * time.Hour)
 				c.Reset(start)
 				// Every queued event is dropped: handles to them stop
 				// nothing, and no ticker re-arms.
@@ -308,15 +337,12 @@ func FuzzClockOrder(f *testing.F) {
 				}
 				*ref = refClock{now: start.UnixNano(), fires: ref.fires, nextID: ref.nextID}
 			}
-			if !slices.Equal(fires[checked:], ref.fires[checked:]) {
-				t.Fatalf("step %d: fires\n%v\nwant\n%v", steps, fires[checked:], ref.fires[checked:])
-			}
-			checked = len(fires)
+			checkFires(fmt.Sprintf("step %d", steps))
 			if got, want := c.Len(), ref.len(); got != want {
 				t.Fatalf("step %d: Len = %d, want %d", steps, got, want)
 			}
-			if got := c.Now().UnixNano(); got != ref.now {
-				t.Fatalf("step %d: Now = %d, want %d", steps, got, ref.now)
+			if got, want := c.Now(), wantNow(ref.now); got != want {
+				t.Fatalf("step %d: Now = %v, want %v", steps, got, want)
 			}
 		}
 		// Drain what is left, tickers stopped, so the tail order is
@@ -331,43 +357,74 @@ func FuzzClockOrder(f *testing.F) {
 		for c.Step() {
 			ref.step()
 		}
-		if ref.step() || !slices.Equal(fires[checked:], ref.fires[checked:]) {
-			t.Fatalf("drain: fires\n%v\nwant\n%v", fires[checked:], ref.fires[checked:])
+		if ref.step() {
+			t.Fatalf("drain: the reference fires %v after the clock ran dry", ref.fires[len(ref.fires)-1])
 		}
+		checkFires("drain")
 	})
 }
 
 // BenchmarkDispatch measures one schedule plus one fire with depth events
 // pending, the delays either cycling through four recurring values (every
-// event in a lane) or all distinct (every event in the heap).
+// event in a lane) or all distinct (every event in the heap). Two more
+// cases take the recurring delays at depth 40: "now", whose callbacks read
+// Now, as a simulation's handlers do, and "stop-third", which schedules
+// every third event through a Timer and stops it before it fires, as
+// Chronos stops about a third of its query timeouts.
 func BenchmarkDispatch(b *testing.B) {
+	type dispatchCase struct {
+		name           string
+		recurring      bool
+		depth          int
+		readNow, stop3 bool
+	}
+	var cases []dispatchCase
 	for _, recurring := range []bool{true, false} {
 		for _, depth := range []int{40, 300} {
 			name := fmt.Sprintf("one-off/depth=%d", depth)
 			if recurring {
 				name = fmt.Sprintf("recurring/depth=%d", depth)
 			}
-			b.Run(name, func(b *testing.B) {
-				c := New(t0)
-				recur := []time.Duration{time.Millisecond, 10 * time.Millisecond, 30 * time.Second, 20 * time.Second}
-				var i int64
-				delay := func() time.Duration {
-					i++
-					if recurring {
-						return recur[i%4]
-					}
-					return time.Duration(i%7919+1)*time.Millisecond + time.Duration(i)
-				}
-				fn := func() {}
-				for range depth {
-					c.After(delay(), fn)
-				}
-				for b.Loop() {
-					c.After(delay(), fn)
-					c.Step()
-				}
-			})
+			cases = append(cases, dispatchCase{name: name, recurring: recurring, depth: depth})
 		}
+	}
+	cases = append(cases,
+		dispatchCase{name: "recurring/depth=40/now", recurring: true, depth: 40, readNow: true},
+		dispatchCase{name: "recurring/depth=40/stop-third", recurring: true, depth: 40, stop3: true})
+	for _, bc := range cases {
+		b.Run(bc.name, func(b *testing.B) {
+			c := New(t0)
+			recur := []time.Duration{time.Millisecond, 10 * time.Millisecond, 30 * time.Second, 20 * time.Second}
+			var i int64
+			delay := func() time.Duration {
+				i++
+				if bc.recurring {
+					return recur[i%4]
+				}
+				return time.Duration(i%7919+1)*time.Millisecond + time.Duration(i)
+			}
+			var last time.Time
+			fn := func() {}
+			if bc.readNow {
+				fn = func() { last = c.Now() }
+			}
+			for range bc.depth {
+				c.After(delay(), fn)
+			}
+			var tm Timer
+			for b.Loop() {
+				if bc.stop3 && i%3 == 0 {
+					c.ScheduleInto(&tm, delay(), fn)
+					tm.Stop()
+				} else {
+					c.After(delay(), fn)
+				}
+				c.Step()
+			}
+			if bc.readNow && last.IsZero() {
+				b.Fatal("no callback read the clock")
+			}
+		})
 	}
 }
 

@@ -13,10 +13,15 @@
 // goroutine, so the scheduler carries no locks on its hot path.
 //
 // The event queue is allocation-lean: fired and cancelled events return to
-// a per-clock free list, events are ordered by pre-computed integer
-// nanosecond keys, and the After/AfterArg entry points schedule without
-// allocating a Timer handle — the campaign engine's packet-delivery hot
-// path schedules millions of events per second through them.
+// a per-clock free list, and the After/AfterArg entry points schedule
+// without allocating a Timer handle — the campaign engine's packet-delivery
+// hot path schedules millions of events per second through them. Time runs
+// on integer nanoseconds: an event slot holds only its callback, and its
+// (nanosecond, sequence) key lives in the queue's nodes, so scheduling
+// computes no time.Time. Now builds the time.Time when it is read, as the
+// start time (or the last RunUntil deadline) advanced by the nanoseconds
+// run since: the same value, location included, that adding up each
+// event's delay would give.
 //
 // A simulation schedules most of its events with a few recurring delays
 // (link latency, poll intervals, reassembly timeouts). An event whose delay
@@ -39,8 +44,9 @@ import (
 // Clock is a virtual time source and event scheduler. The zero value is not
 // usable; construct with New.
 type Clock struct {
-	now    time.Time
-	nowN   int64      // now.UnixNano(), the heap ordering key
+	nowN   int64      // the current time in Unix nanoseconds, the heap ordering key
+	nowAt  int64      // the nowN at which nowT was last brought up to date
+	nowT   time.Time  // the current time as of nowAt; Now advances it lazily
 	events []heapNode // 4-ary min-heap: one-off events and the head of each non-empty lane
 	lanes  []lane     // FIFO lanes, one per admitted recurring delay
 	seq    uint64
@@ -71,7 +77,16 @@ func TraceTo(tr obs.Tracer) FireHook {
 
 // New returns a Clock whose current time is start.
 func New(start time.Time) *Clock {
-	return &Clock{now: start, nowN: start.UnixNano()}
+	c := &Clock{}
+	c.setNow(start)
+	return c
+}
+
+// setNow makes t the current time.
+func (c *Clock) setNow(t time.Time) {
+	c.nowT = t
+	c.nowN = t.UnixNano()
+	c.nowAt = c.nowN
 }
 
 // Reset drops every pending event and rewinds the clock to start, keeping
@@ -94,13 +109,31 @@ func (c *Clock) Reset(start time.Time) {
 	c.lanes = c.lanes[:0]
 	c.delays = [delaySlots]delaySlot{}
 	c.seq = 0
-	c.now = start
-	c.nowN = start.UnixNano()
+	c.setNow(start)
 	c.onFire = nil
 }
 
-// Now returns the current virtual time.
-func (c *Clock) Now() time.Time { return c.now }
+// Now returns the current virtual time: the start time advanced by every
+// delay the clock has run through since, or the last RunUntil deadline
+// advanced likewise. Small enough to inline; catchUp, out of line, does
+// the time.Time arithmetic once per instant that is read. Since that
+// updates the clock, Now too belongs to the clock's one goroutine.
+func (c *Clock) Now() time.Time {
+	if c.nowN != c.nowAt {
+		c.catchUp()
+	}
+	return c.nowT
+}
+
+// catchUp advances nowT to nowN. It is kept out of line so that Now,
+// which calls it only when the clock has moved since the last read,
+// inlines.
+//
+//go:noinline
+func (c *Clock) catchUp() {
+	c.nowT = c.nowT.Add(time.Duration(c.nowN - c.nowAt))
+	c.nowAt = c.nowN
+}
 
 // Len reports the number of pending (non-cancelled) events.
 func (c *Clock) Len() int {
@@ -129,25 +162,23 @@ type Timer struct {
 	clock *Clock
 	idx   int32
 	gen   uint64
-	at    time.Time
 }
 
 // Stop cancels the timer. It reports whether the event was still pending
-// (i.e. had not fired and had not already been stopped).
+// (i.e. had not fired and had not already been stopped). A fired event's
+// slot has moved to a later generation before its callback runs, so the
+// handle no longer matches it.
 func (t *Timer) Stop() bool {
 	if t == nil || t.clock == nil {
 		return false
 	}
 	ev := &t.clock.arena[t.idx]
-	if ev.gen != t.gen || ev.cancelled || ev.fired {
+	if ev.gen != t.gen || ev.cancelled {
 		return false
 	}
 	ev.cancelled = true
 	return true
 }
-
-// When returns the virtual time at which the timer fires.
-func (t *Timer) When() time.Time { return t.at }
 
 // Schedule runs fn after delay d of virtual time. A non-positive delay
 // schedules fn at the current instant; it still runs through the event loop,
@@ -155,8 +186,7 @@ func (t *Timer) When() time.Time { return t.at }
 // never stops the event: it schedules without allocating a Timer.
 func (c *Clock) Schedule(d time.Duration, fn func()) *Timer {
 	idx := c.scheduleEvent(d, fn, nil, nil)
-	ev := &c.arena[idx]
-	return &Timer{clock: c, idx: idx, gen: ev.gen, at: ev.at}
+	return &Timer{clock: c, idx: idx, gen: c.arena[idx].gen}
 }
 
 // ScheduleInto arms the caller-owned Timer t to run fn after delay d,
@@ -165,17 +195,15 @@ func (c *Clock) Schedule(d time.Duration, fn func()) *Timer {
 // through here without allocating a handle per schedule.
 func (c *Clock) ScheduleInto(t *Timer, d time.Duration, fn func()) {
 	idx := c.scheduleEvent(d, fn, nil, nil)
-	ev := &c.arena[idx]
-	*t = Timer{clock: c, idx: idx, gen: ev.gen, at: ev.at}
+	*t = Timer{clock: c, idx: idx, gen: c.arena[idx].gen}
 }
 
 // ScheduleAt runs fn at virtual time t. Times in the past are clamped to the
 // current instant.
 func (c *Clock) ScheduleAt(t time.Time, fn func()) *Timer {
-	d := t.Sub(c.now)
+	d := t.Sub(c.Now())
 	idx := c.scheduleEvent(d, fn, nil, nil)
-	ev := &c.arena[idx]
-	return &Timer{clock: c, idx: idx, gen: ev.gen, at: ev.at}
+	return &Timer{clock: c, idx: idx, gen: c.arena[idx].gen}
 }
 
 // After runs fn after delay d of virtual time, like Schedule, but returns no
@@ -208,16 +236,12 @@ func (c *Clock) scheduleEvent(d time.Duration, fn func(), argFn func(any), arg a
 		idx = int32(len(c.arena) - 1)
 	}
 	ev := &c.arena[idx]
-	ev.at = c.now.Add(d)
-	ev.atN = c.nowN + int64(d)
-	ev.seq = c.seq
 	ev.fn = fn
 	ev.argFn = argFn
 	ev.arg = arg
 	ev.cancelled = false
-	ev.fired = false
+	n := heapNode{atN: c.nowN + int64(d), seq: c.seq, idx: idx}
 	c.seq++
-	n := heapNode{atN: ev.atN, seq: ev.seq, idx: idx}
 	// A lane only takes an event whose timestamp did not overflow, so
 	// every lane stays sorted.
 	if k := c.laneFor(int64(d)); k > 0 && n.atN >= c.nowN {
@@ -324,8 +348,7 @@ func (t *Ticker) Stop() {
 	if !t.armed {
 		return
 	}
-	ev := &t.clock.arena[t.idx]
-	if ev.gen == t.gen && !ev.cancelled && !ev.fired {
+	if ev := &t.clock.arena[t.idx]; ev.gen == t.gen {
 		ev.cancelled = true
 	}
 }
@@ -333,24 +356,19 @@ func (t *Ticker) Stop() {
 // Step executes the earliest pending event, advancing the clock to its
 // timestamp. It reports whether an event was executed.
 func (c *Clock) Step() bool {
-	for {
-		if len(c.events) == 0 {
-			return false
-		}
-		idx := c.popMin()
-		ev := &c.arena[idx]
+	for len(c.events) > 0 {
+		n := c.popMin()
+		ev := &c.arena[n.idx]
 		if ev.cancelled {
-			c.recycleEvent(idx)
+			c.recycleEvent(n.idx)
 			continue
 		}
-		ev.fired = true
-		c.now = ev.at
-		c.nowN = ev.atN
+		c.nowN = n.atN
 		fn, argFn, arg := ev.fn, ev.argFn, ev.arg
 		if c.onFire != nil {
-			c.onFire(ev.at, ev.seq)
+			c.onFire(c.Now(), n.seq)
 		}
-		c.recycleEvent(idx)
+		c.recycleEvent(n.idx)
 		if fn != nil {
 			fn()
 		} else if argFn != nil {
@@ -358,6 +376,7 @@ func (c *Clock) Step() bool {
 		}
 		return true
 	}
+	return false
 }
 
 // Run executes events until none remain. Use with care: self-rescheduling
@@ -379,9 +398,8 @@ func (c *Clock) RunUntil(deadline time.Time) {
 	deadlineN := deadline.UnixNano()
 	for {
 		if len(c.events) == 0 || c.events[0].atN > deadlineN {
-			if c.now.Before(deadline) {
-				c.now = deadline
-				c.nowN = deadlineN
+			if c.Now().Before(deadline) {
+				c.setNow(deadline)
 			}
 			return
 		}
@@ -389,16 +407,14 @@ func (c *Clock) RunUntil(deadline time.Time) {
 	}
 }
 
+// event is one arena slot: the callback and its handle state. Its key,
+// (timestamp, sequence), is kept in the heap or lane node that queues it.
 type event struct {
-	at        time.Time
-	atN       int64 // at.UnixNano(), the heap comparison key
-	seq       uint64
-	gen       uint64 // bumped on recycle; stale Timer handles no-op
 	fn        func()
 	argFn     func(any)
 	arg       any
+	gen       uint64 // bumped on recycle, before the callback runs; stale handles no-op
 	cancelled bool
-	fired     bool
 }
 
 // heapNode is one entry of the clock's priority queue. The ordering key
@@ -497,10 +513,10 @@ func (c *Clock) heapPush(n heapNode) {
 	c.events = h
 }
 
-// popMin removes and returns the arena slot of the earliest event. The
-// caller must have checked len(c.events) > 0. When the earliest event heads
-// a lane, the lane's next event takes its place at the top of the heap.
-func (c *Clock) popMin() int32 {
+// popMin removes and returns the node of the earliest event. The caller
+// must have checked len(c.events) > 0. When the earliest event heads a
+// lane, the lane's next event takes its place at the top of the heap.
+func (c *Clock) popMin() heapNode {
 	h := c.events
 	top := h[0]
 	if top.lane > 0 {
@@ -509,7 +525,7 @@ func (c *Clock) popMin() int32 {
 			next := l.at(0)
 			next.lane = top.lane
 			c.siftDown(next)
-			return top.idx
+			return top
 		}
 	}
 	n := len(h) - 1
@@ -518,7 +534,7 @@ func (c *Clock) popMin() int32 {
 	if n > 0 {
 		c.siftDown(last)
 	}
-	return top.idx
+	return top
 }
 
 // siftDown puts node at the root of the heap in place of the node there

@@ -227,11 +227,3 @@ func TestPropertyMonotonicExecution(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestWhenReportsFireTime(t *testing.T) {
-	c := New(t0)
-	tm := c.Schedule(42*time.Second, func() {})
-	if want := t0.Add(42 * time.Second); !tm.When().Equal(want) {
-		t.Errorf("When() = %v, want %v", tm.When(), want)
-	}
-}

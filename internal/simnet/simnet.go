@@ -10,7 +10,8 @@
 // Each host owns the receiver-side state the attack manipulates: an IPv4
 // defragmentation cache (internal/ipv4.Reassembler), a path-MTU cache
 // updated by ICMP Fragmentation Needed messages, and an IPID allocator for
-// outgoing packets.
+// outgoing packets. The network finds every packet's destination host in
+// a flat open-addressing table keyed by the 32-bit address.
 //
 // # Trace ordering contract
 //
@@ -101,7 +102,7 @@ func (e TraceEvent) String() string {
 // slices they are given beyond the call — copy what must outlive it.
 type Network struct {
 	clock *simclock.Clock
-	hosts map[ipv4.Addr]*Host
+	hosts hostTable
 	path  netem.PathModel
 	rng   *rand.Rand
 	trace func(TraceEvent)
@@ -173,9 +174,9 @@ func TraceTo(tr obs.Tracer) func(TraceEvent) {
 func New(clock *simclock.Clock, opts ...Option) *Network {
 	n := &Network{
 		clock: clock,
-		hosts: make(map[ipv4.Addr]*Host),
 		rng:   rand.New(simrand.New(0)),
 	}
+	n.hosts.resize(minHostSlots)
 	n.Reset(opts...)
 	return n
 }
@@ -184,16 +185,15 @@ func New(clock *simclock.Clock, opts ...Option) *Network {
 func (n *Network) Clock() *simclock.Clock { return n.clock }
 
 // Host returns the host with the given address, or nil.
-func (n *Network) Host(a ipv4.Addr) *Host { return n.hosts[a] }
+func (n *Network) Host(a ipv4.Addr) *Host { return n.hosts.get(a) }
 
 // RemoveHost detaches the host at addr (no-op when absent). Packets already
 // in flight toward it are dropped on delivery, even if the host is
 // reattached before they arrive. The lab pool removes run-scoped hosts
 // (clients, surplus servers) when resetting a lab.
 func (n *Network) RemoveHost(addr ipv4.Addr) {
-	if h, ok := n.hosts[addr]; ok {
+	if h := n.hosts.remove(addr); h != nil {
 		h.attach++
-		delete(n.hosts, addr)
 	}
 }
 
@@ -327,8 +327,8 @@ func (n *Network) injectOwned(pkt *ipv4.Packet) {
 		n.putPacket(pkt)
 		return
 	}
-	dst, ok := n.hosts[pkt.Dst]
-	if !ok {
+	dst := n.hosts.get(pkt.Dst)
+	if dst == nil {
 		n.emit(TraceDrop, pkt)
 		n.putPacket(pkt)
 		return
@@ -398,7 +398,7 @@ type Host struct {
 // AddHost registers a new host at addr with the given configuration: an
 // allocation plus Reattach.
 func (n *Network) AddHost(addr ipv4.Addr, cfg HostConfig) (*Host, error) {
-	if _, ok := n.hosts[addr]; ok {
+	if n.hosts.get(addr) != nil {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateHost, addr)
 	}
 	h := &Host{
@@ -421,11 +421,11 @@ func (n *Network) Reattach(h *Host, cfg HostConfig) error {
 	if h.net != n {
 		return fmt.Errorf("simnet: host %s belongs to another network", h.addr)
 	}
-	if _, ok := n.hosts[h.addr]; ok {
+	if n.hosts.get(h.addr) != nil {
 		return fmt.Errorf("%w: %s", ErrDuplicateHost, h.addr)
 	}
 	h.Reset(cfg)
-	n.hosts[h.addr] = h
+	n.hosts.put(h)
 	return nil
 }
 
