@@ -64,12 +64,11 @@ func BenchmarkCampaignTableISerial(b *testing.B) {
 }
 
 // BenchmarkCampaignAllScenarios fans every registered scenario out across
-// 4 seeds each (fast populations) through the Engine — the whole-registry
-// campaign smoke run CI executes at -benchtime 1x so no scenario can rot
-// out of the engine.
+// 4 seeds each through the Engine — the whole-registry campaign smoke run
+// CI executes at -benchtime 1x so no scenario can rot out of the engine.
 func BenchmarkCampaignAllScenarios(b *testing.B) {
 	b.ReportAllocs()
-	eng := dnstime.NewEngine(dnstime.WithSeeds(4), dnstime.WithFast(true))
+	eng := dnstime.NewEngine(dnstime.WithSeeds(4))
 	for i := 0; i < b.N; i++ {
 		for _, sc := range dnstime.Scenarios() {
 			agg, err := eng.Run(context.Background(), sc.Name)

@@ -22,7 +22,6 @@ import (
 type campaignOutput struct {
 	Seeds     int                         `json:"seeds"`
 	BaseSeed  int64                       `json:"base_seed"`
-	Fast      bool                        `json:"fast,omitempty"`
 	Params    dnstime.ScenarioParams      `json:"params,omitempty"`
 	Scenarios []dnstime.ScenarioAggregate `json:"scenarios"`
 }
@@ -44,7 +43,6 @@ type campaignConfig struct {
 	baseSeed   int64
 	jsonOut    bool
 	only       string
-	fast       bool
 	perRun     bool
 	quiet      bool
 	params     repeatedFlag
@@ -64,7 +62,6 @@ func campaignFlagSet(cfg *campaignConfig) *flag.FlagSet {
 	fs.Int64Var(&cfg.baseSeed, "seed", 1, "first seed; run i uses seed+i (an explicit 0 runs seed 0)")
 	fs.BoolVar(&cfg.jsonOut, "json", false, "emit aggregates as JSON")
 	fs.StringVar(&cfg.only, "only", "", "comma-separated scenario subset (default: all; see `experiments scenarios`)")
-	fs.BoolVar(&cfg.fast, "fast", false, "shrink the slowest scenarios' populations")
 	fs.BoolVar(&cfg.perRun, "perrun", false, "include per-seed results in -json output")
 	fs.BoolVar(&cfg.quiet, "q", false, "suppress progress reporting on stderr")
 	fs.Var(&cfg.params, "param", "scenario param override as key=value (repeatable; needs -only with one scenario)")
@@ -138,13 +135,12 @@ func runCampaigns(ctx context.Context, argv []string, w io.Writer) error {
 		}
 	}
 
-	out := campaignOutput{Seeds: cfg.seeds, BaseSeed: cfg.baseSeed, Fast: cfg.fast, Params: params}
+	out := campaignOutput{Seeds: cfg.seeds, BaseSeed: cfg.baseSeed, Params: params}
 	for _, name := range names {
 		opts := []dnstime.EngineOption{
 			dnstime.WithSeeds(cfg.seeds),
 			dnstime.WithBaseSeed(cfg.baseSeed),
 			dnstime.WithWorkers(cfg.workers),
-			dnstime.WithFast(cfg.fast),
 			dnstime.WithParams(params),
 		}
 		if cfg.checkpoint != "" {

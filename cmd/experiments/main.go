@@ -5,8 +5,8 @@
 //
 // Usage:
 //
-//	experiments [-seed N] [-fast] [-only table3,fig5,...]
-//	experiments campaigns [-seeds N] [-workers M] [-json] [-fast] [-only boot,table4,...]
+//	experiments [-seed N] [-only table3,fig5,...]
+//	experiments campaigns [-seeds N] [-workers M] [-json] [-only boot,table4,...]
 //	experiments campaigns -only boot [-param client=chrony] [-checkpoint f.jsonl]
 //	experiments search -scenario racemargin [-lo -2s -hi 0s -resolution 100ms] [-target 0.5] [-state DIR] [-json]
 //	experiments search -scenario racemargin -dim vic-net=lan,wan -dim client=ntpd,chrony [-prune-seeds 4] [-lhs N]
@@ -15,9 +15,8 @@
 //
 // The default (no subcommand) is the single-seed paper reproduction:
 // each section prints one run of the registered scenario of the same
-// name, and -fast runs it at the scenario's fast size (scenario
-// Config.Fast, as campaigns -fast does). The serve
-// subcommand keeps the whole machinery resident behind an HTTP API —
+// name, at the size the paper reports. The serve subcommand keeps the
+// whole machinery resident behind an HTTP API —
 // queued campaigns, streamed JSONL results, a content-addressed aggregate
 // cache and graceful drain (DESIGN.md §11).
 //
@@ -113,9 +112,8 @@ func main() {
 		return
 	}
 	var seed int64
-	var fast bool
 	var only string
-	fs := experimentsFlagSet(&seed, &fast, &only)
+	fs := experimentsFlagSet(&seed, &only)
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		if err == flag.ErrHelp {
 			os.Exit(0)
@@ -126,7 +124,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
-	if err := run(os.Stdout, seed, fast, only); err != nil {
+	if err := run(os.Stdout, seed, only); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
@@ -143,10 +141,9 @@ var sections = []string{
 // experimentsFlagSet declares the single-seed (no subcommand) flag
 // surface. The README command checker parses documented commands against
 // the same set.
-func experimentsFlagSet(seed *int64, fast *bool, only *string) *flag.FlagSet {
+func experimentsFlagSet(seed *int64, only *string) *flag.FlagSet {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.Int64Var(seed, "seed", 1, "deterministic seed for all experiments")
-	fs.BoolVar(fast, "fast", false, "run each section at its scenario's fast size, as `campaigns -fast` does")
 	fs.StringVar(only, "only", "", "comma-separated subset: "+strings.Join(sections, ","))
 	return fs
 }
@@ -168,7 +165,7 @@ func noPositional(fs *flag.FlagSet) error {
 // run is the single-seed mode: it prints one scenario.Run of each
 // selected section to w in the paper's layout. Tables I and II render the
 // run's Metrics; every other section renders its Detail.
-func run(w io.Writer, seed int64, fast bool, only string) error {
+func run(w io.Writer, seed int64, only string) error {
 	want, err := selectNames(only, sections, "section")
 	if err != nil {
 		return err
@@ -177,7 +174,7 @@ func run(w io.Writer, seed int64, fast bool, only string) error {
 		if !want[name] {
 			continue
 		}
-		res, err := dnstime.RunScenario(context.Background(), name, seed, dnstime.ScenarioConfig{Fast: fast})
+		res, err := dnstime.RunScenario(context.Background(), name, seed, dnstime.ScenarioConfig{})
 		if err != nil {
 			return err
 		}

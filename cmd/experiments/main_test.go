@@ -17,52 +17,25 @@ import (
 )
 
 // TestRunDefaultGolden pins every byte of the single-seed output at seed
-// 1: the paper-layout tables and figures with no flags, and the same
-// sections at their scenarios' fast sizes with -fast. After an intended
-// change of output, regenerate a file from the repository root with
+// 1: the paper-layout tables and figures. After an intended change of
+// output, regenerate the file from the repository root with
 //
 //	go run ./cmd/experiments > cmd/experiments/testdata/default-seed1.golden
-//	go run ./cmd/experiments -fast > cmd/experiments/testdata/fast-seed1.golden
 func TestRunDefaultGolden(t *testing.T) {
-	for _, tc := range []struct {
-		golden string
-		fast   bool
-	}{{"default-seed1.golden", false}, {"fast-seed1.golden", true}} {
-		t.Run(tc.golden, func(t *testing.T) {
-			want, err := os.ReadFile("testdata/" + tc.golden)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got bytes.Buffer
-			if err := run(&got, 1, tc.fast, ""); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got.Bytes(), want) {
-				t.Errorf("output (fast=%t) differs from testdata/%s:\n%s", tc.fast, tc.golden, got.String())
-			}
-		})
-	}
-}
-
-// TestRunCampaignsFast16Golden pins every byte of the 16-seed -fast JSON
-// aggregates of all registered scenarios: runs, errors, success rates and
-// their intervals, and each metric's mean, CI, median and range. After an
-// intended change of output, regenerate the file from the repository root
-// with
-//
-//	go run ./cmd/experiments campaigns -seeds 16 -fast -json -q > cmd/experiments/testdata/campaigns-fast16.golden
-func TestRunCampaignsFast16Golden(t *testing.T) {
-	want, err := os.ReadFile("testdata/campaigns-fast16.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	if err := runCampaigns(context.Background(), []string{"-seeds", "16", "-fast", "-json", "-q"}, &got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("campaign aggregates differ from testdata/campaigns-fast16.golden:\n%s", got.String())
-	}
+	const golden = "default-seed1.golden"
+	t.Run(golden, func(t *testing.T) {
+		want, err := os.ReadFile("testdata/" + golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := run(&got, 1, ""); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("output differs from testdata/%s:\n%s", golden, got.String())
+		}
+	})
 }
 
 // TestRunCampaigns64Golden pins every byte of the 64-seed full-population
@@ -96,7 +69,7 @@ func TestRunCampaigns64Golden(t *testing.T) {
 func TestRunRejectsPositional(t *testing.T) {
 	for _, argv := range [][]string{
 		{"campaign", "-seeds", "2"},
-		{"tabel1", "-fast"},
+		{"tabel1"},
 	} {
 		checkRejectsPositional(t, argv)
 	}
@@ -108,10 +81,10 @@ func TestRunRejectsPositional(t *testing.T) {
 // refuses a documented bench command too. The benchmark is bench/.
 func TestRunBenchBadArgs(t *testing.T) {
 	for _, argv := range [][]string{
-		{"bench", "-seeds", "16", "-fast"},
+		{"bench", "-seeds", "16"},
 		{"bench", "-compare", "old.json", "-in", "new.json"},
 		{"bench", "-only", "sundial"},
-		{"-fast", "bench", "-seeds", "0"},
+		{"-seed", "2", "bench", "-seeds", "0"},
 	} {
 		checkRejectsPositional(t, argv)
 		cmd := "experiments " + strings.Join(argv, " ")
@@ -121,15 +94,40 @@ func TestRunBenchBadArgs(t *testing.T) {
 	}
 }
 
+// TestRunFastIsFlagError: every scenario runs at the one size the paper
+// reports, so -fast is a flag error in each CLI mode, refused before any
+// run instead of being ignored.
+func TestRunFastIsFlagError(t *testing.T) {
+	const want = "flag provided but not defined: -fast"
+	var seed int64
+	var only string
+	fs := experimentsFlagSet(&seed, &only)
+	fs.SetOutput(io.Discard)
+	var out bytes.Buffer
+	for mode, err := range map[string]error{
+		"experiments": fs.Parse([]string{"-fast", "-only", "table1"}),
+		"campaigns": runCampaigns(context.Background(),
+			[]string{"-only", "boot", "-seeds", "1", "-fast", "-q"}, &out),
+		"search": runSearch(context.Background(),
+			[]string{"-scenario", "racemargin", "-seeds", "1", "-fast", "-q"}, &out),
+	} {
+		if err == nil || err.Error() != want {
+			t.Errorf("%s -fast: err = %v, want %q", mode, err, want)
+		}
+	}
+	if out.Len() != 0 {
+		t.Errorf("printed output before refusing -fast:\n%s", out.String())
+	}
+}
+
 // checkRejectsPositional parses argv with the single-seed flag set and
 // requires noPositional to refuse it, naming the stray argument and
 // listing the subcommands.
 func checkRejectsPositional(t *testing.T, argv []string) {
 	t.Helper()
 	var seed int64
-	var fast bool
 	var only string
-	fs := experimentsFlagSet(&seed, &fast, &only)
+	fs := experimentsFlagSet(&seed, &only)
 	if err := fs.Parse(argv); err != nil {
 		t.Fatalf("%v: %v", argv, err)
 	}
@@ -153,7 +151,7 @@ func TestRunOnlyUnknownSection(t *testing.T) {
 		" , ":           `" , "`,
 	} {
 		var out bytes.Buffer
-		err := run(&out, 1, true, only)
+		err := run(&out, 1, only)
 		if err == nil {
 			t.Errorf("-only %q accepted", only)
 			continue
@@ -187,7 +185,7 @@ func TestScenarioCLIColumn(t *testing.T) {
 // the Table IV block, and matches the golden's rendering.
 func TestRunOnlyFig6(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(&out, 1, false, "fig6"); err != nil {
+	if err := run(&out, 1, "fig6"); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(out.String(), "== Figure 6:") || strings.Contains(out.String(), "Table IV") {
@@ -230,7 +228,7 @@ func TestRunCampaignsDeterministicForEveryScenario(t *testing.T) {
 			render := func(workers string) string {
 				var out bytes.Buffer
 				err := runCampaigns(context.Background(), []string{
-					"-seeds", "2", "-fast", "-workers", workers,
+					"-seeds", "2", "-workers", workers,
 					"-only", name, "-json", "-perrun", "-q",
 				}, &out)
 				if err != nil {
@@ -383,13 +381,13 @@ func TestReadmeCommandsParse(t *testing.T) {
 func TestCheckExperimentsCommandStale(t *testing.T) {
 	for _, cmd := range []string{
 		"experiments campaign -seeds 2",
-		"experiments tabel1 -fast",
+		"experiments tabel1",
 	} {
 		if err := checkExperimentsCommand(cmd, strings.Fields(cmd)[1:]); err == nil {
 			t.Errorf("stale command %q parses", cmd)
 		}
 	}
-	if err := checkExperimentsCommand("experiments -fast -only table1", []string{"-fast", "-only", "table1"}); err != nil {
+	if err := checkExperimentsCommand("experiments -only table1", []string{"-only", "table1"}); err != nil {
 		t.Errorf("valid single-seed command rejected: %v", err)
 	}
 }
@@ -430,9 +428,8 @@ func checkExperimentsCommand(cmd string, args []string) error {
 		err = quietly(serveFlagSet(&cfg)).Parse(args[1:])
 	default:
 		var seed int64
-		var fast bool
 		var only string
-		fs := quietly(experimentsFlagSet(&seed, &fast, &only))
+		fs := quietly(experimentsFlagSet(&seed, &only))
 		err = fs.Parse(args)
 		if err == nil {
 			err = noPositional(fs)
@@ -700,8 +697,8 @@ func TestRunCampaignsCheckpointResume(t *testing.T) {
 // TestRunCampaignsCheckpointNoOverwrite: rerunning a checkpointed
 // campaign never overwrites its file. A rerun over fewer seeds leaves it
 // byte-identical (every seed it needs is recorded, so none executes), a
-// run for another scenario, fast mode or param set is refused and leaves
-// it byte-identical, and a rerun over more seeds appends to it.
+// run for another scenario or param set is refused and leaves it
+// byte-identical, and a rerun over more seeds appends to it.
 func TestRunCampaignsCheckpointNoOverwrite(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "b.jsonl")
 	argv := func(seeds string, extra ...string) []string {
@@ -726,7 +723,6 @@ func TestRunCampaignsCheckpointNoOverwrite(t *testing.T) {
 	unchanged("rerun over fewer seeds")
 	for name, extra := range map[string][]string{
 		"other scenario": {"-only", "runtime"},
-		"fast":           {"-only", "boot", "-fast"},
 		"param":          {"-only", "boot", "-client", "chrony"},
 	} {
 		if err := runCampaigns(context.Background(), argv("4", extra...), io.Discard); err == nil {

@@ -32,7 +32,7 @@ func TestRunBenchProfiles(t *testing.T) {
 	}
 	cpu := make(chan error, 1)
 	go func() { cpu <- fetch("/debug/pprof/profile?seconds=1") }()
-	status, v := postJob(t, base, `{"scenario":"boot","seeds":4,"fast":true}`)
+	status, v := postJob(t, base, `{"scenario":"boot","seeds":4}`)
 	if status != http.StatusAccepted {
 		t.Fatalf("submit status %d: %v", status, v)
 	}
@@ -57,7 +57,7 @@ func TestRunBenchProfiles(t *testing.T) {
 // the trace is byte-identical across runs, and tracing leaves the
 // aggregate's bytes as they are without it.
 func TestRunCampaignsTraceRateLimit(t *testing.T) {
-	args := []string{"-only", "ratelimit", "-seeds", "1", "-fast", "-json", "-q"}
+	args := []string{"-only", "ratelimit", "-seeds", "1", "-json", "-q"}
 	var plain strings.Builder
 	if err := runCampaigns(context.Background(), args, &plain); err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestRunCampaignsTrace(t *testing.T) {
 	for _, scenario := range []string{"boot", "racemargin", "netsweep"} {
 		dir := filepath.Join(t.TempDir(), "traces")
 		err := runCampaigns(context.Background(), []string{
-			"-seeds", "2", "-seed", "0", "-only", scenario, "-fast", "-q", "-trace", dir,
+			"-seeds", "2", "-seed", "0", "-only", scenario, "-q", "-trace", dir,
 		}, io.Discard)
 		if err != nil {
 			t.Fatalf("runCampaigns -only %s -trace: %v", scenario, err)

@@ -31,7 +31,6 @@ type searchConfig struct {
 	seeds        int
 	workers      int
 	baseSeed     int64
-	fast         bool
 	jsonOut      bool
 	quiet        bool
 	params       repeatedFlag
@@ -59,7 +58,6 @@ func searchFlagSet(cfg *searchConfig) *flag.FlagSet {
 	fs.IntVar(&cfg.seeds, "seeds", 16, "seeds per probe campaign")
 	fs.IntVar(&cfg.workers, "workers", 0, "concurrent workers per probe campaign (0 = GOMAXPROCS; output is identical at any count)")
 	fs.Int64Var(&cfg.baseSeed, "seed", 1, "first seed of every probe campaign")
-	fs.BoolVar(&cfg.fast, "fast", false, "shrink the slowest scenarios' populations")
 	fs.BoolVar(&cfg.jsonOut, "json", false, "emit the search result as JSON")
 	fs.BoolVar(&cfg.quiet, "q", false, "suppress per-probe progress on stderr")
 	fs.Var(&cfg.params, "param", "fixed scenario param as key=value (repeatable)")
@@ -80,7 +78,6 @@ func (cfg *searchConfig) searchOptions() (dnstime.SearchOptions, error) {
 		Seeds:    cfg.seeds,
 		BaseSeed: &cfg.baseSeed,
 		Workers:  cfg.workers,
-		Fast:     cfg.fast,
 		Params:   params,
 		Target:   cfg.target,
 		StateDir: cfg.stateDir,

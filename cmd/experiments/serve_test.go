@@ -135,7 +135,7 @@ func postJob(t *testing.T, base, body string) (int, map[string]any) {
 }
 
 // TestRunServeSmoke is the end-to-end acceptance test the CI smoke job
-// runs race-checked: boot the service, submit a -fast boot campaign over
+// runs race-checked: boot the service, submit a boot campaign over
 // HTTP, and assert the streamed aggregate is byte-identical to what
 // `experiments campaigns -json` prints for the same spec — then that a
 // repeat submission is answered from the cache, and that SIGTERM-style
@@ -143,7 +143,7 @@ func postJob(t *testing.T, base, body string) (int, map[string]any) {
 func TestRunServeSmoke(t *testing.T) {
 	base, output, shutdown := bootServe(t)
 
-	body := `{"scenario":"boot","seeds":3,"fast":true}`
+	body := `{"scenario":"boot","seeds":3}`
 	status, v := postJob(t, base, body)
 	if status != http.StatusAccepted {
 		t.Fatalf("submit status %d: %v", status, v)
@@ -159,7 +159,7 @@ func TestRunServeSmoke(t *testing.T) {
 	// survive untouched; compacting only strips the -json indentation.
 	var cli bytes.Buffer
 	err := runCampaigns(context.Background(), []string{
-		"-seeds", "3", "-fast", "-only", "boot", "-json", "-q",
+		"-seeds", "3", "-only", "boot", "-json", "-q",
 	}, &cli)
 	if err != nil {
 		t.Fatalf("runCampaigns reference: %v", err)

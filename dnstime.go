@@ -190,8 +190,8 @@ type (
 	Scenario = scenario.Scenario
 	// ScenarioResult is one seeded scenario run outcome.
 	ScenarioResult = scenario.Result
-	// ScenarioConfig tunes a run (Fast shrinks the largest populations;
-	// Params overrides a parameterisable scenario's defaults).
+	// ScenarioConfig tunes a run (Params overrides a parameterisable
+	// scenario's defaults; Tracer observes it).
 	ScenarioConfig = scenario.Config
 	// ScenarioParams parameterises a scenario variant (k=v overrides,
 	// validated against the scenario's ParamKeys).
@@ -247,8 +247,6 @@ var (
 	WithBaseSeed = campaign.WithBaseSeed
 	// WithWorkers caps concurrent runs (default GOMAXPROCS).
 	WithWorkers = campaign.WithWorkers
-	// WithFast shrinks the slowest scenarios' populations.
-	WithFast = campaign.WithFast
 	// WithParams merges scenario param overrides into every run.
 	WithParams = campaign.WithParams
 	// WithParam sets one scenario param override.
@@ -407,7 +405,7 @@ type (
 	// ExperimentRateLimiter is the service's per-client token bucket.
 	ExperimentRateLimiter = serve.Limiter
 	// CampaignJobSpec is one submitted campaign: scenario, params, seed
-	// range and fast flag, with a canonical content-addressed Key.
+	// range and trace flag, with a canonical content-addressed Key.
 	CampaignJobSpec = campaign.JobSpec
 )
 

@@ -254,10 +254,7 @@ func Example_campaign() {
 
 	// 1. Any registered scenario: the Table IV cache-snooping study over
 	// 16 seeds, aggregated metric by metric.
-	agg, err := dnstime.NewEngine(
-		dnstime.WithSeeds(16),
-		dnstime.WithFast(true), // 20k resolvers per run instead of 200k
-	).Run(ctx, "table4")
+	agg, err := dnstime.NewEngine(dnstime.WithSeeds(16)).Run(ctx, "table4")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -283,22 +280,22 @@ func Example_campaign() {
 	}
 	// Output:
 	// table4: 16 runs, 14 metrics, errors 0
-	// Metric                          n   mean     95% CI             median   min–max
-	// ------------------------------------------------------------------------------------------
-	// cached/0.pool.ntp.org IN A      16  2538.56  2513.47–2563.65    2531.50  2454.00–2640.00
-	// cached/1.pool.ntp.org IN A      16  2423.75  2397.13–2450.37    2414.50  2288.00–2506.00
-	// cached/2.pool.ntp.org IN A      16  2438.00  2413.07–2462.93    2422.50  2348.00–2552.00
-	// cached/3.pool.ntp.org IN A      16  2320.75  2303.39–2338.11    2323.00  2266.00–2389.00
-	// cached/pool.ntp.org IN A        16  2763.75  2741.48–2786.02    2765.50  2677.00–2825.00
-	// cached/pool.ntp.org IN NS       16  2305.00  2280.36–2329.64    2303.00  2234.00–2405.00
-	// cached_pct/0.pool.ntp.org IN A  16  64.02    63.56–64.48        63.94    62.52–65.92
-	// cached_pct/1.pool.ntp.org IN A  16  61.13    60.62–61.64        61.12    58.35–62.74
-	// cached_pct/2.pool.ntp.org IN A  16  61.49    61.04–61.93        61.29    59.53–63.28
-	// cached_pct/3.pool.ntp.org IN A  16  58.53    58.19–58.87        58.48    57.30–59.94
-	// cached_pct/pool.ntp.org IN A    16  69.70    69.41–69.99        69.82    68.12–70.62
-	// cached_pct/pool.ntp.org IN NS   16  58.13    57.70–58.56        58.19    56.77–59.74
-	// probed                          16  9700.19  9670.56–9729.82    9699.00  9585.00–9828.00
-	// verified                        16  3965.06  3941.30–3988.83    3944.00  3900.00–4063.00
+	// Metric                          n   mean      95% CI               median    min–max
+	// ------------------------------------------------------------------------------------------------
+	// cached/0.pool.ntp.org IN A      16  25343.00  25281.43–25404.57    25357.50  25103.00–25505.00
+	// cached/1.pool.ntp.org IN A      16  24309.19  24256.83–24361.54    24339.00  24107.00–24518.00
+	// cached/2.pool.ntp.org IN A      16  24410.94  24352.72–24469.16    24363.00  24256.00–24636.00
+	// cached/3.pool.ntp.org IN A      16  23269.62  23203.83–23335.42    23275.00  23039.00–23490.00
+	// cached/pool.ntp.org IN A        16  27539.62  27468.61–27610.64    27526.00  27297.00–27826.00
+	// cached/pool.ntp.org IN NS       16  23069.31  23018.72–23119.91    23100.50  22841.00–23217.00
+	// cached_pct/0.pool.ntp.org IN A  16  63.87     63.74–63.99          63.80     63.49–64.32
+	// cached_pct/1.pool.ntp.org IN A  16  61.26     61.15–61.37          61.33     60.72–61.55
+	// cached_pct/2.pool.ntp.org IN A  16  61.52     61.42–61.62          61.52     61.25–61.95
+	// cached_pct/3.pool.ntp.org IN A  16  58.64     58.53–58.75          58.69     58.19–58.99
+	// cached_pct/pool.ntp.org IN A    16  69.40     69.30–69.50          69.37     69.09–69.80
+	// cached_pct/pool.ntp.org IN NS   16  58.14     58.05–58.22          58.15     57.75–58.52
+	// probed                          16  97306.25  97195.14–97417.36    97269.50  97064.00–97949.00
+	// verified                        16  39682.12  39615.22–39749.03    39690.50  39395.00–39938.00
 	//
 	// Table I over 8 seeds per client:
 	//   Android            boot 100.0%

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"reflect"
@@ -35,14 +36,15 @@ func stampRevision() string {
 
 // checkpointHeader is the first line of a checkpoint file: it pins the
 // campaign identity so a checkpoint can never be resumed into a different
-// experiment (or the same one at different fast/params settings), which
-// would silently mix incompatible per-seed results.
+// experiment (or the same one at different params), which would silently
+// mix incompatible per-seed results. It is decoded strictly: a field it
+// does not declare, such as the "fast" flag of builds that could shrink
+// a scenario's population, names a campaign this build cannot run.
 type checkpointHeader struct {
 	V        int             `json:"v"`
 	Scenario string          `json:"scenario"`
 	BaseSeed int64           `json:"base_seed"`
 	Seeds    int             `json:"seeds"`
-	Fast     bool            `json:"fast,omitempty"`
 	Params   scenario.Params `json:"params,omitempty"`
 	// Revision records the VCS revision of the binary that wrote the
 	// checkpoint, when known. Per-seed results are only reproducible under
@@ -59,7 +61,6 @@ func header(cfg engineConfig, scenarioName string) checkpointHeader {
 		Scenario: scenarioName,
 		BaseSeed: cfg.baseSeed,
 		Seeds:    cfg.seeds,
-		Fast:     cfg.fast,
 		Params:   cfg.params,
 		Revision: stampRevision(),
 	}
@@ -70,20 +71,16 @@ func header(cfg engineConfig, scenarioName string) checkpointHeader {
 var errStaleRevision = errors.New("campaign: checkpoint was written at another revision")
 
 // compatible reports whether a checkpoint written under h can seed a
-// campaign under the resolved config: same scenario, fast mode and
-// params. The seed range may differ — the loader only reuses in-range
-// seeds — so a checkpoint can also extend a campaign to more seeds. The
-// revision is compared last, so errStaleRevision means every other field
-// matched.
+// campaign under the resolved config: same scenario and params. The seed
+// range may differ — the loader only reuses in-range seeds — so a
+// checkpoint can also extend a campaign to more seeds. The revision is
+// compared last, so errStaleRevision means every other field matched.
 func (h checkpointHeader) compatible(cfg engineConfig, scenarioName string) error {
 	if h.V != checkpointVersion {
 		return fmt.Errorf("campaign: checkpoint version %d, want %d", h.V, checkpointVersion)
 	}
 	if h.Scenario != scenarioName {
 		return fmt.Errorf("campaign: checkpoint is for scenario %q, not %q", h.Scenario, scenarioName)
-	}
-	if h.Fast != cfg.fast {
-		return fmt.Errorf("campaign: checkpoint fast=%t, engine fast=%t", h.Fast, cfg.fast)
 	}
 	if len(h.Params) != len(cfg.params) || (len(h.Params) > 0 && !reflect.DeepEqual(h.Params, cfg.params)) {
 		return fmt.Errorf("campaign: checkpoint params (%s) differ from engine params (%s)",
@@ -127,8 +124,8 @@ func loadCheckpoint(path string, cfg engineConfig, scenarioName string) (map[int
 		line := data[:nl]
 		lineNo++
 		if lineNo == 1 {
-			var h checkpointHeader
-			if err := json.Unmarshal(line, &h); err != nil {
+			h, err := decodeHeader(line)
+			if err != nil {
 				return nil, 0, fmt.Errorf("campaign: checkpoint %s: bad header: %w", path, err)
 			}
 			if err := h.compatible(cfg, scenarioName); err != nil {
@@ -150,6 +147,21 @@ func loadCheckpoint(path string, cfg engineConfig, scenarioName string) (map[int
 		return nil, 0, fmt.Errorf("campaign: checkpoint %s: empty checkpoint", path)
 	}
 	return resumed, validLen, nil
+}
+
+// decodeHeader decodes a checkpoint's header line, refusing a field
+// checkpointHeader does not declare and anything after the header value.
+func decodeHeader(line []byte) (checkpointHeader, error) {
+	var h checkpointHeader
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&h); err != nil {
+		return h, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return h, errors.New("data after the header value")
+	}
+	return h, nil
 }
 
 // checkpointWriter appends one JSONL line per completed seed. Writes are

@@ -123,13 +123,17 @@ func TestLoadCheckpointTornTail(t *testing.T) {
 }
 
 // TestLoadCheckpointRejects: a truncated (never-terminated) header, a
-// header for another scenario, mismatched fast/params settings and a
-// malformed line inside the terminated prefix are hard errors — resuming
-// would silently mix incompatible campaigns.
+// header for another scenario, mismatched params, a header field this
+// build does not know and a malformed line inside the terminated prefix
+// are hard errors — resuming would silently mix incompatible campaigns.
+// A header written by an older build for a full-size campaign (checkpoint
+// v1 with no fast field) still resumes every recorded seed as written.
 func TestLoadCheckpointRejects(t *testing.T) {
+	_, records, _ := bytes.Cut(checkpointBytes(goodHeader(), result(1, true), result(2, false)), []byte("\n"))
+	wantResumed := map[int64]scenario.Result{1: result(1, true), 2: result(2, false)}
 	cases := map[string]struct {
 		data []byte
-		want string
+		want string // "" for a checkpoint that must load
 	}{
 		"empty file":       {[]byte{}, "empty checkpoint"},
 		"truncated header": {[]byte(`{"v":1,"scenario":"boot"`), "empty checkpoint"},
@@ -140,9 +144,15 @@ func TestLoadCheckpointRejects(t *testing.T) {
 		"future version": {checkpointBytes(
 			checkpointHeader{V: 99, Scenario: "boot", BaseSeed: 1, Seeds: 8}),
 			"version 99"},
-		"fast mismatch": {checkpointBytes(
-			checkpointHeader{V: checkpointVersion, Scenario: "boot", BaseSeed: 1, Seeds: 8, Fast: true}),
-			"fast"},
+		// Written by a build that could shrink a scenario's population:
+		// its seeds come from another campaign, so the unknown field is
+		// an error, not a silent resume at full size.
+		"fast mismatch": {[]byte(`{"v":1,"scenario":"boot","base_seed":1,"seeds":8,"fast":true}` + "\n"),
+			`"fast"`},
+		"header trailing data": {[]byte(`{"v":1,"scenario":"boot","base_seed":1,"seeds":8} {}` + "\n"),
+			"bad header"},
+		"older full-size header": {append([]byte(`{"v":1,"scenario":"boot","base_seed":1,"seeds":8}`+"\n"), records...),
+			""},
 		"params mismatch": {checkpointBytes(
 			checkpointHeader{V: checkpointVersion, Scenario: "boot", BaseSeed: 1, Seeds: 8,
 				Params: scenario.Params{"client": "chrony"}}),
@@ -155,7 +165,15 @@ func TestLoadCheckpointRejects(t *testing.T) {
 		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err := loadCheckpoint(path, fuzzCfg, "boot")
+		resumed, validLen, err := loadCheckpoint(path, fuzzCfg, "boot")
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%s: refused: %v", name, err)
+			} else if validLen != int64(len(tc.data)) || !reflect.DeepEqual(resumed, wantResumed) {
+				t.Errorf("%s: resumed %d of %d bytes as %v, want %v", name, validLen, len(tc.data), resumed, wantResumed)
+			}
+			continue
+		}
 		if err == nil {
 			t.Errorf("%s: accepted", name)
 			continue

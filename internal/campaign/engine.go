@@ -25,7 +25,6 @@ type engineConfig struct {
 	baseSeed    int64
 	baseSeedSet bool
 	workers     int
-	fast        bool
 	params      scenario.Params
 	progress    func(done, total int)
 	checkpoint  string
@@ -53,10 +52,6 @@ func WithBaseSeed(s int64) Option {
 
 // WithWorkers caps concurrent runs (default GOMAXPROCS).
 func WithWorkers(n int) Option { return func(c *engineConfig) { c.workers = n } }
-
-// WithFast passes Fast through to every run's scenario.Config (shrinks
-// the slowest scenarios' populations).
-func WithFast(fast bool) Option { return func(c *engineConfig) { c.fast = fast } }
 
 // WithParams merges params into the scenario params every run receives.
 // Keys are validated against the scenario's ParamKeys before any run
@@ -91,14 +86,14 @@ func WithProgress(fn func(done, total int)) Option {
 // WithCheckpoint persists the campaign in the JSONL checkpoint at path:
 // one header line identifying the campaign, then one line per completed
 // seed in completion order. A missing file is created with its header.
-// An existing file must carry a matching header (scenario, fast mode,
-// params); its in-range seeds are reused byte-identically instead of
-// re-executed, a line torn by a crash is truncated away, and new seeds
-// are appended. So one invocation serves the first run and every
-// resumption, a rerun never wipes a recorded seed, and an interrupted
-// campaign folds into the same aggregate as an uninterrupted one. The
-// seed range may differ from the header's: only in-range seeds are
-// reused, so a file can also extend a campaign to more seeds.
+// An existing file must carry a matching header (scenario and params);
+// its in-range seeds are reused byte-identically instead of re-executed,
+// a line torn by a crash is truncated away, and new seeds are appended.
+// So one invocation serves the first run and every resumption, a rerun
+// never wipes a recorded seed, and an interrupted campaign folds into
+// the same aggregate as an uninterrupted one. The seed range may differ
+// from the header's: only in-range seeds are reused, so a file can also
+// extend a campaign to more seeds.
 func WithCheckpoint(path string) Option {
 	return func(c *engineConfig) { c.checkpoint = path }
 }
@@ -256,7 +251,7 @@ func (e *Engine) Stream(ctx context.Context, scenarioName string) (*Stream, erro
 					}
 					seed := cfg.baseSeed + int64(i)
 					res, err := runSeed(ctx, sc, seed,
-						scenario.Config{Fast: cfg.fast, Params: cfg.params}, cfg.tracerFor)
+						scenario.Config{Params: cfg.params}, cfg.tracerFor)
 					if err != nil {
 						if ctx.Err() != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 							continue // cancelled mid-run: not a completed seed

@@ -99,7 +99,7 @@ func TestEngineMatchesRunScenario(t *testing.T) {
 			sc, _ := scenario.Lookup(name)
 			var serial []scenario.Result
 			for seed := int64(1); seed <= 4; seed++ {
-				res, err := scenario.Run(context.Background(), name, seed, scenario.Config{Fast: true})
+				res, err := scenario.Run(context.Background(), name, seed, scenario.Config{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -111,12 +111,12 @@ func TestEngineMatchesRunScenario(t *testing.T) {
 			}
 			for _, workers := range []int{1, 8} {
 				got := marshalAgg(t, name,
-					WithSeeds(4), WithWorkers(workers), WithFast(true))
+					WithSeeds(4), WithWorkers(workers))
 				if got != string(want) {
 					t.Errorf("Engine.Run (workers=%d) differs from seed-by-seed RunScenario:\n%s\nvs\n%s",
 						workers, got, want)
 				}
-				st, err := NewEngine(WithSeeds(4), WithWorkers(workers), WithFast(true)).
+				st, err := NewEngine(WithSeeds(4), WithWorkers(workers)).
 					Stream(context.Background(), name)
 				if err != nil {
 					t.Fatal(err)
@@ -148,7 +148,7 @@ func TestEngineMatchesRunScenario(t *testing.T) {
 func TestEngineClearsDetail(t *testing.T) {
 	for _, name := range []string{"table4", "chronos"} {
 		for seed := int64(1); seed <= 2; seed++ {
-			res, err := scenario.Run(context.Background(), name, seed, scenario.Config{Fast: true})
+			res, err := scenario.Run(context.Background(), name, seed, scenario.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +157,7 @@ func TestEngineClearsDetail(t *testing.T) {
 			}
 		}
 		for _, workers := range []int{1, 2} {
-			st, err := NewEngine(WithSeeds(2), WithWorkers(workers), WithFast(true)).
+			st, err := NewEngine(WithSeeds(2), WithWorkers(workers)).
 				Stream(context.Background(), name)
 			if err != nil {
 				t.Fatal(err)
@@ -341,9 +341,9 @@ func TestEngineCheckpointResume(t *testing.T) {
 }
 
 // TestEngineResumeRejectsMismatch: a checkpoint can only seed the
-// campaign its header describes. A run for another scenario, params or
-// fast mode is refused before any seed runs and leaves the file
-// byte-identical.
+// campaign its header describes. A run for another scenario or params,
+// or over a header that asks for the fast flag of older builds, is
+// refused before any seed runs and leaves the file byte-identical.
 func TestEngineResumeRejectsMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
 	if _, err := NewEngine(WithSeeds(2), WithCheckpoint(path)).
@@ -360,7 +360,6 @@ func TestEngineResumeRejectsMismatch(t *testing.T) {
 	}{
 		{"different scenario", "t-eng-gate", "scenario", nil},
 		{"different params", "t-eng-echo", "params", []Option{WithParam("bias", "7")}},
-		{"different fast", "t-eng-echo", "fast", []Option{WithFast(true)}},
 	}
 	for _, tc := range cases {
 		engineRunCount.Store(0)
@@ -376,6 +375,28 @@ func TestEngineResumeRejectsMismatch(t *testing.T) {
 			t.Errorf("%s: refused run changed the checkpoint (read err %v):\n%s\nwant:\n%s",
 				tc.name, err, after, before)
 		}
+	}
+
+	// The same seeds under a header from a build that could shrink a
+	// scenario's population name a campaign this build cannot run.
+	fastPath := filepath.Join(t.TempDir(), "fast.jsonl")
+	_, records, _ := bytes.Cut(before, []byte("\n"))
+	fastCk := append([]byte(`{"v":1,"scenario":"t-eng-echo","base_seed":1,"seeds":2,"fast":true}`+"\n"), records...)
+	if err := os.WriteFile(fastPath, fastCk, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var ran atomic.Int64
+	_, err = NewEngine(WithSeeds(4), WithCheckpoint(fastPath),
+		WithProgress(func(int, int) { ran.Add(1) })).Run(context.Background(), "t-eng-echo")
+	if err == nil || !strings.Contains(err.Error(), `"fast"`) {
+		t.Errorf("fast header: err = %v, want a refusal naming \"fast\"", err)
+	}
+	if n := ran.Load(); n != 0 {
+		t.Errorf("fast header: %d seeds ran before the refusal", n)
+	}
+	if after, err := os.ReadFile(fastPath); err != nil || !bytes.Equal(after, fastCk) {
+		t.Errorf("fast header: refused run changed the checkpoint (read err %v):\n%s\nwant:\n%s",
+			err, after, fastCk)
 	}
 }
 

@@ -31,17 +31,17 @@ const (
 
 // jobKeyVersion is baked into every JobSpec.Key so the content address
 // changes if the canonical layout ever does. Version 2 added the Trace
-// flag to the key document.
-const jobKeyVersion = 2
+// flag to the key document, and version 3 dropped the fast flag.
+const jobKeyVersion = 3
 
 // JobSpec is the job-level wrapping of the Engine: the declarative
 // identity of one campaign — which scenario, at which params, over which
-// seed set, at which population scale. It deliberately excludes every
-// execution knob that cannot change campaign output (workers, batch size,
-// progress, checkpoint paths), so two specs with equal Key are guaranteed
-// byte-identical campaigns and one cached aggregate can serve both. The
-// zero values of Seeds and BaseSeed mean "engine default" (DefaultSeeds
-// and DefaultBaseSeed); an explicit base seed 0 is expressed by pointing
+// seed set. It deliberately excludes every execution knob that cannot
+// change campaign output (workers, batch size, progress, checkpoint
+// paths), so two specs with equal Key are guaranteed byte-identical
+// campaigns and one cached aggregate can serve both. The zero values of
+// Seeds and BaseSeed mean "engine default" (DefaultSeeds and
+// DefaultBaseSeed); an explicit base seed 0 is expressed by pointing
 // BaseSeed at 0, mirroring WithBaseSeed(0). JobSpec marshals to/from JSON
 // as the submission body of the resident experiment service.
 type JobSpec struct {
@@ -55,8 +55,6 @@ type JobSpec struct {
 	// BaseSeed is the first seed (nil = DefaultBaseSeed; an explicit 0
 	// runs seeds 0, 1, …).
 	BaseSeed *int64 `json:"base_seed,omitempty"`
-	// Fast shrinks the slowest scenarios' populations (WithFast).
-	Fast bool `json:"fast,omitempty"`
 	// Trace requests a per-seed execution trace alongside the aggregate.
 	// Tracing never changes campaign output, but a traced job carries a
 	// deliverable an untraced one lacks, so Trace is part of the job's
@@ -127,8 +125,7 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 // same campaign as leaving them unset). Two specs share a Key exactly
 // when the Engine is guaranteed to produce byte-identical aggregates for
 // them at any worker count — the contract the serve-layer aggregate
-// cache is built on. Fast flips the key: fast and full-size campaigns are
-// different experiments.
+// cache is built on.
 func (s JobSpec) Key() (string, error) {
 	n, err := s.Normalize()
 	if err != nil {
@@ -139,10 +136,9 @@ func (s JobSpec) Key() (string, error) {
 		Scenario string          `json:"scenario"`
 		BaseSeed int64           `json:"base_seed"`
 		Seeds    int             `json:"seeds"`
-		Fast     bool            `json:"fast"`
 		Trace    bool            `json:"trace"`
 		Params   scenario.Params `json:"params,omitempty"`
-	}{jobKeyVersion, n.Scenario, *n.BaseSeed, n.Seeds, n.Fast, n.Trace, n.Params}
+	}{jobKeyVersion, n.Scenario, *n.BaseSeed, n.Seeds, n.Trace, n.Params}
 	b, err := json.Marshal(doc)
 	if err != nil {
 		return "", fmt.Errorf("campaign: job key: %w", err)
@@ -167,7 +163,6 @@ func CheckpointPath(dir, key string) string {
 func (s JobSpec) Options(extra ...Option) []Option {
 	opts := []Option{
 		WithSeeds(s.Seeds),
-		WithFast(s.Fast),
 		WithParams(s.Params),
 	}
 	if s.BaseSeed != nil {

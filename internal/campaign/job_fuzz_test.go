@@ -16,7 +16,8 @@ import (
 func FuzzJobSpec(f *testing.F) {
 	for _, body := range []string{
 		`{"scenario":"boot"}`,
-		`{"scenario":"boot","params":{"offset":"-300s","client":"chrony"},"seeds":8,"base_seed":0,"fast":true}`,
+		`{"scenario":"boot","params":{"offset":"-300s","client":"chrony"},"seeds":8,"base_seed":0}`,
+		`{"scenario":"boot","fast":true}`,
 		`{"scenario":"racemargin","trace":true,"base_seed":-9223372036854775808}`,
 		`{"scenario":"table4","seeds":65536}`,
 		`{"scenario":"boot","seeds":65537}`,

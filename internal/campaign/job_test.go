@@ -43,13 +43,22 @@ func TestJobSpecKeyCanonicalization(t *testing.T) {
 		"different scenario": {Scenario: "chronos"},
 		"different seeds":    {Scenario: "boot", Seeds: DefaultSeeds + 1},
 		"explicit seed zero": {Scenario: "boot", BaseSeed: &zero},
-		"fast":               {Scenario: "boot", Fast: true},
 		"with param":         {Scenario: "boot", Params: scenario.Params{"client": "chrony"}},
 	}
 	for name, spec := range misses {
 		if got := key(t, spec); got == ref {
 			t.Errorf("%s: key collides with the default boot spec", name)
 		}
+	}
+}
+
+// TestDecodeJobSpecRefusesFast: every scenario runs at one size, so a
+// submission asking for the fast flag names a field JobSpec does not
+// have and is refused, naming it, instead of running at full size.
+func TestDecodeJobSpecRefusesFast(t *testing.T) {
+	_, err := DecodeJobSpec(strings.NewReader(`{"scenario":"boot","fast":true}`))
+	if err == nil || !strings.Contains(err.Error(), `"fast"`) {
+		t.Errorf("err = %v, want a refusal naming \"fast\"", err)
 	}
 }
 
@@ -131,14 +140,13 @@ func TestJobSpecNormalizeCopiesParams(t *testing.T) {
 // Engine to the same bytes as hand-built options — the wrapper adds no
 // behaviour, only identity.
 func TestJobSpecOptionsMatchEngine(t *testing.T) {
-	spec := JobSpec{Scenario: "boot", Seeds: 3, Fast: true,
-		Params: scenario.Params{"client": "chrony"}}
+	spec := JobSpec{Scenario: "boot", Seeds: 3, Params: scenario.Params{"client": "chrony"}}
 	viaSpec, err := NewEngine(spec.Options(WithWorkers(2))...).Run(context.Background(), "boot")
 	if err != nil {
 		t.Fatal(err)
 	}
 	direct, err := NewEngine(
-		WithSeeds(3), WithFast(true), WithParam("client", "chrony"), WithWorkers(1),
+		WithSeeds(3), WithParam("client", "chrony"), WithWorkers(1),
 	).Run(context.Background(), "boot")
 	if err != nil {
 		t.Fatal(err)

@@ -33,7 +33,7 @@ func TestEnginePooledBatchedEquivalence(t *testing.T) {
 	refs := map[string]string{}
 	for _, sc := range scenario.All() {
 		refs[sc.Name] = unpooledAgg(t, sc.Name,
-			WithSeeds(seeds), WithWorkers(2), WithFast(true))
+			WithSeeds(seeds), WithWorkers(2))
 	}
 	for _, sc := range scenario.All() {
 		sc := sc
@@ -41,7 +41,7 @@ func TestEnginePooledBatchedEquivalence(t *testing.T) {
 			t.Parallel()
 			for _, workers := range []int{1, 4, 8} {
 				got := marshalAgg(t, sc.Name, WithSeeds(seeds),
-					WithWorkers(workers), WithFast(true))
+					WithWorkers(workers))
 				if got != refs[sc.Name] {
 					t.Errorf("pooled workers=%d differs from unpooled reference:\n%s\nvs\n%s",
 						workers, got, refs[sc.Name])
@@ -57,14 +57,14 @@ func TestEnginePooledBatchedEquivalence(t *testing.T) {
 // unpooled run, and the cancelled campaign's workers must not leak.
 func TestEnginePooledCancellationResume(t *testing.T) {
 	const seeds = 6
-	want := unpooledAgg(t, "boot", WithSeeds(seeds), WithWorkers(2), WithFast(true))
+	want := unpooledAgg(t, "boot", WithSeeds(seeds), WithWorkers(2))
 
 	before := runtime.NumGoroutine()
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	st, err := NewEngine(
-		WithSeeds(seeds), WithWorkers(2), WithFast(true), WithCheckpoint(path),
+		WithSeeds(seeds), WithWorkers(2), WithCheckpoint(path),
 	).Stream(ctx, "boot")
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestEnginePooledCancellationResume(t *testing.T) {
 	// Resume pooled at another worker count: only the missing seeds run,
 	// and the fold must land on the uninterrupted reference bytes.
 	resumed := marshalAgg(t, "boot",
-		WithSeeds(seeds), WithWorkers(4), WithFast(true), WithCheckpoint(path))
+		WithSeeds(seeds), WithWorkers(4), WithCheckpoint(path))
 	if resumed != want {
 		t.Errorf("resumed pooled aggregate differs from uninterrupted unpooled run:\n%s\nvs\n%s",
 			resumed, want)

@@ -85,7 +85,7 @@ func TestRunScenarioDeterministicAcrossWorkers(t *testing.T) {
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
 			marshal := func(workers int) string {
-				return marshalAgg(t, sc.Name, WithSeeds(2), WithWorkers(workers), WithFast(true))
+				return marshalAgg(t, sc.Name, WithSeeds(2), WithWorkers(workers))
 			}
 			serial := marshal(1)
 			if parallel := marshal(8); parallel != serial {

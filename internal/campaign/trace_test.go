@@ -23,7 +23,7 @@ func tracedCampaign(t *testing.T, name string, seeds, workers int, pooled bool) 
 	var mu sync.Mutex
 	bufs := map[int64]*bytes.Buffer{}
 	eng := NewEngine(
-		WithSeeds(seeds), WithBaseSeed(0), WithWorkers(workers), WithFast(true),
+		WithSeeds(seeds), WithBaseSeed(0), WithWorkers(workers),
 		WithTracerFactory(func(seed int64) (obs.Tracer, error) {
 			buf := &bytes.Buffer{}
 			mu.Lock()
@@ -108,7 +108,7 @@ func TestTraceDeterminism(t *testing.T) {
 // dropped.
 func TestTracerFactoryError(t *testing.T) {
 	boom := errors.New("no tracer for you")
-	eng := NewEngine(WithSeeds(2), WithBaseSeed(0), WithWorkers(1), WithFast(true),
+	eng := NewEngine(WithSeeds(2), WithBaseSeed(0), WithWorkers(1),
 		WithTracerFactory(func(seed int64) (obs.Tracer, error) {
 			if seed == 1 {
 				return nil, boom

@@ -40,12 +40,8 @@ func init() {
 // defaultMarginSpec is the default margin grid (ascending attacker
 // advantage): deep disadvantage where planting can never finish, the
 // empirically bracketed collapse threshold, and the preset's native
-// +28 ms advantage. fastMarginSpec is the Fast-mode subset — the
-// threshold bracket plus one point per side.
-const (
-	defaultMarginSpec = "-8s,-4s,-2s,-1.5s,-1.2s,-1.1s,-1s,-500ms,0s,28ms"
-	fastMarginSpec    = "-2s,-1.2s,-1.1s,28ms"
-)
+// +28 ms advantage.
+const defaultMarginSpec = "-8s,-4s,-2s,-1.5s,-1.2s,-1.1s,-1s,-500ms,0s,28ms"
 
 // parseMargins parses a comma-separated ascending margin grid. An empty
 // (or all-whitespace) spec is rejected up front — strings.Split would
@@ -83,9 +79,9 @@ type marginOutcome struct {
 // run sweeps: `margin=` selects exactly one point (the single-margin
 // entry the adaptive search engine drives — see internal/search),
 // `margins=` a comma-separated ascending grid, and neither falls back to
-// the default (or Fast) spec. The two are mutually exclusive: a probe
-// that silently ignored one of them would measure the wrong boundary.
-func marginsFromParams(p scenario.Params, fast bool) ([]time.Duration, error) {
+// the default grid. The two are mutually exclusive: a probe that silently
+// ignored one of them would measure the wrong boundary.
+func marginsFromParams(p scenario.Params) ([]time.Duration, error) {
 	single, haveSingle := p["margin"]
 	if haveSingle {
 		if _, both := p["margins"]; both {
@@ -97,11 +93,7 @@ func marginsFromParams(p scenario.Params, fast bool) ([]time.Duration, error) {
 		}
 		return []time.Duration{m}, nil
 	}
-	spec := defaultMarginSpec
-	if fast {
-		spec = fastMarginSpec
-	}
-	return parseMargins(p.Str("margins", spec))
+	return parseMargins(p.Str("margins", defaultMarginSpec))
 }
 
 // runRaceMargin executes the boot-time attack from one network position:
@@ -140,7 +132,7 @@ func racemarginScenario(_ context.Context, seed int64, cfg scenario.Config) (sce
 	if err != nil {
 		return scenario.Result{}, err
 	}
-	margins, err := marginsFromParams(cfg.Params, cfg.Fast)
+	margins, err := marginsFromParams(cfg.Params)
 	if err != nil {
 		return scenario.Result{}, err
 	}

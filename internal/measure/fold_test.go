@@ -236,14 +236,12 @@ func TestFoldsMatchReference(t *testing.T) {
 		}
 	}
 
-	fast := population.DefaultDomainNameserverConfig()
-	fast.Total = 10000
 	ctx := context.Background()
-	fig5, err := fig5Scenario(ctx, 1, scenario.Config{Fast: true})
+	fig5, err := fig5Scenario(ctx, 1, scenario.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diff := sameFragScan(fig5.Detail.(FragScanResult), referenceFragScan(population.GenerateDomainNameservers(fast, 6), nil)); diff != "" {
+	if diff := sameFragScan(fig5.Detail.(FragScanResult), referenceFragScan(population.GenerateDomainNameservers(population.DefaultDomainNameserverConfig(), 6), nil)); diff != "" {
 		t.Errorf("fig5 scenario: %s", diff)
 	}
 	table5, err := tableVScenario(ctx, 1, scenario.Config{})

@@ -71,8 +71,9 @@ func TestRateLimitScanLargePool(t *testing.T) {
 // TestRateLimitScanMatchesPerServerScan is the oracle for RateLimitScan's
 // class fold: scanning one server per class and counting it once per
 // member gives exactly what scanning every server gives, and every server
-// scans like the first of its class. The cases cover the paper-size and
-// -fast pools at seeds 1–6 and edges of the grouping and of the halves
+// scans like the first of its class. The cases cover the paper-size
+// pools and 300-server ones (the "fast" cases, the size the former -fast
+// flag scanned) at seeds 1–6, and edges of the grouping and of the halves
 // test.
 func TestRateLimitScanMatchesPerServerScan(t *testing.T) {
 	full := population.DefaultPoolConfig()

@@ -16,8 +16,7 @@ import (
 // for the rate-limit scan, seed+11 for cache snooping, …), which lives
 // nowhere else, so campaign seed 1 reproduces the EXPERIMENTS.md point
 // values. Each also sets Result.Detail to its typed result, which the
-// single-seed `experiments` sections render. Config.Fast shrinks the
-// large populations for quick runs.
+// single-seed `experiments` sections render.
 func init() {
 	scenario.Register(scenario.Scenario{
 		Name:     "ratelimit",
@@ -101,14 +100,9 @@ func init() {
 	})
 }
 
-// rateLimitScenario runs the §VII-A scan over a 2432-server pool (300 in
-// fast mode).
+// rateLimitScenario runs the §VII-A scan over a 2432-server pool.
 func rateLimitScenario(_ context.Context, seed int64, cfg scenario.Config) (scenario.Result, error) {
-	pool := population.DefaultPoolConfig()
-	if cfg.Fast {
-		pool.Servers = 300
-	}
-	specs := population.GeneratePool(pool, seed+42)
+	specs := population.GeneratePool(population.DefaultPoolConfig(), seed+42)
 	scan := DefaultScanConfig()
 	scan.Tracer = cfg.Tracer
 	res, err := RateLimitScan(specs, scan)
@@ -141,15 +135,11 @@ func nsFragScenario(_ context.Context, seed int64, _ scenario.Config) (scenario.
 	}, nil
 }
 
-// fig5Scenario evaluates the Figure 5 CDF over the 1M-domain nameserver
-// population (10k domains in fast mode).
-func fig5Scenario(_ context.Context, seed int64, cfg scenario.Config) (scenario.Result, error) {
-	popCfg := population.DefaultDomainNameserverConfig()
-	if cfg.Fast {
-		popCfg.Total = 10000
-	}
+// fig5Scenario evaluates the Figure 5 CDF over the 100k-domain
+// nameserver population.
+func fig5Scenario(_ context.Context, seed int64, _ scenario.Config) (scenario.Result, error) {
 	f := newFragFold(nil)
-	for ns := range population.DomainNameservers(popCfg, seed+5) {
+	for ns := range population.DomainNameservers(population.DefaultDomainNameserverConfig(), seed+5) {
 		f.nameserver(ns)
 	}
 	res := f.result()
@@ -161,20 +151,16 @@ func fig5Scenario(_ context.Context, seed int64, cfg scenario.Config) (scenario.
 }
 
 // snoopPopulation snoops the Table IV / Figure 6 open-resolver population
-// as it is drawn (20k resolvers in fast mode). table4 and fig6 read the
-// one §VIII-B1 measurement, so the draw for a (seed, size) runs once
-// while the snoop memo holds it, and the other scenario gets a copy.
-func snoopPopulation(seed int64, cfg scenario.Config) SnoopResult {
-	popCfg := population.DefaultOpenResolverConfig()
-	if cfg.Fast {
-		popCfg.Total = 20000
-	}
-	key := snoopKey{seed: seed + 11, total: popCfg.Total}
-	if res, ok := snoops.get(key); ok {
+// of campaign seed seed as it is drawn. table4 and fig6 read the one
+// §VIII-B1 measurement, so the draw for a seed runs once while the snoop
+// memo holds it, and the other scenario gets a copy.
+func snoopPopulation(seed int64) SnoopResult {
+	popSeed := seed + 11
+	if res, ok := snoops.get(popSeed); ok {
 		return res
 	}
-	res := SnoopOpenResolvers(popCfg, key.seed)
-	snoops.put(key, res)
+	res := SnoopOpenResolvers(population.DefaultOpenResolverConfig(), popSeed)
+	snoops.put(popSeed, res)
 	return res
 }
 
@@ -183,13 +169,8 @@ func snoopPopulation(seed int64, cfg scenario.Config) SnoopResult {
 // each seed once. 64 entries of about 1.6 KB stay under 128 KiB.
 const snoopMemoCap = 64
 
-// snoopKey names a snoopPopulation draw by every input of it that varies.
-type snoopKey struct {
-	seed  int64 // population seed: the campaign seed + 11
-	total int   // resolvers drawn
-}
-
-// snoopMemo holds the last snoopMemoCap snoopPopulation results. It is
+// snoopMemo holds the last snoopMemoCap snoopPopulation results, each
+// keyed by its population seed (the campaign seed + 11). It is
 // pure: a hit returns copies of exactly what the miss computed, so runs
 // that share it still share nothing mutable (DESIGN §6). It is safe for
 // concurrent use; the draw runs outside its lock, so two concurrent
@@ -200,8 +181,8 @@ type snoopMemo struct {
 }
 
 type snoopEntry struct {
-	key snoopKey
-	res SnoopResult // Rows and TTLCounts belong to the memo
+	seed int64       // population seed
+	res  SnoopResult // Rows and TTLCounts belong to the memo
 }
 
 var snoops snoopMemo
@@ -213,12 +194,12 @@ var (
 		"table4/fig6 open-resolver snoops that drew the population.")
 )
 
-// get returns a copy of key's result, if the memo holds it, and makes it
+// get returns a copy of seed's result, if the memo holds it, and makes it
 // the most recently used.
-func (m *snoopMemo) get(key snoopKey) (SnoopResult, bool) {
+func (m *snoopMemo) get(seed int64) (SnoopResult, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	i := slices.IndexFunc(m.entries, func(e snoopEntry) bool { return e.key == key })
+	i := slices.IndexFunc(m.entries, func(e snoopEntry) bool { return e.seed == seed })
 	if i < 0 {
 		snoopMemoMisses.Inc()
 		return SnoopResult{}, false
@@ -228,13 +209,13 @@ func (m *snoopMemo) get(key snoopKey) (SnoopResult, bool) {
 	return m.entries[0].res.clone(), true
 }
 
-// put stores a copy of key's result as the most recently used, evicting
-// the least recently used when the memo is full. A key a concurrent miss
+// put stores a copy of seed's result as the most recently used, evicting
+// the least recently used when the memo is full. A seed a concurrent miss
 // has stored meanwhile, with an equal result, only moves to the front.
-func (m *snoopMemo) put(key snoopKey, res SnoopResult) {
+func (m *snoopMemo) put(seed int64, res SnoopResult) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if i := slices.IndexFunc(m.entries, func(e snoopEntry) bool { return e.key == key }); i >= 0 {
+	if i := slices.IndexFunc(m.entries, func(e snoopEntry) bool { return e.seed == seed }); i >= 0 {
 		m.front(i)
 		return
 	}
@@ -242,7 +223,7 @@ func (m *snoopMemo) put(key snoopKey, res SnoopResult) {
 		m.entries = append(m.entries, snoopEntry{})
 	}
 	copy(m.entries[1:], m.entries)
-	m.entries[0] = snoopEntry{key, res.clone()}
+	m.entries[0] = snoopEntry{seed, res.clone()}
 }
 
 // front moves entry i to the front.
@@ -261,8 +242,8 @@ func (r SnoopResult) clone() SnoopResult {
 
 // tableIVScenario snoops the open-resolver population for the Table IV
 // cached-record percentages.
-func tableIVScenario(_ context.Context, seed int64, cfg scenario.Config) (scenario.Result, error) {
-	res := snoopPopulation(seed, cfg)
+func tableIVScenario(_ context.Context, seed int64, _ scenario.Config) (scenario.Result, error) {
+	res := snoopPopulation(seed)
 	metrics := map[string]float64{
 		"probed":   float64(res.Probed),
 		"verified": float64(res.Verified),
@@ -276,8 +257,8 @@ func tableIVScenario(_ context.Context, seed int64, cfg scenario.Config) (scenar
 
 // fig6Scenario reads the remaining-TTL distribution back from the same
 // snooped population as table4.
-func fig6Scenario(_ context.Context, seed int64, cfg scenario.Config) (scenario.Result, error) {
-	res := snoopPopulation(seed, cfg)
+func fig6Scenario(_ context.Context, seed int64, _ scenario.Config) (scenario.Result, error) {
+	res := snoopPopulation(seed)
 	h := res.TTLHistogram()
 	return scenario.Result{
 		Metrics: map[string]float64{
@@ -330,14 +311,10 @@ func sharedScenario(_ context.Context, seed int64, _ scenario.Config) (scenario.
 	}, nil
 }
 
-// fig7Scenario draws the Figure 7 latency-difference distribution (2000
-// resolvers in fast mode).
-func fig7Scenario(_ context.Context, seed int64, cfg scenario.Config) (scenario.Result, error) {
-	probeCfg := population.DefaultTimingProbeConfig()
-	if cfg.Fast {
-		probeCfg.Resolvers = 2000
-	}
-	res := TimingSideChannel(probeCfg, seed+17)
+// fig7Scenario draws the Figure 7 latency-difference distribution over
+// 20k resolvers.
+func fig7Scenario(_ context.Context, seed int64, _ scenario.Config) (scenario.Result, error) {
+	res := TimingSideChannel(population.DefaultTimingProbeConfig(), seed+17)
 	h := res.Histogram()
 	return scenario.Result{
 		Metrics: map[string]float64{

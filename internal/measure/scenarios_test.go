@@ -31,8 +31,8 @@ type snoopRun struct {
 	detail  SnoopResult
 }
 
-func runSnoop(name string, seed int64, fast bool) (snoopRun, error) {
-	res, err := scenario.Run(context.Background(), name, seed, scenario.Config{Fast: fast})
+func runSnoop(name string, seed int64) (snoopRun, error) {
+	res, err := scenario.Run(context.Background(), name, seed, scenario.Config{})
 	if err != nil {
 		return snoopRun{}, err
 	}
@@ -40,9 +40,9 @@ func runSnoop(name string, seed int64, fast bool) (snoopRun, error) {
 	return snoopRun{string(b), res.Detail.(SnoopResult)}, err
 }
 
-func mustRunSnoop(t *testing.T, name string, seed int64, fast bool) snoopRun {
+func mustRunSnoop(t *testing.T, name string, seed int64) snoopRun {
 	t.Helper()
-	r, err := runSnoop(name, seed, fast)
+	r, err := runSnoop(name, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,34 +51,25 @@ func mustRunSnoop(t *testing.T, name string, seed int64, fast bool) snoopRun {
 
 // TestSnoopMemoHitEqualsMiss: table4 and fig6 each give the same metrics
 // and Detail whether their draw missed the snoop memo or hit the other
-// scenario's, at full size and under Fast, whichever runs first. The
-// second scenario at a (seed, size) is one hit and no draw, and the two
-// sizes of one seed are two draws.
+// scenario's, whichever runs first. The second scenario at a seed is one
+// hit and no draw.
 func TestSnoopMemoHitEqualsMiss(t *testing.T) {
 	const seed = 3
-	type run struct {
-		name string
-		fast bool
-	}
-	alone := map[run]snoopRun{}
+	alone := map[string]snoopRun{}
 	for _, name := range []string{"table4", "fig6"} {
-		for _, fast := range []bool{false, true} {
-			resetSnoopMemo()
-			alone[run{name, fast}] = mustRunSnoop(t, name, seed, fast)
-		}
+		resetSnoopMemo()
+		alone[name] = mustRunSnoop(t, name, seed)
 	}
 	for _, order := range [][2]string{{"table4", "fig6"}, {"fig6", "table4"}} {
 		resetSnoopMemo()
 		hits, misses := snoopMemoHits.Value(), snoopMemoMisses.Value()
-		for _, fast := range []bool{false, true} {
-			for _, name := range order {
-				if got := mustRunSnoop(t, name, seed, fast); !reflect.DeepEqual(got, alone[run{name, fast}]) {
-					t.Errorf("%s then %s, fast=%v: %s differs from its run on an empty memo", order[0], order[1], fast, name)
-				}
+		for _, name := range order {
+			if got := mustRunSnoop(t, name, seed); !reflect.DeepEqual(got, alone[name]) {
+				t.Errorf("%s then %s: %s differs from its run on an empty memo", order[0], order[1], name)
 			}
 		}
-		if h, m := snoopMemoHits.Value()-hits, snoopMemoMisses.Value()-misses; h != 2 || m != 2 {
-			t.Errorf("%s then %s at both sizes: %d hits and %d misses, want 2 and 2", order[0], order[1], h, m)
+		if h, m := snoopMemoHits.Value()-hits, snoopMemoMisses.Value()-misses; h != 1 || m != 1 {
+			t.Errorf("%s then %s: %d hits and %d misses, want 1 and 1", order[0], order[1], h, m)
 		}
 	}
 }
@@ -92,11 +83,11 @@ func TestSnoopMemoEviction(t *testing.T) {
 	resetSnoopMemo()
 	table4 := make([]SnoopResult, n)
 	for i := range n {
-		table4[i] = mustRunSnoop(t, "table4", int64(i+1), true).detail
+		table4[i] = mustRunSnoop(t, "table4", int64(i+1)).detail
 	}
 	hits, misses := snoopMemoHits.Value(), snoopMemoMisses.Value()
 	for i := n - 1; i >= 0; i-- {
-		if got := mustRunSnoop(t, "fig6", int64(i+1), true).detail; !reflect.DeepEqual(got, table4[i]) {
+		if got := mustRunSnoop(t, "fig6", int64(i+1)).detail; !reflect.DeepEqual(got, table4[i]) {
 			t.Errorf("seed %d: fig6 snoop differs from table4's", i+1)
 		}
 	}
@@ -111,11 +102,9 @@ func TestSnoopMemoEviction(t *testing.T) {
 // and that no two runs share a slice.
 func TestSnoopMemoConcurrent(t *testing.T) {
 	const seeds = 4
-	cfg := population.DefaultOpenResolverConfig()
-	cfg.Total = 20000
 	want := make([]SnoopResult, seeds)
 	for i := range want {
-		want[i] = SnoopOpenResolvers(cfg, int64(i+1)+11)
+		want[i] = SnoopOpenResolvers(population.DefaultOpenResolverConfig(), int64(i+1)+11)
 	}
 	resetSnoopMemo()
 	var wg sync.WaitGroup
@@ -126,7 +115,7 @@ func TestSnoopMemoConcurrent(t *testing.T) {
 			for k := range 2 * seeds {
 				i := (g + k) % seeds
 				name := [2]string{"table4", "fig6"}[(g+k/seeds)%2]
-				r, err := runSnoop(name, int64(i+1), true)
+				r, err := runSnoop(name, int64(i+1))
 				if err != nil {
 					t.Error(err)
 					return
@@ -145,13 +134,10 @@ func TestSnoopMemoConcurrent(t *testing.T) {
 // TestSnoopMemoReturnsCopies: writing to the Rows or TTLCounts of a
 // snoop, whether it came from a miss or a hit, changes no later hit.
 func TestSnoopMemoReturnsCopies(t *testing.T) {
-	cfg := population.DefaultOpenResolverConfig()
-	cfg.Total = 20000
-	want := SnoopOpenResolvers(cfg, 5+11)
+	want := SnoopOpenResolvers(population.DefaultOpenResolverConfig(), 5+11)
 	resetSnoopMemo()
-	fast := scenario.Config{Fast: true}
 	for i := range 3 {
-		got := snoopPopulation(5, fast)
+		got := snoopPopulation(5)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("call %d: snoop differs from its draw", i)
 		}
@@ -175,7 +161,7 @@ func TestSnoopMemoMemoryBound(t *testing.T) {
 	resetSnoopMemo()
 	before := liveHeap()
 	for seed := range int64(200) {
-		snoops.put(snoopKey{seed, cfg.Total}, res)
+		snoops.put(seed, res)
 	}
 	got := liveHeap() - before
 	if n := len(snoops.entries); n != snoopMemoCap {

@@ -178,8 +178,9 @@ type drawCase[C any] struct {
 }
 
 // domainNameserverCases: the default population at fig5's campaign seed
-// 1 (seed + 5) and the edge seeds, the -fast size, and every edge
-// probability in each field, at a size that reaches every branch.
+// 1 (seed + 5) and the edge seeds, a 10 000-domain one ("fast size", the
+// size the former -fast flag drew), and every edge probability in each
+// field, at a size that reaches every branch.
 func domainNameserverCases() []drawCase[DomainNameserverConfig] {
 	def := DefaultDomainNameserverConfig()
 	cases := []drawCase[DomainNameserverConfig]{{"default seed 6", def, 6}}

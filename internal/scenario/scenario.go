@@ -11,15 +11,9 @@ import (
 )
 
 // Config tunes how a scenario runs without changing which experiment it
-// is. The zero value is the paper's full-size configuration.
+// is. Every scenario runs at the one size the paper reports; the zero
+// value runs it with its default params, untraced.
 type Config struct {
-	// Fast shrinks the slowest scenarios (the 2432-server rate-limit scan,
-	// the 100k–200k-entry population studies) to a fraction of their full
-	// size. Results remain deterministic per seed but no longer match the
-	// paper-scale numbers in EXPERIMENTS.md. It is the one meaning of
-	// -fast in every front end: `experiments -fast` renders each section
-	// from a Fast run, as `experiments campaigns -fast` aggregates them.
-	Fast bool
 	// Params overrides a parameterisable scenario's defaults (keys from
 	// Scenario.ParamKeys — client profile, target shift, attack knobs).
 	// Determinism extends to params: the same (seed, cfg) including Params

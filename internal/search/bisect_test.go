@@ -386,11 +386,10 @@ func TestBisectResumesInterruptedProbe(t *testing.T) {
 }
 
 // TestBisectStateContentAddress: a probe's checkpoint is addressed by
-// its campaign (scenario, params, seed range, fast mode), not by the
-// search that ran it. A search at another target reuses every probe and
-// equals a fresh search at that target; a different fast mode or
-// different fixed params is a different campaign and executes every
-// probe.
+// its campaign (scenario, params, seed range), not by the search that ran
+// it. A search at another target reuses every probe and equals a fresh
+// search at that target; different fixed params are a different campaign
+// and execute every probe.
 func TestBisectStateContentAddress(t *testing.T) {
 	ax := unitAxis()
 	oracleThreshold.Store(500000)
@@ -422,21 +421,17 @@ func TestBisectStateContentAddress(t *testing.T) {
 		t.Errorf("resumed target-0.9 search differs from a fresh one:\n%s\nvs\n%s", got, want)
 	}
 
-	fast := base
-	fast.Fast = true
 	params := base
 	params.Params = scenario.Params{"mode": "a"}
-	for name, opt := range map[string]Options{"fast": fast, "params": params} {
-		before := oracleRuns.Load()
-		res, err := Bisect(context.Background(), ax, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if n, want := oracleRuns.Load()-before, int64(len(res.Probes)*2); n != want {
-			t.Errorf("different %s executed %d runs, want every probe's %d", name, n, want)
-		}
+	before = oracleRuns.Load()
+	res, err := Bisect(context.Background(), ax, params)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Neither clobbered the original search's checkpoints.
+	if n, want := oracleRuns.Load()-before, int64(len(res.Probes)*2); n != want {
+		t.Errorf("different params executed %d runs, want every probe's %d", n, want)
+	}
+	// It did not clobber the original search's checkpoints.
 	before = oracleRuns.Load()
 	again, err := Bisect(context.Background(), ax, base)
 	if err != nil {

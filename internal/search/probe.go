@@ -36,8 +36,6 @@ type Options struct {
 	// Workers caps each probe campaign's concurrency. The search output
 	// does not depend on it.
 	Workers int
-	// Fast passes Fast mode through to every run.
-	Fast bool
 	// Params are fixed scenario params applied to every probe, on top of
 	// which the search writes the swept key(s).
 	Params scenario.Params
@@ -137,7 +135,6 @@ func runProbe(ctx context.Context, opt Options, swept map[string]string, seeds i
 		Params:   probeParams(opt.Params, swept),
 		Seeds:    seeds,
 		BaseSeed: &baseSeed,
-		Fast:     opt.Fast,
 	}
 	var executed atomic.Int64
 	opts := spec.Options(

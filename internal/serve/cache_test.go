@@ -43,7 +43,6 @@ func TestCacheKeyCanonicalizationOverHTTP(t *testing.T) {
 	misses := []struct{ name, body string }{
 		{"different seed count", `{"scenario":"servetest","seeds":4,"params":{"tag":"ck","mode":"m"}}`},
 		{"explicit base seed 0", `{"scenario":"servetest","seeds":3,"base_seed":0,"params":{"tag":"ck","mode":"m"}}`},
-		{"fast flag", `{"scenario":"servetest","seeds":3,"fast":true,"params":{"tag":"ck","mode":"m"}}`},
 		{"changed param value", `{"scenario":"servetest","seeds":3,"params":{"tag":"ck","mode":"n"}}`},
 		{"dropped param", `{"scenario":"servetest","seeds":3,"params":{"tag":"ck"}}`},
 	}

@@ -3,7 +3,7 @@
 // into a system serving concurrent clients (DESIGN.md §11).
 //
 // Campaign submissions (a campaign.JobSpec: scenario, k=v params, seed
-// set, fast) enter a bounded FIFO job queue and execute one at a time on
+// set, trace) enter a bounded FIFO job queue and execute one at a time on
 // a shared worker budget via campaign.Engine, so the service's output
 // for a spec is byte-identical to `experiments campaigns` for the same
 // spec at any worker count. Per-seed results stream to any number of

@@ -87,9 +87,6 @@ func init() {
 				}
 			}
 			v := float64(seed * 3)
-			if cfg.Fast {
-				v += 0.5
-			}
 			v += float64(len(cfg.Params.Str("tag", "")))
 			v += 10 * float64(len(cfg.Params.Str("mode", "")))
 			stGate.Lock()

@@ -197,7 +197,6 @@ type jobView struct {
 	Params   scenario.Params `json:"params,omitempty"`
 	Seeds    int             `json:"seeds"`
 	BaseSeed int64           `json:"base_seed"`
-	Fast     bool            `json:"fast,omitempty"`
 	Trace    bool            `json:"trace,omitempty"`
 	Cached   bool            `json:"cached,omitempty"`
 	RunsDone int             `json:"runs_done"`
@@ -214,7 +213,7 @@ func (j *job) view(withAgg bool) jobView {
 	v := jobView{
 		ID: j.id, Key: j.key, State: j.state,
 		Scenario: j.spec.Scenario, Params: j.spec.Params,
-		Seeds: j.spec.Seeds, Fast: j.spec.Fast, Trace: j.spec.Trace,
+		Seeds: j.spec.Seeds, Trace: j.spec.Trace,
 		Cached: j.cached, RunsDone: len(j.results), Error: j.errMsg,
 	}
 	if j.spec.BaseSeed != nil {

@@ -246,7 +246,7 @@ func TestHealthzRevision(t *testing.T) {
 // cache (their resubmission executes again rather than replaying).
 func TestJobTrace(t *testing.T) {
 	_, ts := testServer(t, Config{})
-	const spec = `{"scenario":"boot","seeds":2,"base_seed":0,"fast":true,"trace":true}`
+	const spec = `{"scenario":"boot","seeds":2,"base_seed":0,"trace":true}`
 	code, v := submit(t, ts.URL, spec)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit status %d", code)
@@ -296,7 +296,7 @@ func TestJobTrace(t *testing.T) {
 	waitDone(t, ts.URL, v2.ID)
 
 	// An untraced job has no trace resource.
-	code, v3 := submit(t, ts.URL, `{"scenario":"boot","seeds":2,"base_seed":0,"fast":true}`)
+	code, v3 := submit(t, ts.URL, `{"scenario":"boot","seeds":2,"base_seed":0}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("untraced submit status %d", code)
 	}

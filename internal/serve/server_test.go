@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -338,22 +339,30 @@ func TestServeWarmStartsFromSearchState(t *testing.T) {
 	}
 }
 
-// TestServeBadRequests: malformed bodies, unknown fields, unknown
-// scenarios, undeclared params and negative or oversized seed counts are
-// rejected at submission; unknown job IDs 404 on every job endpoint.
+// TestServeBadRequests: malformed bodies, unknown fields (named in the
+// error), unknown scenarios, undeclared params and negative or oversized
+// seed counts are rejected at submission; unknown job IDs 404 on every
+// job endpoint.
 func TestServeBadRequests(t *testing.T) {
 	stSet(0)
 	_, ts := testServer(t, Config{})
-	for name, body := range map[string]string{
-		"malformed json":   `{"scenario":`,
-		"unknown field":    `{"scenario":"servetest","seed":5}`,
-		"unknown scenario": `{"scenario":"sundial"}`,
-		"undeclared param": `{"scenario":"servetest","params":{"clinet":"x"}}`,
-		"negative seeds":   `{"scenario":"servetest","seeds":-1}`,
-		"oversized seeds":  `{"scenario":"servetest","seeds":2000000000}`,
+	for name, tc := range map[string]struct{ body, names string }{
+		"malformed json":   {`{"scenario":`, ""},
+		"unknown field":    {`{"scenario":"servetest","seed":5}`, `"seed"`},
+		"unknown scenario": {`{"scenario":"sundial"}`, ""},
+		"undeclared param": {`{"scenario":"servetest","params":{"clinet":"x"}}`, ""},
+		"negative seeds":   {`{"scenario":"servetest","seeds":-1}`, ""},
+		"oversized seeds":  {`{"scenario":"servetest","seeds":2000000000}`, ""},
+		// Every scenario runs at one size: a fast request is refused,
+		// never silently run at full size.
+		"fast flag": {`{"scenario":"boot","fast":true}`, `"fast"`},
 	} {
-		if status, _ := submit(t, ts.URL, body); status != http.StatusBadRequest {
+		status, v := submit(t, ts.URL, tc.body)
+		if status != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, status)
+		}
+		if !strings.Contains(v.Error, tc.names) {
+			t.Errorf("%s: error %q does not name %s", name, v.Error, tc.names)
 		}
 	}
 	for _, url := range []string{"/jobs/j999", "/jobs/j999/stream"} {

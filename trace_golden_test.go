@@ -15,6 +15,11 @@ import (
 // tracedScenarios are the scenarios whose runs emit lab trace events.
 var tracedScenarios = []string{"boot", "runtime", "table1", "table2", "chronos", "netsweep", "racemargin", "ratelimit"}
 
+// traceParams are the params TestTraceGolden runs a traced scenario with.
+var traceParams = map[string]dnstime.ScenarioParams{
+	"racemargin": {"margins": "-2s,-1.2s,-1.1s,28ms"},
+}
+
 // tee hands every event and span to each of its tracers.
 type tee []obs.Tracer
 
@@ -32,9 +37,10 @@ func (t tee) Span(from, to time.Time, cat, name, detail string) {
 	}
 }
 
-// TestTraceGolden pins the work every traced scenario does at seed 1 with
-// Fast: its event and span counts, its obs.Work counts and the SHA-256 of
-// its whole trace (obs.Digest). A change that adds, drops, reorders or
+// TestTraceGolden pins the work every traced scenario does at seed 1: its
+// event and span counts, its obs.Work counts and the SHA-256 of its whole
+// trace (obs.Digest). racemargin runs its 4-point grid around the
+// collapse threshold (traceParams) rather than the default 10 points. A change that adds, drops, reorders or
 // retimes one event, or schedules one more clock event, fails it even
 // when every reproduced number stays the same. After an intended change
 // of an event stream, regenerate the file from the repository root with
@@ -49,7 +55,7 @@ func TestTraceGolden(t *testing.T) {
 	for _, name := range tracedScenarios {
 		var work obs.WorkCounter
 		digest := obs.NewDigest()
-		cfg := dnstime.ScenarioConfig{Fast: true, Tracer: tee{&work, digest}}
+		cfg := dnstime.ScenarioConfig{Params: traceParams[name], Tracer: tee{&work, digest}}
 		if _, err := dnstime.RunScenario(context.Background(), name, 1, cfg); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
