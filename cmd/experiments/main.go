@@ -238,7 +238,7 @@ func run(w io.Writer, seed int64, only string) error {
 			fmt.Fprintln(w, t)
 			fmt.Fprintf(w, "fragmenting without DNSSEC: %.2f%% of domains (paper: 7.66%%)\n\n", r.FragNoDNSSECPct())
 		case "fig7":
-			h := res.Detail.(measure.TimingResult).Histogram()
+			h := res.Detail.(*stats.Histogram)
 			fmt.Fprintln(w, "== Figure 7: latency difference t_first − t_avg (ms) ==")
 			fmt.Fprintln(w, h.Render(50))
 			fmt.Fprintf(w, "clamped tails: %d below −50 ms, %d above 200 ms\n\n", h.Under(), h.Over())

@@ -362,13 +362,13 @@ func TestEngineResumeRejectsMismatch(t *testing.T) {
 		{"different params", "t-eng-echo", "params", []Option{WithParam("bias", "7")}},
 	}
 	for _, tc := range cases {
-		engineRunCount.Store(0)
-		opts := append([]Option{WithSeeds(4), WithCheckpoint(path)}, tc.opts...)
+		var ran atomic.Int64
+		opts := append([]Option{WithSeeds(4), WithCheckpoint(path), WithProgress(func(int, int) { ran.Add(1) })}, tc.opts...)
 		_, err := NewEngine(opts...).Run(context.Background(), tc.scenario)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want a refusal naming %q", tc.name, err, tc.want)
 		}
-		if n := engineRunCount.Load(); n != 0 {
+		if n := ran.Load(); n != 0 {
 			t.Errorf("%s: %d seeds ran before the refusal", tc.name, n)
 		}
 		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {

@@ -10,17 +10,17 @@ import (
 
 // Committed heap budgets for the open-resolver snoop. table4 and fig6
 // snoop a default-size population (200 000 resolvers) per seed;
-// SnoopOpenResolvers folds each resolver as it is drawn and CacheSnoop
-// folds a stored population, and both count Figure 6's TTLs by value,
-// so a call allocates only its result (151 TTL counts and six rows) and,
-// for the draw, its decisions: about 2.9 KB and 2.4 KB, 4.0 KB and
-// 3.6 KB under -race. The draw's Source is on the stack and its first
-// block comes from the seed cache. These gates pin that contract:
-// keeping the ≈27 500 TTL samples instead costs about 1.2 MB per call,
-// storing the population about 17.7 MB, and a Source on the heap or a
-// privately seeded math/rand source 4.9 KB.
+// SnoopOpenResolvers counts it as it is drawn (population's tally) and
+// CacheSnoop folds a stored population, and both count Figure 6's TTLs
+// by value, so a call allocates only its result (151 TTL counts and six
+// rows) and, for the draw, its decisions and the tally: about 1.9 KB and
+// 2.4 KB, 1.9 KB and 3.6 KB under -race. The draw's Source is on the
+// stack and its first block comes from the seed cache. These gates pin
+// that contract: keeping the ≈27 500 TTL samples instead costs about
+// 1.2 MB per call, storing the population about 17.7 MB, and a Source on
+// the heap or a privately seeded math/rand source 4.9 KB.
 const (
-	heapBudgetSnoop      = 5 << 10 // bytes per default-size SnoopOpenResolvers call
+	heapBudgetSnoop      = 2560    // bytes per default-size SnoopOpenResolvers call
 	heapBudgetCacheSnoop = 4 << 10 // bytes per default-size CacheSnoop call
 )
 
@@ -30,20 +30,24 @@ const (
 // costs about 4.5 MB.
 const heapBudgetRateLimitScan = 256 << 10 // bytes per default-size RateLimitScan call
 
-// Committed heap budgets for the fig5, table5 and shared scenarios, one
-// default-size seed each: 100 000 domain nameservers, 8 014 ad clients
-// and 18 668 resolvers. Each folds its population as it is drawn, from a
-// Source on the stack whose first block comes from the seed cache, and
-// keeps only the result, so a seed allocates the fold's counters and its
-// metrics map: about 0.9 KB, 3.4 KB and 0.3 KB, 1.3 KB, 3.4 KB and
-// 0.3 KB under -race. Figure 5's CDF holds one count per probe size.
-// Storing the populations cost 2.66 MB, 458 KB and 63 KB per seed, a
-// Source on the heap or a privately seeded math/rand source 4.9 KB more,
-// and keeping fig5's ≈7 700 samples 61 KB or more.
+// Committed heap budgets for the fig5, table5, shared and fig7 scenarios,
+// one default-size seed each: 100 000 domain nameservers, 8 014 ad
+// clients, 18 668 resolvers and 20 000 timing probes. Each folds its
+// population as it is drawn and keeps only the result, so a seed
+// allocates the fold's counters and its metrics map: about 0.9 KB,
+// 3.4 KB and 0.3 KB, 1.3 KB, 3.4 KB and 0.3 KB under -race, from a Source
+// on the stack whose first block comes from the seed cache. fig7 draws
+// with math/rand's NormFloat64 through rand.New, which keeps its Source
+// on the heap, so a seed allocates that Source, the Rand and Figure 7's
+// 50-bin histogram: about 6.1 KB. Figure 5's CDF holds one count per
+// probe size. Storing the populations cost 2.66 MB, 458 KB, 63 KB and
+// 160 KB per seed, a Source on the heap or a privately seeded math/rand
+// source 4.9 KB more, and keeping fig5's ≈7 700 samples 61 KB or more.
 const (
-	heapBudgetFig5   = 2560 // bytes per default-size fig5 seed
-	heapBudgetTableV = 4608 // bytes per table5 seed
-	heapBudgetShared = 512  // bytes per shared seed
+	heapBudgetFig5   = 2560    // bytes per default-size fig5 seed
+	heapBudgetTableV = 4608    // bytes per table5 seed
+	heapBudgetShared = 512     // bytes per shared seed
+	heapBudgetFig7   = 8 << 10 // bytes per fig7 seed
 )
 
 // heapGate fails when bench allocates more than budget bytes per call.
@@ -114,6 +118,10 @@ func TestHeapBudgetSharedScenario(t *testing.T) {
 	heapGate(t, "shared seed", BenchmarkSharedScenario, heapBudgetShared)
 }
 
+func TestHeapBudgetFig7Scenario(t *testing.T) {
+	heapGate(t, "fig7 seed", BenchmarkFig7Scenario, heapBudgetFig7)
+}
+
 // benchScenario runs one scenario at campaign seed 1 and default size,
 // once before the timed loop so that the seed cache's entry for its
 // stream is allocated outside it.
@@ -132,3 +140,4 @@ func benchScenario(b *testing.B, run func(context.Context, int64, scenario.Confi
 func BenchmarkFig5Scenario(b *testing.B)   { benchScenario(b, fig5Scenario) }
 func BenchmarkTableVScenario(b *testing.B) { benchScenario(b, tableVScenario) }
 func BenchmarkSharedScenario(b *testing.B) { benchScenario(b, sharedScenario) }
+func BenchmarkFig7Scenario(b *testing.B)   { benchScenario(b, fig7Scenario) }

@@ -217,9 +217,9 @@ func randomAdClients(rng *rand.Rand, n int) []population.AdClientSpec {
 // TestFoldsMatchReference: FragScan and AdStudy fold hand-built specs
 // exactly as the reference folds do, for custom probe sizes (unordered,
 // repeated, negative, a single one) and for clients outside Table V's
-// regions and devices; and the fig5 and table5 scenarios, which fold
-// their populations as they are drawn, report what the folds report
-// over the stored populations.
+// regions and devices; and the fig5, table5, shared and fig7 scenarios,
+// which fold their populations as they are drawn, report what the folds
+// report over the stored populations.
 func TestFoldsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	probeSets := [][]int{nil, {}, {1500, 548}, {548, 1500}, {68}, {1500, 1500, 292}, {600, 100, 0, -1}, {9000, 1276}}
@@ -257,5 +257,12 @@ func TestFoldsMatchReference(t *testing.T) {
 	}
 	if got, want := shared.Detail.(SharedResolverResult), SharedResolverStudy(population.GenerateSharedResolvers(population.DefaultSharedResolverConfig(), 22)); got != want {
 		t.Errorf("shared scenario: %+v, stored %+v", got, want)
+	}
+	fig7, err := fig7Scenario(ctx, 1, scenario.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fig7.Detail.(*stats.Histogram), TimingSideChannel(population.DefaultTimingProbeConfig(), 18).Histogram(); !reflect.DeepEqual(got, want) {
+		t.Errorf("fig7 scenario: %+v, stored deltas' %+v", got, want)
 	}
 }

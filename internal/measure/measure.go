@@ -270,15 +270,15 @@ type FragScanResult struct {
 func FragScan(specs []population.NameserverSpec, probeSizes []int) FragScanResult {
 	f := newFragFold(probeSizes)
 	for _, ns := range specs {
-		f.nameserver(ns)
+		f.add(ns, 1)
 	}
 	return f.result()
 }
 
-// fragFold applies the §VII-B scan one nameserver at a time, to a stored
-// population (FragScan) or to one drawn as it is scanned (the fig5
-// scenario). It counts the fragmenting, unsigned nameservers by the
-// smallest probe size each honours, and builds MinSizes from those
+// fragFold applies the §VII-B scan to nameservers by spec, one at a time
+// from a stored population (FragScan) or a class at a time from a tally
+// (the fig5 scenario). It counts the fragmenting, unsigned nameservers
+// by the smallest probe size each honours, and builds MinSizes from those
 // counts.
 type fragFold struct {
 	res    FragScanResult
@@ -294,10 +294,11 @@ func newFragFold(probeSizes []int) *fragFold {
 	return &fragFold{sizes: sizes, counts: make([]int, len(sizes))}
 }
 
-func (f *fragFold) nameserver(ns population.NameserverSpec) {
-	f.res.Total++
+// add scans n nameservers of spec ns.
+func (f *fragFold) add(ns population.NameserverSpec, n int) {
+	f.res.Total += n
 	if ns.DNSSEC {
-		f.res.DNSSEC++
+		f.res.DNSSEC += n
 		return
 	}
 	if !ns.Fragments {
@@ -306,7 +307,7 @@ func (f *fragFold) nameserver(ns population.NameserverSpec) {
 	// The smallest size the server honours is the first at or above its
 	// floor.
 	if i, _ := slices.BinarySearch(f.sizes, ns.MinFragSize); i < len(f.sizes) {
-		f.counts[i]++
+		f.counts[i] += n
 	}
 }
 
@@ -376,22 +377,18 @@ func CacheSnoop(specs []population.OpenResolverSpec) SnoopResult {
 }
 
 // SnoopOpenResolvers is CacheSnoop(population.GenerateOpenResolvers(cfg,
-// seed)) without the stored population: it snoops each resolver as it is
-// drawn and keeps only the result — the Table IV counts and the Figure 6
-// TTL counts. It maps each record the draw decides to its Table IV row
-// once, so the fold compares no record names.
+// seed)) without the stored population: population.TallyOpenResolvers
+// counts what the snoop reads as it draws — the probed and verified
+// resolvers, the verified ones caching each record, and their
+// pool.ntp.org A TTLs clamped to [0, maxTTL] — and it keeps only the
+// result, the Table IV counts and the Figure 6 TTL counts. Each record
+// the draw decides is mapped to its Table IV row once.
 func SnoopOpenResolvers(cfg population.OpenResolverConfig, seed int64) SnoopResult {
-	records := population.OpenResolverRecords(cfg)
-	rows := make([]int, len(records))
-	for k, rec := range records {
-		rows[k] = slices.Index(tableIV[:], rec)
-	}
-	var f snoopFold
-	for r := range population.OpenResolvers(cfg, seed) {
-		if f.resolver(r.Responds, r.RespectsRD) {
-			for _, c := range r.Cached {
-				f.record(rows[c.Record], c.TTL)
-			}
+	t := population.TallyOpenResolvers(cfg, seed, population.RecPoolA, maxTTL)
+	f := snoopFold{res: SnoopResult{Probed: t.Responding, Verified: t.Verified, TTLCounts: t.TTLCounts}}
+	for k, rec := range t.Records {
+		if row := slices.Index(tableIV[:], rec); row >= 0 {
+			f.cached[row] = t.Cached[k]
 		}
 	}
 	return f.result()
@@ -408,8 +405,10 @@ var rowPoolA = slices.Index(tableIV[:], population.RecPoolA)
 // days, the cap RFC 8767 §4 recommends for cached TTLs.
 const maxTTL = 7 * 24 * 3600
 
-// snoopFold applies the §VIII-A methodology one resolver at a time: a
-// resolver, then its cached records by Table IV row.
+// snoopFold applies the §VIII-A methodology to a stored population
+// (CacheSnoop) one resolver at a time: a resolver, then its cached
+// records by Table IV row. SnoopOpenResolvers fills its counts from a
+// tally instead.
 type snoopFold struct {
 	res    SnoopResult
 	cached [len(tableIV)]int
@@ -718,12 +717,15 @@ type TimingResult struct {
 // Histogram bins the deltas as in Figure 7 (5 ms bins over [−50, 200] with
 // clamped tails).
 func (r TimingResult) Histogram() *stats.Histogram {
-	h := stats.NewHistogram(-50, 200, 5)
+	h := newTimingHistogram()
 	for _, d := range r.Deltas {
 		h.Add(d)
 	}
 	return h
 }
+
+// newTimingHistogram returns an empty Figure 7 histogram.
+func newTimingHistogram() *stats.Histogram { return stats.NewHistogram(-50, 200, 5) }
 
 // TimingSideChannel generates the Figure 7 measurement from the probe
 // model.

@@ -139,8 +139,8 @@ func nsFragScenario(_ context.Context, seed int64, _ scenario.Config) (scenario.
 // nameserver population.
 func fig5Scenario(_ context.Context, seed int64, _ scenario.Config) (scenario.Result, error) {
 	f := newFragFold(nil)
-	for ns := range population.DomainNameservers(population.DefaultDomainNameserverConfig(), seed+5) {
-		f.nameserver(ns)
+	for _, c := range population.TallyDomainNameservers(population.DefaultDomainNameserverConfig(), seed+5) {
+		f.add(c.Spec, c.N)
 	}
 	res := f.result()
 	metrics := map[string]float64{"frag_nodnssec_pct": res.FragNoDNSSECPct()}
@@ -311,17 +311,19 @@ func sharedScenario(_ context.Context, seed int64, _ scenario.Config) (scenario.
 	}, nil
 }
 
-// fig7Scenario draws the Figure 7 latency-difference distribution over
-// 20k resolvers.
+// fig7Scenario bins the Figure 7 latency-difference distribution over
+// 20k resolvers as it is drawn; its Detail is the histogram.
 func fig7Scenario(_ context.Context, seed int64, _ scenario.Config) (scenario.Result, error) {
-	res := TimingSideChannel(population.DefaultTimingProbeConfig(), seed+17)
-	h := res.Histogram()
+	h := newTimingHistogram()
+	for d := range population.TimingDeltas(population.DefaultTimingProbeConfig(), seed+17) {
+		h.Add(d)
+	}
 	return scenario.Result{
 		Metrics: map[string]float64{
 			"samples":       float64(h.Total()),
 			"clamped_under": float64(h.Under()),
 			"clamped_over":  float64(h.Over()),
 		},
-		Detail: res,
+		Detail: h,
 	}, nil
 }

@@ -74,25 +74,64 @@ func TestSnoopMemoHitEqualsMiss(t *testing.T) {
 	}
 }
 
-// TestSnoopMemoEviction: over more seeds than the memo holds, fig6 gets
-// the snoop table4 drew, by a hit on the seeds still held and by a fresh
-// draw on the evicted ones.
+// TestSnoopMemoEviction: the memo holds the snoopMemoCap most recently
+// used results, a lookup making its entry the most recent, and counts a
+// hit or a miss per lookup; and fig6 gets the snoop table4 drew, by a hit
+// while the memo holds it and by a fresh draw once it is evicted. The
+// eviction order does not depend on the draw, so it is driven with
+// synthetic results, one per key, and only the last part draws.
 func TestSnoopMemoEviction(t *testing.T) {
-	const evicted = 8
-	n := snoopMemoCap + evicted
+	defer resetSnoopMemo()
 	resetSnoopMemo()
-	table4 := make([]SnoopResult, n)
-	for i := range n {
-		table4[i] = mustRunSnoop(t, "table4", int64(i+1)).detail
+	synthetic := func(key int64) SnoopResult { return SnoopResult{Probed: int(key), TTLCounts: []int{int(key)}} }
+	lookup := func(key int64) (hit bool) {
+		t.Helper()
+		got, ok := snoops.get(key)
+		if ok && !reflect.DeepEqual(got, synthetic(key)) {
+			t.Errorf("key %d: memo returned %+v, stored %+v", key, got, synthetic(key))
+		}
+		return ok
 	}
+	const evicted = 8
+	n := int64(snoopMemoCap + evicted)
+	for key := range n {
+		snoops.put(-1-key, synthetic(-1-key))
+	}
+	// Keys −1 to −8 are evicted. The oldest held key, looked up,
+	// outlives the next put, which evicts the key put after it instead.
+	oldest := int64(-1 - evicted)
+	if !lookup(oldest) {
+		t.Fatalf("key %d evicted, want held", oldest)
+	}
+	snoops.put(-1-n, synthetic(-1-n))
 	hits, misses := snoopMemoHits.Value(), snoopMemoMisses.Value()
-	for i := n - 1; i >= 0; i-- {
-		if got := mustRunSnoop(t, "fig6", int64(i+1)).detail; !reflect.DeepEqual(got, table4[i]) {
-			t.Errorf("seed %d: fig6 snoop differs from table4's", i+1)
+	for key := -1 - n; key < 0; key++ {
+		if want := key <= oldest && key != oldest-1; lookup(key) != want {
+			t.Errorf("key %d: held %v, want %v", key, !want, want)
 		}
 	}
-	if h, m := snoopMemoHits.Value()-hits, snoopMemoMisses.Value()-misses; h != int64(snoopMemoCap) || m != evicted {
-		t.Errorf("fig6 pass: %d hits and %d misses, want %d and %d", h, m, snoopMemoCap, evicted)
+	if h, m := snoopMemoHits.Value()-hits, snoopMemoMisses.Value()-misses; h != int64(snoopMemoCap) || m != evicted+1 {
+		t.Errorf("lookups: %d hits and %d misses, want %d and %d", h, m, snoopMemoCap, evicted+1)
+	}
+
+	resetSnoopMemo()
+	table4 := mustRunSnoop(t, "table4", 1).detail
+	for _, want := range []struct {
+		pass         string
+		hits, misses int64
+	}{{"held", 1, 0}, {"evicted", 0, 1}} {
+		if want.pass == "evicted" {
+			for key := range int64(snoopMemoCap) {
+				snoops.put(-1-key, synthetic(-1-key))
+			}
+		}
+		hits, misses := snoopMemoHits.Value(), snoopMemoMisses.Value()
+		if got := mustRunSnoop(t, "fig6", 1).detail; !reflect.DeepEqual(got, table4) {
+			t.Errorf("%s: fig6 snoop differs from table4's", want.pass)
+		}
+		if h, m := snoopMemoHits.Value()-hits, snoopMemoMisses.Value()-misses; h != want.hits || m != want.misses {
+			t.Errorf("%s: fig6 cost %d hits and %d misses, want %d and %d", want.pass, h, m, want.hits, want.misses)
+		}
 	}
 }
 

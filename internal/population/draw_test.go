@@ -6,17 +6,19 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dnstime/internal/ipv4"
+	"dnstime/internal/simrand"
 )
 
 // The reference draws below are the nameserver, ad-client and
 // shared-resolver generators as they were written on
 // rand.New(rand.NewSource(seed)), one Float64 per test and one Intn per
-// count, before each became one draw loop reading the stream through a
-// simrand.Source. The oracle tests and fuzz targets compare the draw
-// loops and their collectors with them.
+// count, before each read the stream through a simrand.Source. The
+// oracle tests and fuzz targets compare the draw loops, the tally and
+// the collectors with them.
 
 func referenceDomainNameservers(cfg DomainNameserverConfig, seed int64) []NameserverSpec {
 	rng := rand.New(rand.NewSource(seed))
@@ -121,14 +123,7 @@ func referenceSharedResolvers(cfg SharedResolverConfig, seed int64) []SharedReso
 // runtime panics if it does).
 func checkDraw[T any](t *testing.T, want, stored []T, draw func(func(T) bool)) {
 	t.Helper()
-	if !reflect.DeepEqual(stored, want) {
-		for i := range min(len(stored), len(want)) {
-			if !reflect.DeepEqual(stored[i], want[i]) {
-				t.Fatalf("collected item %d = %+v, reference %+v", i, stored[i], want[i])
-			}
-		}
-		t.Fatalf("collected %d items, reference %d", len(stored), len(want))
-	}
+	checkStored(t, want, stored)
 	i := 0
 	for got := range draw {
 		if i >= len(want) {
@@ -147,9 +142,84 @@ func checkDraw[T any](t *testing.T, want, stored []T, draw func(func(T) bool)) {
 	}
 }
 
+// checkStored compares a collected population with the reference's.
+func checkStored[T any](t *testing.T, want, stored []T) {
+	t.Helper()
+	if !reflect.DeepEqual(stored, want) {
+		for i := range min(len(stored), len(want)) {
+			if !reflect.DeepEqual(stored[i], want[i]) {
+				t.Fatalf("collected item %d = %+v, reference %+v", i, stored[i], want[i])
+			}
+		}
+		t.Fatalf("collected %d items, reference %d", len(stored), len(want))
+	}
+}
+
+// classTally counts nameservers by class, in TallyDomainNameservers'
+// order: the rule the §VII-B scan reads them by.
+func classTally(specs []NameserverSpec) [nsClasses]NameserverCount {
+	var out [nsClasses]NameserverCount
+	for c, spec := range nameserverClasses {
+		out[c].Spec = spec
+	}
+	for _, s := range specs {
+		c := slices.Index(nameserverClasses[:], s)
+		if c < 0 {
+			panic(fmt.Sprintf("nameserver %+v is of no class", s))
+		}
+		out[c].N++
+	}
+	return out
+}
+
+// checkDomainNameserverDraw compares GenerateDomainNameservers with the
+// reference, and TallyDomainNameservers with the reference counted by
+// class.
 func checkDomainNameserverDraw(t *testing.T, cfg DomainNameserverConfig, seed int64) {
 	t.Helper()
-	checkDraw(t, referenceDomainNameservers(cfg, seed), GenerateDomainNameservers(cfg, seed), DomainNameservers(cfg, seed))
+	want := referenceDomainNameservers(cfg, seed)
+	checkStored(t, want, GenerateDomainNameservers(cfg, seed))
+	if got, w := TallyDomainNameservers(cfg, seed), classTally(want); got != w {
+		t.Fatalf("tally = %+v, reference %+v", got, w)
+	}
+}
+
+// referenceTimingDeltas is the Figure 7 draw as it was written, into a
+// stored slice on rand.New(rand.NewSource(seed)).
+func referenceTimingDeltas(cfg TimingProbeConfig, seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]float64, max(cfg.Resolvers, 0))
+	for i := range out {
+		jitter := rng.NormFloat64() * cfg.JitterMS
+		if rng.Float64() < cfg.PCached {
+			out[i] = jitter
+		} else {
+			rtt := cfg.UpstreamRTTMinMS + rng.Float64()*(cfg.UpstreamRTTMaxMS-cfg.UpstreamRTTMinMS)
+			out[i] = rtt + jitter
+		}
+	}
+	return out
+}
+
+// TestTimingDeltasMatchMathRand: TimingDeltas yields, and
+// GenerateTimingDeltas stores, exactly the samples the reference draws,
+// for fig7's campaign seed 1 (seed + 17), edge seeds, every cached
+// fraction at the edges and no probes.
+func TestTimingDeltasMatchMathRand(t *testing.T) {
+	def := DefaultTimingProbeConfig()
+	for _, seed := range append([]int64{18}, edgeSeeds...) {
+		checkDraw(t, referenceTimingDeltas(def, seed), GenerateTimingDeltas(def, seed), TimingDeltas(def, seed))
+	}
+	for _, p := range edgeProbs {
+		cfg := def
+		cfg.Resolvers, cfg.PCached = 2000, p
+		checkDraw(t, referenceTimingDeltas(cfg, 19), GenerateTimingDeltas(cfg, 19), TimingDeltas(cfg, 19))
+	}
+	for _, n := range []int{0, -1} {
+		cfg := def
+		cfg.Resolvers = n
+		checkDraw(t, referenceTimingDeltas(cfg, 19), GenerateTimingDeltas(cfg, 19), TimingDeltas(cfg, 19))
+	}
 }
 
 func checkAdClientDraw(t *testing.T, cfg AdStudyConfig, seed int64) {
@@ -179,8 +249,9 @@ type drawCase[C any] struct {
 
 // domainNameserverCases: the default population at fig5's campaign seed
 // 1 (seed + 5) and the edge seeds, a 10 000-domain one ("fast size", the
-// size the former -fast flag drew), and every edge probability in each
-// field, at a size that reaches every branch.
+// size the former -fast flag drew), every edge probability in each
+// field, at a size that reaches every branch, and each of the draw's five
+// cuts on a drawn value and just past it (cutCases).
 func domainNameserverCases() []drawCase[DomainNameserverConfig] {
 	def := DefaultDomainNameserverConfig()
 	cases := []drawCase[DomainNameserverConfig]{{"default seed 6", def, 6}}
@@ -202,6 +273,61 @@ func domainNameserverCases() []drawCase[DomainNameserverConfig] {
 		with(fmt.Sprint("CumAt292 ", p), func(c *DomainNameserverConfig) { c.CumAt292 = p })
 		with(fmt.Sprint("CumAt548 ", p), func(c *DomainNameserverConfig) { c.CumAt548 = p })
 		with(fmt.Sprint("CumAt1276 ", p), func(c *DomainNameserverConfig) { c.CumAt1276 = p })
+	}
+	return append(cases, cutCases()...)
+}
+
+// cutCases places each of the domain-nameserver draw's cuts exactly on
+// the 63-bit value v of the first nameserver's draw it decides, where
+// the nameserver must fail the test, and one past it, where it must
+// pass: a decision off by one fails one of the two. Below(p) is the least
+// value whose Float64 is not below p, so p = float64(v)/2⁶³ puts the cut
+// on v when v is the least value rounding to p, about one value in a
+// thousand; the seeds are searched for one. The first nameserver's
+// signed draw is the stream's first output, its fragmenting draw (with
+// PDNSSEC 0, so that the cut is Below(PFragNoDNSSEC)) the second and its
+// size draw (with PFragNoDNSSEC 1) the third; each CumAt case puts the
+// cuts before it at 0.
+func cutCases() []drawCase[DomainNameserverConfig] {
+	fields := []struct {
+		name   string
+		output int // the draw's output in the stream
+		set    func(*DomainNameserverConfig, float64)
+	}{
+		{"PDNSSEC", 0, func(c *DomainNameserverConfig, p float64) { c.PDNSSEC = p }},
+		{"PFragNoDNSSEC", 1, func(c *DomainNameserverConfig, p float64) { c.PDNSSEC, c.PFragNoDNSSEC = 0, p }},
+		{"CumAt292", 2, func(c *DomainNameserverConfig, p float64) { c.PDNSSEC, c.PFragNoDNSSEC, c.CumAt292 = 0, 1, p }},
+		{"CumAt548", 2, func(c *DomainNameserverConfig, p float64) {
+			c.PDNSSEC, c.PFragNoDNSSEC, c.CumAt292, c.CumAt548 = 0, 1, 0, p
+		}},
+		{"CumAt1276", 2, func(c *DomainNameserverConfig, p float64) {
+			c.PDNSSEC, c.PFragNoDNSSEC, c.CumAt292, c.CumAt548, c.CumAt1276 = 0, 1, 0, 0, p
+		}},
+	}
+	var cases []drawCase[DomainNameserverConfig]
+	for _, f := range fields {
+		for _, past := range []uint64{0, 1} {
+			for seed := int64(1); ; seed++ {
+				src := rand.NewSource(seed)
+				var v uint64
+				for range f.output + 1 {
+					v = uint64(src.Int63())
+				}
+				p := float64(v+past) / (1 << 63)
+				if simrand.Below(p) != simrand.Cut(v+past) {
+					continue
+				}
+				cfg := DefaultDomainNameserverConfig()
+				cfg.Total = 3
+				f.set(&cfg, p)
+				name := fmt.Sprintf("%s on the draw", f.name)
+				if past == 1 {
+					name = fmt.Sprintf("%s one past the draw", f.name)
+				}
+				cases = append(cases, drawCase[DomainNameserverConfig]{name, cfg, seed})
+				break
+			}
+		}
 	}
 	return cases
 }
@@ -280,8 +406,9 @@ func sharedResolverCases() []drawCase[SharedResolverConfig] {
 }
 
 // TestDomainNameserverDrawMatchesMathRand is the oracle for the
-// nameserver draw: DomainNameservers and GenerateDomainNameservers must
-// consume math/rand's stream exactly as the reference does.
+// nameserver draw: GenerateDomainNameservers must consume math/rand's
+// stream exactly as the reference does, and TallyDomainNameservers count
+// by class what the reference draws.
 func TestDomainNameserverDrawMatchesMathRand(t *testing.T) {
 	for _, tc := range domainNameserverCases() {
 		t.Run(tc.name, func(t *testing.T) { checkDomainNameserverDraw(t, tc.cfg, tc.seed) })
@@ -306,7 +433,8 @@ func TestSharedResolverDrawMatchesMathRand(t *testing.T) {
 
 // FuzzDomainNameserverDraw: for any seed, up to 5 000 nameservers and
 // probabilities from raw float64 bits (NaN, infinities, subnormals,
-// values above 1), the draw matches the reference. The seed corpus
+// values above 1), GenerateDomainNameservers matches the reference and
+// TallyDomainNameservers the reference's count by class. The seed corpus
 // holds every oracle case, cut to that size.
 func FuzzDomainNameserverDraw(f *testing.F) {
 	for _, tc := range domainNameserverCases() {

@@ -11,18 +11,25 @@
 // ground truth; the measurement harness (internal/measure) then re-derives
 // those numbers through the paper's methodology, closing the loop.
 //
-// The four large populations, the popular-domain nameservers, the open
-// resolvers, the ad clients and the shared resolvers, each have one draw
-// loop, an iter.Seq (DomainNameservers, OpenResolvers, AdClients,
+// No study stores the four large populations. The popular-domain
+// nameservers and the open resolvers, which Figure 5 and Table IV draw by
+// the hundred thousand per seed, each have a tally (TallyDomainNameservers,
+// TallyOpenResolvers) that counts what its study reads as it draws: it
+// walks the random stream's current block of outputs, decides on the raw
+// outputs only what it counts, and leaves a member the block cannot
+// decide to the population's one-decision-at-a-time draw, which is also
+// its Generate function's only draw. The ad clients and the shared
+// resolvers each have one draw loop, an iter.Seq (AdClients,
 // SharedResolvers) that yields each member before drawing the next, so a
-// study folds a population without storing it; the Generate function of
-// each collects the same loop. The loops read math/rand's exact stream
-// for the seed from a simrand.Source and decide each draw with an
-// integer compare, so they draw exactly what the same loops written on
-// rand.New(rand.NewSource(seed)) draw; the package's tests keep those
-// loops as oracles. GeneratePool, GeneratePoolNameservers and
-// GenerateTimingDeltas draw with math/rand's own methods on
-// rand.New(simrand.New(seed)), the same stream.
+// study folds the population without storing it; the Generate function
+// of each collects the same loop. All of them read math/rand's exact
+// stream for the seed from a simrand.Source and decide each draw with an
+// integer compare, so they draw exactly what the same generators written
+// on rand.New(rand.NewSource(seed)) draw; the package's tests keep those
+// generators as oracles. GeneratePool, GeneratePoolNameservers and
+// TimingDeltas (Figure 7, which GenerateTimingDeltas collects) draw with
+// math/rand's own methods on rand.New(simrand.New(seed)), the same
+// stream.
 //
 // A negative population size draws nothing, as a size of zero does.
 package population
@@ -168,23 +175,57 @@ func DefaultDomainNameserverConfig() DomainNameserverConfig {
 }
 
 // GenerateDomainNameservers draws the popular-domain nameserver population
-// and stores it. A study that only folds the population should range over
-// DomainNameservers instead, which draws the same nameservers without
-// keeping them.
+// and stores it. A study that only counts the population should call
+// TallyDomainNameservers instead, which counts the same nameservers by
+// class without keeping them.
 func GenerateDomainNameservers(cfg DomainNameserverConfig, seed int64) []NameserverSpec {
-	out := make([]NameserverSpec, 0, max(cfg.Total, 0))
-	for s := range DomainNameservers(cfg, seed) {
-		out = append(out, s)
+	d := newNameserverDraw(cfg)
+	var src simrand.Source // a value, so it stays on the stack (see Source)
+	src.Seed(seed)
+	out := make([]NameserverSpec, max(cfg.Total, 0))
+	for i := range out {
+		out[i] = nameserverClasses[d.sequential(&src)]
 	}
 	return out
 }
 
-// DomainNameservers draws the popular-domain nameserver population one
-// nameserver at a time and yields each before drawing the next, so a
-// study can fold it without storing it.
+// NameserverCount is one class of nameserver, the spec every member of
+// the class has, and how many members a population holds.
+type NameserverCount struct {
+	Spec NameserverSpec
+	N    int
+}
+
+// The classes a domain-nameserver draw decides between, in the order
+// TallyDomainNameservers counts them.
+const (
+	nsSigned   = iota // signed
+	nsPlain           // unsigned, not fragmenting
+	nsFrag292         // fragmenting, unsigned, with MinFragSize 292
+	nsFrag548         // … 548
+	nsFrag1276        // … 1276
+	nsFrag1500        // … 1500
+	nsClasses
+)
+
+// nameserverClasses holds each class's spec.
+var nameserverClasses = [nsClasses]NameserverSpec{
+	nsSigned:   {DNSSEC: true, MinFragSize: ipv4.DefaultMTU},
+	nsPlain:    {MinFragSize: ipv4.DefaultMTU},
+	nsFrag292:  {Fragments: true, MinFragSize: 292},
+	nsFrag548:  {Fragments: true, MinFragSize: 548},
+	nsFrag1276: {Fragments: true, MinFragSize: 1276},
+	nsFrag1500: {Fragments: true, MinFragSize: 1500},
+}
+
+// TallyDomainNameservers draws the nameserver population
+// GenerateDomainNameservers returns and counts it by class as it draws:
+// the signed nameservers, the unsigned ones that do not fragment, and the
+// fragmenting ones with each MinFragSize, 292, 548, 1276 and 1500, in that
+// order. It stores no nameserver.
 //
-// This is the population's one draw loop. It consumes
-// rand.New(rand.NewSource(seed)) exactly as
+// The population's draw consumes rand.New(rand.NewSource(seed)) exactly
+// as
 //
 //	for range cfg.Total {
 //		switch {
@@ -199,40 +240,110 @@ func GenerateDomainNameservers(cfg DomainNameserverConfig, seed int64) []Nameser
 //		}
 //	}
 //
-// does, but reads the stream from a simrand.Source and decides each
-// Float64 test with an integer compare.
-func DomainNameservers(cfg DomainNameserverConfig, seed int64) iter.Seq[NameserverSpec] {
-	return func(yield func(NameserverSpec) bool) {
-		signed := simrand.Below(cfg.PDNSSEC)
-		fragments := simrand.Below(cfg.PFragNoDNSSEC / (1 - cfg.PDNSSEC))
-		at292 := uint64(simrand.Below(cfg.CumAt292))
-		at548 := uint64(simrand.Below(cfg.CumAt548))
-		at1276 := uint64(simrand.Below(cfg.CumAt1276))
-		var src simrand.Source // a value, so it stays on the stack (see Source)
-		src.Seed(seed)
-		for range cfg.Total {
-			s := NameserverSpec{MinFragSize: ipv4.DefaultMTU}
-			switch {
-			case src.Test(signed):
-				s.DNSSEC = true
-			case src.Test(fragments):
-				s.Fragments = true
-				switch v := src.Float64Value(); {
-				case v < at292:
-					s.MinFragSize = 292
-				case v < at548:
-					s.MinFragSize = 548
-				case v < at1276:
-					s.MinFragSize = 1276
-				default:
-					s.MinFragSize = 1500
-				}
-			}
-			if !yield(s) {
-				return
-			}
+// does, reading the stream from a simrand.Source. It has two forms.
+// sequential draws one nameserver one decision at a time
+// (Source.Float64Value, Test), reading again wherever math/rand draws
+// again; it is GenerateDomainNameservers' only draw. The tally walks the
+// stream's current block of outputs instead and decides each
+// nameserver's class on the raw outputs with integer compares. A
+// nameserver the block cannot decide goes to sequential, from its first
+// output: one that starts with fewer than three outputs left in the
+// block, and one whose outputs include one on which math/rand's Float64
+// would draw again.
+func TallyDomainNameservers(cfg DomainNameserverConfig, seed int64) [nsClasses]NameserverCount {
+	d := newNameserverDraw(cfg)
+	var src simrand.Source // a value, so it stays on the stack (see Source)
+	src.Seed(seed)
+	var n [nsClasses]int
+	for left := max(cfg.Total, 0); left > 0; {
+		w := src.Unread()
+		i, drawn := d.block(&n, w, left)
+		src.Advance(i)
+		if left -= drawn; left > 0 && i < len(w) {
+			n[d.sequential(&src)]++
+			left--
 		}
 	}
+	var out [nsClasses]NameserverCount
+	for c, spec := range nameserverClasses {
+		out[c] = NameserverCount{spec, n[c]}
+	}
+	return out
+}
+
+// nameserverDraw holds one configuration's draw decisions.
+type nameserverDraw struct {
+	signed, fragments    simrand.Cut
+	at292, at548, at1276 uint64
+}
+
+func newNameserverDraw(cfg DomainNameserverConfig) nameserverDraw {
+	return nameserverDraw{
+		signed:    simrand.Below(cfg.PDNSSEC),
+		fragments: simrand.Below(cfg.PFragNoDNSSEC / (1 - cfg.PDNSSEC)),
+		at292:     uint64(simrand.Below(cfg.CumAt292)),
+		at548:     uint64(simrand.Below(cfg.CumAt548)),
+		at1276:    uint64(simrand.Below(cfg.CumAt1276)),
+	}
+}
+
+// sequential draws the next nameserver's class one decision at a time,
+// reading again wherever math/rand draws again.
+func (d *nameserverDraw) sequential(src *simrand.Source) int {
+	switch {
+	case src.Test(d.signed):
+		return nsSigned
+	case src.Test(d.fragments):
+		return d.fragClass(src.Float64Value())
+	}
+	return nsPlain
+}
+
+// fragClass returns the class of a fragmenting nameserver whose size
+// draw has 63-bit value v.
+func (d *nameserverDraw) fragClass(v uint64) int {
+	switch {
+	case v < d.at292:
+		return nsFrag292
+	case v < d.at548:
+		return nsFrag548
+	case v < d.at1276:
+		return nsFrag1276
+	}
+	return nsFrag1500
+}
+
+// block counts nameservers into n by class, at most left of them, from
+// the unread outputs w, and returns the number of outputs it read and of
+// nameservers it counted. It stops before a nameserver it cannot decide
+// from w.
+func (d *nameserverDraw) block(n *[nsClasses]int, w []uint64, left int) (i, drawn int) {
+	signed, fragments := uint64(d.signed), uint64(d.fragments)
+	for ; drawn < left && len(w)-i >= 3; drawn++ {
+		v := simrand.Value(w[i])
+		if v < signed {
+			n[nsSigned]++
+			i++
+			continue
+		}
+		if v >= simrand.Redraw {
+			break
+		}
+		if v = simrand.Value(w[i+1]); v >= fragments {
+			if v >= simrand.Redraw {
+				break
+			}
+			n[nsPlain]++
+			i += 2
+			continue
+		}
+		if v = simrand.Value(w[i+2]); v >= simrand.Redraw {
+			break
+		}
+		n[d.fragClass(v)]++
+		i += 3
+	}
+	return i, drawn
 }
 
 // ---------------------------------------------------------------------------
@@ -288,21 +399,6 @@ func (s *OpenResolverSpec) CachedTTL(rec PoolRecord) (int, bool) {
 	return 0, false
 }
 
-// DrawnResolver is one open resolver as OpenResolvers draws it: the
-// flags of an OpenResolverSpec, with each cached record named by its
-// index in OpenResolverRecords(cfg).
-type DrawnResolver struct {
-	Responds, RespectsRD, AcceptsFragments bool
-	// Cached holds the cached records in draw order.
-	Cached []CachedIndex
-}
-
-// CachedIndex is one cached record of a DrawnResolver: Record indexes
-// OpenResolverRecords(cfg), and TTL is its remaining TTL (seconds).
-type CachedIndex struct {
-	Record, TTL int
-}
-
 // OpenResolverConfig parameterises the open-resolver population.
 type OpenResolverConfig struct {
 	// Total is the dataset size (paper probed 1,583,045 responding
@@ -344,28 +440,29 @@ func DefaultOpenResolverConfig() OpenResolverConfig {
 }
 
 // GenerateOpenResolvers draws the open-resolver population and stores it.
-// A study that only folds the population should range over OpenResolvers
-// instead, which draws the same resolvers without keeping them.
+// A study that only counts the population should call TallyOpenResolvers
+// instead, which counts the same resolvers without keeping them.
 //
-// Each resolver's records are carved out of a chunked arena: an
-// exhausted chunk is replaced, and carved slices keep the old one alive.
-// Chunks keep allocation count (and GC pressure) orders of magnitude
-// below one slice per resolver without sizing one array as if every
-// record were cached everywhere.
+// It draws each resolver with the population's one-decision-at-a-time
+// draw (see TallyOpenResolvers), and carves the resolvers' records out
+// of a chunked arena: an exhausted chunk is replaced, and carved slices
+// keep the old one alive. Chunks keep allocation count (and GC pressure)
+// orders of magnitude below one slice per resolver without sizing one
+// array as if every record were cached everywhere.
 func GenerateOpenResolvers(cfg OpenResolverConfig, seed int64) []OpenResolverSpec {
-	records := OpenResolverRecords(cfg)
+	d := newOpenDraw(cfg)
+	var src simrand.Source // a value, so it stays on the stack (see Source)
+	src.Seed(seed)
 	out := make([]OpenResolverSpec, 0, max(cfg.Total, 0))
-	chunk := make([]CachedRecord, 0, 1024*len(records))
-	for r := range OpenResolvers(cfg, seed) {
-		s := OpenResolverSpec{Responds: r.Responds, RespectsRD: r.RespectsRD, AcceptsFragments: r.AcceptsFragments}
-		if r.Responds {
-			if len(chunk)+len(r.Cached) > cap(chunk) {
-				chunk = make([]CachedRecord, 0, 1024*len(records))
-			}
-			start := len(chunk)
-			for _, c := range r.Cached {
-				chunk = append(chunk, CachedRecord{records[c.Record], c.TTL})
-			}
+	chunk := make([]CachedRecord, 0, 1024*len(d.records))
+	for range cfg.Total {
+		if len(chunk)+len(d.records) > cap(chunk) {
+			chunk = make([]CachedRecord, 0, 1024*len(d.records))
+		}
+		start := len(chunk)
+		var s OpenResolverSpec
+		s, chunk = d.sequential(&src, chunk)
+		if s.Responds {
 			s.Cached = chunk[start:len(chunk):len(chunk)]
 		}
 		out = append(out, s)
@@ -373,16 +470,33 @@ func GenerateOpenResolvers(cfg OpenResolverConfig, seed int64) []OpenResolverSpe
 	return out
 }
 
-// OpenResolvers draws the open-resolver population one resolver at a
-// time and yields each before drawing the next, so a study can fold a
-// population of any size without storing it. It yields the resolvers
-// GenerateOpenResolvers returns, in the same order, each cached record
-// named by its index in OpenResolverRecords(cfg). A yielded resolver's
-// Cached slice is scratch that the next draw overwrites: copy it to keep
-// it.
+// OpenResolverTally is an open-resolver population as a cache snoop
+// counts it (TallyOpenResolvers).
+type OpenResolverTally struct {
+	// Responding counts the resolvers that respond.
+	Responding int
+	// Verified counts the responding resolvers that respect the RD bit,
+	// on which the snooping pre-test verifies.
+	Verified int
+	// Records lists the records the draw decides, OpenResolverRecords(cfg),
+	// and Cached[k] counts the verified resolvers that cache Records[k].
+	Records []PoolRecord
+	Cached  []int
+	// TTLCounts[t] counts the verified resolvers that cache the tally's
+	// TTL record with t seconds left, t capped at the tally's maxTTL. Its
+	// length is one more than the largest t counted, and it is nil when
+	// none was.
+	TTLCounts []int
+}
+
+// TallyOpenResolvers draws the open-resolver population GenerateOpenResolvers
+// returns and counts it as it draws: the responding resolvers, the
+// verified ones, the verified ones caching each record, and the
+// remaining TTLs of the verified ones caching ttlRecord, each capped at
+// maxTTL (≥ 0). It stores no resolver.
 //
-// This is the population's one draw loop. It consumes
-// rand.New(rand.NewSource(seed)) exactly as
+// The population's draw consumes rand.New(rand.NewSource(seed)) exactly
+// as
 //
 //	for range cfg.Total {
 //		if rng.Float64() >= cfg.PResponds {
@@ -397,36 +511,57 @@ func GenerateOpenResolvers(cfg OpenResolverConfig, seed int64) []OpenResolverSpe
 //		}
 //	}
 //
-// does, but reads the stream from a simrand.Source and decides each
-// draw on the raw output with an integer compare (simrand.Cut,
-// simrand.Intn), a resolver at a time from the unread rest of the
-// stream's current block. A resolver that block cannot decide is drawn
-// over from its first output in sequence, with the Source's Test and
-// Intn, so the draw stays exact: a responding resolver that starts with
-// fewer outputs left than it may read (about one per block), and one on
-// which math/rand would draw again (a Float64 that rounds to 1, an Intn
-// rejection, an invalid RecordTTL).
-func OpenResolvers(cfg OpenResolverConfig, seed int64) iter.Seq[DrawnResolver] {
-	return func(yield func(DrawnResolver) bool) {
-		d := newOpenDraw(cfg)
-		var src simrand.Source // a value, so it stays on the stack (see Source)
-		src.Seed(seed)
-		r := DrawnResolver{Cached: make([]CachedIndex, 0, len(d.cuts))}
-		for range cfg.Total {
-			if n := d.fast(&r, src.Unread()); n > 0 {
-				src.Advance(n)
-			} else {
-				d.sequential(&r, &src)
-			}
-			if !yield(r) {
-				return
-			}
+// does, reading the stream from a simrand.Source. It has two forms.
+// sequential draws one resolver one decision at a time (Source.Test,
+// Source.Intn), reading again wherever math/rand draws again; it is
+// GenerateOpenResolvers' only draw. The tally walks the stream's current
+// block of outputs instead, a resolver at a time, and decides on the raw
+// outputs, with integer compares, only what it counts: a resolver's
+// flags, and whether it caches each record. It decodes a TTL only for
+// ttlRecord, but first checks, with one compare each, every output a
+// responding resolver may read for a value on which math/rand would draw
+// again, so a TTL output it does not decode is checked too. A resolver
+// the block cannot decide goes to sequential, from its first output: a
+// responding one that may read past the block's end (about one per
+// block), and one whose outputs include one on which math/rand would draw
+// again (a Float64 that rounds to 1, an Intn rejection, any output when
+// Intn(cfg.RecordTTL+1) must panic).
+func TallyOpenResolvers(cfg OpenResolverConfig, seed int64, ttlRecord PoolRecord, maxTTL int) OpenResolverTally {
+	d := newOpenDraw(cfg)
+	t := openTally{
+		OpenResolverTally: OpenResolverTally{Records: d.records, Cached: make([]int, len(d.records))},
+		openDraw:          d,
+		ttlRec:            slices.Index(d.records, ttlRecord),
+		maxTTL:            maxTTL,
+		limit:             min(simrand.Redraw, d.ttl.Limit()),
+	}
+	if t.ttlRec >= 0 && cfg.RecordTTL >= 0 {
+		// Room for every TTL the draw can decode, up to 1 024 s, so the
+		// walk rarely grows the counts; trimTTLs drops the zero counts
+		// past the largest counted.
+		t.TTLCounts = make([]int, min(cfg.RecordTTL, maxTTL, 1<<10)+1)
+	}
+	var src simrand.Source // a value, so it stays on the stack (see Source)
+	src.Seed(seed)
+	cached := make([]CachedRecord, 0, len(d.records))
+	for left := max(cfg.Total, 0); left > 0; {
+		w := src.Unread()
+		n, drawn := t.block(w, left)
+		src.Advance(n)
+		if left -= drawn; left > 0 && n < len(w) {
+			var s OpenResolverSpec
+			s, cached = t.sequential(&src, cached[:0])
+			t.resolver(s, cached)
+			left--
 		}
 	}
+	t.trimTTLs()
+	return t.OpenResolverTally
 }
 
 // openDraw holds one configuration's draw decisions.
 type openDraw struct {
+	records                       []PoolRecord // OpenResolverRecords(cfg)
 	responds, verifies, fragments simrand.Cut
 	cuts                          []simrand.Cut // per record
 	ttl                           simrand.Intn
@@ -436,9 +571,10 @@ type openDraw struct {
 	most int
 }
 
-func newOpenDraw(cfg OpenResolverConfig) *openDraw {
+func newOpenDraw(cfg OpenResolverConfig) openDraw {
 	records := OpenResolverRecords(cfg)
-	d := &openDraw{
+	d := openDraw{
+		records:   records,
 		responds:  simrand.NotAtLeast(cfg.PResponds),
 		verifies:  simrand.Below(cfg.PRespectsRD),
 		fragments: simrand.Below(cfg.PAcceptsFragments),
@@ -452,69 +588,154 @@ func newOpenDraw(cfg OpenResolverConfig) *openDraw {
 	return d
 }
 
-// fast draws one resolver into r from the unread outputs w, at least
-// one, and returns the number it read. It returns 0, leaving r to be
-// drawn over, when math/rand would draw again or the resolver responds
-// and w is shorter than the most a responding resolver can read.
-func (d *openDraw) fast(r *DrawnResolver, w []uint64) int {
-	responds, ok := d.responds.Of(w[0])
-	if !ok {
-		return 0
-	}
-	if !responds {
-		*r = DrawnResolver{Cached: r.Cached[:0]}
-		return 1
-	}
-	if len(w) < d.most {
-		return 0
-	}
-	verifies, ok1 := d.verifies.Of(w[1])
-	fragments, ok2 := d.fragments.Of(w[2])
-	if !ok1 || !ok2 {
-		return 0
-	}
-	// Each record reads its caching draw and, if cached, a TTL from the
-	// next output. The TTL is decided whether or not the record is cached
-	// and the index advances by the outcome, so the loop does not branch
-	// on it; an output that only a cached record would read and math/rand
-	// would reject sends the resolver to the sequential path needlessly,
-	// but never wrongly.
-	cuts, ttls := d.cuts, d.ttl
-	cached := r.Cached[:len(cuts)]
-	n, i := 0, 3
-	for j, c := range cuts {
-		hit, ok := c.Of(w[i])
-		ttl, tok := ttls.Of(w[i+1])
-		if !ok || !tok {
-			return 0
-		}
-		cached[n] = CachedIndex{j, ttl}
-		k := 0
-		if hit {
-			k = 1
-		}
-		n += k
-		i += 1 + k
-	}
-	*r = DrawnResolver{true, verifies, fragments, cached[:n]}
-	return i
-}
-
-// sequential draws one resolver into r one decision at a time, reading
-// again wherever math/rand draws again.
-func (d *openDraw) sequential(r *DrawnResolver, src *simrand.Source) {
-	*r = DrawnResolver{Cached: r.Cached[:0]}
+// sequential draws the next resolver one decision at a time, reading
+// again wherever math/rand draws again, and appends its cached records
+// to cached, in draw order.
+func (d *openDraw) sequential(src *simrand.Source, cached []CachedRecord) (OpenResolverSpec, []CachedRecord) {
+	var s OpenResolverSpec
 	if !src.Test(d.responds) {
-		return
+		return s, cached
 	}
-	r.Responds = true
-	r.RespectsRD = src.Test(d.verifies)
-	r.AcceptsFragments = src.Test(d.fragments)
+	s.Responds = true
+	s.RespectsRD = src.Test(d.verifies)
+	s.AcceptsFragments = src.Test(d.fragments)
 	for j, c := range d.cuts {
 		if src.Test(c) {
-			r.Cached = append(r.Cached, CachedIndex{j, src.Intn(d.ttl)})
+			cached = append(cached, CachedRecord{d.records[j], src.Intn(d.ttl)})
 		}
 	}
+	return s, cached
+}
+
+// openTally is TallyOpenResolvers' count in progress, with the draw it
+// counts.
+type openTally struct {
+	OpenResolverTally
+	openDraw
+	ttlRec int // the index of the TTL record in Records, −1 if absent
+	maxTTL int
+	// limit is the least 63-bit value on which a Float64 or the TTL's Intn
+	// draws again.
+	limit uint64
+}
+
+// block tallies resolvers, at most left of them, from the unread outputs
+// w, and returns the number of outputs it read and of resolvers it
+// tallied. It stops before a resolver it cannot decide from w.
+func (t *openTally) block(w []uint64, left int) (i, drawn int) {
+	for responds := uint64(t.responds); drawn < left && i < len(w); drawn++ {
+		if v := simrand.Value(w[i]); v < responds {
+			n := t.responding(w[i:])
+			if n == 0 {
+				break
+			}
+			i += n
+		} else if v < simrand.Redraw {
+			i++ // silent
+		} else {
+			break
+		}
+	}
+	return i, drawn
+}
+
+// responding tallies the responding resolver whose first output is w[0]
+// and returns the number of outputs it read, or 0, counting nothing, when
+// it cannot decide the resolver from w.
+//
+// The resolver reads at most t.most outputs, its first included; with
+// fewer left in w it goes to sequential, about one resolver per block.
+// Its outputs after the first, as many as it may read, are checked
+// before anything is decided, each below the least value on which a
+// Float64 or the TTL's Intn would draw again, and the resolver is then
+// decided without further checks.
+//
+// Each record reads its caching draw and, if cached, a TTL from the next
+// output. The walk advances by the outcome and the count adds it,
+// weighted by whether the resolver verified, so it branches on neither:
+// a record is cached with p ≈ 0.6 and a resolver verifies with p ≈ 0.4,
+// so such branches would often be mispredicted. The TTL record's next
+// output is decoded whether or not the record is cached (the check above
+// covers it) and its count adds 0 when it does not count.
+func (t *openTally) responding(w []uint64) int {
+	if len(w) < t.most {
+		return 0
+	}
+	r := w[1:t.most]
+	for _, x := range r {
+		if simrand.Value(x) >= t.limit {
+			return 0
+		}
+	}
+	vb := 0
+	if simrand.Value(r[0]) < uint64(t.verifies) {
+		vb = 1
+	}
+	t.Responding++
+	t.Verified += vb
+	cached, ttlRec := t.Cached[:len(t.cuts)], t.ttlRec
+	j := 2
+	for k, c := range t.cuts {
+		b := 0
+		if simrand.Value(r[j]) < uint64(c) {
+			b = 1
+		}
+		cached[k] += b & vb
+		if k == ttlRec {
+			ttl, _ := t.ttl.Of(r[j+1])
+			t.countTTL(ttl, b&vb)
+		}
+		j += 1 + b
+	}
+	return 1 + j
+}
+
+// resolver tallies one resolver sequential drew, its cached records in
+// cached.
+func (t *openTally) resolver(s OpenResolverSpec, cached []CachedRecord) {
+	if !s.Responds {
+		return
+	}
+	t.Responding++
+	if !s.RespectsRD {
+		return
+	}
+	t.Verified++
+	k := 0
+	for _, c := range cached {
+		for t.Records[k] != c.Record {
+			k++
+		}
+		t.Cached[k]++
+		if k == t.ttlRec {
+			t.countTTL(c.TTL, 1)
+		}
+	}
+}
+
+// countTTL adds n to the count of TTL ttl (≥ 0), capped at maxTTL. The
+// walk adds 0 for a record it does not count, one not cached or cached by
+// a resolver that did not verify, so the counts may end in zeros, which
+// trimTTLs drops.
+func (t *openTally) countTTL(ttl, n int) {
+	ttl = min(ttl, t.maxTTL)
+	if counts := t.TTLCounts; ttl >= len(counts) {
+		t.TTLCounts = append(counts, make([]int, ttl+1-len(counts))...)
+	}
+	t.TTLCounts[ttl] += n
+}
+
+// trimTTLs drops the zero counts past the largest TTL counted, and the
+// counts altogether when none was.
+func (t *openTally) trimTTLs() {
+	counts := t.TTLCounts
+	for len(counts) > 0 && counts[len(counts)-1] == 0 {
+		counts = counts[:len(counts)-1]
+	}
+	if len(counts) == 0 {
+		counts = nil
+	}
+	t.TTLCounts = counts
 }
 
 // OpenResolverRecords returns the records an open-resolver draw decides,
@@ -848,20 +1069,34 @@ func DefaultTimingProbeConfig() TimingProbeConfig {
 }
 
 // GenerateTimingDeltas draws t_first − t_avg samples (milliseconds) for the
-// probe population.
+// probe population and stores them. A study that only bins the samples
+// should range over TimingDeltas instead, which draws the same samples
+// without keeping them.
 func GenerateTimingDeltas(cfg TimingProbeConfig, seed int64) []float64 {
-	rng := rand.New(simrand.New(seed))
-	out := make([]float64, max(cfg.Resolvers, 0))
-	for i := range out {
-		jitter := rng.NormFloat64() * cfg.JitterMS
-		if rng.Float64() < cfg.PCached {
-			// Cached: first and subsequent queries are both cache hits.
-			out[i] = jitter
-		} else {
-			// Uncached: the first query pays the upstream RTT.
-			rtt := cfg.UpstreamRTTMinMS + rng.Float64()*(cfg.UpstreamRTTMaxMS-cfg.UpstreamRTTMinMS)
-			out[i] = rtt + jitter
-		}
+	out := make([]float64, 0, max(cfg.Resolvers, 0))
+	for d := range TimingDeltas(cfg, seed) {
+		out = append(out, d)
 	}
 	return out
+}
+
+// TimingDeltas draws the probe population's t_first − t_avg samples
+// (milliseconds) one at a time and yields each before drawing the next.
+// It is the population's one draw loop, on math/rand's own methods.
+func TimingDeltas(cfg TimingProbeConfig, seed int64) iter.Seq[float64] {
+	return func(yield func(float64) bool) {
+		rng := rand.New(simrand.New(seed))
+		for range cfg.Resolvers {
+			// Cached: first and subsequent queries are both cache hits.
+			d := rng.NormFloat64() * cfg.JitterMS
+			if !(rng.Float64() < cfg.PCached) {
+				// Uncached: the first query pays the upstream RTT.
+				rtt := cfg.UpstreamRTTMinMS + rng.Float64()*(cfg.UpstreamRTTMaxMS-cfg.UpstreamRTTMinMS)
+				d = rtt + d
+			}
+			if !yield(d) {
+				return
+			}
+		}
+	}
 }

@@ -207,8 +207,8 @@ func TestGenerateOpenResolversDeterministic(t *testing.T) {
 	}
 }
 
-// TestOpenResolversMatchesGenerate: the draw loop yields exactly the
-// resolvers GenerateOpenResolvers stores, in the same order, for the
+// TestOpenResolversMatchesGenerate: TallyOpenResolvers counts exactly
+// what GenerateOpenResolvers stores, folded by the snoop's rule, for the
 // default population and for configs that reach each branch of the draw.
 func TestOpenResolversMatchesGenerate(t *testing.T) {
 	small := func(edit func(*OpenResolverConfig)) OpenResolverConfig {
@@ -231,62 +231,69 @@ func TestOpenResolversMatchesGenerate(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want := GenerateOpenResolvers(tc.cfg, tc.seed)
+			stored := GenerateOpenResolvers(tc.cfg, tc.seed)
 			records := OpenResolverRecords(tc.cfg)
-			i := 0
-			for got := range OpenResolvers(tc.cfg, tc.seed) {
-				if i >= len(want) {
-					t.Fatalf("draw loop yielded more than %d resolvers", len(want))
+			for _, tt := range tallyRules(records) {
+				got := TallyOpenResolvers(tc.cfg, tc.seed, tt.record, tt.maxTTL)
+				if want := snoopTally(stored, records, tt.record, tt.maxTTL); !reflect.DeepEqual(got, want) {
+					t.Fatalf("TTL record %q, cap %d: tally %+v, stored population's %+v", tt.record, tt.maxTTL, got, want)
 				}
-				if diff := sameResolver(got, want[i], records); diff != "" {
-					t.Fatalf("resolver %d: %s", i, diff)
-				}
-				i++
-			}
-			if i != len(want) {
-				t.Fatalf("draw loop yielded %d resolvers, stored %d", i, len(want))
 			}
 		})
 	}
 }
 
-// TestOpenResolversStops: a break ends the draw whichever kind of
-// resolver it lands on; the range-over-func runtime panics if the loop
-// yields again.
-func TestOpenResolversStops(t *testing.T) {
-	for _, responds := range []bool{false, true} {
-		drawn := 0
-		for s := range OpenResolvers(DefaultOpenResolverConfig(), 2) {
-			drawn++
-			if s.Responds == responds {
-				break
-			}
-		}
-		if drawn == DefaultOpenResolverConfig().Total {
-			t.Errorf("no resolver with Responds=%v in the population", responds)
-		}
-	}
+// tallyRule is the TTL record and cap a tally is taken with.
+type tallyRule struct {
+	record PoolRecord
+	maxTTL int
 }
 
-// sameResolver returns how a drawn resolver differs from a spec whose
-// records are named, "" when they agree.
-func sameResolver(got DrawnResolver, want OpenResolverSpec, records []PoolRecord) string {
-	if got.Responds != want.Responds || got.RespectsRD != want.RespectsRD ||
-		got.AcceptsFragments != want.AcceptsFragments || len(got.Cached) != len(want.Cached) {
-		return fmt.Sprintf("drawn %+v, want %+v", got, want)
+// tallyRules are the rules the oracles take each tally with: Figure 6's
+// (pool.ntp.org A, seven days), and the last record of the draw order
+// with its TTLs capped at 100 s, below the default RecordTTL.
+func tallyRules(records []PoolRecord) []tallyRule {
+	rules := []tallyRule{{RecPoolA, 7 * 24 * 3600}}
+	if len(records) > 0 {
+		rules = append(rules, tallyRule{records[len(records)-1], 100})
 	}
-	for k, c := range got.Cached {
-		if w := want.Cached[k]; records[c.Record] != w.Record || c.TTL != w.TTL {
-			return fmt.Sprintf("cached record %d is %s TTL %d, want %s TTL %d", k, records[c.Record], c.TTL, w.Record, w.TTL)
+	return rules
+}
+
+// snoopTally folds a stored population by the cache snoop's rule: the
+// responding resolvers, the verified ones, the verified ones caching each
+// record, and the TTLs, capped at maxTTL, of the verified ones caching
+// ttlRecord.
+func snoopTally(specs []OpenResolverSpec, records []PoolRecord, ttlRecord PoolRecord, maxTTL int) OpenResolverTally {
+	t := OpenResolverTally{Records: records, Cached: make([]int, len(records))}
+	for _, s := range specs {
+		if !s.Responds {
+			continue
+		}
+		t.Responding++
+		if !s.RespectsRD {
+			continue
+		}
+		t.Verified++
+		for _, c := range s.Cached {
+			t.Cached[slices.Index(records, c.Record)]++
+			if c.Record != ttlRecord {
+				continue
+			}
+			ttl := min(c.TTL, maxTTL)
+			if ttl >= len(t.TTLCounts) {
+				t.TTLCounts = append(t.TTLCounts, make([]int, ttl+1-len(t.TTLCounts))...)
+			}
+			t.TTLCounts[ttl]++
 		}
 	}
-	return ""
+	return t
 }
 
 // referenceOpenResolvers is the open-resolver draw written directly on
 // rand.New(rand.NewSource(seed)), one Float64 per decision and Intn per
-// TTL, as the population was drawn before OpenResolvers read the stream
-// in windows. It yields the specs GenerateOpenResolvers must return,
+// TTL, as the population was drawn before it read the stream through a
+// simrand.Source. It yields the specs GenerateOpenResolvers must return,
 // carving each responding resolver's records out of a chunk, so a silent
 // resolver's Cached is nil and a responding one's is non-nil.
 func referenceOpenResolvers(cfg OpenResolverConfig, seed int64) iter.Seq[OpenResolverSpec] {
@@ -329,11 +336,11 @@ func catch(f func()) (panicked any) {
 	return nil
 }
 
-// checkOpenResolverDraw compares OpenResolvers and GenerateOpenResolvers
-// with the reference draw for one config and seed: resolver by resolver,
-// and the stored specs with reflect.DeepEqual, nil against empty Cached
-// included. A draw the reference panics on must panic with the same
-// value after the same resolvers.
+// checkOpenResolverDraw compares GenerateOpenResolvers with the
+// reference draw for one config and seed, with reflect.DeepEqual (nil
+// against empty Cached included), and TallyOpenResolvers, under each of
+// tallyRules, with the reference folded by the snoop's rule. A draw the
+// reference panics on must panic with the same value.
 func checkOpenResolverDraw(t *testing.T, cfg OpenResolverConfig, seed int64) {
 	t.Helper()
 	want := []OpenResolverSpec{}
@@ -342,22 +349,14 @@ func checkOpenResolverDraw(t *testing.T, cfg OpenResolverConfig, seed int64) {
 			want = append(want, s)
 		}
 	})
-	var drawn []DrawnResolver
-	if p := catch(func() {
-		for r := range OpenResolvers(cfg, seed) {
-			r.Cached = slices.Clone(r.Cached)
-			drawn = append(drawn, r)
-		}
-	}); p != wantPanic {
-		t.Fatalf("OpenResolvers panicked with %v, reference with %v", p, wantPanic)
-	}
-	if len(drawn) != len(want) {
-		t.Fatalf("OpenResolvers yielded %d resolvers, reference %d", len(drawn), len(want))
-	}
 	records := OpenResolverRecords(cfg)
-	for i, r := range drawn {
-		if diff := sameResolver(r, want[i], records); diff != "" {
-			t.Fatalf("resolver %d: %s", i, diff)
+	for _, tt := range tallyRules(records) {
+		var got OpenResolverTally
+		if p := catch(func() { got = TallyOpenResolvers(cfg, seed, tt.record, tt.maxTTL) }); p != wantPanic {
+			t.Fatalf("TallyOpenResolvers panicked with %v, reference with %v", p, wantPanic)
+		}
+		if w := snoopTally(want, records, tt.record, tt.maxTTL); wantPanic == nil && !reflect.DeepEqual(got, w) {
+			t.Fatalf("TTL record %q, cap %d: tally %+v, reference %+v", tt.record, tt.maxTTL, got, w)
 		}
 	}
 	var stored []OpenResolverSpec
@@ -427,13 +426,15 @@ func openResolverCases() []struct {
 	}
 }
 
-// TestOpenResolverDrawMatchesMathRand is the oracle for the windowed
-// draw: it must consume math/rand's stream exactly as the reference loop
-// does. RecordTTL 127 takes Intn's power-of-two branch; at 1<<30 about
-// half of all Int31n draws are rejected, so the draw falls back to
-// math/rand thousands of times; from 1<<31−1 on Intn draws with Int63n,
-// and at 3<<61 a quarter of those are rejected; at −1 Intn(0) must panic
-// rather than draw.
+// TestOpenResolverDrawMatchesMathRand is the oracle for the draw: the
+// tally and GenerateOpenResolvers must consume math/rand's stream exactly
+// as the reference loop does. RecordTTL 127 takes Intn's power-of-two
+// branch; at 1<<30 about half of all Int31n draws are rejected, so the
+// tally leaves almost every responding resolver to the sequential draw,
+// and one that did not check a TTL output it does not decode would read
+// the stream out of step; from 1<<31−1 on Intn draws with Int63n, and at
+// 3<<61 a quarter of those are rejected; at −1 Intn(0) must panic rather
+// than draw.
 func TestOpenResolverDrawMatchesMathRand(t *testing.T) {
 	for _, tc := range openResolverCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -444,8 +445,9 @@ func TestOpenResolverDrawMatchesMathRand(t *testing.T) {
 
 // FuzzOpenResolverDraw: for any seed, population size up to 2 000, flag
 // and record probabilities from raw float64 bits (NaN, infinities,
-// subnormals, values above 1) and any RecordTTL, OpenResolvers and
-// GenerateOpenResolvers draw what the reference loop draws. records
+// subnormals, values above 1) and any RecordTTL, GenerateOpenResolvers
+// draws what the reference loop draws and TallyOpenResolvers counts it,
+// or both panic as the reference does (checkOpenResolverDraw). records
 // holds up to eight probabilities, eight bytes each: the first six
 // belong to the Table IV records, the rest to extra records. The seed
 // corpus holds every oracle case, cut to those bounds.
@@ -580,8 +582,10 @@ func TestDrawsSeedThroughCache(t *testing.T) {
 	}{
 		{"GeneratePool", func(seed int64) { GeneratePool(DefaultPoolConfig(), seed) }},
 		{"GeneratePoolNameservers", func(seed int64) { GeneratePoolNameservers(DefaultPoolNameserverConfig(), seed) }},
-		{"DomainNameservers", func(seed int64) { GenerateDomainNameservers(domains, seed) }},
-		{"OpenResolvers", func(seed int64) { GenerateOpenResolvers(resolvers, seed) }},
+		{"GenerateDomainNameservers", func(seed int64) { GenerateDomainNameservers(domains, seed) }},
+		{"TallyDomainNameservers", func(seed int64) { TallyDomainNameservers(domains, seed) }},
+		{"GenerateOpenResolvers", func(seed int64) { GenerateOpenResolvers(resolvers, seed) }},
+		{"TallyOpenResolvers", func(seed int64) { TallyOpenResolvers(resolvers, seed, RecPoolA, 150) }},
 		{"AdClients", func(seed int64) { GenerateAdClients(DefaultAdStudyConfig(), seed) }},
 		{"SharedResolvers", func(seed int64) { GenerateSharedResolvers(DefaultSharedResolverConfig(), seed) }},
 		{"GenerateTimingDeltas", func(seed int64) { GenerateTimingDeltas(DefaultTimingProbeConfig(), seed) }},
@@ -601,13 +605,14 @@ func TestDrawsSeedThroughCache(t *testing.T) {
 	}
 }
 
-// heapBudgetOpenResolverDraw is the committed heap budget for one
-// default-size open-resolver draw (200 000 resolvers, drawn and
-// discarded): its decisions, its scratch record slice and its closures,
-// 432 B with or without -race, with its Source on the stack and the
-// seed's first block copied from the seed cache. A Source on the heap,
-// or a math/rand source seeded privately per draw, costs 4.9 KB more.
-const heapBudgetOpenResolverDraw = 640
+// heapBudgetOpenResolverTally is the committed heap budget for one
+// default-size open-resolver tally (200 000 resolvers, counted and
+// discarded): its decisions, its sequential draw's scratch and the
+// tally, 151 TTL counts and six record counts, with its Source on the
+// stack and the seed's first block copied from the seed cache. A Source
+// on the heap, or a math/rand source seeded privately per draw, costs
+// 4.9 KB more.
+const heapBudgetOpenResolverTally = 2048
 
 func TestHeapBudgetOpenResolverDraw(t *testing.T) {
 	r := testing.Benchmark(BenchmarkOpenResolverDraw)
@@ -615,10 +620,10 @@ func TestHeapBudgetOpenResolverDraw(t *testing.T) {
 		t.Fatal("benchmark did not run")
 	}
 	got := r.AllocedBytesPerOp()
-	if got > heapBudgetOpenResolverDraw {
-		t.Errorf("a default-size open-resolver draw allocates %d bytes, budget %d", got, heapBudgetOpenResolverDraw)
+	if got > heapBudgetOpenResolverTally {
+		t.Errorf("a default-size open-resolver tally allocates %d bytes, budget %d", got, heapBudgetOpenResolverTally)
 	}
-	t.Logf("open-resolver draw: %d bytes per call, budget %d", got, heapBudgetOpenResolverDraw)
+	t.Logf("open-resolver tally: %d bytes per call, budget %d", got, heapBudgetOpenResolverTally)
 }
 
 func BenchmarkGenerateOpenResolvers(b *testing.B) {
@@ -631,18 +636,16 @@ func BenchmarkGenerateOpenResolvers(b *testing.B) {
 
 var sinkInt int
 
-// BenchmarkOpenResolverDraw times the draw alone, with no fold or stored
-// population: beside BenchmarkGenerateOpenResolvers here and
-// BenchmarkSnoopOpenResolvers and BenchmarkCacheSnoop in internal/measure
-// it pins a slowdown on the draw or on the fold.
+// BenchmarkOpenResolverDraw times the draw as table4 and fig6 run it, the
+// tally with Figure 6's TTL record, with no snoop result built: beside
+// BenchmarkGenerateOpenResolvers here and BenchmarkSnoopOpenResolvers and
+// BenchmarkCacheSnoop in internal/measure it pins a slowdown on the draw
+// or on the fold.
 func BenchmarkOpenResolverDraw(b *testing.B) {
 	cfg := DefaultOpenResolverConfig()
-	for range OpenResolvers(cfg, 11) { // the seed cache's entry for the seed is allocated outside the loop
-	}
+	TallyOpenResolvers(cfg, 11, RecPoolA, 7*24*3600) // the seed cache's entry for the seed is allocated outside the loop
 	b.ReportAllocs()
 	for b.Loop() {
-		for r := range OpenResolvers(cfg, 11) {
-			sinkInt += len(r.Cached)
-		}
+		sinkInt += TallyOpenResolvers(cfg, 11, RecPoolA, 7*24*3600).Verified
 	}
 }

@@ -45,6 +45,12 @@ func (s *Source) Intn(d Intn) int {
 // again: float64(v)/(1<<63) rounds to 1 for every v from 2⁶³−512 on.
 const Redraw = 1<<63 - 512
 
+// Value returns the 63-bit value math/rand reads from output x: x with
+// its top bit cleared. A Cut c passes x exactly when Value(x) < c,
+// Float64 draws again exactly when Value(x) ≥ Redraw, and an Intn d
+// accepts x exactly when Value(x) < d.Limit().
+func Value(x uint64) uint64 { return x & mask63 }
+
 // A Cut decides one Float64 test on a raw output with an integer compare:
 // the test passes exactly on the 63-bit values below the Cut.
 type Cut uint64
@@ -121,6 +127,17 @@ func NewIntn(n int) Intn {
 		}
 		return Intn{n: uint64(n), max: max}
 	}
+}
+
+// Limit returns the least 63-bit value on which d draws again: Of
+// accepts x exactly when Value(x) < d.Limit(), so one compare checks an
+// output without decoding it. It is 0 for n ≤ 0, where every output is
+// refused.
+func (d Intn) Limit() uint64 {
+	if d.max < 0 {
+		return 0
+	}
+	return (uint64(d.max) + 1) << d.shift
 }
 
 // Of returns Rand.Intn(n) drawn from output x, and false when math/rand

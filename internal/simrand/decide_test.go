@@ -146,9 +146,9 @@ func TestIntnMatchesMathRand(t *testing.T) {
 
 // intnDiff describes how NewIntn(n).Of(x) departs from math/rand's
 // Intn(n) on a source whose next output is x, or returns "" when they
-// agree: Of must refuse x exactly when Intn draws again, return Intn's
-// value when it accepts, and refuse every x for n ≤ 0, where Intn
-// panics.
+// agree: Of must refuse x exactly when Intn draws again, and exactly
+// when x's Value is not below Limit, return Intn's value when it
+// accepts, and refuse every x for n ≤ 0, where Intn panics.
 func intnDiff(n int, x uint64) (msg string) {
 	got, ok := NewIntn(n).Of(x)
 	s := &script{out: []uint64{x, 0}}
@@ -157,6 +157,9 @@ func intnDiff(n int, x uint64) (msg string) {
 			msg = fmt.Sprintf("Intn(%d) on %#x: math/rand panicked, Of = %d, %v", n, x, got, ok)
 		}
 	}()
+	if below := Value(x) < NewIntn(n).Limit(); below != ok {
+		return fmt.Sprintf("Intn(%d) on %#x: Of ok = %v, below Limit %v", n, x, ok, below)
+	}
 	want := rand.New(s).Intn(n)
 	switch accepted := s.read == 1; {
 	case n <= 0:

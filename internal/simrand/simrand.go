@@ -26,14 +26,17 @@
 //
 // The lab components, the pool populations, fig7's timing draw and the
 // search draw through math/rand's own methods on rand.New(source). The
-// population draw loops (internal/population) that draw 10⁴–10⁶ values
-// per seed decide on the Source's raw outputs instead, with integer
-// compares (Cut, Intn) that give exactly math/rand's answers: the
-// open-resolver draw reads a resolver at a time from the unread rest of
-// the current block (Unread, Advance), and the domain-nameserver,
-// ad-client and shared-resolver draws read in sequence, one Float64 or
-// Intn at a time (Float64Value, Test, Source.Intn), each reading again
-// exactly where math/rand draws again.
+// population draws (internal/population) that draw 10⁴–10⁶ values per
+// seed decide on the Source's raw outputs instead, with integer compares
+// (Value, Cut, Intn) that give exactly math/rand's answers. The
+// open-resolver and domain-nameserver tallies walk the unread rest of
+// the current block (Unread, Advance), a member at a time, and decide
+// only what they count; an Intn output they do not decode is checked
+// with one compare against Intn.Limit. A member the block cannot decide,
+// and every member of the Generate functions and of the ad-client and
+// shared-resolver draws, is read in sequence, one Float64 or Intn at a
+// time (Float64Value, Test, Source.Intn), each reading again exactly
+// where math/rand draws again.
 package simrand
 
 import (
