@@ -2,7 +2,7 @@
 // the scenario registry, relative links in the top-level docs must
 // resolve, the packages TestGodocCoverage names must document every
 // exported symbol, every internal package must be imported by non-test
-// code, and only internal/simrand's seed cache may seed math/rand. CI
+// code, and only internal/simrand's table derivation may seed math/rand. CI
 // runs these in its docs job; they are ordinary tests so `go test ./...`
 // catches drift locally too.
 package dnstime_test
@@ -203,11 +203,12 @@ func TestEveryInternalPackageIsImported(t *testing.T) {
 	}
 }
 
-// TestOneSeedingPath: the seed cache's load, in internal/simrand, is the
-// only non-test code that calls math/rand's NewSource. Every random
-// stream is a simrand.Source, whose first outputs come from that cache,
-// so a generator that seeds math/rand itself pays the seeding the cache
-// saves, and shows on none of its counters.
+// TestOneSeedingPath: deriveCooked, in internal/simrand, is the only
+// non-test code that calls math/rand's NewSource, once per process to
+// derive math/rand's seeding table. Every random stream is a
+// simrand.Source, which produces its first outputs in closed form, so a
+// generator that seeds math/rand itself pays the ≈11 µs seeding the
+// Source saves.
 func TestOneSeedingPath(t *testing.T) {
 	fset := token.NewFileSet()
 	for _, path := range nonTestGoFiles(t) {
@@ -228,7 +229,7 @@ func TestOneSeedingPath(t *testing.T) {
 			continue
 		}
 		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.Name == "load" &&
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.Name == "deriveCooked" &&
 				filepath.ToSlash(filepath.Dir(path)) == "internal/simrand" {
 				continue
 			}
@@ -236,7 +237,7 @@ func TestOneSeedingPath(t *testing.T) {
 				if call, ok := n.(*ast.CallExpr); ok {
 					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "NewSource" {
 						if x, ok := sel.X.(*ast.Ident); ok && x.Name == rand {
-							t.Errorf("%s: rand.NewSource outside the seed cache; draw from rand.New(simrand.New(seed))", fset.Position(call.Pos()))
+							t.Errorf("%s: rand.NewSource outside simrand's table derivation; draw from rand.New(simrand.New(seed))", fset.Position(call.Pos()))
 						}
 					}
 				}

@@ -36,15 +36,14 @@ func TestAllocBudgetLabReset(t *testing.T) {
 
 // The committed budget for one pooled boot-time attack, the race every
 // poison-short seed runs one to ten times: a lab reset, the poisoning
-// campaign and the client's boot, at a fresh seed, so the simrand seed
-// cache misses as it does in a campaign. It measured 2 296 B and 59
-// allocations per attack (Go 1.24.0, 2 cores), against 2 512 B and 70
-// before the attacker encoded its queries and its spoofed ICMP into
-// scratch, and 33 090 B and 351 before the spare clients, the pooled
-// fragment path, the cached-answer arena, reassembly into pooled packets
-// and the reclaimed in-flight packets; what remains is mostly the
-// attacker's per-round closures and probe buffers and the resolver's
-// per-query client state.
+// campaign and the client's boot, at a fresh seed, as in a campaign. It
+// measured 2 296 B and 59 allocations per attack (Go 1.24.0, 2 cores),
+// against 2 512 B and 70 before the attacker encoded its queries and its
+// spoofed ICMP into scratch, and 33 090 B and 351 before the spare
+// clients, the pooled fragment path, the cached-answer arena, reassembly
+// into pooled packets and the reclaimed in-flight packets; what remains
+// is mostly the attacker's per-round closures and probe buffers and the
+// resolver's per-query client state.
 const (
 	allocBudgetBootAttackBytes = 2600
 	allocBudgetBootAttack      = 67
@@ -63,7 +62,7 @@ func bootAttackLoop(tb testing.TB, seed *int64, n int) {
 
 func TestAllocBudgetBootAttack(t *testing.T) {
 	SetLabPooling(true)
-	// Seeds far from every other test's, so each op misses the seed cache.
+	// Seeds far from every other test's, a fresh one per attack.
 	seed := int64(1 << 36)
 	// Warm the pool, the lab's free lists and its spare client.
 	bootAttackLoop(t, &seed, 8)

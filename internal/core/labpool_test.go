@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
 	"testing"
 	"time"
@@ -12,7 +11,6 @@ import (
 	"dnstime/internal/ntpclient"
 	"dnstime/internal/ntpwire"
 	"dnstime/internal/obs"
-	"dnstime/internal/scenario"
 	"dnstime/internal/udp"
 )
 
@@ -262,38 +260,6 @@ func TestLabPoolReuseAcrossConfigs(t *testing.T) {
 	for i, r := range runs {
 		if got := runProfileJSON(t, r.prof, r.cfg()); got != want[i] {
 			t.Errorf("pooled %s differs from fresh:\n%s\nvs\n%s", r.name, got, want[i])
-		}
-	}
-}
-
-// TestTableISeedReusesLabStreams: the seven labs of one table1 seed seed
-// their resolver, attacker and stub streams with the same values, so
-// with the seed cache they cause no more cache misses (streams produced
-// by math/rand's seeding) than the first lab alone, and rerunning the
-// seed causes none. The seeds are far from every other test's, so
-// nothing of theirs is cached when the test starts.
-func TestTableISeedReusesLabStreams(t *testing.T) {
-	misses := obs.Default.Counter("dnstime_rng_seed_cache_misses_total", "")
-	const firstLabSeed, tableSeed = 1 << 40, 1<<40 + 1<<20
-	before := misses.Value()
-	if _, err := RunBootTimeAttack(ntpclient.AllProfiles()[0].Profile, LabConfig{Seed: firstLabSeed}); err != nil {
-		t.Fatal(err)
-	}
-	firstLab := misses.Value() - before
-	if firstLab == 0 {
-		t.Fatal("a lab at an unseen seed caused no seed-cache miss")
-	}
-	for run := 0; run < 2; run++ {
-		before = misses.Value()
-		if _, err := tableIScenario(context.Background(), tableSeed, scenario.Config{}); err != nil {
-			t.Fatal(err)
-		}
-		got := misses.Value() - before
-		switch {
-		case run == 0 && got > firstLab:
-			t.Errorf("table1 seed: %d misses, more than its first lab's %d", got, firstLab)
-		case run == 1 && got != 0:
-			t.Errorf("rerun of the table1 seed: %d misses, want 0", got)
 		}
 	}
 }

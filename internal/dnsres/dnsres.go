@@ -122,8 +122,8 @@ func New(host *simnet.Host, cfg Config) (*Resolver, error) {
 // under cfg, with defaults applied, an empty cache, zero stats and an RNG
 // stream identical to rand.New(rand.NewSource(RandSeed)). New ends with a
 // Reset, so a reset resolver is a fresh one. Reseeding only records
-// RandSeed: the stream's first outputs are copied from internal/simrand's
-// seed cache when the first TXID or port is drawn. Decode scratch —
+// RandSeed: internal/simrand produces the stream's first outputs, in
+// closed form, as the TXIDs and ports are drawn. Decode scratch —
 // including the decoders' name-intern tables, which hold only immutable
 // content-addressed strings — map storage and the record arena are
 // retained. Upstream queries still outstanding return to the query pool

@@ -2,6 +2,7 @@ package measure
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"dnstime/internal/population"
@@ -15,10 +16,10 @@ import (
 // by value, so a call allocates only its result (151 TTL counts and six
 // rows) and, for the draw, its decisions and the tally: about 1.9 KB and
 // 2.4 KB, 1.9 KB and 3.6 KB under -race. The draw's Source is on the
-// stack and its first block comes from the seed cache. These gates pin
-// that contract: keeping the ≈27 500 TTL samples instead costs about
-// 1.2 MB per call, storing the population about 17.7 MB, and a Source on
-// the heap or a privately seeded math/rand source 4.9 KB.
+// stack. These gates pin that contract: keeping the ≈27 500 TTL samples
+// instead costs about 1.2 MB per call, storing the population about
+// 17.7 MB, and a Source on the heap or a privately seeded math/rand
+// source 4.9 KB.
 const (
 	heapBudgetSnoop      = 2560    // bytes per default-size SnoopOpenResolvers call
 	heapBudgetCacheSnoop = 4 << 10 // bytes per default-size CacheSnoop call
@@ -36,10 +37,9 @@ const heapBudgetRateLimitScan = 256 << 10 // bytes per default-size RateLimitSca
 // population as it is drawn and keeps only the result, so a seed
 // allocates the fold's counters and its metrics map: about 0.9 KB,
 // 3.4 KB and 0.3 KB, 1.3 KB, 3.4 KB and 0.3 KB under -race, from a Source
-// on the stack whose first block comes from the seed cache. fig7 draws
-// with math/rand's NormFloat64 through rand.New, which keeps its Source
-// on the heap, so a seed allocates that Source, the Rand and Figure 7's
-// 50-bin histogram: about 6.1 KB. Figure 5's CDF holds one count per
+// on the stack. fig7 draws with math/rand's NormFloat64 through
+// rand.New, which keeps its Source on the heap, so a seed allocates that
+// Source, the Rand and Figure 7's 50-bin histogram: about 6.1 KB. Figure 5's CDF holds one count per
 // probe size. Storing the populations cost 2.66 MB, 458 KB, 63 KB and
 // 160 KB per seed, a Source on the heap or a privately seeded math/rand
 // source 4.9 KB more, and keeping fig5's ≈7 700 samples 61 KB or more.
@@ -50,94 +50,117 @@ const (
 	heapBudgetFig7   = 8 << 10 // bytes per fig7 seed
 )
 
-// heapGate fails when bench allocates more than budget bytes per call.
-func heapGate(t *testing.T, name string, bench func(*testing.B), budget int64) {
+// heapCalls is how many calls a heap gate measures, after one warm-up
+// call: a gated call allocates the same bytes every time, so a handful
+// gives its exact figure without timing a benchmark.
+const heapCalls = 4
+
+// heapGate fails when call allocates more than budget bytes per call,
+// read from runtime.MemStats.TotalAlloc over heapCalls calls after one
+// warm-up call, which leaves out anything a first call sets up once.
+func heapGate(t *testing.T, name string, budget uint64, call func() error) {
 	t.Helper()
-	r := testing.Benchmark(bench)
-	if r.N == 0 {
-		t.Fatal("benchmark did not run")
+	if err := call(); err != nil {
+		t.Fatal(err)
 	}
-	got := r.AllocedBytesPerOp()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range heapCalls {
+		if err := call(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / heapCalls
 	if got > budget {
 		t.Errorf("%s allocates %d bytes per default-size call, budget %d", name, got, budget)
 	}
 	t.Logf("%s: %d bytes per call, budget %d", name, got, budget)
 }
 
-func TestHeapBudgetRateLimitScan(t *testing.T) {
-	heapGate(t, "RateLimitScan", BenchmarkRateLimitScan, heapBudgetRateLimitScan)
-}
-
-// BenchmarkRateLimitScan scans the ratelimit scenario's first pool: the
-// default size at seed 43 (campaign seed 1 plus the scenario's +42).
-func BenchmarkRateLimitScan(b *testing.B) {
-	specs := population.GeneratePool(population.DefaultPoolConfig(), 43)
-	cfg := DefaultScanConfig()
+// benchCall times call, reporting its allocations.
+func benchCall(b *testing.B, call func() error) {
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := RateLimitScan(specs, cfg); err != nil {
+		if err := call(); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// rateLimitScan returns a call that scans the ratelimit scenario's first
+// pool: the default size at seed 43 (campaign seed 1 plus the scenario's
+// +42).
+func rateLimitScan() func() error {
+	specs := population.GeneratePool(population.DefaultPoolConfig(), 43)
+	cfg := DefaultScanConfig()
+	return func() error {
+		_, err := RateLimitScan(specs, cfg)
+		return err
+	}
+}
+
+// snoopOpenResolvers returns a call that draws and snoops a default-size
+// open-resolver population, as table4 and fig6 do.
+func snoopOpenResolvers() func() error {
+	cfg := population.DefaultOpenResolverConfig()
+	return func() error {
+		SnoopOpenResolvers(cfg, 11)
+		return nil
+	}
+}
+
+// cacheSnoop returns a call that snoops a stored default-size
+// open-resolver population.
+func cacheSnoop() func() error {
+	specs := population.GenerateOpenResolvers(population.DefaultOpenResolverConfig(), 11)
+	return func() error {
+		CacheSnoop(specs)
+		return nil
+	}
+}
+
+// scenarioSeed returns a call that runs one scenario at campaign seed 1
+// and default size.
+func scenarioSeed(run func(context.Context, int64, scenario.Config) (scenario.Result, error)) func() error {
+	return func() error {
+		_, err := run(context.Background(), 1, scenario.Config{})
+		return err
+	}
+}
+
+func TestHeapBudgetRateLimitScan(t *testing.T) {
+	heapGate(t, "RateLimitScan", heapBudgetRateLimitScan, rateLimitScan())
 }
 
 func TestHeapBudgetSnoopOpenResolvers(t *testing.T) {
-	heapGate(t, "SnoopOpenResolvers", BenchmarkSnoopOpenResolvers, heapBudgetSnoop)
+	heapGate(t, "SnoopOpenResolvers", heapBudgetSnoop, snoopOpenResolvers())
 }
 
 func TestHeapBudgetCacheSnoop(t *testing.T) {
-	heapGate(t, "CacheSnoop", BenchmarkCacheSnoop, heapBudgetCacheSnoop)
-}
-
-func BenchmarkSnoopOpenResolvers(b *testing.B) {
-	cfg := population.DefaultOpenResolverConfig()
-	SnoopOpenResolvers(cfg, 11) // the seed cache's entry for the seed is allocated outside the loop
-	b.ReportAllocs()
-	for b.Loop() {
-		SnoopOpenResolvers(cfg, 11)
-	}
-}
-
-func BenchmarkCacheSnoop(b *testing.B) {
-	specs := population.GenerateOpenResolvers(population.DefaultOpenResolverConfig(), 11)
-	b.ReportAllocs()
-	for b.Loop() {
-		CacheSnoop(specs)
-	}
+	heapGate(t, "CacheSnoop", heapBudgetCacheSnoop, cacheSnoop())
 }
 
 func TestHeapBudgetFig5Scenario(t *testing.T) {
-	heapGate(t, "fig5 seed", BenchmarkFig5Scenario, heapBudgetFig5)
+	heapGate(t, "fig5 seed", heapBudgetFig5, scenarioSeed(fig5Scenario))
 }
 
 func TestHeapBudgetTableVScenario(t *testing.T) {
-	heapGate(t, "table5 seed", BenchmarkTableVScenario, heapBudgetTableV)
+	heapGate(t, "table5 seed", heapBudgetTableV, scenarioSeed(tableVScenario))
 }
 
 func TestHeapBudgetSharedScenario(t *testing.T) {
-	heapGate(t, "shared seed", BenchmarkSharedScenario, heapBudgetShared)
+	heapGate(t, "shared seed", heapBudgetShared, scenarioSeed(sharedScenario))
 }
 
 func TestHeapBudgetFig7Scenario(t *testing.T) {
-	heapGate(t, "fig7 seed", BenchmarkFig7Scenario, heapBudgetFig7)
+	heapGate(t, "fig7 seed", heapBudgetFig7, scenarioSeed(fig7Scenario))
 }
 
-// benchScenario runs one scenario at campaign seed 1 and default size,
-// once before the timed loop so that the seed cache's entry for its
-// stream is allocated outside it.
-func benchScenario(b *testing.B, run func(context.Context, int64, scenario.Config) (scenario.Result, error)) {
-	if _, err := run(context.Background(), 1, scenario.Config{}); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := run(context.Background(), 1, scenario.Config{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig5Scenario(b *testing.B)   { benchScenario(b, fig5Scenario) }
-func BenchmarkTableVScenario(b *testing.B) { benchScenario(b, tableVScenario) }
-func BenchmarkSharedScenario(b *testing.B) { benchScenario(b, sharedScenario) }
-func BenchmarkFig7Scenario(b *testing.B)   { benchScenario(b, fig7Scenario) }
+func BenchmarkRateLimitScan(b *testing.B)      { benchCall(b, rateLimitScan()) }
+func BenchmarkSnoopOpenResolvers(b *testing.B) { benchCall(b, snoopOpenResolvers()) }
+func BenchmarkCacheSnoop(b *testing.B)         { benchCall(b, cacheSnoop()) }
+func BenchmarkFig5Scenario(b *testing.B)       { benchCall(b, scenarioSeed(fig5Scenario)) }
+func BenchmarkTableVScenario(b *testing.B)     { benchCall(b, scenarioSeed(tableVScenario)) }
+func BenchmarkSharedScenario(b *testing.B)     { benchCall(b, scenarioSeed(sharedScenario)) }
+func BenchmarkFig7Scenario(b *testing.B)       { benchCall(b, scenarioSeed(fig7Scenario)) }

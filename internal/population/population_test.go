@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"dnstime/internal/ipv4"
-	"dnstime/internal/obs"
 )
 
 func frac(n, d int) float64 { return float64(n) / float64(d) }
@@ -374,8 +373,10 @@ func checkOpenResolverDraw(t *testing.T, cfg OpenResolverConfig, seed int64) {
 }
 
 // openResolverCases are the oracle's configs: the default population at
-// the seeds the studies use and at edge seeds, and configs that reach
-// every branch of the draw's decisions.
+// the seeds the studies use, 20 000 resolvers (still hundreds of
+// 607-output blocks) at a study seed and at edge seeds, among them 0 and
+// 2³¹−1, which math/rand's Seed both maps to 89 482 311, and configs
+// that reach every branch of the draw's decisions.
 func openResolverCases() []struct {
 	name string
 	cfg  OpenResolverConfig
@@ -395,12 +396,12 @@ func openResolverCases() []struct {
 	}{
 		{"default seed 1", def, 1},
 		{"default seed 7", def, 7},
-		{"default seed 12", def, 12},
-		{"default seed 0", def, 0},
-		{"default seed -1", def, -1},
-		{"default seed MinInt64", def, math.MinInt64},
-		{"default seed MaxInt64", def, math.MaxInt64},
-		{"fast size", with(func(*OpenResolverConfig) {}), 12},
+		{"20 000 resolvers", with(func(*OpenResolverConfig) {}), 12},
+		{"20 000 resolvers seed 0", with(func(*OpenResolverConfig) {}), 0},
+		{"20 000 resolvers seed -1", with(func(*OpenResolverConfig) {}), -1},
+		{"20 000 resolvers seed MinInt64", with(func(*OpenResolverConfig) {}), math.MinInt64},
+		{"20 000 resolvers seed MaxInt64", with(func(*OpenResolverConfig) {}), math.MaxInt64},
+		{"20 000 resolvers seed 2^31-1", with(func(*OpenResolverConfig) {}), 1<<31 - 1},
 		{"PCached nil", with(func(c *OpenResolverConfig) { c.PCached = nil }), 5},
 		{"extra records p 0, 1, 1.5", with(func(c *OpenResolverConfig) {
 			c.PCached["0.pool.ntp.org IN AAAA"] = 0
@@ -567,51 +568,12 @@ func TestGenerateTimingDeltasOverlap(t *testing.T) {
 	}
 }
 
-// TestDrawsSeedThroughCache: every generator's stream is seeded through
-// simrand's shared seed cache, with no private math/rand source: a draw
-// at a seed the process has not drawn costs one cache miss, and a second
-// draw at that seed one hit and no miss.
-func TestDrawsSeedThroughCache(t *testing.T) {
-	hits := obs.Default.Counter("dnstime_rng_seed_cache_hits_total", "")
-	misses := obs.Default.Counter("dnstime_rng_seed_cache_misses_total", "")
-	domains, resolvers := DefaultDomainNameserverConfig(), DefaultOpenResolverConfig()
-	domains.Total, resolvers.Total = 1000, 1000
-	for i, tc := range []struct {
-		name string
-		draw func(seed int64)
-	}{
-		{"GeneratePool", func(seed int64) { GeneratePool(DefaultPoolConfig(), seed) }},
-		{"GeneratePoolNameservers", func(seed int64) { GeneratePoolNameservers(DefaultPoolNameserverConfig(), seed) }},
-		{"GenerateDomainNameservers", func(seed int64) { GenerateDomainNameservers(domains, seed) }},
-		{"TallyDomainNameservers", func(seed int64) { TallyDomainNameservers(domains, seed) }},
-		{"GenerateOpenResolvers", func(seed int64) { GenerateOpenResolvers(resolvers, seed) }},
-		{"TallyOpenResolvers", func(seed int64) { TallyOpenResolvers(resolvers, seed, RecPoolA, 150) }},
-		{"AdClients", func(seed int64) { GenerateAdClients(DefaultAdStudyConfig(), seed) }},
-		{"SharedResolvers", func(seed int64) { GenerateSharedResolvers(DefaultSharedResolverConfig(), seed) }},
-		{"GenerateTimingDeltas", func(seed int64) { GenerateTimingDeltas(DefaultTimingProbeConfig(), seed) }},
-	} {
-		seed := 1<<40 + int64(i) // drawn by no other test
-		for _, want := range []struct {
-			draw         string
-			hits, misses int64
-		}{{"first", 0, 1}, {"second", 1, 0}} {
-			h, m := hits.Value(), misses.Value()
-			tc.draw(seed)
-			if dh, dm := hits.Value()-h, misses.Value()-m; dh != want.hits || dm != want.misses {
-				t.Errorf("%s: %s draw at seed %d cost %d hits and %d misses, want %d and %d",
-					tc.name, want.draw, seed, dh, dm, want.hits, want.misses)
-			}
-		}
-	}
-}
-
 // heapBudgetOpenResolverTally is the committed heap budget for one
 // default-size open-resolver tally (200 000 resolvers, counted and
 // discarded): its decisions, its sequential draw's scratch and the
 // tally, 151 TTL counts and six record counts, with its Source on the
-// stack and the seed's first block copied from the seed cache. A Source
-// on the heap, or a math/rand source seeded privately per draw, costs
-// 4.9 KB more.
+// stack. A Source on the heap, or a math/rand source seeded privately
+// per draw, costs 4.9 KB more.
 const heapBudgetOpenResolverTally = 2048
 
 func TestHeapBudgetOpenResolverDraw(t *testing.T) {
@@ -643,7 +605,6 @@ var sinkInt int
 // or on the fold.
 func BenchmarkOpenResolverDraw(b *testing.B) {
 	cfg := DefaultOpenResolverConfig()
-	TallyOpenResolvers(cfg, 11, RecPoolA, 7*24*3600) // the seed cache's entry for the seed is allocated outside the loop
 	b.ReportAllocs()
 	for b.Loop() {
 		sinkInt += TallyOpenResolvers(cfg, 11, RecPoolA, 7*24*3600).Verified

@@ -192,8 +192,6 @@ func TestMetricsPrometheus(t *testing.T) {
 		for _, name := range []string{
 			"dnstime_labpool_hits_total",
 			"dnstime_labpool_misses_total",
-			"dnstime_rng_seed_cache_hits_total",
-			"dnstime_rng_seed_cache_misses_total",
 			"dnstime_snoop_memo_hits_total",
 			"dnstime_snoop_memo_misses_total",
 			"dnstime_phase_seconds_total",

@@ -227,7 +227,7 @@ func FuzzReaderDecisions(f *testing.F) {
 // again on exactly the outputs math/rand's Float64 and Intn draw again
 // on, which no seed reaches often enough to test: Float64 on the 512
 // largest 63-bit values, Intn past the last whole multiple of n. Each
-// case feeds the same outputs to a Source, at the end of its loaded
+// case feeds the same outputs to a Source, at the end of its produced
 // block, and to math/rand, through a script source, and compares the
 // answer and the outputs read.
 func TestReaderDecisionsDrawAgain(t *testing.T) {
@@ -246,7 +246,7 @@ func TestReaderDecisionsDrawAgain(t *testing.T) {
 		{"Intn(3<<61) rejected", []uint64{3 << 61, 1<<63 - 1, 3<<61 - 1}, opIntn, intnArg(3 << 61)},
 		{"Intn(0)", []uint64{9}, opIntn, intnArg(0)},
 	} {
-		src := &Source{loaded: true, pos: rngLen - len(tc.out)}
+		src := &Source{pos: rngLen - len(tc.out), end: rngLen}
 		copy(src.buf[src.pos:], tc.out)
 		s := &script{out: tc.out}
 		if diff := (pair{src: src, want: rand.New(s)}).step(tc.op, tc.arg); diff != "" {

@@ -2,27 +2,35 @@
 // yields exactly the stream rand.NewSource(seed) yields, so every
 // reproduced number keeps its bytes, but seeding it costs almost nothing.
 //
-// math/rand's Seed runs ≈1 900 steps of its seeding generator (≈11 µs)
-// before the first draw, and a campaign seed builds many labs whose
-// components are seeded with the same few values: Table I runs seven labs
-// per seed, the race-margin sweep ten. A Source's Seed only records the
-// seed. Its first draw copies that seed's first 607 outputs from a
-// process-wide cache; a miss seeds one private math/rand source and reads
-// them from it. Later draws continue math/rand's own additive
-// lagged-Fibonacci recurrence,
+// math/rand's Seed fills a register of 607 values before the first draw,
+// from 1 841 steps of the seeding generator g[j+1] = 48 271·g[j] mod
+// (2³¹−1), each with a divide (≈11 µs), and a lab component then draws
+// only a handful of outputs. A Source's Seed only records g[0], the
+// normalised seed. Its first block of 607 outputs is produced in closed
+// form, a few outputs at a time as they are drawn: g[j] is
+// 48 271ʲ·g[0] mod (2³¹−1), so with a package table of those powers each
+// register value
+//
+//	s(i) = g[21+3i]≪40 ⊕ g[22+3i]≪20 ⊕ g[23+3i] ⊕ rngCooked[i]
+//
+// costs three multiplies with a Mersenne reduction and no divide, and
+// the first block's output k is
+//
+//	s(333−k) + s(606−k)    for k < 273,
+//	s(333−k) + out[k−273]  for 273 ≤ k ≤ 333,
+//	s(940−k) + out[k−273]  after that.
+//
+// Later blocks continue math/rand's own additive lagged-Fibonacci
+// recurrence,
 //
 //	x[n] = x[n−607] + x[n−273]  (mod 2⁶⁴),
 //
 // by which every output of a math/rand source past its 607th follows
-// from the outputs before it. So the stream is math/rand's by
-// construction, with no copy of its seeding table and no reflection on
-// its internals.
-//
-// The cache holds 16 to 64 seeds, eight per processor the process may
-// run on, and evicts the least recently used, so it never takes more
-// than 320 KiB. Its hits and misses are counted on obs.Default as
-// dnstime_rng_seed_cache_hits_total and
-// dnstime_rng_seed_cache_misses_total.
+// from the outputs before it. math/rand's rngCooked values are derived
+// once, when the package is initialised, by inverting the first-block
+// formulas on rand.NewSource(1)'s first block, so the package copies no
+// math/rand table and reads no math/rand internals. Its tables are
+// written only then, so Sources share nothing mutable.
 //
 // The lab components, the pool populations, fig7's timing draw and the
 // search draw through math/rand's own methods on rand.New(source). The
@@ -39,14 +47,7 @@
 // where math/rand draws again.
 package simrand
 
-import (
-	"math/rand"
-	"runtime"
-	"slices"
-	"sync"
-
-	"dnstime/internal/obs"
-)
+import "math/rand"
 
 // The shape of math/rand's additive lagged-Fibonacci generator: a
 // register of the last rngLen outputs, of which x[n−rngTap] feeds x[n].
@@ -58,18 +59,104 @@ const (
 // mask63 clears an output's top bit: math/rand's Int63 of that output.
 const mask63 = 1<<63 - 1
 
+// math/rand's seeding generator, g[j+1] = seedMul·g[j] mod seedMod, and
+// the g[0] it takes for a seed that is a multiple of seedMod.
+const (
+	seedMod  = 1<<31 - 1
+	seedMul  = 48271
+	seedZero = 89482311
+)
+
+// chunk is how many outputs of a seed's first block a draw produces
+// when it reaches the end of those produced. A lab stream draws 4–8
+// outputs on average, and in BenchmarkReseedDraw chunks of 4 cost less
+// than chunks of 8 or 16.
+const chunk = 4
+
+// seedTab[i] holds what register value i takes besides g[0]: the powers
+// of seedMul by which g[0] becomes g[21+3i], g[22+3i] and g[23+3i], and
+// math/rand's rngCooked[i]. It is written only by init.
+var seedTab [rngLen]struct {
+	pow    [3]uint64
+	cooked uint64
+}
+
+func init() {
+	p := uint64(1)
+	for range 20 {
+		p = mulMod(p, seedMul)
+	}
+	for i := range seedTab {
+		for j := range seedTab[i].pow {
+			p = mulMod(p, seedMul)
+			seedTab[i].pow[j] = p
+		}
+	}
+	deriveCooked()
+}
+
+// deriveCooked fills seedTab's rngCooked values from seed 1's first
+// block, the package's only math/rand seeding: the first-block formulas
+// give its register, s(0…60) and s(334…606) from outputs 273…606 and
+// the rest from outputs 0…272, and seed 1's part of each value, its
+// s(i) while the cooked values are still zero, is XORed off.
+func deriveCooked() {
+	src := rand.NewSource(1).(rand.Source64)
+	var out, reg [rngLen]uint64
+	for k := range out {
+		out[k] = src.Uint64()
+	}
+	for k := rngTap; k < rngLen; k++ {
+		reg[tapped(k)] = out[k] - out[k-rngTap]
+	}
+	for k := range rngTap {
+		reg[rngLen-rngTap-1-k] = out[k] - reg[rngLen-1-k]
+	}
+	for i := range seedTab {
+		seedTab[i].cooked = reg[i] ^ seeded(1, i)
+	}
+}
+
+// mulMod returns a·b mod seedMod for a and b in [1, seedMod): their
+// product is below 2⁶², and never a multiple of the prime seedMod, so
+// one fold of its bits above the 31st and one subtraction reduce it.
+func mulMod(a, b uint64) uint64 {
+	x := a * b
+	x = x&seedMod + x>>31
+	if x >= seedMod {
+		x -= seedMod
+	}
+	return x
+}
+
+// seeded returns math/rand's register value i for g[0] = g0: s(i).
+func seeded(g0 uint64, i int) uint64 {
+	t := &seedTab[i]
+	return mulMod(g0, t.pow[0])<<40 ^ mulMod(g0, t.pow[1])<<20 ^ mulMod(g0, t.pow[2]) ^ t.cooked
+}
+
+// tapped returns i for the s(i) that the first block's output k adds to
+// output k−273, for 273 ≤ k < 607: 333−k, or 940−k past 333.
+func tapped(k int) int {
+	i := rngLen - rngTap - 1 - k
+	if i < 0 {
+		i += rngLen
+	}
+	return i
+}
+
 // Source is a rand.Source64 whose stream is exactly rand.NewSource(seed)'s
 // for the seed last passed to New or Seed. Like math/rand's sources it is
-// not safe for concurrent use; the cache behind it is.
+// not safe for concurrent use.
 //
 // A Source holds one block of outputs, 4.9 KB. A draw loop declares it
 // as a value (var src Source; src.Seed(seed)) to keep it on the stack;
 // one from New is usually on the heap.
 type Source struct {
-	seed   int64
-	loaded bool // buf holds outputs of seed (false until the first draw)
-	pos    int  // next output in buf; rngLen when buf is used up
-	buf    [rngLen]uint64
+	g0  uint64 // the normalised seed, g[0]
+	pos int    // next output in buf
+	end int    // outputs produced in buf; below rngLen only in the first block
+	buf [rngLen]uint64
 }
 
 // New returns a Source seeded with seed.
@@ -79,10 +166,18 @@ func New(seed int64) *Source {
 	return s
 }
 
-// Seed restarts the stream at seed. The seed's outputs are produced only
-// when the stream is first drawn from.
+// Seed restarts the stream at seed, normalised as math/rand's Seed does
+// it: taken mod 2³¹−1 into [0, 2³¹−1), with 0 standing for 89 482 311.
+// Outputs are produced only as the stream is drawn from.
 func (s *Source) Seed(seed int64) {
-	s.seed, s.loaded, s.pos = seed, false, rngLen
+	seed %= seedMod
+	if seed < 0 {
+		seed += seedMod
+	}
+	if seed == 0 {
+		seed = seedZero
+	}
+	s.g0, s.pos, s.end = uint64(seed), 0, 0
 }
 
 // Int63 returns a non-negative pseudo-random 63-bit integer, as
@@ -91,8 +186,8 @@ func (s *Source) Int63() int64 { return int64(s.Uint64() & mask63) }
 
 // Uint64 returns the next output of the stream.
 func (s *Source) Uint64() uint64 {
-	if s.pos == rngLen {
-		s.refill()
+	if s.pos == s.end {
+		s.produce()
 	}
 	x := s.buf[s.pos]
 	s.pos++
@@ -104,8 +199,8 @@ func (s *Source) Uint64() uint64 {
 // decides a whole record from the returned outputs consumes them with
 // Advance; one that needs more than the block holds draws in sequence.
 func (s *Source) Unread() []uint64 {
-	if s.pos == rngLen {
-		s.refill()
+	for s.end < rngLen || s.pos == rngLen {
+		s.produce()
 	}
 	return s.buf[s.pos:]
 }
@@ -114,16 +209,23 @@ func (s *Source) Unread() []uint64 {
 // the last Unread.
 func (s *Source) Advance(n int) { s.pos += n }
 
-// refill puts the next rngLen outputs into buf: the seed's first ones
-// from the cache, then each block from the one before by the recurrence.
-func (s *Source) refill() {
-	if !s.loaded {
-		load(s.seed, &s.buf)
-		s.loaded = true
-	} else {
+// produce makes more outputs readable at pos: the next chunk of the
+// seed's first block while that block is unfinished, and otherwise the
+// next block, from the one before by the recurrence.
+func (s *Source) produce() {
+	if s.end == rngLen {
 		step(&s.buf)
+		s.pos = 0
+		return
 	}
-	s.pos = 0
+	g0, k, n := s.g0, s.end, min(s.end+chunk, rngLen)
+	for ; k < min(n, rngTap); k++ {
+		s.buf[k] = seeded(g0, rngLen-rngTap-1-k) + seeded(g0, rngLen-1-k)
+	}
+	for ; k < n; k++ {
+		s.buf[k] = seeded(g0, tapped(k)) + s.buf[k-rngTap]
+	}
+	s.end = n
 }
 
 // step advances reg, which holds x[n−607], …, x[n−1], to the next block,
@@ -137,69 +239,4 @@ func step(reg *[rngLen]uint64) {
 	for i := rngTap; i < rngLen; i++ {
 		reg[i] += reg[i-rngTap]
 	}
-}
-
-// capacity is the number of seeds the cache holds: eight per processor
-// the process may run on, at least 16 and at most 64. A lab draws on
-// three to five seeds and a campaign worker runs one lab at a time, so
-// this keeps every worker's seeds resident between the labs of one
-// campaign seed. It is fixed when the process starts.
-var capacity = min(max(8*runtime.GOMAXPROCS(0), 16), 64)
-
-// cacheBytes bounds the memory the cache holds at its largest capacity:
-// 64 entries of 607 outputs (4.75 KiB each) and the private source.
-const cacheBytes = 320 << 10
-
-// entry is one cached seed's first rngLen outputs.
-type entry struct {
-	seed int64
-	out  [rngLen]uint64
-}
-
-// cache is the process-wide seed cache, its entries most recently used
-// first. Entries are allocated as seeds arrive, up to capacity; after
-// that a miss overwrites the last one, so a copy out of an entry must
-// finish under mu.
-var cache struct {
-	mu      sync.Mutex
-	entries []*entry
-	src     rand.Source64 // the private source a miss is read from
-}
-
-var (
-	cacheHits = obs.Default.Counter("dnstime_rng_seed_cache_hits_total",
-		"Random streams whose first outputs were copied from the seed cache.")
-	cacheMisses = obs.Default.Counter("dnstime_rng_seed_cache_misses_total",
-		"Random streams whose seed had to be run through math/rand's seeding.")
-)
-
-// load copies seed's first rngLen outputs into dst, producing them on a
-// miss.
-func load(seed int64, dst *[rngLen]uint64) {
-	cache.mu.Lock()
-	defer cache.mu.Unlock()
-	i := slices.IndexFunc(cache.entries, func(e *entry) bool { return e.seed == seed })
-	if i >= 0 {
-		cacheHits.Inc()
-	} else {
-		cacheMisses.Inc()
-		if len(cache.entries) < capacity {
-			cache.entries = append(cache.entries, &entry{})
-		}
-		i = len(cache.entries) - 1
-		e := cache.entries[i]
-		if cache.src == nil {
-			cache.src = rand.NewSource(seed).(rand.Source64)
-		} else {
-			cache.src.Seed(seed)
-		}
-		for j := range e.out {
-			e.out[j] = cache.src.Uint64()
-		}
-		e.seed = seed
-	}
-	e := cache.entries[i]
-	copy(cache.entries[1:i+1], cache.entries[:i])
-	cache.entries[0] = e
-	*dst = e.out
 }

@@ -4,25 +4,22 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sync"
 	"testing"
 )
 
-// resetCache empties the process-wide cache, so a test sees first uses
-// as misses.
-func resetCache() {
-	cache.mu.Lock()
-	defer cache.mu.Unlock()
-	cache.entries, cache.src = nil, nil
-}
+// m is math/rand's seed modulus, 2³¹−1.
+const m = 1<<31 - 1
 
-// cached reports whether seed's outputs are in the cache.
-func cached(seed int64) bool {
-	cache.mu.Lock()
-	defer cache.mu.Unlock()
-	return slices.ContainsFunc(cache.entries, func(e *entry) bool { return e.seed == seed })
+// edgeSeeds are the seeds the oracle tests run: 0 and multiples of m,
+// which math/rand's Seed maps to 89 482 311 (among them too); ±1; the
+// neighbours of ±m, 2³¹ and −2³¹ among them, which normalise to the
+// least and greatest generator states, 1 and m−1; the int64 extremes;
+// and 42.
+var edgeSeeds = []int64{
+	0, 1, -1, m, -m, 2 * m, m * m, -3 * m, m - 1, m + 1, -m + 1, -m - 1,
+	math.MinInt64, math.MaxInt64, 89482311, 42,
 }
 
 // pair drives a Source and a math/rand reference source in lockstep:
@@ -190,28 +187,36 @@ func (p pair) reseed(seed int64) {
 	p.want.Seed(seed)
 }
 
+// run steps p through prog, pairs of op and argument, and returns the
+// first difference, with the pair it happened at ("" when none).
+func (p pair) run(prog []byte) string {
+	for i := 0; i+1 < len(prog); i += 2 {
+		if diff := p.step(prog[i], prog[i+1]); diff != "" {
+			return fmt.Sprintf("op %d: %s", i/2, diff)
+		}
+	}
+	return ""
+}
+
 // TestSourceMatchesMathRand: a Source's stream is rand.NewSource's for
-// edge seeds (0, ±1, multiples of 2³¹−1, the int64 extremes) over more
-// than 100 000 mixed draws, math/rand's own methods on rand.New(src)
-// between the Source's Unread and Advance, Float64Value, Test and Intn,
-// with Seed called mid-stream, on a seed's first use (a cache miss), on
-// its reuse (a hit) and on its reuse after the cache evicted it.
+// the edge seeds over more than 100 000 mixed draws, math/rand's own
+// methods on rand.New(src) between the Source's Unread and Advance,
+// Float64Value, Test and Intn, with Seed called mid-stream: on a seed's
+// first use, on its reuse, and on its reuse after other seeds.
 func TestSourceMatchesMathRand(t *testing.T) {
-	resetCache()
-	const m = 1<<31 - 1
-	edges := []int64{0, 1, -1, m, -m, 2 * m, m * m, -3 * m, math.MinInt64, math.MaxInt64, 89482311, 42}
-	var fill []int64 // enough other seeds to evict every edge seed
-	for i := 0; i < capacity+4; i++ {
-		fill = append(fill, 1000+int64(i))
+	var others []int64
+	for i := range 20 {
+		others = append(others, 1000+int64(i))
 	}
 	driver := rand.New(rand.NewSource(7))
-	p := newPair(edges[0])
+	p := newPair(edgeSeeds[0])
 	draws := 0
 	run := func(seeds []int64, phase string) {
 		for _, seed := range seeds {
 			p.reseed(seed)
-			// Short runs stay inside the cached outputs; long ones cross
-			// several 607-output blocks of the recurrence.
+			// Short runs stay inside the first block, produced as it is
+			// drawn; long ones cross several 607-output blocks of the
+			// recurrence.
 			n := driver.Intn(40)
 			if driver.Intn(2) == 0 {
 				n = 2000 + driver.Intn(6000)
@@ -225,28 +230,10 @@ func TestSourceMatchesMathRand(t *testing.T) {
 			}
 		}
 	}
-
-	hits, misses := cacheHits.Value(), cacheMisses.Value()
-	run(edges, "first use")
-	if got := cacheMisses.Value() - misses; got != int64(len(edges)) {
-		t.Errorf("first use: %d misses, want %d", got, len(edges))
-	}
-	hits, misses = cacheHits.Value(), cacheMisses.Value()
-	run(edges, "reuse")
-	if got := cacheHits.Value() - hits; got != int64(len(edges)) {
-		t.Errorf("reuse: %d hits, want %d", got, len(edges))
-	}
-	run(fill, "fill")
-	for _, seed := range edges {
-		if cached(seed) {
-			t.Fatalf("seed %d still cached after %d other seeds", seed, len(fill))
-		}
-	}
-	misses = cacheMisses.Value()
-	run(edges, "reuse after eviction")
-	if got := cacheMisses.Value() - misses; got != int64(len(edges)) {
-		t.Errorf("reuse after eviction: %d misses, want %d", got, len(edges))
-	}
+	run(edgeSeeds, "first use")
+	run(edgeSeeds, "reuse")
+	run(others, "other seeds")
+	run(edgeSeeds, "reuse after other seeds")
 	// Seeding twice, or seeding and never drawing, leaves the stream
 	// where the last Seed put it.
 	p.reseed(5)
@@ -257,15 +244,126 @@ func TestSourceMatchesMathRand(t *testing.T) {
 	}
 }
 
+// stops are the outputs the boundary programs stop at: a chunk's
+// boundaries, where the first block's formulas change (at 273 and 334),
+// and the block's end, each with the output before it.
+var stops = []int{1, chunk - 1, chunk, chunk + 1, 272, 273, 333, 334, 606, 607}
+
+// boundaryProg returns a pair.step program that reads the first n
+// outputs through read and then reads across the stop, by first
+// (opUnread or Uint64, op 1) and then the other. "uint64" draws the n
+// outputs one at a time; "advance" consumes them from Unread windows;
+// "mixed" draws half of them one at a time and advances past the rest.
+// The program ends with the next block's first output.
+func boundaryProg(read string, n int, first byte) []byte {
+	var prog []byte
+	draw := func(k int) {
+		for range k {
+			prog = append(prog, 1, 0)
+		}
+	}
+	advance := func(k int) {
+		// An opUnread argument a consumes a outputs unless a%4 is 0.
+		for k > 0 {
+			a := min(k, 255)
+			if a%4 == 0 {
+				a--
+			}
+			prog = append(prog, opUnread, byte(a))
+			k -= a
+		}
+	}
+	switch read {
+	case "uint64":
+		draw(n)
+	case "advance":
+		advance(n)
+	case "mixed":
+		draw(n / 2)
+		advance(n - n/2)
+	}
+	if first == opUnread {
+		return append(prog, opUnread, 1, opUnread, 0, 1, 0)
+	}
+	return append(prog, 1, 0, 1, 0, opUnread, 0, 1, 0)
+}
+
+// boundaryProgs returns every boundary program: each reader to each
+// stop, then across it by each reader first.
+func boundaryProgs() (progs []struct {
+	name string
+	prog []byte
+}) {
+	for _, read := range []string{"uint64", "advance", "mixed"} {
+		for _, n := range stops {
+			for _, first := range []byte{1, opUnread} {
+				name := fmt.Sprintf("%s to %d, then Uint64", read, n)
+				if first == opUnread {
+					name = fmt.Sprintf("%s to %d, then Unread", read, n)
+				}
+				progs = append(progs, struct {
+					name string
+					prog []byte
+				}{name, boundaryProg(read, n, first)})
+			}
+		}
+	}
+	return progs
+}
+
+// TestSourceBoundaries: at every edge seed, a Source read up to each
+// output where its first block changes formula or chunk, or ends, by
+// Uint64, by Unread and Advance, or by both, and then read on by each,
+// is rand.NewSource's stream.
+func TestSourceBoundaries(t *testing.T) {
+	for _, bp := range boundaryProgs() {
+		for _, seed := range edgeSeeds {
+			if diff := newPair(seed).run(bp.prog); diff != "" {
+				t.Errorf("%s, seed %d: %s differs from math/rand", bp.name, seed, diff)
+			}
+		}
+	}
+}
+
+// TestSourceManySeeds: a Source's first three blocks are rand.NewSource's
+// for 3 000 seeds drawn from the whole int64 range and 2 000 near 0,
+// read through Unread windows cut at random points and Uint64.
+func TestSourceManySeeds(t *testing.T) {
+	driver := rand.New(rand.NewSource(11))
+	var src Source
+	for i := range 5000 {
+		seed := int64(driver.Uint64())
+		if i >= 3000 {
+			seed = int64(i - 4000)
+		}
+		src.Seed(seed)
+		want := rand.NewSource(seed).(rand.Source64)
+		for read := 0; read < 3*rngLen; {
+			w := src.Unread()
+			k := 1 + driver.Intn(len(w))
+			for j, x := range w[:k] {
+				if y := want.Uint64(); x != y {
+					t.Fatalf("seed %d: output %d is %#x, math/rand %#x", seed, read+j, x, y)
+				}
+			}
+			src.Advance(k)
+			read += k
+			if x, y := src.Uint64(), want.Uint64(); x != y {
+				t.Fatalf("seed %d: output %d is %#x, math/rand %#x", seed, read, x, y)
+			}
+			read++
+		}
+	}
+}
+
 // TestReaderMatchesMathRand: a Source read the way the population draws
-// read it is rand.NewSource's stream for edge seeds: the unread rest of
-// its block (Unread), consumed whole, so that the next read steps the
+// read it is rand.NewSource's stream for the edge seeds: the unread rest
+// of its block (Unread), consumed whole, so that the next read steps the
 // block, or by any prefix, none included (Advance), with Uint64, Int63
 // and math/rand's own methods on rand.New(src) in between.
 func TestReaderMatchesMathRand(t *testing.T) {
-	const m = 1<<31 - 1
 	driver := rand.New(rand.NewSource(3))
-	for _, seed := range []int64{0, 1, -1, m, -m, math.MinInt64, math.MaxInt64, 42} {
+	for _, seed := range edgeSeeds {
 		want := rand.New(rand.NewSource(seed))
 		src := New(seed)
 		got := rand.New(src)
@@ -306,26 +404,30 @@ func TestReaderMatchesMathRand(t *testing.T) {
 	}
 }
 
-// TestSourceSeedWithoutDrawIsFree: seeding alone never touches the cache.
+// TestSourceSeedWithoutDrawIsFree: seeding alone produces no output and
+// allocates nothing; the first draw after many seeds is the last seed's.
 func TestSourceSeedWithoutDrawIsFree(t *testing.T) {
-	resetCache()
-	before := cacheHits.Value() + cacheMisses.Value()
-	r := rand.New(New(3))
-	for i := int64(0); i < 100; i++ {
-		r.Seed(i)
+	src := New(3)
+	r := rand.New(src)
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := int64(0); i < 100; i++ {
+			r.Seed(i)
+		}
+	})
+	if allocs != 0 || src.end != 0 {
+		t.Errorf("seeding without drawing allocated %v times and produced %d outputs", allocs, src.end)
 	}
-	if after := cacheHits.Value() + cacheMisses.Value(); after != before || cached(99) {
-		t.Errorf("seeding without drawing used the cache (%d lookups)", after-before)
+	if x, y := src.Uint64(), rand.NewSource(99).(rand.Source64).Uint64(); x != y {
+		t.Errorf("first output after seeding 99: %#x, math/rand %#x", x, y)
 	}
 }
 
 // TestSourceConcurrentSharedSeeds: Sources on several goroutines draw
-// from seeds they share, more seeds than the cache holds, so entries are
-// evicted and refilled while other goroutines copy out of them. Every
-// stream stays math/rand's. Run under -race.
+// from seeds they share, as the campaign workers' labs do. Sources share
+// only the package's read-only tables, so every stream stays math/rand's
+// and the race detector finds nothing. Run under -race.
 func TestSourceConcurrentSharedSeeds(t *testing.T) {
-	resetCache()
-	seeds := capacity + capacity/2
+	const seeds = 24
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -347,50 +449,30 @@ func TestSourceConcurrentSharedSeeds(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCacheMemoryBound: however many seeds pass through it, the cache at
-// its largest capacity allocates no more than cacheBytes, and it never
-// holds more than capacity entries.
-func TestCacheMemoryBound(t *testing.T) {
-	if capacity < 16 || capacity > 64 {
-		t.Fatalf("capacity %d outside [16, 64]", capacity)
-	}
-	defer func(c int) { capacity = c; resetCache() }(capacity)
-	capacity = 64
-	resetCache()
-	var buf [rngLen]uint64
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for seed := int64(0); seed < 200; seed++ {
-		load(seed, &buf)
-	}
-	runtime.ReadMemStats(&after)
-	if n := len(cache.entries); n != capacity {
-		t.Errorf("cache holds %d entries, want %d", n, capacity)
-	}
-	got := after.TotalAlloc - before.TotalAlloc
-	if got > cacheBytes {
-		t.Errorf("cache allocated %d bytes, bound %d", got, cacheBytes)
-	}
-	t.Logf("%d entries: %d bytes allocated, bound %d", len(cache.entries), got, cacheBytes)
-}
-
 // FuzzSource: for any seed and any program of draws, reads, decisions
 // and reseeds, a Source's stream is math/rand's, and both stand at the
-// same output afterwards.
+// same output afterwards. The corpus holds every edge seed and every
+// boundary program.
 func FuzzSource(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add(int64(0), []byte{10, 0, 255, 7})
 	f.Add(int64(math.MinInt64), []byte{1, 1, 1, 1})
 	f.Add(int64(math.MaxInt64), []byte{5, 63, 6, 63})
 	f.Add(int64(1<<31-1), []byte{4, 4, 4, 4, 4, 4})
+	for _, seed := range edgeSeeds {
+		f.Add(seed, []byte{1, 0, 10, 0, 240, 1})
+	}
+	for i, bp := range boundaryProgs() {
+		f.Add(edgeSeeds[i%len(edgeSeeds)], bp.prog)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, prog []byte) {
 		p := newPair(seed)
 		for i := 0; i+1 < len(prog); i += 2 {
 			op, arg := prog[i], prog[i+1]
 			switch {
 			case op >= 250:
-				// Reseed near the fuzzed seed, so programs revisit
-				// cached seeds.
+				// Reseed near the fuzzed seed, so programs reseed with
+				// seeds they have drawn from.
 				p.reseed(seed + int64(arg%4))
 			case op >= 240:
 				// A long run crosses into the recurrence.
@@ -415,7 +497,9 @@ var sinkInt int
 
 // BenchmarkReseedDraw compares seeding a lab component's stream and
 // drawing a few values from it (the resolver's TXID and port on a
-// pooled lab) on a Source against math/rand's own source.
+// pooled lab) on a Source against math/rand's own source, at a seed's
+// first use and at its reuse, one of four seeds drawn in turn. A Source
+// costs the same either way; math/rand seeds every time.
 func BenchmarkReseedDraw(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -424,11 +508,43 @@ func BenchmarkReseedDraw(b *testing.B) {
 		{"simrand", rand.New(New(1))},
 		{"math-rand", rand.New(rand.NewSource(1))},
 	} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; b.Loop(); i++ {
-				bc.r.Seed(int64(i % 4))
-				sinkInt += bc.r.Intn(1<<16) + bc.r.Intn(64512)
-			}
-		})
+		for _, seeds := range []struct {
+			name string
+			of   func(i int) int64
+		}{
+			{"first-use", func(i int) int64 { return int64(i) }},
+			{"reuse", func(i int) int64 { return int64(i % 4) }},
+		} {
+			b.Run(bc.name+"/"+seeds.name, func(b *testing.B) {
+				for i := 0; b.Loop(); i++ {
+					bc.r.Seed(seeds.of(i))
+					sinkInt += bc.r.Intn(1<<16) + bc.r.Intn(64512)
+				}
+			})
+		}
 	}
+}
+
+var sinkUint64 uint64
+
+// BenchmarkFirstBlock times seeding a stream and producing its whole
+// first block, as a population draw's first Unread does, against
+// math/rand's seeding and 607 draws.
+func BenchmarkFirstBlock(b *testing.B) {
+	b.Run("simrand", func(b *testing.B) {
+		var src Source
+		for i := int64(0); b.Loop(); i++ {
+			src.Seed(i)
+			sinkUint64 += src.Unread()[rngLen-1]
+		}
+	})
+	b.Run("math-rand", func(b *testing.B) {
+		src := rand.NewSource(1).(rand.Source64)
+		for i := int64(0); b.Loop(); i++ {
+			src.Seed(i)
+			for range rngLen {
+				sinkUint64 += src.Uint64()
+			}
+		}
+	})
 }
