@@ -40,6 +40,7 @@ var (
 	ErrShapeMismatch  = errors.New("attack: malicious response shape differs from template")
 	ErrNoSlack        = errors.New("attack: no attacker-controlled slack bytes in second fragment")
 	ErrFragmentBounds = errors.New("attack: response does not span two fragments at this MTU")
+	ErrFetchTimeout   = errors.New("attack: template fetch timed out")
 )
 
 // Attacker is an off-path attacker with one network vantage point.
@@ -85,17 +86,65 @@ type Attacker struct {
 	lastTTL  uint32
 	lastMTU  int
 	lastCut  int
+
+	// The planting round's slots: the template fetch and the IPID probe
+	// in flight, and the ports of trigger queries awaiting their unbind.
+	// Their callbacks are bound once in New, so a round allocates
+	// nothing. Reset empties them.
+	fetch fetchSlot
+	probe probeSlot
+	trig  trigSlot
+}
+
+// fetchSlot is the template fetch in flight (done is nil when none is).
+type fetchSlot struct {
+	ns        ipv4.Addr
+	port      uint16
+	start     time.Time
+	done      func([]byte, error)
+	timer     simclock.Timer
+	onReply   simnet.UDPHandler
+	onTimeout func()
+}
+
+// probeSlot is the IPID probe in flight (done is nil when none is): the
+// observed IDs, which done receives and which stay valid until the next
+// probe, the probe queries' parameters, and the timers of its sends and,
+// last, of its end.
+type probeSlot struct {
+	ns      ipv4.Addr
+	name    string
+	port    uint16
+	start   time.Time
+	ids     []uint16
+	done    func([]uint16, error)
+	timers  []simclock.Timer
+	observe func(*ipv4.Packet)
+	send    func()
+	finish  func()
+}
+
+// trigSlot holds the ports of trigger queries whose unbind is pending.
+// Every unbind fires the same delay after its trigger, so they fire in
+// trigger order and each takes the oldest port.
+type trigSlot struct {
+	ports  []uint16
+	unbind func()
 }
 
 // New creates an attacker operating from host.
 func New(host *simnet.Host, seed int64) *Attacker {
-	return &Attacker{
+	a := &Attacker{
 		host:  host,
 		net:   host.Network(),
 		clock: host.Clock(),
 		rng:   rand.New(simrand.New(seed)),
 		tr:    obs.Nop,
 	}
+	a.fetch.onReply, a.fetch.onTimeout = a.fetchReply, a.fetchTimeout
+	a.probe.observe, a.probe.send, a.probe.finish = a.probeObserve, a.probeSend, a.probeFinish
+	a.trig.unbind = a.trigUnbind
+	return a
 }
 
 // SetTracer installs the tracer receiving the attacker's phase events
@@ -114,11 +163,17 @@ func (a *Attacker) SetTracer(tr obs.Tracer) {
 func (a *Attacker) traceOn() bool { return a.tr != nil && a.tr.Enabled() }
 
 // Reset restores the attacker to the observable state New(host, seed)
-// produces: fresh RNG stream, zero packet counter. All fragment-building
-// scratch survives — a pooled lab reuses its attacker every campaign seed.
+// produces: fresh RNG stream, zero packet counter, no fetch, probe or
+// trigger in flight. All fragment-building scratch survives — a pooled lab
+// reuses its attacker every campaign seed. The host and the clock must
+// have been reset first, as the lab pool does: that unbinds the ports and
+// drops the timers of whatever was in flight.
 func (a *Attacker) Reset(seed int64) {
 	a.rng.Seed(seed)
 	a.InjectedPackets = 0
+	a.fetch.done = nil
+	a.probe.done = nil
+	a.trig.ports = a.trig.ports[:0]
 }
 
 // Host returns the attacker's own host.
@@ -164,56 +219,82 @@ func (a *Attacker) ForceFragmentation(ns, victim ipv4.Addr, mtu int) {
 
 // ProbeIPIDs sends n DNS probe queries for probeName to ns, spaced by
 // `spacing`, observing the IPIDs of the responses. done receives the
-// observed IPIDs in order. It holds the host's raw-packet observer for the
-// whole probe and clears it afterwards, so one attacker runs one probe at
-// a time.
+// observed IPIDs in order, in the attacker's probe slot: they stay valid
+// until the attacker's next ProbeIPIDs. It holds the host's raw-packet
+// observer for the whole probe and clears it afterwards, so one attacker
+// runs one probe at a time: a probe started while another is in flight
+// abandons it, and the earlier done never runs.
 func (a *Attacker) ProbeIPIDs(ns ipv4.Addr, probeName string, n int, spacing time.Duration, done func([]uint16, error)) {
-	probeStart := a.clock.Now()
-	var ids []uint16
-	a.host.ObserveRaw(func(pkt *ipv4.Packet) {
-		if pkt.Src == ns && pkt.Proto == ipv4.ProtoUDP && !pkt.IsFragment() {
-			ids = append(ids, pkt.ID)
+	p := &a.probe
+	if p.done != nil {
+		for i := range p.timers {
+			p.timers[i].Stop()
 		}
-		if pkt.Src == ns && pkt.Proto == ipv4.ProtoUDP && pkt.IsFragment() && pkt.FragOff == 0 {
-			ids = append(ids, pkt.ID)
-		}
-	})
-	port := a.host.AllocPort()
-	_ = a.host.HandleUDP(port, func(ipv4.Addr, uint16, []byte) {})
-	probe := func() {
-		q := dnswire.NewQuery(uint16(a.rng.Intn(1<<16)), probeName, dnswire.TypeA, false)
-		wire, err := q.AppendMarshal(a.wire[:0])
-		if err != nil {
-			return
-		}
-		a.wire = wire
-		a.InjectedPackets++
-		_, _ = a.host.SendUDP(ns, port, 53, wire)
+		a.host.UnhandleUDP(p.port)
+		p.done = nil
 	}
+	p.start = a.clock.Now()
+	p.ns, p.name, p.done = ns, probeName, done
+	p.ids = p.ids[:0]
+	a.host.ObserveRaw(p.observe)
+	p.port = a.host.AllocPort()
+	_ = a.host.HandleUDP(p.port, discard)
+	p.timers = slices.Grow(p.timers[:0], n+1)[:n+1]
 	for i := 0; i < n; i++ {
-		a.clock.After(time.Duration(i)*spacing, probe)
+		a.clock.ScheduleInto(&p.timers[i], time.Duration(i)*spacing, p.send)
 	}
-	a.clock.Schedule(time.Duration(n)*spacing+2*time.Second, func() {
-		a.host.UnhandleUDP(port)
-		a.host.ObserveRaw(nil)
-		if a.traceOn() {
-			a.tr.Span(probeStart, a.clock.Now(), "attack", "probe-ipids",
-				"answered="+strconv.Itoa(len(ids)))
-		}
-		if len(ids) == 0 {
-			done(nil, ErrNoProbes)
-			return
-		}
-		done(ids, nil)
-	})
+	a.clock.ScheduleInto(&p.timers[n], time.Duration(n)*spacing+2*time.Second, p.finish)
+}
+
+// discard is the handler of ports whose answers the attacker ignores.
+func discard(ipv4.Addr, uint16, []byte) {}
+
+// probeObserve records the IPID of each unfragmented datagram and of
+// each first fragment the probed nameserver sends the attacker.
+func (a *Attacker) probeObserve(pkt *ipv4.Packet) {
+	if pkt.Src == a.probe.ns && pkt.Proto == ipv4.ProtoUDP && (!pkt.IsFragment() || pkt.FragOff == 0) {
+		a.probe.ids = append(a.probe.ids, pkt.ID)
+	}
+}
+
+// probeSend sends one probe query.
+func (a *Attacker) probeSend() {
+	p := &a.probe
+	q := dnswire.NewQuery(uint16(a.rng.Intn(1<<16)), p.name, dnswire.TypeA, false)
+	wire, err := q.AppendMarshal(a.wire[:0])
+	if err != nil {
+		return
+	}
+	a.wire = wire
+	a.InjectedPackets++
+	_, _ = a.host.SendUDP(p.ns, p.port, 53, wire)
+}
+
+// probeFinish ends the probe and hands its IPIDs to done.
+func (a *Attacker) probeFinish() {
+	p := &a.probe
+	a.host.UnhandleUDP(p.port)
+	a.host.ObserveRaw(nil)
+	if a.traceOn() {
+		a.tr.Span(p.start, a.clock.Now(), "attack", "probe-ipids",
+			"answered="+strconv.Itoa(len(p.ids)))
+	}
+	done := p.done
+	p.done = nil
+	if len(p.ids) == 0 {
+		done(nil, ErrNoProbes)
+		return
+	}
+	done(p.ids, nil)
 }
 
 // PredictIPIDs extrapolates a window of IPID candidates from probe
 // observations: it estimates the per-probe increment and projects `ahead`
-// further allocations, returning a window of width `width` centred there.
-func PredictIPIDs(probes []uint16, ahead, width int) []uint16 {
+// further allocations, appending a window of width `width` centred there
+// to dst. It returns dst unchanged when there are no probes.
+func PredictIPIDs(dst, probes []uint16, ahead, width int) []uint16 {
 	if len(probes) == 0 {
-		return nil
+		return dst
 	}
 	last := probes[len(probes)-1]
 	inc := 1
@@ -226,11 +307,10 @@ func PredictIPIDs(probes []uint16, ahead, width int) []uint16 {
 		}
 	}
 	base := int(last) + inc*ahead
-	out := make([]uint16, 0, width)
 	for i := 0; i < width; i++ {
-		out = append(out, uint16(base+i))
+		dst = append(dst, uint16(base+i))
 	}
-	return out
+	return dst
 }
 
 // ---------------------------------------------------------------------------
@@ -436,57 +516,87 @@ func (a *Attacker) TriggerOpenResolverQuery(resolver ipv4.Addr, name string) {
 	}
 	a.wire = wire
 	port := a.host.AllocPort()
-	_ = a.host.HandleUDP(port, func(ipv4.Addr, uint16, []byte) {})
-	a.clock.Schedule(5*time.Second, func() { a.host.UnhandleUDP(port) })
+	_ = a.host.HandleUDP(port, discard)
+	a.trig.ports = append(a.trig.ports, port)
+	a.clock.After(5*time.Second, a.trig.unbind)
 	a.InjectedPackets++
 	_, _ = a.host.SendUDP(resolver, port, 53, wire)
 }
 
+// trigUnbind unbinds the oldest trigger query's port.
+func (a *Attacker) trigUnbind() {
+	ports := a.trig.ports
+	a.host.UnhandleUDP(ports[0])
+	a.trig.ports = ports[:copy(ports, ports[1:])]
+}
+
 // FetchTemplate queries ns directly for name and hands the raw response
 // payload to done — the attacker's way of learning the response template
-// whose second fragment it will later replace.
+// whose second fragment it will later replace. The payload done receives
+// is the attacker's template buffer, valid until its next FetchTemplate.
+// One attacker runs one fetch at a time: a fetch started while another is
+// in flight abandons it, and the earlier done never runs.
 func (a *Attacker) FetchTemplate(ns ipv4.Addr, name string, done func([]byte, error)) {
-	fetchStart := a.clock.Now()
-	port := a.host.AllocPort()
-	var timer *simclock.Timer
-	if err := a.host.HandleUDP(port, func(src ipv4.Addr, _ uint16, payload []byte) {
-		if src != ns {
-			return
-		}
-		timer.Stop()
-		a.host.UnhandleUDP(port)
-		if a.traceOn() {
-			a.tr.Span(fetchStart, a.clock.Now(), "attack", "fetch-template",
-				"bytes="+strconv.Itoa(len(payload)))
-		}
-		// The handler's payload aliases a pooled packet buffer, so done gets
-		// a copy — made in the attacker's reused template buffer, which stays
-		// valid until the attacker's next FetchTemplate (a planting round
-		// consumes the template before the next round re-fetches it).
-		a.templBuf = append(a.templBuf[:0], payload...)
-		done(a.templBuf, nil)
-	}); err != nil {
+	f := &a.fetch
+	if f.done != nil {
+		f.timer.Stop()
+		a.host.UnhandleUDP(f.port)
+		f.done = nil
+	}
+	f.start = a.clock.Now()
+	f.ns = ns
+	f.port = a.host.AllocPort()
+	if err := a.host.HandleUDP(f.port, f.onReply); err != nil {
 		done(nil, err)
 		return
 	}
-	timer = a.clock.Schedule(3*time.Second, func() {
-		a.host.UnhandleUDP(port)
-		if a.traceOn() {
-			a.tr.Span(fetchStart, a.clock.Now(), "attack", "fetch-template", "timeout")
-		}
-		done(nil, fmt.Errorf("attack: template fetch timed out"))
-	})
+	f.done = done
+	a.clock.ScheduleInto(&f.timer, 3*time.Second, f.onTimeout)
 	q := dnswire.NewQuery(uint16(a.rng.Intn(1<<16)), name, dnswire.TypeA, false)
 	wire, err := q.AppendMarshal(a.wire[:0])
 	if err != nil {
-		timer.Stop()
-		a.host.UnhandleUDP(port)
+		f.timer.Stop()
+		a.host.UnhandleUDP(f.port)
+		f.done = nil
 		done(nil, err)
 		return
 	}
 	a.wire = wire
 	a.InjectedPackets++
-	_, _ = a.host.SendUDP(ns, port, 53, wire)
+	_, _ = a.host.SendUDP(ns, f.port, 53, wire)
+}
+
+// fetchReply takes the template from the nameserver's answer.
+func (a *Attacker) fetchReply(src ipv4.Addr, _ uint16, payload []byte) {
+	f := &a.fetch
+	if src != f.ns {
+		return
+	}
+	f.timer.Stop()
+	a.host.UnhandleUDP(f.port)
+	if a.traceOn() {
+		a.tr.Span(f.start, a.clock.Now(), "attack", "fetch-template",
+			"bytes="+strconv.Itoa(len(payload)))
+	}
+	// The handler's payload aliases a pooled packet buffer, so done gets
+	// a copy — made in the attacker's reused template buffer (a planting
+	// round consumes the template before the next round re-fetches it).
+	a.templBuf = append(a.templBuf[:0], payload...)
+	done := f.done
+	f.done = nil
+	done(a.templBuf, nil)
+}
+
+// fetchTimeout ends a fetch the nameserver did not answer.
+func (a *Attacker) fetchTimeout() {
+	f := &a.fetch
+	a.host.UnhandleUDP(f.port)
+	if a.traceOn() {
+		a.tr.Span(f.start, a.clock.Now(), "attack", "fetch-template", "timeout")
+	}
+	done := f.done
+	f.done = nil
+	done(nil, ErrFetchTimeout)
 }
 
 // ---------------------------------------------------------------------------

@@ -61,24 +61,24 @@ func newFixture(t *testing.T, poolSize int) *fixture {
 
 func TestPredictIPIDs(t *testing.T) {
 	probes := []uint16{100, 101, 102, 103}
-	ids := PredictIPIDs(probes, 1, 4)
+	ids := PredictIPIDs(nil, probes, 1, 4)
 	if len(ids) != 4 || ids[0] != 104 {
 		t.Errorf("ids = %v, want starting at 104", ids)
 	}
 	// Faster counters.
 	probes = []uint16{100, 110, 120}
-	ids = PredictIPIDs(probes, 2, 2)
+	ids = PredictIPIDs(nil, probes, 2, 2)
 	if ids[0] != 140 {
 		t.Errorf("ids[0] = %d, want 140 (rate 10, ahead 2)", ids[0])
 	}
-	if PredictIPIDs(nil, 1, 4) != nil {
+	if PredictIPIDs(nil, nil, 1, 4) != nil {
 		t.Error("nil probes should yield nil")
 	}
 }
 
 func TestPredictIPIDsWraparound(t *testing.T) {
 	probes := []uint16{0xfffe, 0xffff}
-	ids := PredictIPIDs(probes, 1, 2)
+	ids := PredictIPIDs(nil, probes, 1, 2)
 	if ids[0] != 0 || ids[1] != 1 {
 		t.Errorf("ids = %v, want wraparound to 0,1", ids)
 	}
@@ -104,7 +104,7 @@ func TestPredictIPIDsHitsSequentialAllocatorOnly(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			probes = append(probes, tc.alloc.Next(nsAddr, eveAddr))
 		}
-		window := PredictIPIDs(probes, 1, 16)
+		window := PredictIPIDs(nil, probes, 1, 16)
 		next := tc.alloc.Next(nsAddr, resAddr)
 		if got := slices.Contains(window, next); got != tc.hit {
 			t.Errorf("%s: next IPID %d in window %v = %t, want %t", tc.name, next, window, got, tc.hit)
@@ -129,6 +129,46 @@ func TestProbeIPIDsObservesSequentialCounter(t *testing.T) {
 	for i := 1; i < len(got); i++ {
 		if got[i] != got[i-1]+1 {
 			t.Errorf("IPIDs not sequential: %v", got)
+		}
+	}
+}
+
+// TestRoundSlotsAbandonInFlight starts a second IPID probe while the
+// first is in flight, then a second template fetch while the first is:
+// the first done of each never runs, the second runs once with its own
+// answer, and the first's port is free again.
+func TestRoundSlotsAbandonInFlight(t *testing.T) {
+	f := newFixture(t, 4)
+	var probes, fetches []string
+	f.eve.ProbeIPIDs(nsAddr, "pool.ntp.org", 3, 500*time.Millisecond, func([]uint16, error) {
+		probes = append(probes, "first")
+	})
+	firstProbe := f.eve.probe.port
+	f.clk.RunFor(700 * time.Millisecond)
+	f.eve.ProbeIPIDs(nsAddr, "pool.ntp.org", 2, 500*time.Millisecond, func(ids []uint16, err error) {
+		if err != nil || len(ids) != 2 {
+			t.Errorf("second probe: %d IPIDs, %v; want 2", len(ids), err)
+		}
+		probes = append(probes, "second")
+	})
+	f.clk.RunFor(10 * time.Second)
+	f.eve.FetchTemplate(nsAddr, "pool.ntp.org", func([]byte, error) {
+		fetches = append(fetches, "first")
+	})
+	firstFetch := f.eve.fetch.port
+	f.eve.FetchTemplate(nsAddr, "pool.ntp.org", func(p []byte, err error) {
+		if err != nil || len(p) == 0 {
+			t.Errorf("second fetch: %d bytes, %v", len(p), err)
+		}
+		fetches = append(fetches, "second")
+	})
+	f.clk.RunFor(10 * time.Second)
+	if !slices.Equal(probes, []string{"second"}) || !slices.Equal(fetches, []string{"second"}) {
+		t.Errorf("probe callbacks %v, fetch callbacks %v; want only the second of each", probes, fetches)
+	}
+	for _, port := range []uint16{firstProbe, firstFetch} {
+		if err := f.eve.Host().HandleUDP(port, discard); err != nil {
+			t.Errorf("abandoned port %d still bound: %v", port, err)
 		}
 	}
 }
@@ -215,7 +255,7 @@ func TestFullPoisoningPipeline(t *testing.T) {
 			t.Errorf("probe: %v", err)
 			return
 		}
-		window = PredictIPIDs(ids, 1, 8)
+		window = PredictIPIDs(nil, ids, 1, 8)
 	})
 	f.clk.RunFor(5 * time.Second)
 	if window == nil {

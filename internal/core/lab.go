@@ -140,6 +140,14 @@ type Lab struct {
 	// here as spares, which the next run's NewClient and NewChronos
 	// re-attach and reset in place, as addServer does with servers.
 	clients []clientSlot
+	// pool is the nameserver's pool record, rewritten by every wiring.
+	pool dnsauth.Pool
+	// campaign is the lab's planting campaign, which StartPoisonCampaign
+	// restarts; its callbacks are bound on the first start.
+	campaign Campaign
+	// rateLimit holds the defaulted RateLimitHonest of the lab's config,
+	// so that a pooled Reset does not allocate it.
+	rateLimit bool
 }
 
 // clientSlot is one client slot's spare host and clients (nil until a
@@ -153,23 +161,25 @@ type clientSlot struct {
 // labEpoch is the virtual start time of every laboratory.
 var labEpoch = time.Date(2020, 2, 1, 0, 0, 0, 0, time.UTC)
 
-// netOptions translates the config into network options for a lab whose
-// live topology compiler is topo (nil without a topology).
-func (c *LabConfig) netOptions(topo *netem.Compiler) []simnet.Option {
+// resetNet resets the network to the link behaviour of cfg for a lab
+// whose live topology compiler is topo (nil without a topology). Each
+// option is applied where it is made, so none outlives the call and a
+// pooled reset allocates nothing for them.
+func (l *Lab) resetNet(cfg *LabConfig, topo *netem.Compiler) {
+	l.Net.Reset()
 	// Link randomness (loss, jitter, reordering under non-default path
 	// models) derives from the lab seed — never from a global or pinned
 	// source — so campaigns replay byte-identically at any worker count.
-	opts := []simnet.Option{simnet.WithSeed(c.Seed + 3)}
-	if c.Tracer.Enabled() {
-		opts = append(opts, simnet.WithTrace(simnet.TraceTo(c.Tracer)))
+	simnet.WithSeed(cfg.Seed + 3)(l.Net)
+	if cfg.Tracer.Enabled() {
+		simnet.WithTrace(simnet.TraceTo(cfg.Tracer))(l.Net)
 	}
-	if topo == nil {
-		return opts
+	if topo != nil {
+		// The compiled model is live: every host the lab adds (including
+		// clients attached mid-run) registers its role and receives the
+		// topology's per-directed-link models.
+		simnet.WithPathModel(topo.Model())(l.Net)
 	}
-	// The compiled model is live: every host the lab adds (including
-	// clients attached mid-run) registers its role and receives the
-	// topology's per-directed-link models.
-	return append(opts, simnet.WithPathModel(topo.Model()))
 }
 
 // NewLab builds the laboratory: nameserver serving pool.ntp.org backed by
@@ -197,6 +207,10 @@ func NewLab(cfg LabConfig) (*Lab, error) {
 // as spares for the next NewClient and NewChronos: a client obtained
 // before a Reset must not be used after it.
 func (l *Lab) Reset(cfg LabConfig) error {
+	if cfg.RateLimitHonest == nil {
+		l.rateLimit = true
+		cfg.RateLimitHonest = &l.rateLimit
+	}
 	cfg.applyDefaults()
 	l.topo = nil
 	if cfg.Topology != nil {
@@ -210,7 +224,7 @@ func (l *Lab) Reset(cfg LabConfig) error {
 	// Clock first: every pending timer and ticker callback dies before any
 	// component state is touched, so nothing fires mid-reset.
 	l.Clock.Reset(labEpoch)
-	l.Net.Reset(cfg.netOptions(l.topo)...)
+	l.resetNet(&cfg, l.topo)
 	for _, c := range l.clients {
 		if c.host != nil {
 			l.Net.RemoveHost(c.host.Addr())
@@ -300,12 +314,13 @@ func (l *Lab) wire() error {
 	// The pool answers with the full honest set per response, keeping the
 	// template predictable (rotation-vs-prediction is an ablation in
 	// internal/attack's tests and bench_test.go).
-	l.Auth.AddPool(&dnsauth.Pool{
+	l.pool = dnsauth.Pool{
 		Name:        PoolDomain,
-		Addrs:       append([]ipv4.Addr(nil), l.honestAddr...),
+		Addrs:       append(l.pool.Addrs[:0], l.honestAddr...),
 		PerResponse: len(l.honestAddr),
 		TTL:         cfg.PoolTTL,
-	})
+	}
+	l.Auth.AddPool(&l.pool)
 	return nil
 }
 
@@ -463,31 +478,41 @@ func (l *Lab) clientHost() (*clientSlot, error) {
 
 // Campaign is a running poisoning campaign (§IV-A option 3): every round it
 // re-probes the nameserver's IPID, rebuilds spoofed second fragments and
-// plants them in the resolver's defragmentation cache.
+// plants them in the resolver's defragmentation cache. A lab runs one
+// campaign at a time, in a slot it owns: a Campaign is valid until the
+// lab's next StartPoisonCampaign or Reset.
 type Campaign struct {
 	lab     *Lab
-	ticker  *simclock.Ticker
+	ticker  simclock.Ticker
 	stopped bool
 	// Rounds counts planting rounds.
 	Rounds int
 	// TTL overrides record TTLs in the spoofed fragments (0 keeps them).
 	TTL uint32
+
+	// The round's callbacks, bound on the lab's first campaign, and its
+	// slots: the fetched template (the attacker's buffer, which the round
+	// consumes before the next fetch) and the predicted IPID window.
+	round      func()
+	onTemplate func([]byte, error)
+	onProbe    func([]uint16, error)
+	template   []byte
+	ipids      []uint16
 }
 
 // StartPoisonCampaign begins a planting campaign with the given round
 // interval (the paper uses 30 s, matching the Linux defragmentation cache
-// timeout).
+// timeout). It restarts the lab's campaign slot, stopping any campaign
+// still running there.
 func (l *Lab) StartPoisonCampaign(interval time.Duration, ttl uint32) *Campaign {
-	c := &Campaign{lab: l, TTL: ttl}
-	round := func() {
-		if c.stopped {
-			return
-		}
-		c.Rounds++
-		c.plantOnce()
+	c := &l.campaign
+	if c.lab == nil {
+		c.lab = l
+		c.round, c.onTemplate, c.onProbe = c.runRound, c.templateFetched, c.plant
 	}
-	round()
-	c.ticker = l.Clock.Tick(interval, round)
+	c.stopped, c.Rounds, c.TTL = false, 0, ttl
+	c.round()
+	l.Clock.TickInto(&c.ticker, interval, c.round)
 	return c
 }
 
@@ -497,39 +522,58 @@ func (c *Campaign) Stop() {
 	c.ticker.Stop()
 }
 
+// runRound counts and runs one round of a campaign still running.
+func (c *Campaign) runRound() {
+	if c.stopped {
+		return
+	}
+	c.Rounds++
+	c.plantOnce()
+}
+
 // plantOnce runs one §III round: fetch template, probe IPID, build spoofed
-// fragments, inject.
+// fragments, inject. The fetch's and the probe's callbacks carry it on.
 func (c *Campaign) plantOnce() {
 	l := c.lab
 	if tr := l.cfg.Tracer; tr.Enabled() {
 		tr.Event(l.Clock.Now(), "attack", "plant-round", "round="+strconv.Itoa(c.Rounds))
 	}
 	l.Eve.ForceFragmentation(NSAddr, ResolverAddr, 68)
-	l.Eve.FetchTemplate(NSAddr, PoolDomain, func(template []byte, err error) {
-		if err != nil {
-			return
-		}
-		l.Eve.ProbeIPIDs(NSAddr, PoolDomain, 2, 200*time.Millisecond, func(ids []uint16, err error) {
-			if err != nil {
-				return
-			}
-			frags, err := l.Eve.BuildSpoofedFragments(attack.PoisonPlan{
-				NS:        NSAddr,
-				Resolver:  ResolverAddr,
-				Template:  template,
-				Malicious: l.evilAddr,
-				TTL:       c.TTL,
-				MTU:       68,
-				IPIDs:     attack.PredictIPIDs(ids, 1, 16),
-			})
-			if err != nil {
-				return
-			}
-			for _, f := range frags {
-				l.Eve.Inject(f)
-			}
-		})
+	l.Eve.FetchTemplate(NSAddr, PoolDomain, c.onTemplate)
+}
+
+// templateFetched keeps the fetched template and probes the IPID.
+func (c *Campaign) templateFetched(template []byte, err error) {
+	if err != nil {
+		return
+	}
+	c.template = template
+	c.lab.Eve.ProbeIPIDs(NSAddr, PoolDomain, 2, 200*time.Millisecond, c.onProbe)
+}
+
+// plant builds the spoofed fragments over the predicted IPID window and
+// injects them.
+func (c *Campaign) plant(ids []uint16, err error) {
+	if err != nil {
+		return
+	}
+	l := c.lab
+	c.ipids = attack.PredictIPIDs(c.ipids[:0], ids, 1, 16)
+	frags, err := l.Eve.BuildSpoofedFragments(attack.PoisonPlan{
+		NS:        NSAddr,
+		Resolver:  ResolverAddr,
+		Template:  c.template,
+		Malicious: l.evilAddr,
+		TTL:       c.TTL,
+		MTU:       68,
+		IPIDs:     c.ipids,
 	})
+	if err != nil {
+		return
+	}
+	for _, f := range frags {
+		l.Eve.Inject(f)
+	}
 }
 
 // PoisonResolver performs one complete poisoning: plant, trigger the

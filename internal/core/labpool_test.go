@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dnstime/internal/chronos"
+	"dnstime/internal/dnswire"
 	"dnstime/internal/ipv4"
 	"dnstime/internal/netem"
 	"dnstime/internal/ntpclient"
@@ -130,10 +131,37 @@ func dirtyClients(t *testing.T, l *Lab, chronosFirst bool) {
 	}
 }
 
+// dirtyRound leaves the lab's own per-round and per-query slots in
+// flight, on top of dirtyClients' stub lookup: a planting round fetching
+// its template, an IPID probe, a trigger query's port awaiting its
+// unbind, and the resolver's upstream queries for a direct lookup and
+// for client queries (the trigger's, and the ntpd stub's) that wait on
+// one. None of their callbacks may run once the lab is recycled.
+func dirtyRound(t *testing.T, l *Lab) {
+	t.Helper()
+	before := l.Resolver.Stats().UpstreamQueries
+	campaign := l.StartPoisonCampaign(30*time.Second, 3600)
+	l.Eve.ProbeIPIDs(NSAddr, PoolDomain, 2, 200*time.Millisecond, func([]uint16, error) {
+		t.Error("stale IPID probe finished inside a recycled lab")
+	})
+	l.Resolver.Evict(PoolDomain, dnswire.TypeA)
+	l.Resolver.Lookup(PoolDomain, dnswire.TypeA, func([]dnswire.RR, error) {
+		t.Error("stale resolver lookup answered inside a recycled lab")
+	})
+	l.Eve.TriggerOpenResolverQuery(ResolverAddr, PoolDomain)
+	// The trigger's query reaches the resolver 10 ms in and the upstream
+	// answers come 20 ms after their queries: at 15 ms all are in flight.
+	l.Clock.RunFor(15 * time.Millisecond)
+	if got := l.Resolver.Stats().UpstreamQueries - before; campaign.Rounds != 1 || got < 2 {
+		t.Fatalf("%d planting rounds and %d upstream queries in flight, want 1 and at least 2", campaign.Rounds, got)
+	}
+}
+
 // TestLabPoolDirtyReuse is the reset-contract regression: it deliberately
 // trashes a pooled laboratory between seeds — dragging its virtual clock
 // forward, arming booby-trap events, registering a stray UDP handler,
-// burning ephemeral ports and leaving clients in flight — then runs
+// burning ephemeral ports, leaving clients in flight and a planting round,
+// attacker probes and resolver queries mid-way (dirtyRound) — then runs
 // another seed through the pool. The hard reset must erase every trace:
 // the run's bytes must match a fresh-lab run at that seed (so no
 // cross-seed state leakage and no RNG consumption drift), and no stale
@@ -186,6 +214,7 @@ func TestLabPoolDirtyReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	dirtyClients(t, l, false)
+	dirtyRound(t, l)
 
 	// The next acquire must take the poisoned lab (LIFO pool) and reset it
 	// to a state observably identical to a fresh build.
@@ -203,6 +232,7 @@ func TestLabPoolDirtyReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	dirtyClients(t, l, true)
+	dirtyRound(t, l)
 	if got := runChronosJSON(t, chronosCfg); got != wantChronos {
 		t.Errorf("poisoned pooled lab's Chronos attack differs from a fresh lab's:\n%s\nvs\n%s", got, wantChronos)
 	}
@@ -217,7 +247,11 @@ func TestLabPoolDirtyReuse(t *testing.T) {
 func TestLabPoolReuseAcrossConfigs(t *testing.T) {
 	race := func(margin time.Duration) func() LabConfig {
 		return func() LabConfig {
-			topo, err := raceTopology(margin, "")
+			rt, err := newRaceTopology("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			topo, err := rt.at(margin)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -98,12 +98,12 @@ func marginsFromParams(p scenario.Params) ([]time.Duration, error) {
 
 // runRaceMargin executes the boot-time attack from one network position:
 // the near-attacker preset with the attacker's advantage set to margin
-// (and, when vicNet is non-empty, the victim side swapped for that
-// profile). A run that cannot poison the cache is an unsuccessful
-// outcome, not an error — "the attacker lost the race from this
-// position" is the measurement. The lab records into tr.
-func runRaceMargin(prof ntpclient.Profile, seed int64, margin time.Duration, vicNet string, tr obs.Tracer) (marginOutcome, error) {
-	topo, err := raceTopology(margin, vicNet)
+// (and, when the race topology has a victim-side profile, the victim
+// side swapped for it). A run that cannot poison the cache is an
+// unsuccessful outcome, not an error — "the attacker lost the race from
+// this position" is the measurement. The lab records into tr.
+func runRaceMargin(prof ntpclient.Profile, seed int64, rt *raceTopology, margin time.Duration, tr obs.Tracer) (marginOutcome, error) {
+	topo, err := rt.at(margin)
 	if err != nil {
 		return marginOutcome{}, err
 	}
@@ -142,10 +142,14 @@ func racemarginScenario(_ context.Context, seed int64, cfg scenario.Config) (sce
 			return scenario.Result{}, fmt.Errorf("vic-net: %w", err)
 		}
 	}
+	rt, err := newRaceTopology(vicNet)
+	if err != nil {
+		return scenario.Result{}, err
+	}
 	metrics := make(map[string]float64, 2*len(margins))
 	topShifted := false
 	for _, m := range margins {
-		out, err := runRaceMargin(prof, seed, m, vicNet, cfg.Tracer)
+		out, err := runRaceMargin(prof, seed, rt, m, cfg.Tracer)
 		if err != nil {
 			return scenario.Result{}, err
 		}
@@ -160,28 +164,51 @@ func racemarginScenario(_ context.Context, seed int64, cfg scenario.Config) (sce
 	return scenario.Result{Success: scenario.Bool(topShifted), Metrics: metrics}, nil
 }
 
-// raceTopology builds one margin's lab topology: the near-attacker
-// preset with the attacker's one-way delay moved to VictimDelay − margin
-// (clamped at zero — the attacker cannot beat light) and, when vicNet is
-// set, the victim side swapped for a fresh instance of that profile.
-func raceTopology(margin time.Duration, vicNet string) (*netem.Topology, error) {
+// raceTopology is one racemargin run's lab topology, built once and
+// re-aimed at each margin: the near-attacker preset whose attacker-side
+// links all take one fixed path, with the attacker's one-way delay at
+// VictimDelay − margin (clamped at zero — the attacker cannot beat
+// light) and, when vicNet is set, the victim side a fresh instance of
+// that profile. The margins of a run go through labs one after another,
+// and a lab's Reset drops its compiled links, so a margin's labs never
+// see the next margin's path.
+type raceTopology struct {
+	topo   *netem.Topology
+	vicNet string
+	// atk is the attacker side's path. Fixed and lossless, it holds no
+	// state, so every attacker-side link shares it exactly.
+	atk netem.Path
+}
+
+// newRaceTopology builds a run's race topology; vicNet must name a
+// profile or be empty.
+func newRaceTopology(vicNet string) (*raceTopology, error) {
 	topo, err := netem.TopologyPreset("near-attacker")
 	if err != nil {
 		return nil, err
 	}
-	if vicNet != "" {
-		vic, err := netem.Profile(vicNet)
+	rt := &raceTopology{topo: topo, vicNet: vicNet}
+	fast := func() netem.PathModel { return &rt.atk }
+	topo.SetPath(netem.RoleAttacker, netem.RoleAny, fast)
+	topo.SetPath(netem.RoleEvilServer, netem.RoleAny, fast)
+	return rt, nil
+}
+
+// at aims the topology at margin and returns it for the margin's lab.
+func (rt *raceTopology) at(margin time.Duration) (*netem.Topology, error) {
+	if rt.vicNet != "" {
+		// The victim side's model may hold loss state, so each lab gets
+		// a fresh one.
+		vic, err := netem.Profile(rt.vicNet)
 		if err != nil {
 			return nil, err
 		}
-		topo.Default = vic
+		rt.topo.Default = vic
 	}
 	atk := netem.NearAttackerVictimDelay - margin
 	if atk < 0 {
 		atk = 0
 	}
-	fast := func() netem.PathModel { return &netem.Path{Delay: netem.Fixed(atk)} }
-	topo.SetPath(netem.RoleAttacker, netem.RoleAny, fast)
-	topo.SetPath(netem.RoleEvilServer, netem.RoleAny, fast)
-	return topo, nil
+	rt.atk = netem.Path{Delay: netem.Fixed(atk)}
+	return rt.topo, nil
 }

@@ -93,15 +93,45 @@ type Resolver struct {
 
 	// cliDec and cliMsg decode client queries; handleClient copies the
 	// question value out before any asynchronous work, so the scratch is
-	// free for the next arrival. replyBuf is the response encode buffer —
-	// a reply encodes and sends in one step (SendUDP copies), so even
-	// replies fired from asynchronous lookup callbacks can share it.
+	// free for the next arrival. replyMsg and replyBuf are the response
+	// encode scratch — a reply encodes and sends in one step (SendUDP
+	// copies), so even replies fired from asynchronous lookup callbacks
+	// can share them.
 	cliDec   dnswire.Decoder
 	cliMsg   dnswire.Message
+	replyMsg dnswire.Message
 	replyBuf []byte
 	// recv is handleClient bound once, so that Reset re-binds port 53
 	// without allocating a method value.
 	recv simnet.UDPHandler
+	// clients and lookups are the slots of client queries awaiting their
+	// lookup and of lookups awaiting the upstream answer.
+	clients slots[clientQuery]
+	lookups slots[lookup]
+}
+
+// lookup is one Lookup awaiting its upstream answer: what it asked, the
+// attempts left and the caller's callback, which onAnswer, bound once,
+// reads.
+type lookup struct {
+	server   ipv4.Addr
+	name     string
+	qtype    dnswire.Type
+	retries  int
+	done     func([]dnswire.RR, error)
+	onAnswer func(*dnswire.Message, error)
+}
+
+// clientQuery is one recursive client query awaiting its lookup: the
+// reply's header bits, question and return address, which onRRs, bound
+// once, reads.
+type clientQuery struct {
+	src      ipv4.Addr
+	srcPort  uint16
+	txid     uint16
+	rd       bool
+	question dnswire.Question
+	onRRs    func([]dnswire.RR, error)
 }
 
 // New binds a resolver to port 53 of host, as Reset does.
@@ -139,6 +169,8 @@ func (r *Resolver) Reset(cfg Config) error {
 	r.cfg = cfg
 	r.rng.Seed(cfg.RandSeed)
 	r.reclaim()
+	r.lookups.reclaim(func(l *lookup) { l.done = nil })
+	r.clients.reclaim(func(*clientQuery) {})
 	clear(r.cache)
 	clear(r.arena)
 	r.arena = r.arena[:0]
@@ -189,7 +221,25 @@ func (r *Resolver) Lookup(name string, qtype dnswire.Type, done func([]dnswire.R
 		done(nil, fmt.Errorf("%w: no delegation for %q", ErrServFail, name))
 		return
 	}
-	r.queryUpstream(server, name, qtype, r.cfg.Retries, func(m *dnswire.Message, err error) {
+	l := r.lookups.get(r.newLookup)
+	l.server, l.name, l.qtype, l.retries, l.done = server, name, qtype, r.cfg.Retries, done
+	r.queryUpstream(l)
+}
+
+// newLookup builds a lookup slot with its callback bound. A timed-out
+// query is sent again while retries remain; otherwise the slot is
+// released before the answer is taken, so done may look up again.
+func (r *Resolver) newLookup() *lookup {
+	l := &lookup{}
+	l.onAnswer = func(m *dnswire.Message, err error) {
+		if l.retries > 0 && errors.Is(err, ErrTimeout) {
+			l.retries--
+			r.queryUpstream(l)
+			return
+		}
+		name, qtype, done := l.name, l.qtype, l.done
+		l.done = nil
+		r.lookups.put(l)
 		if err != nil {
 			done(nil, err)
 			return
@@ -199,7 +249,8 @@ func (r *Resolver) Lookup(name string, qtype dnswire.Type, done func([]dnswire.R
 			return
 		}
 		done(rrs, nil)
-	})
+	}
+	return l
 }
 
 // acceptAnswer validates and caches a response; returns the answer RRs or
@@ -359,17 +410,10 @@ func hasSuffixLabel(name, apex string) bool {
 		name[len(name)-len(apex):] == apex
 }
 
-// queryUpstream sends one upstream query, and again on each timeout
-// while retries remain.
-func (r *Resolver) queryUpstream(server ipv4.Addr, name string, qtype dnswire.Type, retries int, done func(*dnswire.Message, error)) {
+// queryUpstream sends one upstream query for l.
+func (r *Resolver) queryUpstream(l *lookup) {
 	r.stats.UpstreamQueries++
-	r.exchange(server, name, qtype, false, r.cfg.QueryTimeout, func(m *dnswire.Message, err error) {
-		if retries > 0 && errors.Is(err, ErrTimeout) {
-			r.queryUpstream(server, name, qtype, retries-1, done)
-			return
-		}
-		done(m, err)
-	})
+	r.exchange(l.server, l.name, l.qtype, false, r.cfg.QueryTimeout, l.onAnswer)
 }
 
 // handleClient serves stub queries arriving on port 53. RD=1 queries are
@@ -385,45 +429,59 @@ func (r *Resolver) handleClient(src ipv4.Addr, srcPort uint16, payload []byte) {
 	// the reply may fire from an asynchronous lookup callback, long after
 	// the scratch has been reused (the question's name is interned, so the
 	// value copy retains nothing from the wire buffer).
-	txid, rd := q.Header.ID, q.Header.RD
-	question := q.Questions[0]
-	name := dnswire.CanonicalName(question.Name)
-	qtype := question.Type
+	c := r.clients.get(r.newClientQuery)
+	c.src, c.srcPort, c.txid, c.rd, c.question = src, srcPort, q.Header.ID, q.Header.RD, q.Questions[0]
+	name := dnswire.CanonicalName(c.question.Name)
+	qtype := c.question.Type
 
-	reply := func(rrs []dnswire.RR, rcode dnswire.RCode) {
-		resp := dnswire.Message{Header: dnswire.Header{ID: txid, QR: true, RD: rd}}
-		resp.Questions = append(resp.Questions, question)
-		resp.Header.RA = true
-		resp.Header.RCode = rcode
-		resp.Header.AD = r.cfg.ValidateDNSSEC && rcode == dnswire.RCodeNoError && len(rrs) > 0
-		resp.Answers = rrs
-		wire, err := resp.AppendMarshal(r.replyBuf[:0])
-		if err != nil {
-			return
-		}
-		r.replyBuf = wire
-		_, _ = r.host.SendUDP(src, DNSPort, srcPort, wire)
-	}
-
-	if !rd {
-		if rrs, ok := r.cached(name, qtype); ok {
+	if !c.rd {
+		// Recursion not desired: the cached answer, or an empty NOERROR.
+		rrs, ok := r.cached(name, qtype)
+		if ok {
 			r.stats.CacheHits++
-			reply(rrs, dnswire.RCodeNoError)
-		} else {
-			// Not cached and recursion not desired: empty NOERROR.
-			reply(nil, dnswire.RCodeNoError)
 		}
+		r.reply(c, rrs, dnswire.RCodeNoError)
+		r.clients.put(c)
 		return
 	}
+	r.Lookup(name, qtype, c.onRRs)
+}
 
-	r.Lookup(name, qtype, func(rrs []dnswire.RR, err error) {
+// newClientQuery builds a client-query slot with its callback bound: it
+// answers the client with the lookup's outcome, then releases the slot.
+func (r *Resolver) newClientQuery() *clientQuery {
+	c := &clientQuery{}
+	c.onRRs = func(rrs []dnswire.RR, err error) {
 		switch {
 		case errors.Is(err, ErrNXDomain):
-			reply(nil, dnswire.RCodeNXDomain)
+			r.reply(c, nil, dnswire.RCodeNXDomain)
 		case err != nil:
-			reply(nil, dnswire.RCodeServFail)
+			r.reply(c, nil, dnswire.RCodeServFail)
 		default:
-			reply(rrs, dnswire.RCodeNoError)
+			r.reply(c, rrs, dnswire.RCodeNoError)
 		}
-	})
+		r.clients.put(c)
+	}
+	return c
+}
+
+// reply answers client query c with rrs under rcode. It encodes and sends
+// in one step, so c may be released as soon as it returns.
+func (r *Resolver) reply(c *clientQuery, rrs []dnswire.RR, rcode dnswire.RCode) {
+	resp := &r.replyMsg
+	*resp = dnswire.Message{
+		Header: dnswire.Header{
+			ID: c.txid, QR: true, RD: c.rd, RA: true, RCode: rcode,
+			AD: r.cfg.ValidateDNSSEC && rcode == dnswire.RCodeNoError && len(rrs) > 0,
+		},
+		Questions: append(resp.Questions[:0], c.question),
+		Answers:   rrs,
+	}
+	wire, err := resp.AppendMarshal(r.replyBuf[:0])
+	resp.Answers = nil
+	if err != nil {
+		return
+	}
+	r.replyBuf = wire
+	_, _ = r.host.SendUDP(c.src, DNSPort, c.srcPort, wire)
 }

@@ -34,16 +34,53 @@ type exchanger struct {
 	// wire bytes before it returns.
 	txMsg dnswire.Message
 	wire  []byte
-	// free holds finished queries for reuse, and all every query the
-	// exchanger has built.
-	free []*query
-	all  []*query
+	// queries are the exchanges' slots.
+	queries slots[query]
 }
 
-// query is one outstanding exchange. Queries are pooled per exchanger:
-// their two callbacks are built once and read the query's current fields,
-// so a recycled query re-arms without allocating. A query is released
-// before its done callback runs, so done may start the next exchange.
+// slots recycles the state of asynchronous operations — exchanges,
+// lookups, client queries — so that starting one allocates nothing once
+// its slot exists. A slot's callbacks are bound when it is built and read
+// its current fields. The owner's Reset reclaims every slot, the ones in
+// flight too, once the host and clock resets have unbound their ports and
+// dropped their timers.
+type slots[T any] struct {
+	free []*T // slots ready for reuse
+	all  []*T // every slot built
+}
+
+// get takes a free slot, or builds one with build.
+func (p *slots[T]) get(build func() *T) *T {
+	if n := len(p.free); n > 0 {
+		s := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		return s
+	}
+	s := build()
+	p.all = append(p.all, s)
+	return s
+}
+
+// put returns a slot to the free list.
+func (p *slots[T]) put(s *T) { p.free = append(p.free, s) }
+
+// reclaim returns every slot to the free list, each after clear.
+func (p *slots[T]) reclaim(clear func(*T)) {
+	if len(p.free) == len(p.all) {
+		return
+	}
+	p.free = p.free[:0]
+	for _, s := range p.all {
+		clear(s)
+		p.free = append(p.free, s)
+	}
+}
+
+// query is one outstanding exchange. Its two callbacks are built once and
+// read the query's current fields, so a recycled query re-arms without
+// allocating. A query is released before its done callback runs, so done
+// may start the next exchange.
 type query struct {
 	server    ipv4.Addr
 	name      string
@@ -56,16 +93,9 @@ type query struct {
 	onTimeout func()
 }
 
-// acquire takes a query from the free list or builds one.
-func (x *exchanger) acquire() *query {
-	if n := len(x.free); n > 0 {
-		q := x.free[n-1]
-		x.free[n-1] = nil
-		x.free = x.free[:n-1]
-		return q
-	}
+// newQuery builds a query slot with its callbacks bound.
+func (x *exchanger) newQuery() *query {
 	q := &query{}
-	x.all = append(x.all, q)
 	q.onReply = func(src ipv4.Addr, srcPort uint16, payload []byte) {
 		// The source port check is implicit: this handler is bound to the
 		// random port.
@@ -91,24 +121,16 @@ func (x *exchanger) acquire() *query {
 }
 
 // reclaim returns every query to the free list, the outstanding ones
-// too. The owner's Reset calls it once the host and clock resets have
-// unbound their ports and dropped their timeouts.
+// too (see slots).
 func (x *exchanger) reclaim() {
-	if len(x.free) == len(x.all) {
-		return
-	}
-	x.free = x.free[:0]
-	for _, q := range x.all {
-		q.done = nil
-		x.free = append(x.free, q)
-	}
+	x.queries.reclaim(func(q *query) { q.done = nil })
 }
 
 // finish releases q and then calls its done callback.
 func (x *exchanger) finish(q *query, m *dnswire.Message, err error) {
 	done := q.done
 	q.done = nil
-	x.free = append(x.free, q)
+	x.queries.put(q)
 	done(m, err)
 }
 
@@ -116,7 +138,7 @@ func (x *exchanger) finish(q *query, m *dnswire.Message, err error) {
 // once: with the matching response, with ErrTimeout when none arrives
 // within timeout, or with the error that kept the query from being sent.
 func (x *exchanger) exchange(server ipv4.Addr, name string, qtype dnswire.Type, rd bool, timeout time.Duration, done func(*dnswire.Message, error)) {
-	q := x.acquire()
+	q := x.queries.get(x.newQuery)
 	q.server, q.name, q.qtype, q.done = server, name, qtype, done
 	q.txid = uint16(x.rng.Intn(1 << 16))
 	// Re-draw the port on collision.
@@ -155,8 +177,17 @@ type Stub struct {
 	resolver ipv4.Addr
 	// Timeout bounds each query (default 3 s).
 	Timeout time.Duration
-	// addrs is LookupA's answer scratch.
-	addrs []ipv4.Addr
+	// addrs is LookupA's answer scratch, and lookups its lookups' slots.
+	addrs   []ipv4.Addr
+	lookups slots[lookupA]
+}
+
+// lookupA is one LookupA in flight: the name and the caller's callback,
+// which onAnswer, bound once, reads.
+type lookupA struct {
+	name     string
+	done     func(addrs []ipv4.Addr, ttl uint32, err error)
+	onAnswer func(*dnswire.Message, error)
 }
 
 // NewStub returns a stub that queries resolver from host: an allocation
@@ -178,6 +209,7 @@ func (s *Stub) Reset(resolver ipv4.Addr, seed int64) {
 	s.Timeout = 3 * time.Second
 	s.rng.Seed(seed)
 	s.reclaim()
+	s.lookups.reclaim(func(l *lookupA) { l.done = nil })
 }
 
 // Resolver returns the upstream resolver address.
@@ -201,32 +233,50 @@ func (s *Stub) Lookup(name string, qtype dnswire.Type, rd bool, done func(*dnswi
 // scratch, valid only for the duration of the callback, which must copy
 // what it keeps.
 func (s *Stub) LookupA(name string, done func(addrs []ipv4.Addr, ttl uint32, err error)) {
-	s.Lookup(name, dnswire.TypeA, true, func(m *dnswire.Message, err error) {
-		if err != nil {
-			done(nil, 0, err)
-			return
+	l := s.lookups.get(s.newLookupA)
+	l.name, l.done = name, done
+	s.Lookup(name, dnswire.TypeA, true, l.onAnswer)
+}
+
+// newLookupA builds a LookupA slot with its callback bound. The slot is
+// released before the caller's callback runs, which may look up again.
+func (s *Stub) newLookupA() *lookupA {
+	l := &lookupA{}
+	l.onAnswer = func(m *dnswire.Message, err error) {
+		name, done := l.name, l.done
+		l.done = nil
+		s.lookups.put(l)
+		s.answerA(name, m, err, done)
+	}
+	return l
+}
+
+// answerA reports a LookupA's answer to done.
+func (s *Stub) answerA(name string, m *dnswire.Message, err error, done func([]ipv4.Addr, uint32, error)) {
+	if err != nil {
+		done(nil, 0, err)
+		return
+	}
+	switch m.Header.RCode {
+	case dnswire.RCodeNoError:
+	case dnswire.RCodeNXDomain:
+		done(nil, 0, fmt.Errorf("%w: %s", ErrNXDomain, name))
+		return
+	default:
+		done(nil, 0, fmt.Errorf("%w: rcode %d", ErrServFail, m.Header.RCode))
+		return
+	}
+	s.addrs = m.AppendAddrsInAnswer(s.addrs[:0], name)
+	addrs := s.addrs
+	if len(addrs) == 0 {
+		done(nil, 0, fmt.Errorf("%w: empty answer for %s", ErrServFail, name))
+		return
+	}
+	ttl := ^uint32(0)
+	for _, rr := range m.Answers {
+		if rr.Type == dnswire.TypeA && rr.TTL < ttl {
+			ttl = rr.TTL
 		}
-		switch m.Header.RCode {
-		case dnswire.RCodeNoError:
-		case dnswire.RCodeNXDomain:
-			done(nil, 0, fmt.Errorf("%w: %s", ErrNXDomain, name))
-			return
-		default:
-			done(nil, 0, fmt.Errorf("%w: rcode %d", ErrServFail, m.Header.RCode))
-			return
-		}
-		s.addrs = m.AppendAddrsInAnswer(s.addrs[:0], name)
-		addrs := s.addrs
-		if len(addrs) == 0 {
-			done(nil, 0, fmt.Errorf("%w: empty answer for %s", ErrServFail, name))
-			return
-		}
-		ttl := ^uint32(0)
-		for _, rr := range m.Answers {
-			if rr.Type == dnswire.TypeA && rr.TTL < ttl {
-				ttl = rr.TTL
-			}
-		}
-		done(addrs, ttl, nil)
-	})
+	}
+	done(addrs, ttl, nil)
 }

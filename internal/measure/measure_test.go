@@ -262,7 +262,7 @@ func TestSnoopOpenResolversMatchesCacheSnoop(t *testing.T) {
 		{"default seed 1", population.DefaultOpenResolverConfig(), 1},
 		{"default seed 7", population.DefaultOpenResolverConfig(), 7},
 		{"default seed 12", population.DefaultOpenResolverConfig(), 12},
-		{"fast size", with(func(c *population.OpenResolverConfig) { c.Total = 20000 }), 12},
+		{"20 000 resolvers", with(func(c *population.OpenResolverConfig) { c.Total = 20000 }), 12},
 		{"empty", with(func(c *population.OpenResolverConfig) { c.Total = 0 }), 12},
 		{"extra record", with(func(c *population.OpenResolverConfig) {
 			c.Total = 20000

@@ -39,7 +39,7 @@ const (
 )
 
 // RolePair is one directed src→dst link class between roles — the
-// Topology link key, the role-level analogue of Pair.
+// Topology link key.
 type RolePair struct {
 	// Src and Dst identify the directed role pair.
 	Src, Dst Role
@@ -71,8 +71,10 @@ func NewTopology() *Topology {
 }
 
 // SetLink registers build for the directed src→dst role link. Either
-// side may be RoleAny. build must be non-nil and must return a fresh
-// model on every call (it is invoked once per compiled directed link).
+// side may be RoleAny. build must be non-nil and is invoked once per
+// compiled directed link; it must return a fresh model on every call,
+// unless the model holds no state (a fixed, lossless, in-order Path),
+// which links may share exactly.
 func (t *Topology) SetLink(src, dst Role, build func() PathModel) {
 	if build == nil {
 		panic("netem: Topology.SetLink with nil build")
@@ -108,12 +110,6 @@ func (t *Topology) linkBuild(src, dst Role) func() PathModel {
 	return nil
 }
 
-// Pair is one directed src→dst link between two addresses.
-type Pair struct {
-	// Src and Dst identify the directed link.
-	Src, Dst ipv4.Addr
-}
-
 // Compiler compiles a Topology into per-directed-link models as hosts
 // join a lab. The lab registers each host's address and role with Add;
 // Model returns the live compiled PathModel.
@@ -125,15 +121,20 @@ type Pair struct {
 // crosses a link before its first one. A packet with an end not yet
 // Add-ed follows Default, and that answer is not kept past the next Add,
 // so a host added mid-run still gets its links.
+//
+// Roles and resolved links live in flat open-addressing tables keyed by
+// address and by directed address pair, which a Reset empties and keeps,
+// so a pooled lab's compiler stores its roles and links without
+// allocating, and a packet's link costs one probe of a table.
 type Compiler struct {
 	topo  *Topology
 	base  PathModel
-	roles map[ipv4.Addr]Role
-	links map[Pair]PathModel // directed links resolved so far
+	roles table[uint32, Role]      // by addrKey
+	links table[uint64, PathModel] // directed links resolved so far, by pairKey
 	// last and lastModel are the pair resolved last and its model (nil:
 	// none), since a packet asks Drop and then Latency for the same pair.
 	// Reset and Add forget them.
-	last      Pair
+	last      uint64
 	lastModel PathModel
 	zero      Path // base when Default is nil, kept to spare an allocation per Reset
 }
@@ -141,17 +142,14 @@ type Compiler struct {
 // Compiler returns a fresh compiler for the topology: an allocation plus
 // Reset.
 func (t *Topology) Compiler() *Compiler {
-	c := &Compiler{
-		roles: make(map[ipv4.Addr]Role),
-		links: make(map[Pair]PathModel),
-	}
+	c := &Compiler{}
 	c.Reset(t)
 	return c
 }
 
 // Reset re-targets the compiler at t, forgetting every role and link, and
-// keeps its map storage: a reset compiler is a fresh t.Compiler(). Links
-// the topology does not list follow Default (or the zero Path when
+// keeps its table storage: a reset compiler is a fresh t.Compiler().
+// Links the topology does not list follow Default (or the zero Path when
 // Default is nil). Models compiled for t's links are built from t's
 // factories, so they are fresh per Reset, as a topology's stateful models
 // must be per lab.
@@ -162,8 +160,8 @@ func (c *Compiler) Reset(t *Topology) {
 		c.zero = Path{}
 		c.base = &c.zero
 	}
-	clear(c.roles)
-	clear(c.links)
+	c.roles.reset()
+	c.links.reset()
 	c.lastModel = nil
 }
 
@@ -171,8 +169,8 @@ func (c *Compiler) Reset(t *Topology) {
 // Re-adding an address is a no-op (the first role wins, matching
 // simnet's duplicate-host rejection).
 func (c *Compiler) Add(addr ipv4.Addr, role Role) {
-	if _, ok := c.roles[addr]; !ok {
-		c.roles[addr] = role
+	if _, ok := c.roles.get(addrKey(addr)); !ok {
+		c.roles.put(addrKey(addr), role)
 		c.lastModel = nil
 	}
 }
@@ -190,31 +188,34 @@ func (c *Compiler) Model() PathModel {
 }
 
 // Role reports the role addr was Add-ed under ("" when unknown).
-func (c *Compiler) Role(addr ipv4.Addr) Role { return c.roles[addr] }
+func (c *Compiler) Role(addr ipv4.Addr) Role {
+	r, _ := c.roles.get(addrKey(addr))
+	return r
+}
 
 // link resolves the model owning the src→dst link, building it on the
 // first packet between two Add-ed hosts. A factory that returns nil
 // leaves the link on the base model, so no nil model escapes.
 func (c *Compiler) link(src, dst ipv4.Addr) PathModel {
-	pair := Pair{Src: src, Dst: dst}
-	if c.lastModel != nil && pair == c.last {
+	key := pairKey(src, dst)
+	if c.lastModel != nil && key == c.last {
 		return c.lastModel
 	}
-	m, ok := c.links[pair]
+	m, ok := c.links.get(key)
 	if !ok {
 		m = c.base
-		srcRole, srcKnown := c.roles[src]
-		dstRole, dstKnown := c.roles[dst]
+		srcRole, srcKnown := c.roles.get(addrKey(src))
+		dstRole, dstKnown := c.roles.get(addrKey(dst))
 		if srcKnown && dstKnown {
 			if f := c.topo.linkBuild(srcRole, dstRole); f != nil {
 				if built := f(); built != nil {
 					m = built
 				}
 			}
-			c.links[pair] = m
+			c.links.put(key, m)
 		}
 	}
-	c.last, c.lastModel = pair, m
+	c.last, c.lastModel = key, m
 	return m
 }
 
@@ -255,9 +256,11 @@ func victimSide(t *Topology, build func() PathModel) {
 	t.SetPath(RoleResolver, RoleNameserver, build)
 }
 
-// fixedPath returns a factory for a fixed-latency lossless path.
+// fixedPath returns a factory for a fixed-latency lossless path. Such a
+// path holds no state, so every link it builds shares one instance.
 func fixedPath(oneWay time.Duration) func() PathModel {
-	return func() PathModel { return &Path{Delay: Fixed(oneWay)} }
+	p := &Path{Delay: Fixed(oneWay)}
+	return func() PathModel { return p }
 }
 
 // The near-attacker preset's one-way delays: the victim network's links

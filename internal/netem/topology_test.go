@@ -197,7 +197,7 @@ type eagerCompiler struct {
 	base  PathModel
 	roles map[ipv4.Addr]Role
 	order []ipv4.Addr
-	links map[Pair]PathModel
+	links map[[2]ipv4.Addr]PathModel
 }
 
 func newEagerCompiler(t *Topology) *eagerCompiler {
@@ -205,7 +205,7 @@ func newEagerCompiler(t *Topology) *eagerCompiler {
 	if base == nil {
 		base = &Path{}
 	}
-	return &eagerCompiler{topo: t, base: base, roles: map[ipv4.Addr]Role{}, links: map[Pair]PathModel{}}
+	return &eagerCompiler{topo: t, base: base, roles: map[ipv4.Addr]Role{}, links: map[[2]ipv4.Addr]PathModel{}}
 }
 
 func (e *eagerCompiler) Add(addr ipv4.Addr, role Role) {
@@ -214,10 +214,10 @@ func (e *eagerCompiler) Add(addr ipv4.Addr, role Role) {
 	}
 	for _, h := range e.order {
 		if f := e.topo.linkBuild(role, e.roles[h]); f != nil {
-			e.links[Pair{Src: addr, Dst: h}] = f()
+			e.links[[2]ipv4.Addr{addr, h}] = f()
 		}
 		if f := e.topo.linkBuild(e.roles[h], role); f != nil {
-			e.links[Pair{Src: h, Dst: addr}] = f()
+			e.links[[2]ipv4.Addr{h, addr}] = f()
 		}
 	}
 	e.roles[addr] = role
@@ -225,7 +225,7 @@ func (e *eagerCompiler) Add(addr ipv4.Addr, role Role) {
 }
 
 func (e *eagerCompiler) model(src, dst ipv4.Addr) PathModel {
-	if m := e.links[Pair{Src: src, Dst: dst}]; m != nil {
+	if m := e.links[[2]ipv4.Addr{src, dst}]; m != nil {
 		return m
 	}
 	return e.base

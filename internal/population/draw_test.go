@@ -248,8 +248,8 @@ type drawCase[C any] struct {
 }
 
 // domainNameserverCases: the default population at fig5's campaign seed
-// 1 (seed + 5) and the edge seeds, a 10 000-domain one ("fast size", the
-// size the former -fast flag drew), every edge probability in each
+// 1 (seed + 5) and the edge seeds, a 10 000-domain one, every edge
+// probability in each
 // field, at a size that reaches every branch, and each of the draw's five
 // cuts on a drawn value and just past it (cutCases).
 func domainNameserverCases() []drawCase[DomainNameserverConfig] {
@@ -264,7 +264,7 @@ func domainNameserverCases() []drawCase[DomainNameserverConfig] {
 		edit(&cfg)
 		cases = append(cases, drawCase[DomainNameserverConfig]{name, cfg, 7})
 	}
-	with("fast size", func(*DomainNameserverConfig) {})
+	with("10 000 domains", func(*DomainNameserverConfig) {})
 	with("Total 0", func(c *DomainNameserverConfig) { c.Total = 0 })
 	with("CumAt548 below CumAt292", func(c *DomainNameserverConfig) { c.CumAt292, c.CumAt548 = 0.5, 0.25 })
 	for _, p := range edgeProbs {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -576,12 +577,22 @@ func TestGenerateTimingDeltasOverlap(t *testing.T) {
 // per draw, costs 4.9 KB more.
 const heapBudgetOpenResolverTally = 2048
 
+// TestHeapBudgetOpenResolverDraw reads runtime.MemStats.TotalAlloc over
+// four tallies after one warm-up tally: a tally allocates the same bytes
+// every time, so a handful gives its exact figure without timing a
+// benchmark.
 func TestHeapBudgetOpenResolverDraw(t *testing.T) {
-	r := testing.Benchmark(BenchmarkOpenResolverDraw)
-	if r.N == 0 {
-		t.Fatal("benchmark did not run")
+	const calls = 4
+	cfg := DefaultOpenResolverConfig()
+	tally := func() { sinkInt += TallyOpenResolvers(cfg, 11, RecPoolA, 7*24*3600).Verified }
+	tally()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range calls {
+		tally()
 	}
-	got := r.AllocedBytesPerOp()
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / calls
 	if got > heapBudgetOpenResolverTally {
 		t.Errorf("a default-size open-resolver tally allocates %d bytes, budget %d", got, heapBudgetOpenResolverTally)
 	}

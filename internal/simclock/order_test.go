@@ -165,8 +165,9 @@ func (o *fuzzOps) delay() time.Duration {
 
 // FuzzClockOrder drives Clock, started at t0 in one of fuzzZones, with a
 // call sequence decoded from the input (Schedule, ScheduleInto, After,
-// AfterArg, ScheduleAt, Tick, Timer.Stop, Ticker.Stop, Step, RunUntil and
-// Reset, with fired events scheduling children) and checks every fire,
+// AfterArg, ScheduleAt, Tick, TickInto restarting a ticker, Timer.Stop,
+// Ticker.Stop, Step, RunUntil and Reset, with fired events scheduling
+// children) and checks every fire,
 // every Step and Stop result, Len and Now against refClock after each
 // call. Now, read after each call and inside each callback, must equal
 // the start time advanced to the reference's time, location and all.
@@ -187,6 +188,9 @@ func FuzzClockOrder(f *testing.F) {
 	}
 	seed = append(seed, 9, 255, 8, 8, 10, 0)
 	f.Add(uint8(0), append(seed, seed...))
+	// Eight tickers, the second stopped; a ninth restarts the first, armed,
+	// and then the stopped second, in place; then a run.
+	f.Add(uint8(0), []byte{5, 0, 5, 1, 5, 2, 5, 0, 5, 1, 5, 2, 5, 0, 5, 1, 7, 1, 5, 2, 0, 5, 0, 1, 9, 120})
 	// Steps, a RunUntil and a Reset, in a zone east of UTC.
 	f.Add(uint8(1), []byte{0, 4, 1, 3, 2, 5, 1, 8, 8, 4, 250, 9, 30, 10, 3, 2, 1, 0, 8})
 	f.Fuzz(func(t *testing.T, zone uint8, data []byte) {
@@ -281,14 +285,26 @@ func FuzzClockOrder(f *testing.F) {
 				tm := c.ScheduleAt(at, record(id))
 				timers = append(timers, timer{tm, ref.schedule(off, id)})
 			case 5:
-				if len(tickers) == maxTickers {
-					continue
-				}
 				iv := tickIntervals[int(ops.byte())%len(tickIntervals)]
 				ref.nextID++
 				id := ref.nextID
-				tk := c.Tick(iv, record(id))
 				rt := &refTicker{interval: iv, id: id}
+				if len(tickers) == maxTickers {
+					// Restart a ticker in place, armed or stopped:
+					// TickInto stops what it ran and starts afresh.
+					k := int(ops.byte()) % maxTickers
+					old := tickers[k].ref
+					old.stopped = true
+					if ev := old.pending; ev != nil && !ev.fired {
+						ev.cancelled = true
+					}
+					c.TickInto(tickers[k].tk, iv, record(id))
+					rt.pending = ref.schedule(iv, id)
+					rt.pending.ticker = rt
+					tickers[k].ref = rt
+					continue
+				}
+				tk := c.Tick(iv, record(id))
 				rt.pending = ref.schedule(iv, id)
 				rt.pending.ticker = rt
 				tickers = append(tickers, ticker{tk, rt})

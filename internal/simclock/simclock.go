@@ -325,13 +325,29 @@ type Ticker struct {
 // reuses one closure and the clock's event free list, so a long-lived
 // ticker allocates nothing per tick.
 func (c *Clock) Tick(interval time.Duration, fn func()) *Ticker {
-	t := &Ticker{clock: c, interval: interval, fn: fn}
-	t.run = func() {
-		t.fn()
-		t.arm()
-	}
-	t.arm()
+	t := &Ticker{}
+	c.TickInto(t, interval, fn)
 	return t
+}
+
+// TickInto starts the caller-owned Ticker t as Tick starts a new one,
+// stopping whatever t ran before. Pooled objects embed a Ticker value
+// and restart it through here: its re-arm callback is bound on the first
+// start only, so a restart allocates nothing.
+func (c *Clock) TickInto(t *Ticker, interval time.Duration, fn func()) {
+	t.Stop()
+	if t.run == nil {
+		t.run = t.fire
+	}
+	t.clock, t.interval, t.fn = c, interval, fn
+	t.armed, t.stopped = false, false
+	t.arm()
+}
+
+// fire runs the ticker's callback and re-arms it.
+func (t *Ticker) fire() {
+	t.fn()
+	t.arm()
 }
 
 func (t *Ticker) arm() {
@@ -342,7 +358,8 @@ func (t *Ticker) arm() {
 	t.idx, t.gen, t.armed = idx, t.clock.arena[idx].gen, true
 }
 
-// Stop cancels the ticker; no further callbacks run.
+// Stop cancels the ticker; no further callbacks run. Stopping a zero
+// Ticker does nothing.
 func (t *Ticker) Stop() {
 	t.stopped = true
 	if !t.armed {
